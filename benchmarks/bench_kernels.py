@@ -2,11 +2,12 @@
 
 Run as a script:  python benchmarks/bench_kernels.py  [--repeat N]
 
-Covers the three hot loops: sparse polynomial products (the bulk of
-symbolic Poisson-bracket work), Poisson brackets of mid-sized invariants
-on so(8), and the breadth-first closure of a reflection group over int8
-matrices.  Both kernel implementations are imported directly, so the
-benchmark is independent of which one the package selected at import.
+Covers two hot loops: sparse polynomial products (the bulk of symbolic
+Poisson-bracket work) and the breadth-first closure of a reflection group
+over int8 matrices.  Both kernel implementations are imported directly,
+so the benchmark is independent of which one the package selected at
+import.  The shipped Poisson bracket is timed end to end by the
+``brackets`` workload of ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -53,44 +54,6 @@ def poly_product_case(impl, rng_seed=7, nvars=28, nterms=300):
     return run
 
 
-def bracket_case(impl):
-    # representative of the so(8) commutativity workload: bracket of two
-    # mid-sized bi-components through diff/mul/axpy kernel calls
-    from liesplit.liealg import build_so_even
-    from liesplit.invariants import bidecompose, hilbert_basis
-    from liesplit.splitting import make_splitting
-
-    so8 = build_so_even(4)
-    S = make_splitting(so8, tuple(so8.triangular.plus) + tuple(so8.triangular.cartan))
-    B = hilbert_basis(so8, "so_minors_pfaffian", verify=False)
-    comps = [c.poly for c in bidecompose(S, B.polys[1]).components]
-    F, G = comps[0], comps[-1]
-    n = so8.dim
-    constants = so8.constants
-
-    def run():
-        dF = [impl.diff_terms(F.terms, i) for i in range(n)]
-        dG = [impl.diff_terms(G.terms, i) for i in range(n)]
-        acc = {}
-        one = QQ(1)
-        for (i, j), entries in constants.items():
-            cross = {}
-            if dF[i] and dG[j]:
-                impl.axpy_terms(cross, impl.mul_terms(dF[i], dG[j], n), one)
-            if dF[j] and dG[i]:
-                impl.axpy_terms(cross, impl.mul_terms(dF[j], dG[i], n), -one)
-            if not cross:
-                continue
-            lin = {}
-            for k, c in entries:
-                e = bytearray(n)
-                e[k] = 1
-                lin[bytes(e)] = c
-            impl.axpy_terms(acc, impl.mul_terms(cross, lin, n), one)
-
-    return run
-
-
 def weyl_closure_case(impl):
     from liesplit.weyl import build_root_system
 
@@ -120,7 +83,6 @@ def weyl_closure_case(impl):
 
 CASES = [
     ("poly product 300x300 terms, 28 vars", poly_product_case),
-    ("poisson bracket of so(8) components", bracket_case),
     ("Weyl closure of D4 (192 elements)", weyl_closure_case),
 ]
 

@@ -47,6 +47,7 @@ from .poisson import (
     SphericityReport,
     StabilizerReport,
     generic_stabilizer,
+    hamiltonian_field,
     index_estimate,
     poisson_bracket,
     regular_point_check,

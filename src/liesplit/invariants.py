@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .liealg import LieAlgebra, sub_algebra
 from .linalg import Matrix, inverse, rank, solve
-from .poisson import poisson_bracket
+from .poisson import hamiltonian_field, poisson_bracket
 from .poly import Polynomial
 from .rationals import QQ, QQ0, QQ1
 from .splitting import Decomposition, Splitting
@@ -167,25 +167,7 @@ class HilbertBasis:
 
 def verify_invariance(L: LieAlgebra, F: Polynomial) -> bool:
     """Exact check that {F, x_j} = 0 for every coordinate x_j."""
-    from . import _kernels as K
-
-    n = L.dim
-    dF = [None] * n
-    acc = [dict() for _ in range(n)]
-    for (i, j), entries in L.constants.items():
-        lin = {}
-        for k, c in entries:
-            e = bytearray(n)
-            e[k] = 1
-            lin[bytes(e)] = c
-        for a, b, sign in ((i, j, QQ1), (j, i, -QQ1)):
-            # contribution of dF/dx_a to {F, x_b}
-            if dF[a] is None:
-                dF[a] = K.diff_terms(F.terms, a)
-            if dF[a]:
-                piece = K.mul_terms(dF[a], lin, n)
-                K.axpy_terms(acc[b], piece, sign)
-    return all(not t for t in acc)
+    return all(V.is_zero() for _, V in hamiltonian_field(L, F))
 
 
 def _b_of(L: LieAlgebra):
@@ -323,26 +305,23 @@ def restrict_to_span(L: LieAlgebra, F: Polynomial, vectors, bound_names=None) ->
     return F.map_vars(images, k)
 
 
-def restrict_to_t0(S: Splitting, F: Polynomial) -> Polynomial:
+def _restrict_to_toral(S: Splitting, F: Polynomial, indices, label) -> Polynomial:
     if not S.is_horospherical:
-        raise ValueError("t0 restrictions need a horospherical splitting")
+        raise ValueError(f"{label} restrictions need a horospherical splitting")
     unit = []
-    for i in S.t0_indices:
+    for i in indices:
         v = [QQ0] * S.algebra.dim
         v[i] = QQ1
         unit.append(v)
     return restrict_to_span(S.algebra, F, unit)
+
+
+def restrict_to_t0(S: Splitting, F: Polynomial) -> Polynomial:
+    return _restrict_to_toral(S, F, S.t0_indices, "t0")
 
 
 def restrict_to_t1(S: Splitting, F: Polynomial) -> Polynomial:
-    if not S.is_horospherical:
-        raise ValueError("t1 restrictions need a horospherical splitting")
-    unit = []
-    for i in S.t1_indices:
-        v = [QQ0] * S.algebra.dim
-        v[i] = QQ1
-        unit.append(v)
-    return restrict_to_span(S.algebra, F, unit)
+    return _restrict_to_toral(S, F, S.t1_indices, "t1")
 
 
 # -- bi-homogeneous decomposition ---------------------------------------

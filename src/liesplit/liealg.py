@@ -21,8 +21,9 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import Matrix, inverse, rank, rank_and_nullspace
-from .rationals import QQ, QQ0
+from . import _kernels as K
+from .linalg import Matrix, inverse, rank_and_nullspace
+from .rationals import QQ, QQ0, QQ1
 
 
 class JacobiError(ValueError):
@@ -47,20 +48,32 @@ class TriangularData:
     cartan_form: Matrix        # Gram matrix of the invariant form restricted to the Cartan
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class LieAlgebra:
     def __init__(self, names, constants, rank=None, triangular=None,
                  realization=None, matrix_size=None, gram=None, kind="custom",
                  base_algebra=None, base_change=None, check=True):
         self.dim = len(names)
         self.names = tuple(names)
+        for (i, j), entries in constants.items():
+            if not (_is_int(i) and _is_int(j) and 0 <= i < j < self.dim):
+                raise ValueError(f"constants must be indexed by pairs i<j, got {(i, j)}")
+            seen = set()
+            for k, _ in entries:
+                if not (_is_int(k) and 0 <= k < self.dim):
+                    raise ValueError(f"bracket [{i}, {j}]: target {k!r} is not a basis index "
+                                     f"in range({self.dim})")
+                if k in seen:
+                    raise ValueError(f"bracket [{i}, {j}]: target {k} is listed twice")
+                seen.add(k)
         self.constants = {
             pair: tuple((k, QQ(c)) for k, c in entries if QQ(c))
             for pair, entries in constants.items()
         }
         self.constants = {p: e for p, e in self.constants.items() if e}
-        for (i, j) in self.constants:
-            if not 0 <= i < j < self.dim:
-                raise ValueError(f"constants must be indexed by pairs i<j, got {(i, j)}")
         self.rank = rank
         self.triangular = triangular
         self.realization = realization
@@ -77,11 +90,7 @@ class LieAlgebra:
     # -- bracket ------------------------------------------------------
     def bracket_pair(self, i, j):
         """[x_i, x_j] as a sparse dict k -> coefficient."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.constants.get((i, j), ()))
-        return {k: -c for k, c in self.constants.get((j, i), ())}
+        return _pair(self.constants, i, j)
 
     def bracket_vec(self, u, v):
         """Bracket of two coordinate vectors, as a sparse dict."""
@@ -90,12 +99,7 @@ class LieAlgebra:
         vj = [(j, QQ(c)) for j, c in enumerate(v) if QQ(c)]
         for i, a in ui:
             for j, b in vj:
-                for k, c in self.bracket_pair(i, j).items():
-                    val = out.get(k, QQ0) + a * b * c
-                    if val:
-                        out[k] = val
-                    elif k in out:
-                        del out[k]
+                K.axpy_terms(out, self.bracket_pair(i, j), a * b)
         return out
 
     def index_of(self, name):
@@ -118,28 +122,25 @@ class LieAlgebra:
         return f"LieAlgebra({self.kind}, dim={self.dim})"
 
 
+def _pair(constants, i, j):
+    """[x_i, x_j] read off constants stored for pairs i < j, as a dict k -> coefficient."""
+    if i < j:
+        return dict(constants.get((i, j), ()))
+    return {k: -c for k, c in constants.get((j, i), ())}
+
+
 def jacobi_report(dim, constants) -> JacobiReport:
     """Exhaustive Jacobi check over all basis triples i < j < k."""
-
-    def pair(i, j):
-        if i < j:
-            return dict(constants.get((i, j), ()))
-        return {k: -c for k, c in constants.get((j, i), ())}
-
     for i in range(dim):
         for j in range(i + 1, dim):
-            cij = pair(i, j)
+            cij = _pair(constants, i, j)
             for k in range(j + 1, dim):
                 acc = {}
                 # [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j]
-                for idx, inner in ((k, cij), (i, pair(j, k)), (j, pair(k, i))):
+                for idx, inner in ((k, cij), (i, _pair(constants, j, k)),
+                                   (j, _pair(constants, k, i))):
                     for m, c in inner.items():
-                        for t, d in pair(m, idx).items():
-                            val = acc.get(t, QQ0) + c * d
-                            if val:
-                                acc[t] = val
-                            elif t in acc:
-                                del acc[t]
+                        K.axpy_terms(acc, _pair(constants, m, idx), c)
                 if acc:
                     return JacobiReport(False, (i, j, k))
     return JacobiReport(True, None)
@@ -164,25 +165,13 @@ def _smul(a: dict, b: dict) -> dict:
     for (r, c), v in b.items():
         bysrc.setdefault(r, []).append((c, v))
     for (r, c), v in a.items():
-        for c2, v2 in bysrc.get(c, ()):
-            key = (r, c2)
-            val = out.get(key, QQ0) + v * v2
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
+        K.axpy_terms(out, {(r, c2): v2 for c2, v2 in bysrc.get(c, ())}, v)
     return out
 
 
 def _scomm(a: dict, b: dict) -> dict:
     ab = _smul(a, b)
-    ba = _smul(b, a)
-    for key, v in ba.items():
-        val = ab.get(key, QQ0) - v
-        if val:
-            ab[key] = val
-        elif key in ab:
-            del ab[key]
+    K.axpy_terms(ab, _smul(b, a), -QQ1)
     return ab
 
 
@@ -223,17 +212,11 @@ def _gram_from_realization(mats, half=False):
 
 def _extract_root_labels(constants, cartan, roots, dim):
     """Read alpha(t_c) off the structure constants; Cartan action must be diagonal."""
-
-    def pair(i, j):
-        if i < j:
-            return dict(constants.get((i, j), ()))
-        return {k: -c for k, c in constants.get((j, i), ())}
-
     labels = {}
     for r in roots:
         vals = []
         for c in cartan:
-            br = pair(c, r)
+            br = _pair(constants, c, r)
             extra = {k: v for k, v in br.items() if k != r}
             if extra:
                 raise ValueError(f"Cartan element {c} does not act diagonally on root vector {r}")
@@ -409,7 +392,7 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
 def custom_algebra(names, raw_constants, **kw) -> LieAlgebra:
     """Algebra from raw constants {(i, j): [(k, coeff), ...]} with i < j."""
     constants = {
-        tuple(pair): tuple((int(k), QQ(c)) for k, c in entries)
+        tuple(pair): tuple((k, QQ(c)) for k, c in entries)
         for pair, entries in raw_constants.items()
     }
     return LieAlgebra(names, constants, kind=kw.pop("kind", "custom"), **kw)
@@ -467,18 +450,20 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
     if len(new_vectors) != L.dim:
         raise ValueError("need a full new basis")
     P = Matrix.from_columns(new_vectors)
-    if rank(P) != L.dim:
-        raise ValueError("new basis vectors are dependent")
-    Pinv = inverse(P)
+    try:
+        Pinv = inverse(P)
+    except ValueError:
+        raise ValueError("new basis vectors are dependent") from None
+    # new coordinates of an old vector w are sum_k w_k * (column k of P^-1)
+    columns = [{r: c for r, c in enumerate(col) if c} for col in zip(*Pinv.rows)]
     constants = {}
     for a in range(L.dim):
         for b in range(a + 1, L.dim):
-            w = L.bracket_vec(new_vectors[a], new_vectors[b])
-            vec = [w.get(k, QQ0) for k in range(L.dim)]
-            coeffs = Pinv.matvec(vec)
-            entries = tuple((k, c) for k, c in enumerate(coeffs) if c)
-            if entries:
-                constants[(a, b)] = entries
+            coeffs: dict = {}
+            for k, c in L.bracket_vec(new_vectors[a], new_vectors[b]).items():
+                K.axpy_terms(coeffs, columns[k], c)
+            if coeffs:
+                constants[(a, b)] = tuple(sorted(coeffs.items()))
     gram = None
     if L.gram is not None:
         gram = P.transpose() * L.gram * P
@@ -488,14 +473,7 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
         for vec in new_vectors:
             m: dict = {}
             for i, c in enumerate(vec):
-                c = QQ(c)
-                if c:
-                    for p, v in L.realization[i].items():
-                        val = m.get(p, QQ0) + c * v
-                        if val:
-                            m[p] = val
-                        elif p in m:
-                            del m[p]
+                K.axpy_terms(m, L.realization[i], QQ(c))
             realization.append(m)
     return LieAlgebra(new_names, constants, rank=L.rank, realization=realization,
                       matrix_size=L.matrix_size, gram=gram,
@@ -522,7 +500,15 @@ def algebra_from_json(text: str) -> LieAlgebra:
         raise ValueError("dim does not match the number of basis names")
     constants = {}
     for i, j, entries in doc["brackets"]:
-        if not i < j:
-            raise ValueError("brackets must be listed for pairs i < j")
-        constants[(i, j)] = tuple((int(k), QQ(num, den)) for k, num, den in entries)
+        if not (_is_int(i) and _is_int(j) and i < j):
+            raise ValueError(f"bracket [{i!r}, {j!r}]: brackets must be listed for "
+                             "integer pairs i < j")
+        if (i, j) in constants:
+            raise ValueError(f"bracket [{i}, {j}] is listed twice")
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 3
+                    and all(_is_int(x) for x in entry) and entry[2] != 0):
+                raise ValueError(f"bracket [{i}, {j}]: entry {entry!r} must be three integers "
+                                 "[k, num, den] with den != 0")
+        constants[(i, j)] = tuple((k, QQ(num, den)) for k, num, den in entries)
     return LieAlgebra(names, constants, kind="custom")

@@ -200,8 +200,9 @@ def solve_many(m: Matrix, bs: Sequence[Sequence]):
 def inverse(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise ValueError("not square")
+    # for square M, M X = I is consistent exactly when M is nonsingular
     cols = solve_many(m, [[QQ1 if i == j else QQ0 for i in range(m.nrows)] for j in range(m.nrows)])
-    if cols is None or rank(m) != m.nrows:
+    if cols is None:
         raise ValueError("matrix is singular")
     return Matrix.from_columns(cols)
 

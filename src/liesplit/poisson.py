@@ -13,47 +13,54 @@ from dataclasses import dataclass, field
 
 from . import _kernels as K
 from .liealg import LieAlgebra, sub_algebra
-from .linalg import Matrix, rank_and_nullspace, solve
+from .linalg import Matrix, rank, rank_and_nullspace, solve
 from .poly import Polynomial
-from .rationals import QQ, QQ0
+from .rationals import QQ, QQ0, QQ1, qq_str
 from .splitting import BracketParameter, Decomposition, Splitting, pencil_member
 
 DEFAULT_BOUND = 10**6
 
 
-def poisson_bracket(L: LieAlgebra, F: Polynomial, G: Polynomial) -> Polynomial:
-    """{F, G} = sum over i<j of c_ij^k x_k (dF/dx_i dG/dx_j - dF/dx_j dG/dx_i)."""
-    if F.nvars != L.dim or G.nvars != L.dim:
+def hamiltonian_field(L: LieAlgebra, F: Polynomial, targets=None):
+    """Yield (j, V_j) with V_j = {F, x_j} = sum_i pi_ij dF/dx_i and pi_ij = sum_k c_ij^k x_k.
+
+    Runs over ``targets`` (every coordinate by default), one field
+    component at a time; F is invariant exactly when every V_j vanishes.
+    """
+    if F.nvars != L.dim:
         raise ValueError("polynomials must live on the algebra's coordinates")
     n = L.dim
-    dF = [None] * n
-    dG = [None] * n
-    acc: dict = {}
+    columns = {j: [] for j in (range(n) if targets is None else targets)}
     for (i, j), entries in L.constants.items():
-        if dF[i] is None:
-            dF[i] = K.diff_terms(F.terms, i)
-        if dF[j] is None:
-            dF[j] = K.diff_terms(F.terms, j)
-        if dG[i] is None:
-            dG[i] = K.diff_terms(G.terms, i)
-        if dG[j] is None:
-            dG[j] = K.diff_terms(G.terms, j)
-        if not ((dF[i] and dG[j]) or (dF[j] and dG[i])):
-            continue
-        cross: dict = {}
-        if dF[i] and dG[j]:
-            K.axpy_terms(cross, K.mul_terms(dF[i], dG[j], n), QQ(1))
-        if dF[j] and dG[i]:
-            K.axpy_terms(cross, K.mul_terms(dF[j], dG[i], n), QQ(-1))
-        if not cross:
-            continue
         lin = {}
         for k, c in entries:
             e = bytearray(n)
             e[k] = 1
             lin[bytes(e)] = c
-        K.axpy_terms(acc, K.mul_terms(cross, lin, n), QQ(1))
-    return Polynomial(L.dim, acc, _clean=True)
+        # pi_ij = lin feeds V_j through dF/dx_i, pi_ji = -lin feeds V_i through dF/dx_j
+        if j in columns:
+            columns[j].append((i, lin, QQ1))
+        if i in columns:
+            columns[i].append((j, lin, -QQ1))
+    dF = [K.diff_terms(F.terms, i) for i in range(n)]
+    for j, col in columns.items():
+        V = {}
+        for i, lin, sign in col:
+            if dF[i]:
+                K.axpy_terms(V, K.mul_terms(dF[i], lin, n), sign)
+        yield j, Polynomial(n, V, _clean=True)
+
+
+def poisson_bracket(L: LieAlgebra, F: Polynomial, G: Polynomial) -> Polynomial:
+    """{F, G} = sum_j {F, x_j} dG/dx_j, over the coordinates G depends on."""
+    if G.nvars != L.dim:
+        raise ValueError("polynomials must live on the algebra's coordinates")
+    n = L.dim
+    dG = {j: d for j in range(n) if (d := K.diff_terms(G.terms, j))}
+    acc: dict = {}
+    for j, V in hamiltonian_field(L, F, dG):
+        K.axpy_terms(acc, K.mul_terms(V.terms, dG[j], n), QQ1)
+    return Polynomial(n, acc, _clean=True)
 
 
 @dataclass
@@ -101,15 +108,13 @@ def tensor_at(L_or_S, xi, parameter=None) -> PoissonTensorSample:
             rows[i][j] = v
             rows[j][i] = -v
     mat = Matrix([[rows[a][b] for b in order] for a in order])
-    rk, _ = rank_and_nullspace(mat)
+    rk = rank(mat)
     if rk % 2:
         raise AssertionError("skew-symmetric matrices have even rank; elimination bug")
     block_a_rank = None
     if S is not None:
         nh = S.dim_h
-        from .linalg import rank as _rank
-
-        block_a_rank = _rank(Matrix([row[nh:] for row in mat.rows[:nh]]))
+        block_a_rank = rank(Matrix([row[nh:] for row in mat.rows[:nh]]))
     if isinstance(parameter, tuple):
         parameter = BracketParameter(*parameter)
     return PoissonTensorSample(tuple(xi), parameter, mat, rk, order, block_a_rank)
@@ -125,14 +130,13 @@ class IndexEstimate:
     witness: tuple = field(repr=False, default=())
 
     def as_dict(self):
-        from .rationals import qq_str
-
         return {
             "claimed_index": self.claimed_index,
             "certified_max_rank": self.certified_max_rank,
             "samples": self.samples,
             "seed": self.seed,
             "b_value": qq_str(self.b_value),
+            "witness": [qq_str(QQ(x)) for x in self.witness],
         }
 
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .liealg import LieAlgebra, Matrix, TriangularData, change_basis
+from . import _kernels as K
+from .liealg import LieAlgebra, Matrix, TriangularData, _extract_root_labels, change_basis
 from .linalg import rank, rank_and_nullspace
 from .rationals import QQ, QQ0, QQ1, qq_str
 
@@ -159,14 +160,8 @@ def family_bracket(S: Splitting, p: BracketParameter) -> LieAlgebra:
     constants = {}
     for key in keys:
         acc: dict = {}
-        for coeff, part in ((p.a, c0.get(key, ())), (p.b, cinf.get(key, ()))):
-            if coeff:
-                for k, c in part:
-                    val = acc.get(k, QQ0) + coeff * c
-                    if val:
-                        acc[k] = val
-                    elif k in acc:
-                        del acc[k]
+        K.axpy_terms(acc, dict(c0.get(key, ())), p.a)
+        K.axpy_terms(acc, dict(cinf.get(key, ())), p.b)
         if acc:
             constants[key] = tuple(acc.items())
     return LieAlgebra(S.algebra.names, constants,
@@ -297,8 +292,6 @@ def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Splitting
     t0_idx = tuple(range(nplus + k + nminus, L.dim))
     cartan_new = t1_idx + t0_idx
     # rebuild triangular data in the adapted coordinates
-    from .liealg import _extract_root_labels  # shared constant-reading helper
-
     labels = _extract_root_labels(adapted.constants, cartan_new, plus + minus, L.dim)
     cf = Matrix([[adapted.gram[a, b] for b in cartan_new] for a in cartan_new])
     adapted.triangular = TriangularData(plus, cartan_new, minus, labels, cf)

@@ -69,6 +69,7 @@ def test_index_subcommand_with_algebra_file(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["tables"]["claimed_index"] == 2
     assert doc["tables"]["b_value"] == "5"
+    assert len(doc["tables"]["witness"]) == 8
 
 
 def test_unknown_case_rejected(capsys):

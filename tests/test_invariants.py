@@ -17,6 +17,7 @@ from liesplit.invariants import (
     poly_det,
     poly_pfaffian,
     restrict_to_t0,
+    restrict_to_t1,
     transport_basis,
     verify_invariance,
 )
@@ -310,6 +311,17 @@ def test_eliminate_sl3_infeasible():
     assert restrict_to_t0(S, B.polys[1]) == Polynomial.monomial(1, [3], -6)
     with pytest.raises(EliminationInfeasible):
         eliminate_on_subspace(B, S, keep=[0])
+
+
+def test_restrict_to_t1_sl3():
+    # Y = c*diag(1, 0, -1): tr Y^2 = 2c^2 and tr Y^3 = 0
+    g, S = sl3_paper_splitting()
+    B = transport_basis(hilbert_basis(g, "trace_powers"), S)
+    assert restrict_to_t1(S, B.polys[0]) == Polynomial.monomial(1, [2], 2)
+    assert restrict_to_t1(S, B.polys[1]).is_zero()
+    assert restrict_to_t1(S, B.polys[0]).to_string(["c"]) == "2*c^2"
+    with pytest.raises(ValueError, match="t1 restrictions need a horospherical splitting"):
+        restrict_to_t1(make_splitting(g, g.triangular.plus + g.triangular.cartan), B.polys[0])
 
 
 def test_double_shift_bidegree():

@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
 from liesplit.liealg import (
     JacobiError,
+    LieAlgebra,
     algebra_from_json,
     algebra_to_json,
     build_algebra,
@@ -81,6 +84,36 @@ def test_structure_constants_json_round_trip():
     assert algebra_from_json(algebra_to_json(L)).constants == L.constants
 
 
+def _json_algebra(brackets):
+    return json.dumps({"dim": 2, "basis_names": ["x0", "x1"], "brackets": brackets})
+
+
+@pytest.mark.parametrize("brackets, message", [
+    ([[0, 1, [[7, 1, 1]]]], "bracket [0, 1]: target 7"),             # target outside the basis
+    ([[0, 1, [[0, 1, 1], [0, 1, 1]]]], "bracket [0, 1]: target 0"),  # duplicate target
+    ([[0, 1, [[0, 1, 1]]], [0, 1, [[1, 1, 1]]]], "[0, 1] is listed twice"),
+    ([[0, 1, [[0, 1, 0]]]], "entry [0, 1, 0]"),                      # den = 0
+    ([[0, 1, [[0.0, 1, 1]]]], "entry [0.0, 1, 1]"),                  # non-integer target
+    ([[0, 1.5, [[0, 1, 1]]]], "bracket [0, 1.5]"),                   # non-integer pair
+])
+def test_json_constants_rejected_with_the_offending_entry(brackets, message):
+    with pytest.raises(ValueError) as exc:
+        algebra_from_json(_json_algebra(brackets))
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("make", [LieAlgebra, custom_algebra])
+@pytest.mark.parametrize("entries, message", [
+    (((7, 1),), "target 7 is not a basis index"),
+    (((0, 1), (0, 1)), "target 0 is listed twice"),
+    (((0.5, 1),), "target 0.5 is not a basis index"),
+])
+def test_constructor_rejects_bad_bracket_targets(make, entries, message):
+    with pytest.raises(ValueError) as exc:
+        make(["x0", "x1"], {(0, 1): entries})
+    assert "bracket [0, 1]" in str(exc.value) and message in str(exc.value)
+
+
 def test_gram_matches_trace_form():
     sl2 = build_sl(2)
     # <e,f> = tr(E12 E21) = 1, <h,h> = 2
@@ -113,6 +146,12 @@ def test_change_basis_preserves_structure():
     assert new.bracket_pair(1, 0) == {0: QQ(2)}
     assert new.bracket_pair(0, 2) == {1: QQ(1)}
     assert check_jacobi(new).passed
+
+
+def test_change_basis_rejects_dependent_vectors():
+    sl2 = build_sl(2)
+    with pytest.raises(ValueError, match="new basis vectors are dependent"):
+        change_basis(sl2, [[1, 0, 0], [0, 1, 0], [1, 1, 0]], ["a", "b", "c"])
 
 
 def test_root_labels_give_diagonal_cartan_action():

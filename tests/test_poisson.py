@@ -23,6 +23,15 @@ def sl2_vars():
     return (Polynomial.variable(3, i) for i in range(3))
 
 
+def test_index_estimate_witness_replays():
+    g = build_sl(3)
+    est = index_estimate(g, trials=4, seed=3)
+    doc = est.as_dict()
+    witness = [QQ(x) for x in doc["witness"]]
+    assert len(witness) == g.dim
+    assert tensor_at(g, witness).rank == est.certified_max_rank == doc["certified_max_rank"]
+
+
 def test_degree_one_bracket_is_lie_bracket():
     sl2 = build_sl(2)
     e, h, f = sl2_vars()
