@@ -97,7 +97,6 @@ from .zalgebra import (
     commutativity_suite,
     property_suite,
     run_case,
-    trdeg_jacobian,
     z_generators,
 )
 

@@ -496,25 +496,14 @@ def _weighted_exponents(weights, total):
     return out
 
 
-def eliminate_on_subspace(B: HilbertBasis, S: Splitting, keep=None,
-                          variant: str = "subspace") -> HilbertBasis:
+def eliminate_on_subspace(B: HilbertBasis, S: Splitting, keep) -> HilbertBasis:
     """Correct non-kept generators so their restrictions to t0 vanish.
 
     For each non-kept generator P of degree d, an exact linear solve
     expresses P|_t0 as a weighted-degree-d polynomial in the kept
     restrictions; the result replaces P by P - that combination.  The
     modified family is again a Hilbert basis (triangular change).
-
-    variant 'double_h' / 'double_r' instead applies the Cartan-copy
-    shifts F - fbar and F - (-1)^deg fbar; the basis must then live on an
-    unadapted double builder algebra.
     """
-    if variant in ("double_h", "double_r"):
-        return double_shift_basis(B, side=variant[-1])
-    if variant != "subspace":
-        raise ValueError(f"unknown variant {variant!r}")
-    if keep is None:
-        raise ValueError("the subspace variant needs the kept generator indices")
     keep = sorted(keep)
     if B.algebra is not S.algebra:
         raise ValueError("basis and splitting live on different algebras")

@@ -2,8 +2,10 @@
 
 Structure constants are stored sparsely for basis pairs i < j; the
 bracket extends by antisymmetry.  Every constructor runs an exhaustive
-Jacobi check over all basis triples: there is no unchecked way to make
-an algebra.
+Jacobi check over all basis triples.  The one unchecked construction is
+``splitting.family_bracket``: a pencil member a*[,]_0 + b*[,]_inf has a
+Jacobiator quadratic in (a, b), so the pencil is certified by the checks
+at (1,0), (0,1) and (1,1) (see its docstring).
 
 Builders produce gl(n), sl(n), so(2n) in the antidiagonal realization
 (matrices skew with respect to the antidiagonal, so the Cartan is
@@ -102,9 +104,6 @@ class LieAlgebra:
                 K.axpy_terms(out, self.bracket_pair(i, j), a * b)
         return out
 
-    def index_of(self, name):
-        return self.names.index(name)
-
     def center(self):
         """Basis of the centre, as coordinate vectors."""
         rows = []
@@ -113,10 +112,6 @@ class LieAlgebra:
                 rows.append([QQ(self.bracket_pair(i, j).get(k, QQ0)) for i in range(self.dim)])
         _, basis = rank_and_nullspace(Matrix(rows))
         return basis
-
-    def b_value(self, index):
-        """(dim + index)/2; an integer whenever the index has the right parity."""
-        return QQ(self.dim + index, 2)
 
     def __repr__(self):
         return f"LieAlgebra({self.kind}, dim={self.dim})"

@@ -205,10 +205,3 @@ def inverse(m: Matrix) -> Matrix:
     if cols is None:
         raise ValueError("matrix is singular")
     return Matrix.from_columns(cols)
-
-
-def stack_rows(matrices: Sequence[Matrix]) -> Matrix:
-    rows = []
-    for m in matrices:
-        rows.extend(list(row) for row in m.rows)
-    return Matrix(rows)

@@ -16,7 +16,7 @@ from .liealg import LieAlgebra, sub_algebra
 from .linalg import Matrix, rank, rank_and_nullspace, solve
 from .poly import Polynomial
 from .rationals import QQ, QQ0, QQ1, qq_str
-from .splitting import BracketParameter, Decomposition, Splitting, pencil_member
+from .splitting import BracketParameter, Decomposition, Splitting, contract, pencil_member
 
 DEFAULT_BOUND = 10**6
 
@@ -297,8 +297,6 @@ def sphericity(S: Splitting, trials: int = 8, seed: int = 0) -> SphericityReport
     for name, c in (("c(G/H)", c_gh), ("c(G/R)", c_gr)):
         if int(c.denominator) != 1 or c < 0:
             raise AssertionError(f"{name} = {c} is not a nonnegative integer; bug detector")
-    from .splitting import contract
-
     ind0 = index_estimate(contract(S, "keep_h"), trials=max(5, trials), seed=seed + 3)
     indinf = index_estimate(contract(S, "keep_r"), trials=max(5, trials), seed=seed + 4)
     verdicts = {

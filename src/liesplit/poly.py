@@ -108,16 +108,6 @@ class Polynomial:
                     used.add(i)
         return used
 
-    def coefficient(self, exps):
-        e = bytearray(self.nvars)
-        if isinstance(exps, dict):
-            for i, k in exps.items():
-                e[i] = k
-        else:
-            for i, k in enumerate(exps):
-                e[i] = k
-        return self.terms.get(bytes(e), QQ0)
-
     # -- arithmetic ---------------------------------------------------
     def _check(self, other: "Polynomial"):
         if self.nvars != other.nvars:
@@ -178,9 +168,6 @@ class Polynomial:
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range for {self.nvars} variables")
         return Polynomial(self.nvars, K.diff_terms(self.terms, var), _clean=True)
-
-    def gradient(self) -> list:
-        return [self.diff(i) for i in range(self.nvars)]
 
     def eval(self, point: Sequence):
         if len(point) != self.nvars:

@@ -19,6 +19,7 @@ t1_i / t0_i and the splitting records both blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import _kernels as K
 from .liealg import LieAlgebra, Matrix, TriangularData, _extract_root_labels, change_basis
@@ -40,18 +41,6 @@ class BracketParameter:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @classmethod
-    def zero_end(cls):
-        return cls(1, 0)
-
-    @classmethod
-    def infinity_end(cls):
-        return cls(0, 1)
-
-    @classmethod
-    def generic(cls, t):
-        return cls(1, t)
-
     def label(self) -> str:
         return f"({qq_str(self.a)},{qq_str(self.b)})"
 
@@ -59,7 +48,7 @@ class BracketParameter:
 class Decomposition:
     """q = h + m with h a subalgebra and m the complementary coordinate span."""
 
-    def __init__(self, algebra: LieAlgebra, h_indices, r_indices=None, _check=True):
+    def __init__(self, algebra: LieAlgebra, h_indices, r_indices=None):
         self.algebra = algebra
         self.h_indices = tuple(h_indices)
         if r_indices is None:
@@ -72,8 +61,7 @@ class Decomposition:
             raise ValueError("h and r must partition the basis")
         # fixed adapted order: h block first, then r block
         self.order = self.h_indices + self.r_indices
-        if _check:
-            self._check_closed(self.h_indices, "h")
+        self._check_closed(self.h_indices, "h")
         self.t1_indices: tuple = ()
         self.t0_indices: tuple = ()
         self.is_horospherical = False
@@ -108,10 +96,9 @@ class Decomposition:
 class Splitting(Decomposition):
     """Both summands are subalgebras."""
 
-    def __init__(self, algebra, h_indices, r_indices=None, _check=True):
-        super().__init__(algebra, h_indices, r_indices, _check=_check)
-        if _check:
-            self._check_closed(self.r_indices, "r")
+    def __init__(self, algebra, h_indices, r_indices=None):
+        super().__init__(algebra, h_indices, r_indices)
+        self._check_closed(self.r_indices, "r")
 
 
 def make_decomposition(L: LieAlgebra, h_part) -> Decomposition:
@@ -151,7 +138,21 @@ def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
 
 
 def family_bracket(S: Splitting, p: BracketParameter) -> LieAlgebra:
-    """The pencil member a*[,]_0 + b*[,]_infinity; (1,1) is the original algebra."""
+    """The pencil member a*[,]_0 + b*[,]_infinity; (1,1) is the original algebra.
+
+    Built without the per-member Jacobi check, the one unchecked
+    construction in the package.  The whole pencil is certified at once:
+    the Jacobiator of a*mu_0 + b*mu_inf is the quadratic form
+    a^2 J(mu_0) + ab J(mu_0, mu_inf) + b^2 J(mu_inf) in (a, b), so it
+    vanishes for every member once it vanishes at three pairwise
+    non-proportional parameters.  (1,0) and (0,1) are the contractions
+    along h and r, Lie brackets because ``Splitting`` checks that h and r
+    are closed (``contract`` builds them with the full check); (1,1) is
+    ``S.algebra`` exactly, checked when it was constructed.
+    ``zalgebra.property_suite`` re-checks all three anchors.
+    """
+    if not isinstance(S, Splitting):
+        raise ValueError("the pencil needs r to be a subalgebra (a full splitting)")
     if not isinstance(p, BracketParameter):
         p = BracketParameter(*p)
     c0 = _contract_constants(S, S.h_set, S.r_set)
@@ -165,7 +166,7 @@ def family_bracket(S: Splitting, p: BracketParameter) -> LieAlgebra:
         if acc:
             constants[key] = tuple(acc.items())
     return LieAlgebra(S.algebra.names, constants,
-                      kind=f"family{p.label()}({S.algebra.kind})")
+                      kind=f"family{p.label()}({S.algebra.kind})", check=False)
 
 
 def pencil_member(S: Splitting, p) -> LieAlgebra:
@@ -179,8 +180,6 @@ def pencil_member(S: Splitting, p) -> LieAlgebra:
 
 def _normalize_direction(vec):
     """Scale to coprime integers with the first nonzero entry positive."""
-    from math import gcd
-
     den = 1
     for x in vec:
         d = int(QQ(x).denominator)

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .liealg import LieAlgebra, build_double, build_sl, build_so_even
+from .liealg import LieAlgebra, build_double, build_sl, build_so_even, check_jacobi
 from .invariants import (
     HilbertBasis,
     bidecompose,
@@ -42,7 +42,6 @@ from .rationals import QQ, QQ0, QQ1
 from .splitting import (
     BracketParameter,
     Splitting,
-    contract,
     family_bracket,
     horospherical_splitting,
     make_splitting,
@@ -113,11 +112,6 @@ def z_generators(S: Splitting, B: HilbertBasis, z0_gens=(), zinf_gens=(),
     return ZGeneratorSet(S, mode, out)
 
 
-def trdeg_jacobian(polys, trials: int = 5, seed: int = 0, bound: int = 997) -> int:
-    """Certified lower bound (claimed exact) on trdeg via sampled Jacobian ranks."""
-    return jacobian_rank(list(polys), trials=trials, seed=seed, bound=bound)
-
-
 @dataclass
 class SuiteReport:
     pairs_checked: int
@@ -156,27 +150,36 @@ def commutativity_suite(Z: ZGeneratorSet, extra_params=(), max_pairs=None,
 # -- shared property suite -------------------------------------------------
 
 
-def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0, n_params: int = 10,
+def _bracket_table(L: LieAlgebra) -> dict:
+    """Structure constants as {pair: {target: coefficient}}, blind to entry order."""
+    return {pair: dict(entries) for pair, entries in L.constants.items()}
+
+
+def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0,
                    n_pairs: int = 5, pair_budget: int = 250_000) -> dict:
     """The cross-cutting exactness checks every case must pass.
 
-    Jacobi across the pencil, bi-decomposition reconstruction, extreme
-    components invariant under the matching contractions, sampled pencil
-    commutativity of bi-components, tensor skewness/parity with the kernel
-    identity, and contraction rank monotonicity on Ann(h).
+    Jacobi across the whole pencil, bi-decomposition reconstruction,
+    extreme components invariant under the matching contractions, sampled
+    pencil commutativity of bi-components, tensor skewness/parity with the
+    kernel identity, and contraction rank monotonicity on Ann(h).
+
+    ``pencil_jacobi`` checks the three anchors of ``family_bracket``'s
+    certificate, which makes it a proof for every member: (1,0) and (0,1)
+    exhaustively, and (1,1) by equality with ``S.algebra``.
     """
     rng = random.Random(seed)
     results = {}
-    # Jacobi holds across the pencil (construction verifies it; failures raise)
-    for _ in range(n_params):
-        t = QQ(rng.randint(-50, 50), rng.randint(1, 20))
-        family_bracket(S, BracketParameter(1, t))
-    family_bracket(S, BracketParameter(1, 0))
-    family_bracket(S, BracketParameter(0, 1))
-    results["pencil_jacobi"] = True
+    con_h = family_bracket(S, BracketParameter(1, 0))
+    con_r = family_bracket(S, BracketParameter(0, 1))
+    results["pencil_jacobi"] = (
+        check_jacobi(con_h).passed and check_jacobi(con_r).passed
+        and _bracket_table(family_bracket(S, BracketParameter(1, 1))) == _bracket_table(S.algebra)
+    )
+    # ten discarded draws: the pair sample below, and so every report, depends on them
+    for _ in range(10):
+        rng.randint(-50, 50), rng.randint(1, 20)
 
-    con_h = contract(S, "keep_h")
-    con_r = contract(S, "keep_r")
     recon = True
     extreme_invariant = True
     all_components = []
@@ -207,9 +210,10 @@ def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0, n_params: int =
     check_params = [BracketParameter(1, 0), BracketParameter(0, 1), BracketParameter(1, 1)]
     for _ in range(2):
         check_params.append(BracketParameter(1, QQ(rng.randint(1, 40))))
+    members = [pencil_member(S, p) for p in check_params]
     for pa, pb in pairs:
-        for p in check_params:
-            if not poisson_bracket(pencil_member(S, p), pa, pb).is_zero():
+        for L in members:
+            if not poisson_bracket(L, pa, pb).is_zero():
                 commute = False
     results["pencil_commutativity_sampled"] = commute
 
@@ -364,7 +368,7 @@ def _case_borel(params, seed, trials, dmax):
     z0, zinf = _centre_generators(S, B)
     Z = z_generators(S, B, z0, zinf, "full")
     b = _b_int(g)
-    td = trdeg_jacobian(Z.polys, trials=max(5, trials), seed=seed)
+    td = jacobian_rank(Z.polys, trials=max(5, trials), seed=seed)
     suite = commutativity_suite(Z, extra_params=[(1, 7), (1, -3)],
                                 max_pairs=60, seed=seed)
     timer.lap("z_algebra")
@@ -469,7 +473,7 @@ def _case_double(params, seed, trials, dmax):
     zinf = _toral_variable_polys(S, S.t1_indices)
     Z = z_generators(S, B, z0, zinf, "m_tilde")
     b = _b_int(gd)
-    td = trdeg_jacobian(Z.polys, trials=max(5, trials), seed=seed)
+    td = jacobian_rank(Z.polys, trials=max(5, trials), seed=seed)
     rng = random.Random(seed)
     extra = [(1, rng.randint(2, 60)) for _ in range(5)]
     suite = commutativity_suite(Z, extra_params=extra, seed=seed)
@@ -555,7 +559,7 @@ def _case_sl2n(params, seed, trials, dmax):
     z0, zinf = _centre_generators(S, modified)
     Z = z_generators(S, modified, z0, zinf, "m_tilde")
     b = _b_int(g)
-    td = trdeg_jacobian(Z.polys, trials=max(5, trials), seed=seed)
+    td = jacobian_rank(Z.polys, trials=max(5, trials), seed=seed)
     timer.lap("z_algebra")
 
     arrows = [(i, N - i) for i in range(1, n)]
@@ -694,7 +698,7 @@ def _case_so2n(params, seed, trials, dmax):
     z0, zinf = _centre_generators(S, B)
     Z = z_generators(S, B, z0, zinf, "m_tilde")
     b = _b_int(g)
-    td = trdeg_jacobian(Z.polys, trials=max(3, trials), seed=seed, bound=97)
+    td = jacobian_rank(Z.polys, trials=max(3, trials), seed=seed, bound=97)
     # exact pairwise brackets among the small generators; the large sextic
     # components are covered by the sampled property suite below
     small = ZGeneratorSet(S, Z.mode,

@@ -30,15 +30,14 @@ def test_make_splitting_rejects_non_subalgebra():
         make_splitting(sl2(), (0, 2))  # {e, f} is not closed
 
 
-def test_so8_horospherical_closure():
+def so8_splitting():
     so8 = build_so_even(4)
-    cart = so8.triangular.cartan
-    t1 = []
-    for i in cart[:3]:
-        v = [QQ0] * 28
-        v[i] = QQ1
-        t1.append(v)
-    S = horospherical_splitting(so8, t1)
+    return horospherical_splitting(so8, [[QQ1 if i == c else QQ0 for i in range(28)]
+                                         for c in so8.triangular.cartan[:3]])
+
+
+def test_so8_horospherical_closure():
+    S = so8_splitting()
     assert len(S.h_indices) == 15 and len(S.r_indices) == 13
     assert S.is_horospherical
     assert len(S.t0_indices) == 1
@@ -63,25 +62,50 @@ def test_contract_keep_r_requires_splitting():
     contract(D, "keep_h")
     with pytest.raises(ValueError):
         contract(D, "keep_r")
+    with pytest.raises(ValueError):  # the pencil certificate needs r closed
+        family_bracket(D, BracketParameter(1, 2))
+
+
+def _bracket_table(L):
+    return {pair: dict(entries) for pair, entries in L.constants.items()}
 
 
 def test_family_bracket_endpoints_and_identity():
-    S = make_splitting(sl2(), (0, 1))
-    assert family_bracket(S, BracketParameter(1, 1)).constants == S.algebra.constants
-    assert family_bracket(S, BracketParameter(1, 0)).constants == contract(S, "keep_h").constants
-    assert family_bracket(S, BracketParameter(0, 1)).constants == contract(S, "keep_r").constants
+    # on the horospherical splitting of sl3 with t1 a proper part of the
+    # Cartan, (1,1) lists some pairs' entries in another order than the
+    # adapted algebra does: the identity holds per pair, not as tuples
+    g = build_sl(3)
+    horo = horospherical_splitting(g, [[QQ1 if i == g.triangular.cartan[0] else QQ0
+                                        for i in range(8)]])
+    for S in (make_splitting(sl2(), (0, 1)), horo):
+        for p, want in (((1, 1), S.algebra), ((1, 0), contract(S, "keep_h")),
+                        ((0, 1), contract(S, "keep_r"))):
+            assert _bracket_table(family_bracket(S, BracketParameter(*p))) == _bracket_table(want)
     with pytest.raises(ValueError):
         BracketParameter(0, 0)
 
 
+def double_sl3_splitting():
+    g = build_sl(3)
+    d = build_double(g)
+    t1 = []
+    for k, i in enumerate(g.triangular.cartan):
+        v = [QQ0] * d.dim
+        v[i], v[g.dim + k] = QQ1, -QQ1
+        t1.append(v)
+    return horospherical_splitting(d, t1)
+
+
 def test_family_jacobi_for_random_parameters():
+    # family_bracket builds members unchecked; the three-anchor certificate
+    # says every (1, t) member is a Lie bracket, which is checked here
     rng = random.Random(11)
     sl3 = build_sl(3)
-    S = make_splitting(sl3, tuple(sl3.triangular.plus) + tuple(sl3.triangular.cartan))
-    for _ in range(10):
-        t = QQ(rng.randint(-30, 30), rng.randint(1, 12))
-        L = family_bracket(S, BracketParameter(1, t))  # constructor verifies Jacobi
-        assert check_jacobi(L).passed
+    borel = make_splitting(sl3, tuple(sl3.triangular.plus) + tuple(sl3.triangular.cartan))
+    for S, n in ((borel, 10), (double_sl3_splitting(), 3), (so8_splitting(), 2)):
+        for _ in range(n):
+            t = QQ(rng.randint(-30, 30), rng.randint(1, 12))
+            assert check_jacobi(family_bracket(S, BracketParameter(1, t))).passed
 
 
 def test_pencil_members_isomorphic_via_grading_rescale():

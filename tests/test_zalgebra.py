@@ -3,7 +3,8 @@ import json
 import pytest
 
 from liesplit.liealg import build_double, build_sl
-from liesplit.invariants import custom_basis, hilbert_basis, transport_basis
+from liesplit import zalgebra
+from liesplit.invariants import custom_basis, hilbert_basis, jacobian_rank, transport_basis
 from liesplit.poly import Polynomial
 from liesplit.rationals import QQ, QQ0, QQ1
 from liesplit.splitting import horospherical_splitting
@@ -13,7 +14,6 @@ from liesplit.zalgebra import (
     commutativity_suite,
     property_suite,
     run_case,
-    trdeg_jacobian,
     z_generators,
     ZGeneratorSet,
 )
@@ -40,7 +40,7 @@ def test_z_generators_full_mode_sl2():
     # supplied Z0 generator coincides with the top component and merges away
     assert len(Z) == 3
     assert tags.count("Zinf") == 1
-    assert trdeg_jacobian(Z.polys, trials=5, seed=0) == 2  # = b(sl2)
+    assert jacobian_rank(Z.polys, trials=5, seed=0) == 2  # = b(sl2)
     suite = commutativity_suite(Z, extra_params=[(1, 5)])
     assert suite.passed
 
@@ -54,9 +54,9 @@ def test_z_generators_mode_m_counts_components():
 def test_trdeg_examples():
     h2 = Polynomial.monomial(3, {1: 2})
     ef = Polynomial.monomial(3, {0: 1, 2: 1})
-    assert trdeg_jacobian([h2, ef], trials=4, seed=0) == 2
+    assert jacobian_rank([h2, ef], trials=4, seed=0) == 2
     x = Polynomial.variable(2, 0)
-    assert trdeg_jacobian([x, x * x], trials=4, seed=0) == 1
+    assert jacobian_rank([x, x * x], trials=4, seed=0) == 1
 
 
 def test_commutativity_suite_detects_noncommuting_pair():
@@ -82,7 +82,7 @@ def test_sl3_borel_component_count_and_trdeg():
     B = transport_basis(hilbert_basis(sl3, "charpoly"), S)
     Z = z_generators(S, B, mode="m")
     assert len(Z) == 5  # 2 + 3 nonzero components = b(sl3)
-    assert trdeg_jacobian(Z.polys, trials=5, seed=1) == 5
+    assert jacobian_rank(Z.polys, trials=5, seed=1) == 5
 
 
 def test_double_m_tilde_exact_generators():
@@ -118,6 +118,19 @@ def test_property_suite_borel_sl3():
     B = transport_basis(hilbert_basis(sl3, "charpoly"), S)
     results = property_suite(S, B, seed=3)
     assert all(results.values())
+
+
+def test_pencil_jacobi_fails_when_a_member_loses_an_entry(monkeypatch):
+    sl2, S, B = borel_sl2()
+    build = zalgebra.family_bracket
+
+    def lossy(S, p):
+        L = build(S, p)
+        L.constants.pop(next(iter(L.constants)))
+        return L
+
+    monkeypatch.setattr(zalgebra, "family_bracket", lossy)
+    assert property_suite(S, B, seed=0)["pencil_jacobi"] is False
 
 
 def test_run_case_unknown_name():
