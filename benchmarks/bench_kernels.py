@@ -2,12 +2,11 @@
 
 Run as a script:  python benchmarks/bench_kernels.py  [--repeat N]
 
-Covers two hot loops: sparse polynomial products (the bulk of symbolic
-Poisson-bracket work) and the breadth-first closure of a reflection group
-over int8 matrices.  Both kernel implementations are imported directly,
-so the benchmark is independent of which one the package selected at
-import.  The shipped Poisson bracket is timed end to end by the
-``brackets`` workload of ``perfbench/run.py``.
+Covers the hot loop of symbolic Poisson-bracket work: sparse polynomial
+products.  Both kernel implementations are imported directly, so the
+benchmark is independent of which one the package selected at import.
+The shipped Poisson bracket and the Weyl-group work are timed end to end
+by the ``brackets`` and ``weyl_e6`` workloads of ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -54,36 +53,8 @@ def poly_product_case(impl, rng_seed=7, nvars=28, nterms=300):
     return run
 
 
-def weyl_closure_case(impl):
-    from liesplit.weyl import build_root_system
-
-    rs = build_root_system("D", 4)
-    gens = rs.reflections
-    n = rs.model_dim
-    identity = bytes(
-        ((1 if i == j else 0) & 0xFF) for i in range(n) for j in range(n)
-    )
-
-    def run():
-        seen = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for el in frontier:
-                for g in gens:
-                    w = impl.matmul_i8(el, g, n)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        assert len(seen) == 192
-
-    return run
-
-
 CASES = [
     ("poly product 300x300 terms, 28 vars", poly_product_case),
-    ("Weyl closure of D4 (192 elements)", weyl_closure_case),
 ]
 
 

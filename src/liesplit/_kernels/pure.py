@@ -4,7 +4,8 @@ These are the reference implementations of the hot loops; the compiled
 module ``speedups`` mirrors them exactly.  Terms are dicts mapping packed
 exponent vectors (``bytes``, one byte per variable) to nonzero rational
 coefficients.  Square integer matrices for reflection-group work are
-encoded as ``bytes`` of two's-complement int8 entries, row major.
+encoded as ``bytes`` of two's-complement int8 entries, row major; a
+product entry outside int8 raises ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -70,5 +71,7 @@ def matmul_i8(a: bytes, b: bytes, n: int) -> bytes:
             s = 0
             for k in range(n):
                 s += ai[k] * bv[k * n + j]
+            if not -128 <= s <= 127:
+                raise OverflowError(f"int8 product entry ({i}, {j}) = {s} is out of range")
             out[row + j] = s & 0xFF
     return bytes(out)

@@ -85,5 +85,7 @@ def matmul_i8(bytes a, bytes b, int n):
             s = 0
             for k in range(n):
                 s += (<signed char> pa[i * n + k]) * (<signed char> pb[k * n + j])
+            if s < -128 or s > 127:
+                raise OverflowError(f"int8 product entry ({i}, {j}) = {s} is out of range")
             po[i * n + j] = <char> s
     return out

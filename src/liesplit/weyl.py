@@ -3,9 +3,17 @@
 Model spaces: types A_n and D_n use the coordinate (epsilon) model, so
 group elements are (signed) permutation matrices; E6 uses simple-root
 coordinates, where reflections are small integer matrices and the inner
-product is the Cartan matrix.  Group elements are packed as int8 bytes
-(entries of reflection-group elements in these models stay tiny), which
-keeps the full E6 group at roughly 2 MB plus dictionary overhead.
+product is the Cartan matrix.
+
+A Weyl group acts faithfully on its roots, so an element w is fixed by
+where it sends the simple roots.  Each element is keyed by the ``bytes``
+of the indices of w(alpha_1), ..., w(alpha_r) in one fixed list of all
+roots (six bytes per element of W(E6)).  A simple reflection s permutes
+the roots, and ``key.translate(perm_s)`` is the key of s w, so
+enumeration and the normalizer computation run on keys and integers and
+never form a matrix.  Model-space matrices are built only on request, as
+the int8 product over an element's generator word, and are checked
+against the key.
 
 Degree-d invariants of the big group are computed as the joint fixed
 space of the simple reflections acting on degree-d polynomials (the same
@@ -17,9 +25,11 @@ The two routes agree and the test suite cross-checks them on small groups.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
 from . import _kernels as K
 from .linalg import Matrix, inverse, rank, rank_and_nullspace
@@ -31,13 +41,29 @@ def _encode(mat_rows, n) -> bytes:
     out = bytearray(n * n)
     for i in range(n):
         for j in range(n):
-            v = int(mat_rows[i][j])
+            x = mat_rows[i][j]
+            v = int(x)
+            if v != x or not -128 <= v <= 127:
+                raise ValueError(f"matrix entry ({i}, {j}) = {x} is not an int8 integer")
             out[i * n + j] = v & 0xFF
     return bytes(out)
 
 
 def _decode(b: bytes, n):
     return [[(b[i * n + j] ^ 0x80) - 0x80 for j in range(n)] for i in range(n)]
+
+
+def _int_vector(v) -> tuple:
+    out = tuple(int(x) for x in v)
+    if out != tuple(v):
+        raise ValueError(f"vector {v} is not integral")
+    return out
+
+
+def _clear_denominators(v):
+    """(d, d * v) for the least positive integer d that makes d * v integral."""
+    d = lcm(*(int(QQ(x).denominator) for x in v))
+    return d, tuple(int(QQ(x) * d) for x in v)
 
 
 @dataclass
@@ -162,48 +188,90 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
 
 
 class WeylGroup:
-    def __init__(self, root_system: RootSystem, elements, generators):
+    """A finite Weyl group with elements keyed by root images.
+
+    ``roots`` lists every root in model coordinates as integer tuples, the
+    positive roots first and then their negatives.  The key of w is the
+    ``bytes`` whose i-th entry is the index of w(alpha_i) in ``roots``.
+    ``elements`` is in breadth-first order from the identity, and element
+    k > 0 is s_last[k] applied after element parent[k].
+    """
+
+    def __init__(self, root_system: RootSystem, roots, elements, index, parent, last,
+                 generators):
         self.root_system = root_system
         self.n = root_system.model_dim
-        self.elements = elements          # list of bytes, identity first
-        self.generators = generators
-        self._index = {e: i for i, e in enumerate(elements)}
+        self.roots = roots
+        self.elements = elements          # list of bytes keys, identity first
+        self.generators = generators      # keys of the simple reflections
+        self._index = index               # key -> position in elements
+        self._parent = parent
+        self._last = last
 
     @property
     def order(self):
         return len(self.elements)
 
     def matrix(self, element: bytes) -> Matrix:
-        return Matrix(_decode(element, self.n))
+        """Model-space matrix: the int8 product of the element's generator word."""
+        k = self._index.get(element)
+        if k is None:
+            raise ValueError("not an element of this Weyl group")
+        rs = self.root_system
+        n = self.n
+        acc = _encode(Matrix.identity(n).rows, n)
+        while k:
+            acc = K.matmul_i8(acc, rs.reflections[self._last[k]], n)
+            k = self._parent[k]
+        m = Matrix(_decode(acc, n))
+        for i, alpha in enumerate(rs.simple_roots):
+            if m.matvec(alpha) != self.roots[element[i]]:
+                raise AssertionError(f"matrix does not send simple root {i + 1} to its keyed root")
+        return m
 
     def __contains__(self, element: bytes):
         return element in self._index
 
 
 def enumerate_weyl(rs: RootSystem, cap: int = 60000) -> WeylGroup:
-    """Breadth-first closure of the simple reflections; errors past ``cap``."""
+    """Breadth-first closure of the simple reflections on root-image keys; errors past ``cap``."""
     n = rs.model_dim
-    identity = _encode([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
-    seen = {identity}
-    order = [identity]
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for g in rs.reflections:
-                w = K.matmul_i8(el, g, n)
-                if w not in seen:
-                    if len(seen) >= cap:
-                        raise ValueError(f"Weyl enumeration exceeded cap {cap}")
-                    seen.add(w)
-                    order.append(w)
-                    nxt.append(w)
-        frontier = nxt
-    if len(order) != rs.known_weyl_order():
+    positive = [_int_vector(r) for r in rs.positive_roots]
+    roots = tuple(positive + [tuple(-x for x in r) for r in positive])
+    if len(roots) > 256:
+        raise ValueError(f"{len(roots)} roots do not fit in one-byte root indices")
+    where = {r: k for k, r in enumerate(roots)}
+    pad = bytes(range(len(roots), 256))
+    perms = []
+    for g in rs.reflections:
+        m = _decode(g, n)
+        perms.append(bytes(
+            where[tuple(sum(m[i][j] * r[j] for j in range(n)) for i in range(n))] for r in roots
+        ) + pad)
+    identity = bytes(where[_int_vector(a)] for a in rs.simple_roots)
+    index = {identity: 0}
+    elements = [identity]
+    parent = array("I", [0])
+    last = array("B", [0])
+    k = 0
+    while k < len(elements):
+        el = elements[k]
+        for s, perm in enumerate(perms):
+            w = el.translate(perm)
+            if w not in index:
+                if len(elements) >= cap:
+                    raise ValueError(f"Weyl enumeration exceeded cap {cap}")
+                index[w] = len(elements)
+                elements.append(w)
+                parent.append(k)
+                last.append(s)
+        k += 1
+    if len(elements) != rs.known_weyl_order():
         raise AssertionError(
-            f"enumerated order {len(order)} != known order {rs.known_weyl_order()}"
+            f"enumerated order {len(elements)} != known order {rs.known_weyl_order()}"
         )
-    return WeylGroup(rs, order, rs.reflections)
+    generators = [identity.translate(p) for p in perms]
+    return WeylGroup(rs, roots, elements, index, parent, last, generators)
 
 
 @dataclass
@@ -273,38 +341,65 @@ class W0Report:
         return (self.order_w, self.order_n, self.order_z, self.order_w0)
 
 
+def _t0_images(expansions, key, roots) -> tuple:
+    """D w(u) = sum_i C_i w(alpha_i) + F in integers, for each t0 expansion (C, F, _)."""
+    out = []
+    for coeffs, fixed, _ in expansions:
+        img = list(fixed)
+        for x, k in zip(coeffs, key):
+            for t, y in enumerate(roots[k]):
+                img[t] += x * y
+        out.append(tuple(img))
+    return tuple(out)
+
+
 def w0_compute(W: WeylGroup, t0_basis) -> W0Report:
-    """N_W(t0), Z_W(t0), and the induced action W0 = N/Z on t0."""
+    """N_W(t0), Z_W(t0), and the induced action W0 = N/Z on t0.
+
+    Membership in N is decided in integers.  Each t0 vector u is written
+    once as sum_i c_i alpha_i + f with f orthogonal to the roots, hence
+    fixed by W, and scaled to integers; then w(u) = sum_i c_i w(alpha_i) + f
+    is read off the key and tested against an integer annihilator of t0.
+    Only members are projected onto the t0 basis in rationals.
+    """
     rs = W.root_system
-    n = rs.model_dim
     a = len(t0_basis)
     T = Matrix.from_columns(t0_basis)
     proj = inverse(T.transpose() * rs.gram * T) * (T.transpose() * rs.gram)
+    S = Matrix.from_columns(rs.simple_roots)
+    to_alpha = inverse(S.transpose() * rs.gram * S) * (S.transpose() * rs.gram)
+    _, null = rank_and_nullspace(T.transpose())
+    annihilator = [_clear_denominators(v)[1] for v in null]
+    expansions = []   # (C, F, proj / D) with D u = sum_i C_i alpha_i + F in integers
+    checks = []       # (C, table lookup, target): w in N iff each sum_i C_i table[w[i]] == target
+    for u in t0_basis:
+        c = to_alpha.matvec(u)
+        f = tuple(QQ(x) - y for x, y in zip(u, S.matvec(c)))
+        d, scaled = _clear_denominators(c + f)
+        coeffs, fixed = scaled[: rs.rank], scaled[rs.rank:]
+        expansions.append((coeffs, fixed, proj.scale(QQ(1, d))))
+        for row in annihilator:
+            table = [sum(map(mul, row, root)) for root in W.roots]
+            checks.append((coeffs, table.__getitem__, -sum(map(mul, row, fixed))))
+    fixed_t0 = _t0_images(expansions, W.elements[0], W.roots)
     n_count = 0
     z_count = 0
-    w0: dict[tuple, Matrix] = {}
-    ident = Matrix.identity(a)
+    images: dict[tuple, None] = {}   # integer images of the t0 basis, one per W0 element
     for el in W.elements:
-        m = _decode(el, n)
-        cols = []
-        member = True
-        for u in t0_basis:
-            img = [sum(m[i][j] * int(u[j]) for j in range(n)) for i in range(n)]
-            y = proj.matvec(img)
-            back = T.matvec(y)
-            if tuple(back) != tuple(QQ(x) for x in img):
-                member = False
+        for coeffs, lookup, target in checks:
+            if sum(map(mul, coeffs, map(lookup, el))) != target:
                 break
-            cols.append(y)
-        if not member:
-            continue
-        n_count += 1
-        restr = Matrix.from_columns(cols)
-        if restr == ident:
-            z_count += 1
-        key = tuple(tuple(row) for row in restr.rows)
-        w0.setdefault(key, restr)
-    mats = list(w0.values())
+        else:
+            n_count += 1
+            key = _t0_images(expansions, el, W.roots)
+            if key == fixed_t0:
+                z_count += 1
+            images[key] = None
+    ident = Matrix.identity(a)
+    mats = [
+        Matrix.from_columns([p.matvec(img) for img, (_, _, p) in zip(key, expansions)])
+        for key in images
+    ]
     orders: dict[int, int] = {}
     for mat in mats:
         k = 1

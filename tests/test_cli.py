@@ -59,6 +59,7 @@ def test_weyl_w0_subcommand(capsys):
     doc = json.loads(out)
     assert doc["tables"]["orders"] == [120, 8, 4, 2]
     assert doc["tables"]["first_failure_degree"] == 1
+    assert set(doc["timings_ms"]) == {"enumerate", "w0", "restriction"}
 
 
 def test_index_subcommand_with_algebra_file(tmp_path, capsys):

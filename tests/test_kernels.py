@@ -55,3 +55,10 @@ def test_matmul_i8_parity():
         a = bytes((rng.randint(-4, 4)) & 0xFF for _ in range(n * n))
         b = bytes((rng.randint(-4, 4)) & 0xFF for _ in range(n * n))
         assert pure.matmul_i8(a, b, n) == speedups.matmul_i8(a, b, n)
+
+
+def test_matmul_i8_overflow_raises():
+    big = bytes([100, 0, 0, 1])
+    for impl in (pure, speedups):
+        with pytest.raises(OverflowError):
+            impl.matmul_i8(big, big, 2)

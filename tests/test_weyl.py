@@ -1,11 +1,16 @@
 import random
+from itertools import combinations
 
 import pytest
 
+from liesplit._kernels import pure
+from liesplit.linalg import Matrix
 from liesplit.poly import Polynomial
 from liesplit.rationals import QQ, QQ0, QQ1
 from liesplit.weyl import (
     SatakeDiagram,
+    _decode,
+    _encode,
     build_root_system,
     enumerate_weyl,
     invariant_basis,
@@ -39,10 +44,37 @@ def test_elements_permute_roots_exhaustive():
         rs = build_root_system(label, rank)
         W = enumerate_weyl(rs)
         roots = set(rs.positive_roots) | {tuple(-x for x in r) for r in rs.positive_roots}
+        matrices = set()
         for el in W.elements:
             m = W.matrix(el)
+            matrices.add(m)
             for r in rs.positive_roots:
                 assert tuple(m.matvec(r)) in roots
+            # the key names the image of each simple root
+            for i, alpha in enumerate(rs.simple_roots):
+                assert tuple(m.matvec(alpha)) == W.roots[el[i]]
+        assert len(matrices) == W.order
+
+
+def test_matrix_checks_the_key():
+    W = enumerate_weyl(build_root_system("A", 2))
+    assert W.matrix(W.elements[0]) == Matrix.identity(3)
+    with pytest.raises(ValueError):
+        W.matrix(bytes([0, 0]))
+    W.roots = W.roots[::-1]
+    with pytest.raises(AssertionError):
+        W.matrix(W.generators[0])
+
+
+def test_int8_encoding_and_product_never_wrap():
+    assert _decode(_encode([[127, -128], [0, 1]], 2), 2) == [[127, -128], [0, 1]]
+    for bad in (128, -129, QQ(1, 2)):
+        with pytest.raises(ValueError):
+            _encode([[bad]], 1)
+    assert pure.matmul_i8(_encode([[11]], 1), _encode([[-11]], 1), 1) == _encode([[-121]], 1)
+    big = _encode([[100, 0], [0, 1]], 2)
+    with pytest.raises(OverflowError):
+        pure.matmul_i8(big, big, 2)
 
 
 def test_satake_a3_matches_symmetric_diagonal():
@@ -202,3 +234,67 @@ def test_restriction_full_table_without_short_circuit():
     assert not rc.stopped_early
     for d, image_dim, inv_dim in rc.per_degree:
         assert image_dim <= inv_dim
+
+
+def _degrees_series(degrees, dmax):
+    """Coefficients of prod_i (1 - t^d_i)^(-1) up to t^dmax."""
+    coeffs = [1] + [0] * dmax
+    for d in degrees:
+        for k in range(d, dmax + 1):
+            coeffs[k] += coeffs[k - d]
+    return coeffs
+
+
+def _det(rows):
+    if not rows:
+        return QQ1
+    return sum(
+        (-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def _molien_series(matrices, dmax):
+    """Coefficients of 1/|G| sum_g 1/det(1 - t g) up to t^dmax, exactly."""
+    total = [QQ0] * (dmax + 1)
+    for g in matrices:
+        a = g.nrows
+        # det(1 - t g) = sum_k (-t)^k (sum of the principal k-minors of g)
+        p = [QQ0] * (dmax + 1)
+        for k in range(min(a, dmax) + 1):
+            p[k] = (-1) ** k * sum(
+                (_det([[g[i, j] for j in idx] for i in idx]) for idx in combinations(range(a), k)),
+                QQ0,
+            )
+        inv = [QQ1] + [QQ0] * dmax
+        for k in range(1, dmax + 1):
+            inv[k] = -sum((p[j] * inv[k - j] for j in range(1, k + 1)), QQ0)
+        total = [x + y for x, y in zip(total, inv)]
+    return [x / len(matrices) for x in total]
+
+
+def test_molien_oracle_counts_invariants_of_w():
+    # the model's fundamental degrees: A_n on n+1 coordinates has 1..n+1
+    cases = (
+        ("A", 2, (1, 2, 3), 6),
+        ("A", 3, (1, 2, 3, 4), 6),
+        ("D", 4, (2, 4, 4, 6), 6),
+        ("E6", None, (2, 5, 6, 8, 9, 12), 4),
+    )
+    for label, rank_, degrees, dmax in cases:
+        rs = build_root_system(label, rank_)
+        W = enumerate_weyl(rs)
+        gens = [W.matrix(g) for g in W.generators]
+        series = _degrees_series(degrees, dmax)
+        for d in range(1, dmax + 1):
+            assert len(invariant_basis(gens, d, rs.model_dim)) == series[d], (label, d)
+
+
+def test_molien_oracle_counts_invariants_of_w0():
+    for label, rank_, arrows in (("E6", None, ((1, 5), (2, 4))), ("A", 4, ((1, 4), (2, 3)))):
+        rs = build_root_system(label, rank_)
+        t0, _ = satake_subspaces(rs, SatakeDiagram(arrows))
+        rep = w0_compute(enumerate_weyl(rs), t0)
+        series = _molien_series(rep.matrices, 6)
+        for d in range(1, 7):
+            assert len(reynolds_invariant_basis(rep.matrices, d, len(t0))) == series[d], (label, d)
