@@ -1,20 +1,11 @@
-"""Kernel selection: compiled extension when built, pure Python otherwise.
-
-Set ``LIESPLIT_PURE=1`` to force the pure kernels (used by the parity
-tests and the benchmark).
-"""
+"""Kernel selection: compiled extension when built, pure Python otherwise."""
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("LIESPLIT_PURE"):
-    from . import pure as impl
-else:
-    try:
-        from . import speedups as impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import pure as impl  # type: ignore[no-redef]
+try:
+    from . import speedups as impl
+except ImportError:
+    from . import pure as impl  # type: ignore[no-redef]
 
 COMPILED = impl.COMPILED
 mul_terms = impl.mul_terms

@@ -5,7 +5,8 @@ module ``speedups`` mirrors them exactly.  Terms are dicts mapping packed
 exponent vectors (``bytes``, one byte per variable) to nonzero rational
 coefficients.  Square integer matrices for reflection-group work are
 encoded as ``bytes`` of two's-complement int8 entries, row major; a
-product entry outside int8 raises ``OverflowError``.
+product entry outside int8 raises ``OverflowError``, and so does a
+term product whose exponent of some variable exceeds 255.
 """
 
 from __future__ import annotations
@@ -17,19 +18,23 @@ def mul_terms(a: dict, b: dict, nvars: int) -> dict:
     out = {}
     if len(a) > len(b):  # iterate the smaller map outside
         a, b = b, a
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = bytes(x + y for x, y in zip(ea, eb))
-            c = ca * cb
-            acc = out.get(e)
-            if acc is None:
-                out[e] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[e] = acc
+    try:
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = bytes(x + y for x, y in zip(ea, eb))
+                c = ca * cb
+                acc = out.get(e)
+                if acc is None:
+                    out[e] = c
                 else:
-                    del out[e]
+                    acc = acc + c
+                    if acc:
+                        out[e] = acc
+                    else:
+                        del out[e]
+    except ValueError:  # bytes() rejects an exponent sum above 255
+        raise OverflowError("exponent sum exceeds 255, the largest exponent "
+                            "a packed exponent byte holds") from None
     return out
 
 

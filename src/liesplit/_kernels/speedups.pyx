@@ -23,6 +23,9 @@ def mul_terms(dict a, dict b, Py_ssize_t nvars):
             e = PyBytes_FromStringAndSize(NULL, nvars)
             pe = <unsigned char *> PyBytes_AS_STRING(e)
             for i in range(nvars):
+                if pa[i] + pb[i] > 255:
+                    raise OverflowError("exponent sum exceeds 255, the largest exponent "
+                                        "a packed exponent byte holds")
                 pe[i] = pa[i] + pb[i]
             c = ca * cb
             acc = out.get(e)

@@ -22,9 +22,7 @@ from .liealg import algebra_from_json, build_algebra
 from .invariants import ggs_check, hilbert_basis
 from .poisson import index_estimate
 from .splitting import make_decomposition, make_splitting
-from .weyl import SatakeDiagram, build_root_system, enumerate_weyl, restriction_check, \
-    satake_subspaces, w0_compute
-from .zalgebra import _Timer, available_cases, run_case
+from .zalgebra import _Timer, _weyl_route, available_cases, run_case
 
 
 def _load_algebra(spec: str):
@@ -146,18 +144,11 @@ def _cmd_check_ggs(args) -> int:
 
 def _cmd_weyl_w0(args) -> int:
     timer = _Timer()
-    rank = None if args.type == "E6" else args.rank
-    rs = build_root_system(args.type, rank)
-    W = enumerate_weyl(rs, cap=args.cap)
-    timer.lap("enumerate")
     arrows = tuple(
         tuple(int(x) for x in pair.split(":")) for pair in args.arrows.split(",")
     )
-    t0, _ = satake_subspaces(rs, SatakeDiagram(arrows))
-    rep = w0_compute(W, t0)
-    timer.lap("w0")
-    rc = restriction_check(W, t0, rep, dmax=args.dmax)
-    timer.lap("restriction")
+    rank = None if args.type == "E6" else args.rank
+    rs, _, _, rep, rc = _weyl_route(args.type, rank, arrows, args.dmax, timer.lap, args.cap)
     doc = {
         "case": "weyl-w0",
         "params": {"type": args.type, "rank": rs.rank, "arrows": args.arrows},

@@ -418,7 +418,7 @@ def build_algebra(kind: str, **params) -> LieAlgebra:
     raise ValueError(f"unknown builder kind {kind!r}")
 
 
-def sub_algebra(L: LieAlgebra, indices: Sequence[int], names=None) -> LieAlgebra:
+def sub_algebra(L: LieAlgebra, indices: Sequence[int]) -> LieAlgebra:
     """The subalgebra spanned by the given basis indices (must be closed)."""
     indices = list(indices)
     pos = {v: i for i, v in enumerate(indices)}
@@ -435,9 +435,7 @@ def sub_algebra(L: LieAlgebra, indices: Sequence[int], names=None) -> LieAlgebra
             entries = tuple((pos[k], c) for k, c in br.items())
             if entries:
                 constants[(a, b)] = entries
-    if names is None:
-        names = [L.names[i] for i in indices]
-    return LieAlgebra(names, constants, kind=f"sub[{L.kind}]")
+    return LieAlgebra([L.names[i] for i in indices], constants, kind=f"sub[{L.kind}]")
 
 
 def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra:

@@ -295,25 +295,69 @@ class _Timer:
         self._t = now
 
 
-def _cartan_unit_vectors(L: LieAlgebra):
+def _vectors(dim: int, maps):
+    """Coordinate vectors of length ``dim``, one per {position: value} map."""
     out = []
-    for i in L.triangular.cartan:
-        v = [QQ0] * L.dim
-        v[i] = QQ1
+    for entries in maps:
+        v = [QQ0] * dim
+        for i, c in entries.items():
+            v[i] = QQ(c)
         out.append(v)
     return out
 
 
-def _sl_diag_vector(L: LieAlgebra, diag):
-    """Coordinate vector of a traceless diagonal matrix in the sl builder basis."""
-    if sum(diag) != 0:
-        raise ValueError("diagonal must be traceless")
-    v = [QQ0] * L.dim
-    run = QQ0
-    for k, i in enumerate(L.triangular.cartan):
-        run = run + QQ(diag[k])
-        v[i] = run
-    return v
+def _sl_diagonals(L: LieAlgebra, maps):
+    """sl-basis coordinates of traceless diagonal matrices given as {position: value} maps."""
+    out = []
+    size = len(L.triangular.cartan) + 1
+    for diag in maps:
+        if sum(diag.values()) != 0 or not all(0 <= k < size for k in diag):
+            raise ValueError(f"{diag} is not a traceless diagonal of size {size}")
+        coords = {}
+        run = QQ0
+        for k, i in enumerate(L.triangular.cartan):
+            run = run + QQ(diag.get(k, 0))
+            coords[i] = run
+        out.append(coords)
+    return _vectors(L.dim, out)
+
+
+def _build(g: LieAlgebra, t1v, t0v, kind: str, timer):
+    """The horospherical splitting of ``g`` and its ``kind`` basis in adapted coordinates."""
+    S = horospherical_splitting(g, t1v, t0_basis=t0v)
+    B = transport_basis(hilbert_basis(g, kind), S)
+    timer.lap("build")
+    return S, B
+
+
+def _suites(S: Splitting, B: HilbertBasis, seed, trials, **kw):
+    """Sphericity report and the property suite's verdicts, prefixed ``property_``."""
+    sph = sphericity(S, trials=trials, seed=seed)
+    props = property_suite(S, B, seed=seed, **kw)
+    return sph, {f"property_{k}": v for k, v in props.items()}
+
+
+def _restrictions(S: Splitting, B: HilbertBasis, names, labels=None) -> dict:
+    """Each generator's restriction to t0, printed in the parameter ``names``."""
+    labels = labels or [f"P{d}" for _, d in B.generators]
+    return {lab: restrict_to_t0(S, F).to_string(names) for lab, (F, _) in zip(labels, B.generators)}
+
+
+def _weyl_route(type_label, rank, arrows, dmax, lap=lambda label: None, cap: int = 60000):
+    """Root system -> Weyl group -> Satake t0 -> W0 -> restriction table.
+
+    ``lap`` is called after the enumeration, the W0 computation and the
+    restriction check, with the labels of those three steps.
+    """
+    rs = build_root_system(type_label, rank)
+    W = enumerate_weyl(rs, cap=cap)
+    lap("enumerate")
+    t0, _ = satake_subspaces(rs, SatakeDiagram(tuple(arrows)))
+    rep = w0_compute(W, t0)
+    lap("w0")
+    rc = restriction_check(W, t0, rep, dmax=dmax)
+    lap("restriction")
+    return rs, W, t0, rep, rc
 
 
 def _toral_variable_polys(S: Splitting, indices):
@@ -362,9 +406,8 @@ def _case_borel(params, seed, trials, dmax):
     n = int(params.get("n", 2))
     timer = _Timer()
     g = build_sl(n)
-    S = horospherical_splitting(g, _cartan_unit_vectors(g))
-    B = transport_basis(hilbert_basis(g, "charpoly"), S)
-    timer.lap("build")
+    S, B = _build(g, _vectors(g.dim, ({i: 1} for i in g.triangular.cartan)), None,
+                  "charpoly", timer)
     z0, zinf = _centre_generators(S, B)
     Z = z_generators(S, B, z0, zinf, "full")
     b = _b_int(g)
@@ -372,8 +415,7 @@ def _case_borel(params, seed, trials, dmax):
     suite = commutativity_suite(Z, extra_params=[(1, 7), (1, -3)],
                                 max_pairs=60, seed=seed)
     timer.lap("z_algebra")
-    sph = sphericity(S, trials=trials, seed=seed)
-    props = property_suite(S, B, seed=seed)
+    sph, props = _suites(S, B, seed, trials)
     timer.lap("suites")
     component_count = sum(1 for _, tag in Z.generators if tag.startswith("F"))
     verdicts = {
@@ -382,7 +424,7 @@ def _case_borel(params, seed, trials, dmax):
         "sphericity_sum_equals_rank": sph.verdicts["sum_equals_rank"],
         "s0_is_zero": sph.s0 == 0,
         "nondegenerate": sph.verdicts["nondegenerate"],
-        **{f"property_{k}": v for k, v in props.items()},
+        **props,
     }
     tables = {
         "generators": [tag for _, tag in Z.generators],
@@ -403,24 +445,21 @@ def _case_horo(params, seed, trials, dmax):
     timer = _Timer()
     g = build_sl(n)
     if t1_spec == "full":
-        t1 = _cartan_unit_vectors(g)
+        t1 = _vectors(g.dim, ({i: 1} for i in g.triangular.cartan))
     elif t1_spec == "zero":
         t1 = []
     else:
-        t1 = [_sl_diag_vector(g, d) for d in t1_spec]
-    S = horospherical_splitting(g, t1)
-    B = transport_basis(hilbert_basis(g, "charpoly"), S)
-    timer.lap("build")
+        t1 = _sl_diagonals(g, (dict(enumerate(d)) for d in t1_spec))
+    S, B = _build(g, t1, None, "charpoly", timer)
     rep_h = ggs_check(S, B, side="h", trials=trials, seed=seed)
-    sph = sphericity(S, trials=trials, seed=seed)
-    props = property_suite(S, B, seed=seed)
+    sph, props = _suites(S, B, seed, trials)
     timer.lap("checks")
     ell = g.rank
     verdicts = {
         "s0_formula": sph.s0 == ell - len(S.t1_indices),
         "sum_equals_rank": sph.verdicts["sum_equals_rank"],
         "criterion_consistent": rep_h.consistent in (True, None),
-        **{f"property_{k}": v for k, v in props.items()},
+        **props,
     }
     tables = {
         "s0": sph.s0,
@@ -441,18 +480,9 @@ def _case_double(params, seed, trials, dmax):
     gd = build_double(g)
     ell = g.rank
     B0 = hilbert_basis(gd, "double_extended:charpoly")
-    t1v = []
-    for k, i in enumerate(g.triangular.cartan):
-        v = [QQ0] * gd.dim
-        v[i] = QQ1
-        v[g.dim + k] = -QQ1
-        t1v.append(v)
-    t0v = []
-    for k, i in enumerate(g.triangular.cartan):
-        v = [QQ0] * gd.dim
-        v[i] = QQ1
-        v[g.dim + k] = QQ1
-        t0v.append(v)
+    cart = list(enumerate(g.triangular.cartan))
+    t1v = _vectors(gd.dim, ({i: 1, g.dim + k: -1} for k, i in cart))
+    t0v = _vectors(gd.dim, ({i: 1, g.dim + k: 1} for k, i in cart))
     S = horospherical_splitting(gd, t1v, t0_basis=t0v)
     B = transport_basis(B0, S)
     timer.lap("build")
@@ -479,8 +509,7 @@ def _case_double(params, seed, trials, dmax):
     suite = commutativity_suite(Z, extra_params=extra, seed=seed)
     timer.lap("z_algebra")
 
-    sph = sphericity(S, trials=trials, seed=seed)
-    props = property_suite(S, B, seed=seed)
+    sph, props = _suites(S, B, seed, trials)
     middles_ok = _middle_components_nonzero(S, B)
     timer.lap("suites")
 
@@ -493,7 +522,7 @@ def _case_double(params, seed, trials, dmax):
         "z_commutes": suite.passed,
         "s0_equals_s_inf_equals_rank_of_base": sph.s0 == ell and sph.s_inf == ell,
         "middle_components_nonzero": middles_ok,
-        **{f"property_{k}": v for k, v in props.items()},
+        **props,
     }
     tables = {
         "m_tilde_count": len(Z),
@@ -511,15 +540,6 @@ def _case_double(params, seed, trials, dmax):
     return CaseReport("double", {"n": n}, seed, verdicts, tables, timer.marks)
 
 
-def _weyl_route(type_label, rank, arrows, dmax):
-    rs = build_root_system(type_label, rank)
-    W = enumerate_weyl(rs)
-    t0, t1 = satake_subspaces(rs, SatakeDiagram(tuple(arrows)))
-    rep = w0_compute(W, t0)
-    rc = restriction_check(W, t0, rep, dmax=dmax)
-    return rs, W, rep, rc
-
-
 def _case_sl2n(params, seed, trials, dmax):
     n = int(params.get("n", 2))
     if n < 2:
@@ -528,27 +548,12 @@ def _case_sl2n(params, seed, trials, dmax):
     N = 2 * n
     g = build_sl(N)
     # t0 = symmetric traceless diagonals diag(c_1..c_n, c_n..c_1)
-    t0v = []
-    for i in range(n - 1):
-        diag = [0] * N
-        diag[i] = diag[N - 1 - i] = 1
-        diag[i + 1] = diag[N - 2 - i] = -1
-        t0v.append(_sl_diag_vector(g, diag))
+    t0v = _sl_diagonals(g, ({i: 1, N - 1 - i: 1, i + 1: -1, N - 2 - i: -1} for i in range(n - 1)))
     # t1 = antisymmetric diagonals diag(a_1..a_n, -a_n..-a_1)
-    t1v = []
-    for i in range(n):
-        diag = [0] * N
-        diag[i] = 1
-        diag[N - 1 - i] = -1
-        t1v.append(_sl_diag_vector(g, diag))
-    S = horospherical_splitting(g, t1v, t0_basis=t0v)
-    B = transport_basis(hilbert_basis(g, "trace_powers"), S)
-    timer.lap("build")
+    t1v = _sl_diagonals(g, ({i: 1, N - 1 - i: -1} for i in range(n)))
+    S, B = _build(g, t1v, t0v, "trace_powers", timer)
 
-    restrictions = {
-        f"P{d}": restrict_to_t0(S, F).to_string([f"c{i + 1}" for i in range(n - 1)])
-        for F, d in B.generators
-    }
+    restrictions = _restrictions(S, B, [f"c{i + 1}" for i in range(n - 1)])
     keep = [j for j, (_, d) in enumerate(B.generators) if d <= n]
     modified = eliminate_on_subspace(B, S, keep)
     rep_h = ggs_check(S, modified, side="h", trials=trials, seed=seed)
@@ -562,12 +567,10 @@ def _case_sl2n(params, seed, trials, dmax):
     td = jacobian_rank(Z.polys, trials=max(5, trials), seed=seed)
     timer.lap("z_algebra")
 
-    arrows = [(i, N - i) for i in range(1, n)]
-    rs, W, w0rep, rc = _weyl_route("A", N - 1, arrows, dmax)
+    *_, rc = _weyl_route("A", N - 1, [(i, N - i) for i in range(1, n)], dmax)
     timer.lap("weyl")
 
-    sph = sphericity(S, trials=trials, seed=seed)
-    props = property_suite(S, B, seed=seed)
+    sph, props = _suites(S, B, seed, trials)
     odd_count = sum(1 for _, d in B.generators if d % 2)
     middles_ok = _middle_components_nonzero(S, modified)
     timer.lap("suites")
@@ -584,7 +587,7 @@ def _case_sl2n(params, seed, trials, dmax):
         "sphericity_formula": sph.s0 == g.rank - len(S.t1_indices),
         "middle_components_nonzero": middles_ok,
         "criterion_consistent": rep_h.consistent and unmodified_rep.consistent,
-        **{f"property_{k}": v for k, v in props.items()},
+        **props,
     }
     tables = {
         "restrictions": restrictions,
@@ -608,26 +611,11 @@ def _case_sl2n1(params, seed, trials, dmax):
     N = 2 * n + 1
     g = build_sl(N)
     # t0 = diag(c_n..c_1, c_0, c_1..c_n) with c_0 = -2 sum c_i
-    t0v = []
-    for i in range(1, n + 1):
-        diag = [0] * N
-        diag[n - i] = diag[n + i] = 1
-        diag[n] = -2
-        t0v.append(_sl_diag_vector(g, diag))
-    t1v = []
-    for i in range(1, n + 1):
-        diag = [0] * N
-        diag[n - i] = 1
-        diag[n + i] = -1
-        t1v.append(_sl_diag_vector(g, diag))
-    S = horospherical_splitting(g, t1v, t0_basis=list(reversed(t0v)))
-    B = transport_basis(hilbert_basis(g, "trace_powers"), S)
-    timer.lap("build")
+    t0v = _sl_diagonals(g, ({n - i: 1, n + i: 1, n: -2} for i in range(1, n + 1)))
+    t1v = _sl_diagonals(g, ({n - i: 1, n + i: -1} for i in range(1, n + 1)))
+    S, B = _build(g, t1v, t0v[::-1], "trace_powers", timer)
 
-    cnames = [f"c{i + 1}" for i in range(n)] if n > 1 else ["c"]
-    restrictions = {
-        f"P{d}": restrict_to_t0(S, F).to_string(cnames) for F, d in B.generators
-    }
+    restrictions = _restrictions(S, B, [f"c{i + 1}" for i in range(n)] if n > 1 else ["c"])
     unmodified_rep = ggs_check(S, B, side="h", trials=trials, seed=seed)
     keep = [j for j, (_, d) in enumerate(B.generators) if d <= max(2, n)]
     elimination_infeasible = False
@@ -637,12 +625,10 @@ def _case_sl2n1(params, seed, trials, dmax):
         elimination_infeasible = True
     timer.lap("elimination")
 
-    arrows = [(i, N - i) for i in range(1, n + 1)]
-    rs, W, w0rep, rc = _weyl_route("A", N - 1, arrows, dmax)
+    *_, rc = _weyl_route("A", N - 1, [(i, N - i) for i in range(1, n + 1)], dmax)
     timer.lap("weyl")
 
-    sph = sphericity(S, trials=trials, seed=seed)
-    props = property_suite(S, B, seed=seed)
+    sph, props = _suites(S, B, seed, trials)
     timer.lap("suites")
 
     verdicts = {
@@ -651,7 +637,7 @@ def _case_sl2n1(params, seed, trials, dmax):
         "a_exceeds_dim_t0": (unmodified_rep.a_count or 0) > len(S.t0_indices),
         "routes_agree": (not rc.verdict_up_to_dmax) and not unmodified_rep.verdict,
         "sphericity_formula": sph.s0 == g.rank - len(S.t1_indices),
-        **{f"property_{k}": v for k, v in props.items()},
+        **props,
     }
     tables = {
         "restrictions": restrictions,
@@ -675,22 +661,11 @@ def _case_so2n(params, seed, trials, dmax):
     timer = _Timer()
     g = build_so_even(n)
     cart = g.triangular.cartan
-    t1v = []
-    for i in cart[: n - 1]:
-        v = [QQ0] * g.dim
-        v[i] = QQ1
-        t1v.append(v)
-    t0v = [[QQ0] * g.dim]
-    t0v[0][cart[n - 1]] = QQ1
-    S = horospherical_splitting(g, t1v, t0_basis=t0v)
-    B = transport_basis(hilbert_basis(g, "so_minors_pfaffian"), S)
-    timer.lap("build")
+    S, B = _build(g, _vectors(g.dim, ({i: 1} for i in cart[: n - 1])),
+                  _vectors(g.dim, [{cart[n - 1]: 1}]), "so_minors_pfaffian", timer)
 
     labels = [f"Delta_{d}" for _, d in B.generators[:-1]] + ["Pf"]
-    restrictions = {
-        lab: restrict_to_t0(S, F).to_string(["c"])
-        for lab, (F, _) in zip(labels, B.generators)
-    }
+    restrictions = _restrictions(S, B, ["c"], labels)
     rep_h = ggs_check(S, B, side="h", trials=trials, seed=seed)
     rep_r = ggs_check(S, B, side="r", trials=trials, seed=seed)
     timer.lap("ggs")
@@ -706,11 +681,10 @@ def _case_so2n(params, seed, trials, dmax):
     suite = commutativity_suite(small, max_pairs=24, seed=seed)
     timer.lap("z_algebra")
 
-    rs, W, w0rep, rc = _weyl_route("D", n, [(n - 1, n)], dmax)
+    *_, rc = _weyl_route("D", n, [(n - 1, n)], dmax)
     timer.lap("weyl")
 
-    sph = sphericity(S, trials=trials, seed=seed)
-    props = property_suite(S, B, seed=seed, n_pairs=4, pair_budget=120_000)
+    sph, props = _suites(S, B, seed, trials, n_pairs=4, pair_budget=120_000)
     middles_ok = _middle_components_nonzero(S, B)
     timer.lap("suites")
 
@@ -725,7 +699,7 @@ def _case_so2n(params, seed, trials, dmax):
         "sphericity_formula": sph.s0 == g.rank - len(S.t1_indices),
         "middle_components_nonzero": middles_ok,
         "criterion_consistent": bool(rep_h.consistent),
-        **{f"property_{k}": v for k, v in props.items()},
+        **props,
     }
     tables = {
         "restrictions": restrictions,
@@ -747,14 +721,7 @@ def _case_so2n(params, seed, trials, dmax):
 
 def _case_e6_weyl(params, seed, trials, dmax):
     timer = _Timer()
-    rs = build_root_system("E6")
-    W = enumerate_weyl(rs)
-    timer.lap("enumerate")
-    t0, t1 = satake_subspaces(rs, SatakeDiagram(((1, 5), (2, 4))))
-    rep = w0_compute(W, t0)
-    timer.lap("w0")
-    rc = restriction_check(W, t0, rep, dmax=dmax)
-    timer.lap("restriction")
+    _, W, t0, rep, rc = _weyl_route("E6", None, ((1, 5), (2, 4)), dmax, timer.lap)
     s3_stats = rep.element_orders == {1: 1, 2: 3, 3: 2}
     verdicts = {
         "weyl_order": W.order == 51840,

@@ -4,8 +4,10 @@ One test per criterion; each prints a PASS line with its runtime (visible
 with ``pytest -s`` and in captured output) and enforces the runtime budget.
 """
 
+import json
 import random
 import time
+from pathlib import Path
 
 from liesplit.liealg import build_double, build_gl, build_sl, change_basis
 from liesplit.invariants import (
@@ -289,3 +291,23 @@ def test_criterion_10_aks_restrictions():
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     announce(10, elapsed, "restricted invariants Poisson-commute inside each summand")
+
+
+GOLDEN = Path(__file__).parent / "data" / "case_reports.json"
+
+
+def _freeze(value):
+    return tuple(_freeze(v) for v in value) if isinstance(value, list) else value
+
+
+def test_case_reports_match_golden():
+    """Every cached report, verdicts, tables and stage labels, equals its recorded form."""
+    t0 = time.perf_counter()
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for entry in golden:
+        rep, _ = cached_case(entry["name"], _freeze(entry["params"]), entry["seed"])
+        doc = rep.to_dict()
+        doc["timings_ms"] = list(doc["timings_ms"])
+        assert json.loads(json.dumps(doc)) == entry["report"], entry["name"]
+    announce("golden", time.perf_counter() - t0,
+             f"{len(golden)} case reports equal their recorded verdicts, tables and stages")

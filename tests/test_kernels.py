@@ -62,3 +62,11 @@ def test_matmul_i8_overflow_raises():
     for impl in (pure, speedups):
         with pytest.raises(OverflowError):
             impl.matmul_i8(big, big, 2)
+
+
+def test_mul_terms_exponent_overflow_raises():
+    a = {bytes([200, 1]): QQ(1)}
+    b = {bytes([100, 0]): QQ(1)}
+    for impl in (pure, speedups):
+        with pytest.raises(OverflowError, match="255"):
+            impl.mul_terms(a, b, 2)

@@ -135,3 +135,10 @@ def test_canonical_identifies_scalar_multiples():
 def test_power_zero_is_one():
     x, _ = x_y()
     assert x**0 == Polynomial.constant(2, 1)
+
+
+def test_exponent_past_255_raises_overflow():
+    x = Polynomial.variable(1, 0)
+    assert (x**255).degree() == 255
+    with pytest.raises(OverflowError, match="255"):
+        x**300

@@ -173,6 +173,13 @@ def test_so2n_rejects_small_n():
         run_case("so2n", {"n": 3})
 
 
+@pytest.mark.parametrize("t1", [[[1, 0, -2]], [[1, 0, 0, -1]]])
+def test_horo_rejects_malformed_diagonal(t1):
+    # not traceless, and one entry more than sl(3) has: neither may be truncated
+    with pytest.raises(ValueError, match="traceless diagonal of size 3"):
+        run_case("horo", {"n": 3, "t1": t1})
+
+
 def test_sl2n_verdict_table_consistency():
     # matrix route and reflection-group route agree on the worked rows
     rep4 = run_case("sl2n", {"n": 2}, seed=2)
