@@ -1,14 +1,7 @@
-"""Kernel selection: compiled extension when built, pure Python otherwise."""
+"""The term kernels, in pure Python (see ``pure``)."""
 
 from __future__ import annotations
 
-try:
-    from . import speedups as impl
-except ImportError:
-    from . import pure as impl  # type: ignore[no-redef]
+from .pure import COMPILED, axpy_terms, diff_terms, matmul_i8, mul_terms
 
-COMPILED = impl.COMPILED
-mul_terms = impl.mul_terms
-axpy_terms = impl.axpy_terms
-diff_terms = impl.diff_terms
-matmul_i8 = impl.matmul_i8
+__all__ = ["COMPILED", "axpy_terms", "diff_terms", "matmul_i8", "mul_terms"]

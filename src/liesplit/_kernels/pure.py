@@ -1,40 +1,83 @@
-"""Pure-Python term kernels.
+"""Term kernels: the hot loops of polynomial arithmetic.
 
-These are the reference implementations of the hot loops; the compiled
-module ``speedups`` mirrors them exactly.  Terms are dicts mapping packed
-exponent vectors (``bytes``, one byte per variable) to nonzero rational
-coefficients.  Square integer matrices for reflection-group work are
-encoded as ``bytes`` of two's-complement int8 entries, row major; a
-product entry outside int8 raises ``OverflowError``, and so does a
-term product whose exponent of some variable exceeds 255.
+Terms are dicts mapping packed exponent keys to nonzero exact
+coefficients.  A key packs an exponent vector into one int, 8 bits per
+variable, variable 0 in the most significant byte, over a fixed width of
+``nvars`` bytes: a monomial product is one integer addition and integer
+order equals the order of the exponent bytes.  Coefficients follow
+:func:`liesplit.rationals.exact` (int when integral, ``Fraction``
+otherwise), and every kernel returns them in that form.  ``axpy_terms``
+accepts any hashable keys.  A term product whose exponent of some variable
+would exceed 255 raises ``OverflowError``; it never carries into the next
+variable.
+
+Square integer matrices for reflection-group work are encoded as
+``bytes`` of two's-complement int8 entries, row major; a product entry
+outside int8 raises ``OverflowError``.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from math import lcm
+from operator import or_
+
+from ..rationals import QQ, exact
+
 COMPILED = False
 
 
+def _slots(nvars: int, byte: int) -> int:
+    """``byte`` repeated in each of the ``nvars`` exponent slots."""
+    return int.from_bytes(bytes((byte,)) * nvars, "big")
+
+
+def _ints(t: dict) -> bool:
+    return set(map(type, t.values())) <= {int}
+
+
+def _cleared(t: dict, scale=1):
+    """(d, u) with scale * t == u / d, where u has int coefficients."""
+    m = lcm(*(c.denominator for c in t.values()))
+    s = scale.numerator
+    return scale.denominator * m, {e: s * c.numerator * (m // c.denominator) for e, c in t.items()}
+
+
 def mul_terms(a: dict, b: dict, nvars: int) -> dict:
-    out = {}
     if len(a) > len(b):  # iterate the smaller map outside
         a, b = b, a
-    try:
+    if not a:
+        return {}
+    if (reduce(or_, a, 0) | reduce(or_, b, 0)) & _slots(nvars, 0x80):
+        # some exponent is >= 128: test each pair for a carry out of a slot
+        carries = _slots(nvars, 1) << 8
+        for ea in a:
+            for eb in b:
+                if (ea ^ eb ^ (ea + eb)) & carries:
+                    raise OverflowError("exponent sum exceeds 255, the largest exponent "
+                                        "a packed exponent byte holds")
+    d = 1
+    if not (_ints(a) and _ints(b)):
+        # clear denominators: the products below stay integer
+        da, a = _cleared(a)
+        db, b = _cleared(b)
+        d = da * db
+    items = b.items()
+    if len(a) == 1:  # one term: no two products share a key
+        (ea, ca), = a.items()
+        out = {ea + eb: ca * cb for eb, cb in items}
+    else:
+        out = {}
+        get = out.get
         for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = bytes(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                acc = out.get(e)
-                if acc is None:
-                    out[e] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        out[e] = acc
-                    else:
-                        del out[e]
-    except ValueError:  # bytes() rejects an exponent sum above 255
-        raise OverflowError("exponent sum exceeds 255, the largest exponent "
-                            "a packed exponent byte holds") from None
+            for eb, cb in items:
+                e = ea + eb
+                out[e] = get(e, 0) + ca * cb
+        for e in [e for e, c in out.items() if not c]:  # in place: no second copy of out
+            del out[e]
+    if d != 1:
+        for e, c in out.items():
+            out[e] = exact(QQ(c, d))
     return out
 
 
@@ -42,26 +85,42 @@ def axpy_terms(acc: dict, src: dict, coeff) -> None:
     """In place: acc += coeff * src.  ``coeff`` may be any exact scalar."""
     if not coeff:
         return
+    coeff = exact(coeff)
+    if type(coeff) is int and _ints(src):
+        for e, c in src.items():
+            v = acc.get(e)
+            if v is None:
+                acc[e] = coeff * c
+            else:
+                v = v + coeff * c  # int + int, or a non-integral Fraction + int
+                if v:
+                    acc[e] = v
+                else:
+                    del acc[e]
+        return
+    d, src = _cleared(src, coeff)  # coeff * src == src / d from here on
     for e, c in src.items():
         v = acc.get(e)
-        if v is None:
-            acc[e] = coeff * c
-        else:
-            v = v + coeff * c
-            if v:
-                acc[e] = v
-            else:
+        if v is not None:
+            c = v.numerator * d + v.denominator * c  # v + c/d == c' / (den(v) d)
+            if not c:
                 del acc[e]
+                continue
+            acc[e] = exact(QQ(c, v.denominator * d))
+        else:
+            acc[e] = exact(QQ(c, d))
 
 
-def diff_terms(t: dict, var: int) -> dict:
+def diff_terms(t: dict, var: int, nvars: int) -> dict:
+    shift = 8 * (nvars - 1 - var)
+    unit = 1 << shift
     out = {}
     for e, c in t.items():
-        k = e[var]
+        k = (e >> shift) & 0xFF
         if k:
-            e2 = bytearray(e)
-            e2[var] = k - 1
-            out[bytes(e2)] = c * k
+            out[e - unit] = c * k
+    if not _ints(out):
+        return {e: exact(c) for e, c in out.items()}
     return out
 
 

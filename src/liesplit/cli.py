@@ -68,6 +68,17 @@ def _parse_h(spec: str, algebra):
     raise SystemExit(f"cannot parse --h {spec!r}")
 
 
+def _t1_arg(text: str):
+    """'full', 'zero', or one traceless diagonal given as comma-separated integers."""
+    if text in ("full", "zero"):
+        return text
+    try:
+        return [[int(x) for x in text.split(",")]]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not 'full', 'zero' or a comma list of integers") from None
+
+
 def _emit(doc: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(doc, indent=1, default=str))
@@ -103,7 +114,10 @@ def _cmd_case(args) -> int:
         params["n"] = args.n
     if args.t1 is not None:
         params["t1"] = args.t1
-    rep = run_case(args.name, params, seed=args.seed, trials=args.trials, dmax=args.dmax)
+    try:
+        rep = run_case(args.name, params, seed=args.seed, trials=args.trials, dmax=args.dmax)
+    except ValueError as exc:  # a parameter the case rejects, e.g. a non-traceless diagonal
+        raise SystemExit(f"case {args.name}: {exc}") from None
     _emit(rep.to_dict(), args.format)
     if not rep.passed:
         failed = [k for k, v in rep.verdicts.items() if not v]
@@ -113,14 +127,18 @@ def _cmd_case(args) -> int:
 
 
 def _cmd_check_ggs(args) -> int:
+    timer = _Timer()
     algebra = _load_algebra(args.algebra)
     h = _parse_h(args.h, algebra)
     try:
         deco = make_splitting(algebra, h)
     except ValueError:
         deco = make_decomposition(algebra, h)
+    timer.lap("build")
     basis = hilbert_basis(algebra, args.basis)
+    timer.lap("basis")
     rep = ggs_check(deco, basis, side=args.side, seed=args.seed)
+    timer.lap("ggs")
     doc = {
         "case": "check-ggs",
         "params": {"algebra": args.algebra, "h": args.h, "basis": args.basis},
@@ -136,7 +154,7 @@ def _cmd_check_ggs(args) -> int:
                 for r in rep.rows
             ],
         },
-        "timings_ms": {},
+        "timings_ms": timer.marks,
     }
     _emit(doc, args.format)
     return 0 if rep.consistent in (True, None) else 1
@@ -168,15 +186,18 @@ def _cmd_weyl_w0(args) -> int:
 
 
 def _cmd_index(args) -> int:
+    timer = _Timer()
     algebra = _load_algebra(args.algebra)
+    timer.lap("load")
     est = index_estimate(algebra, trials=args.trials, seed=args.seed)
+    timer.lap("index")
     doc = {
         "case": "index",
         "params": {"algebra": args.algebra, "dim": algebra.dim},
         "seed": args.seed,
         "verdicts": {},
         "tables": est.as_dict(),
-        "timings_ms": {},
+        "timings_ms": timer.marks,
     }
     _emit(doc, args.format)
     return 0
@@ -193,8 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("case", help="run a named case study")
     p.add_argument("name", choices=available_cases())
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--t1", default=None,
-                   help="for the horo case: 'full' or 'zero' toral part")
+    p.add_argument("--t1", type=_t1_arg, default=None,
+                   help="for the horo case: 'full' or 'zero' toral part, or one traceless "
+                        "diagonal as comma-separated integers, e.g. 1,0,-1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--dmax", type=int, default=None)

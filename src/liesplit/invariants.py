@@ -55,28 +55,26 @@ def _first_row_expansion(entries, split) -> Polynomial:
     over; dropping the t-th column leaves the subproblem, with sign (-1)^t.
     """
     nv = entries[0][0].nvars if entries else 0
-    one = Polynomial.constant(nv, 1)
-    memo: dict[tuple, Polynomial] = {}
+    return _expand(entries, split, tuple(range(len(entries))), {(): Polynomial.constant(nv, 1)})
 
-    def expand(idx: tuple) -> Polynomial:
-        if not idx:
-            return one
-        got = memo.get(idx)
-        if got is not None:
-            return got
-        row, cols = split(idx)
-        acc = Polynomial.zero(nv)
-        sign = 1
-        for t, j in enumerate(cols):
-            e = entries[row][j]
-            if e.terms:
-                sub = expand(cols[:t] + cols[t + 1 :])
-                acc = acc + e * sub if sign > 0 else acc - e * sub
-            sign = -sign
-        memo[idx] = acc
-        return acc
 
-    return expand(tuple(range(len(entries))))
+def _expand(entries, split, idx, memo) -> Polynomial:
+    # a module-level recursion: a self-referencing closure would be a reference
+    # cycle, holding every memoized minor until the next cycle collection
+    got = memo.get(idx)
+    if got is not None:
+        return got
+    row, cols = split(idx)
+    acc = Polynomial.zero(entries[0][0].nvars)
+    sign = 1
+    for t, j in enumerate(cols):
+        e = entries[row][j]
+        if e.terms:
+            sub = _expand(entries, split, cols[:t] + cols[t + 1 :], memo)
+            acc = acc + e * sub if sign > 0 else acc - e * sub
+        sign = -sign
+    memo[idx] = acc
+    return acc
 
 
 def poly_det(entries) -> Polynomial:
@@ -117,7 +115,8 @@ def charpoly_coefficients(L: LieAlgebra) -> dict:
     full = poly_det(entries)
     by_lambda: dict[int, dict] = {}
     for e, c in full.terms.items():
-        by_lambda.setdefault(e[n], {})[e[:n]] = c
+        # lambda is the last variable, so it owns the lowest byte of the key
+        by_lambda.setdefault(e & 0xFF, {})[e >> 8] = c
     out = {}
     for k in range(1, size + 1):
         terms = by_lambda.get(size - k, {})
@@ -341,7 +340,7 @@ def bidecompose(D: Decomposition, F: Polynomial) -> BiDecomposition:
     d = F.degree()
     groups: dict[int, dict] = {}
     for e, c in F.terms.items():
-        groups.setdefault(D.h_degree_of_exponent(e), {})[e] = c
+        groups.setdefault(D.h_degree_of_exponent(e.to_bytes(F.nvars, "big")), {})[e] = c
     comps = [
         BiComponent(Polynomial(F.nvars, t, _clean=True), (i, d - i))
         for i, t in sorted(groups.items())
@@ -586,13 +585,12 @@ class AksReport:
 
 def _aks_side(L, indices, B, pure_side):
     sub = sub_algebra(L, indices)
+    n = L.dim
+    # the exponent slots of the variables outside the pure side
+    outside = sum(0xFF << 8 * (n - 1 - i) for i in range(n) if i not in pure_side)
     gens = []
     for F, d in B.generators:
-        dec_terms = {
-            e: c for e, c in F.terms.items()
-            if all(k == 0 or i in pure_side for i, k in enumerate(e))
-        }
-        p = Polynomial(L.dim, dec_terms, _clean=True)
+        p = Polynomial(n, {e: c for e, c in F.terms.items() if not e & outside}, _clean=True)
         if p.is_zero():
             continue
         gens.append(p.restrict_vars(list(indices)))

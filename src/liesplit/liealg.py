@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import _kernels as K
 from .linalg import Matrix, inverse, rank_and_nullspace
-from .rationals import QQ, QQ0, QQ1
+from .rationals import QQ, QQ0, QQ1, exact
 
 
 class JacobiError(ValueError):
@@ -72,7 +72,7 @@ class LieAlgebra:
                     raise ValueError(f"bracket [{i}, {j}]: target {k} is listed twice")
                 seen.add(k)
         self.constants = {
-            pair: tuple((k, QQ(c)) for k, c in entries if QQ(c))
+            pair: tuple((k, exact(QQ(c))) for k, c in entries if QQ(c))
             for pair, entries in constants.items()
         }
         self.constants = {p: e for p, e in self.constants.items() if e}
@@ -146,7 +146,7 @@ def check_jacobi(arg) -> JacobiReport:
     if isinstance(arg, LieAlgebra):
         return jacobi_report(arg.dim, arg.constants)
     dim, constants = arg
-    norm = {p: tuple((k, QQ(c)) for k, c in entries) for p, entries in constants.items()}
+    norm = {p: tuple((k, exact(QQ(c))) for k, c in entries) for p, entries in constants.items()}
     return jacobi_report(dim, norm)
 
 

@@ -15,7 +15,7 @@ from . import _kernels as K
 from .liealg import LieAlgebra, sub_algebra
 from .linalg import Matrix, rank, rank_and_nullspace, solve
 from .poly import Polynomial
-from .rationals import QQ, QQ0, QQ1, qq_str
+from .rationals import QQ, QQ0, qq_str
 from .splitting import BracketParameter, Decomposition, Splitting, contract, pencil_member
 
 DEFAULT_BOUND = 10**6
@@ -32,17 +32,13 @@ def hamiltonian_field(L: LieAlgebra, F: Polynomial, targets=None):
     n = L.dim
     columns = {j: [] for j in (range(n) if targets is None else targets)}
     for (i, j), entries in L.constants.items():
-        lin = {}
-        for k, c in entries:
-            e = bytearray(n)
-            e[k] = 1
-            lin[bytes(e)] = c
+        lin = {1 << 8 * (n - 1 - k): c for k, c in entries}
         # pi_ij = lin feeds V_j through dF/dx_i, pi_ji = -lin feeds V_i through dF/dx_j
         if j in columns:
-            columns[j].append((i, lin, QQ1))
+            columns[j].append((i, lin, 1))
         if i in columns:
-            columns[i].append((j, lin, -QQ1))
-    dF = [K.diff_terms(F.terms, i) for i in range(n)]
+            columns[i].append((j, lin, -1))
+    dF = [K.diff_terms(F.terms, i, n) for i in range(n)]
     for j, col in columns.items():
         V = {}
         for i, lin, sign in col:
@@ -56,10 +52,10 @@ def poisson_bracket(L: LieAlgebra, F: Polynomial, G: Polynomial) -> Polynomial:
     if G.nvars != L.dim:
         raise ValueError("polynomials must live on the algebra's coordinates")
     n = L.dim
-    dG = {j: d for j in range(n) if (d := K.diff_terms(G.terms, j))}
+    dG = {j: d for j in range(n) if (d := K.diff_terms(G.terms, j, n))}
     acc: dict = {}
     for j, V in hamiltonian_field(L, F, dG):
-        K.axpy_terms(acc, K.mul_terms(V.terms, dG[j], n), QQ1)
+        K.axpy_terms(acc, K.mul_terms(V.terms, dG[j], n), 1)
     return Polynomial(n, acc, _clean=True)
 
 

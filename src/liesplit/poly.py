@@ -1,18 +1,39 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial over ``nvars`` variables stores a map from packed exponent
-vectors (``bytes``, one byte per variable, so individual exponents stay
-below 256) to nonzero rationals.  Values are immutable by convention:
+A polynomial over ``nvars`` variables stores ``terms``, a map from packed
+exponent keys to nonzero coefficients.  A key packs the exponent vector
+into one int, 8 bits per variable, variable 0 in the most significant
+byte, over a fixed width of ``nvars`` bytes, so individual exponents stay
+below 256 (a product past 255 raises ``OverflowError``), a monomial
+product is one integer addition, and integer order equals the order of the
+exponent bytes; ``key.to_bytes(nvars, "big")`` gives the exponent bytes
+back.  A coefficient is an ``int`` when it is integral and a ``Fraction``
+otherwise (:func:`liesplit.rationals.exact`).  The public interface speaks
+exponent sequences and ``QQ`` scalars: the constructor takes
+{exponent sequence: coefficient} maps and :meth:`Polynomial.items` yields
+(exponent bytes, ``QQ``) pairs.  Values are immutable by convention:
 every operation returns a fresh polynomial.  The zero polynomial has an
 empty term map and reports its degree as ``None``.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from . import _kernels as K
-from .rationals import QQ, QQ0, QQ1, qq_str
+from .rationals import QQ, QQ1, exact, qq_str
+
+
+def _pack(e, nvars: int) -> int:
+    """Packed key of an exponent sequence of length ``nvars``."""
+    if isinstance(e, int):
+        raise TypeError(f"exponent {e!r} must be a sequence of {nvars} exponents")
+    e = bytes(e)
+    if len(e) != nvars:
+        raise ValueError(f"exponent vector {e!r} has length {len(e)}, expected {nvars}")
+    return int.from_bytes(e, "big")
 
 
 class Polynomial:
@@ -27,14 +48,12 @@ class Polynomial:
         else:
             clean = {}
             for e, c in terms.items():
-                e = bytes(e)
-                if len(e) != nvars:
-                    raise ValueError(f"exponent vector {e!r} has length {len(e)}, expected {nvars}")
-                c = QQ(c)
+                e = _pack(e, nvars)
+                c = clean.get(e, 0) + QQ(c)
                 if c:
-                    clean[e] = clean.get(e, QQ0) + c
-                    if not clean[e]:
-                        del clean[e]
+                    clean[e] = exact(c)
+                else:
+                    clean.pop(e, None)
             self.terms = clean
 
     # -- constructors -------------------------------------------------
@@ -44,10 +63,10 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
-        c = QQ(c)
+        c = exact(QQ(c))
         if not c:
             return cls.zero(nvars)
-        return cls(nvars, {bytes(nvars): c}, _clean=True)
+        return cls(nvars, {0: c}, _clean=True)
 
     @classmethod
     def variable(cls, nvars: int, i: int, coeff=1) -> "Polynomial":
@@ -56,7 +75,7 @@ class Polynomial:
     @classmethod
     def monomial(cls, nvars: int, exps, coeff=1) -> "Polynomial":
         """``exps`` is a mapping var->exponent or a full exponent sequence."""
-        coeff = QQ(coeff)
+        coeff = exact(QQ(coeff))
         if not coeff:
             return cls.zero(nvars)
         e = bytearray(nvars)
@@ -66,20 +85,28 @@ class Polynomial:
         else:
             for i, k in enumerate(exps):
                 e[i] = k
-        return cls(nvars, {bytes(e): coeff}, _clean=True)
+        return cls(nvars, {int.from_bytes(e, "big"): coeff}, _clean=True)
 
     @classmethod
     def linear_form(cls, nvars: int, coeffs: Sequence) -> "Polynomial":
         terms = {}
         for i, c in enumerate(coeffs):
-            c = QQ(c)
+            c = exact(QQ(c))
             if c:
-                e = bytearray(nvars)
-                e[i] = 1
-                terms[bytes(e)] = c
+                terms[1 << 8 * (nvars - 1 - i)] = c
         return cls(nvars, terms, _clean=True)
 
     # -- basic queries ------------------------------------------------
+    def items(self):
+        """Yield (exponent bytes, coefficient as ``QQ``) for every term."""
+        n = self.nvars
+        for e, c in self.terms.items():
+            yield e.to_bytes(n, "big"), QQ(c)
+
+    def _degrees(self):
+        n = self.nvars
+        return (sum(e.to_bytes(n, "big")) for e in self.terms)
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -87,26 +114,21 @@ class Polynomial:
         """Total degree, or ``None`` for the zero polynomial."""
         if not self.terms:
             return None
-        return max(sum(e) for e in self.terms)
+        return max(self._degrees())
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(self._degrees())) <= 1
 
     def homogeneous_components(self) -> dict:
         """Map total degree -> homogeneous part."""
         parts: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            parts.setdefault(sum(e), {})[e] = c
+        for d, (e, c) in zip(self._degrees(), self.terms.items()):
+            parts.setdefault(d, {})[e] = c
         return {d: Polynomial(self.nvars, t, _clean=True) for d, t in sorted(parts.items())}
 
     def support_vars(self) -> set:
-        used = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(i)
-        return used
+        used = reduce(or_, self.terms, 0).to_bytes(self.nvars, "big")
+        return {i for i, k in enumerate(used) if k}
 
     # -- arithmetic ---------------------------------------------------
     def _check(self, other: "Polynomial"):
@@ -118,7 +140,7 @@ class Polynomial:
             other = Polynomial.constant(self.nvars, other)
         self._check(other)
         out = dict(self.terms)
-        K.axpy_terms(out, other.terms, QQ1)
+        K.axpy_terms(out, other.terms, 1)
         return Polynomial(self.nvars, out, _clean=True)
 
     __radd__ = __add__
@@ -131,7 +153,7 @@ class Polynomial:
             other = Polynomial.constant(self.nvars, other)
         self._check(other)
         out = dict(self.terms)
-        K.axpy_terms(out, other.terms, -QQ1)
+        K.axpy_terms(out, other.terms, -1)
         return Polynomial(self.nvars, out, _clean=True)
 
     def __rsub__(self, other):
@@ -146,10 +168,10 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
-        c = QQ(c)
+        c = exact(QQ(c))
         if not c:
             return Polynomial.zero(self.nvars)
-        return Polynomial(self.nvars, {e: v * c for e, v in self.terms.items()}, _clean=True)
+        return Polynomial(self.nvars, {e: exact(v * c) for e, v in self.terms.items()}, _clean=True)
 
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
@@ -167,17 +189,18 @@ class Polynomial:
     def diff(self, var: int) -> "Polynomial":
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range for {self.nvars} variables")
-        return Polynomial(self.nvars, K.diff_terms(self.terms, var), _clean=True)
+        return Polynomial(self.nvars, K.diff_terms(self.terms, var, self.nvars), _clean=True)
 
     def eval(self, point: Sequence):
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
-        point = [QQ(p) for p in point]
+        n = self.nvars
+        point = [exact(QQ(p)) for p in point]
         pow_cache: dict[tuple[int, int], object] = {}
-        total = QQ0
+        total = 0
         for e, c in self.terms.items():
             v = c
-            for i, k in enumerate(e):
+            for i, k in enumerate(e.to_bytes(n, "big")):
                 if k:
                     p = pow_cache.get((i, k))
                     if p is None:
@@ -185,7 +208,7 @@ class Polynomial:
                         pow_cache[(i, k)] = p
                     v = v * p
             total = total + v
-        return total
+        return QQ(total)
 
     # -- substitution -------------------------------------------------
     def map_vars(self, images: Sequence["Polynomial"], target_nvars: int) -> "Polynomial":
@@ -195,12 +218,13 @@ class Polynomial:
         for im in images:
             if im.nvars != target_nvars:
                 raise ValueError("images must live in the target variable space")
+        n = self.nvars
         pow_cache: dict[tuple[int, int], Polynomial] = {}
         out: dict = {}
         one = Polynomial.constant(target_nvars, 1)
         for e, c in self.terms.items():
             piece = one
-            for i, k in enumerate(e):
+            for i, k in enumerate(e.to_bytes(n, "big")):
                 if k:
                     p = pow_cache.get((i, k))
                     if p is None:
@@ -219,25 +243,22 @@ class Polynomial:
         """Reinterpret over a larger variable space, shifting indices by ``offset``."""
         if offset + self.nvars > new_nvars:
             raise ValueError("lift target too small")
-        out = {}
-        for e, c in self.terms.items():
-            e2 = bytearray(new_nvars)
-            e2[offset : offset + self.nvars] = e
-            out[bytes(e2)] = c
-        return Polynomial(new_nvars, out, _clean=True)
+        shift = 8 * (new_nvars - offset - self.nvars)
+        return Polynomial(new_nvars, {e << shift: c for e, c in self.terms.items()}, _clean=True)
 
     def restrict_vars(self, keep: Sequence[int]) -> "Polynomial":
         """Reindex onto the variables ``keep``; fails if other variables occur."""
+        n = self.nvars
         pos = {v: i for i, v in enumerate(keep)}
         out = {}
         for e, c in self.terms.items():
             e2 = bytearray(len(keep))
-            for i, k in enumerate(e):
+            for i, k in enumerate(e.to_bytes(n, "big")):
                 if k:
                     if i not in pos:
                         raise ValueError(f"variable {i} occurs but is not kept")
                     e2[pos[i]] = k
-            out[bytes(e2)] = c
+            out[int.from_bytes(e2, "big")] = c
         return Polynomial(len(keep), out, _clean=True)
 
     # -- normalisation and display -------------------------------------
@@ -245,24 +266,24 @@ class Polynomial:
         """Return (monic polynomial, scalar) with self = scalar * monic.
 
         The normalising coefficient is the one attached to the largest
-        packed exponent vector, so proportional polynomials collapse to
+        packed exponent key, so proportional polynomials collapse to
         the same canonical form.
         """
         if not self.terms:
             return self, QQ1
-        lead = max(self.terms)
-        c = self.terms[lead]
+        c = QQ(self.terms[max(self.terms)])
         return self.scale(QQ1 / c), c
 
     def to_string(self, names: Iterable[str] | None = None) -> str:
         if not self.terms:
             return "0"
-        names = list(names) if names is not None else [f"x{i}" for i in range(self.nvars)]
+        n = self.nvars
+        names = list(names) if names is not None else [f"x{i}" for i in range(n)]
         parts = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+        for d, e in sorted(zip(self._degrees(), self.terms), reverse=True):
             c = self.terms[e]
             factors = []
-            for i, k in enumerate(e):
+            for i, k in enumerate(e.to_bytes(n, "big")):
                 if k == 1:
                     factors.append(names[i])
                 elif k > 1:

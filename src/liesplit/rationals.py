@@ -1,24 +1,27 @@
 """Exact rational scalars shared by the whole package.
 
-``gmpy2.mpq`` is used when available (it is considerably faster);
-``fractions.Fraction`` is the drop-in fallback.  Both keep
-gcd(|numerator|, denominator) = 1 with a positive denominator, compare
-and hash compatibly, and never lose precision.
+Scalars are ``fractions.Fraction`` (``QQ``), which keeps
+gcd(|numerator|, denominator) = 1 with a positive denominator and never
+loses precision.  Stored coefficients (polynomial terms, structure
+constants) follow one rule, :func:`exact`: a plain ``int`` when the value
+is integral and a ``Fraction`` otherwise, so the common integral case runs
+on machine-speed integer arithmetic.  Scalars handed out by public
+methods stay ``QQ``.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as QQ
+from fractions import Fraction as QQ
 
-    RATIONAL_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as QQ
-
-    RATIONAL_BACKEND = "fractions"
+RATIONAL_BACKEND = "fractions"
 
 QQ0 = QQ(0)
 QQ1 = QQ(1)
+
+
+def exact(q):
+    """The coefficient rule: an integral ``q`` (int or Fraction) as an int, anything else unchanged."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def qq(value, den=None):
@@ -33,6 +36,6 @@ def num_den(q) -> tuple[int, int]:
 
 
 def qq_str(q) -> str:
-    """Canonical 'num' or 'num/den' form, identical for both backends."""
+    """Canonical 'num' or 'num/den' form of an int or a rational."""
     n, d = num_den(q)
     return str(n) if d == 1 else f"{n}/{d}"

@@ -34,7 +34,7 @@ from operator import mul
 from . import _kernels as K
 from .linalg import Matrix, inverse, rank, rank_and_nullspace
 from .poly import Polynomial
-from .rationals import QQ, QQ0, QQ1
+from .rationals import QQ, QQ0, QQ1, exact
 
 
 def _encode(mat_rows, n) -> bytes:
@@ -432,26 +432,20 @@ def reynolds_average(matrices, F: Polynomial) -> Polynomial:
 
 
 def _monomials(nvars, degree):
-    out = []
-    for combo in combinations_with_replacement(range(nvars), degree):
-        e = bytearray(nvars)
-        for i in combo:
-            e[i] += 1
-        out.append(bytes(e))
-    return out
+    """Packed keys of the degree-``degree`` monomials, in combination order."""
+    return [sum(1 << 8 * (nvars - 1 - i) for i in combo)
+            for combo in combinations_with_replacement(range(nvars), degree)]
 
 
 def _monomial_images(m_rows, nvars, degree):
     """Images of all monomials of the given degree under x_i -> row_i . x."""
     lin = [Polynomial.linear_form(nvars, m_rows[i]) for i in range(nvars)]
-    images: dict[bytes, Polynomial] = {bytes(nvars): Polynomial.constant(nvars, 1)}
+    images: dict[int, Polynomial] = {0: Polynomial.constant(nvars, 1)}
     for d in range(1, degree + 1):
-        nxt: dict[bytes, Polynomial] = {}
+        nxt: dict[int, Polynomial] = {}
         for e in _monomials(nvars, d):
-            i = next(t for t, k in enumerate(e) if k)
-            prev = bytearray(e)
-            prev[i] -= 1
-            nxt[e] = images[bytes(prev)] * lin[i]
+            i = nvars - 1 - (e.bit_length() - 1) // 8  # the lowest-index variable in e
+            nxt[e] = images[e - (1 << 8 * (nvars - 1 - i))] * lin[i]
         images = nxt
     return images
 
@@ -478,7 +472,7 @@ def invariant_basis(generator_matrices, degree, nvars):
     _, null = rank_and_nullspace(Matrix(rows))
     basis = []
     for v in null:
-        terms = {e: c for e, c in zip(monos, v) if c}
+        terms = {e: exact(c) for e, c in zip(monos, v) if c}
         basis.append(Polynomial(nvars, terms, _clean=True))
     return basis
 
@@ -486,7 +480,7 @@ def invariant_basis(generator_matrices, degree, nvars):
 def reynolds_invariant_basis(matrices, degree, nvars):
     """Span of the averages of all degree-``degree`` monomials (small groups)."""
     monos = _monomials(nvars, degree)
-    averaged = [reynolds_average(matrices, Polynomial(nvars, {e: QQ1}, _clean=True)) for e in monos]
+    averaged = [reynolds_average(matrices, Polynomial(nvars, {e: 1}, _clean=True)) for e in monos]
     mat = Matrix([[p.terms.get(e, QQ0) for e in monos] for p in averaged])
     target = rank(mat)
     basis = []

@@ -39,6 +39,7 @@ def test_check_ggs_builders(capsys):
     doc = json.loads(out)
     assert doc["verdicts"]["is_ggs"] is True
     assert doc["tables"]["sum_m"] == 6 == doc["tables"]["dim_m"]
+    assert list(doc["timings_ms"]) == ["build", "basis", "ggs"]
 
 
 def test_check_ggs_borel_preset(capsys):
@@ -71,6 +72,33 @@ def test_index_subcommand_with_algebra_file(tmp_path, capsys):
     assert doc["tables"]["claimed_index"] == 2
     assert doc["tables"]["b_value"] == "5"
     assert len(doc["tables"]["witness"]) == 8
+    assert list(doc["timings_ms"]) == ["load", "index"]
+
+
+def test_case_horo_t1_comma_list(capsys):
+    code, out = run_cli(capsys, ["case", "horo", "--n", "3", "--t1", "1,0,-1"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["t1"] == "[[1, 0, -1]]"
+    assert doc["tables"]["dim_t1"] == 1
+    assert all(doc["verdicts"].values())
+
+
+@pytest.mark.parametrize("t1, message", [
+    ("1,x,-1", "'1,x,-1' is not 'full', 'zero' or a comma list of integers"),
+    ("half", "'half' is not"),
+])
+def test_case_horo_t1_rejects_non_integers(capsys, t1, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["case", "horo", "--n", "3", "--t1", t1])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_case_horo_t1_rejects_non_traceless_diagonal():
+    with pytest.raises(SystemExit) as exc:
+        main(["case", "horo", "--n", "3", "--t1", "1,0,-2"])
+    assert "is not a traceless diagonal of size 3" in str(exc.value.code)
 
 
 def test_unknown_case_rejected(capsys):

@@ -79,7 +79,7 @@ def test_central_difference_telescoping_degree_three():
         n = rng.randint(1, 3)
         p = random_poly(rng, n, max_terms=5, max_exp=3)
         p = Polynomial(
-            n, {e: c for e, c in p.terms.items() if sum(e) <= 3}
+            n, {e: c for e, c in p.items() if sum(e) <= 3}
         )
         v = rng.randrange(n)
         x = [QQ(rng.randint(-5, 5)) for _ in range(n)]
@@ -142,3 +142,11 @@ def test_exponent_past_255_raises_overflow():
     assert (x**255).degree() == 255
     with pytest.raises(OverflowError, match="255"):
         x**300
+
+
+def test_constructor_takes_exponent_sequences_not_packed_keys():
+    assert Polynomial(2, {(1, 0): 2, b"\x01\x00": QQ(1, 2)}) == Polynomial.variable(2, 0, QQ(5, 2))
+    with pytest.raises(TypeError, match="sequence of 2 exponents"):
+        Polynomial(2, {256: 1})
+    with pytest.raises(ValueError, match="length 3, expected 2"):
+        Polynomial(2, {(1, 0, 0): 1})

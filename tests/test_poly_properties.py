@@ -1,0 +1,235 @@
+"""Differential property tests: ``Polynomial`` against a naive reference.
+
+The reference keys terms by exponent tuples and keeps every coefficient a
+``Fraction``; each operation is the textbook formula.  ``Polynomial``
+packs exponents into ints and stores integral coefficients as ints, so
+agreement on random inputs checks the packing, the coefficient rule and
+every kernel path (single-term and general products, cleared
+denominators, cancellation).
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from liesplit.poly import Polynomial  # noqa: E402
+
+# derandomized, so every run checks the same examples
+CHECKS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+# -- the reference: {exponent tuple: Fraction} ---------------------------------
+
+
+def r_clean(t):
+    return {e: c for e, c in t.items() if c}
+
+
+def r_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return r_clean(out)
+
+
+def r_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return r_clean(out)
+
+
+def r_pow(a, k, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(k):
+        out = r_mul(out, a)
+    return out
+
+
+def r_diff(a, var):
+    out = {}
+    for e, c in a.items():
+        if e[var]:
+            e2 = list(e)
+            e2[var] -= 1
+            out[tuple(e2)] = c * e[var]
+    return out
+
+
+def r_eval(a, point):
+    total = Fraction(0)
+    for e, c in a.items():
+        v = c
+        for x, k in zip(point, e):
+            v *= Fraction(x) ** k
+        total += v
+    return total
+
+
+def r_map_vars(a, images, target):
+    out = {}
+    for e, c in a.items():
+        piece = {(0,) * target: c}
+        for im, k in zip(images, e):
+            for _ in range(k):
+                piece = r_mul(piece, im)
+        out = r_add(out, piece)
+    return out
+
+
+def r_lift(a, new_nvars, offset):
+    out = {}
+    for e, c in a.items():
+        e2 = [0] * new_nvars
+        e2[offset : offset + len(e)] = e
+        out[tuple(e2)] = c
+    return out
+
+
+def r_restrict(a, keep):
+    return {tuple(e[v] for v in keep): c for e, c in a.items()}
+
+
+def r_to_string(a):
+    if not a:
+        return "0"
+    parts = []
+    for e in sorted(a, key=lambda e: (sum(e), e), reverse=True):
+        c = a[e]
+        factors = [f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(e) if k]
+        coeff = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        if not factors:
+            parts.append(coeff)
+        elif c == 1:
+            parts.append("*".join(factors))
+        elif c == -1:
+            parts.append("-" + "*".join(factors))
+        else:
+            parts.append(coeff + "*" + "*".join(factors))
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+# -- strategies and comparison -------------------------------------------------
+
+
+coefficients = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 1, 1, 2, 3, 6]))
+
+
+@st.composite
+def terms(draw, nvars, max_terms=5, max_exp=3):
+    """A reference polynomial: a few terms, each on at most three variables."""
+    out = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = [0] * nvars
+        for v in draw(st.lists(st.integers(0, nvars - 1), max_size=3)):
+            e[v] = draw(st.integers(0, max_exp))
+        out[tuple(e)] = out.get(tuple(e), Fraction(0)) + draw(coefficients)
+    return r_clean(out)
+
+
+@st.composite
+def pair(draw):
+    nvars = draw(st.integers(1, 29))
+    return nvars, draw(terms(nvars)), draw(terms(nvars))
+
+
+def ref(p):
+    """The reference form of ``p``, after checking the coefficient rule on ``p.terms``."""
+    for c in p.terms.values():
+        assert not isinstance(c, float)
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+        assert c
+    return {tuple(e): c for e, c in p.items()}
+
+
+@CHECKS
+@given(pair())
+def test_ring_operations_match_reference(data):
+    n, a, b = data
+    p, q = Polynomial(n, a), Polynomial(n, b)
+    assert ref(p) == a
+    assert ref(p + q) == r_add(a, b)
+    assert ref(p - q) == r_add(a, b, -1)
+    assert ref(p - p) == {}
+    assert ref(-p) == {e: -c for e, c in a.items()}
+    assert ref(p * q) == r_mul(a, b)
+    # a polynomial times a single term, and a cancelling product
+    for e, c in b.items():
+        assert ref(p * Polynomial(n, {e: c})) == r_mul(a, {e: c})
+    assert ref((p + q) * (p - q)) == r_add(r_mul(a, a), r_mul(b, b), -1)
+
+
+@CHECKS
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), terms(n, max_terms=3, max_exp=2))),
+       st.integers(0, 3))
+def test_power_matches_reference(data, k):
+    n, a = data
+    assert ref(Polynomial(n, a) ** k) == r_pow(a, k, n)
+
+
+@CHECKS
+@given(pair(), st.data())
+def test_calculus_and_evaluation_match_reference(data, draw):
+    n, a, _ = data
+    p = Polynomial(n, a)
+    var = draw.draw(st.integers(0, n - 1))
+    assert ref(p.diff(var)) == r_diff(a, var)
+    point = draw.draw(st.lists(coefficients, min_size=n, max_size=n))
+    value = p.eval(point)
+    assert isinstance(value, Fraction) and value == r_eval(a, point)
+    degree = max((sum(e) for e in a), default=None)
+    assert p.degree() == degree
+
+
+@CHECKS
+@given(pair(), st.data())
+def test_substitutions_match_reference(data, draw):
+    n, a, _ = data
+    p = Polynomial(n, a)
+    target = draw.draw(st.integers(1, 4))
+    images = [draw.draw(terms(target, max_terms=2, max_exp=1)) for _ in range(n)]
+    assert ref(p.map_vars([Polynomial(target, im) for im in images], target)) == \
+        r_map_vars(a, images, target)
+    extra = draw.draw(st.integers(0, 3))
+    offset = draw.draw(st.integers(0, extra))
+    assert ref(p.lift(n + extra, offset)) == r_lift(a, n + extra, offset)
+    used = sorted({i for e in a for i, k in enumerate(e) if k})
+    keep = sorted(set(used) | set(draw.draw(st.lists(st.integers(0, n - 1), max_size=2))))
+    assert ref(p.restrict_vars(keep)) == r_restrict(a, keep)
+
+
+@CHECKS
+@given(pair())
+def test_canonical_and_printing_match_reference(data):
+    n, a, _ = data
+    p = Polynomial(n, a)
+    monic, scalar = p.canonical()
+    assert isinstance(scalar, Fraction)
+    if a:
+        lead = max(a)
+        assert scalar == a[lead]
+        assert ref(monic) == {e: c / a[lead] for e, c in a.items()}
+    else:
+        assert scalar == 1 and monic.is_zero()
+    assert p.to_string() == r_to_string(a)
+
+
+@pytest.mark.parametrize("nvars, var", [(1, 0), (3, 0), (3, 1), (3, 2), (29, 0), (29, 28)])
+def test_exponent_127_plus_128_fits_and_128_plus_128_overflows(nvars, var):
+    x = Polynomial.variable(nvars, var)
+    assert dict((x**127 * x**128).items()) == {
+        bytes(255 if i == var else 0 for i in range(nvars)): 1
+    }
+    with pytest.raises(OverflowError, match="255"):
+        x**128 * x**128
+    if nvars > 1:  # a full neighbouring slot neither overflows nor absorbs a carry
+        y = Polynomial.variable(nvars, (var + 1) % nvars)
+        full = (x**127 * y**200) * (x**128 * y**55)
+        assert sorted(next(full.items())[0]) == [0] * (nvars - 2) + [255, 255]
+        with pytest.raises(OverflowError, match="255"):
+            (x**128 * y**200) * (x**128 * y)

@@ -1,0 +1,85 @@
+"""sympy as an independent oracle for the determinant expansions.
+
+``charpoly_coefficients``, ``poly_det`` and ``poly_pfaffian`` expand
+polynomial matrices by memoized first-row recursion over packed
+polynomials; sympy expands the same symbolic matrices with its own
+algorithms (Berkowitz characteristic polynomial, symbolic determinant).
+"""
+
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from liesplit.invariants import (  # noqa: E402
+    charpoly_coefficients,
+    dual_matrix,
+    poly_det,
+    poly_pfaffian,
+)
+from liesplit.liealg import build_gl, build_sl, build_so_even  # noqa: E402
+from liesplit.poly import Polynomial  # noqa: E402
+
+ALGEBRAS = {"sl3": lambda: build_sl(3), "gl4": lambda: build_gl(4), "so4": lambda: build_so_even(2)}
+
+
+def to_sympy(p: Polynomial, xs):
+    return sum((sympy.Rational(c.numerator, c.denominator) * sympy.prod(x**k for x, k in zip(xs, e))
+                for e, c in p.items()), sympy.Integer(0))
+
+
+def terms_of(p: Polynomial):
+    return {tuple(e): c for e, c in p.items()}
+
+
+def sympy_terms(expr, xs):
+    out = {}
+    for e, c in sympy.Poly(sympy.expand(expr), *xs).as_dict().items():
+        if c:
+            out[tuple(e)] = Fraction(int(c.p), int(c.q))
+    return out
+
+
+def dual_matrices(name):
+    L = ALGEBRAS[name]()
+    xs = sympy.symbols(f"x0:{L.dim}")
+    Y = dual_matrix(L)
+    return L, xs, Y, sympy.Matrix([[to_sympy(e, xs) for e in row] for row in Y])
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_charpoly_coefficients_match_sympy(name):
+    L, xs, _, Ys = dual_matrices(name)
+    lam = sympy.Symbol("lam")
+    # det(lam I - Y) = sum_k (-1)^k e_k lam^(N-k)
+    coeffs = sympy.Poly(Ys.charpoly(lam).as_expr(), lam).all_coeffs()
+    assert len(coeffs) == L.matrix_size + 1
+    ours = charpoly_coefficients(L)
+    for k in range(1, L.matrix_size + 1):
+        assert terms_of(ours[k]) == sympy_terms((-1) ** k * coeffs[k], xs)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_det_and_pfaffian_match_sympy(name):
+    _, xs, Y, Ys = dual_matrices(name)
+    det = sympy_terms(Ys.det(), xs)
+    assert terms_of(poly_det(Y)) == det
+    # Pf [[0, Y], [-Y^T, 0]] = (-1)^(n(n-1)/2) det Y for an n x n block Y
+    n = len(Y)
+    zero = Polynomial.zero(Y[0][0].nvars)
+    block = [[zero] * n + list(Y[r]) for r in range(n)]
+    block += [[-Y[c][r] for c in range(n)] + [zero] * n for r in range(n)]
+    sign = (-1) ** (n * (n - 1) // 2)
+    assert terms_of(poly_pfaffian(block)) == {e: sign * c for e, c in det.items()}
+
+
+def test_so4_pfaffian_squares_to_sympy_det():
+    _, xs, Y, Ys = dual_matrices("so4")
+    size = len(Y)
+    # the antidiagonal flip that makes the so(2n) dual element skew-symmetric
+    K = [[Y[size - 1 - r][c] for c in range(size)] for r in range(size)]
+    Ks = sympy.Matrix([[Ys[size - 1 - r, c] for c in range(size)] for r in range(size)])
+    pf = poly_pfaffian(K)
+    assert not pf.is_zero()
+    assert terms_of(pf * pf) == sympy_terms(Ks.det(), xs)
