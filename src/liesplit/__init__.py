@@ -89,6 +89,7 @@ from .weyl import (
     w0_compute,
 )
 from .zalgebra import (
+    CaseParameterError,
     CaseReport,
     SuiteReport,
     ZGeneratorSet,

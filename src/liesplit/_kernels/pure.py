@@ -38,7 +38,7 @@ def _ints(t: dict) -> bool:
 
 def _cleared(t: dict, scale=1):
     """(d, u) with scale * t == u / d, where u has int coefficients."""
-    m = lcm(*(c.denominator for c in t.values()))
+    m = reduce(lcm, (c.denominator for c in t.values()), 1)  # lcm(*...) fills tuple free lists
     s = scale.numerator
     return scale.denominator * m, {e: s * c.numerator * (m // c.denominator) for e, c in t.items()}
 
@@ -50,7 +50,7 @@ def mul_terms(a: dict, b: dict, nvars: int) -> dict:
         return {}
     if (reduce(or_, a, 0) | reduce(or_, b, 0)) & _slots(nvars, 0x80):
         # some exponent is >= 128: test each pair for a carry out of a slot
-        carries = _slots(nvars, 1) << 8
+        carries = _slots(nvars, 1) << 8  # the bit just above each slot
         for ea in a:
             for eb in b:
                 if (ea ^ eb ^ (ea + eb)) & carries:
@@ -58,12 +58,12 @@ def mul_terms(a: dict, b: dict, nvars: int) -> dict:
                                         "a packed exponent byte holds")
     d = 1
     if not (_ints(a) and _ints(b)):
-        # clear denominators: the products below stay integer
+        # clear denominators so the loop below multiplies ints, not Fractions
         da, a = _cleared(a)
         db, b = _cleared(b)
         d = da * db
     items = b.items()
-    if len(a) == 1:  # one term: no two products share a key
+    if len(a) == 1:  # one term (most calls from brackets): no two products share a key
         (ea, ca), = a.items()
         out = {ea + eb: ca * cb for eb, cb in items}
     else:
@@ -98,7 +98,7 @@ def axpy_terms(acc: dict, src: dict, coeff) -> None:
                 else:
                     del acc[e]
         return
-    d, src = _cleared(src, coeff)  # coeff * src == src / d from here on
+    d, src = _cleared(src, coeff)  # in ints: coeff * src == src / d from here on
     for e, c in src.items():
         v = acc.get(e)
         if v is not None:

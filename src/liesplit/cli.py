@@ -22,7 +22,7 @@ from .liealg import algebra_from_json, build_algebra
 from .invariants import ggs_check, hilbert_basis
 from .poisson import index_estimate
 from .splitting import make_decomposition, make_splitting
-from .zalgebra import _Timer, _weyl_route, available_cases, run_case
+from .zalgebra import CaseParameterError, _Timer, _weyl_route, available_cases, run_case
 
 
 def _load_algebra(spec: str):
@@ -116,7 +116,7 @@ def _cmd_case(args) -> int:
         params["t1"] = args.t1
     try:
         rep = run_case(args.name, params, seed=args.seed, trials=args.trials, dmax=args.dmax)
-    except ValueError as exc:  # a parameter the case rejects, e.g. a non-traceless diagonal
+    except CaseParameterError as exc:  # e.g. a non-traceless diagonal
         raise SystemExit(f"case {args.name}: {exc}") from None
     _emit(rep.to_dict(), args.format)
     if not rep.passed:

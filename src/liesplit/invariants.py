@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .liealg import LieAlgebra, sub_algebra
 from .linalg import Matrix, inverse, rank, solve
 from .poisson import hamiltonian_field, poisson_bracket
-from .poly import Polynomial
+from .poly import Polynomial, _exponents
 from .rationals import QQ, QQ0, QQ1
 from .splitting import Decomposition, Splitting
 
@@ -114,13 +114,11 @@ def charpoly_coefficients(L: LieAlgebra) -> dict:
     ]
     full = poly_det(entries)
     by_lambda: dict[int, dict] = {}
-    for e, c in full.terms.items():
-        # lambda is the last variable, so it owns the lowest byte of the key
-        by_lambda.setdefault(e & 0xFF, {})[e >> 8] = c
+    for e, c in full.items():
+        by_lambda.setdefault(e[n], {})[e[:n]] = c  # lambda is the last variable
     out = {}
     for k in range(1, size + 1):
-        terms = by_lambda.get(size - k, {})
-        p = Polynomial(n, terms, _clean=True)
+        p = Polynomial(n, by_lambda.get(size - k, {}))
         if k % 2:
             p = -p
         out[k] = p
@@ -340,7 +338,7 @@ def bidecompose(D: Decomposition, F: Polynomial) -> BiDecomposition:
     d = F.degree()
     groups: dict[int, dict] = {}
     for e, c in F.terms.items():
-        groups.setdefault(D.h_degree_of_exponent(e.to_bytes(F.nvars, "big")), {})[e] = c
+        groups.setdefault(D.h_degree_of_exponent(_exponents(e, F.nvars)), {})[e] = c
     comps = [
         BiComponent(Polynomial(F.nvars, t, _clean=True), (i, d - i))
         for i, t in sorted(groups.items())
@@ -585,12 +583,10 @@ class AksReport:
 
 def _aks_side(L, indices, B, pure_side):
     sub = sub_algebra(L, indices)
-    n = L.dim
-    # the exponent slots of the variables outside the pure side
-    outside = sum(0xFF << 8 * (n - 1 - i) for i in range(n) if i not in pure_side)
     gens = []
     for F, d in B.generators:
-        p = Polynomial(n, {e: c for e, c in F.terms.items() if not e & outside}, _clean=True)
+        p = Polynomial(L.dim, {e: c for e, c in F.items()
+                               if all(k == 0 or i in pure_side for i, k in enumerate(e))})
         if p.is_zero():
             continue
         gens.append(p.restrict_vars(list(indices)))

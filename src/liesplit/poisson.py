@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from . import _kernels as K
 from .liealg import LieAlgebra, sub_algebra
 from .linalg import Matrix, rank, rank_and_nullspace, solve
-from .poly import Polynomial
+from .poly import Polynomial, _unit
 from .rationals import QQ, QQ0, qq_str
 from .splitting import BracketParameter, Decomposition, Splitting, contract, pencil_member
 
@@ -32,7 +32,7 @@ def hamiltonian_field(L: LieAlgebra, F: Polynomial, targets=None):
     n = L.dim
     columns = {j: [] for j in (range(n) if targets is None else targets)}
     for (i, j), entries in L.constants.items():
-        lin = {1 << 8 * (n - 1 - k): c for k, c in entries}
+        lin = {_unit(n, k): c for k, c in entries}
         # pi_ij = lin feeds V_j through dF/dx_i, pi_ji = -lin feeds V_i through dF/dx_j
         if j in columns:
             columns[j].append((i, lin, 1))

@@ -6,14 +6,15 @@ into one int, 8 bits per variable, variable 0 in the most significant
 byte, over a fixed width of ``nvars`` bytes, so individual exponents stay
 below 256 (a product past 255 raises ``OverflowError``), a monomial
 product is one integer addition, and integer order equals the order of the
-exponent bytes; ``key.to_bytes(nvars, "big")`` gives the exponent bytes
-back.  A coefficient is an ``int`` when it is integral and a ``Fraction``
-otherwise (:func:`liesplit.rationals.exact`).  The public interface speaks
-exponent sequences and ``QQ`` scalars: the constructor takes
-{exponent sequence: coefficient} maps and :meth:`Polynomial.items` yields
-(exponent bytes, ``QQ``) pairs.  Values are immutable by convention:
-every operation returns a fresh polynomial.  The zero polynomial has an
-empty term map and reports its degree as ``None``.
+exponent bytes.  Outside the polynomial core (this module and
+``_kernels``), code builds and reads keys only through ``_unit`` and
+``_exponents``.  A coefficient is an ``int`` when it is integral and a
+``Fraction`` otherwise (:func:`liesplit.rationals.exact`).  The public
+interface speaks exponent sequences and ``QQ`` scalars: the constructor
+takes {exponent sequence: coefficient} maps and :meth:`Polynomial.items`
+yields (exponent bytes, ``QQ``) pairs.  Values are immutable by
+convention: every operation returns a fresh polynomial.  The zero
+polynomial has an empty term map and reports its degree as ``None``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,16 @@ from typing import Iterable, Sequence
 
 from . import _kernels as K
 from .rationals import QQ, QQ1, exact, qq_str
+
+
+def _unit(nvars: int, i: int) -> int:
+    """Key of the monomial ``x_i``."""
+    return 1 << 8 * (nvars - 1 - i)
+
+
+def _exponents(key: int, nvars: int) -> bytes:
+    """The exponent vector of a key, one byte per variable."""
+    return key.to_bytes(nvars, "big")
 
 
 def _pack(e, nvars: int) -> int:
@@ -93,7 +104,7 @@ class Polynomial:
         for i, c in enumerate(coeffs):
             c = exact(QQ(c))
             if c:
-                terms[1 << 8 * (nvars - 1 - i)] = c
+                terms[_unit(nvars, i)] = c
         return cls(nvars, terms, _clean=True)
 
     # -- basic queries ------------------------------------------------
@@ -101,11 +112,11 @@ class Polynomial:
         """Yield (exponent bytes, coefficient as ``QQ``) for every term."""
         n = self.nvars
         for e, c in self.terms.items():
-            yield e.to_bytes(n, "big"), QQ(c)
+            yield _exponents(e, n), QQ(c)
 
     def _degrees(self):
         n = self.nvars
-        return (sum(e.to_bytes(n, "big")) for e in self.terms)
+        return (sum(_exponents(e, n)) for e in self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -127,7 +138,7 @@ class Polynomial:
         return {d: Polynomial(self.nvars, t, _clean=True) for d, t in sorted(parts.items())}
 
     def support_vars(self) -> set:
-        used = reduce(or_, self.terms, 0).to_bytes(self.nvars, "big")
+        used = _exponents(reduce(or_, self.terms, 0), self.nvars)
         return {i for i, k in enumerate(used) if k}
 
     # -- arithmetic ---------------------------------------------------
@@ -200,7 +211,7 @@ class Polynomial:
         total = 0
         for e, c in self.terms.items():
             v = c
-            for i, k in enumerate(e.to_bytes(n, "big")):
+            for i, k in enumerate(_exponents(e, n)):
                 if k:
                     p = pow_cache.get((i, k))
                     if p is None:
@@ -224,7 +235,7 @@ class Polynomial:
         one = Polynomial.constant(target_nvars, 1)
         for e, c in self.terms.items():
             piece = one
-            for i, k in enumerate(e.to_bytes(n, "big")):
+            for i, k in enumerate(_exponents(e, n)):
                 if k:
                     p = pow_cache.get((i, k))
                     if p is None:
@@ -253,7 +264,7 @@ class Polynomial:
         out = {}
         for e, c in self.terms.items():
             e2 = bytearray(len(keep))
-            for i, k in enumerate(e.to_bytes(n, "big")):
+            for i, k in enumerate(_exponents(e, n)):
                 if k:
                     if i not in pos:
                         raise ValueError(f"variable {i} occurs but is not kept")
@@ -283,7 +294,7 @@ class Polynomial:
         for d, e in sorted(zip(self._degrees(), self.terms), reverse=True):
             c = self.terms[e]
             factors = []
-            for i, k in enumerate(e.to_bytes(n, "big")):
+            for i, k in enumerate(_exponents(e, n)):
                 if k == 1:
                     factors.append(names[i])
                 elif k > 1:

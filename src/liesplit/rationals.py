@@ -31,11 +31,6 @@ def qq(value, den=None):
     return QQ(value)
 
 
-def num_den(q) -> tuple[int, int]:
-    return int(q.numerator), int(q.denominator)
-
-
 def qq_str(q) -> str:
     """Canonical 'num' or 'num/den' form of an int or a rational."""
-    n, d = num_den(q)
-    return str(n) if d == 1 else f"{n}/{d}"
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"

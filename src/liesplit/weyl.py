@@ -33,7 +33,7 @@ from operator import mul
 
 from . import _kernels as K
 from .linalg import Matrix, inverse, rank, rank_and_nullspace
-from .poly import Polynomial
+from .poly import Polynomial, _unit
 from .rationals import QQ, QQ0, QQ1, exact
 
 
@@ -432,22 +432,20 @@ def reynolds_average(matrices, F: Polynomial) -> Polynomial:
 
 
 def _monomials(nvars, degree):
-    """Packed keys of the degree-``degree`` monomials, in combination order."""
-    return [sum(1 << 8 * (nvars - 1 - i) for i in combo)
+    """Keys of the degree-``degree`` monomials, in combination order."""
+    return [sum(_unit(nvars, i) for i in combo)
             for combo in combinations_with_replacement(range(nvars), degree)]
 
 
 def _monomial_images(m_rows, nvars, degree):
-    """Images of all monomials of the given degree under x_i -> row_i . x."""
+    """Images of all monomials of the given degree under x_i -> row_i . x, by key."""
     lin = [Polynomial.linear_form(nvars, m_rows[i]) for i in range(nvars)]
-    images: dict[int, Polynomial] = {0: Polynomial.constant(nvars, 1)}
+    # keyed by the nondecreasing tuple of variable indices of each monomial
+    images: dict[tuple, Polynomial] = {(): Polynomial.constant(nvars, 1)}
     for d in range(1, degree + 1):
-        nxt: dict[int, Polynomial] = {}
-        for e in _monomials(nvars, d):
-            i = nvars - 1 - (e.bit_length() - 1) // 8  # the lowest-index variable in e
-            nxt[e] = images[e - (1 << 8 * (nvars - 1 - i))] * lin[i]
-        images = nxt
-    return images
+        images = {combo: images[combo[1:]] * lin[combo[0]]
+                  for combo in combinations_with_replacement(range(nvars), d)}
+    return dict(zip(_monomials(nvars, degree), images.values()))
 
 
 def invariant_basis(generator_matrices, degree, nvars):

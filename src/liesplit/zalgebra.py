@@ -57,6 +57,10 @@ from .weyl import (
 )
 
 
+class CaseParameterError(ValueError):
+    """A case study rejects its parameters (a size, a diagonal, a case name)."""
+
+
 @dataclass
 class ZGeneratorSet:
     splitting: Splitting
@@ -312,7 +316,8 @@ def _sl_diagonals(L: LieAlgebra, maps):
     size = len(L.triangular.cartan) + 1
     for diag in maps:
         if sum(diag.values()) != 0 or not all(0 <= k < size for k in diag):
-            raise ValueError(f"{diag} is not a traceless diagonal of size {size}")
+            raise CaseParameterError(f"{list(diag.values())} is not a traceless diagonal "
+                                     f"of size {size}")
         coords = {}
         run = QQ0
         for k, i in enumerate(L.triangular.cartan):
@@ -543,7 +548,7 @@ def _case_double(params, seed, trials, dmax):
 def _case_sl2n(params, seed, trials, dmax):
     n = int(params.get("n", 2))
     if n < 2:
-        raise ValueError("sl2n needs n >= 2 (smaller n has no arrows)")
+        raise CaseParameterError("sl2n needs n >= 2 (smaller n has no arrows)")
     timer = _Timer()
     N = 2 * n
     g = build_sl(N)
@@ -655,9 +660,9 @@ def _case_sl2n1(params, seed, trials, dmax):
 def _case_so2n(params, seed, trials, dmax):
     n = int(params.get("n", 4))
     if n < 4:
-        raise ValueError("so2n needs n >= 4 (smaller n reduces to earlier cases)")
+        raise CaseParameterError("so2n needs n >= 4 (smaller n reduces to earlier cases)")
     if n != 4:
-        raise ValueError("desk scale: the so(2n) case study is built for n = 4")
+        raise CaseParameterError("desk scale: the so(2n) case study is built for n = 4")
     timer = _Timer()
     g = build_so_even(n)
     cart = g.triangular.cartan
@@ -777,7 +782,7 @@ def run_case(name: str, params: dict | None = None, seed: int = 0,
              trials: int = 8, dmax: int | None = None) -> CaseReport:
     """Run one worked case end to end and return its report."""
     if name not in _CASES:
-        raise ValueError(f"unknown case {name!r}; choose from {sorted(_CASES)}")
+        raise CaseParameterError(f"unknown case {name!r}; choose from {sorted(_CASES)}")
     return _CASES[name](params or {}, seed, trials, dmax)
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from liesplit import cli
 from liesplit.cli import main
 from liesplit.liealg import algebra_to_json, build_sl
 
@@ -98,7 +99,17 @@ def test_case_horo_t1_rejects_non_integers(capsys, t1, message):
 def test_case_horo_t1_rejects_non_traceless_diagonal():
     with pytest.raises(SystemExit) as exc:
         main(["case", "horo", "--n", "3", "--t1", "1,0,-2"])
-    assert "is not a traceless diagonal of size 3" in str(exc.value.code)
+    assert "[1, 0, -2] is not a traceless diagonal of size 3" in str(exc.value.code)
+
+
+def test_case_keeps_library_errors(monkeypatch):
+    # only a rejected parameter becomes a one-line exit; a library error keeps its traceback
+    def broken(*args, **kwargs):
+        raise ValueError("variable 3 occurs but is not kept")
+
+    monkeypatch.setattr(cli, "run_case", broken)
+    with pytest.raises(ValueError, match="not kept"):
+        main(["case", "horo", "--n", "3"])
 
 
 def test_unknown_case_rejected(capsys):
