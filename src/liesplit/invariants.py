@@ -153,8 +153,11 @@ def verify_invariance(L: LieAlgebra, F: Polynomial) -> bool:
     return all(V.is_zero() for _, V in hamiltonian_field(L, F))
 
 
-def _b_of(L: LieAlgebra):
-    return QQ(L.dim + L.rank, 2)
+def _b_of(L: LieAlgebra) -> int:
+    """b(g) = (dim + rank) / 2, the dimension of a Borel subalgebra of a reductive g."""
+    b, odd = divmod(L.dim + L.rank, 2)
+    assert not odd, "dim + rank is even for a reductive algebra"
+    return b
 
 
 def hilbert_basis(L: LieAlgebra, kind: str, verify: bool = True) -> HilbertBasis:
@@ -230,7 +233,7 @@ def hilbert_basis(L: LieAlgebra, kind: str, verify: bool = True) -> HilbertBasis
         raise AssertionError(f"generator count {len(gens)} != rank {L.rank}")
     if L.rank is not None:
         total = sum(d for _, d in gens)
-        if QQ(total) != _b_of(L):
+        if total != _b_of(L):
             raise AssertionError(f"sum of degrees {total} != b(g) = {_b_of(L)}")
     if verify:
         for g, d in gens:

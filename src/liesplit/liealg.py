@@ -5,7 +5,9 @@ bracket extends by antisymmetry.  Every constructor runs an exhaustive
 Jacobi check over all basis triples.  The one unchecked construction is
 ``splitting.family_bracket``: a pencil member a*[,]_0 + b*[,]_inf has a
 Jacobiator quadratic in (a, b), so the pencil is certified by the checks
-at (1,0), (0,1) and (1,1) (see its docstring).
+at (1,0), (0,1) and (1,1); its Poisson bracket is linear in (a, b),
+{F, G}_(a,b) = a{F, G}_0 + b{F, G}_inf, so commutativity is decided at
+(1,0) and (0,1) (see its docstring).
 
 Builders produce gl(n), sl(n), so(2n) in the antidiagonal realization
 (matrices skew with respect to the antidiagonal, so the Cartan is

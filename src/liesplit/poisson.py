@@ -80,9 +80,10 @@ def tensor_at(L_or_S, xi, parameter=None) -> PoissonTensorSample:
     (h block first) and the off-diagonal block A gets its own rank
     (dim of the h-orbit of xi when xi kills h).
     """
+    parameter = None if parameter is None else BracketParameter.of(parameter)
     if isinstance(L_or_S, Decomposition):
         S = L_or_S
-        L = pencil_member(S, parameter) if parameter is not None else S.algebra
+        L = S.algebra if parameter is None else pencil_member(S, parameter)
         order = S.order
     else:
         S = None
@@ -111,8 +112,6 @@ def tensor_at(L_or_S, xi, parameter=None) -> PoissonTensorSample:
     if S is not None:
         nh = S.dim_h
         block_a_rank = rank(Matrix([row[nh:] for row in mat.rows[:nh]]))
-    if isinstance(parameter, tuple):
-        parameter = BracketParameter(*parameter)
     return PoissonTensorSample(tuple(xi), parameter, mat, rk, order, block_a_rank)
 
 

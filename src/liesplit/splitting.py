@@ -41,6 +41,11 @@ class BracketParameter:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
+    @classmethod
+    def of(cls, p) -> "BracketParameter":
+        """``p`` itself, or the parameter built from an (a, b) pair."""
+        return p if isinstance(p, cls) else cls(*p)
+
     def label(self) -> str:
         return f"({qq_str(self.a)},{qq_str(self.b)})"
 
@@ -62,6 +67,7 @@ class Decomposition:
         # fixed adapted order: h block first, then r block
         self.order = self.h_indices + self.r_indices
         self._check_closed(self.h_indices, "h")
+        self._contractions: dict = {}  # side -> checked contraction, see ``contract``
         self.t1_indices: tuple = ()
         self.t0_indices: tuple = ()
         self.is_horospherical = False
@@ -125,36 +131,36 @@ def _contract_constants(D: Decomposition, keep: frozenset, other: frozenset):
 
 
 def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
-    """Inonu-Wigner contraction; same underlying basis and order as D.algebra."""
-    if side == "keep_h":
-        constants = _contract_constants(D, D.h_set, D.r_set)
-    elif side == "keep_r":
-        if not isinstance(D, Splitting):
+    """Inonu-Wigner contraction on D.algebra's basis, built and Jacobi-checked
+    once per ``D``: later calls return the same object, not to be mutated."""
+    if side not in D._contractions:
+        sets = {"keep_h": (D.h_set, D.r_set), "keep_r": (D.r_set, D.h_set)}
+        if side not in sets:
+            raise ValueError("side must be keep_h or keep_r")
+        if side == "keep_r" and not isinstance(D, Splitting):
             raise ValueError("keep_r needs r to be a subalgebra (a full splitting)")
-        constants = _contract_constants(D, D.r_set, D.h_set)
-    else:
-        raise ValueError("side must be keep_h or keep_r")
-    return LieAlgebra(D.algebra.names, constants, kind=f"contract[{side}]({D.algebra.kind})")
+        D._contractions[side] = LieAlgebra(D.algebra.names, _contract_constants(D, *sets[side]),
+                                           kind=f"contract[{side}]({D.algebra.kind})")
+    return D._contractions[side]
 
 
 def family_bracket(S: Splitting, p: BracketParameter) -> LieAlgebra:
     """The pencil member a*[,]_0 + b*[,]_infinity; (1,1) is the original algebra.
 
     Built without the per-member Jacobi check, the one unchecked
-    construction in the package.  The whole pencil is certified at once:
-    the Jacobiator of a*mu_0 + b*mu_inf is the quadratic form
+    construction in the package; two arguments settle the whole pencil.
+    Jacobi: the Jacobiator of a*mu_0 + b*mu_inf is the quadratic form
     a^2 J(mu_0) + ab J(mu_0, mu_inf) + b^2 J(mu_inf) in (a, b), so it
     vanishes for every member once it vanishes at three pairwise
-    non-proportional parameters.  (1,0) and (0,1) are the contractions
-    along h and r, Lie brackets because ``Splitting`` checks that h and r
-    are closed (``contract`` builds them with the full check); (1,1) is
-    ``S.algebra`` exactly, checked when it was constructed.
-    ``zalgebra.property_suite`` re-checks all three anchors.
+    non-proportional parameters: (1,0) and (0,1), the contractions that
+    ``contract`` checks, and (1,1), ``S.algebra`` itself.
+    ``zalgebra.property_suite`` compares this function's anchors with them.
+    Commutativity: {F, G}_(a,b) = a{F, G}_0 + b{F, G}_inf, so a pair
+    commutes for every member iff it commutes at (1,0) and (0,1).
     """
     if not isinstance(S, Splitting):
         raise ValueError("the pencil needs r to be a subalgebra (a full splitting)")
-    if not isinstance(p, BracketParameter):
-        p = BracketParameter(*p)
+    p = BracketParameter.of(p)
     c0 = _contract_constants(S, S.h_set, S.r_set)
     cinf = _contract_constants(S, S.r_set, S.h_set)
     keys = set(c0) | set(cinf)
@@ -170,12 +176,14 @@ def family_bracket(S: Splitting, p: BracketParameter) -> LieAlgebra:
 
 
 def pencil_member(S: Splitting, p) -> LieAlgebra:
-    """Convenience: (1,1) returns the original algebra object itself."""
-    if not isinstance(p, BracketParameter):
-        p = BracketParameter(*p)
-    if p.a == QQ1 and p.b == QQ1:
+    """``S.algebra`` at (1,1), the checked contractions at (1,0) and (0,1), else family_bracket."""
+    p = BracketParameter.of(p)
+    if (p.a, p.b) == (1, 1):
         return S.algebra
-    return family_bracket(S, p)
+    side = {(1, 0): "keep_h", (0, 1): "keep_r"}.get((p.a, p.b))
+    if side is None or not isinstance(S, Splitting):
+        return family_bracket(S, p)  # raises for a bare Decomposition
+    return contract(S, side)
 
 
 def _normalize_direction(vec):

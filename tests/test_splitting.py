@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+from liesplit import liealg
+from liesplit.invariants import bidecompose, hilbert_basis, transport_basis
 from liesplit.liealg import build_double, build_sl, build_so_even, check_jacobi, custom_algebra
-from liesplit.poisson import tensor_at
+from liesplit.poisson import poisson_bracket, tensor_at
+from liesplit.poly import Polynomial
 from liesplit.rationals import QQ, QQ0, QQ1
 from liesplit.splitting import (
     BracketParameter,
@@ -12,6 +15,7 @@ from liesplit.splitting import (
     horospherical_splitting,
     make_decomposition,
     make_splitting,
+    pencil_member,
 )
 
 
@@ -106,6 +110,63 @@ def test_family_jacobi_for_random_parameters():
         for _ in range(n):
             t = QQ(rng.randint(-30, 30), rng.randint(1, 12))
             assert check_jacobi(family_bracket(S, BracketParameter(1, t))).passed
+
+
+def _cartan_line(g, k):
+    return [QQ1 if i == g.triangular.cartan[k] else QQ0 for i in range(g.dim)]
+
+
+def test_pencil_bracket_is_linear_on_bi_components():
+    # {F, G}_(a,b) = a{F, G}_0 + b{F, G}_inf, the identity that lets the
+    # suites bracket at (1,0) and (0,1) only; coordinates join the
+    # bi-components so that most brackets are nonzero
+    sl3, so4 = build_sl(3), build_so_even(2)
+    cases = (
+        (sl3, "charpoly", [_cartan_line(sl3, 0)]),
+        (so4, "so_minors_pfaffian", [_cartan_line(so4, 0)]),
+        (build_double(sl2()), "double_extended:charpoly", [[QQ0, QQ1, QQ0, -QQ1]]),
+    )
+    rng = random.Random(7)
+    for g, kind, t1 in cases:
+        S = horospherical_splitting(g, t1)
+        B = transport_basis(hilbert_basis(g, kind), S)
+        polys = [c.poly for F, _ in B.generators for c in bidecompose(S, F).components]
+        polys += [Polynomial.variable(g.dim, i) for i in range(g.dim)]
+        params = [(1, 0), (0, 1), (1, 1), (2, 0), (1, QQ(rng.randint(-40, 40), rng.randint(1, 9)))]
+        members = [(QQ(a), QQ(b), pencil_member(S, (a, b))) for a, b in params]
+        nonzero = 0
+        for x, F in enumerate(polys):
+            for G in polys[x + 1:]:
+                b0 = poisson_bracket(contract(S, "keep_h"), F, G)
+                binf = poisson_bracket(contract(S, "keep_r"), F, G)
+                nonzero += not (b0.is_zero() and binf.is_zero())
+                for a, b, L in members:
+                    assert poisson_bracket(L, F, G) == a * b0 + b * binf
+        assert nonzero > len(polys)
+
+
+def test_contractions_built_and_checked_once_per_side(monkeypatch):
+    S = so8_splitting()
+    calls = []
+    check = liealg.jacobi_report
+
+    def counting(dim, constants):
+        calls.append(dim)
+        return check(dim, constants)
+
+    monkeypatch.setattr(liealg, "jacobi_report", counting)
+    con_h, con_r = contract(S, "keep_h"), contract(S, "keep_r")
+    for _ in range(3):
+        assert contract(S, "keep_h") is con_h and pencil_member(S, (1, 0)) is con_h
+        assert contract(S, "keep_r") is con_r and pencil_member(S, BracketParameter(0, 1)) is con_r
+        assert pencil_member(S, (1, 1)) is S.algebra
+        tensor_at(S, [1] * S.algebra.dim, (1, 0))
+    assert calls == [28, 28]
+    # a (1,t) member is the unchecked family_bracket, not a cached object
+    assert pencil_member(S, (1, 2)) is not pencil_member(S, (1, 2))
+    assert calls == [28, 28]
+    # another splitting object owns its own pair
+    assert contract(so8_splitting(), "keep_h") is not con_h
 
 
 def test_pencil_members_isomorphic_via_grading_rescale():

@@ -5,9 +5,10 @@ import pytest
 from liesplit.liealg import build_double, build_sl
 from liesplit import zalgebra
 from liesplit.invariants import custom_basis, hilbert_basis, jacobian_rank, transport_basis
+from liesplit.poisson import poisson_bracket
 from liesplit.poly import Polynomial
 from liesplit.rationals import QQ, QQ0, QQ1
-from liesplit.splitting import horospherical_splitting
+from liesplit.splitting import BracketParameter, horospherical_splitting, pencil_member
 from liesplit.zalgebra import (
     CaseReport,
     available_cases,
@@ -68,9 +69,45 @@ def test_commutativity_suite_detects_noncommuting_pair():
     suite = commutativity_suite(Z)
     assert not suite.passed
     assert suite.failures[0][:2] == ("e", "f")
-    # [e,f] vanishes only at the keep_h end, so the failing parameter is
-    # one where the bracket survives
-    assert suite.failures[0][2] in ("(0,1)", "(1,1)")
+    # [e,f] vanishes only at the keep_h end, and (0,1) is bracketed second
+    assert suite.failures[0][2] == "(0,1)"
+
+
+def _first_failures(Z, params):
+    """The exhaustive oracle: bracket every listed member, keep each pair's first failure."""
+    members = [(p, pencil_member(Z.splitting, p)) for p in params]
+    out = []
+    for a, (fa, ta) in enumerate(Z.generators):
+        for fb, tb in Z.generators[a + 1:]:
+            for p, L in members:
+                if not poisson_bracket(L, fa, fb).is_zero():
+                    out.append((ta, tb, p.label()))
+                    break
+    return out
+
+
+def test_commutativity_suite_labels_match_exhaustive_loop():
+    # planted pairs: [t, e] = 2e lies in h and survives only at (1,0),
+    # [e, f] only at (0,1); e and f fail against the Casimir at an end
+    # although it commutes with them at (1,1)
+    sl2, S, B = borel_sl2()
+    names = S.algebra.names
+    t, e, f = (Polynomial.variable(3, names.index(n)) for n in ("t1_1", "E12", "E21"))
+    gens = [(t, "t"), (e, "e"), (f, "f"), (B.polys[0], "C"), (t * t, "t2")]
+    g3 = build_sl(3)
+    S3 = horospherical_splitting(g3, [[QQ1 if i == g3.triangular.cartan[0] else QQ0
+                                       for i in range(8)]])
+    coords = [(Polynomial.variable(8, i), n) for i, n in enumerate(S3.algebra.names)]
+    extra = [(1, 5), (2, -3), (0, 7)]
+    params = [BracketParameter(*p) for p in [(1, 0), (0, 1), (1, 1)] + extra]
+    for Z in (ZGeneratorSet(S, "full", gens), ZGeneratorSet(S3, "full", coords)):
+        suite = commutativity_suite(Z, extra_params=extra)
+        assert suite.failures == _first_failures(Z, params)
+        assert suite.parameters == [p.label() for p in params]
+        assert suite.pairs_checked == len(Z) * (len(Z) - 1) // 2
+    assert ("t", "e", "(1,0)") in commutativity_suite(ZGeneratorSet(S, "full", gens)).failures
+    assert poisson_bracket(S.algebra, t, e) == poisson_bracket(pencil_member(S, (1, 0)), t, e)
+    assert poisson_bracket(pencil_member(S, (0, 1)), t, e).is_zero()
 
 
 def test_sl3_borel_component_count_and_trdeg():
