@@ -6,7 +6,7 @@ system tests, index and sphericity estimates, reflection-group
 restriction analysis, and the case-study CLI built on top of them.
 """
 
-from .rationals import QQ, qq, qq_str
+from .rationals import QQ, qq_str
 
 __version__ = "0.1.0"
 

@@ -19,10 +19,9 @@ outside int8 raises ``OverflowError``.
 from __future__ import annotations
 
 from functools import reduce
-from math import lcm
 from operator import or_
 
-from ..rationals import QQ, exact
+from ..rationals import QQ, common_denominator, exact
 
 COMPILED = False
 
@@ -38,7 +37,7 @@ def _ints(t: dict) -> bool:
 
 def _cleared(t: dict, scale=1):
     """(d, u) with scale * t == u / d, where u has int coefficients."""
-    m = reduce(lcm, (c.denominator for c in t.values()), 1)  # lcm(*...) fills tuple free lists
+    m = common_denominator(t.values())
     s = scale.numerator
     return scale.denominator * m, {e: s * c.numerator * (m // c.denominator) for e, c in t.items()}
 

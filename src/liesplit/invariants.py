@@ -24,7 +24,6 @@ from .liealg import LieAlgebra, sub_algebra
 from .linalg import Matrix, inverse, rank, solve
 from .poisson import hamiltonian_field, poisson_bracket
 from .poly import Polynomial, _exponents
-from .rationals import QQ, QQ0, QQ1
 from .splitting import Decomposition, Splitting
 
 
@@ -141,11 +140,6 @@ class HilbertBasis:
     @property
     def degrees(self):
         return [d for _, d in self.generators]
-
-    def replace(self, index, poly, kind=None):
-        gens = list(self.generators)
-        gens[index] = (poly, gens[index][1])
-        return HilbertBasis(self.algebra, kind or self.kind, tuple(gens))
 
 
 def verify_invariance(L: LieAlgebra, F: Polynomial) -> bool:
@@ -277,23 +271,16 @@ def restrict_to_span(L: LieAlgebra, F: Polynomial, vectors) -> Polynomial:
     if L.gram is None:
         raise ValueError("restriction needs the invariant-form Gram matrix")
     k = len(vectors)
-    images = []
-    for a in range(L.dim):
-        coeffs = []
-        for v in vectors:
-            coeffs.append(sum((QQ(v[i]) * L.gram[i, a] for i in range(L.dim) if QQ(v[i])), QQ0))
-        images.append(Polynomial.linear_form(k, coeffs))
+    gram_t = L.gram.transpose()
+    pairings = [gram_t.matvec(v) for v in vectors]  # <v, X_a> for every a
+    images = [Polynomial.linear_form(k, [p[a] for p in pairings]) for a in range(L.dim)]
     return F.map_vars(images, k)
 
 
 def _restrict_to_toral(S: Splitting, F: Polynomial, indices, label) -> Polynomial:
     if not S.is_horospherical:
         raise ValueError(f"{label} restrictions need a horospherical splitting")
-    unit = []
-    for i in indices:
-        v = [QQ0] * S.algebra.dim
-        v[i] = QQ1
-        unit.append(v)
+    unit = [[int(t == i) for t in range(S.algebra.dim)] for i in indices]
     return restrict_to_span(S.algebra, F, unit)
 
 
@@ -406,7 +393,7 @@ def ggs_check(D: Decomposition, B: HilbertBasis, side: str = "h",
         raise ValueError("side must be 'h' or 'r'")
     if side == "r" and not isinstance(D, Splitting):
         raise ValueError("side 'r' needs a full splitting")
-    horo = getattr(D, "is_horospherical", False)
+    horo = D.is_horospherical
     toral = D.t0_indices if side == "h" else D.t1_indices
     toral_set = set(toral)
     rows = []
@@ -509,8 +496,8 @@ def eliminate_on_subspace(B: HilbertBasis, S: Splitting, keep) -> HilbertBasis:
         monos = sorted({e for p in prods for e in p.terms} | set(target.terms))
         if not monos and target.is_zero():
             continue
-        A = Matrix([[p.terms.get(e, QQ0) for p in prods] for e in monos])
-        b = [target.terms.get(e, QQ0) for e in monos]
+        A = Matrix([[p.terms.get(e, 0) for p in prods] for e in monos])
+        b = [target.terms.get(e, 0) for e in monos]
         lam = solve(A, b) if prods else (None if not target.is_zero() else ())
         if lam is None:
             raise EliminationInfeasible(
@@ -561,7 +548,7 @@ def double_shift_basis(B: HilbertBasis, side: str = "h") -> HilbertBasis:
         if side == "h":
             gens.append((F - fbar, d))
         elif side == "r":
-            sign = QQ1 if d % 2 == 0 else -QQ1
+            sign = 1 if d % 2 == 0 else -1
             gens.append((F - sign * fbar, d))
         else:
             raise ValueError("side must be 'h' or 'r'")

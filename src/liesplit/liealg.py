@@ -1,8 +1,9 @@
 """Lie algebras from exact structure constants, and the standard builders.
 
-Structure constants are stored sparsely for basis pairs i < j; the
-bracket extends by antisymmetry.  Every constructor runs an exhaustive
-Jacobi check over all basis triples.  The one unchecked construction is
+Structure constants are stored sparsely for basis pairs i < j, under the
+scalar rule of ``rationals`` (a float constant raises ``TypeError`` naming
+its bracket); the bracket extends by antisymmetry.  Every constructor
+runs an exhaustive Jacobi check over all basis triples.  The one unchecked construction is
 ``splitting.family_bracket``: a pencil member a*[,]_0 + b*[,]_inf has a
 Jacobiator quadratic in (a, b), so the pencil is certified by the checks
 at (1,0), (0,1) and (1,1); its Poisson bracket is linear in (a, b),
@@ -27,7 +28,7 @@ from typing import Sequence
 
 from . import _kernels as K
 from .linalg import Matrix, inverse, rank_and_nullspace
-from .rationals import QQ, QQ0, QQ1, exact
+from .rationals import QQ, scalar
 
 
 class JacobiError(ValueError):
@@ -62,22 +63,25 @@ class LieAlgebra:
                  base_algebra=None, base_change=None, check=True):
         self.dim = len(names)
         self.names = tuple(names)
+        self.constants = {}
         for (i, j), entries in constants.items():
             if not (_is_int(i) and _is_int(j) and 0 <= i < j < self.dim):
                 raise ValueError(f"constants must be indexed by pairs i<j, got {(i, j)}")
             seen = set()
-            for k, _ in entries:
+            kept = []
+            where = f"bracket [{i}, {j}]"
+            for k, c in entries:
                 if not (_is_int(k) and 0 <= k < self.dim):
-                    raise ValueError(f"bracket [{i}, {j}]: target {k!r} is not a basis index "
+                    raise ValueError(f"{where}: target {k!r} is not a basis index "
                                      f"in range({self.dim})")
                 if k in seen:
-                    raise ValueError(f"bracket [{i}, {j}]: target {k} is listed twice")
+                    raise ValueError(f"{where}: target {k} is listed twice")
                 seen.add(k)
-        self.constants = {
-            pair: tuple((k, exact(QQ(c))) for k, c in entries if QQ(c))
-            for pair, entries in constants.items()
-        }
-        self.constants = {p: e for p, e in self.constants.items() if e}
+                c = scalar(c, where)
+                if c:
+                    kept.append((k, c))
+            if kept:
+                self.constants[(i, j)] = tuple(kept)
         self.rank = rank
         self.triangular = triangular
         self.realization = realization
@@ -99,8 +103,8 @@ class LieAlgebra:
     def bracket_vec(self, u, v):
         """Bracket of two coordinate vectors, as a sparse dict."""
         out = {}
-        ui = [(i, QQ(c)) for i, c in enumerate(u) if QQ(c)]
-        vj = [(j, QQ(c)) for j, c in enumerate(v) if QQ(c)]
+        ui = [(i, c) for i, c in enumerate(map(scalar, u)) if c]
+        vj = [(j, c) for j, c in enumerate(map(scalar, v)) if c]
         for i, a in ui:
             for j, b in vj:
                 K.axpy_terms(out, self.bracket_pair(i, j), a * b)
@@ -111,7 +115,7 @@ class LieAlgebra:
         rows = []
         for j in range(self.dim):
             for k in range(self.dim):
-                rows.append([QQ(self.bracket_pair(i, j).get(k, QQ0)) for i in range(self.dim)])
+                rows.append([self.bracket_pair(i, j).get(k, 0) for i in range(self.dim)])
         _, basis = rank_and_nullspace(Matrix(rows))
         return basis
 
@@ -148,7 +152,8 @@ def check_jacobi(arg) -> JacobiReport:
     if isinstance(arg, LieAlgebra):
         return jacobi_report(arg.dim, arg.constants)
     dim, constants = arg
-    norm = {p: tuple((k, exact(QQ(c))) for k, c in entries) for p, entries in constants.items()}
+    norm = {(i, j): tuple((k, scalar(c, f"bracket [{i}, {j}]")) for k, c in entries)
+            for (i, j), entries in constants.items()}
     return jacobi_report(dim, norm)
 
 
@@ -168,12 +173,12 @@ def _smul(a: dict, b: dict) -> dict:
 
 def _scomm(a: dict, b: dict) -> dict:
     ab = _smul(a, b)
-    K.axpy_terms(ab, _smul(b, a), -QQ1)
+    K.axpy_terms(ab, _smul(b, a), -1)
     return ab
 
 
 def _strace_product(a: dict, b: dict):
-    total = QQ0
+    total = 0
     for (r, c), v in a.items():
         w = b.get((c, r))
         if w:
@@ -196,12 +201,12 @@ def _constants_from_realization(mats, decompose):
 
 def _gram_from_realization(mats, half=False):
     n = len(mats)
-    g = [[QQ0] * n for _ in range(n)]
+    g = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
             v = _strace_product(mats[a], mats[b])
             if half:
-                v = v / 2
+                v = QQ(v, 2)
             g[a][b] = v
             g[b][a] = v
     return Matrix(g)
@@ -217,7 +222,7 @@ def _extract_root_labels(constants, cartan, roots, dim):
             extra = {k: v for k, v in br.items() if k != r}
             if extra:
                 raise ValueError(f"Cartan element {c} does not act diagonally on root vector {r}")
-            vals.append(br.get(r, QQ0))
+            vals.append(br.get(r, 0))
         labels[r] = tuple(vals)
     return labels
 
@@ -247,7 +252,7 @@ def build_gl(n: int) -> LieAlgebra:
         + [(i, j) for i in range(n) for j in range(n) if i > j]
     )
     pos = {p: a for a, p in enumerate(order)}
-    mats = [{p: QQ(1)} for p in order]
+    mats = [{p: 1} for p in order]
     names = [_ename(i, j, n) for (i, j) in order]
 
     def decompose(m):
@@ -269,12 +274,12 @@ def build_sl(n: int) -> LieAlgebra:
         raise ValueError("sl(n) needs n >= 2")
     uppers = [(i, j) for i in range(n) for j in range(n) if i < j]
     lowers = [(i, j) for i in range(n) for j in range(n) if i > j]
-    mats = [{p: QQ(1)} for p in uppers]
+    mats = [{p: 1} for p in uppers]
     names = [_ename(i, j, n) for (i, j) in uppers]
     for k in range(n - 1):
-        mats.append({(k, k): QQ(1), (k + 1, k + 1): QQ(-1)})
+        mats.append({(k, k): 1, (k + 1, k + 1): -1})
         names.append(f"h{k + 1}")
-    mats.extend({p: QQ(1)} for p in lowers)
+    mats.extend({p: 1} for p in lowers)
     names.extend(_ename(i, j, n) for (i, j) in lowers)
     nup = len(uppers)
     off_pos = {p: a for a, p in enumerate(uppers)}
@@ -283,9 +288,9 @@ def build_sl(n: int) -> LieAlgebra:
     def decompose(m):
         out = [(off_pos[(r, c)], v) for (r, c), v in m.items() if r != c]
         # diagonal decomposes over h_k via partial sums
-        run = QQ0
+        run = 0
         for k in range(n - 1):
-            run = run + m.get((k, k), QQ0)
+            run = run + m.get((k, k), 0)
             if run:
                 out.append((nup + k, run))
         return out
@@ -315,7 +320,7 @@ def build_so_even(n: int) -> LieAlgebra:
 
     def mat(p):
         i, j = p
-        return {(i, j): QQ(1), (size - 1 - j, size - 1 - i): QQ(-1)}
+        return {(i, j): 1, (size - 1 - j, size - 1 - i): -1}
 
     mats = [mat(p) for p in order]
     names = [f"M{i + 1}{j + 1}" if size <= 9 else f"M{i + 1}_{j + 1}" for (i, j) in order]
@@ -358,11 +363,11 @@ def build_double(base: LieAlgebra) -> LieAlgebra:
                 elif i >= base.dim and j >= base.dim:
                     row.append(tcf[i - base.dim, j - base.dim])
                 else:
-                    row.append(QQ0)
+                    row.append(0)
             rows.append(row)
         gram = Matrix(rows)
     cartan = tuple(base.triangular.cartan) + tuple(range(base.dim, dim))
-    labels = {r: tuple(v) + (QQ0,) * ell for r, v in base.triangular.root_labels.items()}
+    labels = {r: tuple(v) + (0,) * ell for r, v in base.triangular.root_labels.items()}
     cf = Matrix([[gram[a, b] for b in cartan] for a in cartan])
     tri = TriangularData(base.triangular.plus, cartan, base.triangular.minus, labels, cf)
     realization = None
@@ -388,10 +393,7 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
 
 def custom_algebra(names, raw_constants, **kw) -> LieAlgebra:
     """Algebra from raw constants {(i, j): [(k, coeff), ...]} with i < j."""
-    constants = {
-        tuple(pair): tuple((k, QQ(c)) for k, c in entries)
-        for pair, entries in raw_constants.items()
-    }
+    constants = {tuple(pair): entries for pair, entries in raw_constants.items()}
     return LieAlgebra(names, constants, kind=kw.pop("kind", "custom"), **kw)
 
 
@@ -420,21 +422,31 @@ def build_algebra(kind: str, **params) -> LieAlgebra:
     raise ValueError(f"unknown builder kind {kind!r}")
 
 
+def escaping_bracket(L: LieAlgebra, indices: Sequence[int]):
+    """The first (i, j, k) with i, j in ``indices`` and a component of [x_i, x_j]
+    on x_k outside them, in pair order; None when the indices span a subalgebra."""
+    idx_set = set(indices)
+    for a, i in enumerate(indices):
+        for j in indices[a + 1 :]:
+            for k in L.bracket_pair(i, j):
+                if k not in idx_set:
+                    return i, j, k
+    return None
+
+
 def sub_algebra(L: LieAlgebra, indices: Sequence[int]) -> LieAlgebra:
     """The subalgebra spanned by the given basis indices (must be closed)."""
     indices = list(indices)
+    esc = escaping_bracket(L, indices)
+    if esc:
+        i, j, _ = esc
+        raise ValueError(f"indices {indices} do not span a subalgebra: "
+                         f"[{L.names[i]}, {L.names[j]}] leaves the span")
     pos = {v: i for i, v in enumerate(indices)}
-    idx_set = set(indices)
     constants = {}
     for a, i in enumerate(indices):
         for b in range(a + 1, len(indices)):
-            j = indices[b]
-            br = L.bracket_pair(i, j)
-            bad = [k for k in br if k not in idx_set]
-            if bad:
-                raise ValueError(f"indices {indices} do not span a subalgebra: "
-                                 f"[{L.names[i]}, {L.names[j]}] leaves the span")
-            entries = tuple((pos[k], c) for k, c in br.items())
+            entries = tuple((pos[k], c) for k, c in L.bracket_pair(i, indices[b]).items())
             if entries:
                 constants[(a, b)] = entries
     return LieAlgebra([L.names[i] for i in indices], constants, kind=f"sub[{L.kind}]")
@@ -445,6 +457,7 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
     if len(new_vectors) != L.dim:
         raise ValueError("need a full new basis")
     P = Matrix.from_columns(new_vectors)
+    new_vectors = list(zip(*P.rows))  # under the scalar rule
     try:
         Pinv = inverse(P)
     except ValueError:
@@ -468,7 +481,7 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
         for vec in new_vectors:
             m: dict = {}
             for i, c in enumerate(vec):
-                K.axpy_terms(m, L.realization[i], QQ(c))
+                K.axpy_terms(m, L.realization[i], c)
             realization.append(m)
     return LieAlgebra(new_names, constants, rank=L.rank, realization=realization,
                       matrix_size=L.matrix_size, gram=gram,
@@ -482,7 +495,7 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
 def algebra_to_json(L: LieAlgebra) -> str:
     brackets = []
     for (i, j) in sorted(L.constants):
-        entries = [[k, int(c.numerator), int(c.denominator)] for k, c in L.constants[(i, j)]]
+        entries = [[k, c.numerator, c.denominator] for k, c in L.constants[(i, j)]]
         brackets.append([i, j, entries])
     return json.dumps({"dim": L.dim, "basis_names": list(L.names), "brackets": brackets},
                       indent=1)

@@ -1,25 +1,29 @@
 """Exact dense linear algebra over the rationals.
 
+Entries pass through the one coercion :func:`liesplit.rationals.scalar`:
+an ``int`` when integral, a ``Fraction`` otherwise, and a ``float`` raises
+``TypeError``.  Solutions and nullspace vectors follow the same rule.
+
 Rank, nullspace, and solving all run through fraction-free (Bareiss)
-elimination on integer rows: each row is first scaled by the lcm of its
-denominators (which changes neither the row space nor the nullspace),
-then eliminated with the two-step Bareiss rule so intermediate entries
-stay bounded by minors of the input.
+elimination on integer rows: each row is first scaled by the common
+denominator of its entries (which changes neither the row space nor the
+nullspace), then eliminated with the two-step Bareiss rule so
+intermediate entries stay bounded by minors of the input.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from operator import mul
 from typing import Sequence
 
-from .rationals import QQ, QQ0, QQ1
+from .rationals import QQ, common_denominator, exact, scalar
 
 
 class Matrix:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows: Sequence[Sequence]):
-        self.rows = tuple(tuple(QQ(x) for x in row) for row in rows)
+        self.rows = tuple(tuple(map(scalar, row)) for row in rows)
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         for row in self.rows:
@@ -28,41 +32,34 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[QQ1 if i == j else QQ0 for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[QQ0] * ncols for _ in range(nrows)])
+        return cls([[0] * ncols for _ in range(nrows)])
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
-        cols = [list(c) for c in cols]
-        nrows = len(cols[0]) if cols else 0
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(nrows)])
+        return cls(list(zip(*cols)))
 
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
 
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
-
     def transpose(self) -> "Matrix":
-        return Matrix([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
+        return Matrix(list(zip(*self.rows)))
 
     def matvec(self, v: Sequence) -> tuple:
-        v = [QQ(x) for x in v]
+        v = [scalar(x) for x in v]
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
-        return tuple(sum((row[j] * v[j] for j in range(self.ncols)), QQ0) for row in self.rows)
+        return tuple(exact(sum(map(mul, row, v))) for row in self.rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows)) if other.rows else []
-        return Matrix(
-            [[sum((a * b for a, b in zip(row, col)), QQ0) for col in cols] for row in self.rows]
-        )
+        cols = list(zip(*other.rows))
+        return Matrix([[sum(map(mul, row, col)) for col in cols] for row in self.rows])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -70,7 +67,7 @@ class Matrix:
         return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def scale(self, c) -> "Matrix":
-        c = QQ(c)
+        c = scalar(c)
         return Matrix([[x * c for x in row] for row in self.rows])
 
     def is_skew(self) -> bool:
@@ -95,11 +92,8 @@ class Matrix:
 def _integer_rows(m: Matrix) -> list[list[int]]:
     out = []
     for row in m.rows:
-        denom_lcm = 1
-        for x in row:
-            d = int(x.denominator)
-            denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-        out.append([int(x * denom_lcm) for x in row])
+        d = common_denominator(row)
+        out.append([x.numerator * (d // x.denominator) for x in row] if d != 1 else list(row))
     return out
 
 
@@ -153,16 +147,16 @@ def rank_and_nullspace(m: Matrix):
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free_cols:
-        x = [QQ0] * ncols
-        x[f] = QQ1
+        x = [0] * ncols
+        x[f] = 1
         for r in range(len(pivots) - 1, -1, -1):
             pr, pc = pivots[r]
-            s = QQ0
+            s = 0
             row = ech[pr]
             for c in range(pc + 1, ncols):
                 if row[c] and x[c]:
-                    s = s + QQ(row[c]) * x[c]
-            x[pc] = -s / QQ(row[pc])
+                    s = s + row[c] * x[c]
+            x[pc] = exact(-s / QQ(row[pc]))
         basis.append(tuple(x))
     return len(pivots), basis
 
@@ -177,22 +171,22 @@ def solve_many(m: Matrix, bs: Sequence[Sequence]):
     """Solve M x = b for several right-hand sides at once; None if any is inconsistent."""
     ncols = m.ncols
     k = len(bs)
-    aug = Matrix([list(row) + [QQ(bs[t][i]) for t in range(k)] for i, row in enumerate(m.rows)])
+    aug = Matrix([list(row) + [bs[t][i] for t in range(k)] for i, row in enumerate(m.rows)])
     pivots, ech = _bareiss_echelon(_integer_rows(aug), aug.ncols)
     for pr, pc in pivots:
         if pc >= ncols:
             return None
     sols = []
     for t in range(k):
-        x = [QQ0] * ncols
+        x = [0] * ncols
         for r in range(len(pivots) - 1, -1, -1):
             pr, pc = pivots[r]
             row = ech[pr]
-            s = QQ(row[ncols + t])
+            s = row[ncols + t]
             for c in range(pc + 1, ncols):
                 if row[c] and x[c]:
-                    s = s - QQ(row[c]) * x[c]
-            x[pc] = s / QQ(row[pc])
+                    s = s - row[c] * x[c]
+            x[pc] = exact(s / QQ(row[pc]))
         sols.append(tuple(x))
     return sols
 
@@ -201,7 +195,7 @@ def inverse(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise ValueError("not square")
     # for square M, M X = I is consistent exactly when M is nonsingular
-    cols = solve_many(m, [[QQ1 if i == j else QQ0 for i in range(m.nrows)] for j in range(m.nrows)])
+    cols = solve_many(m, [[int(i == j) for i in range(m.nrows)] for j in range(m.nrows)])
     if cols is None:
         raise ValueError("matrix is singular")
     return Matrix.from_columns(cols)

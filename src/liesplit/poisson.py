@@ -12,10 +12,10 @@ import random
 from dataclasses import dataclass, field
 
 from . import _kernels as K
-from .liealg import LieAlgebra, sub_algebra
+from .liealg import LieAlgebra, escaping_bracket
 from .linalg import Matrix, rank, rank_and_nullspace, solve
 from .poly import Polynomial, _unit
-from .rationals import QQ, QQ0, qq_str
+from .rationals import QQ, qq_str, scalar
 from .splitting import BracketParameter, Decomposition, Splitting, contract, pencil_member
 
 DEFAULT_BOUND = 10**6
@@ -91,13 +91,13 @@ def tensor_at(L_or_S, xi, parameter=None) -> PoissonTensorSample:
         if parameter is not None:
             raise ValueError("a pencil parameter needs a splitting")
         order = tuple(range(L.dim))
-    xi = [QQ(x) for x in xi]
+    xi = [scalar(x, "the point") for x in xi]
     if len(xi) != L.dim:
         raise ValueError("point length must equal dim")
     n = L.dim
-    rows = [[QQ0] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for (i, j), entries in L.constants.items():
-        v = QQ0
+        v = 0
         for k, c in entries:
             if xi[k]:
                 v = v + c * xi[k]
@@ -131,7 +131,7 @@ class IndexEstimate:
             "samples": self.samples,
             "seed": self.seed,
             "b_value": qq_str(self.b_value),
-            "witness": [qq_str(QQ(x)) for x in self.witness],
+            "witness": [qq_str(x) for x in self.witness],
         }
 
 
@@ -198,8 +198,11 @@ def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,
     h_indices = tuple(h_indices)
     hs = set(h_indices)
     r_support = [i for i in range(L.dim) if i not in hs]
-    # closure check via sub_algebra construction (raises when h is not closed)
-    sub_algebra(L, h_indices)
+    esc = escaping_bracket(L, h_indices)
+    if esc:
+        i, j, _ = esc
+        raise ValueError(f"indices {list(h_indices)} do not span a subalgebra: "
+                         f"[{L.names[i]}, {L.names[j]}] leaves the span")
     rng = random.Random(seed)
     best = None
     # Ann(h) = 0 only when h is everything; the definition then collapses to
@@ -212,7 +215,7 @@ def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,
             row = []
             for x in h_indices:
                 br = L.bracket_pair(x, y)
-                row.append(sum((c * xi[k] for k, c in br.items() if xi[k]), QQ0))
+                row.append(sum(c * xi[k] for k, c in br.items() if xi[k]))
             rows.append(row)
         _, basis = rank_and_nullspace(Matrix(rows))
         if best is None or len(basis) < len(best[1]):
@@ -222,7 +225,7 @@ def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,
     # structure constants of the stabilizer in its own basis
     full_basis = []
     for v in basis:
-        w = [QQ0] * L.dim
+        w = [0] * L.dim
         for pos, i in enumerate(h_indices):
             w[i] = v[pos]
         full_basis.append(w)
@@ -234,7 +237,7 @@ def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,
             if not w:
                 continue
             # must lie in the span of the stabilizer (it is a subalgebra)
-            target = [w.get(i, QQ0) for i in range(L.dim)]
+            target = [w.get(i, 0) for i in range(L.dim)]
             coeffs = solve(Matrix.from_columns(full_basis), target) if full_basis else None
             if coeffs is None:
                 raise AssertionError(
@@ -247,7 +250,7 @@ def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,
     names = [f"s{k + 1}" for k in range(dim_star)]
     stab = LieAlgebra(names, constants, kind="stabilizer")
     idx = index_estimate(stab, trials=max(1, trials), seed=seed + 1, bound=bound) if dim_star \
-        else IndexEstimate(0, 0, 0, seed, QQ0)
+        else IndexEstimate(0, 0, 0, seed, QQ(0))
     return StabilizerReport(h_indices, xi, basis, dim_star, idx, all_zero, stab)
 
 
@@ -290,7 +293,7 @@ def sphericity(S: Splitting, trials: int = 8, seed: int = 0) -> SphericityReport
     c_gh = QQ(s0 - r_gh, 2)
     c_gr = QQ(s_inf - r_gr, 2)
     for name, c in (("c(G/H)", c_gh), ("c(G/R)", c_gr)):
-        if int(c.denominator) != 1 or c < 0:
+        if c.denominator != 1 or c < 0:
             raise AssertionError(f"{name} = {c} is not a nonnegative integer; bug detector")
     ind0 = index_estimate(contract(S, "keep_h"), trials=max(5, trials), seed=seed + 3)
     indinf = index_estimate(contract(S, "keep_r"), trials=max(5, trials), seed=seed + 4)

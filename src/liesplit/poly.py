@@ -9,12 +9,14 @@ product is one integer addition, and integer order equals the order of the
 exponent bytes.  Outside the polynomial core (this module and
 ``_kernels``), code builds and reads keys only through ``_unit`` and
 ``_exponents``.  A coefficient is an ``int`` when it is integral and a
-``Fraction`` otherwise (:func:`liesplit.rationals.exact`).  The public
-interface speaks exponent sequences and ``QQ`` scalars: the constructor
-takes {exponent sequence: coefficient} maps and :meth:`Polynomial.items`
-yields (exponent bytes, ``QQ``) pairs.  Values are immutable by
-convention: every operation returns a fresh polynomial.  The zero
-polynomial has an empty term map and reports its degree as ``None``.
+``Fraction`` otherwise (:func:`liesplit.rationals.exact`); coefficients
+and points enter through :func:`liesplit.rationals.scalar`, which rejects
+``float``.  The public interface speaks exponent sequences and ``QQ``
+scalars: the constructor takes {exponent sequence: coefficient} maps and
+:meth:`Polynomial.items` yields (exponent bytes, ``QQ``) pairs.  Values
+are immutable by convention: every operation returns a fresh polynomial.
+The zero polynomial has an empty term map and reports its degree as
+``None``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from . import _kernels as K
-from .rationals import QQ, QQ1, exact, qq_str
+from .rationals import QQ, exact, qq_str, scalar
 
 
 def _unit(nvars: int, i: int) -> int:
@@ -60,7 +62,7 @@ class Polynomial:
             clean = {}
             for e, c in terms.items():
                 e = _pack(e, nvars)
-                c = clean.get(e, 0) + QQ(c)
+                c = clean.get(e, 0) + scalar(c)
                 if c:
                     clean[e] = exact(c)
                 else:
@@ -74,7 +76,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
-        c = exact(QQ(c))
+        c = scalar(c)
         if not c:
             return cls.zero(nvars)
         return cls(nvars, {0: c}, _clean=True)
@@ -86,7 +88,7 @@ class Polynomial:
     @classmethod
     def monomial(cls, nvars: int, exps, coeff=1) -> "Polynomial":
         """``exps`` is a mapping var->exponent or a full exponent sequence."""
-        coeff = exact(QQ(coeff))
+        coeff = scalar(coeff)
         if not coeff:
             return cls.zero(nvars)
         e = bytearray(nvars)
@@ -102,7 +104,7 @@ class Polynomial:
     def linear_form(cls, nvars: int, coeffs: Sequence) -> "Polynomial":
         terms = {}
         for i, c in enumerate(coeffs):
-            c = exact(QQ(c))
+            c = scalar(c)
             if c:
                 terms[_unit(nvars, i)] = c
         return cls(nvars, terms, _clean=True)
@@ -179,7 +181,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
-        c = exact(QQ(c))
+        c = scalar(c)
         if not c:
             return Polynomial.zero(self.nvars)
         return Polynomial(self.nvars, {e: exact(v * c) for e, v in self.terms.items()}, _clean=True)
@@ -206,7 +208,7 @@ class Polynomial:
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
         n = self.nvars
-        point = [exact(QQ(p)) for p in point]
+        point = [scalar(p) for p in point]
         pow_cache: dict[tuple[int, int], object] = {}
         total = 0
         for e, c in self.terms.items():
@@ -281,9 +283,9 @@ class Polynomial:
         the same canonical form.
         """
         if not self.terms:
-            return self, QQ1
+            return self, QQ(1)
         c = QQ(self.terms[max(self.terms)])
-        return self.scale(QQ1 / c), c
+        return self.scale(1 / c), c
 
     def to_string(self, names: Iterable[str] | None = None) -> str:
         if not self.terms:

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import _kernels as K
-from .liealg import LieAlgebra, Matrix, TriangularData, _extract_root_labels, change_basis
+from .liealg import (LieAlgebra, Matrix, TriangularData, _extract_root_labels, change_basis,
+                     escaping_bracket)
 from .linalg import rank, rank_and_nullspace
-from .rationals import QQ, QQ0, QQ1, qq_str
+from .rationals import common_denominator, qq_str, scalar
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class BracketParameter:
     b: object
 
     def __post_init__(self):
-        a, b = QQ(self.a), QQ(self.b)
+        a, b = scalar(self.a), scalar(self.b)
         if not a and not b:
             raise ValueError("(0, 0) is not a pencil parameter")
         object.__setattr__(self, "a", a)
@@ -73,16 +74,10 @@ class Decomposition:
         self.is_horospherical = False
 
     def _check_closed(self, indices, label):
-        idx = set(indices)
-        for a, i in enumerate(indices):
-            for j in indices[a + 1 :]:
-                esc = [k for k in self.algebra.bracket_pair(i, j) if k not in idx]
-                if esc:
-                    ni, nj = self.algebra.names[i], self.algebra.names[j]
-                    raise ValueError(
-                        f"{label} is not a subalgebra: [{ni}, {nj}] has a component "
-                        f"on {self.algebra.names[esc[0]]}"
-                    )
+        esc = escaping_bracket(self.algebra, indices)
+        if esc:
+            ni, nj, nk = (self.algebra.names[x] for x in esc)
+            raise ValueError(f"{label} is not a subalgebra: [{ni}, {nj}] has a component on {nk}")
 
     @property
     def dim_h(self):
@@ -188,14 +183,9 @@ def pencil_member(S: Splitting, p) -> LieAlgebra:
 
 def _normalize_direction(vec):
     """Scale to coprime integers with the first nonzero entry positive."""
-    den = 1
-    for x in vec:
-        d = int(QQ(x).denominator)
-        den = den // gcd(den, d) * d
-    ints = [int(QQ(x) * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    den = common_denominator(vec)
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = gcd(*ints)
     if g:
         ints = [x // g for x in ints]
     for x in ints:
@@ -203,7 +193,7 @@ def _normalize_direction(vec):
             if x < 0:
                 ints = [-y for y in ints]
             break
-    return tuple(QQ(x) for x in ints)
+    return tuple(ints)
 
 
 def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Splitting:
@@ -227,9 +217,9 @@ def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Splitting
         for v in vectors:
             if len(v) != L.dim:
                 raise ValueError(f"{label} vectors must use full algebra coordinates")
-            w = [QQ0] * ell
+            w = [0] * ell
             for i, c in enumerate(v):
-                c = QQ(c)
+                c = scalar(c, f"{label} vector")
                 if not c:
                     continue
                 if i not in cpos:
@@ -253,7 +243,7 @@ def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Splitting
         _, t0_cart = rank_and_nullspace(T1.transpose() * G)
         t0_cart = [_normalize_direction(v) for v in t0_cart]
     else:
-        t0_cart = [tuple(QQ1 if i == j else QQ0 for i in range(ell)) for j in range(ell)]
+        t0_cart = [tuple(int(i == j) for i in range(ell)) for j in range(ell)]
     if t0_basis is not None:
         supplied = to_cartan(t0_basis, "t0")
         if len(supplied) != len(t0_cart):
@@ -268,15 +258,13 @@ def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Splitting
         t0_cart = supplied
 
     def full_vec(cart_coords):
-        v = [QQ0] * L.dim
+        v = [0] * L.dim
         for i, c in enumerate(cart_coords):
-            v[cartan[i]] = QQ(c)
+            v[cartan[i]] = c
         return v
 
     def unit(i):
-        v = [QQ0] * L.dim
-        v[i] = QQ1
-        return v
+        return [int(t == i) for t in range(L.dim)]
 
     new_vectors = (
         [unit(i) for i in tri.plus]

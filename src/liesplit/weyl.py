@@ -28,13 +28,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 
 from . import _kernels as K
 from .linalg import Matrix, inverse, rank, rank_and_nullspace
 from .poly import Polynomial, _unit
-from .rationals import QQ, QQ0, QQ1, exact
+from .rationals import QQ, common_denominator
 
 
 def _encode(mat_rows, n) -> bytes:
@@ -62,8 +62,8 @@ def _int_vector(v) -> tuple:
 
 def _clear_denominators(v):
     """(d, d * v) for the least positive integer d that makes d * v integral."""
-    d = lcm(*(int(QQ(x).denominator) for x in v))
-    return d, tuple(int(QQ(x) * d) for x in v)
+    d = common_denominator(v)
+    return d, tuple(x.numerator * (d // x.denominator) for x in v)
 
 
 @dataclass
@@ -95,12 +95,11 @@ class RootSystem:
 def _reflection_matrix_model(alpha, gram: Matrix, n):
     """s_alpha(v) = v - 2 (v,alpha)/(alpha,alpha) alpha, as columns over the model."""
     ga = gram.matvec(alpha)
-    norm = sum((QQ(a) * g for a, g in zip(alpha, ga)), QQ0)
+    norm = sum(map(mul, alpha, ga))
     cols = []
     for j in range(n):
-        v = [QQ1 if i == j else QQ0 for i in range(n)]
-        coeff = 2 * ga[j] / norm
-        cols.append([v[i] - coeff * QQ(alpha[i]) for i in range(n)])
+        coeff = 2 * ga[j] / QQ(norm)
+        cols.append([int(i == j) - coeff * alpha[i] for i in range(n)])
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -113,7 +112,7 @@ def _positive_roots_alpha(cartan: Matrix, rank: int):
         nxt = []
         for v in frontier:
             for i in range(rank):
-                pairing = sum(v[j] * int(cartan[i, j]) for j in range(rank))
+                pairing = sum(v[j] * cartan[i, j] for j in range(rank))
                 w = tuple(v[j] - (pairing if j == i else 0) for j in range(rank))
                 if w not in seen:
                     seen.add(w)
@@ -137,13 +136,13 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
         cartan = Matrix(c)
         gram = cartan  # unit simple roots, all of squared length 2
         n = 6
-        simples = tuple(tuple(QQ1 if i == j else QQ0 for i in range(n)) for j in range(n))
+        simples = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
     elif type_label == "A":
         if rank is None or rank < 1:
             raise ValueError("A_n needs n >= 1")
         n = rank + 1
         simples = tuple(
-            tuple(QQ1 if i == j else (-QQ1 if i == j + 1 else QQ0) for i in range(n))
+            tuple(int(i == j) - int(i == j + 1) for i in range(n))
             for j in range(rank)
         )
         gram = Matrix.identity(n)
@@ -154,8 +153,8 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
         n = rank
         simples = []
         for j in range(rank - 1):
-            simples.append(tuple(QQ1 if i == j else (-QQ1 if i == j + 1 else QQ0) for i in range(n)))
-        simples.append(tuple(QQ1 if i >= n - 2 else QQ0 for i in range(n)))
+            simples.append(tuple(int(i == j) - int(i == j + 1) for i in range(n)))
+        simples.append(tuple(int(i >= n - 2) for i in range(n)))
         simples = tuple(simples)
         gram = Matrix.identity(n)
         cartan = None
@@ -166,19 +165,16 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
         rows = []
         for i in range(rank):
             gi = gram.matvec(simples[i])
-            rows.append([
-                2 * sum((QQ(simples[j][t]) * gi[t] for t in range(n)), QQ0)
-                / sum((QQ(simples[i][t]) * gi[t] for t in range(n)), QQ0)
-                for j in range(rank)
-            ])
-        cartan = Matrix([[rows[i][j] for j in range(rank)] for i in range(rank)])
+            norm = QQ(sum(map(mul, simples[i], gi)))
+            rows.append([2 * sum(map(mul, simples[j], gi)) / norm for j in range(rank)])
+        cartan = Matrix(rows)
 
     pos_alpha = _positive_roots_alpha(cartan, rank)
     expected = {"A": rank * (rank + 1) // 2, "D": rank * (rank - 1), "E6": 36}[type_label]
     if len(pos_alpha) != expected:
         raise AssertionError(f"positive root count {len(pos_alpha)} != {expected}")
     positive = tuple(
-        tuple(sum((QQ(v[j]) * simples[j][i] for j in range(rank)), QQ0) for i in range(n))
+        tuple(sum(v[j] * simples[j][i] for j in range(rank)) for i in range(n))
         for v in pos_alpha
     )
     reflections = tuple(
@@ -309,17 +305,14 @@ def satake_subspaces(rs: RootSystem, diagram: SatakeDiagram):
     rows = []
     for v in t0:
         gv = rs.gram.matvec(v)
-        rows.append([
-            sum((QQ(rs.simple_roots[j][t]) * gv[t] for t in range(rs.model_dim)), QQ0)
-            for j in range(rs.rank)
-        ])
+        rows.append([sum(map(mul, rs.simple_roots[j], gv)) for j in range(rs.rank)])
     if rows:
         _, null = rank_and_nullspace(Matrix(rows))
     else:
-        null = [tuple(QQ1 if i == j else QQ0 for i in range(rs.rank)) for j in range(rs.rank)]
+        null = [tuple(int(i == j) for i in range(rs.rank)) for j in range(rs.rank)]
     t1 = [
         tuple(
-            sum((QQ(a[j]) * rs.simple_roots[j][t] for j in range(rs.rank)), QQ0)
+            sum(a[j] * rs.simple_roots[j][t] for j in range(rs.rank))
             for t in range(rs.model_dim)
         )
         for a in null
@@ -372,9 +365,9 @@ def w0_compute(W: WeylGroup, t0_basis) -> W0Report:
     annihilator = [_clear_denominators(v)[1] for v in null]
     expansions = []   # (C, F, proj / D) with D u = sum_i C_i alpha_i + F in integers
     checks = []       # (C, table lookup, target): w in N iff each sum_i C_i table[w[i]] == target
-    for u in t0_basis:
+    for u in zip(*T.rows):  # the t0 vectors under the scalar rule
         c = to_alpha.matvec(u)
-        f = tuple(QQ(x) - y for x, y in zip(u, S.matvec(c)))
+        f = tuple(x - y for x, y in zip(u, S.matvec(c)))
         d, scaled = _clear_denominators(c + f)
         coeffs, fixed = scaled[: rs.rank], scaled[rs.rank:]
         expansions.append((coeffs, fixed, proj.scale(QQ(1, d))))
@@ -460,17 +453,17 @@ def invariant_basis(generator_matrices, degree, nvars):
     rows = []
     for m in generator_matrices:
         # rows of (action - identity) on the degree-d coefficient space
-        mat = [[QQ0] * len(monos) for _ in range(len(monos))]
+        mat = [[0] * len(monos) for _ in range(len(monos))]
         images = _monomial_images(m.rows, nvars, degree)
         for col, e in enumerate(monos):
             for out_e, c in images[e].terms.items():
                 mat[pos[out_e]][col] = c
-            mat[pos[e]][col] = mat[pos[e]][col] - QQ1
+            mat[pos[e]][col] = mat[pos[e]][col] - 1
         rows.extend(mat)
     _, null = rank_and_nullspace(Matrix(rows))
     basis = []
     for v in null:
-        terms = {e: exact(c) for e, c in zip(monos, v) if c}
+        terms = {e: c for e, c in zip(monos, v) if c}
         basis.append(Polynomial(nvars, terms, _clean=True))
     return basis
 
@@ -479,14 +472,14 @@ def reynolds_invariant_basis(matrices, degree, nvars):
     """Span of the averages of all degree-``degree`` monomials (small groups)."""
     monos = _monomials(nvars, degree)
     averaged = [reynolds_average(matrices, Polynomial(nvars, {e: 1}, _clean=True)) for e in monos]
-    mat = Matrix([[p.terms.get(e, QQ0) for e in monos] for p in averaged])
+    mat = Matrix([[p.terms.get(e, 0) for e in monos] for p in averaged])
     target = rank(mat)
     basis = []
     picked: list = []
     for p in averaged:
         if p.is_zero():
             continue
-        trial = picked + [[p.terms.get(e, QQ0) for e in monos]]
+        trial = picked + [[p.terms.get(e, 0) for e in monos]]
         if rank(Matrix(trial)) > len(picked):
             picked = trial
             basis.append(p)
@@ -524,7 +517,7 @@ def restriction_check(W: WeylGroup, t0_basis, w0: W0Report | None = None,
     gen_mats = [W.matrix(g) for g in W.generators]
     # x_i restricted to the subspace: x_i(sum_s c_s u_s) = sum_s u_s[i] c_s
     restr_images = [
-        Polynomial.linear_form(a, [QQ(t0_basis[s][i]) for s in range(a)]) for i in range(n)
+        Polynomial.linear_form(a, [t0_basis[s][i] for s in range(a)]) for i in range(n)
     ]
     per_degree = []
     first_failure = None
@@ -532,7 +525,7 @@ def restriction_check(W: WeylGroup, t0_basis, w0: W0Report | None = None,
         inv = invariant_basis(gen_mats, d, n)
         restricted = [p.map_vars(restr_images, a) for p in inv]
         monos = _monomials(a, d)
-        mat = Matrix([[p.terms.get(e, QQ0) for e in monos] for p in restricted]) if restricted \
+        mat = Matrix([[p.terms.get(e, 0) for e in monos] for p in restricted]) if restricted \
             else Matrix.zeros(1, len(monos))
         image_dim = rank(mat)
         w0_dim = len(reynolds_invariant_basis(w0.matrices, d, a))

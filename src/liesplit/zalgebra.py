@@ -39,7 +39,6 @@ from .invariants import (
 from .linalg import Matrix
 from .poisson import poisson_bracket, sphericity, tensor_at
 from .poly import Polynomial
-from .rationals import QQ, QQ0
 from .splitting import (
     BracketParameter,
     Splitting,
@@ -224,7 +223,7 @@ def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0,
         xi = [rng.randint(-99, 99) for _ in range(L.dim)]
         sample = tensor_at(L, xi)
         assert sample.matrix.is_skew()
-        direct = Matrix([[sum((xi[k] * c for k, c in L.bracket_pair(i, j).items()), QQ0)
+        direct = Matrix([[sum(xi[k] * c for k, c in L.bracket_pair(i, j).items())
                           for j in range(L.dim)] for i in range(L.dim)])
         ok_kernel = ok_kernel and direct == sample.matrix
         # contraction never gains rank on Ann(h)
@@ -286,13 +285,7 @@ class _Timer:
 
 def _vectors(dim: int, maps):
     """Coordinate vectors of length ``dim``, one per {position: value} map."""
-    out = []
-    for entries in maps:
-        v = [QQ0] * dim
-        for i, c in entries.items():
-            v[i] = QQ(c)
-        out.append(v)
-    return out
+    return [[entries.get(i, 0) for i in range(dim)] for entries in maps]
 
 
 def _sl_diagonals(L: LieAlgebra, maps):
@@ -304,9 +297,9 @@ def _sl_diagonals(L: LieAlgebra, maps):
             raise CaseParameterError(f"{list(diag.values())} is not a traceless diagonal "
                                      f"of size {size}")
         coords = {}
-        run = QQ0
+        run = 0
         for k, i in enumerate(L.triangular.cartan):
-            run = run + QQ(diag.get(k, 0))
+            run = run + diag.get(k, 0)
             coords[i] = run
         out.append(coords)
     return _vectors(L.dim, out)

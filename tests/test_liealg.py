@@ -181,3 +181,9 @@ def test_double_dispatcher_path():
     d = build_algebra("double", base_kind="sl", n=2)
     assert d.dim == 4 and d.rank == 2
     assert d.kind.startswith("double[")
+
+
+def test_float_structure_constants_are_rejected():
+    raw = {(0, 1): [(0, -2.0)], (0, 2): [(1, 1)], (1, 2): [(2, -2)]}
+    with pytest.raises(TypeError, match=r"float -2\.0 in bracket \[0, 1\]"):
+        custom_algebra(["e", "h", "f"], raw)

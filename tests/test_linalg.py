@@ -90,3 +90,8 @@ def test_inverse_of_singular_raises():
 def test_skew_detection():
     assert Matrix([[0, 2], [-2, 0]]).is_skew()
     assert not Matrix([[1, 2], [-2, 0]]).is_skew()
+
+
+def test_float_entries_are_rejected():
+    with pytest.raises(TypeError, match="float 0.1 "):
+        Matrix([[1, QQ(1, 2)], [0.1, 0]])

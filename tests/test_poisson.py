@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from liesplit import liealg
 from liesplit.liealg import build_double, build_sl, custom_algebra
 from liesplit.poisson import (
     generic_stabilizer,
@@ -208,3 +211,24 @@ def test_kernel_is_stabilizer():
             unit = [QQ1 if t == j else QQ0 for t in range(8)]
             w = sl3.bracket_vec(list(v), unit)
             assert sum((QQ(xi[k]) * c for k, c in w.items()), QQ0) == 0
+
+
+def test_float_tensor_point_is_rejected():
+    with pytest.raises(TypeError, match="float 0.1 in the point"):
+        tensor_at(build_sl(2), [1, 0.1, 2])
+
+
+def test_stabilizer_closure_check_builds_no_algebra(monkeypatch):
+    sl3 = build_sl(3)
+    with pytest.raises(ValueError, match="do not span a subalgebra"):
+        generic_stabilizer(sl3, (0, 5), trials=2)  # [E12, E21] = h1 leaves the span
+    calls = []
+    check = liealg.jacobi_report
+
+    def counting(dim, constants):
+        calls.append(dim)
+        return check(dim, constants)
+
+    monkeypatch.setattr(liealg, "jacobi_report", counting)
+    rep = generic_stabilizer(sl3, tuple(sl3.triangular.plus), trials=2, seed=1)
+    assert calls == [rep.dim_star]  # the stabilizer's own check, nothing else

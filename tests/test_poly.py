@@ -150,3 +150,14 @@ def test_constructor_takes_exponent_sequences_not_packed_keys():
         Polynomial(2, {256: 1})
     with pytest.raises(ValueError, match="length 3, expected 2"):
         Polynomial(2, {(1, 0, 0): 1})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Polynomial(2, {(1, 0): 0.1}),
+    lambda: Polynomial.constant(2, 0.1),
+    lambda: Polynomial.linear_form(2, [1, 0.1]),
+    lambda: Polynomial.variable(2, 0).scale(0.1),
+], ids=["constructor", "constant", "linear_form", "scale"])
+def test_float_coefficients_are_rejected(build):
+    with pytest.raises(TypeError, match="float 0.1 "):
+        build()

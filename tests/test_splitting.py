@@ -269,3 +269,11 @@ def test_horospherical_rejects_degenerate_t1():
     v2[cart[0]] = QQ(2)
     with pytest.raises(ValueError):
         horospherical_splitting(g, [v1, v2])  # dependent
+
+
+def test_float_t1_vectors_are_rejected():
+    g = build_sl(3)
+    t1 = [0] * g.dim
+    t1[g.triangular.cartan[0]] = 0.5
+    with pytest.raises(TypeError, match="float 0.5 in t1 vector"):
+        horospherical_splitting(g, [t1])
