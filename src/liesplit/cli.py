@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .liealg import algebra_from_json, build_algebra
@@ -203,6 +204,7 @@ def _cmd_index(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)  # one per process: a parser's object graph is cyclic garbage
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liesplit",

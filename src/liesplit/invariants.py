@@ -143,8 +143,9 @@ class HilbertBasis:
 
 
 def verify_invariance(L: LieAlgebra, F: Polynomial) -> bool:
-    """Exact check that {F, x_j} = 0 for every coordinate x_j."""
-    return all(V.is_zero() for _, V in hamiltonian_field(L, F))
+    """Exact check that {F, x_j} = 0 for every coordinate x_j; by Jacobi the x with
+    {F, x} = 0 form a subalgebra, so the x_j of ``L.generating_set`` decide it."""
+    return all(V.is_zero() for _, V in hamiltonian_field(L, F, L.generating_set))
 
 
 def _b_of(L: LieAlgebra) -> int:
@@ -190,7 +191,10 @@ def hilbert_basis(L: LieAlgebra, kind: str, verify: bool = True) -> HilbertBasis
                     nxt[i][j] = acc
             current = nxt
     elif kind == "so_minors_pfaffian":
-        if not L.kind.startswith("so("):
+        root = L
+        while root.base_change is not None:  # an adapted rebuild keeps the realization
+            root = root.base_algebra
+        if not root.kind.startswith("so("):
             raise ValueError("so_minors_pfaffian needs the so(2n) builder")
         size = L.matrix_size
         n = size // 2

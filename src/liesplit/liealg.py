@@ -2,9 +2,10 @@
 
 Structure constants are stored sparsely for basis pairs i < j, under the
 scalar rule of ``rationals`` (a float constant raises ``TypeError`` naming
-its bracket); the bracket extends by antisymmetry.  Every constructor
-runs an exhaustive Jacobi check over all basis triples.  The one unchecked construction is
-``splitting.family_bracket``: a pencil member a*[,]_0 + b*[,]_inf has a
+its bracket); the bracket extends by antisymmetry.  Every constructor runs an
+exhaustive Jacobi check over all basis triples, except ``change_basis`` (it checks
+that the basis change is a bracket isomorphism onto the checked algebra it rewrites)
+and ``splitting.family_bracket``: a pencil member a*[,]_0 + b*[,]_inf has a
 Jacobiator quadratic in (a, b), so the pencil is certified by the checks
 at (1,0), (0,1) and (1,1); its Poisson bracket is linear in (a, b),
 {F, G}_(a,b) = a{F, G}_0 + b{F, G}_inf, so commutativity is decided at
@@ -24,11 +25,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from . import _kernels as K
 from .linalg import Matrix, inverse, rank_and_nullspace
-from .rationals import QQ, scalar
+from .rationals import QQ, exact, scalar
 
 
 class JacobiError(ValueError):
@@ -102,13 +104,20 @@ class LieAlgebra:
 
     def bracket_vec(self, u, v):
         """Bracket of two coordinate vectors, as a sparse dict."""
-        out = {}
         ui = [(i, c) for i, c in enumerate(map(scalar, u)) if c]
         vj = [(j, c) for j, c in enumerate(map(scalar, v)) if c]
-        for i, a in ui:
-            for j, b in vj:
-                K.axpy_terms(out, self.bracket_pair(i, j), a * b)
-        return out
+        return _combine({}, ((self.bracket_pair(i, j), a * b) for i, a in ui for j, b in vj))
+
+    @cached_property
+    def generating_set(self) -> tuple:
+        """Basis indices whose coordinates generate the algebra under the bracket: a greedy
+        adding the coordinate of largest Lie-closure gain (lowest index on ties)."""
+        memo, chosen, span = {}, (), ({}, [])
+        while len(span[1]) < self.dim:
+            c, span = max(((c, _closure(self.constants, memo, *span, {c: 1}))
+                           for c in range(self.dim)), key=lambda t: len(t[1][1]))
+            chosen += (c,)
+        return chosen
 
     def center(self):
         """Basis of the centre, as coordinate vectors."""
@@ -128,6 +137,32 @@ def _pair(constants, i, j):
     if i < j:
         return dict(constants.get((i, j), ()))
     return {k: -c for k, c in constants.get((j, i), ())}
+
+
+def _closure(constants, memo, pivots, gens, v):
+    """Lie closure of ``gens`` and ``v`` as (echelon pivots with lead 1, spanning keys)."""
+    pivots, gens, queue = dict(pivots), list(gens), [v]
+    while queue:
+        v = queue.pop()
+        while v and (p := min(v)) in pivots:
+            v = _combine(dict(v), [(pivots[p], -v[p])])
+        if v:
+            key = tuple(sorted(v.items()))
+            for g in gens:
+                if (key, g) not in memo:
+                    memo[key, g] = _combine({}, ((_pair(constants, i, j), a * b)
+                                                 for i, a in key for j, b in g))
+                queue.append(memo[key, g])
+            gens.append(key)
+            pivots[min(v)] = {k: exact(c / QQ(v[min(v)])) for k, c in v.items()}
+    return pivots, gens
+
+
+def _combine(out, pieces):
+    """``out`` plus sum c * src over the (sparse src, scalar c) ``pieces``, in place."""
+    for src, c in pieces:
+        K.axpy_terms(out, src, c)
+    return out
 
 
 def jacobi_report(dim, constants) -> JacobiReport:
@@ -172,9 +207,7 @@ def _smul(a: dict, b: dict) -> dict:
 
 
 def _scomm(a: dict, b: dict) -> dict:
-    ab = _smul(a, b)
-    K.axpy_terms(ab, _smul(b, a), -1)
-    return ab
+    return _combine(_smul(a, b), [(_smul(b, a), -1)])
 
 
 def _strace_product(a: dict, b: dict):
@@ -464,12 +497,11 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
         raise ValueError("new basis vectors are dependent") from None
     # new coordinates of an old vector w are sum_k w_k * (column k of P^-1)
     columns = [{r: c for r, c in enumerate(col) if c} for col in zip(*Pinv.rows)]
-    constants = {}
+    constants, images = {}, {}
     for a in range(L.dim):
         for b in range(a + 1, L.dim):
-            coeffs: dict = {}
-            for k, c in L.bracket_vec(new_vectors[a], new_vectors[b]).items():
-                K.axpy_terms(coeffs, columns[k], c)
+            images[a, b] = L.bracket_vec(new_vectors[a], new_vectors[b])
+            coeffs = _combine({}, ((columns[k], c) for k, c in images[a, b].items()))
             if coeffs:
                 constants[(a, b)] = tuple(sorted(coeffs.items()))
     gram = None
@@ -477,16 +509,16 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
         gram = P.transpose() * L.gram * P
     realization = None
     if L.realization is not None and all(m is not None for m in L.realization):
-        realization = []
-        for vec in new_vectors:
-            m: dict = {}
-            for i, c in enumerate(vec):
-                K.axpy_terms(m, L.realization[i], c)
-            realization.append(m)
-    return LieAlgebra(new_names, constants, rank=L.rank, realization=realization,
-                      matrix_size=L.matrix_size, gram=gram,
-                      kind=kind or f"adapted[{L.kind}]",
-                      base_algebra=L, base_change=P)
+        realization = [_combine({}, zip(L.realization, vec)) for vec in new_vectors]
+    new = LieAlgebra(new_names, constants, rank=L.rank, realization=realization,
+                     matrix_size=L.matrix_size, gram=gram, kind=kind or f"adapted[{L.kind}]",
+                     base_algebra=L, base_change=P, check=False)
+    # P c'_ab = [P e_a, P e_b] for all a < b: P is an isomorphism onto L, so Jacobi holds
+    sparse = [{r: c for r, c in enumerate(v) if c} for v in new_vectors]
+    for (a, b), image in images.items():
+        if _combine({}, ((sparse[k], c) for k, c in new.bracket_pair(a, b).items())) != image:
+            raise ValueError(f"basis change breaks the bracket [{new_names[a]}, {new_names[b]}]")
+    return new
 
 
 # -- structure-constant file format ------------------------------------

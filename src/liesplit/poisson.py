@@ -24,8 +24,8 @@ DEFAULT_BOUND = 10**6
 def hamiltonian_field(L: LieAlgebra, F: Polynomial, targets=None):
     """Yield (j, V_j) with V_j = {F, x_j} = sum_i pi_ij dF/dx_i and pi_ij = sum_k c_ij^k x_k.
 
-    Runs over ``targets`` (every coordinate by default), one field
-    component at a time; F is invariant exactly when every V_j vanishes.
+    Runs over ``targets`` (every coordinate by default), differentiating F only along the
+    x_i they use; by Jacobi, F is invariant when V_j = 0 on ``LieAlgebra.generating_set``.
     """
     if F.nvars != L.dim:
         raise ValueError("polynomials must live on the algebra's coordinates")
@@ -38,7 +38,8 @@ def hamiltonian_field(L: LieAlgebra, F: Polynomial, targets=None):
             columns[j].append((i, lin, 1))
         if i in columns:
             columns[i].append((j, lin, -1))
-    dF = [K.diff_terms(F.terms, i, n) for i in range(n)]
+    used = {i for col in columns.values() for i, _, _ in col}
+    dF = {i: K.diff_terms(F.terms, i, n) for i in used}
     for j, col in columns.items():
         V = {}
         for i, lin, sign in col:
@@ -55,7 +56,8 @@ def poisson_bracket(L: LieAlgebra, F: Polynomial, G: Polynomial) -> Polynomial:
     dG = {j: d for j in range(n) if (d := K.diff_terms(G.terms, j, n))}
     acc: dict = {}
     for j, V in hamiltonian_field(L, F, dG):
-        K.axpy_terms(acc, K.mul_terms(V.terms, dG[j], n), 1)
+        if V.terms:
+            K.axpy_terms(acc, K.mul_terms(V.terms, dG[j], n), 1)
     return Polynomial(n, acc, _clean=True)
 
 

@@ -175,6 +175,8 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check(other)
+            if not (self.terms and other.terms):
+                return Polynomial.zero(self.nvars)
             return Polynomial(self.nvars, K.mul_terms(self.terms, other.terms, self.nvars), _clean=True)
         return self.scale(other)
 

@@ -285,10 +285,6 @@ class SatakeDiagram:
                 seen.add(x)
         object.__setattr__(self, "arrows", tuple((i, j) for i, j in self.arrows))
 
-    def plain_nodes(self, rank):
-        used = {x for arrow in self.arrows for x in arrow}
-        return tuple(i for i in range(1, rank + 1) if i not in used)
-
 
 def satake_subspaces(rs: RootSystem, diagram: SatakeDiagram):
     """(t0, t1): t0 = span of the arrow differences, t1 its orthocomplement in t."""

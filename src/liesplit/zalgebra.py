@@ -306,9 +306,10 @@ def _sl_diagonals(L: LieAlgebra, maps):
 
 
 def _build(g: LieAlgebra, t1v, t0v, kind: str, timer):
-    """The horospherical splitting of ``g`` and its ``kind`` basis in adapted coordinates."""
+    """The horospherical splitting of ``g`` and its ``kind`` basis, built on the adapted
+    algebra (it carries the realization and P^T G P) as ``transport_basis`` gives it."""
     S = horospherical_splitting(g, t1v, t0_basis=t0v)
-    B = transport_basis(hilbert_basis(g, kind), S)
+    B = hilbert_basis(S.algebra, kind)
     timer.lap("build")
     return S, B
 

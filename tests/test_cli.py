@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -121,3 +122,17 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_main_leaves_no_cyclic_garbage(capsys):
+    # markdown output: the json module's indenting encoder builds closures of its own
+    argv = ["check-ggs", "--algebra", "sl:3", "--h", "borel", "--format", "markdown"]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()

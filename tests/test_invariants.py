@@ -21,7 +21,7 @@ from liesplit.invariants import (
     transport_basis,
     verify_invariance,
 )
-from liesplit.poisson import poisson_bracket
+from liesplit.poisson import hamiltonian_field, poisson_bracket
 from liesplit.poly import Polynomial
 from liesplit.rationals import QQ, QQ0, QQ1
 from liesplit.splitting import (
@@ -372,3 +372,70 @@ def test_trdeg_of_top_components_matches_rank_on_borel():
         B = hilbert_basis(g, "charpoly")
         tops = [bidecompose(S, F).top for F, _ in B.generators]
         assert jacobian_rank(tops, trials=5, seed=0) == g.rank
+
+
+# -- invariance on a generating set ----------------------------------------
+
+
+def _all_coordinates_invariant(L, F):
+    """The exhaustive verdict: {F, x_j} = 0 for every coordinate x_j."""
+    return all(V.is_zero() for _, V in hamiltonian_field(L, F))
+
+
+def _shortcut_cases():
+    """(algebra, invariants, root indices): builders and both contractions of an sl3 splitting."""
+    builders = ((build_sl(3), "charpoly"), (build_so_even(2), "so_minors_pfaffian"),
+                (build_gl(3), "charpoly"), (build_double(build_sl(2)), "double_extended:charpoly"))
+    cases = [(L, hilbert_basis(L, kind, verify=False).polys, L.triangular) for L, kind in builders]
+    g, S = sl3_paper_splitting()
+    decs = [bidecompose(S, F) for F in transport_basis(hilbert_basis(g, "trace_powers"), S).polys]
+    cases.append((contract(S, "keep_h"), [d.top for d in decs], S.algebra.triangular))
+    cases.append((contract(S, "keep_r"), [d.bottom for d in decs], S.algebra.triangular))
+    return cases
+
+
+def test_generating_set_verdict_equals_all_coordinates():
+    for L, invariants, tri in _shortcut_cases():
+        casimir = next(F for F in invariants if F.degree() == 2)
+        planted = [casimir + Polynomial.variable(L.dim, j) for j in range(L.dim)]
+        roots = tri.plus + tri.minus
+        planted += [Polynomial.variable(L.dim, a) * Polynomial.variable(L.dim, b)
+                    for a in roots for b in roots if a <= b]
+        for F in invariants + planted:
+            assert verify_invariance(L, F) == _all_coordinates_invariant(L, F), (L, F)
+        assert all(verify_invariance(L, F) for F in invariants)
+        assert not all(verify_invariance(L, F) for F in planted)
+
+
+def _same_terms(F, G):
+    return F.terms == G.terms and all(type(c) is type(G.terms[e]) for e, c in F.terms.items())
+
+
+def test_basis_on_adapted_algebra_equals_transported_basis():
+    sl3, sl4, so8 = build_sl(3), build_sl(4), build_so_even(4)
+
+    def toral(L, diags):  # sl-basis Cartan coordinates of traceless diagonals
+        out = []
+        for diag in diags:
+            v = [0] * L.dim
+            for k, i in enumerate(L.triangular.cartan):
+                v[i] = sum(diag[: k + 1])
+            out.append(v)
+        return out
+
+    def units(L, idx):
+        return [[int(t == i) for t in range(L.dim)] for i in idx]
+
+    cases = (
+        (sl3, "charpoly", units(sl3, sl3.triangular.cartan), None),
+        (sl4, "trace_powers", toral(sl4, ([1, 0, 0, -1], [0, 1, -1, 0])),
+         toral(sl4, ([1, -1, -1, 1],))),
+        (so8, "so_minors_pfaffian", units(so8, so8.triangular.cartan[:3]),
+         units(so8, so8.triangular.cartan[3:])),
+    )
+    for g, kind, t1v, t0v in cases:
+        S = horospherical_splitting(g, t1v, t0_basis=t0v)
+        direct = hilbert_basis(S.algebra, kind)
+        moved = transport_basis(hilbert_basis(g, kind), S)
+        assert direct.degrees == moved.degrees
+        assert all(_same_terms(F, G) for F, G in zip(direct.polys, moved.polys)), kind
