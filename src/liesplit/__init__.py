@@ -84,7 +84,6 @@ from .weyl import (
     enumerate_weyl,
     invariant_basis,
     restriction_check,
-    reynolds_average,
     satake_subspaces,
     w0_compute,
 )

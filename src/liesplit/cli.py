@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -26,16 +27,28 @@ from .splitting import make_decomposition, make_splitting
 from .zalgebra import CaseParameterError, _Timer, _weyl_route, available_cases, run_case
 
 
+def _ints(option: str, spec: str, pattern: str) -> list:
+    """The integers in ``spec`` if it matches ``pattern``; a one-line exit naming it if not."""
+    if not re.fullmatch(pattern, spec):
+        raise SystemExit(f"cannot parse {option} {spec!r}")
+    return [int(x) for x in re.findall(r"\d+", spec)]
+
+
 def _load_algebra(spec: str):
     """'sl:4', 'gl:3', 'so:8', 'double:sl:3', or a path to a constants file."""
     if ":" in spec:
-        parts = spec.split(":")
-        kind = parts[0]
-        if kind == "double":
-            return build_algebra("double", base=build_algebra(parts[1], n=int(parts[2])))
-        return build_algebra(kind, n=int(parts[1]))
-    with open(spec, "r", encoding="utf-8") as fh:
-        return algebra_from_json(fh.read())
+        m = re.fullmatch(r"(double:)?(gl|sl|so|so_even):(\d+)", spec)
+        if m is None:
+            raise SystemExit(f"cannot parse --algebra {spec!r}: expected gl:N, sl:N, so:N, "
+                             "double:<kind>:N or a constants file")
+        L = build_algebra(m[2], n=int(m[3]))
+        return build_algebra("double", base=L) if m[1] else L
+    try:
+        with open(spec, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SystemExit(f"cannot read --algebra {spec!r}: {exc.strerror}") from None
+    return algebra_from_json(text)
 
 
 def _parse_h(spec: str, algebra):
@@ -46,9 +59,9 @@ def _parse_h(spec: str, algebra):
             raise SystemExit("borel preset needs a reductive builder algebra")
         return tuple(tri.plus) + tuple(tri.cartan)
     if spec.startswith("indices:"):
-        return tuple(int(x) for x in spec.split(":", 1)[1].split(","))
+        return tuple(_ints("--h", spec, r"indices:\d+(,\d+)*"))
     if spec.startswith("glblocks:"):
-        sizes = [int(x) for x in spec.split(":", 1)[1].split(",")]
+        sizes = _ints("--h", spec, r"glblocks:\d+(,\d+)*")
         bounds = []
         start = 0
         for s in sizes:
@@ -163,11 +176,12 @@ def _cmd_check_ggs(args) -> int:
 
 def _cmd_weyl_w0(args) -> int:
     timer = _Timer()
-    arrows = tuple(
-        tuple(int(x) for x in pair.split(":")) for pair in args.arrows.split(",")
-    )
+    flat = _ints("--arrows", args.arrows, r"\d+:\d+(,\d+:\d+)*")
+    arrows = tuple(zip(flat[::2], flat[1::2]))
+    if args.type != "E6" and args.rank is None:
+        raise SystemExit(f"weyl-w0: --type {args.type} needs --rank")
     rank = None if args.type == "E6" else args.rank
-    rs, _, _, rep, rc = _weyl_route(args.type, rank, arrows, args.dmax, timer.lap, args.cap)
+    rs, _, _, rep, rc = _weyl_route(args.type, rank, arrows, args.dmax, timer.lap)
     doc = {
         "case": "weyl-w0",
         "params": {"type": args.type, "rank": rs.rank, "arrows": args.arrows},
@@ -242,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--arrows", required=True, help="pairs like 1:5,2:4")
     p.add_argument("--dmax", type=int, default=None)
-    p.add_argument("--cap", type=int, default=60000)
     p.add_argument("--format", choices=("json", "markdown"), default="json")
     p.set_defaults(func=_cmd_weyl_w0)
 

@@ -158,9 +158,9 @@ def _b_of(L: LieAlgebra) -> int:
 def hilbert_basis(L: LieAlgebra, kind: str, verify: bool = True) -> HilbertBasis:
     """Builder-backed Hilbert bases.
 
-    kind: 'charpoly', 'trace_powers', 'so_minors_pfaffian',
-    'double_extended[:base_kind]' (base kind defaults to charpoly), or a
-    ready list of (Polynomial, degree) pairs with kind 'custom'.
+    kind: 'charpoly', 'trace_powers', 'so_minors_pfaffian', or
+    'double_extended[:base_kind]' (base kind defaults to charpoly).  A ready
+    list of (Polynomial, degree) pairs goes through :func:`custom_basis`.
     """
     gens: list[tuple[Polynomial, int]] = []
     if kind == "charpoly":

@@ -534,12 +534,22 @@ def algebra_to_json(L: LieAlgebra) -> str:
 
 
 def algebra_from_json(text: str) -> LieAlgebra:
+    """The algebra of an ``algebra_to_json`` document; ``ValueError`` names a malformed entry."""
     doc = json.loads(text)
-    names = doc["basis_names"]
-    if len(names) != doc["dim"]:
-        raise ValueError("dim does not match the number of basis names")
+    if not isinstance(doc, dict):
+        raise ValueError(f"a constants document is a JSON object, not a {type(doc).__name__}")
+    names, brackets = doc.get("basis_names"), doc.get("brackets")
+    if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
+        raise ValueError(f"basis_names {names!r} must be a list of strings")
+    if not (_is_int(doc.get("dim")) and doc["dim"] == len(names)):
+        raise ValueError(f"dim {doc.get('dim')!r} does not match the number of basis names")
+    if not isinstance(brackets, list):
+        raise ValueError(f"brackets {brackets!r} must be a list")
     constants = {}
-    for i, j, entries in doc["brackets"]:
+    for item in brackets:
+        if not (isinstance(item, list) and len(item) == 3 and isinstance(item[2], list)):
+            raise ValueError(f"bracket {item!r} must be [i, j, [[k, num, den], ...]]")
+        i, j, entries = item
         if not (_is_int(i) and _is_int(j) and i < j):
             raise ValueError(f"bracket [{i!r}, {j!r}]: brackets must be listed for "
                              "integer pairs i < j")

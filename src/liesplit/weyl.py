@@ -15,20 +15,24 @@ never form a matrix.  Model-space matrices are built only on request, as
 the int8 product over an element's generator word, and are checked
 against the key.
 
-Degree-d invariants of the big group are computed as the joint fixed
-space of the simple reflections acting on degree-d polynomials (the same
-subspace the group-averaging operator projects onto, computed without
-iterating all elements); the little group W0 is always small, so its
-invariant dimensions use literal Reynolds averaging of all monomials.
-The two routes agree and the test suite cross-checks them on small groups.
+Each root system carries its fundamental degrees (A_n: 2, ..., n+1; D_n:
+2, 4, ..., 2n-2 and n; E6: 2, 5, 6, 8, 9, 12): |W| = prod d_i bounds and
+certifies the enumeration, sum (d_i - 1) counts the positive roots, and
+max d_i is the default restriction degree.
+
+The invariants of W (from its simple reflections) and of W0 (from all its
+elements) both come from ``invariant_basis``: the kernel of one square
+matrix sum_m (m - 1) on the degree-d coefficients.  A finite group keeps an
+inner product, so <m x, x> <= |x|^2 and the sum kills x only when every m
+fixes x; one block per matrix would cost |W0| times the rows.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from math import factorial
+from itertools import combinations_with_replacement, product
+from math import prod
 from operator import mul
 
 from . import _kernels as K
@@ -76,20 +80,7 @@ class RootSystem:
     cartan_matrix: Matrix
     gram: Matrix              # inner product on the model space
     reflections: tuple        # generator matrices, encoded int8 bytes
-
-    def known_weyl_order(self) -> int:
-        if self.type_label == "A":
-            return factorial(self.rank + 1)
-        if self.type_label == "D":
-            return 2 ** (self.rank - 1) * factorial(self.rank)
-        return 51840  # E6
-
-    def default_dmax(self) -> int:
-        if self.type_label == "A":
-            return self.rank + 1
-        if self.type_label == "D":
-            return max(2 * self.rank - 2, self.rank)
-        return 12  # E6 fundamental degrees 2,5,6,8,9,12
+    degrees: tuple            # fundamental degrees: |W| = prod, reflections = sum(d - 1)
 
 
 def _reflection_matrix_model(alpha, gram: Matrix, n):
@@ -127,60 +118,49 @@ _E6_EDGES = ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6))  # chain 1-2-3-4-5, node 6 
 def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
     """Supported types: ('A', n), ('D', n >= 3), ('E6',)."""
     if type_label == "E6":
-        rank = 6
+        rank = n = 6
         c = [[0] * 6 for _ in range(6)]
         for i in range(6):
             c[i][i] = 2
         for i, j in _E6_EDGES:
             c[i - 1][j - 1] = c[j - 1][i - 1] = -1
-        cartan = Matrix(c)
-        gram = cartan  # unit simple roots, all of squared length 2
-        n = 6
+        gram = Matrix(c)  # the Cartan matrix: unit simple roots, all of squared length 2
         simples = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
-    elif type_label == "A":
-        if rank is None or rank < 1:
-            raise ValueError("A_n needs n >= 1")
-        n = rank + 1
-        simples = tuple(
-            tuple(int(i == j) - int(i == j + 1) for i in range(n))
-            for j in range(rank)
-        )
+        degrees = (2, 5, 6, 8, 9, 12)
+    elif type_label in ("A", "D"):
+        least = 1 if type_label == "A" else 3
+        if rank is None or rank < least:
+            raise ValueError(f"{type_label}_n needs n >= {least}")
+        n = rank + 1 if type_label == "A" else rank
         gram = Matrix.identity(n)
-        cartan = None
-    elif type_label == "D":
-        if rank is None or rank < 3:
-            raise ValueError("D_n needs n >= 3")
-        n = rank
-        simples = []
-        for j in range(rank - 1):
-            simples.append(tuple(int(i == j) - int(i == j + 1) for i in range(n)))
-        simples.append(tuple(int(i >= n - 2) for i in range(n)))
-        simples = tuple(simples)
-        gram = Matrix.identity(n)
-        cartan = None
+        # e_j - e_(j+1), and for D_n also e_(n-1) + e_n
+        simples = tuple(tuple((i == j) - (i == j + 1) for i in range(n)) for j in range(n - 1))
+        if type_label == "A":
+            degrees = tuple(range(2, rank + 2))
+        else:
+            simples += (tuple(int(i >= n - 2) for i in range(n)),)
+            degrees = tuple(range(2, 2 * rank - 1, 2)) + (rank,)
     else:
         raise ValueError(f"unsupported root system type {type_label!r}")
 
-    if cartan is None:
-        rows = []
-        for i in range(rank):
-            gi = gram.matvec(simples[i])
-            norm = QQ(sum(map(mul, simples[i], gi)))
-            rows.append([2 * sum(map(mul, simples[j], gi)) / norm for j in range(rank)])
-        cartan = Matrix(rows)
+    rows = []
+    for i in range(rank):
+        gi = gram.matvec(simples[i])
+        norm = QQ(sum(map(mul, simples[i], gi)))
+        rows.append([2 * sum(map(mul, simples[j], gi)) / norm for j in range(rank)])
+    cartan = Matrix(rows)
 
     pos_alpha = _positive_roots_alpha(cartan, rank)
-    expected = {"A": rank * (rank + 1) // 2, "D": rank * (rank - 1), "E6": 36}[type_label]
+    expected = sum(d - 1 for d in degrees)
     if len(pos_alpha) != expected:
         raise AssertionError(f"positive root count {len(pos_alpha)} != {expected}")
     positive = tuple(
         tuple(sum(v[j] * simples[j][i] for j in range(rank)) for i in range(n))
         for v in pos_alpha
     )
-    reflections = tuple(
-        _encode(_reflection_matrix_model(a, gram, n), n) for a in simples
-    )
-    return RootSystem(type_label, rank, n, simples, positive, cartan, gram, reflections)
+    reflections = tuple(_encode(_reflection_matrix_model(a, gram, n), n) for a in simples)
+    return RootSystem(type_label, rank, n, simples, positive, cartan, gram, reflections,
+                      degrees)
 
 
 class WeylGroup:
@@ -225,12 +205,10 @@ class WeylGroup:
                 raise AssertionError(f"matrix does not send simple root {i + 1} to its keyed root")
         return m
 
-    def __contains__(self, element: bytes):
-        return element in self._index
 
-
-def enumerate_weyl(rs: RootSystem, cap: int = 60000) -> WeylGroup:
-    """Breadth-first closure of the simple reflections on root-image keys; errors past ``cap``."""
+def enumerate_weyl(rs: RootSystem) -> WeylGroup:
+    """Breadth-first closure of the simple reflections on root-image keys, up to |W| = prod d."""
+    order = prod(rs.degrees)
     n = rs.model_dim
     positive = [_int_vector(r) for r in rs.positive_roots]
     roots = tuple(positive + [tuple(-x for x in r) for r in positive])
@@ -255,17 +233,15 @@ def enumerate_weyl(rs: RootSystem, cap: int = 60000) -> WeylGroup:
         for s, perm in enumerate(perms):
             w = el.translate(perm)
             if w not in index:
-                if len(elements) >= cap:
-                    raise ValueError(f"Weyl enumeration exceeded cap {cap}")
+                if len(elements) == order:
+                    raise AssertionError(f"Weyl enumeration passed |W| = {order}")
                 index[w] = len(elements)
                 elements.append(w)
                 parent.append(k)
                 last.append(s)
         k += 1
-    if len(elements) != rs.known_weyl_order():
-        raise AssertionError(
-            f"enumerated order {len(elements)} != known order {rs.known_weyl_order()}"
-        )
+    if len(elements) != order:
+        raise AssertionError(f"enumerated order {len(elements)} != |W| = {order}")
     generators = [identity.translate(p) for p in perms]
     return WeylGroup(rs, roots, elements, index, parent, last, generators)
 
@@ -405,21 +381,6 @@ def w0_compute(W: WeylGroup, t0_basis) -> W0Report:
 # -- invariants of reflection groups ------------------------------------
 
 
-def act_on_poly(m: Matrix, F: Polynomial) -> Polynomial:
-    """Substitution action x_i -> sum_j m[i][j] x_j."""
-    n = F.nvars
-    images = [Polynomial.linear_form(n, m.rows[i]) for i in range(n)]
-    return F.map_vars(images, n)
-
-
-def reynolds_average(matrices, F: Polynomial) -> Polynomial:
-    """Average of F over the given matrix set (the full group for exactness)."""
-    acc = Polynomial.zero(F.nvars)
-    for m in matrices:
-        acc = acc + act_on_poly(m, F)
-    return acc.scale(QQ(1, len(matrices)))
-
-
 def _monomials(nvars, degree):
     """Keys of the degree-``degree`` monomials, in combination order."""
     return [sum(_unit(nvars, i) for i in combo)
@@ -427,61 +388,44 @@ def _monomials(nvars, degree):
 
 
 def _monomial_images(m_rows, nvars, degree):
-    """Images of all monomials of the given degree under x_i -> row_i . x, by key."""
+    """Images of the degree-``degree`` monomials under x_i -> row_i . x, in ``_monomials`` order."""
     lin = [Polynomial.linear_form(nvars, m_rows[i]) for i in range(nvars)]
     # keyed by the nondecreasing tuple of variable indices of each monomial
     images: dict[tuple, Polynomial] = {(): Polynomial.constant(nvars, 1)}
     for d in range(1, degree + 1):
         images = {combo: images[combo[1:]] * lin[combo[0]]
                   for combo in combinations_with_replacement(range(nvars), d)}
-    return dict(zip(_monomials(nvars, degree), images.values()))
+    return images.values()
 
 
-def invariant_basis(generator_matrices, degree, nvars):
-    """Basis of degree-``degree`` polynomials fixed by all the generators.
+def invariant_basis(matrices, degree, nvars):
+    """Basis of the degree-``degree`` polynomials fixed by every matrix.
 
-    This is exactly the image of the full-group averaging operator in that
-    degree, obtained as the joint kernel of (action - identity) without
-    iterating over the whole group.
+    For the elements or generators of a finite group acting by
+    x_i -> row_i . x, this is the kernel of sum_m (m - 1); the module
+    docstring gives the argument.  Every basis vector is checked against
+    every matrix, so other inputs raise ``AssertionError``, not a wrong space.
     """
     monos = _monomials(nvars, degree)
     pos = {e: i for i, e in enumerate(monos)}
-    rows = []
-    for m in generator_matrices:
-        # rows of (action - identity) on the degree-d coefficient space
-        mat = [[0] * len(monos) for _ in range(len(monos))]
-        images = _monomial_images(m.rows, nvars, degree)
-        for col, e in enumerate(monos):
-            for out_e, c in images[e].terms.items():
-                mat[pos[out_e]][col] = c
-            mat[pos[e]][col] = mat[pos[e]][col] - 1
-        rows.extend(mat)
-    _, null = rank_and_nullspace(Matrix(rows))
-    basis = []
-    for v in null:
-        terms = {e: c for e, c in zip(monos, v) if c}
-        basis.append(Polynomial(nvars, terms, _clean=True))
-    return basis
-
-
-def reynolds_invariant_basis(matrices, degree, nvars):
-    """Span of the averages of all degree-``degree`` monomials (small groups)."""
-    monos = _monomials(nvars, degree)
-    averaged = [reynolds_average(matrices, Polynomial(nvars, {e: 1}, _clean=True)) for e in monos]
-    mat = Matrix([[p.terms.get(e, 0) for e in monos] for p in averaged])
-    target = rank(mat)
-    basis = []
-    picked: list = []
-    for p in averaged:
-        if p.is_zero():
-            continue
-        trial = picked + [[p.terms.get(e, 0) for e in monos]]
-        if rank(Matrix(trial)) > len(picked):
-            picked = trial
-            basis.append(p)
-        if len(basis) == target:
-            break
-    return basis
+    moves = []   # per matrix, the columns of m - 1 as {row: value}
+    total = [[0] * len(monos) for _ in monos]
+    for m in matrices:
+        moves.append([{pos[f]: c for f, c in image.terms.items()}
+                      for image in _monomial_images(m.rows, nvars, degree)])
+        for col, column in enumerate(moves[-1]):
+            column[col] = column.get(col, 0) - 1
+            for row, c in column.items():
+                total[row][col] += c
+    _, null = rank_and_nullspace(Matrix(total))
+    for cols, v in product(moves, null):
+        acc = [0] * len(monos)
+        for x, column in zip(v, cols):
+            for row, c in column.items():
+                acc[row] += x * c
+        if any(acc):
+            raise AssertionError("a matrix moves a vector in the kernel of sum_m (m - 1)")
+    return [Polynomial(nvars, {e: c for e, c in zip(monos, v) if c}, _clean=True) for v in null]
 
 
 @dataclass
@@ -507,7 +451,7 @@ def restriction_check(W: WeylGroup, t0_basis, w0: W0Report | None = None,
     if w0 is None:
         w0 = w0_compute(W, t0_basis)
     if dmax is None:
-        dmax = rs.default_dmax()
+        dmax = max(rs.degrees)
     n = rs.model_dim
     a = len(t0_basis)
     gen_mats = [W.matrix(g) for g in W.generators]
@@ -524,7 +468,7 @@ def restriction_check(W: WeylGroup, t0_basis, w0: W0Report | None = None,
         mat = Matrix([[p.terms.get(e, 0) for e in monos] for p in restricted]) if restricted \
             else Matrix.zeros(1, len(monos))
         image_dim = rank(mat)
-        w0_dim = len(reynolds_invariant_basis(w0.matrices, d, a))
+        w0_dim = len(invariant_basis(w0.matrices, d, a))
         if image_dim > w0_dim:
             raise AssertionError("restricted invariants escape the W0-invariants; bug")
         per_degree.append((d, image_dim, w0_dim))

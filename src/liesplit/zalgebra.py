@@ -327,14 +327,14 @@ def _restrictions(S: Splitting, B: HilbertBasis, names, labels=None) -> dict:
     return {lab: restrict_to_t0(S, F).to_string(names) for lab, (F, _) in zip(labels, B.generators)}
 
 
-def _weyl_route(type_label, rank, arrows, dmax, lap=lambda label: None, cap: int = 60000):
+def _weyl_route(type_label, rank, arrows, dmax, lap=lambda label: None):
     """Root system -> Weyl group -> Satake t0 -> W0 -> restriction table.
 
     ``lap`` is called after the enumeration, the W0 computation and the
     restriction check, with the labels of those three steps.
     """
     rs = build_root_system(type_label, rank)
-    W = enumerate_weyl(rs, cap=cap)
+    W = enumerate_weyl(rs)
     lap("enumerate")
     t0, _ = satake_subspaces(rs, SatakeDiagram(tuple(arrows)))
     rep = w0_compute(W, t0)

@@ -113,6 +113,29 @@ def test_case_keeps_library_errors(monkeypatch):
         main(["case", "horo", "--n", "3"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["index", "--algebra", "sl:x"], "cannot parse --algebra 'sl:x'"),
+    (["index", "--algebra", "foo:3"], "cannot parse --algebra 'foo:3'"),
+    (["index", "--algebra", "/missing.json"], "cannot read --algebra '/missing.json'"),
+    (["check-ggs", "--algebra", "sl:3", "--h", "indices:a"], "cannot parse --h 'indices:a'"),
+    (["check-ggs", "--algebra", "gl:4", "--h", "glblocks:1,"], "cannot parse --h 'glblocks:1,'"),
+    (["weyl-w0", "--type", "A", "--rank", "3", "--arrows", "1-3"], "cannot parse --arrows '1-3'"),
+    (["weyl-w0", "--type", "A", "--arrows", "1:3"], "--type A needs --rank"),
+])
+def test_malformed_input_exits_with_one_line_naming_it(argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+    assert message in exc.value.code
+
+
+def test_weyl_w0_has_no_cap_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["weyl-w0", "--type", "A", "--rank", "2", "--arrows", "1:2", "--cap", "10"])
+    assert exc.value.code == 2
+    assert "--cap" in capsys.readouterr().err
+
+
 def test_unknown_case_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["case", "nope"])

@@ -98,10 +98,22 @@ def _json_algebra(brackets):
     ([[0, 1, [[0, 1, 0]]]], "entry [0, 1, 0]"),                      # den = 0
     ([[0, 1, [[0.0, 1, 1]]]], "entry [0.0, 1, 1]"),                  # non-integer target
     ([[0, 1.5, [[0, 1, 1]]]], "bracket [0, 1.5]"),                   # non-integer pair
+    ([[0, 1, 5]], "bracket [0, 1, 5] must be"),                       # entries not a list
+    ([[0, 1]], "bracket [0, 1] must be"),                             # entries missing
+    (5, "brackets 5 must be a list"),
+    # a string is the whole document
+    pytest.param('{"dim": 2, "basis_names": ["x0", "x1"]}', "brackets None must be a list",
+                 id="no-brackets"),
+    pytest.param('[[0, 1, []]]', "not a list", id="top-level-list"),
+    pytest.param('{"dim": 2, "basis_names": "x0", "brackets": []}', "basis_names 'x0'",
+                 id="names-not-a-list"),
+    pytest.param('{"dim": 3, "basis_names": ["x0", "x1"], "brackets": []}', "dim 3 does not",
+                 id="dim-mismatch"),
 ])
 def test_json_constants_rejected_with_the_offending_entry(brackets, message):
+    text = brackets if isinstance(brackets, str) else _json_algebra(brackets)
     with pytest.raises(ValueError) as exc:
-        algebra_from_json(_json_algebra(brackets))
+        algebra_from_json(text)
     assert message in str(exc.value)
 
 

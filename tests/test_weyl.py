@@ -1,5 +1,6 @@
-import random
+from dataclasses import replace
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -15,8 +16,6 @@ from liesplit.weyl import (
     enumerate_weyl,
     invariant_basis,
     restriction_check,
-    reynolds_average,
-    reynolds_invariant_basis,
     satake_subspaces,
     w0_compute,
 )
@@ -28,15 +27,28 @@ def test_positive_root_counts():
     assert len(build_root_system("E6").positive_roots) == 36
 
 
+@pytest.mark.parametrize("label, rank_, order, positive", [
+    ("A", 2, 6, 3), ("A", 3, 24, 6), ("A", 4, 120, 10), ("D", 3, 24, 6),
+    ("D", 4, 192, 12), ("E6", None, 51840, 36),
+])
+def test_degrees_give_order_and_reflection_count(label, rank_, order, positive):
+    rs = build_root_system(label, rank_)
+    assert prod(rs.degrees) == order
+    assert sum(d - 1 for d in rs.degrees) == positive == len(rs.positive_roots)
+
+
 def test_weyl_orders_small():
     assert enumerate_weyl(build_root_system("A", 2)).order == 6
     assert enumerate_weyl(build_root_system("A", 3)).order == 24
     assert enumerate_weyl(build_root_system("D", 4)).order == 192
 
 
-def test_enumeration_cap():
-    with pytest.raises(ValueError):
-        enumerate_weyl(build_root_system("D", 4), cap=100)
+def test_enumeration_stops_at_the_order_of_the_degrees():
+    rs = build_root_system("D", 4)
+    with pytest.raises(AssertionError, match="passed"):
+        enumerate_weyl(replace(rs, degrees=(2, 4, 4, 3)))  # 96 < 192
+    with pytest.raises(AssertionError, match="!="):
+        enumerate_weyl(replace(rs, degrees=(2, 4, 4, 12)))  # 384 > 192
 
 
 def test_elements_permute_roots_exhaustive():
@@ -150,24 +162,13 @@ def test_restriction_so8_passes_all_degrees():
         assert image_dim == inv_dim == (1 if d % 2 == 0 else 0)
 
 
-def test_reynolds_idempotent():
-    rng = random.Random(2)
-    rs = build_root_system("A", 2)
-    W = enumerate_weyl(rs)
-    mats = [W.matrix(el) for el in W.elements]
-    for _ in range(5):
-        terms = {
-            bytes(rng.randint(0, 2) for _ in range(3)): QQ(rng.randint(-5, 5), rng.randint(1, 4))
-            for _ in range(4)
-        }
-        F = Polynomial(3, terms)
-        once = reynolds_average(mats, F)
-        twice = reynolds_average(mats, once)
-        assert once == twice
+def _acts(m, p):
+    """p(m x) for the substitution x_i -> row_i . x."""
+    lin = [Polynomial.linear_form(p.nvars, row) for row in m.rows]
+    return p.map_vars(lin, p.nvars)
 
 
-def test_fixed_space_matches_reynolds_span():
-    # generator fixed-space == image of full-group averaging, degree by degree
+def test_generator_fixed_space_equals_element_fixed_space():
     for label, rank in (("A", 2), ("A", 3), ("D", 3)):
         rs = build_root_system(label, rank)
         W = enumerate_weyl(rs)
@@ -175,10 +176,15 @@ def test_fixed_space_matches_reynolds_span():
         all_mats = [W.matrix(el) for el in W.elements]
         for d in (1, 2, 3):
             fixed = invariant_basis(gens, d, rs.model_dim)
-            rey = reynolds_invariant_basis(all_mats, d, rs.model_dim)
-            assert len(fixed) == len(rey)
-            for p in rey:
-                assert reynolds_average(all_mats, p) == p
+            assert len(fixed) == len(invariant_basis(all_mats, d, rs.model_dim))
+            for p in fixed:
+                assert all(_acts(m, p) == p for m in all_mats), (label, d)
+
+
+def test_invariant_basis_rejects_a_set_that_is_not_a_finite_group():
+    # the kernel of (2 - 1) + (0 - 1) is everything, but neither matrix fixes x
+    with pytest.raises(AssertionError):
+        invariant_basis([Matrix([[2]]), Matrix([[0]])], 1, 1)
 
 
 def test_image_dimension_monotone_under_products():
@@ -297,4 +303,4 @@ def test_molien_oracle_counts_invariants_of_w0():
         rep = w0_compute(enumerate_weyl(rs), t0)
         series = _molien_series(rep.matrices, 6)
         for d in range(1, 7):
-            assert len(reynolds_invariant_basis(rep.matrices, d, len(t0))) == series[d], (label, d)
+            assert len(invariant_basis(rep.matrices, d, len(t0))) == series[d], (label, d)
