@@ -24,7 +24,7 @@ from .liealg import algebra_from_json, build_algebra
 from .invariants import ggs_check, hilbert_basis
 from .poisson import index_estimate
 from .splitting import make_decomposition, make_splitting
-from .zalgebra import CaseParameterError, _Timer, _weyl_route, available_cases, run_case
+from .zalgebra import CaseParameterError, _Timer, _satake, _weyl_route, available_cases, run_case
 
 
 def _ints(option: str, spec: str, pattern: str) -> list:
@@ -34,6 +34,14 @@ def _ints(option: str, spec: str, pattern: str) -> list:
     return [int(x) for x in re.findall(r"\d+", spec)]
 
 
+def _or_exit(label: str, f, *args, **kwargs):
+    """``f(*args, **kwargs)``; a ``ValueError`` from it becomes a one-line exit after ``label``."""
+    try:
+        return f(*args, **kwargs)
+    except ValueError as exc:
+        raise SystemExit(f"{label}: {exc}") from None
+
+
 def _load_algebra(spec: str):
     """'sl:4', 'gl:3', 'so:8', 'double:sl:3', or a path to a constants file."""
     if ":" in spec:
@@ -41,14 +49,14 @@ def _load_algebra(spec: str):
         if m is None:
             raise SystemExit(f"cannot parse --algebra {spec!r}: expected gl:N, sl:N, so:N, "
                              "double:<kind>:N or a constants file")
-        L = build_algebra(m[2], n=int(m[3]))
+        L = _or_exit(f"--algebra {spec!r}", build_algebra, m[2], n=int(m[3]))  # sl:1, so:7
         return build_algebra("double", base=L) if m[1] else L
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise SystemExit(f"cannot read --algebra {spec!r}: {exc.strerror}") from None
-    return algebra_from_json(text)
+    return _or_exit(f"--algebra {spec!r}", algebra_from_json, text)  # names the bad entry
 
 
 def _parse_h(spec: str, algebra):
@@ -62,23 +70,11 @@ def _parse_h(spec: str, algebra):
         return tuple(_ints("--h", spec, r"indices:\d+(,\d+)*"))
     if spec.startswith("glblocks:"):
         sizes = _ints("--h", spec, r"glblocks:\d+(,\d+)*")
-        bounds = []
-        start = 0
-        for s in sizes:
-            bounds.append((start, start + s))
-            start += s
         if algebra.realization is None:
             raise SystemExit("glblocks needs a matrix builder algebra")
-
-        def in_block(r, c):
-            return any(a <= r < b and a <= c < b for a, b in bounds)
-
-        out = []
-        for idx, mat in enumerate(algebra.realization):
-            support = list(mat)
-            if all(in_block(r, c) for r, c in support):
-                out.append(idx)
-        return tuple(out)
+        block = [k for k, s in enumerate(sizes) for _ in range(s)]  # the block of each row
+        return tuple(idx for idx, mat in enumerate(algebra.realization)
+                     if all(max(r, c) < len(block) and block[r] == block[c] for r, c in mat))
     raise SystemExit(f"cannot parse --h {spec!r}")
 
 
@@ -147,11 +143,12 @@ def _cmd_check_ggs(args) -> int:
     try:
         deco = make_splitting(algebra, h)
     except ValueError:
-        deco = make_decomposition(algebra, h)
+        deco = _or_exit(f"check-ggs --h {args.h!r}", make_decomposition, algebra, h)
     timer.lap("build")
-    basis = hilbert_basis(algebra, args.basis)
+    basis = _or_exit(f"check-ggs --basis {args.basis}", hilbert_basis, algebra, args.basis)
     timer.lap("basis")
-    rep = ggs_check(deco, basis, side=args.side, seed=args.seed)
+    rep = _or_exit(f"check-ggs --h {args.h!r} --side {args.side}", ggs_check,
+                   deco, basis, side=args.side, seed=args.seed)
     timer.lap("ggs")
     doc = {
         "case": "check-ggs",
@@ -181,7 +178,9 @@ def _cmd_weyl_w0(args) -> int:
     if args.type != "E6" and args.rank is None:
         raise SystemExit(f"weyl-w0: --type {args.type} needs --rank")
     rank = None if args.type == "E6" else args.rank
-    rs, _, _, rep, rc = _weyl_route(args.type, rank, arrows, args.dmax, timer.lap)
+    given = f"--type {args.type}" + ("" if rank is None else f" --rank {rank}")
+    rs, t0 = _or_exit(f"weyl-w0 {given} --arrows {args.arrows!r}", _satake, args.type, rank, arrows)
+    _, rep, rc = _weyl_route(rs, t0, args.dmax, timer.lap)
     doc = {
         "case": "weyl-w0",
         "params": {"type": args.type, "rank": rs.rank, "arrows": args.arrows},
@@ -204,7 +203,8 @@ def _cmd_index(args) -> int:
     timer = _Timer()
     algebra = _load_algebra(args.algebra)
     timer.lap("load")
-    est = index_estimate(algebra, trials=args.trials, seed=args.seed)
+    est = _or_exit(f"index --trials {args.trials}", index_estimate,
+                   algebra, trials=args.trials, seed=args.seed)
     timer.lap("index")
     doc = {
         "case": "index",

@@ -4,15 +4,19 @@ Invariants of the matrix builders are polynomials on the dual space via
 the trace-form identification of the algebra with its dual (one half of
 the trace for the antidiagonal orthogonal realization).  Concretely the
 generic dual element is the matrix Y(x) = sum_a y_a X_a with G y = x,
-where G is the Gram matrix of the invariant form on the chosen basis;
-characteristic coefficients, power traces, principal-minor sums and the
-Pfaffian are then exact polynomials in the dual coordinates x.
+where G is the Gram matrix of the invariant form on the chosen basis.
+The characteristic coefficients e_k come from one memoized determinant
+expansion of lambda I - Y; the power traces tr(Y^k) follow from them by
+Newton's identities, and the so(2n) principal-minor sums are even e_k.
+The Pfaffian is the only other expansion.  All are exact polynomials in
+the dual coordinates x.
 
 The good-generating-system test is a degree-sum criterion: for a
-subalgebra h with complement m, sum_j deg_m F_j^bullet >= dim m always,
-with equality exactly when the top components stay algebraically
-independent.  The report cross-checks the degree sum against an exact
-Jacobian rank at sampled points; the two must agree on builder algebras.
+subalgebra h with complement m, sum_j deg_m F_j^bullet >= dim m whenever
+the contraction h x m^ab has the index of q, with equality exactly when
+the top components stay algebraically independent.  The report
+cross-checks the degree sum against an exact Jacobian rank at sampled
+points; the two must agree on builder algebras.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from dataclasses import dataclass
 
 from .liealg import LieAlgebra, sub_algebra
 from .linalg import Matrix, inverse, rank, solve
-from .poisson import hamiltonian_field, poisson_bracket
+from .poisson import hamiltonian_field, index_estimate, poisson_bracket
 from .poly import Polynomial, _exponents
-from .splitting import Decomposition, Splitting
+from .splitting import Decomposition, Splitting, contract
 
 
 # -- generic dual element and determinant/pfaffian expansion -----------
@@ -124,6 +128,22 @@ def charpoly_coefficients(L: LieAlgebra) -> dict:
     return out
 
 
+def _power_sums(e: dict) -> dict:
+    """Map k -> p_k = tr(Y^k) from k -> e_k by Newton's identities.
+
+    p_k = sum_{i<k} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k, integer
+    multipliers only (Macdonald, Symmetric Functions, I.2).
+    """
+    p = {}
+    for k in sorted(e):
+        acc = e[k].scale(k if k % 2 else -k)
+        for i in range(1, k):
+            if e[i].terms and p[k - i].terms:
+                acc = acc + e[i] * p[k - i] if i % 2 else acc - e[i] * p[k - i]
+        p[k] = acc
+    return p
+
+
 # -- Hilbert bases ------------------------------------------------------
 
 
@@ -159,37 +179,17 @@ def hilbert_basis(L: LieAlgebra, kind: str, verify: bool = True) -> HilbertBasis
     """Builder-backed Hilbert bases.
 
     kind: 'charpoly', 'trace_powers', 'so_minors_pfaffian', or
-    'double_extended[:base_kind]' (base kind defaults to charpoly).  A ready
-    list of (Polynomial, degree) pairs goes through :func:`custom_basis`.
+    'double_extended[:base_kind]' (base kind defaults to charpoly).  Every
+    kind starts from the characteristic coefficients; the power traces
+    come from them by Newton's identities.  A ready list of
+    (Polynomial, degree) pairs goes through :func:`custom_basis`.
     """
-    gens: list[tuple[Polynomial, int]] = []
-    if kind == "charpoly":
+    if kind in ("charpoly", "trace_powers"):
         coeffs = charpoly_coefficients(L)
-        # identically-zero coefficients (the trace on sl) are not generators
-        for k in range(1, L.matrix_size + 1):
-            if coeffs[k].terms:
-                gens.append((coeffs[k], k))
-    elif kind == "trace_powers":
-        Y = dual_matrix(L)
-        size = L.matrix_size
-        current = Y
-        for k in range(1, size + 1):
-            tr = Polynomial.zero(L.dim)
-            for i in range(size):
-                tr = tr + current[i][i]
-            if tr.terms:
-                gens.append((tr, k))
-            if k == size:
-                break
-            nxt = [[Polynomial.zero(L.dim) for _ in range(size)] for _ in range(size)]
-            for i in range(size):
-                for j in range(size):
-                    acc = Polynomial.zero(L.dim)
-                    for t in range(size):
-                        if current[i][t].terms and Y[t][j].terms:
-                            acc = acc + current[i][t] * Y[t][j]
-                    nxt[i][j] = acc
-            current = nxt
+        if kind == "trace_powers":
+            coeffs = _power_sums(coeffs)
+        # identically-zero generators (the trace on sl) are dropped
+        gens = [(coeffs[k], k) for k in range(1, L.matrix_size + 1) if coeffs[k].terms]
     elif kind == "so_minors_pfaffian":
         root = L
         while root.base_change is not None:  # an adapted rebuild keeps the realization
@@ -204,8 +204,7 @@ def hilbert_basis(L: LieAlgebra, kind: str, verify: bool = True) -> HilbertBasis
                 f"realization of so({size}) has Pf^2 = -Delta_{size} when n is odd"
             )
         coeffs = charpoly_coefficients(L)
-        for k in range(1, n):
-            gens.append((coeffs[2 * k], 2 * k))
+        gens = [(coeffs[2 * k], 2 * k) for k in range(1, n)]
         Y = dual_matrix(L)
         K = [[Y[size - 1 - r][c] for c in range(size)] for r in range(size)]
         pf = poly_pfaffian(K)
@@ -218,34 +217,30 @@ def hilbert_basis(L: LieAlgebra, kind: str, verify: bool = True) -> HilbertBasis
             raise ValueError("double_extended needs a double builder algebra")
         base_kind = kind.split(":", 1)[1] if ":" in kind else "charpoly"
         bb = hilbert_basis(base, base_kind, verify=False)
-        ell = L.dim - base.dim
-        for g, d in bb.generators:
-            gens.append((g.lift(L.dim), d))
-        for k in range(ell):
-            gens.append((Polynomial.variable(L.dim, base.dim + k), 1))
+        gens = [(g.lift(L.dim), d) for g, d in bb.generators]
+        gens += [(Polynomial.variable(L.dim, k), 1) for k in range(base.dim, L.dim)]
     else:
         raise ValueError(f"unknown Hilbert basis kind {kind!r}")
 
-    basis = HilbertBasis(L, kind, tuple(gens))
-    if L.rank is not None and len(gens) != L.rank:
-        raise AssertionError(f"generator count {len(gens)} != rank {L.rank}")
     if L.rank is not None:
+        if len(gens) != L.rank:
+            raise AssertionError(f"generator count {len(gens)} != rank {L.rank}")
         total = sum(d for _, d in gens)
         if total != _b_of(L):
             raise AssertionError(f"sum of degrees {total} != b(g) = {_b_of(L)}")
-    if verify:
-        for g, d in gens:
-            if not verify_invariance(L, g):
-                raise AssertionError(f"generator of degree {d} is not invariant")
-    return basis
+    basis = HilbertBasis(L, kind, tuple(gens))
+    return _invariance_checked(basis) if verify else basis
 
 
 def custom_basis(L: LieAlgebra, polys_degrees, verify: bool = True) -> HilbertBasis:
     basis = HilbertBasis(L, "custom", tuple((p, d) for p, d in polys_degrees))
-    if verify:
-        for g, d in basis.generators:
-            if not verify_invariance(L, g):
-                raise AssertionError(f"custom generator of degree {d} is not invariant")
+    return _invariance_checked(basis) if verify else basis
+
+
+def _invariance_checked(basis: HilbertBasis) -> HilbertBasis:
+    for g, d in basis.generators:
+        if not verify_invariance(basis.algebra, g):
+            raise AssertionError(f"{basis.kind} generator of degree {d} is not invariant")
     return basis
 
 
@@ -426,6 +421,13 @@ def ggs_check(D: Decomposition, B: HilbertBasis, side: str = "h",
     dim_m = D.dim_r if side == "h" else D.dim_h
     verdict = sum_m == dim_m
     if sum_m < dim_m:
+        # the inequality needs ind(h x m^ab) = ind q; an input that breaks it is no bug
+        ind_c, ind_q = (index_estimate(A, trials=trials, seed=seed).claimed_index
+                        for A in (contract(D, f"keep_{side}"), D.algebra))
+        if ind_c > ind_q:
+            raise ValueError(f"sum of complement degrees {sum_m} < dim m = {dim_m} because the "
+                             f"hypothesis ind({side} x m^ab) = ind q fails: the keep_{side} "
+                             f"contraction has sampled index {ind_c}, {D.algebra.kind} has {ind_q}")
         raise AssertionError(
             f"sum of complement degrees {sum_m} < dim m = {dim_m}: violates a theorem"
         )
@@ -531,31 +533,17 @@ def double_shift_basis(B: HilbertBasis, side: str = "h") -> HilbertBasis:
     base = L.base_algebra
     if base is None or not L.kind.startswith("double["):
         raise ValueError("double shifts need a basis over a double builder algebra")
-    ell = L.dim - base.dim
+    if side not in ("h", "r"):
+        raise ValueError("side must be 'h' or 'r'")
     cartan = base.triangular.cartan
     n = L.dim
-    images = []
-    for i in range(n):
-        if i in cartan:
-            pos = cartan.index(i)
-            images.append(Polynomial.variable(n, base.dim + pos))
-        elif i >= base.dim:
-            images.append(Polynomial.variable(n, i))
-        else:
-            images.append(Polynomial.zero(n))
+    images = [Polynomial.variable(n, base.dim + cartan.index(i)) if i in cartan
+              else Polynomial.variable(n, i) if i >= base.dim else Polynomial.zero(n)
+              for i in range(n)]
     gens = []
     for F, d in B.generators:
-        if d == 1:
-            gens.append((F, d))
-            continue
-        fbar = F.map_vars(images, n)
-        if side == "h":
-            gens.append((F - fbar, d))
-        elif side == "r":
-            sign = 1 if d % 2 == 0 else -1
-            gens.append((F - sign * fbar, d))
-        else:
-            raise ValueError("side must be 'h' or 'r'")
+        sign = -1 if side == "r" and d % 2 else 1
+        gens.append((F if d == 1 else F - sign * F.map_vars(images, n), d))
     return HilbertBasis(L, f"double_shift[{side}]", tuple(gens))
 
 

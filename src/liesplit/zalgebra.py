@@ -62,6 +62,14 @@ class CaseParameterError(ValueError):
     """A case study rejects its parameters (a size, a diagonal, a case name)."""
 
 
+def _size(params, case: str, least: int, why: str) -> int:
+    """The size parameter ``n``, by default ``least``; below it a :class:`CaseParameterError`."""
+    n = int(params.get("n", least))
+    if n < least:
+        raise CaseParameterError(f"{case} needs n >= {least} ({why})")
+    return n
+
+
 @dataclass
 class ZGeneratorSet:
     splitting: Splitting
@@ -327,21 +335,25 @@ def _restrictions(S: Splitting, B: HilbertBasis, names, labels=None) -> dict:
     return {lab: restrict_to_t0(S, F).to_string(names) for lab, (F, _) in zip(labels, B.generators)}
 
 
-def _weyl_route(type_label, rank, arrows, dmax, lap=lambda label: None):
-    """Root system -> Weyl group -> Satake t0 -> W0 -> restriction table.
+def _satake(type_label, rank, arrows):
+    """The root system and the Satake subspace t0 of the diagram with these arrows."""
+    rs = build_root_system(type_label, rank)
+    return rs, satake_subspaces(rs, SatakeDiagram(tuple(arrows)))[0]
+
+
+def _weyl_route(rs, t0, dmax, lap=lambda label: None):
+    """Weyl group -> W0 -> restriction table for a root system and its Satake t0.
 
     ``lap`` is called after the enumeration, the W0 computation and the
     restriction check, with the labels of those three steps.
     """
-    rs = build_root_system(type_label, rank)
     W = enumerate_weyl(rs)
     lap("enumerate")
-    t0, _ = satake_subspaces(rs, SatakeDiagram(tuple(arrows)))
     rep = w0_compute(W, t0)
     lap("w0")
     rc = restriction_check(W, t0, rep, dmax=dmax)
     lap("restriction")
-    return rs, W, t0, rep, rc
+    return W, rep, rc
 
 
 def _toral_variable_polys(S: Splitting, indices):
@@ -381,7 +393,7 @@ def _middle_components_nonzero(S: Splitting, B: HilbertBasis) -> bool:
 
 
 def _case_borel(params, seed, trials, dmax):
-    n = int(params.get("n", 2))
+    n = _size(params, "borel", 2, "g = sl(n)")
     timer = _Timer()
     g = build_sl(n)
     S, B = _build(g, _vectors(g.dim, ({i: 1} for i in g.triangular.cartan)), None,
@@ -418,7 +430,7 @@ def _case_borel(params, seed, trials, dmax):
 
 
 def _case_horo(params, seed, trials, dmax):
-    n = int(params.get("n", 2))
+    n = _size(params, "horo", 2, "g = sl(n)")
     t1_spec = params.get("t1", "full")
     timer = _Timer()
     g = build_sl(n)
@@ -452,7 +464,7 @@ def _case_horo(params, seed, trials, dmax):
 
 
 def _case_double(params, seed, trials, dmax):
-    n = int(params.get("n", 1))  # A_n, so g = sl(n+1)
+    n = _size(params, "double", 1, "A_n, so g = sl(n+1)")
     timer = _Timer()
     g = build_sl(n + 1)
     gd = build_double(g)
@@ -519,9 +531,7 @@ def _case_double(params, seed, trials, dmax):
 
 
 def _case_sl2n(params, seed, trials, dmax):
-    n = int(params.get("n", 2))
-    if n < 2:
-        raise CaseParameterError("sl2n needs n >= 2 (smaller n has no arrows)")
+    n = _size(params, "sl2n", 2, "smaller n has no arrows")
     timer = _Timer()
     N = 2 * n
     g = build_sl(N)
@@ -545,7 +555,7 @@ def _case_sl2n(params, seed, trials, dmax):
     td = jacobian_rank(Z.polys, trials=max(5, trials), seed=seed)
     timer.lap("z_algebra")
 
-    *_, rc = _weyl_route("A", N - 1, [(i, N - i) for i in range(1, n)], dmax)
+    *_, rc = _weyl_route(*_satake("A", N - 1, [(i, N - i) for i in range(1, n)]), dmax)
     timer.lap("weyl")
 
     sph, props = _suites(S, B, seed, trials)
@@ -584,7 +594,7 @@ def _case_sl2n(params, seed, trials, dmax):
 
 
 def _case_sl2n1(params, seed, trials, dmax):
-    n = int(params.get("n", 1))
+    n = _size(params, "sl2n1", 1, "g = sl(2n+1)")
     timer = _Timer()
     N = 2 * n + 1
     g = build_sl(N)
@@ -603,7 +613,7 @@ def _case_sl2n1(params, seed, trials, dmax):
         elimination_infeasible = True
     timer.lap("elimination")
 
-    *_, rc = _weyl_route("A", N - 1, [(i, N - i) for i in range(1, n + 1)], dmax)
+    *_, rc = _weyl_route(*_satake("A", N - 1, [(i, N - i) for i in range(1, n + 1)]), dmax)
     timer.lap("weyl")
 
     sph, props = _suites(S, B, seed, trials)
@@ -631,9 +641,7 @@ def _case_sl2n1(params, seed, trials, dmax):
 
 
 def _case_so2n(params, seed, trials, dmax):
-    n = int(params.get("n", 4))
-    if n < 4:
-        raise CaseParameterError("so2n needs n >= 4 (smaller n reduces to earlier cases)")
+    n = _size(params, "so2n", 4, "smaller n reduces to earlier cases")
     if n != 4:
         raise CaseParameterError("desk scale: the so(2n) case study is built for n = 4")
     timer = _Timer()
@@ -659,7 +667,7 @@ def _case_so2n(params, seed, trials, dmax):
     suite = commutativity_suite(small, max_pairs=24, seed=seed)
     timer.lap("z_algebra")
 
-    *_, rc = _weyl_route("D", n, [(n - 1, n)], dmax)
+    *_, rc = _weyl_route(*_satake("D", n, [(n - 1, n)]), dmax)
     timer.lap("weyl")
 
     sph, props = _suites(S, B, seed, trials, n_pairs=4, pair_budget=120_000)
@@ -699,7 +707,8 @@ def _case_so2n(params, seed, trials, dmax):
 
 def _case_e6_weyl(params, seed, trials, dmax):
     timer = _Timer()
-    _, W, t0, rep, rc = _weyl_route("E6", None, ((1, 5), (2, 4)), dmax, timer.lap)
+    rs, t0 = _satake("E6", None, ((1, 5), (2, 4)))
+    W, rep, rc = _weyl_route(rs, t0, dmax, timer.lap)
     s3_stats = rep.element_orders == {1: 1, 2: 3, 3: 2}
     verdicts = {
         "weyl_order": W.order == 51840,
@@ -721,7 +730,7 @@ def _case_e6_weyl(params, seed, trials, dmax):
 
 
 def _case_aks(params, seed, trials, dmax):
-    n = int(params.get("n", 2))
+    n = _size(params, "aks", 2, "g = sl(n)")
     timer = _Timer()
     g = build_sl(n)
     S = make_splitting(g, tuple(g.triangular.plus) + tuple(g.triangular.cartan))

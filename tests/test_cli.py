@@ -121,12 +121,42 @@ def test_case_keeps_library_errors(monkeypatch):
     (["check-ggs", "--algebra", "gl:4", "--h", "glblocks:1,"], "cannot parse --h 'glblocks:1,'"),
     (["weyl-w0", "--type", "A", "--rank", "3", "--arrows", "1-3"], "cannot parse --arrows '1-3'"),
     (["weyl-w0", "--type", "A", "--arrows", "1:3"], "--type A needs --rank"),
+    (["index", "--algebra", "sl:1"], "--algebra 'sl:1': sl(n) needs n >= 2"),
+    (["index", "--algebra", "so:7"], "--algebra 'so:7': only so(2n) is supported"),
+    (["index", "--algebra", "sl:3", "--trials", "0"], "index --trials 0: trials >= 1 required"),
+    (["weyl-w0", "--type", "A", "--rank", "2", "--arrows", "1:1"],
+     "--type A --rank 2 --arrows '1:1': an arrow must join two distinct nodes"),
+    (["weyl-w0", "--type", "A", "--rank", "2", "--arrows", "1:9"],
+     "--type A --rank 2 --arrows '1:9': arrow (1,9) outside the diagram"),
+    (["weyl-w0", "--type", "D", "--rank", "2", "--arrows", "1:2"],
+     "--type D --rank 2 --arrows '1:2': D_n needs n >= 3"),
+    (["check-ggs", "--algebra", "sl:3", "--h", "indices:0,99"],
+     "--h 'indices:0,99': h and r must partition the basis"),
+    (["check-ggs", "--algebra", "sl:3", "--h", "indices:0,1"],
+     "--h 'indices:0,1' --side h: sum of complement degrees 5 < dim m = 6 because the "
+     "hypothesis ind(h x m^ab) = ind q fails"),
+    (["check-ggs", "--algebra", "sl:3", "--h", "borel", "--basis", "so_minors_pfaffian"],
+     "--basis so_minors_pfaffian: so_minors_pfaffian needs the so(2n) builder"),
+    (["case", "borel", "--n", "1"], "case borel: borel needs n >= 2"),
+    (["case", "horo", "--n", "1"], "case horo: horo needs n >= 2"),
+    (["case", "aks", "--n", "1"], "case aks: aks needs n >= 2"),
+    (["case", "double", "--n", "0"], "case double: double needs n >= 1"),
 ])
 def test_malformed_input_exits_with_one_line_naming_it(argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
     assert message in exc.value.code
+
+
+def test_malformed_constants_file_exits_with_one_line_naming_the_entry(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": 2, "basis_names": ["a", "b"], "brackets": [[0, 1, [1]]]}',
+                    encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["index", "--algebra", str(path)])
+    assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+    assert f"--algebra {str(path)!r}: bracket [0, 1]: entry 1 must be" in exc.value.code
 
 
 def test_weyl_w0_has_no_cap_option(capsys):

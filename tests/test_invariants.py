@@ -7,9 +7,11 @@ from liesplit.invariants import (
     EliminationInfeasible,
     aks_restrict,
     bidecompose,
+    _power_sums,
     charpoly_coefficients,
     custom_basis,
     double_shift_basis,
+    dual_matrix,
     eliminate_on_subspace,
     ggs_check,
     hilbert_basis,
@@ -74,6 +76,60 @@ def test_sl2_charpoly_is_the_casimir():
 def test_gl3_trace_powers():
     B = hilbert_basis(build_gl(3), "trace_powers")
     assert B.degrees == [1, 2, 3]
+
+
+def _matrix_power_traces(L):
+    """The nonzero (tr Y^k, k) by repeated products of the polynomial matrix Y: the
+    reference for the Newton's-identities route of ``hilbert_basis``."""
+    Y = dual_matrix(L)
+    size = L.matrix_size
+    zero = Polynomial.zero(L.dim)
+    current, out = Y, []
+    for k in range(1, size + 1):
+        tr = sum((current[i][i] for i in range(size)), zero)
+        if tr.terms:
+            out.append((tr, k))
+        if k < size:
+            current = [[sum((current[i][t] * Y[t][j] for t in range(size)), zero)
+                        for j in range(size)] for i in range(size)]
+    return out
+
+
+def _traceless_diagonals(L, diags):
+    """sl-basis coordinates of traceless diagonal matrices, as the case studies build them."""
+    out = []
+    for diag in diags:
+        v = [0] * L.dim
+        for k, i in enumerate(L.triangular.cartan):
+            v[i] = sum(diag[: k + 1])
+        out.append(v)
+    return out
+
+
+def test_trace_powers_equal_matrix_power_traces():
+    # the adapted sl_4 of case sl2n --n 2 and sl_5 of case sl2n1 --n 2
+    sl4 = _sl4_splitting()[1].algebra
+    g = build_sl(5)
+    sl5 = horospherical_splitting(
+        g, _traceless_diagonals(g, ([0, 1, 0, -1, 0], [1, 0, 0, 0, -1])),
+        t0_basis=_traceless_diagonals(g, ([1, 0, -2, 0, 1], [0, 1, -2, 1, 0]))).algebra
+    for L in (sl4, sl5):
+        Y = dual_matrix(L)
+        assert any(type(c) is not int for row in Y for e in row for c in e.terms.values())
+    for L in (build_gl(3), build_sl(3), sl4, sl5):
+        B = hilbert_basis(L, "trace_powers")
+        want = _matrix_power_traces(L)
+        assert B.degrees == [k for _, k in want], L.kind
+        assert all(_same_terms(F, G) for F, (G, _) in zip(B.polys, want)), L.kind
+    # on so(4) the odd traces vanish and p2, p4 (degree sum 6 != b = 4) are no
+    # Hilbert basis, so the builder rejects the kind; the power sums still agree
+    so4 = build_so_even(2)
+    with pytest.raises(AssertionError, match="sum of degrees 6 != b"):
+        hilbert_basis(so4, "trace_powers")
+    newton = [(p, k) for k, p in _power_sums(charpoly_coefficients(so4)).items() if p.terms]
+    want = _matrix_power_traces(so4)
+    assert [k for _, k in newton] == [k for _, k in want] == [2, 4]
+    assert all(_same_terms(F, G) for (F, _), (G, _) in zip(newton, want))
 
 
 def test_so8_minors_and_pfaffian():
@@ -270,6 +326,21 @@ def test_ggs_jacobian_consistency_across_cases():
     assert rep.consistent  # jacobian rank < rank exactly when verdict fails
 
 
+def test_ggs_check_names_a_failed_index_hypothesis():
+    g = build_sl(3)
+    B = hilbert_basis(g, "charpoly")
+    D = make_decomposition(g, (0, 1))  # h = <E12, E13>: h x m^ab has index 4, sl(3) has 2
+    with pytest.raises(ValueError, match=r"5 < dim m = 6 because the hypothesis "
+                                         r"ind\(h x m\^ab\) = ind q fails: .* index 4, sl\(3\) has 2"):
+        ggs_check(D, B)
+    # where the indices agree, a short degree sum still breaks the theorem
+    S = make_splitting(g, g.triangular.plus + g.triangular.cartan)
+    planted = custom_basis(g, [(Polynomial.variable(g.dim, g.triangular.cartan[0]), 1)],
+                           verify=False)
+    with pytest.raises(AssertionError, match="0 < dim m = 3: violates a theorem"):
+        ggs_check(S, planted)
+
+
 # -- elimination -----------------------------------------------------------
 
 
@@ -414,22 +485,13 @@ def _same_terms(F, G):
 def test_basis_on_adapted_algebra_equals_transported_basis():
     sl3, sl4, so8 = build_sl(3), build_sl(4), build_so_even(4)
 
-    def toral(L, diags):  # sl-basis Cartan coordinates of traceless diagonals
-        out = []
-        for diag in diags:
-            v = [0] * L.dim
-            for k, i in enumerate(L.triangular.cartan):
-                v[i] = sum(diag[: k + 1])
-            out.append(v)
-        return out
-
     def units(L, idx):
         return [[int(t == i) for t in range(L.dim)] for i in idx]
 
     cases = (
         (sl3, "charpoly", units(sl3, sl3.triangular.cartan), None),
-        (sl4, "trace_powers", toral(sl4, ([1, 0, 0, -1], [0, 1, -1, 0])),
-         toral(sl4, ([1, -1, -1, 1],))),
+        (sl4, "trace_powers", _traceless_diagonals(sl4, ([1, 0, 0, -1], [0, 1, -1, 0])),
+         _traceless_diagonals(sl4, ([1, -1, -1, 1],))),
         (so8, "so_minors_pfaffian", units(so8, so8.triangular.cartan[:3]),
          units(so8, so8.triangular.cartan[3:])),
     )

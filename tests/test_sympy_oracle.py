@@ -2,8 +2,10 @@
 
 ``charpoly_coefficients``, ``poly_det`` and ``poly_pfaffian`` expand
 polynomial matrices by memoized first-row recursion over packed
-polynomials; sympy expands the same symbolic matrices with its own
-algorithms (Berkowitz characteristic polynomial, symbolic determinant).
+polynomials, and the power traces follow from the characteristic
+coefficients by Newton's identities; sympy expands the same symbolic
+matrices with its own algorithms (Berkowitz characteristic polynomial,
+symbolic determinant, matrix powers).
 """
 
 from fractions import Fraction
@@ -13,8 +15,10 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from liesplit.invariants import (  # noqa: E402
+    _power_sums,
     charpoly_coefficients,
     dual_matrix,
+    hilbert_basis,
     poly_det,
     poly_pfaffian,
 )
@@ -83,3 +87,13 @@ def test_so4_pfaffian_squares_to_sympy_det():
     pf = poly_pfaffian(K)
     assert not pf.is_zero()
     assert terms_of(pf * pf) == sympy_terms(Ks.det(), xs)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_power_traces_match_sympy(name):
+    L, xs, _, Ys = dual_matrices(name)
+    want = {k: sympy_terms((Ys**k).trace(), xs) for k in range(1, L.matrix_size + 1)}
+    assert {k: terms_of(p) for k, p in _power_sums(charpoly_coefficients(L)).items()} == want
+    if name != "so4":  # the so(2n) power traces are no Hilbert basis; hilbert_basis rejects them
+        B = hilbert_basis(L, "trace_powers")
+        assert [(terms_of(F), d) for F, d in B.generators] == [(want[k], k) for k in want if want[k]]
