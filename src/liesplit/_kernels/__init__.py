@@ -1,4 +1,4 @@
-"""The term kernels, in pure Python (see ``pure``)."""
+"""The int-only term kernels, in pure Python (see ``pure``)."""
 
 from __future__ import annotations
 

@@ -1,15 +1,15 @@
-"""Term kernels: the hot loops of polynomial arithmetic.
+"""Term kernels: the hot loops of polynomial arithmetic, on integers only.
 
-Terms are dicts mapping packed exponent keys to nonzero exact
-coefficients.  A key packs an exponent vector into one int, 8 bits per
-variable, variable 0 in the most significant byte, over a fixed width of
-``nvars`` bytes: a monomial product is one integer addition and integer
-order equals the order of the exponent bytes.  Coefficients follow
-:func:`liesplit.rationals.exact` (int when integral, ``Fraction``
-otherwise), and every kernel returns them in that form.  ``axpy_terms``
-accepts any hashable keys.  A term product whose exponent of some variable
-would exceed 255 raises ``OverflowError``; it never carries into the next
-variable.
+Terms are dicts mapping packed exponent keys to nonzero ``int``
+coefficients.  A polynomial keeps its one denominator beside its terms
+(``liesplit.poly``), so the kernels never see a ``Fraction``: a caller
+scales by a denominator before a kernel call and normalises once after.
+A key packs an exponent vector into one int, 8 bits per variable,
+variable 0 in the most significant byte, over a fixed width of ``nvars``
+bytes: a monomial product is one integer addition and integer order
+equals the order of the exponent bytes.  A term product whose exponent of
+some variable would exceed 255 raises ``OverflowError``; it never carries
+into the next variable.
 
 Square integer matrices for reflection-group work are encoded as
 ``bytes`` of two's-complement int8 entries, row major; a product entry
@@ -21,25 +21,12 @@ from __future__ import annotations
 from functools import reduce
 from operator import or_
 
-from ..rationals import QQ, common_denominator, exact
-
 COMPILED = False
 
 
 def _slots(nvars: int, byte: int) -> int:
     """``byte`` repeated in each of the ``nvars`` exponent slots."""
     return int.from_bytes(bytes((byte,)) * nvars, "big")
-
-
-def _ints(t: dict) -> bool:
-    return set(map(type, t.values())) <= {int}
-
-
-def _cleared(t: dict, scale=1):
-    """(d, u) with scale * t == u / d, where u has int coefficients."""
-    m = common_denominator(t.values())
-    s = scale.numerator
-    return scale.denominator * m, {e: s * c.numerator * (m // c.denominator) for e, c in t.items()}
 
 
 def mul_terms(a: dict, b: dict, nvars: int) -> dict:
@@ -55,59 +42,35 @@ def mul_terms(a: dict, b: dict, nvars: int) -> dict:
                 if (ea ^ eb ^ (ea + eb)) & carries:
                     raise OverflowError("exponent sum exceeds 255, the largest exponent "
                                         "a packed exponent byte holds")
-    d = 1
-    if not (_ints(a) and _ints(b)):
-        # clear denominators so the loop below multiplies ints, not Fractions
-        da, a = _cleared(a)
-        db, b = _cleared(b)
-        d = da * db
     items = b.items()
     if len(a) == 1:  # one term (most calls from brackets): no two products share a key
         (ea, ca), = a.items()
-        out = {ea + eb: ca * cb for eb, cb in items}
-    else:
-        out = {}
-        get = out.get
-        for ea, ca in a.items():
-            for eb, cb in items:
-                e = ea + eb
-                out[e] = get(e, 0) + ca * cb
-        for e in [e for e, c in out.items() if not c]:  # in place: no second copy of out
-            del out[e]
-    if d != 1:
-        for e, c in out.items():
-            out[e] = exact(QQ(c, d))
+        return {ea + eb: ca * cb for eb, cb in items}
+    out = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in items:
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
+    for e in [e for e, c in out.items() if not c]:  # in place: no second copy of out
+        del out[e]
     return out
 
 
-def axpy_terms(acc: dict, src: dict, coeff) -> None:
-    """In place: acc += coeff * src.  ``coeff`` may be any exact scalar."""
+def axpy_terms(acc: dict, src: dict, coeff: int) -> None:
+    """In place: acc += coeff * src."""
     if not coeff:
         return
-    coeff = exact(coeff)
-    if type(coeff) is int and _ints(src):
-        for e, c in src.items():
-            v = acc.get(e)
-            if v is None:
-                acc[e] = coeff * c
-            else:
-                v = v + coeff * c  # int + int, or a non-integral Fraction + int
-                if v:
-                    acc[e] = v
-                else:
-                    del acc[e]
-        return
-    d, src = _cleared(src, coeff)  # in ints: coeff * src == src / d from here on
     for e, c in src.items():
         v = acc.get(e)
-        if v is not None:
-            c = v.numerator * d + v.denominator * c  # v + c/d == c' / (den(v) d)
-            if not c:
-                del acc[e]
-                continue
-            acc[e] = exact(QQ(c, v.denominator * d))
+        if v is None:
+            acc[e] = coeff * c
         else:
-            acc[e] = exact(QQ(c, d))
+            v += coeff * c
+            if v:
+                acc[e] = v
+            else:
+                del acc[e]
 
 
 def diff_terms(t: dict, var: int, nvars: int) -> dict:
@@ -118,8 +81,6 @@ def diff_terms(t: dict, var: int, nvars: int) -> dict:
         k = (e >> shift) & 0xFF
         if k:
             out[e - unit] = c * k
-    if not _ints(out):
-        return {e: exact(c) for e, c in out.items()}
     return out
 
 

@@ -89,9 +89,23 @@ def _t1_arg(text: str):
             f"{text!r} is not 'full', 'zero' or a comma list of integers") from None
 
 
+def _json(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=1, default=str)``, byte for byte.  Indenting sends
+    ``json.dumps`` through the pure-Python encoder, whose closures leave a reference
+    cycle per call; here only scalars and empty containers reach ``json.dumps``."""
+    if not (isinstance(obj, (dict, list, tuple)) and obj):
+        return json.dumps(obj, default=str)
+    pad = "\n" + " " * (depth + 1)
+    if isinstance(obj, dict):
+        items = (json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " + _json(v, depth + 1)
+                 for k, v in obj.items())
+        return "{" + pad + ("," + pad).join(items) + "\n" + " " * depth + "}"
+    return "[" + pad + ("," + pad).join(_json(v, depth + 1) for v in obj) + "\n" + " " * depth + "]"
+
+
 def _emit(doc: dict, fmt: str):
     if fmt == "json":
-        print(json.dumps(doc, indent=1, default=str))
+        print(_json(doc))
     else:
         _markdown(doc)
 

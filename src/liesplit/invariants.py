@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .liealg import LieAlgebra, sub_algebra
 from .linalg import Matrix, inverse, rank, solve
 from .poisson import hamiltonian_field, index_estimate, poisson_bracket
-from .poly import Polynomial, _exponents
+from .poly import Polynomial
 from .splitting import Decomposition, Splitting, contract
 
 
@@ -184,16 +184,19 @@ def hilbert_basis(L: LieAlgebra, kind: str, verify: bool = True) -> HilbertBasis
     come from them by Newton's identities.  A ready list of
     (Polynomial, degree) pairs goes through :func:`custom_basis`.
     """
+    root = L
+    while root.base_change is not None:  # an adapted rebuild keeps the realization
+        root = root.base_algebra
     if kind in ("charpoly", "trace_powers"):
+        if root.kind.startswith("so("):
+            raise ValueError(f"{kind} is no Hilbert basis of {L.kind}: the so(2n) invariants "
+                             "need the Pfaffian of degree n; use so_minors_pfaffian")
         coeffs = charpoly_coefficients(L)
         if kind == "trace_powers":
             coeffs = _power_sums(coeffs)
         # identically-zero generators (the trace on sl) are dropped
         gens = [(coeffs[k], k) for k in range(1, L.matrix_size + 1) if coeffs[k].terms]
     elif kind == "so_minors_pfaffian":
-        root = L
-        while root.base_change is not None:  # an adapted rebuild keeps the realization
-            root = root.base_algebra
         if not root.kind.startswith("so("):
             raise ValueError("so_minors_pfaffian needs the so(2n) builder")
         size = L.matrix_size
@@ -325,13 +328,7 @@ def bidecompose(D: Decomposition, F: Polynomial) -> BiDecomposition:
     if not F.is_homogeneous():
         raise ValueError("bidecompose needs a homogeneous polynomial")
     d = F.degree()
-    groups: dict[int, dict] = {}
-    for e, c in F.terms.items():
-        groups.setdefault(D.h_degree_of_exponent(_exponents(e, F.nvars)), {})[e] = c
-    comps = [
-        BiComponent(Polynomial(F.nvars, t, _clean=True), (i, d - i))
-        for i, t in sorted(groups.items())
-    ]
+    comps = [BiComponent(p, (i, d - i)) for i, p in F.split(D.h_degree_of_exponent).items()]
     return BiDecomposition(comps, comps[0].poly, comps[-1].poly)
 
 
@@ -502,8 +499,8 @@ def eliminate_on_subspace(B: HilbertBasis, S: Splitting, keep) -> HilbertBasis:
         monos = sorted({e for p in prods for e in p.terms} | set(target.terms))
         if not monos and target.is_zero():
             continue
-        A = Matrix([[p.terms.get(e, 0) for p in prods] for e in monos])
-        b = [target.terms.get(e, 0) for e in monos]
+        A = Matrix([[p.coeff(e) for p in prods] for e in monos])
+        b = [target.coeff(e) for e in monos]
         lam = solve(A, b) if prods else (None if not target.is_zero() else ())
         if lam is None:
             raise EliminationInfeasible(

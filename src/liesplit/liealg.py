@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from . import _kernels as K
 from .linalg import Matrix, inverse, rank_and_nullspace
-from .rationals import QQ, exact, scalar
+from .poly import _unit
+from .rationals import QQ, combine, common_denominator, exact, scalar
 
 
 class JacobiError(ValueError):
@@ -106,7 +106,7 @@ class LieAlgebra:
         """Bracket of two coordinate vectors, as a sparse dict."""
         ui = [(i, c) for i, c in enumerate(map(scalar, u)) if c]
         vj = [(j, c) for j, c in enumerate(map(scalar, v)) if c]
-        return _combine({}, ((self.bracket_pair(i, j), a * b) for i, a in ui for j, b in vj))
+        return combine({}, ((self.bracket_pair(i, j), a * b) for i, a in ui for j, b in vj))
 
     @cached_property
     def generating_set(self) -> tuple:
@@ -118,6 +118,20 @@ class LieAlgebra:
                            for c in range(self.dim)), key=lambda t: len(t[1][1]))
             chosen += (c,)
         return chosen
+
+    @cached_property
+    def poisson_columns(self) -> tuple:
+        """(D, columns): D is the least positive int making every structure constant
+        integral, and columns[j] lists the (i, lin, sign) with D pi_ij = sign * lin for
+        the Lie-Poisson tensor pi_ij = sum_k c_ij^k x_k, where lin holds the int terms of
+        D sum_k c_ab^k x_k for the stored pair (a, b) = (i, j) or (j, i)."""
+        D = common_denominator(c for entries in self.constants.values() for _, c in entries)
+        columns = [[] for _ in range(self.dim)]
+        for (i, j), entries in self.constants.items():
+            lin = {_unit(self.dim, k): c.numerator * (D // c.denominator) for k, c in entries}
+            columns[j].append((i, lin, 1))
+            columns[i].append((j, lin, -1))
+        return D, columns
 
     def center(self):
         """Basis of the centre, as coordinate vectors."""
@@ -145,24 +159,17 @@ def _closure(constants, memo, pivots, gens, v):
     while queue:
         v = queue.pop()
         while v and (p := min(v)) in pivots:
-            v = _combine(dict(v), [(pivots[p], -v[p])])
+            v = combine(dict(v), [(pivots[p], -v[p])])
         if v:
             key = tuple(sorted(v.items()))
             for g in gens:
                 if (key, g) not in memo:
-                    memo[key, g] = _combine({}, ((_pair(constants, i, j), a * b)
+                    memo[key, g] = combine({}, ((_pair(constants, i, j), a * b)
                                                  for i, a in key for j, b in g))
                 queue.append(memo[key, g])
             gens.append(key)
             pivots[min(v)] = {k: exact(c / QQ(v[min(v)])) for k, c in v.items()}
     return pivots, gens
-
-
-def _combine(out, pieces):
-    """``out`` plus sum c * src over the (sparse src, scalar c) ``pieces``, in place."""
-    for src, c in pieces:
-        K.axpy_terms(out, src, c)
-    return out
 
 
 def jacobi_report(dim, constants) -> JacobiReport:
@@ -175,8 +182,7 @@ def jacobi_report(dim, constants) -> JacobiReport:
                 # [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j]
                 for idx, inner in ((k, cij), (i, _pair(constants, j, k)),
                                    (j, _pair(constants, k, i))):
-                    for m, c in inner.items():
-                        K.axpy_terms(acc, _pair(constants, m, idx), c)
+                    combine(acc, ((_pair(constants, m, idx), c) for m, c in inner.items()))
                 if acc:
                     return JacobiReport(False, (i, j, k))
     return JacobiReport(True, None)
@@ -197,17 +203,15 @@ def check_jacobi(arg) -> JacobiReport:
 
 def _smul(a: dict, b: dict) -> dict:
     """Sparse product of matrices given as {(r, c): coeff}."""
-    out = {}
     bysrc: dict[int, list] = {}
     for (r, c), v in b.items():
         bysrc.setdefault(r, []).append((c, v))
-    for (r, c), v in a.items():
-        K.axpy_terms(out, {(r, c2): v2 for c2, v2 in bysrc.get(c, ())}, v)
-    return out
+    return combine({}, (({(r, c2): v2 for c2, v2 in bysrc.get(c, ())}, v)
+                        for (r, c), v in a.items()))
 
 
 def _scomm(a: dict, b: dict) -> dict:
-    return _combine(_smul(a, b), [(_smul(b, a), -1)])
+    return combine(_smul(a, b), [(_smul(b, a), -1)])
 
 
 def _strace_product(a: dict, b: dict):
@@ -501,7 +505,7 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
     for a in range(L.dim):
         for b in range(a + 1, L.dim):
             images[a, b] = L.bracket_vec(new_vectors[a], new_vectors[b])
-            coeffs = _combine({}, ((columns[k], c) for k, c in images[a, b].items()))
+            coeffs = combine({}, ((columns[k], c) for k, c in images[a, b].items()))
             if coeffs:
                 constants[(a, b)] = tuple(sorted(coeffs.items()))
     gram = None
@@ -509,14 +513,14 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
         gram = P.transpose() * L.gram * P
     realization = None
     if L.realization is not None and all(m is not None for m in L.realization):
-        realization = [_combine({}, zip(L.realization, vec)) for vec in new_vectors]
+        realization = [combine({}, zip(L.realization, vec)) for vec in new_vectors]
     new = LieAlgebra(new_names, constants, rank=L.rank, realization=realization,
                      matrix_size=L.matrix_size, gram=gram, kind=kind or f"adapted[{L.kind}]",
                      base_algebra=L, base_change=P, check=False)
     # P c'_ab = [P e_a, P e_b] for all a < b: P is an isomorphism onto L, so Jacobi holds
     sparse = [{r: c for r, c in enumerate(v) if c} for v in new_vectors]
     for (a, b), image in images.items():
-        if _combine({}, ((sparse[k], c) for k, c in new.bracket_pair(a, b).items())) != image:
+        if combine({}, ((sparse[k], c) for k, c in new.bracket_pair(a, b).items())) != image:
             raise ValueError(f"basis change breaks the bracket [{new_names[a]}, {new_names[b]}]")
     return new
 

@@ -14,11 +14,29 @@ from dataclasses import dataclass, field
 from . import _kernels as K
 from .liealg import LieAlgebra, escaping_bracket
 from .linalg import Matrix, rank, rank_and_nullspace, solve
-from .poly import Polynomial, _unit
+from .poly import Polynomial
 from .rationals import QQ, qq_str, scalar
 from .splitting import BracketParameter, Decomposition, Splitting, contract, pencil_member
 
 DEFAULT_BOUND = 10**6
+
+
+def _field_terms(L: LieAlgebra, F: Polynomial, targets):
+    """Yield (j, int terms of D_L den_F {F, x_j}) for j in ``targets``, D_L from
+    ``LieAlgebra.poisson_columns``; F's derivatives are taken once, along the x_i used."""
+    if F.nvars != L.dim:
+        raise ValueError("polynomials must live on the algebra's coordinates")
+    n = L.dim
+    columns = L.poisson_columns[1]
+    targets = dict.fromkeys(targets)
+    used = {i for j in targets for i, _, _ in columns[j]}
+    dF = {i: d for i in used if (d := K.diff_terms(F.terms, i, n))}
+    for j in targets:
+        V = {}
+        for i, lin, sign in columns[j]:
+            if i in dF:
+                K.axpy_terms(V, K.mul_terms(dF[i], lin, n), sign)
+        yield j, V
 
 
 def hamiltonian_field(L: LieAlgebra, F: Polynomial, targets=None):
@@ -27,38 +45,23 @@ def hamiltonian_field(L: LieAlgebra, F: Polynomial, targets=None):
     Runs over ``targets`` (every coordinate by default), differentiating F only along the
     x_i they use; by Jacobi, F is invariant when V_j = 0 on ``LieAlgebra.generating_set``.
     """
-    if F.nvars != L.dim:
-        raise ValueError("polynomials must live on the algebra's coordinates")
-    n = L.dim
-    columns = {j: [] for j in (range(n) if targets is None else targets)}
-    for (i, j), entries in L.constants.items():
-        lin = {_unit(n, k): c for k, c in entries}
-        # pi_ij = lin feeds V_j through dF/dx_i, pi_ji = -lin feeds V_i through dF/dx_j
-        if j in columns:
-            columns[j].append((i, lin, 1))
-        if i in columns:
-            columns[i].append((j, lin, -1))
-    used = {i for col in columns.values() for i, _, _ in col}
-    dF = {i: K.diff_terms(F.terms, i, n) for i in used}
-    for j, col in columns.items():
-        V = {}
-        for i, lin, sign in col:
-            if dF[i]:
-                K.axpy_terms(V, K.mul_terms(dF[i], lin, n), sign)
-        yield j, Polynomial(n, V, _clean=True)
+    den = L.poisson_columns[0] * F.den
+    for j, V in _field_terms(L, F, range(L.dim) if targets is None else targets):
+        yield j, Polynomial._of(L.dim, V, den)
 
 
 def poisson_bracket(L: LieAlgebra, F: Polynomial, G: Polynomial) -> Polynomial:
-    """{F, G} = sum_j {F, x_j} dG/dx_j, over the coordinates G depends on."""
+    """{F, G} = sum_j {F, x_j} dG/dx_j, over the coordinates G depends on, in integers
+    divided once by D_L den_F den_G."""
     if G.nvars != L.dim:
         raise ValueError("polynomials must live on the algebra's coordinates")
     n = L.dim
     dG = {j: d for j in range(n) if (d := K.diff_terms(G.terms, j, n))}
     acc: dict = {}
-    for j, V in hamiltonian_field(L, F, dG):
-        if V.terms:
-            K.axpy_terms(acc, K.mul_terms(V.terms, dG[j], n), 1)
-    return Polynomial(n, acc, _clean=True)
+    for j, V in _field_terms(L, F, dG):
+        if V:
+            K.axpy_terms(acc, K.mul_terms(V, dG[j], n), 1)
+    return Polynomial._of(n, acc, L.poisson_columns[0] * F.den * G.den)
 
 
 @dataclass

@@ -1,32 +1,37 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial over ``nvars`` variables stores ``terms``, a map from packed
-exponent keys to nonzero coefficients.  A key packs the exponent vector
-into one int, 8 bits per variable, variable 0 in the most significant
-byte, over a fixed width of ``nvars`` bytes, so individual exponents stay
-below 256 (a product past 255 raises ``OverflowError``), a monomial
-product is one integer addition, and integer order equals the order of the
-exponent bytes.  Outside the polynomial core (this module and
-``_kernels``), code builds and reads keys only through ``_unit`` and
-``_exponents``.  A coefficient is an ``int`` when it is integral and a
-``Fraction`` otherwise (:func:`liesplit.rationals.exact`); coefficients
-and points enter through :func:`liesplit.rationals.scalar`, which rejects
-``float``.  The public interface speaks exponent sequences and ``QQ``
-scalars: the constructor takes {exponent sequence: coefficient} maps and
-:meth:`Polynomial.items` yields (exponent bytes, ``QQ``) pairs.  Values
-are immutable by convention: every operation returns a fresh polynomial.
-The zero polynomial has an empty term map and reports its degree as
-``None``.
+A polynomial over ``nvars`` variables is int terms over one denominator,
+as in FLINT's ``fmpq_poly``: ``terms`` maps packed exponent keys to
+nonzero ``int`` coefficients and the value is terms / ``den``.  The pair
+is kept primitive (gcd(den, all coefficients) = 1, den > 0), so den = 1
+for an integral polynomial and equal polynomials have equal ``terms`` and
+``den``.  The kernels run on ints alone: a sum scales both sides to the
+lcm of the denominators, a product multiplies them, and each result is
+reduced once.  Outside the polynomial core (this module, ``_kernels`` and
+``poisson``) code reads coefficients only through :meth:`Polynomial.coeff`,
+:meth:`~Polynomial.items`, :meth:`~Polynomial.eval`,
+:meth:`~Polynomial.canonical` and :meth:`~Polynomial.to_string`, the only
+producers of rational values, and builds and reads keys only through
+``_unit`` and ``_exponents``.  A key packs the exponent vector into one
+int, 8 bits per variable, variable 0 in the most significant byte, over a
+fixed width of ``nvars`` bytes, so exponents stay below 256 (a product
+past 255 raises ``OverflowError``), a monomial product is one integer
+addition, and integer order equals the order of the exponent bytes.
+Coefficients and points enter through :func:`liesplit.rationals.scalar`,
+which rejects ``float``; the constructor takes {exponent sequence:
+coefficient} maps.  Values are immutable by convention.  The zero
+polynomial has no terms, den = 1, and degree ``None``.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Sequence
 
 from . import _kernels as K
-from .rationals import QQ, exact, qq_str, scalar
+from .rationals import QQ, clear_denominators, exact, qq_str, scalar
 
 
 def _unit(nvars: int, i: int) -> int:
@@ -49,37 +54,42 @@ def _pack(e, nvars: int) -> int:
     return int.from_bytes(e, "big")
 
 
-class Polynomial:
-    __slots__ = ("nvars", "terms")
+def _reduced(terms: dict, den: int) -> tuple:
+    """(terms, den) divided by gcd(den, content): the primitive form of terms / den."""
+    g = gcd(den, *terms.values())
+    return (terms, den) if g == 1 else ({e: c // g for e, c in terms.items()}, den // g)
 
-    def __init__(self, nvars: int, terms=None, _clean: bool = False):
+
+class Polynomial:
+    __slots__ = ("nvars", "terms", "den")
+
+    def __init__(self, nvars: int, terms=None):
+        """The polynomial of a {exponent sequence: exact scalar} map (repeated keys add up)."""
         self.nvars = nvars
-        if terms is None:
-            self.terms = {}
-        elif _clean:
-            self.terms = terms
-        else:
-            clean = {}
-            for e, c in terms.items():
-                e = _pack(e, nvars)
-                c = clean.get(e, 0) + scalar(c)
-                if c:
-                    clean[e] = exact(c)
-                else:
-                    clean.pop(e, None)
-            self.terms = clean
+        clean = {}
+        for e, c in (terms or {}).items():
+            e = _pack(e, nvars)
+            clean[e] = clean.get(e, 0) + scalar(c)
+        clean = {e: c for e, c in clean.items() if c}
+        self.den, ints = clear_denominators(clean.values())
+        self.terms = dict(zip(clean, ints))
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict, den: int = 1) -> "Polynomial":
+        """terms / den from nonzero int ``terms`` and a positive ``den``, made primitive."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms, p.den = _reduced(terms, den) if den != 1 else (terms, 1)
+        return p
 
     # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {}, _clean=True)
+        return cls._of(nvars, {})
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
-        c = scalar(c)
-        if not c:
-            return cls.zero(nvars)
-        return cls(nvars, {0: c}, _clean=True)
+        return cls.monomial(nvars, (), c)
 
     @classmethod
     def variable(cls, nvars: int, i: int, coeff=1) -> "Polynomial":
@@ -98,23 +108,24 @@ class Polynomial:
         else:
             for i, k in enumerate(exps):
                 e[i] = k
-        return cls(nvars, {int.from_bytes(e, "big"): coeff}, _clean=True)
+        return cls._of(nvars, {int.from_bytes(e, "big"): coeff.numerator}, coeff.denominator)
 
     @classmethod
     def linear_form(cls, nvars: int, coeffs: Sequence) -> "Polynomial":
-        terms = {}
-        for i, c in enumerate(coeffs):
-            c = scalar(c)
-            if c:
-                terms[_unit(nvars, i)] = c
-        return cls(nvars, terms, _clean=True)
+        d, ints = clear_denominators(scalar(c) for c in coeffs)
+        return cls._of(nvars, {_unit(nvars, i): c for i, c in enumerate(ints) if c}, d)
 
     # -- basic queries ------------------------------------------------
     def items(self):
         """Yield (exponent bytes, coefficient as ``QQ``) for every term."""
-        n = self.nvars
+        n, d = self.nvars, self.den
         for e, c in self.terms.items():
-            yield _exponents(e, n), QQ(c)
+            yield _exponents(e, n), QQ(c, d)
+
+    def coeff(self, key: int):
+        """The coefficient of the packed key ``key`` (zero when absent), under the scalar rule."""
+        c = self.terms.get(key, 0)
+        return c if self.den == 1 else exact(QQ(c, self.den))
 
     def _degrees(self):
         n = self.nvars
@@ -132,12 +143,17 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return len(set(self._degrees())) <= 1
 
+    def split(self, label) -> dict:
+        """Map ``label(exponent bytes)`` -> the part of self on those terms, in label order."""
+        n = self.nvars
+        parts: dict = {}
+        for e, c in self.terms.items():
+            parts.setdefault(label(_exponents(e, n)), {})[e] = c
+        return {k: Polynomial._of(n, t, self.den) for k, t in sorted(parts.items())}
+
     def homogeneous_components(self) -> dict:
         """Map total degree -> homogeneous part."""
-        parts: dict[int, dict] = {}
-        for d, (e, c) in zip(self._degrees(), self.terms.items()):
-            parts.setdefault(d, {})[e] = c
-        return {d: Polynomial(self.nvars, t, _clean=True) for d, t in sorted(parts.items())}
+        return self.split(sum)
 
     def support_vars(self) -> set:
         used = _exponents(reduce(or_, self.terms, 0), self.nvars)
@@ -148,26 +164,32 @@ class Polynomial:
         if self.nvars != other.nvars:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int) -> "Polynomial":
+        """self + sign * other over the least common denominator."""
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.nvars, other)
         self._check(other)
-        out = dict(self.terms)
-        K.axpy_terms(out, other.terms, 1)
-        return Polynomial(self.nvars, out, _clean=True)
+        da, db = self.den, other.den
+        if da == db:
+            out = dict(self.terms)
+        else:
+            m = lcm(da, db)
+            out = {e: c * (m // da) for e, c in self.terms.items()}
+            sign *= m // db
+            da = m
+        K.axpy_terms(out, other.terms, sign)
+        return Polynomial._of(self.nvars, out, da)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()}, _clean=True)
+        return Polynomial._of(self.nvars, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.nvars, other)
-        self._check(other)
-        out = dict(self.terms)
-        K.axpy_terms(out, other.terms, -1)
-        return Polynomial(self.nvars, out, _clean=True)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -177,7 +199,8 @@ class Polynomial:
             self._check(other)
             if not (self.terms and other.terms):
                 return Polynomial.zero(self.nvars)
-            return Polynomial(self.nvars, K.mul_terms(self.terms, other.terms, self.nvars), _clean=True)
+            return Polynomial._of(self.nvars, K.mul_terms(self.terms, other.terms, self.nvars),
+                                  self.den * other.den)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -186,7 +209,9 @@ class Polynomial:
         c = scalar(c)
         if not c:
             return Polynomial.zero(self.nvars)
-        return Polynomial(self.nvars, {e: exact(v * c) for e, v in self.terms.items()}, _clean=True)
+        num = c.numerator
+        return Polynomial._of(self.nvars, {e: v * num for e, v in self.terms.items()},
+                              self.den * c.denominator)
 
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
@@ -204,7 +229,7 @@ class Polynomial:
     def diff(self, var: int) -> "Polynomial":
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range for {self.nvars} variables")
-        return Polynomial(self.nvars, K.diff_terms(self.terms, var, self.nvars), _clean=True)
+        return Polynomial._of(self.nvars, K.diff_terms(self.terms, var, self.nvars), self.den)
 
     def eval(self, point: Sequence):
         if len(point) != self.nvars:
@@ -223,7 +248,7 @@ class Polynomial:
                         pow_cache[(i, k)] = p
                     v = v * p
             total = total + v
-        return QQ(total)
+        return QQ(total, self.den)
 
     # -- substitution -------------------------------------------------
     def map_vars(self, images: Sequence["Polynomial"], target_nvars: int) -> "Polynomial":
@@ -234,10 +259,15 @@ class Polynomial:
             if im.nvars != target_nvars:
                 raise ValueError("images must live in the target variable space")
         n = self.nvars
+        # the exponent slots of variables sent to zero: a term using one contributes nothing
+        dead = sum(0xFF * _unit(n, i) for i, im in enumerate(images) if not im.terms)
         pow_cache: dict[tuple[int, int], Polynomial] = {}
         out: dict = {}
+        den = 1  # out / den is the sum so far, without self.den
         one = Polynomial.constant(target_nvars, 1)
         for e, c in self.terms.items():
+            if e & dead:
+                continue
             piece = one
             for i, k in enumerate(_exponents(e, n)):
                 if k:
@@ -246,8 +276,12 @@ class Polynomial:
                         p = images[i] ** k
                         pow_cache[(i, k)] = p
                     piece = piece * p
-            K.axpy_terms(out, piece.terms, c)
-        return Polynomial(target_nvars, out, _clean=True)
+            if den % piece.den:
+                m = lcm(den, piece.den)
+                out = {f: v * (m // den) for f, v in out.items()}
+                den = m
+            K.axpy_terms(out, piece.terms, c * (den // piece.den))
+        return Polynomial._of(target_nvars, out, den * self.den)
 
     def substitute(self, images: dict) -> "Polynomial":
         """Substitute selected variables; unmapped variables stay themselves."""
@@ -259,7 +293,7 @@ class Polynomial:
         if offset + self.nvars > new_nvars:
             raise ValueError("lift target too small")
         shift = 8 * (new_nvars - offset - self.nvars)
-        return Polynomial(new_nvars, {e << shift: c for e, c in self.terms.items()}, _clean=True)
+        return Polynomial._of(new_nvars, {e << shift: c for e, c in self.terms.items()}, self.den)
 
     def restrict_vars(self, keep: Sequence[int]) -> "Polynomial":
         """Reindex onto the variables ``keep``; fails if other variables occur."""
@@ -274,7 +308,7 @@ class Polynomial:
                         raise ValueError(f"variable {i} occurs but is not kept")
                     e2[pos[i]] = k
             out[int.from_bytes(e2, "big")] = c
-        return Polynomial(len(keep), out, _clean=True)
+        return Polynomial._of(len(keep), out, self.den)
 
     # -- normalisation and display -------------------------------------
     def canonical(self):
@@ -286,7 +320,7 @@ class Polynomial:
         """
         if not self.terms:
             return self, QQ(1)
-        c = QQ(self.terms[max(self.terms)])
+        c = QQ(self.terms[max(self.terms)], self.den)
         return self.scale(1 / c), c
 
     def to_string(self, names: Iterable[str] | None = None) -> str:
@@ -296,7 +330,7 @@ class Polynomial:
         names = list(names) if names is not None else [f"x{i}" for i in range(n)]
         parts = []
         for d, e in sorted(zip(self._degrees(), self.terms), reverse=True):
-            c = self.terms[e]
+            c = self.coeff(e)
             factors = []
             for i, k in enumerate(_exponents(e, n)):
                 if k == 1:
@@ -318,11 +352,11 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             if other == 0:
                 return not self.terms
-            return self.terms == Polynomial.constant(self.nvars, other).terms
-        return self.nvars == other.nvars and self.terms == other.terms
+            other = Polynomial.constant(self.nvars, other)
+        return self.nvars == other.nvars and self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)

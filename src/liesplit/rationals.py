@@ -1,12 +1,15 @@
 """Exact rational scalars: the one rule for how the package stores them.
 
-Scalars are ``fractions.Fraction`` (``QQ``).  Every stored scalar
-(polynomial coefficients, structure constants, matrix entries) follows
-:func:`exact`: a plain ``int`` when integral, a ``Fraction`` otherwise, so
-the common integral case runs on integer arithmetic.  Values enter through
-the one coercion :func:`scalar`, which rejects ``float``, and denominators
-are cleared through :func:`common_denominator`.  A true division keeps a
-``QQ`` operand, so no path divides two ints.
+Scalars are ``fractions.Fraction`` (``QQ``).  A stored scalar (a structure
+constant, a matrix entry, a sparse-vector entry) follows :func:`exact`: a
+plain ``int`` when integral, a ``Fraction`` otherwise, so the common
+integral case runs on integer arithmetic.  Polynomials go one step
+further and store int coefficients over one denominator
+(``liesplit.poly``), so their kernels never see a ``Fraction``.  Values
+enter through the one coercion :func:`scalar`, which rejects ``float``,
+and denominators are cleared through :func:`clear_denominators`.  Sparse
+vectors with exact entries are combined through :func:`combine`.  A true
+division keeps a ``QQ`` operand, so no path divides two ints.
 """
 
 from __future__ import annotations
@@ -44,6 +47,31 @@ def common_denominator(values) -> int:
     """The least positive d with d * v integral for every exact ``v`` in ``values``."""
     # pairwise over the distinct denominators: lcm(*...) would fill the tuple free lists
     return reduce(lcm, {v.denominator for v in values}, 1)
+
+
+def clear_denominators(values) -> tuple:
+    """(d, [d * v for v in values]) for the :func:`common_denominator` d, all ints.
+
+    The ints and d share no common factor when the values are reduced fractions.
+    """
+    values = list(values)
+    d = common_denominator(values)
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def combine(out: dict, pieces) -> dict:
+    """``out`` plus sum c * src over the (sparse {key: exact scalar} src, exact c) ``pieces``.
+
+    In place and returned; zero entries are dropped and the others follow :func:`exact`.
+    """
+    for src, c in pieces:
+        for k, v in src.items():
+            s = out.get(k, 0) + c * v
+            if s:
+                out[k] = s if type(s) is int else exact(s)
+            else:
+                out.pop(k, None)
+    return out
 
 
 def qq_str(q) -> str:

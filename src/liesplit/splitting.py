@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from . import _kernels as K
 from .liealg import (LieAlgebra, Matrix, TriangularData, _extract_root_labels, change_basis,
                      escaping_bracket)
 from .linalg import rank, rank_and_nullspace
-from .rationals import common_denominator, qq_str, scalar
+from .rationals import clear_denominators, combine, qq_str, scalar
 
 
 @dataclass(frozen=True)
@@ -161,9 +160,7 @@ def family_bracket(S: Splitting, p: BracketParameter) -> LieAlgebra:
     keys = set(c0) | set(cinf)
     constants = {}
     for key in keys:
-        acc: dict = {}
-        K.axpy_terms(acc, dict(c0.get(key, ())), p.a)
-        K.axpy_terms(acc, dict(cinf.get(key, ())), p.b)
+        acc = combine({}, ((dict(c0.get(key, ())), p.a), (dict(cinf.get(key, ())), p.b)))
         if acc:
             constants[key] = tuple(acc.items())
     return LieAlgebra(S.algebra.names, constants,
@@ -183,8 +180,7 @@ def pencil_member(S: Splitting, p) -> LieAlgebra:
 
 def _normalize_direction(vec):
     """Scale to coprime integers with the first nonzero entry positive."""
-    den = common_denominator(vec)
-    ints = [x.numerator * (den // x.denominator) for x in vec]
+    _, ints = clear_denominators(vec)
     g = gcd(*ints)
     if g:
         ints = [x // g for x in ints]

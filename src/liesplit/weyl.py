@@ -37,8 +37,8 @@ from operator import mul
 
 from . import _kernels as K
 from .linalg import Matrix, inverse, rank, rank_and_nullspace
-from .poly import Polynomial, _unit
-from .rationals import QQ, common_denominator
+from .poly import Polynomial, _exponents, _unit
+from .rationals import QQ, clear_denominators
 
 
 def _encode(mat_rows, n) -> bytes:
@@ -62,12 +62,6 @@ def _int_vector(v) -> tuple:
     if out != tuple(v):
         raise ValueError(f"vector {v} is not integral")
     return out
-
-
-def _clear_denominators(v):
-    """(d, d * v) for the least positive integer d that makes d * v integral."""
-    d = common_denominator(v)
-    return d, tuple(x.numerator * (d // x.denominator) for x in v)
 
 
 @dataclass
@@ -334,13 +328,13 @@ def w0_compute(W: WeylGroup, t0_basis) -> W0Report:
     S = Matrix.from_columns(rs.simple_roots)
     to_alpha = inverse(S.transpose() * rs.gram * S) * (S.transpose() * rs.gram)
     _, null = rank_and_nullspace(T.transpose())
-    annihilator = [_clear_denominators(v)[1] for v in null]
+    annihilator = [clear_denominators(v)[1] for v in null]
     expansions = []   # (C, F, proj / D) with D u = sum_i C_i alpha_i + F in integers
     checks = []       # (C, table lookup, target): w in N iff each sum_i C_i table[w[i]] == target
     for u in zip(*T.rows):  # the t0 vectors under the scalar rule
         c = to_alpha.matvec(u)
         f = tuple(x - y for x, y in zip(u, S.matvec(c)))
-        d, scaled = _clear_denominators(c + f)
+        d, scaled = clear_denominators(c + f)
         coeffs, fixed = scaled[: rs.rank], scaled[rs.rank:]
         expansions.append((coeffs, fixed, proj.scale(QQ(1, d))))
         for row in annihilator:
@@ -411,7 +405,7 @@ def invariant_basis(matrices, degree, nvars):
     moves = []   # per matrix, the columns of m - 1 as {row: value}
     total = [[0] * len(monos) for _ in monos]
     for m in matrices:
-        moves.append([{pos[f]: c for f, c in image.terms.items()}
+        moves.append([{pos[f]: image.coeff(f) for f in image.terms}
                       for image in _monomial_images(m.rows, nvars, degree)])
         for col, column in enumerate(moves[-1]):
             column[col] = column.get(col, 0) - 1
@@ -425,7 +419,7 @@ def invariant_basis(matrices, degree, nvars):
                 acc[row] += x * c
         if any(acc):
             raise AssertionError("a matrix moves a vector in the kernel of sum_m (m - 1)")
-    return [Polynomial(nvars, {e: c for e, c in zip(monos, v) if c}, _clean=True) for v in null]
+    return [Polynomial(nvars, {_exponents(e, nvars): c for e, c in zip(monos, v)}) for v in null]
 
 
 @dataclass
@@ -465,7 +459,7 @@ def restriction_check(W: WeylGroup, t0_basis, w0: W0Report | None = None,
         inv = invariant_basis(gen_mats, d, n)
         restricted = [p.map_vars(restr_images, a) for p in inv]
         monos = _monomials(a, d)
-        mat = Matrix([[p.terms.get(e, 0) for e in monos] for p in restricted]) if restricted \
+        mat = Matrix([[p.coeff(e) for e in monos] for p in restricted]) if restricted \
             else Matrix.zeros(1, len(monos))
         image_dim = rank(mat)
         w0_dim = len(invariant_basis(w0.matrices, d, a))

@@ -711,6 +711,8 @@ def _case_e6_weyl(params, seed, trials, dmax):
     W, rep, rc = _weyl_route(rs, t0, dmax, timer.lap)
     s3_stats = rep.element_orders == {1: 1, 2: 3, 3: 2}
     verdicts = {
+        # restates the certificate enumerate_weyl enforces: it raises unless the order is
+        # the product of the degrees, so a wrong order never reaches this report
         "weyl_order": W.order == 51840,
         "normalizer_order": rep.order_n == 1152,
         "centralizer_order": rep.order_z == 192,

@@ -6,6 +6,7 @@ import pytest
 from liesplit import cli
 from liesplit.cli import main
 from liesplit.liealg import algebra_to_json, build_sl
+from liesplit.rationals import QQ
 
 
 def run_cli(capsys, argv):
@@ -141,6 +142,10 @@ def test_case_keeps_library_errors(monkeypatch):
     (["case", "horo", "--n", "1"], "case horo: horo needs n >= 2"),
     (["case", "aks", "--n", "1"], "case aks: aks needs n >= 2"),
     (["case", "double", "--n", "0"], "case double: double needs n >= 1"),
+    (["check-ggs", "--algebra", "so:8", "--h", "borel", "--basis", "trace_powers"],
+     "--basis trace_powers: trace_powers is no Hilbert basis of so(8)"),
+    (["check-ggs", "--algebra", "so:8", "--h", "borel", "--basis", "charpoly"],
+     "--basis charpoly: charpoly is no Hilbert basis of so(8)"),
 ])
 def test_malformed_input_exits_with_one_line_naming_it(argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -189,3 +194,30 @@ def test_main_leaves_no_cyclic_garbage(capsys):
     finally:
         gc.enable()
     capsys.readouterr()
+
+
+def test_json_output_leaves_no_cyclic_garbage(capsys):
+    argv = ["index", "--algebra", "sl:3"]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("doc", [
+    {"case": "x", "params": {"n": 2, "t1": [[1, 0, -1]]}, "seed": 0, "verdicts": {},
+     "tables": {"rows": [{"degree": 2, "bidegree": (1, 1)}], "empty": [], "none": None,
+                "q": QQ(1, 2), "flag": True, "x": 1.5, "s": "é\n\"", 3: "int key",
+                None: (), False: {}}},
+    [], {}, "text", 0,
+])
+def test_json_encoder_matches_json_dumps(doc):
+    assert cli._json(doc) == json.dumps(doc, indent=1, default=str)

@@ -2,13 +2,14 @@
 
 The reference keys terms by exponent tuples and keeps every coefficient a
 ``Fraction``; each operation is the textbook formula.  ``Polynomial``
-packs exponents into ints and stores integral coefficients as ints, so
-agreement on random inputs checks the packing, the coefficient rule and
-every kernel path (single-term and general products, cleared
-denominators, cancellation).
+packs exponents into ints and stores int coefficients over one
+denominator, so agreement on random inputs checks the packing, the
+storage rule and every kernel path (single-term and general products,
+common denominators, cancellation, reduction to primitive form).
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -139,12 +140,20 @@ def pair(draw):
 
 
 def ref(p):
-    """The reference form of ``p``, after checking the coefficient rule on ``p.terms``."""
+    """The reference form of ``p``, after checking the storage rule: nonzero int terms
+    over a positive int ``den`` that shares no factor with all of them, so den = 1 for
+    an integral polynomial and the zero polynomial."""
+    assert type(p.den) is int and p.den >= 1
     for c in p.terms.values():
-        assert not isinstance(c, float)
-        assert type(c) is (int if c.denominator == 1 else Fraction)
-        assert c
+        assert type(c) is int and c
+    assert gcd(p.den, *p.terms.values()) == 1
     return {tuple(e): c for e, c in p.items()}
+
+
+def same_form(p, q):
+    """Equal values stored identically: equal terms, den and hash."""
+    ref(p), ref(q)
+    return p == q and p.terms == q.terms and p.den == q.den and hash(p) == hash(q)
 
 
 @CHECKS
@@ -162,6 +171,24 @@ def test_ring_operations_match_reference(data):
     for e, c in b.items():
         assert ref(p * Polynomial(n, {e: c})) == r_mul(a, {e: c})
     assert ref((p + q) * (p - q)) == r_add(r_mul(a, a), r_mul(b, b), -1)
+
+
+@CHECKS
+@given(pair(), st.data())
+def test_equal_values_by_different_routes_are_stored_identically(data, draw):
+    n, a, b = data
+    p, q = Polynomial(n, a), Polynomial(n, b)
+    r = Polynomial(n, draw.draw(terms(n)))
+    c = draw.draw(coefficients.filter(bool))
+    assert same_form((p * q) * r, p * (q * r))
+    assert same_form((p + q) * r, p * r + q * r)
+    assert same_form(p.scale(c).scale(1 / c), p)
+    assert same_form((p + q) - q, p)
+    assert same_form(p.scale(c) - p.scale(c), Polynomial.zero(n))
+    assert same_form(Polynomial(n, dict(p.items())), p)
+    assert same_form(sum(p.homogeneous_components().values(), Polynomial.zero(n)), p)
+    assert same_form(p.canonical()[0].scale(p.canonical()[1]), p)
+    assert len({p * q, q * p, (p * q).scale(1)}) == 1
 
 
 @CHECKS

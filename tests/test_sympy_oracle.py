@@ -1,11 +1,13 @@
-"""sympy as an independent oracle for the determinant expansions.
+"""sympy as an independent oracle for the determinant expansions and the bracket.
 
 ``charpoly_coefficients``, ``poly_det`` and ``poly_pfaffian`` expand
 polynomial matrices by memoized first-row recursion over packed
 polynomials, and the power traces follow from the characteristic
 coefficients by Newton's identities; sympy expands the same symbolic
 matrices with its own algorithms (Berkowitz characteristic polynomial,
-symbolic determinant, matrix powers).
+symbolic determinant, matrix powers).  ``poisson_bracket`` clears the
+denominators of the structure constants and of both arguments and divides
+once; sympy differentiates and sums the textbook formula.
 """
 
 from fractions import Fraction
@@ -22,8 +24,12 @@ from liesplit.invariants import (  # noqa: E402
     poly_det,
     poly_pfaffian,
 )
+from liesplit.invariants import bidecompose  # noqa: E402
 from liesplit.liealg import build_gl, build_sl, build_so_even  # noqa: E402
+from liesplit.poisson import poisson_bracket  # noqa: E402
 from liesplit.poly import Polynomial  # noqa: E402
+from liesplit.splitting import contract, horospherical_splitting  # noqa: E402
+from liesplit.zalgebra import _sl_diagonals  # noqa: E402
 
 ALGEBRAS = {"sl3": lambda: build_sl(3), "gl4": lambda: build_gl(4), "so4": lambda: build_so_even(2)}
 
@@ -97,3 +103,42 @@ def test_power_traces_match_sympy(name):
     if name != "so4":  # the so(2n) power traces are no Hilbert basis; hilbert_basis rejects them
         B = hilbert_basis(L, "trace_powers")
         assert [(terms_of(F), d) for F, d in B.generators] == [(want[k], k) for k in want if want[k]]
+
+
+def sympy_bracket(L, F, G, xs):
+    """sum_ij pi_ij dF/dx_i dG/dx_j with pi_ij = sum_k c_ij^k x_k, in sympy."""
+    dF = [sympy.diff(F, x) for x in xs]
+    dG = [sympy.diff(G, x) for x in xs]
+    total = sympy.Integer(0)
+    for (i, j), entries in L.constants.items():
+        pi = sum(sympy.Rational(c.numerator, c.denominator) * xs[k] for k, c in entries)
+        total += pi * (dF[i] * dG[j] - dF[j] * dG[i])
+    return total
+
+
+@pytest.mark.parametrize("side", ["keep_h", "keep_r"])
+def test_fractional_bracket_matches_sympy(side):
+    # the adapted sl(5) of case sl2n1 --n 2: t1 = diag(0,1,0,-1,0), diag(1,0,0,0,-1)
+    g = build_sl(5)
+    t0 = _sl_diagonals(g, ({2 - i: 1, 2 + i: 1, 2: -2} for i in (1, 2)))
+    t1 = _sl_diagonals(g, ({2 - i: 1, 2 + i: -1} for i in (1, 2)))
+    S = horospherical_splitting(g, t1, t0_basis=t0[::-1])
+    assert {c for entries in S.algebra.constants.values() for _, c in entries} >= {
+        Fraction(1, 2), Fraction(-1, 2)}
+    C = contract(S, side)
+    assert C.poisson_columns[0] == 2
+    p2, p3 = (hilbert_basis(S.algebra, "trace_powers").polys[k] for k in (0, 1))
+    # bi-components with denominators: (2, 0) of p2 with (1, 2) of p3 at keep_h,
+    # (0, 2) of p2 with (2, 1) of p3 at keep_r
+    h2, h3 = (2, 1) if side == "keep_h" else (0, 2)
+    F, G = bidecompose(S, p2).component(h2), bidecompose(S, p3).component(h3)
+    assert F.den > 1 and G.den > 1
+    xs = sympy.symbols(f"x0:{C.dim}")
+    # the pair commutes (the bi-components span a Poisson-commutative family); times
+    # x_0 / 3 the second factor is no longer invariant, so the bracket is nonzero
+    H = G * Polynomial.variable(C.dim, 0, Fraction(1, 3))
+    for A, want_zero in ((G, True), (H, False)):
+        ours = poisson_bracket(C, F, A)
+        assert ours.is_zero() == want_zero
+        assert terms_of(ours) == sympy_terms(
+            sympy_bracket(C, to_sympy(F, xs), to_sympy(A, xs), xs), xs)

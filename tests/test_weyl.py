@@ -208,9 +208,9 @@ def test_image_dimension_monotone_under_products():
     i4 = image_polys(4)
     prods = [p * q for p in i2 for q in i2]
     monos = sorted({e for p in i4 + prods for e in p.terms})
-    base = [[p.terms.get(e, QQ0) for e in monos] for p in i4]
+    base = [[p.coeff(e) for e in monos] for p in i4]
     r_base = rank(Matrix(base)) if base else 0
-    both = base + [[p.terms.get(e, QQ0) for e in monos] for p in prods]
+    both = base + [[p.coeff(e) for e in monos] for p in prods]
     assert rank(Matrix(both)) == r_base
 
 
