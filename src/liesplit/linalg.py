@@ -1,14 +1,30 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals: dense matrices, sparse elimination.
 
 Entries pass through the one coercion :func:`liesplit.rationals.scalar`:
 an ``int`` when integral, a ``Fraction`` otherwise, and a ``float`` raises
 ``TypeError``.  Solutions and nullspace vectors follow the same rule.
 
-Rank, nullspace, and solving all run through fraction-free (Bareiss)
-elimination on integer rows: each row is first scaled by the common
-denominator of its entries (which changes neither the row space nor the
-nullspace), then eliminated with the two-step Bareiss rule so
-intermediate entries stay bounded by minors of the input.
+Rank, nullspace and solving all run through one sparse fraction-free
+echelon routine.  Each row is scaled by the common denominator of its
+entries (which changes neither the row space nor the nullspace) and kept
+as {column: int} of its nonzero entries.  Columns are taken left to
+right; the pivot of a column is the row with the fewest nonzeros among
+the rows that have an entry there, and only those rows are updated.
+
+This is Bareiss's elimination (Math. Comp. 22, 1968) made lazy.  Eager
+Bareiss updates every remaining row r at step k, with pivot row P, pivot
+p_k and pivot-column entry v of r, to (p_k r - v P) / p_(k-1); every
+stored entry is then a minor of the input, so the division is exact.
+For v = 0 the update only multiplies r by p_k / p_(k-1), and these
+factors telescope: a row last updated at step m holds its eager value
+times p_m / p_k.  So each row keeps p_m, the pivot of its last update
+(1 before any), and its next update is (p r - v P) // p_m with P and p
+at their eager values.  That quotient is the eager row, a row of minors,
+so the division is exact, and so is bringing a stale pivot row to its
+eager value (times p_k / p_m).  Whatever rows are picked, the pivot
+columns are the greedy leftmost column basis, so the nullspace vectors
+(1 at one free column, 0 at the others) and the solutions (free
+variables at 0) are unique, and one back-substitution gives both.
 """
 
 from __future__ import annotations
@@ -89,49 +105,72 @@ class Matrix:
         return f"Matrix({[list(map(str, row)) for row in self.rows]})"
 
 
-def _integer_rows(m: Matrix) -> list[list[int]]:
+def _integer_rows(m: Matrix) -> list[dict]:
+    """Each row scaled by the common denominator of its entries, as {col: int} of the nonzeros."""
     out = []
     for row in m.rows:
         d = common_denominator(row)
-        out.append([x.numerator * (d // x.denominator) for x in row] if d != 1 else list(row))
+        if d == 1:
+            out.append({c: x for c, x in enumerate(row) if x})
+        else:
+            out.append({c: x.numerator * (d // x.denominator) for c, x in enumerate(row) if x})
     return out
 
 
-def _bareiss_echelon(rows: list[list[int]], ncols: int):
-    """Fraction-free elimination; returns (pivot list [(row, col)], echelon rows)."""
-    rows = [row[:] for row in rows]
-    nrows = len(rows)
-    pivots: list[tuple[int, int]] = []
+def _echelon(rows: list[dict], ncols: int):
+    """Sparse fraction-free elimination over columns 0 .. ncols-1 of the int rows ``rows``.
+
+    Returns ([(pivot column, pivot row)] by increasing column, the rows left
+    over).  A pivot row vanishes left of its pivot column; a left-over row
+    vanishes in every column below ``ncols``.  See the module docstring for
+    the update rule and why its division is exact.
+    """
+    # rows by leading column, each with the pivot of its last update (its Bareiss divisor)
+    waiting: dict[int, list] = {}
+    for row in rows:
+        if row:
+            waiting.setdefault(min(row), []).append((row, 1))
+    pivots = []
     prev = 1
-    pr = 0
     for pc in range(ncols):
-        pivot_row = None
-        for r in range(pr, nrows):
-            if rows[r][pc]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+        hits = waiting.pop(pc, None)
+        if hits is None:
             continue
-        if pivot_row != pr:
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        piv = rows[pr][pc]
-        for r in range(pr + 1, nrows):
-            # the update must run even when v == 0 to keep divisions exact
-            v = rows[r][pc]
-            row_r = rows[r]
-            row_p = rows[pr]
-            for c in range(ncols):
-                row_r[c] = (row_r[c] * piv - row_p[c] * v) // prev
+        k = min(range(len(hits)), key=lambda i: len(hits[i][0]))
+        prow, d = hits.pop(k)
+        if d != prev and hits:
+            prow = {c: x * prev // d for c, x in prow.items()}
+            d = prev
+        piv = prow[pc] * prev // d
+        for row, d in hits:
+            v = row[pc]
+            new = {c: x * piv // d for c, x in row.items() if c not in prow}
+            for c, x in prow.items():
+                y = (row.get(c, 0) * piv - x * v) // d
+                if y:
+                    new[c] = y
+            if new:
+                waiting.setdefault(min(new), []).append((new, piv))
+        pivots.append((pc, prow))
         prev = piv
-        pivots.append((pr, pc))
-        pr += 1
-        if pr == nrows:
-            break
-    return pivots, rows
+    return pivots, [row for rest in waiting.values() for row, _ in rest]
+
+
+def _back_substitute(pivots, x: list) -> list:
+    """``x`` with its pivot entries set so that every pivot row annihilates it.
+
+    The other entries of ``x`` are given; they are 0 except the few that
+    pick one nullspace vector or one right-hand side.
+    """
+    for pc, row in reversed(pivots):
+        s = -sum(v * x[c] for c, v in row.items() if x[c])
+        p = row[pc]
+        x[pc] = s // p if type(s) is int and not s % p else exact(s / QQ(p))
+    return x
 
 
 def rank(m: Matrix) -> int:
-    pivots, _ = _bareiss_echelon(_integer_rows(m), m.ncols)
+    pivots, _ = _echelon(_integer_rows(m), m.ncols)
     return len(pivots)
 
 
@@ -141,23 +180,14 @@ def rank_and_nullspace(m: Matrix):
     rank + len(basis) == ncols; every basis vector v satisfies M v = 0.
     """
     ncols = m.ncols
-    pivots, ech = _bareiss_echelon(_integer_rows(m), ncols)
-    pivot_cols = [pc for _, pc in pivots]
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    pivots, _ = _echelon(_integer_rows(m), ncols)
+    pivot_set = {pc for pc, _ in pivots}
     basis = []
-    for f in free_cols:
-        x = [0] * ncols
-        x[f] = 1
-        for r in range(len(pivots) - 1, -1, -1):
-            pr, pc = pivots[r]
-            s = 0
-            row = ech[pr]
-            for c in range(pc + 1, ncols):
-                if row[c] and x[c]:
-                    s = s + row[c] * x[c]
-            x[pc] = exact(-s / QQ(row[pc]))
-        basis.append(tuple(x))
+    for f in range(ncols):
+        if f not in pivot_set:
+            x = [0] * ncols
+            x[f] = 1
+            basis.append(tuple(_back_substitute(pivots, x)))
     return len(pivots), basis
 
 
@@ -172,22 +202,15 @@ def solve_many(m: Matrix, bs: Sequence[Sequence]):
     ncols = m.ncols
     k = len(bs)
     aug = Matrix([list(row) + [bs[t][i] for t in range(k)] for i, row in enumerate(m.rows)])
-    pivots, ech = _bareiss_echelon(_integer_rows(aug), aug.ncols)
-    for pr, pc in pivots:
-        if pc >= ncols:
-            return None
+    pivots, rest = _echelon(_integer_rows(aug), ncols)
+    if rest:
+        return None
     sols = []
     for t in range(k):
-        x = [0] * ncols
-        for r in range(len(pivots) - 1, -1, -1):
-            pr, pc = pivots[r]
-            row = ech[pr]
-            s = row[ncols + t]
-            for c in range(pc + 1, ncols):
-                if row[c] and x[c]:
-                    s = s - row[c] * x[c]
-            x[pc] = exact(s / QQ(row[pc]))
-        sols.append(tuple(x))
+        # M x - b = 0 is the augmented matrix times (x, -e_t)
+        x = [0] * (ncols + k)
+        x[ncols + t] = -1
+        sols.append(tuple(_back_substitute(pivots, x)[:ncols]))
     return sols
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 from .liealg import (LieAlgebra, Matrix, TriangularData, _extract_root_labels, change_basis,
                      escaping_bracket)
@@ -67,6 +68,14 @@ class Decomposition:
         # fixed adapted order: h block first, then r block
         self.order = self.h_indices + self.r_indices
         self._check_closed(self.h_indices, "h")
+        # h-degree of an exponent vector (bytes): one C-level gather of the h slots;
+        # itemgetter returns a bare item for one index and takes no empty index list
+        h = self.h_indices
+        if len(h) > 1:
+            gather = itemgetter(*h)
+            self.h_degree_of_exponent = lambda e: sum(gather(e))
+        else:
+            self.h_degree_of_exponent = itemgetter(*h) if h else lambda e: 0
         self._contractions: dict = {}  # side -> checked contraction, see ``contract``
         self.t1_indices: tuple = ()
         self.t0_indices: tuple = ()
@@ -85,9 +94,6 @@ class Decomposition:
     @property
     def dim_r(self):
         return len(self.r_indices)
-
-    def h_degree_of_exponent(self, e: bytes) -> int:
-        return sum(e[i] for i in self.h_indices)
 
     def __repr__(self):
         return f"{type(self).__name__}(h={self.dim_h}, r={self.dim_r}, dim={self.algebra.dim})"

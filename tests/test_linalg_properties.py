@@ -2,11 +2,13 @@
 
 The reference keeps a matrix as a list of rows of ``Fraction`` and runs
 textbook Gauss-Jordan elimination.  ``Matrix`` stores integral entries as
-ints and eliminates fraction-free on rows cleared to integers, so
-agreement on small random rational matrices checks the scalar rule, the
-denominator clearing and the back-substitution.  The free variables of a
-nullspace vector and of a solution are 0 except the one set to 1, which
-pins both to the reduced-row-echelon answer exactly.
+ints and eliminates fraction-free on sparse rows cleared to integers, so
+agreement on random rational matrices (dense up to 4 x 4, sparse up to
+10 x 10, skew-symmetric) checks the scalar rule, the denominator
+clearing, the pivot choice, the per-row Bareiss divisors and the
+back-substitution.  The free variables of a nullspace vector and of a
+solution are 0 except the one set to 1, which pins both to the
+reduced-row-echelon answer exactly.
 """
 
 from fractions import Fraction
@@ -87,19 +89,60 @@ entries = st.one_of(
 )
 
 
+# the nonzero entries of sparse and skew matrices: wider, so pivots other than +-1 are common
+# (no filter: rejected draws would bias the examples towards small matrices)
+nonzero = st.builds(Fraction, st.integers(1, 99) | st.integers(-99, -1), st.sampled_from([1, 2, 3, 6]))
+
+
+def sparse_row(draw, ncols):
+    row = [Fraction(0)] * ncols
+    for c in draw(st.lists(st.integers(0, ncols - 1), min_size=2, max_size=4)):
+        row[c] = draw(nonzero)
+    return row
+
+
+def sparse_skew(draw, n):
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            m[i][j] = draw(nonzero)
+            m[j][i] = -m[i][j]
+    return m
+
+
 @st.composite
 def matrices(draw, nrows=None, ncols=None):
-    """A reference matrix; some rows repeat combinations of earlier ones, so ranks drop."""
-    nrows = draw(st.integers(1, 4)) if nrows is None else nrows
-    ncols = draw(st.integers(1, 4)) if ncols is None else ncols
+    """A reference matrix: dense up to 4 x 4, sparse up to 10 x 10, or skew-symmetric.
+
+    Some rows repeat combinations of earlier ones and skew matrices may
+    factor through a smaller one, so ranks drop.
+    """
+    kind = draw(st.sampled_from(("dense", "sparse", "skew")))
+    if kind == "skew" and None not in (nrows, ncols) and nrows != ncols:
+        kind = "sparse"
+    top = 4 if kind == "dense" else 10
+    if kind == "skew":
+        n = nrows or ncols or draw(st.integers(1, top))
+        # C B C^T with B skew k x k has rank at most k
+        k = draw(st.integers(1, n))
+        b = sparse_skew(draw, k)
+        if k == n:
+            return b
+        c = [sparse_row(draw, k) for _ in range(n)]
+        return r_mul(r_mul(c, b), [list(col) for col in zip(*c)])
+    nrows = draw(st.integers(1, top)) if nrows is None else nrows
+    ncols = draw(st.integers(1, top)) if ncols is None else ncols
     rows = []
     for _ in range(nrows):
         if rows and draw(st.booleans()):
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             s, t = draw(entries), draw(entries)
             rows.append([Fraction(s) * x + Fraction(t) * y for x, y in zip(a, b)])
-        else:
+        elif kind == "dense":
             rows.append([Fraction(draw(entries)) for _ in range(ncols)])
+        else:
+            rows.append(sparse_row(draw, ncols))
     return rows
 
 
@@ -133,7 +176,8 @@ def test_construction_products_and_transpose_match_reference(a, data):
     assert exact_form(m.matvec(v)) == r_matvec(a, v)
 
 
-@CHECKS
+# more examples: a wrong Bareiss divisor on a row that skipped updates shows in few of them
+@settings(CHECKS, max_examples=250)
 @given(matrices())
 def test_rank_and_nullspace_match_reference(a):
     m = Matrix(a)

@@ -29,6 +29,13 @@ def test_make_splitting_borel():
     assert S.order == (0, 1, 2)
 
 
+@pytest.mark.parametrize("h", [(), (1,), (0, 1), (0, 1, 2)])
+def test_h_degree_sums_the_h_slots(h):
+    D = make_decomposition(sl2(), h)
+    for e in (b"\x00\x00\x00", b"\x03\x00\x01", b"\x01\x02\x05", b"\xff\x01\x00"):
+        assert D.h_degree_of_exponent(e) == sum(e[i] for i in h)
+
+
 def test_make_splitting_rejects_non_subalgebra():
     with pytest.raises(ValueError):
         make_splitting(sl2(), (0, 2))  # {e, f} is not closed

@@ -7,9 +7,12 @@ coefficients by Newton's identities; sympy expands the same symbolic
 matrices with its own algorithms (Berkowitz characteristic polynomial,
 symbolic determinant, matrix powers).  ``poisson_bracket`` clears the
 denominators of the structure constants and of both arguments and divides
-once; sympy differentiates and sums the textbook formula.
+once; sympy differentiates and sums the textbook formula.  ``rank`` and
+``rank_and_nullspace`` eliminate sparse and fraction-free; sympy's
+``DomainMatrix`` row-reduces over QQ.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,8 +28,10 @@ from liesplit.invariants import (  # noqa: E402
     poly_pfaffian,
 )
 from liesplit.invariants import bidecompose  # noqa: E402
+from liesplit import weyl  # noqa: E402
 from liesplit.liealg import build_gl, build_sl, build_so_even  # noqa: E402
-from liesplit.poisson import poisson_bracket  # noqa: E402
+from liesplit.linalg import rank, rank_and_nullspace  # noqa: E402
+from liesplit.poisson import poisson_bracket, tensor_at  # noqa: E402
 from liesplit.poly import Polynomial  # noqa: E402
 from liesplit.splitting import contract, horospherical_splitting  # noqa: E402
 from liesplit.zalgebra import _sl_diagonals  # noqa: E402
@@ -142,3 +147,45 @@ def test_fractional_bracket_matches_sympy(side):
         assert ours.is_zero() == want_zero
         assert terms_of(ours) == sympy_terms(
             sympy_bracket(C, to_sympy(F, xs), to_sympy(A, xs), xs), xs)
+
+
+def so8_poisson_tensor():
+    """The so(8) Poisson tensor at a seeded point with entries bounded by 10^6."""
+    L = build_so_even(4)
+    rng = random.Random(8)
+    return tensor_at(L, [rng.randint(-10**6, 10**6) for _ in range(L.dim)]).matrix
+
+
+def a5_degree4_matrix(monkeypatch):
+    """sum_i (s_i - 1) on the degree-4 polynomials of the A5 model, as invariant_basis builds it."""
+    W = weyl.enumerate_weyl(weyl.build_root_system("A", 5))
+    seen = []
+
+    def spy(m):
+        seen.append(m)
+        return rank_and_nullspace(m)
+
+    monkeypatch.setattr(weyl, "rank_and_nullspace", spy)
+    weyl.invariant_basis([W.matrix(g) for g in W.generators], 4, W.root_system.model_dim)
+    (m,) = seen
+    return m
+
+
+@pytest.mark.parametrize("build", ["so8_tensor", "a5_degree4"])
+def test_rank_and_nullspace_match_sympy(build, monkeypatch):
+    from sympy.polys.matrices import DomainMatrix
+
+    m = so8_poisson_tensor() if build == "so8_tensor" else a5_degree4_matrix(monkeypatch)
+    assert (m.nrows, m.ncols) == ((28, 28) if build == "so8_tensor" else (126, 126))
+    to_qq = sympy.QQ.convert
+    dm = DomainMatrix([[to_qq(x) for x in row] for row in m.rows], (m.nrows, m.ncols), sympy.QQ)
+    _, pivots = dm.rref()
+    free = [c for c in range(m.ncols) if c not in set(pivots)]
+    r, basis = rank_and_nullspace(m)
+    assert r == rank(m) == len(pivots) == m.ncols - len(basis)
+    assert r == (24 if build == "so8_tensor" else 121)
+    # a kernel vector that is 1 at one free column and 0 at the others is unique
+    for f, v in zip(free, basis):
+        assert [v[c] for c in free] == [int(c == f) for c in free]
+        col = DomainMatrix([[to_qq(x)] for x in v], (m.ncols, 1), sympy.QQ)
+        assert (dm * col).is_zero_matrix
