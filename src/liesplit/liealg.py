@@ -173,17 +173,28 @@ def _closure(constants, memo, pivots, gens, v):
 
 
 def jacobi_report(dim, constants) -> JacobiReport:
-    """Exhaustive Jacobi check over all basis triples i < j < k."""
+    """Exhaustive Jacobi check over all basis triples i < j < k, in lexicographic order.
+
+    table[a][b] holds [x_a, x_b] as (k, D c) int pairs, with D the common denominator
+    of the constants; the Jacobiator is quadratic in c, so scaling by D keeps its zeros.
+    """
+    D = common_denominator(c for entries in constants.values() for _, c in entries)
+    table = [[()] * dim for _ in range(dim)]
+    for (i, j), entries in constants.items():
+        if i < j:
+            table[i][j] = tuple((k, c.numerator * (D // c.denominator)) for k, c in entries)
+            table[j][i] = tuple((k, -c) for k, c in table[i][j])
     for i in range(dim):
         for j in range(i + 1, dim):
-            cij = _pair(constants, i, j)
+            cij = table[i][j]
             for k in range(j + 1, dim):
                 acc = {}
                 # [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j]
-                for idx, inner in ((k, cij), (i, _pair(constants, j, k)),
-                                   (j, _pair(constants, k, i))):
-                    combine(acc, ((_pair(constants, m, idx), c) for m, c in inner.items()))
-                if acc:
+                for idx, inner in ((k, cij), (i, table[j][k]), (j, table[k][i])):
+                    for m, c in inner:
+                        for t, d in table[m][idx]:
+                            acc[t] = acc.get(t, 0) + c * d
+                if any(acc.values()):
                     return JacobiReport(False, (i, j, k))
     return JacobiReport(True, None)
 

@@ -2,7 +2,8 @@
 
 Entries pass through the one coercion :func:`liesplit.rationals.scalar`:
 an ``int`` when integral, a ``Fraction`` otherwise, and a ``float`` raises
-``TypeError``.  Solutions and nullspace vectors follow the same rule.
+``TypeError`` (a row of plain ints already follows the rule and is kept
+as it is).  Solutions and nullspace vectors follow the same rule.
 
 Rank, nullspace and solving all run through one sparse fraction-free
 echelon routine.  Each row is scaled by the common denominator of its
@@ -25,6 +26,12 @@ eager value (times p_k / p_m).  Whatever rows are picked, the pivot
 columns are the greedy leftmost column basis, so the nullspace vectors
 (1 at one free column, 0 at the others) and the solutions (free
 variables at 0) are unique, and one back-substitution gives both.
+
+:func:`rank_mod_p` runs the same column sweep modulo the prime
+P = 2^61 - 1.  An r x r minor that is nonzero modulo P is nonzero over
+the integers, so it is a lower bound on the rank, equal to it unless P
+divides every r x r minor of the cleared rows, r = rank(M).  It serves
+the sampled certificates that need a rank only from below.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ class Matrix:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows: Sequence[Sequence]):
-        self.rows = tuple(tuple(map(scalar, row)) for row in rows)
+        self.rows = tuple(tuple(row) if {*map(type, row)} <= {int} else tuple(map(scalar, row))
+                          for row in rows)
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         for row in self.rows:
@@ -172,6 +180,41 @@ def _back_substitute(pivots, x: list) -> list:
 def rank(m: Matrix) -> int:
     pivots, _ = _echelon(_integer_rows(m), m.ncols)
     return len(pivots)
+
+
+P = 2**61 - 1
+
+
+def rank_mod_p(m: Matrix) -> int:
+    """Rank of M modulo the prime ``P``: a lower bound on ``rank(M)``.
+
+    The rows are cleared to integers as for :func:`rank` and reduced mod P;
+    each pivot row is scaled to lead with 1, so a row with entry v in the pivot
+    column is updated to row - v * (pivot row).
+    """
+    waiting: dict[int, list] = {}
+    for row in _integer_rows(m):
+        row = {c: y for c, x in row.items() if (y := x % P)}
+        if row:
+            waiting.setdefault(min(row), []).append(row)
+    r = 0
+    for pc in range(m.ncols):
+        hits = waiting.pop(pc, None)
+        if hits is None:
+            continue
+        prow = hits.pop(min(range(len(hits)), key=lambda i: len(hits[i])))
+        inv = pow(prow[pc], -1, P)
+        prow = {c: x * inv % P for c, x in prow.items()}
+        for row in hits:
+            v = row[pc]
+            new = {c: x for c, x in row.items() if c not in prow}
+            for c, x in prow.items():
+                if y := (row.get(c, 0) - v * x) % P:
+                    new[c] = y
+            if new:
+                waiting.setdefault(min(new), []).append(new)
+        r += 1
+    return r
 
 
 def rank_and_nullspace(m: Matrix):

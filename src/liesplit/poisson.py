@@ -3,7 +3,10 @@
 Genericity is probabilistic throughout: a "generic" point is the best
 witness over seed-deterministic uniform integer samples.  Every sampled
 rank is a certificate, so claimed indices are always upper bounds on the
-true index and reports store their witnesses for replay.
+true index and reports store their witnesses for replay.  ``tensor_at``
+gives the exact rank at a point (its callers also compare ranks from
+above); ``index_estimate`` needs the rank only from below and takes it
+modulo the prime 2^61 - 1 (``linalg.rank_mod_p``).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import _kernels as K
 from .liealg import LieAlgebra, escaping_bracket
-from .linalg import Matrix, rank, rank_and_nullspace, solve
+from .linalg import Matrix, rank, rank_and_nullspace, rank_mod_p, solve
 from .poly import Polynomial
 from .rationals import QQ, qq_str, scalar
 from .splitting import BracketParameter, Decomposition, Splitting, contract, pencil_member
@@ -78,6 +81,27 @@ class PoissonTensorSample:
         return basis
 
 
+def _tensor_matrix(L: LieAlgebra, xi, order) -> Matrix:
+    """pi(xi)[a][b] = xi([x_a, x_b]) for exact ``xi``, rows and columns in ``order``."""
+    n = L.dim
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), entries in L.constants.items():
+        v = 0
+        for k, c in entries:
+            if xi[k]:
+                v = v + c * xi[k]
+        if v:
+            rows[i][j] = v
+            rows[j][i] = -v
+    return Matrix([[rows[a][b] for b in order] for a in order])
+
+
+def _even(rk: int) -> int:
+    if rk % 2:
+        raise AssertionError("skew-symmetric matrices have even rank; elimination bug")
+    return rk
+
+
 def tensor_at(L_or_S, xi, parameter=None) -> PoissonTensorSample:
     """Poisson tensor pi(xi)[a][b] = xi([x_a, x_b]), exact rank included.
 
@@ -99,20 +123,8 @@ def tensor_at(L_or_S, xi, parameter=None) -> PoissonTensorSample:
     xi = [scalar(x, "the point") for x in xi]
     if len(xi) != L.dim:
         raise ValueError("point length must equal dim")
-    n = L.dim
-    rows = [[0] * n for _ in range(n)]
-    for (i, j), entries in L.constants.items():
-        v = 0
-        for k, c in entries:
-            if xi[k]:
-                v = v + c * xi[k]
-        if v:
-            rows[i][j] = v
-            rows[j][i] = -v
-    mat = Matrix([[rows[a][b] for b in order] for a in order])
-    rk = rank(mat)
-    if rk % 2:
-        raise AssertionError("skew-symmetric matrices have even rank; elimination bug")
+    mat = _tensor_matrix(L, xi, order)
+    rk = _even(rank(mat))
     block_a_rank = None
     if S is not None:
         nh = S.dim_h
@@ -122,6 +134,9 @@ def tensor_at(L_or_S, xi, parameter=None) -> PoissonTensorSample:
 
 @dataclass
 class IndexEstimate:
+    """dim - certified_max_rank, where certified_max_rank is the best rank of pi at the
+    sampled points taken modulo 2^61 - 1: a lower bound on the exact rank of pi at the
+    witness, so claimed_index is an upper bound on the index."""
     claimed_index: int
     certified_max_rank: int
     samples: int
@@ -151,7 +166,8 @@ def _sample_point(rng, dim, bound, support=None):
 
 def index_estimate(L: LieAlgebra, trials: int = 8, seed: int = 0,
                    bound: int = DEFAULT_BOUND) -> IndexEstimate:
-    """dim - (max sampled rank of pi(xi)); an upper bound on the index, claimed exact."""
+    """dim - (max sampled rank of pi(xi) mod 2^61 - 1); an upper bound on the index,
+    claimed exact."""
     if trials < 1:
         raise ValueError("trials >= 1 required")
     rng = random.Random(seed)
@@ -159,9 +175,9 @@ def index_estimate(L: LieAlgebra, trials: int = 8, seed: int = 0,
     witness: tuple = ()
     for _ in range(trials):
         xi = _sample_point(rng, L.dim, bound)
-        sample = tensor_at(L, xi)
-        if sample.rank > best_rank:
-            best_rank = sample.rank
+        rk = _even(rank_mod_p(_tensor_matrix(L, xi, range(L.dim))))
+        if rk > best_rank:
+            best_rank = rk
             witness = tuple(xi)
     claimed = L.dim - best_rank
     return IndexEstimate(claimed, best_rank, trials, seed, QQ(L.dim + claimed, 2), witness)

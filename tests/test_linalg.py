@@ -95,3 +95,13 @@ def test_skew_detection():
 def test_float_entries_are_rejected():
     with pytest.raises(TypeError, match="float 0.1 "):
         Matrix([[1, QQ(1, 2)], [0.1, 0]])
+    # an all-int row is kept as it is; a float beside ints still raises
+    with pytest.raises(TypeError, match="float 2.0 "):
+        Matrix([[1, 2], [3, 2.0]])
+
+
+def test_bool_and_fraction_entries_follow_the_scalar_rule():
+    m = Matrix([[True, False, 3], [QQ(4, 2), QQ(1, 3), 5], (7, 8, 9)])
+    assert m.rows == ((1, 0, 3), (2, QQ(1, 3), 5), (7, 8, 9))
+    assert [list(map(type, row)) for row in m.rows] == [[int, int, int], [int, QQ, int],
+                                                         [int, int, int]]

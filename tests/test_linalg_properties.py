@@ -8,7 +8,9 @@ agreement on random rational matrices (dense up to 4 x 4, sparse up to
 clearing, the pivot choice, the per-row Bareiss divisors and the
 back-substitution.  The free variables of a nullspace vector and of a
 solution are 0 except the one set to 1, which pins both to the
-reduced-row-echelon answer exactly.
+reduced-row-echelon answer exactly.  The rank modulo the prime P never
+exceeds the exact rank, equals it on the drawn matrices, and drops on
+planted matrices whose minors P divides.
 """
 
 from fractions import Fraction
@@ -18,7 +20,7 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from liesplit.linalg import Matrix, inverse, rank, rank_and_nullspace, solve  # noqa: E402
+from liesplit.linalg import P, Matrix, inverse, rank, rank_and_nullspace, rank_mod_p, solve  # noqa: E402
 
 # derandomized, so every run checks the same examples
 CHECKS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -184,6 +186,19 @@ def test_rank_and_nullspace_match_reference(a):
     r, basis = rank_and_nullspace(m)
     assert r == rank(m) == len(r_rref(a)[1])
     assert [exact_form(v) for v in basis] == r_nullspace(a, m.ncols)
+    # modulo P the rank can only drop, and on small entries it does not
+    assert rank_mod_p(m) <= r
+    assert rank_mod_p(m) == r
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0], [0, P]],                   # an entry equal to P
+    [[1, (P + 1) // 2], [2, 1]],        # det -P, reached by a row update
+    [[1, 0, 1], [0, 1, 0], [Fraction(1, 3), 0, Fraction(P + 1, 3)]],  # cleared to 1, 0, P + 1
+], ids=["entry", "update", "fraction"])
+def test_rank_mod_p_drops_when_p_divides_the_minors(rows):
+    m = Matrix(rows)
+    assert rank_mod_p(m) == rank(m) - 1
 
 
 @CHECKS
