@@ -337,16 +337,18 @@ def jacobian_rank(polys, trials: int = 5, seed: int = 0, bound: int = 997) -> in
     """Max over sampled integer points of the Jacobian rank modulo 2^61 - 1.
 
     Each is a lower bound on the exact Jacobian rank at its point, hence on the
-    transcendence degree."""
+    transcendence degree.  Row p is the int gradient of den_p * p along the variables
+    p uses: a positive row scale below 2^61 - 1 changes no rank modulo it."""
     if not polys:
         return 0
     n = polys[0].nvars
-    grads = [[p.diff(i) for i in range(n)] for p in polys]
+    grads = [{i: p.diff(i).scale(p.den) for i in p.support_vars()} for p in polys]
     rng = random.Random(seed)
     best = 0
     for _ in range(max(1, trials)):
         x = [rng.randint(-bound, bound) for _ in range(n)]
-        rows = [[g.eval(x) for g in grad] for grad in grads]
+        rows = [[grad[i].eval(x).numerator if i in grad else 0 for i in range(n)]
+                for grad in grads]
         best = max(best, rank_mod_p(Matrix(rows)))
         if best == min(len(polys), n):
             break

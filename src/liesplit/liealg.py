@@ -11,6 +11,10 @@ at (1,0), (0,1) and (1,1); its Poisson bracket is linear in (a, b),
 {F, G}_(a,b) = a{F, G}_0 + b{F, G}_inf, so commutativity is decided at
 (1,0) and (0,1) (see its docstring).
 
+One cached int table per algebra, ``LieAlgebra.bracket_table`` (every [x_a, x_b]
+scaled by the common denominator D of the constants), serves the Jacobi check,
+the Poisson columns, tensors and stabilizers of ``poisson`` and the centre.
+
 Builders produce gl(n), sl(n), so(2n) in the antidiagonal realization
 (matrices skew with respect to the antidiagonal, so the Cartan is
 diagonal and the nilradical strictly upper triangular), direct sums,
@@ -104,9 +108,8 @@ class LieAlgebra:
 
     def bracket_vec(self, u, v):
         """Bracket of two coordinate vectors, as a sparse dict."""
-        ui = [(i, c) for i, c in enumerate(map(scalar, u)) if c]
-        vj = [(j, c) for j, c in enumerate(map(scalar, v)) if c]
-        return combine({}, ((self.bracket_pair(i, j), a * b) for i, a in ui for j, b in vj))
+        u, v = ([(i, c) for i, c in enumerate(map(scalar, w)) if c] for w in (u, v))
+        return _bracket(self.constants, u, v)
 
     @cached_property
     def generating_set(self) -> tuple:
@@ -120,25 +123,28 @@ class LieAlgebra:
         return chosen
 
     @cached_property
+    def bracket_table(self) -> tuple:
+        """(D, T): D is the least positive int making every structure constant integral and
+        T[a][b] holds [x_a, x_b] as (k, D c_ab^k) int pairs, for every ordered pair."""
+        return _int_table(self.dim, self.constants)
+
+    @cached_property
     def poisson_columns(self) -> tuple:
-        """(D, columns): D is the least positive int making every structure constant
-        integral, and columns[j] lists the (i, lin, sign) with D pi_ij = sign * lin for
-        the Lie-Poisson tensor pi_ij = sum_k c_ij^k x_k, where lin holds the int terms of
-        D sum_k c_ab^k x_k for the stored pair (a, b) = (i, j) or (j, i)."""
-        D = common_denominator(c for entries in self.constants.values() for _, c in entries)
-        columns = [[] for _ in range(self.dim)]
-        for (i, j), entries in self.constants.items():
-            lin = {_unit(self.dim, k): c.numerator * (D // c.denominator) for k, c in entries}
-            columns[j].append((i, lin, 1))
-            columns[i].append((j, lin, -1))
-        return D, columns
+        """(D, columns): columns[j] lists the (i, lin) with lin the int terms of
+        D pi_ij = D sum_k c_ij^k x_k, for the Lie-Poisson tensor pi, read off ``bracket_table``."""
+        D, T = self.bracket_table
+        n = self.dim
+        return D, [[(i, {_unit(n, k): c for k, c in T[i][j]}) for i in range(n) if T[i][j]]
+                   for j in range(n)]
 
     def center(self):
-        """Basis of the centre, as coordinate vectors."""
-        rows = []
-        for j in range(self.dim):
-            for k in range(self.dim):
-                rows.append([self.bracket_pair(i, j).get(k, 0) for i in range(self.dim)])
+        """Basis of the centre, as coordinate vectors: the x with [x, x_j] = 0 for every j."""
+        n = self.dim
+        rows = [[0] * n for _ in range(n * n)]
+        for i, row in enumerate(self.bracket_table[1]):
+            for j, entries in enumerate(row):
+                for k, c in entries:
+                    rows[j * n + k][i] = c
         _, basis = rank_and_nullspace(Matrix(rows))
         return basis
 
@@ -153,6 +159,11 @@ def _pair(constants, i, j):
     return {k: -c for k, c in constants.get((j, i), ())}
 
 
+def _bracket(constants, u, v):
+    """Bracket of two vectors given as (index, exact coefficient) pairs, as a sparse dict."""
+    return combine({}, ((_pair(constants, i, j), a * b) for i, a in u for j, b in v))
+
+
 def _closure(constants, memo, pivots, gens, v):
     """Lie closure of ``gens`` and ``v`` as (echelon pivots with lead 1, spanning keys)."""
     pivots, gens, queue = dict(pivots), list(gens), [v]
@@ -164,26 +175,29 @@ def _closure(constants, memo, pivots, gens, v):
             key = tuple(sorted(v.items()))
             for g in gens:
                 if (key, g) not in memo:
-                    memo[key, g] = combine({}, ((_pair(constants, i, j), a * b)
-                                                 for i, a in key for j, b in g))
+                    memo[key, g] = _bracket(constants, key, g)
                 queue.append(memo[key, g])
             gens.append(key)
             pivots[min(v)] = {k: exact(c / QQ(v[min(v)])) for k, c in v.items()}
     return pivots, gens
 
 
-def jacobi_report(dim, constants) -> JacobiReport:
-    """Exhaustive Jacobi check over all basis triples i < j < k, in lexicographic order.
-
-    table[a][b] holds [x_a, x_b] as (k, D c) int pairs, with D the common denominator
-    of the constants; the Jacobiator is quadratic in c, so scaling by D keeps its zeros.
-    """
+def _int_table(dim, constants) -> tuple:
+    """The ``LieAlgebra.bracket_table`` of the constants stored for pairs i < j."""
     D = common_denominator(c for entries in constants.values() for _, c in entries)
-    table = [[()] * dim for _ in range(dim)]
+    T = [[()] * dim for _ in range(dim)]
     for (i, j), entries in constants.items():
         if i < j:
-            table[i][j] = tuple((k, c.numerator * (D // c.denominator)) for k, c in entries)
-            table[j][i] = tuple((k, -c) for k, c in table[i][j])
+            T[i][j] = tuple((k, c.numerator * (D // c.denominator)) for k, c in entries)
+            T[j][i] = tuple((k, -c) for k, c in T[i][j])
+    return D, T
+
+
+def jacobi_report(dim, constants) -> JacobiReport:
+    """Exhaustive Jacobi check over all basis triples i < j < k, in lexicographic order,
+    on the ``_int_table``: the Jacobiator is quadratic in the constants, so scaling
+    them by D keeps its zeros."""
+    _, table = _int_table(dim, constants)
     for i in range(dim):
         for j in range(i + 1, dim):
             cij = table[i][j]
@@ -474,9 +488,10 @@ def escaping_bracket(L: LieAlgebra, indices: Sequence[int]):
     """The first (i, j, k) with i, j in ``indices`` and a component of [x_i, x_j]
     on x_k outside them, in pair order; None when the indices span a subalgebra."""
     idx_set = set(indices)
+    T = L.bracket_table[1]
     for a, i in enumerate(indices):
         for j in indices[a + 1 :]:
-            for k in L.bracket_pair(i, j):
+            for k, _ in T[i][j]:
                 if k not in idx_set:
                     return i, j, k
     return None
@@ -505,7 +520,7 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
     if len(new_vectors) != L.dim:
         raise ValueError("need a full new basis")
     P = Matrix.from_columns(new_vectors)
-    new_vectors = list(zip(*P.rows))  # under the scalar rule
+    sparse = [{r: c for r, c in enumerate(v) if c} for v in zip(*P.rows)]  # under the scalar rule
     try:
         Pinv = inverse(P)
     except ValueError:
@@ -515,7 +530,7 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
     constants, images = {}, {}
     for a in range(L.dim):
         for b in range(a + 1, L.dim):
-            images[a, b] = L.bracket_vec(new_vectors[a], new_vectors[b])
+            images[a, b] = _bracket(L.constants, sparse[a].items(), sparse[b].items())
             coeffs = combine({}, ((columns[k], c) for k, c in images[a, b].items()))
             if coeffs:
                 constants[(a, b)] = tuple(sorted(coeffs.items()))
@@ -524,12 +539,11 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
         gram = P.transpose() * L.gram * P
     realization = None
     if L.realization is not None and all(m is not None for m in L.realization):
-        realization = [combine({}, zip(L.realization, vec)) for vec in new_vectors]
+        realization = [combine({}, ((L.realization[r], c) for r, c in v.items())) for v in sparse]
     new = LieAlgebra(new_names, constants, rank=L.rank, realization=realization,
                      matrix_size=L.matrix_size, gram=gram, kind=kind or f"adapted[{L.kind}]",
                      base_algebra=L, base_change=P, check=False)
     # P c'_ab = [P e_a, P e_b] for all a < b: P is an isomorphism onto L, so Jacobi holds
-    sparse = [{r: c for r, c in enumerate(v) if c} for v in new_vectors]
     for (a, b), image in images.items():
         if combine({}, ((sparse[k], c) for k, c in new.bracket_pair(a, b).items())) != image:
             raise ValueError(f"basis change breaks the bracket [{new_names[a]}, {new_names[b]}]")

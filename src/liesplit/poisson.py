@@ -1,5 +1,9 @@
 """Lie-Poisson brackets, Poisson tensors at points, and sampled invariants.
 
+Brackets, fields, tensors and stabilizers read the int table
+``LieAlgebra.bracket_table`` (constants scaled by D): D pi(xi) has the ranks
+and kernels of pi(xi), and ``tensor_at`` divides it once by D.
+
 Genericity is probabilistic throughout: a "generic" point is the best
 witness over seed-deterministic uniform integer samples.  Every sampled
 rank is a certificate, so claimed indices are always upper bounds on the
@@ -15,8 +19,8 @@ import random
 from dataclasses import dataclass, field
 
 from . import _kernels as K
-from .liealg import LieAlgebra, escaping_bracket
-from .linalg import Matrix, rank, rank_and_nullspace, rank_mod_p, solve
+from .liealg import LieAlgebra, _bracket, escaping_bracket
+from .linalg import Matrix, rank, rank_and_nullspace, rank_mod_p, solve_many
 from .poly import Polynomial
 from .rationals import QQ, qq_str, scalar
 from .splitting import BracketParameter, Decomposition, Splitting, contract, pencil_member
@@ -32,13 +36,13 @@ def _field_terms(L: LieAlgebra, F: Polynomial, targets):
     n = L.dim
     columns = L.poisson_columns[1]
     targets = dict.fromkeys(targets)
-    used = {i for j in targets for i, _, _ in columns[j]}
+    used = {i for j in targets for i, _ in columns[j]}
     dF = {i: d for i in used if (d := K.diff_terms(F.terms, i, n))}
     for j in targets:
         V = {}
-        for i, lin, sign in columns[j]:
+        for i, lin in columns[j]:
             if i in dF:
-                K.axpy_terms(V, K.mul_terms(dF[i], lin, n), sign)
+                K.axpy_terms(V, K.mul_terms(dF[i], lin, n), 1)
         yield j, V
 
 
@@ -81,19 +85,22 @@ class PoissonTensorSample:
         return basis
 
 
-def _tensor_matrix(L: LieAlgebra, xi, order) -> Matrix:
-    """pi(xi)[a][b] = xi([x_a, x_b]) for exact ``xi``, rows and columns in ``order``."""
+def _tensor_matrix(L: LieAlgebra, xi, order=None) -> Matrix:
+    """D pi(xi)[a][b] = D xi([x_a, x_b]) for exact ``xi`` and (D, T) = ``L.bracket_table``,
+    rows and columns in ``order`` (the basis order by default); all ints for an int ``xi``."""
     n = L.dim
+    T = L.bracket_table[1]
     rows = [[0] * n for _ in range(n)]
-    for (i, j), entries in L.constants.items():
+    for i, j in L.constants:
         v = 0
-        for k, c in entries:
-            if xi[k]:
-                v = v + c * xi[k]
+        for k, c in T[i][j]:
+            v += c * xi[k]
         if v:
             rows[i][j] = v
             rows[j][i] = -v
-    return Matrix([[rows[a][b] for b in order] for a in order])
+    if order is not None:
+        rows = [[rows[a][b] for b in order] for a in order]
+    return Matrix(rows)
 
 
 def _even(rk: int) -> int:
@@ -129,6 +136,9 @@ def tensor_at(L_or_S, xi, parameter=None) -> PoissonTensorSample:
     if S is not None:
         nh = S.dim_h
         block_a_rank = rank(Matrix([row[nh:] for row in mat.rows[:nh]]))
+    D = L.bracket_table[0]
+    if D > 1:  # the exact tensor pi(xi)
+        mat = Matrix([[x // D if x % D == 0 else QQ(x, D) for x in row] for row in mat.rows])
     return PoissonTensorSample(tuple(xi), parameter, mat, rk, order, block_a_rank)
 
 
@@ -175,7 +185,7 @@ def index_estimate(L: LieAlgebra, trials: int = 8, seed: int = 0,
     witness: tuple = ()
     for _ in range(trials):
         xi = _sample_point(rng, L.dim, bound)
-        rk = _even(rank_mod_p(_tensor_matrix(L, xi, range(L.dim))))
+        rk = _even(rank_mod_p(_tensor_matrix(L, xi)))
         if rk > best_rank:
             best_rank = rk
             witness = tuple(xi)
@@ -217,8 +227,6 @@ def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,
     abstract algebra with restricted structure constants.
     """
     h_indices = tuple(h_indices)
-    hs = set(h_indices)
-    r_support = [i for i in range(L.dim) if i not in hs]
     esc = escaping_bracket(L, h_indices)
     if esc:
         i, j, _ = esc
@@ -228,51 +236,36 @@ def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,
     best = None
     # Ann(h) = 0 only when h is everything; the definition then collapses to
     # the stabilizer of a generic point of the full dual.
-    support = r_support if r_support else None
+    support = [i for i in range(L.dim) if i not in h_indices] or None
     for _ in range(max(1, trials)):
         xi = _sample_point(rng, L.dim, bound, support=support)
-        rows = []
-        for y in range(L.dim):
-            row = []
-            for x in h_indices:
-                br = L.bracket_pair(x, y)
-                row.append(sum(c * xi[k] for k, c in br.items() if xi[k]))
-            rows.append(row)
-        _, basis = rank_and_nullspace(Matrix(rows))
+        # the h columns of D pi(xi): x in h is in the kernel iff xi([x, y]) = 0 for all y
+        rows = _tensor_matrix(L, xi).rows
+        _, basis = rank_and_nullspace(Matrix([[row[x] for x in h_indices] for row in rows]))
         if best is None or len(basis) < len(best[1]):
             best = (tuple(xi), basis)
     xi, basis = best
     dim_star = len(basis)
-    # structure constants of the stabilizer in its own basis
-    full_basis = []
-    for v in basis:
-        w = [0] * L.dim
-        for pos, i in enumerate(h_indices):
-            w[i] = v[pos]
-        full_basis.append(w)
+    # structure constants of the stabilizer in its own basis, one solve for all brackets
+    full_basis = [{i: c for i, c in zip(h_indices, v) if c} for v in basis]
+    brackets = {(a, b): w for a in range(dim_star) for b in range(a + 1, dim_star)
+                if (w := _bracket(L.constants, full_basis[a].items(), full_basis[b].items()))}
     constants = {}
-    all_zero = True
-    for a in range(dim_star):
-        for b in range(a + 1, dim_star):
-            w = L.bracket_vec(full_basis[a], full_basis[b])
-            if not w:
-                continue
-            # must lie in the span of the stabilizer (it is a subalgebra)
-            target = [w.get(i, 0) for i in range(L.dim)]
-            coeffs = solve(Matrix.from_columns(full_basis), target) if full_basis else None
-            if coeffs is None:
-                raise AssertionError(
-                    "sampled stabilizer failed to close under the bracket; sampling bug"
-                )
-            entries = tuple((k, c) for k, c in enumerate(coeffs) if c)
-            if entries:
-                constants[(a, b)] = entries
-                all_zero = False
+    if brackets:
+        # each bracket must lie in the span of the stabilizer (it is a subalgebra)
+        coeffs = solve_many(Matrix([[v.get(i, 0) for v in full_basis] for i in range(L.dim)]),
+                            [[w.get(i, 0) for i in range(L.dim)] for w in brackets.values()])
+        if coeffs is None:
+            raise AssertionError(
+                "sampled stabilizer failed to close under the bracket; sampling bug"
+            )
+        constants = {pair: tuple((k, c) for k, c in enumerate(col) if c)
+                     for pair, col in zip(brackets, coeffs)}
     names = [f"s{k + 1}" for k in range(dim_star)]
     stab = LieAlgebra(names, constants, kind="stabilizer")
     idx = index_estimate(stab, trials=max(1, trials), seed=seed + 1, bound=bound) if dim_star \
         else IndexEstimate(0, 0, 0, seed, QQ(0))
-    return StabilizerReport(h_indices, xi, basis, dim_star, idx, all_zero, stab)
+    return StabilizerReport(h_indices, xi, basis, dim_star, idx, not constants, stab)
 
 
 @dataclass

@@ -116,20 +116,6 @@ def make_splitting(L: LieAlgebra, h_part) -> Splitting:
     return Splitting(L, tuple(h_part))
 
 
-def _contract_constants(D: Decomposition, keep: frozenset, other: frozenset):
-    out = {}
-    for (i, j), entries in D.algebra.constants.items():
-        if i in keep and j in keep:
-            kept = entries
-        elif i in other and j in other:
-            kept = ()
-        else:
-            kept = tuple((k, c) for k, c in entries if k in other)
-        if kept:
-            out[(i, j)] = kept
-    return out
-
-
 def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
     """Inonu-Wigner contraction on D.algebra's basis, built and Jacobi-checked
     once per ``D``: later calls return the same object, not to be mutated."""
@@ -139,7 +125,12 @@ def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
             raise ValueError("side must be keep_h or keep_r")
         if side == "keep_r" and not isinstance(D, Splitting):
             raise ValueError("keep_r needs r to be a subalgebra (a full splitting)")
-        D._contractions[side] = LieAlgebra(D.algebra.names, _contract_constants(D, *sets[side]),
+        keep, other = sets[side]
+        # brackets inside keep stay, inside other vanish, across keep only their other part
+        constants = {(i, j): entries if {i, j} <= keep else
+                     () if {i, j} <= other else tuple((k, c) for k, c in entries if k in other)
+                     for (i, j), entries in D.algebra.constants.items()}
+        D._contractions[side] = LieAlgebra(D.algebra.names, constants,
                                            kind=f"contract[{side}]({D.algebra.kind})")
     return D._contractions[side]
 
@@ -147,8 +138,9 @@ def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
 def family_bracket(S: Splitting, p: BracketParameter) -> LieAlgebra:
     """The pencil member a*[,]_0 + b*[,]_infinity; (1,1) is the original algebra.
 
-    Built without the per-member Jacobi check, the one unchecked
-    construction in the package; two arguments settle the whole pencil.
+    Combines the two contractions of ``contract`` without a per-member Jacobi
+    check, the one unchecked construction in the package; two arguments settle
+    the whole pencil.
     Jacobi: the Jacobiator of a*mu_0 + b*mu_inf is the quadratic form
     a^2 J(mu_0) + ab J(mu_0, mu_inf) + b^2 J(mu_inf) in (a, b), so it
     vanishes for every member once it vanishes at three pairwise
@@ -161,11 +153,9 @@ def family_bracket(S: Splitting, p: BracketParameter) -> LieAlgebra:
     if not isinstance(S, Splitting):
         raise ValueError("the pencil needs r to be a subalgebra (a full splitting)")
     p = BracketParameter.of(p)
-    c0 = _contract_constants(S, S.h_set, S.r_set)
-    cinf = _contract_constants(S, S.r_set, S.h_set)
-    keys = set(c0) | set(cinf)
+    c0, cinf = contract(S, "keep_h").constants, contract(S, "keep_r").constants
     constants = {}
-    for key in keys:
+    for key in c0.keys() | cinf.keys():
         acc = combine({}, ((dict(c0.get(key, ())), p.a), (dict(cinf.get(key, ())), p.b)))
         if acc:
             constants[key] = tuple(acc.items())

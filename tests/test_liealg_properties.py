@@ -1,13 +1,16 @@
-"""Property test: the Jacobi check over the integer bracket table against the plain loop.
+"""Property tests of the integer bracket table against the Fraction-valued brackets.
 
-The reference walks the triples i < j < k with one Fraction-valued dict per
-bracket, as the check did before it kept the brackets as ints scaled by a
-common denominator.  Algebras are builder algebras in a permuted and
-rescaled basis (fractional constants that pass), the same with one constant
-perturbed (usually failing at some later triple), and random constants.
+The Jacobi reference walks the triples i < j < k with one Fraction-valued
+dict per bracket, as the check did before it kept the brackets as ints
+scaled by a common denominator.  The table itself must hold D times every
+``bracket_pair``, and the Poisson columns must read it unchanged.
+Algebras are builder algebras in a permuted and rescaled basis (fractional
+constants that pass), the same with one constant perturbed (usually failing
+at some later triple), and random constants.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -16,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from liesplit.liealg import (  # noqa: E402
     JacobiReport,
+    LieAlgebra,
     _pair,
     build_gl,
     build_sl,
@@ -23,6 +27,7 @@ from liesplit.liealg import (  # noqa: E402
     check_jacobi,
     sub_algebra,
 )
+from liesplit.poly import _unit  # noqa: E402
 from liesplit.rationals import combine  # noqa: E402
 
 CHECKS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -109,3 +114,21 @@ def test_rebased_builder_algebras_pass(algebra):
 @given(st.one_of(perturbed(), random_constants()))
 def test_jacobi_report_matches_reference(algebra):
     _both(algebra)
+
+
+@CHECKS
+@given(st.one_of(rebased(), random_constants()))
+def test_bracket_table_holds_every_bracket_times_d(algebra):
+    n, constants = algebra
+    L = LieAlgebra([f"x{a}" for a in range(n)], constants, check=False)
+    D, T = L.bracket_table
+    assert D == lcm(*(Fraction(c).denominator for e in constants.values() for _, c in e))
+    for a in range(n):
+        for b in range(n):
+            assert all(type(c) is int for _, c in T[a][b])
+            assert dict(T[a][b]) == {k: D * c for k, c in L.bracket_pair(a, b).items()}
+    # column j of D pi: the i with [x_i, x_j] != 0, each with the terms of D [x_i, x_j]
+    assert L.poisson_columns[0] == D
+    for j, column in enumerate(L.poisson_columns[1]):
+        assert dict(column) == {i: {_unit(n, k): c for k, c in T[i][j]}
+                                for i in range(n) if T[i][j]}

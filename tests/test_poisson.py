@@ -3,11 +3,13 @@ import random
 import pytest
 
 from liesplit import liealg
-from liesplit.liealg import build_double, build_sl, custom_algebra
+from liesplit.liealg import build_double, build_sl, custom_algebra, direct_sum
+from liesplit.linalg import Matrix, rank_and_nullspace, solve
 from liesplit.poisson import (
     generic_stabilizer,
     index_estimate,
     poisson_bracket,
+    _sample_point,
     regular_point_check,
     sphericity,
     tensor_at,
@@ -26,13 +28,27 @@ def sl2_vars():
     return (Polynomial.variable(3, i) for i in range(3))
 
 
-def test_index_estimate_witness_replays():
+def _adapted_sl3():
+    """The horospherical splitting of sl(3) with t1 spanned by diag(1, 0, -1) = h1 + h2."""
     g = build_sl(3)
-    est = index_estimate(g, trials=4, seed=3)
-    doc = est.as_dict()
-    witness = [QQ(x) for x in doc["witness"]]
-    assert len(witness) == g.dim
-    assert tensor_at(g, witness).rank == est.certified_max_rank == doc["certified_max_rank"]
+    return horospherical_splitting(g, [[int(i in g.triangular.cartan) for i in range(g.dim)]])
+
+
+def test_index_estimate_witness_replays():
+    S = _adapted_sl3()
+    # the adapted basis and its contraction have half-integral constants
+    for g, D in ((build_sl(3), 1), (S.algebra, 2), (contract(S, "keep_h"), 2)):
+        assert g.bracket_table[0] == D
+        est = index_estimate(g, trials=4, seed=3)
+        doc = est.as_dict()
+        witness = [QQ(x) for x in doc["witness"]]
+        assert len(witness) == g.dim
+        sample = tensor_at(g, witness)
+        assert sample.rank == est.certified_max_rank == doc["certified_max_rank"]
+        # the exact tensor, not D times it
+        pi = [[sum(witness[k] * c for k, c in g.bracket_pair(a, b).items())
+               for b in range(g.dim)] for a in range(g.dim)]
+        assert sample.matrix == Matrix(pi)
 
 
 def test_degree_one_bracket_is_lie_bracket():
@@ -232,3 +248,45 @@ def test_stabilizer_closure_check_builds_no_algebra(monkeypatch):
     monkeypatch.setattr(liealg, "jacobi_report", counting)
     rep = generic_stabilizer(sl3, tuple(sl3.triangular.plus), trials=2, seed=1)
     assert calls == [rep.dim_star]  # the stabilizer's own check, nothing else
+
+
+def _stabilizer_reference(L, h_indices, trials, seed, bound=997):
+    """(witness, basis, constants) of the generic stabilizer from ``bracket_pair`` rows,
+    with one ``solve`` per bracket of two basis vectors."""
+    support = [i for i in range(L.dim) if i not in h_indices] or None
+    rng = random.Random(seed)
+    best = None
+    for _ in range(trials):
+        xi = _sample_point(rng, L.dim, bound, support=support)
+        rows = [[sum(c * xi[k] for k, c in L.bracket_pair(x, y).items()) for x in h_indices]
+                for y in range(L.dim)]
+        _, basis = rank_and_nullspace(Matrix(rows))
+        if best is None or len(basis) < len(best[1]):
+            best = (tuple(xi), basis)
+    xi, basis = best
+    full = [[dict(zip(h_indices, v)).get(i, 0) for i in range(L.dim)] for v in basis]
+    constants = {}
+    for a in range(len(full)):
+        for b in range(a + 1, len(full)):
+            w = L.bracket_vec(full[a], full[b])
+            if w:
+                coeffs = solve(Matrix.from_columns(full), [w.get(i, 0) for i in range(L.dim)])
+                constants[(a, b)] = {k: c for k, c in enumerate(coeffs) if c}
+    return xi, basis, constants
+
+
+def test_generic_stabilizer_matches_bracket_pair_rows():
+    S = _adapted_sl3()
+    sl2 = build_sl(2)
+    cases = [(S.algebra, S.h_indices), (S.algebra, S.r_indices),
+             (contract(S, "keep_h"), S.h_indices),
+             # the stabilizer of a point of the second summand is all of the first sl(2)
+             (direct_sum(sl2, sl2), (0, 1, 2))]
+    for L, h in cases:
+        for seed in range(3):
+            rep = generic_stabilizer(L, h, trials=4, seed=seed)
+            xi, basis, constants = _stabilizer_reference(L, h, 4, seed)
+            assert (rep.sample_point, rep.stabilizer_basis) == (xi, basis)
+            assert {p: dict(e) for p, e in rep.subalgebra.constants.items()} == constants
+            assert rep.is_abelian == (not constants)
+    assert not rep.is_abelian and rep.dim_star == 3

@@ -60,6 +60,14 @@ def test_trdeg_examples():
     assert jacobian_rank([x, x * x], trials=4, seed=0) == 1
 
 
+def test_trdeg_of_fractional_polynomials():
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    p = x * x * QQ(1, 2) + y * QQ(1, 3)
+    # each gradient row is scaled by its own polynomial's denominator, never entrywise
+    assert jacobian_rank([p, 6 * p], trials=4, seed=0) == 1
+    assert jacobian_rank([p, p * p * QQ(5, 7), z * QQ(1, 4)], trials=4, seed=0) == 2
+
+
 def test_commutativity_suite_detects_noncommuting_pair():
     sl2, S, B = borel_sl2()
     names = S.algebra.names
