@@ -9,7 +9,9 @@ variable 0 in the most significant byte, over a fixed width of ``nvars``
 bytes: a monomial product is one integer addition and integer order
 equals the order of the exponent bytes.  A term product whose exponent of
 some variable would exceed 255 raises ``OverflowError``; it never carries
-into the next variable.
+into the next variable.  ``mul_terms`` either returns the product or adds
+it into a dict the caller passes, so a sum of products builds no
+intermediate dicts and drops its zero coefficients once.
 
 Square integer matrices for reflection-group work are encoded as
 ``bytes`` of two's-complement int8 entries, row major; a product entry
@@ -29,11 +31,13 @@ def _slots(nvars: int, byte: int) -> int:
     return int.from_bytes(bytes((byte,)) * nvars, "big")
 
 
-def mul_terms(a: dict, b: dict, nvars: int) -> dict:
+def mul_terms(a: dict, b: dict, nvars: int, out: dict | None = None) -> dict:
+    """The terms of a * b; with ``out``, out += a * b in place and returned, zero
+    coefficients kept for the caller to drop once it has added every product."""
     if len(a) > len(b):  # iterate the smaller map outside
         a, b = b, a
     if not a:
-        return {}
+        return {} if out is None else out
     if (reduce(or_, a, 0) | reduce(or_, b, 0)) & _slots(nvars, 0x80):
         # some exponent is >= 128: test each pair for a carry out of a slot
         carries = _slots(nvars, 1) << 8  # the bit just above each slot
@@ -43,18 +47,19 @@ def mul_terms(a: dict, b: dict, nvars: int) -> dict:
                     raise OverflowError("exponent sum exceeds 255, the largest exponent "
                                         "a packed exponent byte holds")
     items = b.items()
-    if len(a) == 1:  # one term (most calls from brackets): no two products share a key
+    if out is None and len(a) == 1:  # one term: no two products share a key
         (ea, ca), = a.items()
         return {ea + eb: ca * cb for eb, cb in items}
-    out = {}
-    get = out.get
+    acc = {} if out is None else out
+    get = acc.get
     for ea, ca in a.items():
         for eb, cb in items:
             e = ea + eb
-            out[e] = get(e, 0) + ca * cb
-    for e in [e for e, c in out.items() if not c]:  # in place: no second copy of out
-        del out[e]
-    return out
+            acc[e] = get(e, 0) + ca * cb
+    if out is None:
+        for e in [e for e, c in acc.items() if not c]:  # in place: no second copy of acc
+            del acc[e]
+    return acc
 
 
 def axpy_terms(acc: dict, src: dict, coeff: int) -> None:

@@ -116,16 +116,11 @@ def charpoly_coefficients(L: LieAlgebra) -> dict:
         ]
         for r in range(size)
     ]
-    full = poly_det(entries)
-    by_lambda: dict[int, dict] = {}
-    for e, c in full.items():
-        by_lambda.setdefault(e[n], {})[e[:n]] = c  # lambda is the last variable
+    by_lambda = poly_det(entries).split_last()  # lambda is the last variable
     out = {}
     for k in range(1, size + 1):
-        p = Polynomial(n, by_lambda.get(size - k, {}))
-        if k % 2:
-            p = -p
-        out[k] = p
+        p = by_lambda.get(size - k, Polynomial.zero(n))
+        out[k] = -p if k % 2 else p
     return out
 
 
@@ -321,35 +316,40 @@ class BiDecomposition:
 
 
 def bidecompose(D: Decomposition, F: Polynomial) -> BiDecomposition:
-    """Split a homogeneous F by h-degree; callers split by total degree first."""
+    """Split a homogeneous F by h-degree; callers split by total degree first.
+
+    Computed once per ``D`` and polynomial value: later calls with an equal F return
+    the same object, not to be mutated."""
     if F.nvars != D.algebra.dim:
         raise ValueError("polynomial does not live on the splitting's algebra")
+    got = D._bidecompositions.get(F)
+    if got is not None:
+        return got
     if F.is_zero():
         raise ValueError("cannot bidecompose the zero polynomial")
     if not F.is_homogeneous():
         raise ValueError("bidecompose needs a homogeneous polynomial")
     d = F.degree()
     comps = [BiComponent(p, (i, d - i)) for i, p in F.split(D.h_degree_of_exponent).items()]
-    return BiDecomposition(comps, comps[0].poly, comps[-1].poly)
+    got = D._bidecompositions[F] = BiDecomposition(comps, comps[0].poly, comps[-1].poly)
+    return got
 
 
 def jacobian_rank(polys, trials: int = 5, seed: int = 0, bound: int = 997) -> int:
     """Max over sampled integer points of the Jacobian rank modulo 2^61 - 1.
 
     Each is a lower bound on the exact Jacobian rank at its point, hence on the
-    transcendence degree.  Row p is the int gradient of den_p * p along the variables
-    p uses: a positive row scale below 2^61 - 1 changes no rank modulo it."""
+    transcendence degree.  Row p is ``p.int_gradient(x)``, the gradient of den_p * p
+    at the point x evaluated in ints straight from p's terms: a positive row scale
+    below 2^61 - 1 changes no rank modulo it."""
     if not polys:
         return 0
     n = polys[0].nvars
-    grads = [{i: p.diff(i).scale(p.den) for i in p.support_vars()} for p in polys]
     rng = random.Random(seed)
     best = 0
     for _ in range(max(1, trials)):
         x = [rng.randint(-bound, bound) for _ in range(n)]
-        rows = [[grad[i].eval(x).numerator if i in grad else 0 for i in range(n)]
-                for grad in grads]
-        best = max(best, rank_mod_p(Matrix(rows)))
+        best = max(best, rank_mod_p(Matrix([p.int_gradient(x) for p in polys])))
         if best == min(len(polys), n):
             break
     return best
@@ -566,15 +566,13 @@ class AksReport:
     side_r: AksSide
 
 
-def _aks_side(L, indices, B, pure_side):
+def _aks_side(L, indices, B):
     sub = sub_algebra(L, indices)
     gens = []
     for F, d in B.generators:
-        p = Polynomial(L.dim, {e: c for e, c in F.items()
-                               if all(k == 0 or i in pure_side for i, k in enumerate(e))})
-        if p.is_zero():
-            continue
-        gens.append(p.restrict_vars(list(indices)))
+        p = F.part_on(indices)
+        if not p.is_zero():
+            gens.append(p)
     commutes = True
     failure = None
     for a in range(len(gens)):
@@ -596,6 +594,6 @@ def aks_restrict(S: Splitting, B: HilbertBasis) -> AksReport:
     structure; side r is symmetric.
     """
     L = S.algebra
-    side_h = _aks_side(L, S.h_indices, B, set(S.h_indices))
-    side_r = _aks_side(L, S.r_indices, B, set(S.r_indices))
+    side_h = _aks_side(L, S.h_indices, B)
+    side_r = _aks_side(L, S.r_indices, B)
     return AksReport(side_h, side_r)

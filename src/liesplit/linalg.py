@@ -91,8 +91,12 @@ class Matrix:
         return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def scale(self, c) -> "Matrix":
+        """c * self: zero cells stay 0, int cells stay ints for an integral c."""
         c = scalar(c)
-        return Matrix([[x * c for x in row] for row in self.rows])
+        if type(c) is int:
+            return Matrix([[x * c if type(x) is int else exact(x * c) for x in row]
+                           for row in self.rows])
+        return Matrix([[exact(x * c) if x else 0 for x in row] for row in self.rows])
 
     def is_skew(self) -> bool:
         if self.nrows != self.ncols:

@@ -42,8 +42,8 @@ def _field_terms(L: LieAlgebra, F: Polynomial, targets):
         V = {}
         for i, lin in columns[j]:
             if i in dF:
-                K.axpy_terms(V, K.mul_terms(dF[i], lin, n), 1)
-        yield j, V
+                K.mul_terms(dF[i], lin, n, V)
+        yield j, {e: c for e, c in V.items() if c}
 
 
 def hamiltonian_field(L: LieAlgebra, F: Polynomial, targets=None):
@@ -67,8 +67,9 @@ def poisson_bracket(L: LieAlgebra, F: Polynomial, G: Polynomial) -> Polynomial:
     acc: dict = {}
     for j, V in _field_terms(L, F, dG):
         if V:
-            K.axpy_terms(acc, K.mul_terms(V, dG[j], n), 1)
-    return Polynomial._of(n, acc, L.poisson_columns[0] * F.den * G.den)
+            K.mul_terms(V, dG[j], n, acc)
+    return Polynomial._of(n, {e: c for e, c in acc.items() if c},
+                          L.poisson_columns[0] * F.den * G.den)
 
 
 @dataclass
@@ -204,6 +205,11 @@ def regular_point_check(L: LieAlgebra, xi, estimate: IndexEstimate | None = None
 
 @dataclass
 class StabilizerReport:
+    """The stabilizer in h of the sampled point ``sample_point`` of Ann(h).
+
+    ``dim_star`` is the exact kernel dimension at that point, the smallest over the
+    samples: an upper bound on the dimension of the generic stabilizer (the kernel
+    can only grow on special points), which is the side it certifies."""
     h_indices: tuple
     sample_point: tuple
     stabilizer_basis: list

@@ -7,16 +7,23 @@ is kept primitive (gcd(den, all coefficients) = 1, den > 0), so den = 1
 for an integral polynomial and equal polynomials have equal ``terms`` and
 ``den``.  The kernels run on ints alone: a sum scales both sides to the
 lcm of the denominators, a product multiplies them, and each result is
-reduced once.  Outside the polynomial core (this module, ``_kernels`` and
-``poisson``) code reads coefficients only through :meth:`Polynomial.coeff`,
+reduced once; ``mul_terms`` can also add a product into a caller's dict,
+so a sum of products (a Poisson bracket) builds no dict per product.
+Outside the polynomial core (this module, ``_kernels`` and ``poisson``)
+code reads coefficients only through :meth:`Polynomial.coeff`,
 :meth:`~Polynomial.items`, :meth:`~Polynomial.eval`,
 :meth:`~Polynomial.canonical` and :meth:`~Polynomial.to_string`, the only
-producers of rational values, and builds and reads keys only through
-``_unit`` and ``_exponents``.  A key packs the exponent vector into one
-int, 8 bits per variable, variable 0 in the most significant byte, over a
-fixed width of ``nvars`` bytes, so exponents stay below 256 (a product
-past 255 raises ``OverflowError``), a monomial product is one integer
-addition, and integer order equals the order of the exponent bytes.
+producers of rational values, and the int-producing
+:meth:`~Polynomial.int_gradient` (den times the gradient at an integer
+point); it builds and reads keys only through ``_unit`` and
+``_exponents``.  :meth:`~Polynomial.split_last` (the coefficients in the
+last variable) and :meth:`~Polynomial.part_on` (the terms on a set of
+variables) regroup terms by shifting and masking keys, with no rational
+round trip.  A key packs the exponent vector into one int, 8 bits per
+variable, variable 0 in the most significant byte, over a fixed width of
+``nvars`` bytes, so exponents stay below 256 (a product past 255 raises
+``OverflowError``), a monomial product is one integer addition, and
+integer order equals the order of the exponent bytes.
 Coefficients and points enter through :func:`liesplit.rationals.scalar`,
 which rejects ``float``; the constructor takes {exponent sequence:
 coefficient} maps.  Values are immutable by convention.  The zero
@@ -155,6 +162,13 @@ class Polynomial:
         """Map total degree -> homogeneous part."""
         return self.split(sum)
 
+    def split_last(self) -> dict:
+        """Map k -> c_k over the first nvars - 1 variables, with self = sum_k c_k x_last^k."""
+        parts: dict = {}
+        for e, c in self.terms.items():  # the last variable is the lowest key byte
+            parts.setdefault(e & 0xFF, {})[e >> 8] = c
+        return {k: Polynomial._of(self.nvars - 1, t, self.den) for k, t in parts.items()}
+
     def support_vars(self) -> set:
         used = _exponents(reduce(or_, self.terms, 0), self.nvars)
         return {i for i, k in enumerate(used) if k}
@@ -231,6 +245,34 @@ class Polynomial:
             raise ValueError(f"variable index {var} out of range for {self.nvars} variables")
         return Polynomial._of(self.nvars, K.diff_terms(self.terms, var, self.nvars), self.den)
 
+    def int_gradient(self, point: Sequence[int]) -> list:
+        """[den * d self/d x_i at the integer ``point`` for each i], ints, in one pass over
+        the terms: a term's partial derivatives share prefix and suffix products of its
+        factors x_j^k_j."""
+        n = self.nvars
+        if len(point) != n:
+            raise ValueError(f"point has length {len(point)}, expected {n}")
+        grad = [0] * n
+        factors: dict = {}  # (i, k) -> (i, k * point[i] ** (k - 1), point[i] ** k)
+        for e, c in self.terms.items():
+            fs = []
+            for ik in enumerate(_exponents(e, n)):
+                if ik[1]:
+                    f = factors.get(ik)
+                    if f is None:
+                        i, k = ik
+                        low = point[i] ** (k - 1)
+                        f = factors[ik] = (i, k * low, low * point[i])
+                    fs.append(f)
+            after = [1] * len(fs)  # after[j]: the product of the factor values past j
+            for j in range(len(fs) - 1, 0, -1):
+                after[j - 1] = after[j] * fs[j][2]
+            before = c  # c times the product of the factor values ahead of j
+            for (i, d, v), a in zip(fs, after):
+                grad[i] += before * d * a
+                before *= v
+        return grad
+
     def eval(self, point: Sequence):
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
@@ -295,20 +337,25 @@ class Polynomial:
         shift = 8 * (new_nvars - offset - self.nvars)
         return Polynomial._of(new_nvars, {e << shift: c for e, c in self.terms.items()}, self.den)
 
-    def restrict_vars(self, keep: Sequence[int]) -> "Polynomial":
-        """Reindex onto the variables ``keep``; fails if other variables occur."""
+    def part_on(self, keep: Sequence[int]) -> "Polynomial":
+        """The terms supported on the variables ``keep``, reindexed onto them (``keep[j]``
+        becomes x_j): self with every other variable set to zero, over len(keep) variables."""
         n = self.nvars
-        pos = {v: i for i, v in enumerate(keep)}
+        others = (1 << 8 * n) - 1 - sum(0xFF * _unit(n, i) for i in set(keep))
         out = {}
         for e, c in self.terms.items():
-            e2 = bytearray(len(keep))
-            for i, k in enumerate(_exponents(e, n)):
-                if k:
-                    if i not in pos:
-                        raise ValueError(f"variable {i} occurs but is not kept")
-                    e2[pos[i]] = k
-            out[int.from_bytes(e2, "big")] = c
+            if not e & others:
+                ex = _exponents(e, n)
+                out[int.from_bytes(bytes(ex[i] for i in keep), "big")] = c
         return Polynomial._of(len(keep), out, self.den)
+
+    def restrict_vars(self, keep: Sequence[int]) -> "Polynomial":
+        """Reindex onto the variables ``keep``; fails if other variables occur."""
+        p = self.part_on(keep)
+        if len(p.terms) < len(self.terms):
+            raise ValueError(f"variable {min(self.support_vars() - set(keep))} occurs "
+                             "but is not kept")
+        return p
 
     # -- normalisation and display -------------------------------------
     def canonical(self):

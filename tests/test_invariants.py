@@ -23,6 +23,7 @@ from liesplit.invariants import (
     transport_basis,
     verify_invariance,
 )
+from liesplit.linalg import Matrix, rank_mod_p
 from liesplit.poisson import hamiltonian_field, poisson_bracket
 from liesplit.poly import Polynomial
 from liesplit.rationals import QQ, QQ0, QQ1
@@ -220,6 +221,26 @@ def test_bidecompose_double_casimir_components():
     assert dec.component(0) == QQ(1, 4) * p * p
     assert dec.component(1) == QQ(1, 2) * m * p + 4 * eA * fA
     assert dec.component(2) == QQ(1, 4) * m * m
+
+
+def test_bidecompose_is_split_once_per_splitting_and_value():
+    sl2 = build_sl(2)
+    e, h, f = (Polynomial.variable(3, i) for i in range(3))
+    S = make_splitting(sl2, (0, 1))
+    dec = bidecompose(S, h * h + 4 * e * f)
+    # the same value by another route, with a different term order
+    again = bidecompose(S, Polynomial(3, {(1, 0, 1): 8, (0, 2, 0): 2}).scale(QQ(1, 2)))
+    assert again is dec
+    assert [(c.poly, c.bidegree) for c in again.components] == [(4 * e * f, (1, 1)),
+                                                               (h * h, (2, 0))]
+    # another splitting of the same algebra splits the same polynomial its own way
+    other = bidecompose(make_splitting(sl2, (1, 2)), h * h + 4 * e * f)
+    assert [(c.poly, c.bidegree) for c in other.components] == [(4 * e * f, (1, 1)),
+                                                               (h * h, (2, 0))]
+    other = bidecompose(make_decomposition(sl2, (1,)), h * h + 4 * e * f)
+    assert [(c.poly, c.bidegree) for c in other.components] == [(4 * e * f, (0, 2)),
+                                                               (h * h, (2, 0))]
+    assert bidecompose(S, h * h + 4 * e * f) is dec
 
 
 def test_reconstruction_property():
@@ -443,6 +464,43 @@ def test_trdeg_of_top_components_matches_rank_on_borel():
         B = hilbert_basis(g, "charpoly")
         tops = [bidecompose(S, F).top for F, _ in B.generators]
         assert jacobian_rank(tops, trials=5, seed=0) == g.rank
+
+
+def _jacobian_rank_by_eval(polys, trials, seed, bound):
+    """The row construction ``jacobian_rank`` replaced: den_p * dp/dx_i as polynomials,
+    evaluated to Fractions whose numerators make the rows."""
+    n = polys[0].nvars
+    grads = [{i: p.diff(i).scale(p.den) for i in p.support_vars()} for p in polys]
+    rng = random.Random(seed)
+    best = 0
+    for _ in range(max(1, trials)):
+        x = [rng.randint(-bound, bound) for _ in range(n)]
+        rows = [[grad[i].eval(x).numerator if i in grad else 0 for i in range(n)]
+                for grad in grads]
+        assert rows == [p.int_gradient(x) for p in polys]
+        best = max(best, rank_mod_p(Matrix(rows)))
+        if best == min(len(polys), n):
+            break
+    return best
+
+
+def test_jacobian_rank_rows_are_the_evaluated_gradients():
+    so8 = build_so_even(4)
+    cart = so8.triangular.cartan
+    units = [[int(i == c) for i in range(so8.dim)] for c in cart]
+    so8_split = horospherical_splitting(so8, units[:3], t0_basis=units[3:])
+    cases = ((so8_split, "so_minors_pfaffian"), (_sl4_splitting()[1], "charpoly"))
+    for S, kind in cases:
+        B = hilbert_basis(S.algebra, kind)
+        for side in ("top", "bottom"):
+            polys = [getattr(bidecompose(S, F), side) for F in B.polys]
+            for seed, bound in ((0, 997), (1, 97), (2, 1)):
+                want = _jacobian_rank_by_eval(polys, trials=3, seed=seed, bound=bound)
+                assert jacobian_rank(polys, trials=3, seed=seed, bound=bound) == want
+            if S is so8_split:  # a good generating system: top and bottom ranks are 4
+                assert jacobian_rank(polys, trials=3) == so8.rank
+    # the sl_4 components carry denominators up to 256
+    assert max(bidecompose(S, F).top.den for F in B.polys) == 256
 
 
 # -- invariance on a generating set ----------------------------------------

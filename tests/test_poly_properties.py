@@ -16,6 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from liesplit._kernels import axpy_terms, mul_terms  # noqa: E402
 from liesplit.poly import Polynomial  # noqa: E402
 
 # derandomized, so every run checks the same examples
@@ -81,6 +82,20 @@ def r_map_vars(a, images, target):
                 piece = r_mul(piece, im)
         out = r_add(out, piece)
     return out
+
+
+def r_split_last(a):
+    """{k: the coefficient of x_last^k over the other variables}."""
+    out = {}
+    for e, c in a.items():
+        out.setdefault(e[-1], {})[e[:-1]] = c
+    return out
+
+
+def r_part_on(a, keep):
+    """The terms on the variables ``keep`` alone, reindexed onto them."""
+    return {tuple(e[v] for v in keep): c for e, c in a.items()
+            if all(k == 0 or i in keep for i, k in enumerate(e))}
 
 
 def r_lift(a, new_nvars, offset):
@@ -211,6 +226,59 @@ def test_calculus_and_evaluation_match_reference(data, draw):
     assert isinstance(value, Fraction) and value == r_eval(a, point)
     degree = max((sum(e) for e in a), default=None)
     assert p.degree() == degree
+
+
+@CHECKS
+@given(pair(), st.data())
+def test_int_gradient_matches_reference(data, draw):
+    n, a, _ = data
+    p = Polynomial(n, a)
+    # small coordinates: zeros are common, and a zero factor must not hide the others
+    point = draw.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    grad = p.int_gradient(point)
+    assert all(type(g) is int for g in grad)
+    assert grad == [p.den * r_eval(r_diff(a, i), point) for i in range(n)]
+
+
+@CHECKS
+@given(pair(), st.data())
+def test_split_last_and_part_on_match_reference(data, draw):
+    n, a, _ = data
+    p = Polynomial(n, a)
+    parts = p.split_last()
+    assert all(q.nvars == n - 1 for q in parts.values())
+    assert {k: ref(q) for k, q in parts.items()} == r_split_last(a)
+    keep = draw.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    part = p.part_on(keep)
+    assert part.nvars == len(keep) and ref(part) == r_part_on(a, keep)
+
+
+@CHECKS
+@given(pair(), st.data())
+def test_accumulating_product_equals_product_then_axpy(data, draw):
+    n, a, b = data
+    p, q = Polynomial(n, a), Polynomial(n, b)
+    start = Polynomial(n, draw.draw(terms(n))).terms
+    want = dict(start)
+    axpy_terms(want, mul_terms(p.terms, q.terms, n), 1)
+    acc = dict(start)
+    assert mul_terms(p.terms, q.terms, n, acc) is acc
+    assert {e: c for e, c in acc.items() if c} == want
+    # an accumulator holding minus the product cancels to nothing
+    acc = {e: -c for e, c in mul_terms(p.terms, q.terms, n).items()}
+    mul_terms(q.terms, p.terms, n, acc)
+    assert not any(acc.values())
+
+
+@pytest.mark.parametrize("nvars, var", [(1, 0), (3, 1), (29, 28)])
+def test_accumulating_product_keeps_the_overflow_check(nvars, var):
+    x = Polynomial.variable(nvars, var)
+    acc = {}
+    assert mul_terms((x**127).terms, (x**128).terms, nvars, acc) == (x**255).terms
+    acc = dict((x**3).terms)
+    with pytest.raises(OverflowError, match="255"):
+        mul_terms((x**128).terms, (x**128).terms, nvars, acc)
+    assert acc == (x**3).terms  # the check runs before any product is added
 
 
 @CHECKS
