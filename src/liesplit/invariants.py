@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .liealg import LieAlgebra, sub_algebra
 from .linalg import Matrix, inverse, rank, rank_mod_p, solve  # noqa: F401  (rank: read by the perfbench tracer tests)
-from .poisson import hamiltonian_field, index_estimate, poisson_bracket
+from .poisson import _sample_point, hamiltonian_field, index_estimate, poisson_bracket
 from .poly import Polynomial
 from .splitting import Decomposition, Splitting, contract
 
@@ -348,7 +348,7 @@ def jacobian_rank(polys, trials: int = 5, seed: int = 0, bound: int = 997) -> in
     rng = random.Random(seed)
     best = 0
     for _ in range(max(1, trials)):
-        x = [rng.randint(-bound, bound) for _ in range(n)]
+        x = _sample_point(rng, n, bound)
         best = max(best, rank_mod_p(Matrix([p.int_gradient(x) for p in polys])))
         if best == min(len(polys), n):
             break
@@ -388,6 +388,10 @@ def ggs_check(D: Decomposition, B: HilbertBasis, side: str = "h",
 
     side 'h': the complement is r/m and the extreme components are the
     minimal-h-degree ones; side 'r' (full splittings only) is symmetric.
+    On a horospherical splitting, ``bidegree_claim_ok`` certifies the bi-degree
+    claim when a = dim of the toral part: every top component not supported on
+    the toral part has bidegree (1, d-1) on side h, or (d-1, 1) on side r (None
+    when a > dim, or off horospherical splittings).
     """
     if B.algebra is not D.algebra:
         raise ValueError("basis and splitting live on different algebras")

@@ -19,10 +19,13 @@ Builders produce gl(n), sl(n), so(2n) in the antidiagonal realization
 (matrices skew with respect to the antidiagonal, so the Cartan is
 diagonal and the nilradical strictly upper triangular), direct sums,
 and the reductive extension q + t with an abelian copy of the Cartan
-appended.  Reductive builders carry triangular data (root labels and
-the restriction of the trace form to the Cartan) plus a matrix
-realization and the full invariant-form Gram matrix used to identify
-the algebra with its dual.
+appended.  A matrix builder supplies only its basis matrices in (u+, t, u-)
+order and how a commutator decomposes in that basis; one routine,
+``_assemble``, derives the rest: structure constants, the invariant-form
+Gram matrix (the trace form, halved for so(2n)) used to identify the
+algebra with its dual, and triangular data (root labels and the restriction
+of the form to the Cartan), read by ``_triangular`` as for the double and
+the horospherical rebuilds.
 """
 
 from __future__ import annotations
@@ -239,61 +242,47 @@ def _scomm(a: dict, b: dict) -> dict:
     return combine(_smul(a, b), [(_smul(b, a), -1)])
 
 
-def _strace_product(a: dict, b: dict):
-    total = 0
-    for (r, c), v in a.items():
-        w = b.get((c, r))
-        if w:
-            total = total + v * w
-    return total
-
-
-def _constants_from_realization(mats, decompose):
-    constants = {}
-    n = len(mats)
-    for i in range(n):
-        for j in range(i + 1, n):
-            comm = _scomm(mats[i], mats[j])
-            coeffs = decompose(comm)
-            entries = tuple((k, c) for k, c in coeffs if c)
-            if entries:
-                constants[(i, j)] = entries
-    return constants
-
-
-def _gram_from_realization(mats, half=False):
-    n = len(mats)
-    g = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            v = _strace_product(mats[a], mats[b])
-            if half:
-                v = QQ(v, 2)
-            g[a][b] = v
-            g[b][a] = v
-    return Matrix(g)
-
-
-def _extract_root_labels(constants, cartan, roots, dim):
-    """Read alpha(t_c) off the structure constants; Cartan action must be diagonal."""
+def _triangular(constants, plus, cartan, minus, gram) -> TriangularData:
+    """Root labels read off the constants (the Cartan must act diagonally on u+ and u-) and
+    the Cartan block of ``gram``."""
+    plus, cartan, minus = tuple(plus), tuple(cartan), tuple(minus)
     labels = {}
-    for r in roots:
+    for r in plus + minus:
         vals = []
         for c in cartan:
             br = _pair(constants, c, r)
-            extra = {k: v for k, v in br.items() if k != r}
-            if extra:
+            if any(k != r for k in br):
                 raise ValueError(f"Cartan element {c} does not act diagonally on root vector {r}")
             vals.append(br.get(r, 0))
         labels[r] = tuple(vals)
-    return labels
-
-
-def _triangular(constants, plus, cartan, minus, gram, dim):
-    roots = tuple(plus) + tuple(minus)
-    labels = _extract_root_labels(constants, tuple(cartan), roots, dim)
     cf = Matrix([[gram[a, b] for b in cartan] for a in cartan])
-    return TriangularData(tuple(plus), tuple(cartan), tuple(minus), labels, cf)
+    return TriangularData(plus, cartan, minus, labels, cf)
+
+
+def _assemble(mats, names, decompose, ell, kind, half=False) -> LieAlgebra:
+    """The algebra of the basis matrices ``mats``, listed as (u+, Cartan of size ``ell``, u-)
+    with u+ and u- of equal size: the constants of [mats[i], mats[j]] as ``decompose`` writes
+    a matrix in the basis, the trace form (half of it when ``half``) as Gram matrix, the
+    triangular data, and the realization, of rank ``ell`` and matrix size read off ``mats``."""
+    n = len(mats)
+    constants = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            entries = tuple((k, c) for k, c in decompose(_scomm(mats[i], mats[j])) if c)
+            if entries:
+                constants[(i, j)] = entries
+    g = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            v = sum(x * mats[b].get((c, r), 0) for (r, c), x in mats[a].items())
+            g[a][b] = g[b][a] = QQ(v, 2) if half else v
+    gram = Matrix(g)
+    nplus = (n - ell) // 2
+    tri = _triangular(constants, range(nplus), range(nplus, nplus + ell),
+                      range(nplus + ell, n), gram)
+    size = 1 + max(max(p) for m in mats for p in m)
+    return LieAlgebra(names, constants, rank=ell, triangular=tri, realization=mats,
+                      matrix_size=size, gram=gram, kind=kind)
 
 
 # -- builders ----------------------------------------------------------
@@ -314,21 +303,12 @@ def build_gl(n: int) -> LieAlgebra:
         + [(i, j) for i in range(n) for j in range(n) if i > j]
     )
     pos = {p: a for a, p in enumerate(order)}
-    mats = [{p: 1} for p in order]
-    names = [_ename(i, j, n) for (i, j) in order]
 
     def decompose(m):
         return [(pos[p], v) for p, v in m.items()]
 
-    constants = _constants_from_realization(mats, decompose)
-    gram = _gram_from_realization(mats)
-    nup = n * (n - 1) // 2
-    plus = tuple(range(nup))
-    cartan = tuple(range(nup, nup + n))
-    minus = tuple(range(nup + n, len(order)))
-    tri = _triangular(constants, plus, cartan, minus, gram, len(order))
-    return LieAlgebra(names, constants, rank=n, triangular=tri, realization=mats,
-                      matrix_size=n, gram=gram, kind=f"gl({n})")
+    return _assemble([{p: 1} for p in order], [_ename(i, j, n) for (i, j) in order],
+                     decompose, n, f"gl({n})")
 
 
 def build_sl(n: int) -> LieAlgebra:
@@ -357,14 +337,7 @@ def build_sl(n: int) -> LieAlgebra:
                 out.append((nup + k, run))
         return out
 
-    constants = _constants_from_realization(mats, decompose)
-    gram = _gram_from_realization(mats)
-    plus = tuple(range(nup))
-    cartan = tuple(range(nup, nup + n - 1))
-    minus = tuple(range(nup + n - 1, len(mats)))
-    tri = _triangular(constants, plus, cartan, minus, gram, len(mats))
-    return LieAlgebra(names, constants, rank=n - 1, triangular=tri, realization=mats,
-                      matrix_size=n, gram=gram, kind=f"sl({n})")
+    return _assemble(mats, names, decompose, n - 1, f"sl({n})")
 
 
 def build_so_even(n: int) -> LieAlgebra:
@@ -379,25 +352,13 @@ def build_so_even(n: int) -> LieAlgebra:
     lowers = [(i, j) for i in range(size) for j in range(size) if i > j and i + j < size - 1]
     order = uppers + diag + lowers
     pos = {p: a for a, p in enumerate(order)}
-
-    def mat(p):
-        i, j = p
-        return {(i, j): 1, (size - 1 - j, size - 1 - i): -1}
-
-    mats = [mat(p) for p in order]
+    mats = [{(i, j): 1, (size - 1 - j, size - 1 - i): -1} for (i, j) in order]
     names = [f"M{i + 1}{j + 1}" if size <= 9 else f"M{i + 1}_{j + 1}" for (i, j) in order]
 
     def decompose(m):
         return [(pos[p], v) for p, v in m.items() if p in pos]
 
-    constants = _constants_from_realization(mats, decompose)
-    gram = _gram_from_realization(mats, half=True)
-    plus = tuple(range(len(uppers)))
-    cartan = tuple(range(len(uppers), len(uppers) + n))
-    minus = tuple(range(len(uppers) + n, len(order)))
-    tri = _triangular(constants, plus, cartan, minus, gram, len(order))
-    return LieAlgebra(names, constants, rank=n, triangular=tri, realization=mats,
-                      matrix_size=size, gram=gram, kind=f"so({size})")
+    return _assemble(mats, names, decompose, n, f"so({size})", half=True)
 
 
 def build_double(base: LieAlgebra) -> LieAlgebra:
@@ -405,39 +366,30 @@ def build_double(base: LieAlgebra) -> LieAlgebra:
 
     The appended generators xi_1..xi_l are central; the identification
     with the Cartan basis h_i -> xi_i is fixed once and used by the
-    invariant constructions.
+    invariant constructions.  The invariant form is the base's Gram matrix
+    next to its Cartan form on the xi's.
     """
     if base.triangular is None or base.rank is None:
         raise ValueError("the double needs a reductive builder algebra")
-    ell = len(base.triangular.cartan)
-    names = list(base.names) + [f"xi{k + 1}" for k in range(ell)]
-    constants = dict(base.constants)  # xi's bracket to zero with everything
+    if base.gram is None:
+        raise ValueError(f"the double of {base.kind} needs its Gram matrix (the invariant "
+                         "form), and the base algebra has none")
+    tri = base.triangular
+    ell = len(tri.cartan)
     dim = base.dim + ell
-    tcf = base.triangular.cartan_form
-    gram = None
-    if base.gram is not None:
-        rows = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                if i < base.dim and j < base.dim:
-                    row.append(base.gram[i, j])
-                elif i >= base.dim and j >= base.dim:
-                    row.append(tcf[i - base.dim, j - base.dim])
-                else:
-                    row.append(0)
-            rows.append(row)
-        gram = Matrix(rows)
-    cartan = tuple(base.triangular.cartan) + tuple(range(base.dim, dim))
-    labels = {r: tuple(v) + (0,) * ell for r, v in base.triangular.root_labels.items()}
-    cf = Matrix([[gram[a, b] for b in cartan] for a in cartan])
-    tri = TriangularData(base.triangular.plus, cartan, base.triangular.minus, labels, cf)
+    rows = [list(row) + [0] * ell for row in base.gram.rows]
+    rows += [[0] * base.dim + list(row) for row in tri.cartan_form.rows]
+    gram = Matrix(rows)
+    # the xi's bracket to zero with everything
+    tri = _triangular(base.constants, tri.plus, tuple(tri.cartan) + tuple(range(base.dim, dim)),
+                      tri.minus, gram)
     realization = None
     if base.realization is not None:
         realization = list(base.realization) + [None] * ell
-    return LieAlgebra(names, constants, rank=base.rank + ell, triangular=tri,
-                      realization=realization, matrix_size=base.matrix_size,
-                      gram=gram, kind=f"double[{base.kind}]", base_algebra=base)
+    return LieAlgebra(list(base.names) + [f"xi{k + 1}" for k in range(ell)], base.constants,
+                      rank=base.rank + ell, triangular=tri, realization=realization,
+                      matrix_size=base.matrix_size, gram=gram, kind=f"double[{base.kind}]",
+                      base_algebra=base)
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 
-from .liealg import (LieAlgebra, Matrix, TriangularData, _extract_root_labels, change_basis,
-                     escaping_bracket)
+from .liealg import LieAlgebra, Matrix, _triangular, change_basis, escaping_bracket
 from .linalg import rank, rank_and_nullspace
 from .rationals import clear_denominators, combine, qq_str, scalar
 
@@ -278,12 +277,8 @@ def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Splitting
     t1_idx = tuple(range(nplus, nplus + k))
     minus = tuple(range(nplus + k, nplus + k + nminus))
     t0_idx = tuple(range(nplus + k + nminus, L.dim))
-    cartan_new = t1_idx + t0_idx
-    # rebuild triangular data in the adapted coordinates
-    labels = _extract_root_labels(adapted.constants, cartan_new, plus + minus, L.dim)
-    cf = Matrix([[adapted.gram[a, b] for b in cartan_new] for a in cartan_new])
-    adapted.triangular = TriangularData(plus, cartan_new, minus, labels, cf)
-    adapted.rank = L.rank
+    adapted.triangular = _triangular(adapted.constants, plus, t1_idx + t0_idx, minus,
+                                     adapted.gram)
 
     S = Splitting(adapted, plus + t1_idx, minus + t0_idx)
     S.t1_indices = t1_idx

@@ -237,6 +237,30 @@ def test_direct_sum_builder():
     assert check_jacobi(s).passed
 
 
+def test_double_needs_the_gram_matrix():
+    sl2 = build_sl(2)
+    bare = LieAlgebra(sl2.names, sl2.constants, rank=1, triangular=sl2.triangular)
+    with pytest.raises(ValueError, match="needs its Gram matrix"):
+        build_double(bare)
+
+
+def test_double_gram_is_the_base_form_next_to_the_cartan_form():
+    base = build_sl(3)
+    d = build_double(base)
+    cf = base.triangular.cartan_form
+    for i in range(d.dim):
+        for j in range(d.dim):
+            if i < base.dim and j < base.dim:
+                assert d.gram[i, j] == base.gram[i, j]
+            elif i >= base.dim and j >= base.dim:
+                assert d.gram[i, j] == cf[i - base.dim, j - base.dim]
+            else:
+                assert d.gram[i, j] == 0
+    assert d.triangular.cartan == base.triangular.cartan + (8, 9)
+    assert all(d.triangular.root_labels[r] == label + (0, 0)
+               for r, label in base.triangular.root_labels.items())
+
+
 def test_double_dispatcher_path():
     d = build_algebra("double", base_kind="sl", n=2)
     assert d.dim == 4 and d.rank == 2

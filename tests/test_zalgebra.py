@@ -4,7 +4,8 @@ import pytest
 
 from liesplit.liealg import build_double, build_sl
 from liesplit import zalgebra
-from liesplit.invariants import custom_basis, hilbert_basis, jacobian_rank, transport_basis
+from liesplit.invariants import (custom_basis, ggs_check, hilbert_basis, jacobian_rank,
+                                 transport_basis)
 from liesplit.poisson import poisson_bracket
 from liesplit.poly import Polynomial
 from liesplit.rationals import QQ, QQ0, QQ1
@@ -211,6 +212,34 @@ def test_cases_pass(name, params):
     rep = run_case(name, params, seed=1)
     failed = [k for k, v in rep.verdicts.items() if not v]
     assert not failed, failed
+
+
+def test_bidegree_claim_holds_wherever_it_is_defined(monkeypatch):
+    # GgsReport.bidegree_claim_ok is defined when a = dim of the toral part; record every
+    # ggs_check report of the case studies and require the claim wherever it is defined
+    reports = []
+
+    def recording(*args, **kw):
+        reports.append(ggs_check(*args, **kw))
+        return reports[-1]
+
+    monkeypatch.setattr(zalgebra, "ggs_check", recording)
+    claims = {}
+    for name, n in [("horo", 3), ("double", 1), ("double", 2), ("sl2n", 2), ("sl2n1", 1),
+                    ("so2n", 4)]:
+        reports.clear()
+        run_case(name, {"n": n}, seed=1)
+        assert all((r.bidegree_claim_ok is None) == (r.a_count != r.dim_toral) for r in reports)
+        claims[name, n] = [(r.side, r.bidegree_claim_ok) for r in reports
+                           if r.bidegree_claim_ok is not None]
+    assert claims == {
+        ("horo", 3): [("h", True)],
+        ("double", 1): [("h", True), ("r", True), ("r", True)],
+        ("double", 2): [("h", True), ("r", True)],
+        ("sl2n", 2): [("h", True), ("r", True)],  # the modified basis; a > dim t0 unmodified
+        ("sl2n1", 1): [],
+        ("so2n", 4): [("h", True), ("r", True)],
+    }
 
 
 def test_so2n_rejects_small_n():
