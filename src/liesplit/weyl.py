@@ -8,12 +8,16 @@ product is the Cartan matrix.
 A Weyl group acts faithfully on its roots, so an element w is fixed by
 where it sends the simple roots.  Each element is keyed by the ``bytes``
 of the indices of w(alpha_1), ..., w(alpha_r) in one fixed list of all
-roots (six bytes per element of W(E6)).  A simple reflection s permutes
-the roots, and ``key.translate(perm_s)`` is the key of s w, so
-enumeration and the normalizer computation run on keys and integers and
-never form a matrix.  Model-space matrices are built only on request, as
-the int8 product over an element's generator word, and are checked
-against the key.
+roots (six bytes per element of W(E6)).  An element x permutes the
+roots, and ``key.translate(perm_x)`` is the key of x w, so enumeration
+and the normalizer computation run on keys and integers and never form a
+matrix.  W is enumerated as a chain of parabolic cosets (Humphreys,
+*Reflection Groups and Coxeter Groups*, 1.10 and 1.12), one
+``translate`` per element and no membership test, and the result is
+checked exhaustively: closed under every generator, no key twice, and
+|W| = prod d_i.  Model-space matrices are built only on request, as the
+int8 product over an element's generator word, and are checked against
+the key.
 
 Each root system carries its fundamental degrees (A_n: 2, ..., n+1; D_n:
 2, 4, ..., 2n-2 and n; E6: 2, 5, 6, 8, 9, 12): |W| = prod d_i bounds and
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, count, islice, product, repeat
 from math import prod
 from operator import mul
 
@@ -57,6 +61,9 @@ def _decode(b: bytes, n):
     return [[(b[i * n + j] ^ 0x80) - 0x80 for j in range(n)] for i in range(n)]
 
 
+_NEGATE = bytes(-x & 0xFF for x in range(256))   # x -> -x modulo 256
+
+
 def _int_vector(v) -> tuple:
     out = tuple(int(x) for x in v)
     if out != tuple(v):
@@ -75,6 +82,7 @@ class RootSystem:
     gram: Matrix              # inner product on the model space
     reflections: tuple        # generator matrices, encoded int8 bytes
     degrees: tuple            # fundamental degrees: |W| = prod, reflections = sum(d - 1)
+    positive_alpha: tuple     # the positive roots in simple-root coordinates, same order
 
 
 def _reflection_matrix_model(alpha, gram: Matrix, n):
@@ -154,7 +162,7 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
     )
     reflections = tuple(_encode(_reflection_matrix_model(a, gram, n), n) for a in simples)
     return RootSystem(type_label, rank, n, simples, positive, cartan, gram, reflections,
-                      degrees)
+                      degrees, tuple(pos_alpha))
 
 
 class WeylGroup:
@@ -163,8 +171,24 @@ class WeylGroup:
     ``roots`` lists every root in model coordinates as integer tuples, the
     positive roots first and then their negatives.  The key of w is the
     ``bytes`` whose i-th entry is the index of w(alpha_i) in ``roots``.
-    ``elements`` is in breadth-first order from the identity, and element
-    k > 0 is s_last[k] applied after element parent[k].
+
+    ``elements`` is in coset order.  Let W_j = <s_1, ..., s_j> (W_0 = {1})
+    and let v_j pair to delta_ij with alpha_i.  The W_j-orbit of v_j is a
+    breadth-first walk under s_1, ..., s_j from v_j; the walk gives each
+    point p a representative d_p, with d_(s p) = s d_p for the step that
+    first reaches s p.  Then W_j is listed as the blocks d_p W_(j-1), one per
+    point in walk order, each block being the keys of W_(j-1) translated by
+    the root permutation of d_p; W_(j-1) itself is the first block.  v_j is
+    dominant and W_(j-1) is its stabilizer, so the blocks are the cosets,
+    but the enumeration does not rely on it.  It checks, for every point p
+    and generator s, that s d_p lies in the block of s p; with W_(j-1) a
+    group by induction, s (d_p W_(j-1)) then stays in the listed set, which
+    contains 1 and so is all of W_j.  It checks that no key repeats, and at
+    the end that |W| = prod d_i.
+
+    Element k > 0 is s_last[k] applied after element parent[k]: the element
+    d_(s p) w of a block is s applied after d_p w.  A representative from
+    the walk is the shortest in its coset, so each word is reduced.
     """
 
     def __init__(self, root_system: RootSystem, roots, elements, index, parent, last,
@@ -172,7 +196,7 @@ class WeylGroup:
         self.root_system = root_system
         self.n = root_system.model_dim
         self.roots = roots
-        self.elements = elements          # list of bytes keys, identity first
+        self.elements = elements          # list of bytes keys, in coset order, identity first
         self.generators = generators      # keys of the simple reflections
         self._index = index               # key -> position in elements
         self._parent = parent
@@ -201,7 +225,13 @@ class WeylGroup:
 
 
 def enumerate_weyl(rs: RootSystem) -> WeylGroup:
-    """Breadth-first closure of the simple reflections on root-image keys, up to |W| = prod d."""
+    """W as a chain of parabolic cosets on root-image keys, certified closed and of order prod d.
+
+    The ``WeylGroup`` docstring gives the element order and the proof.  A
+    point of an orbit is held as its pairings with the roots, one byte per
+    root (for v_j, the alpha_j-coordinates of the roots), so s moves it by
+    one ``translate``.
+    """
     order = prod(rs.degrees)
     n = rs.model_dim
     positive = [_int_vector(r) for r in rs.positive_roots]
@@ -210,30 +240,47 @@ def enumerate_weyl(rs: RootSystem) -> WeylGroup:
         raise ValueError(f"{len(roots)} roots do not fit in one-byte root indices")
     where = {r: k for k, r in enumerate(roots)}
     pad = bytes(range(len(roots), 256))
-    perms = []
+    perms = []   # root permutations of the simple reflections, 256 bytes each
     for g in rs.reflections:
-        m = _decode(g, n)
-        perms.append(bytes(
-            where[tuple(sum(m[i][j] * r[j] for j in range(n)) for i in range(n))] for r in roots
-        ) + pad)
+        mat = _decode(g, n)
+        perms.append(bytes(where[tuple(sum(map(mul, row, r)) for row in mat)] for r in roots) + pad)
+    unit = bytes(range(256))   # the identity permutation
+    zeros = bytes(256 - len(roots))
+    coords = bytes(x & 0xFF for a in rs.positive_alpha for x in a)   # row by row, mod 256
     identity = bytes(where[_int_vector(a)] for a in rs.simple_roots)
     index = {identity: 0}
     elements = [identity]
     parent = array("I", [0])
     last = array("B", [0])
-    k = 0
-    while k < len(elements):
-        el = elements[k]
-        for s, perm in enumerate(perms):
-            w = el.translate(perm)
-            if w not in index:
-                if len(elements) == order:
-                    raise AssertionError(f"Weyl enumeration passed |W| = {order}")
-                index[w] = len(elements)
-                elements.append(w)
-                parent.append(k)
-                last.append(s)
-        k += 1
+    for j in range(rs.rank):
+        m = len(elements)   # the prefix: the group of the previous level, the first block
+        # <s v, root_b> = <v, s root_b>: s sends the pairings P to b -> P[perm_s[b]]
+        column = coords[j::rs.rank]   # the alpha_j-coordinates of the positive roots
+        start = column + column.translate(_NEGATE) + zeros
+        orbit = [start]
+        points = {start: 0}
+        reps = [unit]   # root permutation of the representative of each point
+        for d, point in enumerate(orbit):   # point d's block is elements[d * m:(d + 1) * m]
+            for s in range(j + 1):
+                image = perms[s].translate(point)
+                e = points.setdefault(image, len(orbit))
+                if e == len(orbit):   # a new point; its block is s applied to block d
+                    orbit.append(image)
+                    if m * (e + 1) > order:
+                        raise AssertionError(f"Weyl enumeration passed |W| = {order}")
+                    reps.append(reps[d].translate(perms[s]))
+                    elements.extend(map(bytes.translate, islice(elements, m), repeat(reps[e])))
+                    index.update(zip(elements[e * m:], count(e * m)))
+                    if len(index) != len(elements):
+                        raise AssertionError(
+                            f"Weyl enumeration repeats an element at level {j + 1}")
+                    parent.extend(range(d * m, (d + 1) * m))
+                    last.frombytes(bytes((s,)) * m)
+                # closure: s d_p lies in the block of s p, i.e. d_(s p)^-1 s d_p is in the prefix
+                k = index.get(elements[d * m].translate(perms[s]))
+                if k is None or k // m != e:
+                    raise AssertionError(
+                        f"Weyl enumeration is not closed under s_{s + 1} at level {j + 1}")
     if len(elements) != order:
         raise AssertionError(f"enumerated order {len(elements)} != |W| = {order}")
     generators = [identity.translate(p) for p in perms]
@@ -438,14 +485,17 @@ def restriction_check(W: WeylGroup, t0_basis, w0: W0Report | None = None,
 
     Soundness is one-sided: a failing degree certifies that restriction is
     not onto (hence no good generating system exists for the matching
-    horospherical subalgebra); success only certifies degrees <= dmax,
-    which is recorded in the report.
+    horospherical subalgebra); success only certifies degrees 1..dmax,
+    which is recorded in the report.  A ``dmax`` below 1 would certify
+    nothing and raises ``ValueError``.
     """
     rs = W.root_system
-    if w0 is None:
-        w0 = w0_compute(W, t0_basis)
     if dmax is None:
         dmax = max(rs.degrees)
+    if dmax < 1:
+        raise ValueError(f"dmax >= 1 required, got {dmax}")
+    if w0 is None:
+        w0 = w0_compute(W, t0_basis)
     n = rs.model_dim
     a = len(t0_basis)
     gen_mats = [W.matrix(g) for g in W.generators]

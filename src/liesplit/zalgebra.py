@@ -70,6 +70,15 @@ def _size(params, case: str, least: int, why: str) -> int:
     return n
 
 
+def _restriction_degree(dmax):
+    """``dmax`` if it is None (each root system's default) or at least 1; a
+    :class:`CaseParameterError` otherwise, since an empty restriction table
+    would read as onto."""
+    if dmax is not None and dmax < 1:
+        raise CaseParameterError(f"dmax >= 1 required, got {dmax}")
+    return dmax
+
+
 @dataclass
 class ZGeneratorSet:
     splitting: Splitting
@@ -767,7 +776,7 @@ def run_case(name: str, params: dict | None = None, seed: int = 0,
     """Run one worked case end to end and return its report."""
     if name not in _CASES:
         raise CaseParameterError(f"unknown case {name!r}; choose from {sorted(_CASES)}")
-    return _CASES[name](params or {}, seed, trials, dmax)
+    return _CASES[name](params or {}, seed, trials, _restriction_degree(dmax))
 
 
 def available_cases():

@@ -146,6 +146,12 @@ def test_case_keeps_library_errors(monkeypatch):
      "--basis trace_powers: trace_powers is no Hilbert basis of so(8)"),
     (["check-ggs", "--algebra", "so:8", "--h", "borel", "--basis", "charpoly"],
      "--basis charpoly: charpoly is no Hilbert basis of so(8)"),
+    (["case", "e6_weyl", "--dmax", "0"], "case e6_weyl: dmax >= 1 required, got 0"),
+    (["case", "so2n", "--n", "4", "--dmax", "-1"], "case so2n: dmax >= 1 required, got -1"),
+    (["weyl-w0", "--type", "A", "--rank", "3", "--arrows", "1:3", "--dmax", "0"],
+     "weyl-w0: dmax >= 1 required, got 0"),
+    (["weyl-w0", "--type", "A", "--rank", "3", "--arrows", "1:3", "--dmax", "-1"],
+     "weyl-w0: dmax >= 1 required, got -1"),
 ])
 def test_malformed_input_exits_with_one_line_naming_it(argv, message):
     with pytest.raises(SystemExit) as exc:

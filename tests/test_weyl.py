@@ -1,13 +1,15 @@
+import random
 from dataclasses import replace
 from itertools import combinations
 from math import prod
+from operator import mul
 
 import pytest
 
 from liesplit._kernels import pure
-from liesplit.linalg import Matrix
+from liesplit.linalg import Matrix, inverse, rank_and_nullspace
 from liesplit.poly import Polynomial
-from liesplit.rationals import QQ, QQ0, QQ1
+from liesplit.rationals import QQ, QQ0, QQ1, clear_denominators
 from liesplit.weyl import (
     SatakeDiagram,
     _decode,
@@ -19,6 +21,72 @@ from liesplit.weyl import (
     satake_subspaces,
     w0_compute,
 )
+
+
+def _breadth_first(rs):
+    """Reference enumeration: (roots, generator root permutations, {key: length}) with
+    the keys in breadth-first order from the identity, each new key s w tested against
+    the dict."""
+    n = rs.model_dim
+    positive = [tuple(r) for r in rs.positive_roots]
+    roots = tuple(positive + [tuple(-x for x in r) for r in positive])
+    where = {r: k for k, r in enumerate(roots)}
+    pad = bytes(range(len(roots), 256))
+    perms = [bytes(where[tuple(Matrix(_decode(g, n)).matvec(r))] for r in roots) + pad
+             for g in rs.reflections]
+    elements = [bytes(where[a] for a in rs.simple_roots)]
+    length = {elements[0]: 0}
+    for el in elements:   # grows while it is walked
+        for perm in perms:
+            w = el.translate(perm)
+            if w not in length:
+                length[w] = length[el] + 1
+                elements.append(w)
+    return roots, perms, length
+
+
+def _w0_reference(W, t0_basis):
+    """Reference normalizer loop: every element's integer images of the t0 basis, tested
+    against an integer annihilator of t0; returns (orders, element orders, matrices)."""
+    rs = W.root_system
+    T = Matrix.from_columns(t0_basis)
+    proj = inverse(T.transpose() * rs.gram * T) * (T.transpose() * rs.gram)
+    S = Matrix.from_columns(rs.simple_roots)
+    to_alpha = inverse(S.transpose() * rs.gram * S) * (S.transpose() * rs.gram)
+    annihilator = [clear_denominators(v)[1] for v in rank_and_nullspace(T.transpose())[1]]
+    tables = [[sum(map(mul, row, root)) for root in W.roots] for row in annihilator]
+    scaled = []   # (d, C, F) with d u = sum_i C_i alpha_i + F in integers
+    for u in zip(*T.rows):
+        c = to_alpha.matvec(u)
+        d, cf = clear_denominators(c + tuple(x - y for x, y in zip(u, S.matvec(c))))
+        scaled.append((d, cf[: rs.rank], cf[rs.rank:]))
+
+    def image(el):
+        return tuple(tuple(f + sum(x * W.roots[k][t] for x, k in zip(coeffs, el))
+                           for t, f in enumerate(fixed))
+                     for _, coeffs, fixed in scaled)
+
+    identity = image(W.elements[0])
+    n_count = z_count = 0
+    images = set()
+    for el in W.elements:
+        if all(sum(x * table[k] for x, k in zip(coeffs, el)) + sum(map(mul, row, fixed)) == 0
+               for _, coeffs, fixed in scaled for row, table in zip(annihilator, tables)):
+            n_count += 1
+            img = image(el)
+            z_count += img == identity
+            images.add(img)
+    mats = {Matrix.from_columns([[QQ(x) / d for x in proj.matvec(v)]
+                                 for (d, _, _), v in zip(scaled, img)])
+            for img in images}
+    ident = Matrix.identity(len(t0_basis))
+    orders = {}
+    for m in mats:
+        k, acc = 1, m
+        while acc != ident:
+            k, acc = k + 1, acc * m
+        orders[k] = orders.get(k, 0) + 1
+    return (W.order, n_count, z_count, len(mats)), orders, mats
 
 
 def test_positive_root_counts():
@@ -49,6 +117,85 @@ def test_enumeration_stops_at_the_order_of_the_degrees():
         enumerate_weyl(replace(rs, degrees=(2, 4, 4, 3)))  # 96 < 192
     with pytest.raises(AssertionError, match="!="):
         enumerate_weyl(replace(rs, degrees=(2, 4, 4, 12)))  # 384 > 192
+
+
+_GROUPS = [("A", r) for r in range(1, 7)] + [("D", r) for r in (3, 4, 5)] + [("E6", None)]
+
+
+@pytest.mark.parametrize("label, rank_", _GROUPS)
+def test_coset_enumeration_matches_breadth_first_oracle(label, rank_):
+    rs = build_root_system(label, rank_)
+    W = enumerate_weyl(rs)
+    roots, perms, length = _breadth_first(rs)
+    identity = next(iter(length))
+    assert W.roots == roots
+    assert W.order == len(length) == prod(rs.degrees)
+    assert W.elements[0] == identity
+    assert set(W.elements) == set(length)
+    assert W.generators == [identity.translate(p) for p in perms]
+    # element k > 0 is s_last[k] applied after element parent[k], by a reduced word
+    word = [0] * W.order
+    for k in range(1, W.order):
+        assert W.elements[W._parent[k]].translate(perms[W._last[k]]) == W.elements[k]
+        word[k] = word[W._parent[k]] + 1
+    assert word == [length[el] for el in W.elements]
+    # the key names the image of each simple root, for every element through D5
+    sample = W.elements if W.order <= 1920 else random.Random(0).sample(W.elements, 64)
+    for el in sample:
+        m = W.matrix(el)
+        for i, alpha in enumerate(rs.simple_roots):
+            assert tuple(m.matvec(alpha)) == W.roots[el[i]]
+
+
+def test_every_enumeration_check_fires():
+    rs = build_root_system("A", 2)
+    s0, s1 = rs.reflections
+    one = _encode(Matrix.identity(3).rows, 3)
+    swap13 = _encode([[0, 0, 1], [0, 1, 0], [1, 0, 0]], 3)   # the reflection in e1 - e3
+    # the identity for s_1 and the true s_1 for s_2: s_2 fixes v_2 but is no element of <s_1>
+    with pytest.raises(AssertionError, match="not closed under s_2 at level 2"):
+        enumerate_weyl(replace(rs, reflections=(one, s0)))
+    # s_1 = s_(e1 - e3) moves v_2, so the cosets of <s_1> along the orbit of v_2 overlap
+    with pytest.raises(AssertionError, match="repeats an element at level 2"):
+        enumerate_weyl(replace(rs, reflections=(swap13, s1)))
+    with pytest.raises(AssertionError, match="passed"):
+        enumerate_weyl(replace(rs, degrees=(2, 2)))   # the third coset of <s_1> passes 4
+    with pytest.raises(AssertionError, match="enumerated order 2 != "):
+        enumerate_weyl(replace(rs, reflections=(s0, s0)))
+
+
+_W0_CASES = [
+    ("E6", None, ((1, 5), (2, 4))), ("E6", None, ((1, 5),)), ("A", 5, ((1, 5), (2, 4))),
+    ("A", 4, ((1, 4), (2, 3))), ("A", 3, ((1, 3),)), ("D", 4, ((3, 4),)), ("D", 5, ((4, 5),)),
+]
+
+
+@pytest.mark.parametrize("label, rank_, arrows", _W0_CASES)
+def test_w0_matches_per_element_oracle(label, rank_, arrows):
+    rs = build_root_system(label, rank_)
+    W = enumerate_weyl(rs)
+    t0, _ = satake_subspaces(rs, SatakeDiagram(arrows))
+    rep = w0_compute(W, t0)
+    assert (rep.orders, rep.element_orders, set(rep.matrices)) == _w0_reference(W, t0)
+    assert len(rep.matrices) == rep.order_w0
+
+
+def test_w0_full_space_matches_per_element_oracle():
+    # nonzero F (the fixed line of the A2 model) and the full support
+    W = enumerate_weyl(build_root_system("A", 2))
+    basis = [tuple(QQ1 if i == j else QQ0 for i in range(3)) for j in range(3)]
+    rep = w0_compute(W, basis)
+    assert (rep.orders, rep.element_orders, set(rep.matrices)) == _w0_reference(W, basis)
+
+
+def test_restriction_rejects_dmax_below_one():
+    rs = build_root_system("A", 3)
+    W = enumerate_weyl(rs)
+    t0, _ = satake_subspaces(rs, SatakeDiagram(((1, 3),)))
+    for dmax in (0, -1):
+        with pytest.raises(ValueError, match=f"dmax >= 1 required, got {dmax}"):
+            restriction_check(W, t0, dmax=dmax)
+    assert restriction_check(W, t0, dmax=1).per_degree == [(1, 0, 0)]
 
 
 def test_elements_permute_roots_exhaustive():

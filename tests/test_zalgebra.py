@@ -11,6 +11,7 @@ from liesplit.poly import Polynomial
 from liesplit.rationals import QQ, QQ0, QQ1
 from liesplit.splitting import BracketParameter, horospherical_splitting, pencil_member
 from liesplit.zalgebra import (
+    CaseParameterError,
     CaseReport,
     available_cases,
     commutativity_suite,
@@ -245,6 +246,14 @@ def test_bidegree_claim_holds_wherever_it_is_defined(monkeypatch):
 def test_so2n_rejects_small_n():
     with pytest.raises(ValueError):
         run_case("so2n", {"n": 3})
+
+
+@pytest.mark.parametrize("name, params", [("so2n", {"n": 4}), ("e6_weyl", {}), ("borel", {"n": 2})])
+def test_run_case_rejects_dmax_below_one(name, params):
+    # an empty restriction table would read as onto; the check runs before any build
+    for dmax in (0, -1):
+        with pytest.raises(CaseParameterError, match=f"dmax >= 1 required, got {dmax}"):
+            run_case(name, params, seed=1, dmax=dmax)
 
 
 @pytest.mark.parametrize("t1", [[[1, 0, -2]], [[1, 0, 0, -1]]])
