@@ -11,6 +11,16 @@ Newton's identities, and the so(2n) principal-minor sums are even e_k.
 The Pfaffian is the only other expansion.  All are exact polynomials in
 the dual coordinates x.
 
+Each of them is a conjugation-invariant function of Y, so its invariance is a
+theorem once rho is a homomorphism and G a nondegenerate ad-invariant form:
+``hilbert_basis`` proves it by the algebra's cached
+``LieAlgebra.realization_certificate`` (a double-extended lift by its base's)
+and brackets nothing.  ``verify_invariance`` brackets a polynomial against a
+Lie generating set; it serves ``custom_basis`` and the contractions, where
+the theorem says nothing.  The polynomial arithmetic that bracketing the
+builder bases would exercise is covered by the differential and sympy
+oracles of the test suite.
+
 The good-generating-system test is a degree-sum criterion: for a
 subalgebra h with complement m, sum_j deg_m F_j^bullet >= dim m whenever
 the contraction h x m^ab has the index of q, with equality exactly when
@@ -148,6 +158,10 @@ class HilbertBasis:
     algebra: LieAlgebra
     kind: str
     generators: tuple  # of (Polynomial, degree)
+    # what proved every generator invariant: 'realization' (the algebra's realization
+    # certificate), 'double' (the base's, for a double-extended lift), 'brackets'
+    # (verify_invariance, for a custom basis), or None when nothing was checked
+    invariance: str | None = None
 
     @property
     def polys(self):
@@ -167,7 +181,9 @@ def verify_invariance(L: LieAlgebra, F: Polynomial) -> bool:
 def _b_of(L: LieAlgebra) -> int:
     """b(g) = (dim + rank) / 2, the dimension of a Borel subalgebra of a reductive g."""
     b, odd = divmod(L.dim + L.rank, 2)
-    assert not odd, "dim + rank is even for a reductive algebra"
+    if odd:
+        raise ValueError(f"dim + rank = {L.dim} + {L.rank} of {L.kind} is odd, so it is "
+                         "not reductive: b(g) = (dim + rank) / 2 needs an even sum")
     return b
 
 
@@ -179,7 +195,22 @@ def hilbert_basis(L: LieAlgebra, kind: str, verify: bool = True) -> HilbertBasis
     kind starts from the characteristic coefficients; the power traces
     come from them by Newton's identities.  A ready list of
     (Polynomial, degree) pairs goes through :func:`custom_basis`.
+
+    With ``verify`` the generators are proved invariant without a bracket: every
+    kind is a conjugation-invariant function of Y(x) = rho(G^-1 x), invariant once
+    ``LieAlgebra.realization_certificate`` holds (a double-extended lift by its base's
+    certificate), and ``HilbertBasis.invariance`` names that route.  The certificate is
+    checked before any generator is built (the so(J) condition of the Pfaffian is the
+    skew check of JY in :func:`poly_pfaffian`); a failed one raises ``ValueError``, with
+    no fallback to brackets.
     """
+    route = None
+    if verify and kind in ("charpoly", "trace_powers", "so_minors_pfaffian"):
+        cert = L.realization_certificate
+        if not cert.passed:
+            raise ValueError(f"invariance of the {kind} basis of {L.kind} is not proved: "
+                             f"{cert.failure}")
+        route = "realization"
     root = L
     while root.base_change is not None:  # an adapted rebuild keeps the realization
         root = root.base_algebra
@@ -215,7 +246,14 @@ def hilbert_basis(L: LieAlgebra, kind: str, verify: bool = True) -> HilbertBasis
         if base is None or not L.kind.startswith("double["):
             raise ValueError("double_extended needs a double builder algebra")
         base_kind = kind.split(":", 1)[1] if ":" in kind else "charpoly"
-        bb = hilbert_basis(base, base_kind, verify=False)
+        bb = hilbert_basis(base, base_kind, verify=verify)
+        if verify:
+            # the lifts are invariant as the base generators are once the constants are the
+            # base's, which also makes the appended xi coordinates central
+            if L.constants != base.constants:
+                raise ValueError(f"invariance of the {kind} basis of {L.kind} is not proved: "
+                                 "its structure constants are not those of its base")
+            route = "double"
         gens = [(g.lift(L.dim), d) for g, d in bb.generators]
         gens += [(Polynomial.variable(L.dim, k), 1) for k in range(base.dim, L.dim)]
     else:
@@ -227,20 +265,18 @@ def hilbert_basis(L: LieAlgebra, kind: str, verify: bool = True) -> HilbertBasis
         total = sum(d for _, d in gens)
         if total != _b_of(L):
             raise AssertionError(f"sum of degrees {total} != b(g) = {_b_of(L)}")
-    basis = HilbertBasis(L, kind, tuple(gens))
-    return _invariance_checked(basis) if verify else basis
+    return HilbertBasis(L, kind, tuple(gens), route)
 
 
 def custom_basis(L: LieAlgebra, polys_degrees, verify: bool = True) -> HilbertBasis:
-    basis = HilbertBasis(L, "custom", tuple((p, d) for p, d in polys_degrees))
-    return _invariance_checked(basis) if verify else basis
-
-
-def _invariance_checked(basis: HilbertBasis) -> HilbertBasis:
-    for g, d in basis.generators:
-        if not verify_invariance(basis.algebra, g):
-            raise AssertionError(f"{basis.kind} generator of degree {d} is not invariant")
-    return basis
+    """A basis from (Polynomial, degree) pairs; with ``verify`` each generator is bracketed
+    against ``L.generating_set`` (:func:`verify_invariance`), the route named 'brackets'."""
+    gens = tuple((p, d) for p, d in polys_degrees)
+    if verify:
+        for g, d in gens:
+            if not verify_invariance(L, g):
+                raise AssertionError(f"custom generator of degree {d} is not invariant")
+    return HilbertBasis(L, "custom", gens, "brackets" if verify else None)
 
 
 def transport_basis(B: HilbertBasis, S: Decomposition) -> HilbertBasis:

@@ -14,6 +14,9 @@ at (1,0), (0,1) and (1,1); its Poisson bracket is linear in (a, b),
 One cached int table per algebra, ``LieAlgebra.bracket_table`` (every [x_a, x_b]
 scaled by the common denominator D of the constants), serves the Jacobi check,
 the Poisson columns, tensors and stabilizers of ``poisson`` and the centre.
+One cached certificate per algebra, ``LieAlgebra.realization_certificate``,
+checks that the realization is a homomorphism and the Gram matrix an invariant
+form; ``invariants.hilbert_basis`` proves its builder bases invariant by it.
 
 Builders produce gl(n), sl(n), so(2n) in the antidiagonal realization
 (matrices skew with respect to the antidiagonal, so the Cartan is
@@ -37,7 +40,7 @@ from typing import Sequence
 
 from .linalg import Matrix, inverse, rank_and_nullspace
 from .poly import _unit
-from .rationals import QQ, combine, common_denominator, exact, scalar
+from .rationals import QQ, clear_denominators, combine, common_denominator, exact, scalar
 
 
 class JacobiError(ValueError):
@@ -60,6 +63,14 @@ class TriangularData:
     minus: tuple
     root_labels: dict          # root-vector index -> tuple of values on the Cartan basis
     cartan_form: Matrix        # Gram matrix of the invariant form restricted to the Cartan
+
+
+@dataclass
+class RealizationCertificate:
+    """Whether rho (``realization``) is a homomorphism and G (``gram``) a symmetric
+    ad-invariant form; ``failure`` names the first fact that fails (None when ``passed``)."""
+    passed: bool
+    failure: str | None
 
 
 def _is_int(x):
@@ -130,6 +141,16 @@ class LieAlgebra:
         """(D, T): D is the least positive int making every structure constant integral and
         T[a][b] holds [x_a, x_b] as (k, D c_ab^k) int pairs, for every ordered pair."""
         return _int_table(self.dim, self.constants)
+
+    @cached_property
+    def realization_certificate(self) -> RealizationCertificate:
+        """rho[e_a, e_b] = sum_k c_ab^k rho(e_k) for every a < b, and G symmetric with
+        G ad(e_a) skew for every a, checked once from this algebra's own fields.
+
+        Then Y(x) = rho(G^-1 x) is equivariant once G is nondegenerate, which ``inverse``
+        shows wherever G^-1 is formed, so every conjugation-invariant function of Y is an
+        invariant of the algebra."""
+        return _certify_realization(self)
 
     @cached_property
     def poisson_columns(self) -> tuple:
@@ -240,6 +261,37 @@ def _smul(a: dict, b: dict) -> dict:
 
 def _scomm(a: dict, b: dict) -> dict:
     return combine(_smul(a, b), [(_smul(b, a), -1)])
+
+
+def _certify_realization(L: LieAlgebra) -> RealizationCertificate:
+    """The ``LieAlgebra.realization_certificate``: the homomorphism on the sparse matrices,
+    then the form on the int ``bracket_table`` against the sparse rows of D_G G."""
+    rho, n = L.realization, L.dim
+    if rho is None or any(m is None for m in rho) or L.gram is None:
+        return RealizationCertificate(False, f"{L.kind} carries no complete matrix "
+                                             "realization and Gram matrix")
+    for a in range(n):
+        for b in range(a + 1, n):
+            want = combine({}, ((rho[k], c) for k, c in L.constants.get((a, b), ())))
+            if _scomm(rho[a], rho[b]) != want:
+                return RealizationCertificate(False, "the realization is no homomorphism on "
+                                                     f"[{L.names[a]}, {L.names[b]}]")
+    _, ints = clear_denominators(x for row in L.gram.rows for x in row)
+    G = [{c: v for c, v in enumerate(ints[r * n:(r + 1) * n]) if v} for r in range(n)]
+    for r in range(n):
+        for c, v in G[r].items():
+            if G[c].get(r) != v:
+                return RealizationCertificate(False, "the Gram matrix is not symmetric at "
+                                                     f"({L.names[r]}, {L.names[c]})")
+    for a, row in enumerate(L.bracket_table[1]):
+        # U[b][c] = D D_G B([e_a, e_b], e_c); invariance is U skew
+        U = [combine({}, ((G[k], c) for k, c in row[b])) for b in range(n)]
+        for b in range(n):
+            for c, v in U[b].items():
+                if U[c].get(b, 0) != -v:
+                    return RealizationCertificate(False, "the Gram matrix is not ad-invariant: "
+                                                         f"G ad({L.names[a]}) is not skew")
+    return RealizationCertificate(True, None)
 
 
 def _triangular(constants, plus, cartan, minus, gram) -> TriangularData:

@@ -30,15 +30,13 @@ DEFAULT_BOUND = 10**6
 
 def _field_terms(L: LieAlgebra, F: Polynomial, targets):
     """Yield (j, int terms of D_L den_F {F, x_j}) for j in ``targets``, D_L from
-    ``LieAlgebra.poisson_columns``; F's derivatives are taken once, along the x_i used."""
+    ``LieAlgebra.poisson_columns``, on F's kept partials (``Polynomial.partials``)."""
     if F.nvars != L.dim:
         raise ValueError("polynomials must live on the algebra's coordinates")
     n = L.dim
     columns = L.poisson_columns[1]
-    targets = dict.fromkeys(targets)
-    used = {i for j in targets for i, _ in columns[j]}
-    dF = {i: d for i in used if (d := K.diff_terms(F.terms, i, n))}
-    for j in targets:
+    dF = F.partials()
+    for j in dict.fromkeys(targets):
         V = {}
         for i, lin in columns[j]:
             if i in dF:
@@ -49,8 +47,8 @@ def _field_terms(L: LieAlgebra, F: Polynomial, targets):
 def hamiltonian_field(L: LieAlgebra, F: Polynomial, targets=None):
     """Yield (j, V_j) with V_j = {F, x_j} = sum_i pi_ij dF/dx_i and pi_ij = sum_k c_ij^k x_k.
 
-    Runs over ``targets`` (every coordinate by default), differentiating F only along the
-    x_i they use; by Jacobi, F is invariant when V_j = 0 on ``LieAlgebra.generating_set``.
+    Runs over ``targets`` (every coordinate by default) on F's kept partials; by Jacobi,
+    F is invariant when V_j = 0 on ``LieAlgebra.generating_set``.
     """
     den = L.poisson_columns[0] * F.den
     for j, V in _field_terms(L, F, range(L.dim) if targets is None else targets):
@@ -59,11 +57,11 @@ def hamiltonian_field(L: LieAlgebra, F: Polynomial, targets=None):
 
 def poisson_bracket(L: LieAlgebra, F: Polynomial, G: Polynomial) -> Polynomial:
     """{F, G} = sum_j {F, x_j} dG/dx_j, over the coordinates G depends on, in integers
-    divided once by D_L den_F den_G."""
+    divided once by D_L den_F den_G; both read their kept partials."""
     if G.nvars != L.dim:
         raise ValueError("polynomials must live on the algebra's coordinates")
     n = L.dim
-    dG = {j: d for j in range(n) if (d := K.diff_terms(G.terms, j, n))}
+    dG = G.partials()
     acc: dict = {}
     for j, V in _field_terms(L, F, dG):
         if V:

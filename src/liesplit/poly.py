@@ -26,7 +26,9 @@ variable, variable 0 in the most significant byte, over a fixed width of
 integer order equals the order of the exponent bytes.
 Coefficients and points enter through :func:`liesplit.rationals.scalar`,
 which rejects ``float``; the constructor takes {exponent sequence:
-coefficient} maps.  Values are immutable by convention.  The zero
+coefficient} maps.  Values are immutable by convention (no caller of
+``_of`` changes a terms dict it handed over), which lets a polynomial keep
+its partial derivatives once taken (:meth:`Polynomial.partials`).  The zero
 polynomial has no terms, den = 1, and degree ``None``.
 """
 
@@ -68,7 +70,7 @@ def _reduced(terms: dict, den: int) -> tuple:
 
 
 class Polynomial:
-    __slots__ = ("nvars", "terms", "den")
+    __slots__ = ("nvars", "terms", "den", "_partials")
 
     def __init__(self, nvars: int, terms=None):
         """The polynomial of a {exponent sequence: exact scalar} map (repeated keys add up)."""
@@ -244,6 +246,16 @@ class Polynomial:
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range for {self.nvars} variables")
         return Polynomial._of(self.nvars, K.diff_terms(self.terms, var, self.nvars), self.den)
+
+    def partials(self) -> dict:
+        """{i: int terms of den * d self/d x_i} for every variable i that self uses, in
+        increasing i; taken once per polynomial and kept, so not to be mutated."""
+        try:
+            return self._partials
+        except AttributeError:
+            n, t = self.nvars, self.terms
+            self._partials = {i: K.diff_terms(t, i, n) for i in sorted(self.support_vars())}
+            return self._partials
 
     def int_gradient(self, point: Sequence[int]) -> list:
         """[den * d self/d x_i at the integer ``point`` for each i], ints, in one pass over

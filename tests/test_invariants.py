@@ -561,3 +561,56 @@ def test_basis_on_adapted_algebra_equals_transported_basis():
         moved = transport_basis(hilbert_basis(g, kind), S)
         assert direct.degrees == moved.degrees
         assert all(_same_terms(F, G) for F, G in zip(direct.polys, moved.polys)), kind
+
+
+# -- invariance proved from the realization ---------------------------------
+
+
+def _mutated(build, field):
+    """A fresh builder algebra with one realization entry, or one Gram entry, changed."""
+    L = build()
+    if field == "realization":
+        rho = list(L.realization)
+        cell, v = next(iter(rho[0].items()))
+        rho[0] = {**rho[0], cell: v + 1}
+        L.realization = rho
+    else:
+        rows = [list(r) for r in L.gram.rows]
+        a, b = (L.triangular.cartan[0],) * 2 if field == "gram_cartan" else (0, 1)
+        rows[a][b] += 1
+        L.gram = Matrix(rows)
+    return L
+
+
+@pytest.mark.parametrize("field, failure", [
+    ("realization", "no homomorphism"),
+    ("gram_cartan", "not ad-invariant"),
+    ("gram_offdiagonal", "not symmetric"),
+])
+@pytest.mark.parametrize("build, kind", [
+    (lambda: build_sl(3), "charpoly"),
+    (lambda: build_so_even(4), "so_minors_pfaffian"),
+], ids=["sl3", "so8"])
+def test_certificate_fails_on_a_mutated_algebra(build, kind, field, failure):
+    L = _mutated(build, field)
+    cert = L.realization_certificate
+    assert not cert.passed and failure in cert.failure
+    with pytest.raises(ValueError, match="is not proved: .*" + failure):
+        hilbert_basis(L, kind)
+    assert build().realization_certificate.passed
+
+
+def test_double_needs_the_base_constants():
+    gd = build_double(build_sl(2))
+    gd.constants = {**gd.constants, (0, gd.dim - 1): ((0, 1),)}  # [e, xi] = e: xi not central
+    with pytest.raises(ValueError, match="not those of its base"):
+        hilbert_basis(gd, "double_extended:charpoly")
+    assert hilbert_basis(gd, "double_extended:charpoly", verify=False).invariance is None
+
+
+def test_certificate_needs_a_realization():
+    sl2 = build_sl(2)
+    cert = build_double(sl2).realization_certificate  # the xi's have no matrices
+    assert not cert.passed and "no complete matrix realization" in cert.failure
+    assert custom_basis(sl2, [(hilbert_basis(sl2, "charpoly").polys[0], 2)]).invariance \
+        == "brackets"

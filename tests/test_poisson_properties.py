@@ -5,8 +5,9 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from liesplit.invariants import hilbert_basis, verify_invariance  # noqa: E402
-from liesplit.liealg import build_sl, build_so_even  # noqa: E402
+from liesplit.invariants import hilbert_basis, transport_basis, verify_invariance  # noqa: E402
+from liesplit.liealg import (build_double, build_gl, build_sl, build_so_even,  # noqa: E402
+                             change_basis, sub_algebra)
 from liesplit.linalg import Matrix, rank  # noqa: E402
 from liesplit.poisson import hamiltonian_field, poisson_bracket  # noqa: E402
 from liesplit.poly import Polynomial  # noqa: E402
@@ -128,6 +129,52 @@ def test_bracket_satisfies_jacobi(data):
         assert total.is_zero()
 
 
+def _borel(n):
+    g = build_gl(n)
+    return sub_algebra(g, g.triangular.plus + g.triangular.cartan)
+
+
+BORELS = {n: _borel(n) for n in (2, 3, 4)}
+
+
+@st.composite
+def solvable_algebras(draw):
+    """A Borel of gl(2..4) rewritten in a random integer unimodular basis: the product of
+    elementary matrices I + c E_ij drawn from small integers."""
+    B = BORELS[draw(st.integers(2, 4))]
+    P = [[int(r == c) for c in range(B.dim)] for r in range(B.dim)]
+    index = st.integers(0, B.dim - 1)
+    for i, j, c in draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=8)):
+        if i != j:
+            P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+    return change_basis(B, [list(col) for col in zip(*P)], [f"y{a}" for a in range(B.dim)])
+
+
+def _reference_bracket(L, F, G):
+    """sum over i < j of pi_ij (dF/dx_i dG/dx_j - dF/dx_j dG/dx_i), pi_ij = sum_k c_ij^k x_k,
+    from ``Polynomial.diff`` and the stored constants."""
+    total = Polynomial.zero(L.dim)
+    for (i, j), entries in L.constants.items():
+        pi = Polynomial.linear_form(L.dim, [dict(entries).get(k, 0) for k in range(L.dim)])
+        total = total + pi * (F.diff(i) * G.diff(j) - F.diff(j) * G.diff(i))
+    return total
+
+
+@CHECKS
+@given(st.data())
+def test_bracket_on_random_solvable_algebras(data):
+    L = data.draw(solvable_algebras())
+    assert _derived_series_dims(L)[-1] == 0
+    F, G, H = (data.draw(polynomials(L.dim)) for _ in range(3))
+    FG = poisson_bracket(L, F, G)
+    assert FG == _reference_bracket(L, F, G)
+    assert FG == -poisson_bracket(L, G, F)
+    assert poisson_bracket(L, F, G * H) == FG * H + G * poisson_bracket(L, F, H)
+    assert (poisson_bracket(L, F, poisson_bracket(L, G, H))
+            + poisson_bracket(L, G, poisson_bracket(L, H, F))
+            + poisson_bracket(L, H, FG)).is_zero()
+
+
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_field_of_a_coordinate_is_the_lie_bracket(name):
     L = ALGEBRAS[name]
@@ -148,14 +195,38 @@ def test_field_restricted_to_targets():
     assert part == {2: full[2], 6: full[6]}
 
 
+def _first_cartan_rebuild(g):
+    """A horospherical rebuild of g with t1 spanned by the first Cartan coordinate; for the
+    double of sl(2), by h - xi with t0 spanned by h + xi, as the double case builds it."""
+    if g.base_algebra is None:
+        return horospherical_splitting(g, [[int(t == g.triangular.cartan[0])
+                                            for t in range(g.dim)]])
+    h, xi = g.base_algebra.triangular.cartan[0], g.base_algebra.dim
+    return horospherical_splitting(g, [[int(t == h) - int(t == xi) for t in range(g.dim)]],
+                                   t0_basis=[[int(t == h) + int(t == xi)
+                                              for t in range(g.dim)]])
+
+
+BUILDERS = {"sl3": build_sl(3), "so4": build_so_even(2), "gl3": build_gl(3),
+            "so8": build_so_even(4), "double_sl2": build_double(build_sl(2))}
+
+
 @pytest.mark.parametrize("name, kind", [
     ("sl3", "charpoly"), ("sl3", "trace_powers"),
     ("so4", "so_minors_pfaffian"),
+    ("gl3", "charpoly"), ("gl3", "trace_powers"), ("so8", "so_minors_pfaffian"),
+    ("double_sl2", "double_extended:charpoly"), ("double_sl2", "double_extended:trace_powers"),
 ])
 def test_hilbert_generators_are_invariant(name, kind):
-    L = ALGEBRAS[name]
-    for g in hilbert_basis(L, kind, verify=False).polys:
-        assert verify_invariance(L, g)
+    """The bracket oracle on every builder basis the realization certificate proves, and on
+    the same kind over a horospherical rebuild (transported for the double)."""
+    g = BUILDERS[name]
+    B = hilbert_basis(g, kind)
+    assert B.invariance == ("double" if g.base_algebra else "realization")
+    S = _first_cartan_rebuild(g)
+    moved = transport_basis(B, S) if g.base_algebra else hilbert_basis(S.algebra, kind)
+    for L, basis in ((g, B), (S.algebra, moved)):
+        assert all(verify_invariance(L, F) for F in basis.polys), L
 
 
 def test_h_squared_is_not_invariant_in_sl2():

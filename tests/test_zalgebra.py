@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +275,41 @@ def test_sl2n_verdict_table_consistency():
     assert rep3.verdicts["routes_agree"] and rep3.verdicts["no_ggs"]
     rep5 = run_case("sl2n1", {"n": 2}, seed=2)
     assert rep5.verdicts["no_ggs"]
+
+
+_OPTIMIZED_CHECKS = {
+    # dim + rank = 3 + 0 is odd: no Borel subalgebra dimension
+    "b_of": ("from liesplit.invariants import _b_of\n"
+             "from liesplit.liealg import LieAlgebra\n"
+             "_b_of(LieAlgebra(['a', 'b', 'c'], {}, rank=0))\n",
+             "ValueError: dim + rank = 3 + 0"),
+    # a Poisson tensor made non-skew reaches property_suite's skewness check
+    "tensor_skew": ("from liesplit import zalgebra\n"
+                    "from liesplit.invariants import hilbert_basis\n"
+                    "from liesplit.liealg import LieAlgebra, build_sl\n"
+                    "from liesplit.linalg import Matrix\n"
+                    "from liesplit.splitting import horospherical_splitting\n"
+                    "g = build_sl(2)\n"
+                    "S = horospherical_splitting(g, [[0, 1, 0]])\n"
+                    "tensor_at = zalgebra.tensor_at\n"
+                    "def broken(L, xi, *rest):\n"
+                    "    sample = tensor_at(L, xi, *rest)\n"
+                    "    if isinstance(L, LieAlgebra):\n"
+                    "        sample.matrix = Matrix([[1] * L.dim] * L.dim)\n"
+                    "    return sample\n"
+                    "zalgebra.tensor_at = broken\n"
+                    "zalgebra.property_suite(S, hilbert_basis(S.algebra, 'charpoly'))\n",
+                    "AssertionError: the Poisson tensor of"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OPTIMIZED_CHECKS))
+def test_library_checks_survive_python_O(name):
+    """The checks raise explicitly, so ``python -O`` (which drops asserts) keeps them."""
+    code, message = _OPTIMIZED_CHECKS[name]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-O", "-c", "assert False\n" + code],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 1 and message in run.stderr.splitlines()[-1], run.stderr
