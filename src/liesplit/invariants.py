@@ -6,8 +6,9 @@ the trace for the antidiagonal orthogonal realization).  Concretely the
 generic dual element is the matrix Y(x) = sum_a y_a X_a with G y = x,
 where G is the Gram matrix of the invariant form on the chosen basis.
 The characteristic coefficients e_k come from one memoized determinant
-expansion of lambda I - Y; the power traces tr(Y^k) follow from them by
-Newton's identities, and the so(2n) principal-minor sums are even e_k.
+expansion of lambda I - Y, run on int terms over one denominator; the
+power traces tr(Y^k) follow from them by Newton's identities, and the
+so(2n) principal-minor sums are even e_k.
 The Pfaffian is the only other expansion.  All are exact polynomials in
 the dual coordinates x.
 
@@ -34,7 +35,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm
 
+from . import _kernels as K
 from .liealg import LieAlgebra, sub_algebra
 from .linalg import Matrix, inverse, rank, rank_mod_p, solve  # noqa: F401  (rank: read by the perfbench tracer tests)
 from .poisson import _sample_point, hamiltonian_field, index_estimate, poisson_bracket
@@ -62,31 +65,42 @@ def dual_matrix(L: LieAlgebra):
     return Y
 
 
-def _first_row_expansion(entries, split) -> Polynomial:
+def _first_row_expansion(entries, split, levels: int) -> Polynomial:
     """Alternating first-row expansion of a polynomial matrix, memoized over index tuples.
 
     ``split(idx)`` gives the row to expand along and the columns it runs
     over; dropping the t-th column leaves the subproblem, with sign (-1)^t.
+    The entries are cleared to int terms over one denominator d first, so the
+    expansion multiplies and adds ints alone, every product into its minor's
+    one dict; a full product takes ``levels`` entries, so the result is
+    divided once by d^levels.
     """
     nv = entries[0][0].nvars if entries else 0
-    return _expand(entries, split, tuple(range(len(entries))), {(): Polynomial.constant(nv, 1)})
+    d = lcm(*(e.den for row in entries for e in row))
+    ints = [[{k: c * (d // e.den) for k, c in e.terms.items()} for e in row] for row in entries]
+    terms = _expand(ints, split, tuple(range(len(entries))), {(): {0: 1}}, nv)
+    return Polynomial._of(nv, terms, d**levels)
 
 
-def _expand(entries, split, idx, memo) -> Polynomial:
+def _expand(entries, split, idx, memo, nv) -> dict:
     # a module-level recursion: a self-referencing closure would be a reference
     # cycle, holding every memoized minor until the next cycle collection
     got = memo.get(idx)
     if got is not None:
         return got
     row, cols = split(idx)
-    acc = Polynomial.zero(entries[0][0].nvars)
+    acc: dict = {}
     sign = 1
     for t, j in enumerate(cols):
         e = entries[row][j]
-        if e.terms:
-            sub = _expand(entries, split, cols[:t] + cols[t + 1 :], memo)
-            acc = acc + e * sub if sign > 0 else acc - e * sub
+        if e:
+            sub = _expand(entries, split, cols[:t] + cols[t + 1 :], memo, nv)
+            if sub:
+                K.mul_terms(e if sign > 0 else {k: -c for k, c in e.items()}, sub, nv, acc)
         sign = -sign
+    if 0 in acc.values():
+        for k in [k for k, c in acc.items() if not c]:  # in place: no second copy of acc
+            del acc[k]
     memo[idx] = acc
     return acc
 
@@ -94,7 +108,7 @@ def _expand(entries, split, idx, memo) -> Polynomial:
 def poly_det(entries) -> Polynomial:
     """Determinant of a square matrix of polynomials, memoized over column subsets."""
     size = len(entries)
-    return _first_row_expansion(entries, lambda cols: (size - len(cols), cols))
+    return _first_row_expansion(entries, lambda cols: (size - len(cols), cols), size)
 
 
 def poly_pfaffian(entries) -> Polynomial:
@@ -110,7 +124,7 @@ def poly_pfaffian(entries) -> Polynomial:
         for j in range(i, size):
             if entries[i][j] != -entries[j][i]:
                 raise ValueError("matrix is not skew-symmetric")
-    return _first_row_expansion(entries, lambda idx: (idx[0], idx[1:]))
+    return _first_row_expansion(entries, lambda idx: (idx[0], idx[1:]), size // 2)
 
 
 def charpoly_coefficients(L: LieAlgebra) -> dict:

@@ -27,11 +27,15 @@ columns are the greedy leftmost column basis, so the nullspace vectors
 (1 at one free column, 0 at the others) and the solutions (free
 variables at 0) are unique, and one back-substitution gives both.
 
-:func:`rank_mod_p` runs the same column sweep modulo the prime
-P = 2^61 - 1.  An r x r minor that is nonzero modulo P is nonzero over
-the integers, so it is a lower bound on the rank, equal to it unless P
-divides every r x r minor of the cleared rows, r = rank(M).  It serves
-the sampled certificates that need a rank only from below.
+Ranks modulo the prime P = 2^61 - 1 have one elimination of their own,
+:func:`skew_rank_mod_p`: on the sparse strict upper triangle of a skew
+matrix it pivots on 2 x 2 blocks (Bunch, Math. Comp. 38, 1982), each
+removing two rows and the same two columns and adding 2 to the rank.  A
+general M goes through [[0, M], [-M^T, 0]], of rank 2 rank(M) over any
+field (:func:`rank_mod_p`).  A Pfaffian or minor nonzero modulo P is
+nonzero over the integers, so both are lower bounds on the exact rank,
+for the sampled certificates that need no more; the rank over F_P does
+not depend on the pivot order.
 """
 
 from __future__ import annotations
@@ -189,36 +193,60 @@ def rank(m: Matrix) -> int:
 P = 2**61 - 1
 
 
+def skew_rank_mod_p(upper: list) -> int:
+    """Rank modulo ``P`` of the skew-symmetric int matrix A whose strict upper triangle is
+    ``upper``: ``upper[i]`` maps j > i to a_ij (absent entries are 0).  The rows are
+    updated in place.
+
+    Each step takes the first row p with an entry left and pivots on the 2 x 2 block
+    of p and q = its first column: rows and columns p and q go, the rank grows by 2,
+    and a_ij becomes a_ij - (a_iq a_pj - a_ip a_qj) / a_pq.  Rows before p are zero,
+    so row p is whole in ``upper[p]``; only the rows i meeting row p or row q change,
+    and only at j > i.  An entry is reduced mod P when its row or column is pivoted
+    on, so it grows by less than 2 P^2 a step until then.
+    """
+    r = 0
+    for p, row in enumerate(upper):
+        row = {k: y for k, x in row.items() if (y := x % P)}
+        if not row:
+            continue
+        q = min(row)
+        inv = pow(row.pop(q), -1, P)
+        g = {k: x * inv % P for k, x in row.items()}  # a_pk / a_pq
+        h = {}  # a_qk: minus column q above row q, then row q
+        for k in range(p + 1, q):
+            if x := upper[k].pop(q, 0) % P:
+                h[k] = P - x
+        for k, x in upper[q].items():
+            if x := x % P:
+                h[k] = x
+        upper[q] = {}
+        for i in g.keys() | h.keys():
+            # a_ij + a_qi a_pj / a_pq - a_pi a_qj / a_pq, for j > i
+            new = upper[i]
+            get = new.get
+            if hi := h.get(i):
+                for j, x in g.items():
+                    if j > i:
+                        new[j] = get(j, 0) + hi * x
+            if gi := g.get(i):
+                for j, x in h.items():
+                    if j > i:
+                        new[j] = get(j, 0) - gi * x
+        r += 2
+    return r
+
+
 def rank_mod_p(m: Matrix) -> int:
     """Rank of M modulo the prime ``P``: a lower bound on ``rank(M)``.
 
-    The rows are cleared to integers as for :func:`rank` and reduced mod P;
-    each pivot row is scaled to lead with 1, so a row with entry v in the pivot
-    column is updated to row - v * (pivot row).
+    The rows are cleared to integers as for :func:`rank` and bordered into the
+    skew matrix [[0, M], [-M^T, 0]], whose rank is 2 rank(M) over any field, for
+    :func:`skew_rank_mod_p`.
     """
-    waiting: dict[int, list] = {}
-    for row in _integer_rows(m):
-        row = {c: y for c, x in row.items() if (y := x % P)}
-        if row:
-            waiting.setdefault(min(row), []).append(row)
-    r = 0
-    for pc in range(m.ncols):
-        hits = waiting.pop(pc, None)
-        if hits is None:
-            continue
-        prow = hits.pop(min(range(len(hits)), key=lambda i: len(hits[i])))
-        inv = pow(prow[pc], -1, P)
-        prow = {c: x * inv % P for c, x in prow.items()}
-        for row in hits:
-            v = row[pc]
-            new = {c: x for c, x in row.items() if c not in prow}
-            for c, x in prow.items():
-                if y := (row.get(c, 0) - v * x) % P:
-                    new[c] = y
-            if new:
-                waiting.setdefault(min(new), []).append(new)
-        r += 1
-    return r
+    k = m.nrows
+    upper = [{k + c: x for c, x in row.items()} for row in _integer_rows(m)]
+    return skew_rank_mod_p(upper + [{} for _ in range(m.ncols)]) // 2
 
 
 def rank_and_nullspace(m: Matrix):

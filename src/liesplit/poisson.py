@@ -2,7 +2,9 @@
 
 Brackets, fields, tensors and stabilizers read the int table
 ``LieAlgebra.bracket_table`` (constants scaled by D): D pi(xi) has the ranks
-and kernels of pi(xi), and ``tensor_at`` divides it once by D.
+and kernels of pi(xi), and ``tensor_at`` divides it once by D.  One helper,
+``_tensor_entries``, reads the strict upper triangle of D pi(xi) off the
+stored pairs i < j; the tensors are built from it.
 
 Genericity is probabilistic throughout: a "generic" point is the best
 witness over seed-deterministic uniform integer samples.  Every sampled
@@ -10,7 +12,8 @@ rank is a certificate, so claimed indices are always upper bounds on the
 true index and reports store their witnesses for replay.  ``tensor_at``
 gives the exact rank at a point (its callers also compare ranks from
 above); ``index_estimate`` needs the rank only from below and takes it
-modulo the prime 2^61 - 1 (``linalg.rank_mod_p``).
+modulo the prime 2^61 - 1 by skew 2 x 2 pivots on that upper triangle
+(``linalg.skew_rank_mod_p``), with no full matrix and no lower triangle.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 from . import _kernels as K
 from .liealg import LieAlgebra, _bracket, escaping_bracket
-from .linalg import Matrix, rank, rank_and_nullspace, rank_mod_p, solve_many
+from .linalg import Matrix, rank, rank_and_nullspace, skew_rank_mod_p, solve_many
 from .poly import Polynomial
 from .rationals import QQ, qq_str, scalar
 from .splitting import BracketParameter, Decomposition, Splitting, contract, pencil_member
@@ -84,19 +87,26 @@ class PoissonTensorSample:
         return basis
 
 
-def _tensor_matrix(L: LieAlgebra, xi, order=None) -> Matrix:
-    """D pi(xi)[a][b] = D xi([x_a, x_b]) for exact ``xi`` and (D, T) = ``L.bracket_table``,
-    rows and columns in ``order`` (the basis order by default); all ints for an int ``xi``."""
-    n = L.dim
+def _tensor_entries(L: LieAlgebra, xi):
+    """Yield (i, j, D xi([x_i, x_j])) for the pairs i < j with a stored bracket and a
+    nonzero value, (D, T) = ``L.bracket_table``: the strict upper triangle of D pi(xi)."""
     T = L.bracket_table[1]
-    rows = [[0] * n for _ in range(n)]
     for i, j in L.constants:
         v = 0
         for k, c in T[i][j]:
             v += c * xi[k]
         if v:
-            rows[i][j] = v
-            rows[j][i] = -v
+            yield i, j, v
+
+
+def _tensor_matrix(L: LieAlgebra, xi, order=None) -> Matrix:
+    """D pi(xi) for exact ``xi``, from :func:`_tensor_entries`, rows and columns in
+    ``order`` (the basis order by default); all ints for an int ``xi``."""
+    n = L.dim
+    rows = [[0] * n for _ in range(n)]
+    for i, j, v in _tensor_entries(L, xi):
+        rows[i][j] = v
+        rows[j][i] = -v
     if order is not None:
         rows = [[rows[a][b] for b in order] for a in order]
     return Matrix(rows)
@@ -145,7 +155,8 @@ def tensor_at(L_or_S, xi, parameter=None) -> PoissonTensorSample:
 class IndexEstimate:
     """dim - certified_max_rank, where certified_max_rank is the best rank of pi at the
     sampled points taken modulo 2^61 - 1: a lower bound on the exact rank of pi at the
-    witness, so claimed_index is an upper bound on the index."""
+    witness, so claimed_index is an upper bound on the index.  The skew elimination
+    adds 2 per pivot, so the rank is even by construction."""
     claimed_index: int
     certified_max_rank: int
     samples: int
@@ -176,7 +187,8 @@ def _sample_point(rng, dim, bound, support=None):
 def index_estimate(L: LieAlgebra, trials: int = 8, seed: int = 0,
                    bound: int = DEFAULT_BOUND) -> IndexEstimate:
     """dim - (max sampled rank of pi(xi) mod 2^61 - 1); an upper bound on the index,
-    claimed exact."""
+    claimed exact.  Each sample's D pi(xi) goes from ``_tensor_entries`` straight into
+    the rows of ``skew_rank_mod_p``."""
     if trials < 1:
         raise ValueError("trials >= 1 required")
     rng = random.Random(seed)
@@ -184,7 +196,10 @@ def index_estimate(L: LieAlgebra, trials: int = 8, seed: int = 0,
     witness: tuple = ()
     for _ in range(trials):
         xi = _sample_point(rng, L.dim, bound)
-        rk = _even(rank_mod_p(_tensor_matrix(L, xi)))
+        upper = [{} for _ in range(L.dim)]
+        for i, j, v in _tensor_entries(L, xi):
+            upper[i][j] = v
+        rk = skew_rank_mod_p(upper)
         if rk > best_rank:
             best_rank = rk
             witness = tuple(xi)

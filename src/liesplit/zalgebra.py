@@ -63,8 +63,12 @@ class CaseParameterError(ValueError):
 
 
 def _size(params, case: str, least: int, why: str) -> int:
-    """The size parameter ``n``, by default ``least``; below it a :class:`CaseParameterError`."""
-    n = int(params.get("n", least))
+    """The size parameter ``n``, by default ``least``; a :class:`CaseParameterError` when it
+    is not an ``int`` (a ``bool``, a float or a string is not truncated or parsed) or below
+    ``least``."""
+    n = params.get("n", least)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise CaseParameterError(f"{case} needs an integer n, got {n!r}")
     if n < least:
         raise CaseParameterError(f"{case} needs n >= {least} ({why})")
     return n

@@ -10,7 +10,8 @@ back-substitution.  The free variables of a nullspace vector and of a
 solution are 0 except the one set to 1, which pins both to the
 reduced-row-echelon answer exactly.  The rank modulo the prime P never
 exceeds the exact rank, equals it on the drawn matrices, and drops on
-planted matrices whose minors P divides.
+planted matrices whose minors P divides; so does the skew elimination
+behind it, on int skew matrices with zero rows and columns.
 """
 
 from fractions import Fraction
@@ -20,7 +21,8 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from liesplit.linalg import P, Matrix, inverse, rank, rank_and_nullspace, rank_mod_p, solve  # noqa: E402
+from liesplit.linalg import (P, Matrix, inverse, rank, rank_and_nullspace, rank_mod_p,  # noqa: E402
+                            skew_rank_mod_p, solve)
 
 # derandomized, so every run checks the same examples
 CHECKS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -199,6 +201,45 @@ def test_rank_and_nullspace_match_reference(a):
 def test_rank_mod_p_drops_when_p_divides_the_minors(rows):
     m = Matrix(rows)
     assert rank_mod_p(m) == rank(m) - 1
+
+
+@st.composite
+def int_skew(draw):
+    """A skew int matrix of size 0-9: C B C^T for a skew B of size k <= n, so ranks drop,
+    with some rows and columns then set to zero."""
+    n = draw(st.integers(0, 9))
+    k = draw(st.integers(0, n))
+    b = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            b[i][j] = draw(st.integers(-9, 9))
+            b[j][i] = -b[i][j]
+    c = [draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)) for _ in range(n)]
+    zero = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    return [[0 if {i, j} & zero else sum(c[i][s] * b[s][t] * c[j][t]
+                                         for s in range(k) for t in range(k))
+             for j in range(n)] for i in range(n)]
+
+
+def upper(a):
+    """The strict upper triangle as sparse rows, entries as they are (not reduced mod P)."""
+    n = len(a)
+    return [{j: a[i][j] for j in range(i + 1, n) if a[i][j]} for i in range(n)]
+
+
+@CHECKS
+@given(int_skew())
+def test_skew_rank_mod_p_matches_exact_rank(a):
+    # the entries stay far below P, so no minor vanishes modulo it
+    assert skew_rank_mod_p(upper(a)) == rank(Matrix(a))
+
+
+@pytest.mark.parametrize("rows, want", [
+    ([[0, P], [-P, 0]], 0),                                              # an entry equal to P
+    ([[0, 1, 1, 0], [-1, 0, 0, 2 - P], [-1, 0, 0, 2], [0, P - 2, -2, 0]], 2),  # Pfaffian P
+], ids=["entry", "update"])
+def test_skew_rank_mod_p_drops_when_p_divides_the_pfaffians(rows, want):
+    assert skew_rank_mod_p(upper(rows)) == want < rank(Matrix(rows))
 
 
 @CHECKS

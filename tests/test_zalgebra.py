@@ -252,6 +252,13 @@ def test_so2n_rejects_small_n():
         run_case("so2n", {"n": 3})
 
 
+@pytest.mark.parametrize("n", [2.9, 2.0, "3", True, None])
+def test_run_case_rejects_a_size_that_is_not_an_int(n):
+    # 2.9 once ran sl(2) and reported n = 2; "3" was parsed
+    with pytest.raises(CaseParameterError, match=f"borel needs an integer n, got {n!r}"):
+        run_case("borel", {"n": n})
+
+
 @pytest.mark.parametrize("name, params", [("so2n", {"n": 4}), ("e6_weyl", {}), ("borel", {"n": 2})])
 def test_run_case_rejects_dmax_below_one(name, params):
     # an empty restriction table would read as onto; the check runs before any build
