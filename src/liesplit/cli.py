@@ -73,6 +73,9 @@ def _parse_h(spec: str, algebra):
         sizes = _ints("--h", spec, r"glblocks:\d+(,\d+)*")
         if algebra.realization is None:
             raise SystemExit("glblocks needs a matrix builder algebra")
+        if sum(sizes) > algebra.matrix_size:
+            raise SystemExit(f"--h {spec!r}: block sizes sum to {sum(sizes)} > matrix size "
+                             f"{algebra.matrix_size}")
         block = [k for k, s in enumerate(sizes) for _ in range(s)]  # the block of each row
         return tuple(idx for idx, mat in enumerate(algebra.realization)
                      if all(max(r, c) < len(block) and block[r] == block[c] for r, c in mat))

@@ -16,8 +16,8 @@ Each of them is a conjugation-invariant function of Y, so its invariance is a
 theorem once rho is a homomorphism and G a nondegenerate ad-invariant form:
 ``hilbert_basis`` proves it by the algebra's cached
 ``LieAlgebra.realization_certificate`` (a double-extended lift by its base's)
-and brackets nothing.  ``verify_invariance`` brackets a polynomial against a
-Lie generating set; it serves ``custom_basis`` and the contractions, where
+and brackets nothing.  ``verify_invariance`` brackets a polynomial against
+every coordinate; it serves ``custom_basis`` and the contractions, where
 the theorem says nothing.  The polynomial arithmetic that bracketing the
 builder bases would exercise is covered by the differential and sympy
 oracles of the test suite.
@@ -187,9 +187,8 @@ class HilbertBasis:
 
 
 def verify_invariance(L: LieAlgebra, F: Polynomial) -> bool:
-    """Exact check that {F, x_j} = 0 for every coordinate x_j; by Jacobi the x with
-    {F, x} = 0 form a subalgebra, so the x_j of ``L.generating_set`` decide it."""
-    return all(V.is_zero() for _, V in hamiltonian_field(L, F, L.generating_set))
+    """Exact check that {F, x_j} = 0 for every coordinate x_j."""
+    return all(V.is_zero() for _, V in hamiltonian_field(L, F))
 
 
 def _b_of(L: LieAlgebra) -> int:
@@ -284,7 +283,7 @@ def hilbert_basis(L: LieAlgebra, kind: str, verify: bool = True) -> HilbertBasis
 
 def custom_basis(L: LieAlgebra, polys_degrees, verify: bool = True) -> HilbertBasis:
     """A basis from (Polynomial, degree) pairs; with ``verify`` each generator is bracketed
-    against ``L.generating_set`` (:func:`verify_invariance`), the route named 'brackets'."""
+    against every coordinate (:func:`verify_invariance`), the route named 'brackets'."""
     gens = tuple((p, d) for p, d in polys_degrees)
     if verify:
         for g, d in gens:
@@ -392,12 +391,14 @@ def jacobian_rank(polys, trials: int = 5, seed: int = 0, bound: int = 997) -> in
     transcendence degree.  Row p is ``p.int_gradient(x)``, the gradient of den_p * p
     at the point x evaluated in ints straight from p's terms: a positive row scale
     below 2^61 - 1 changes no rank modulo it."""
+    if trials < 1:
+        raise ValueError("trials >= 1 required")
     if not polys:
         return 0
     n = polys[0].nvars
     rng = random.Random(seed)
     best = 0
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         x = _sample_point(rng, n, bound)
         best = max(best, rank_mod_p(Matrix([p.int_gradient(x) for p in polys])))
         if best == min(len(polys), n):

@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .linalg import Matrix, inverse, rank_and_nullspace
 from .poly import _unit
-from .rationals import QQ, clear_denominators, combine, common_denominator, exact, scalar
+from .rationals import QQ, clear_denominators, combine, common_denominator, scalar
 
 
 class JacobiError(ValueError):
@@ -126,17 +126,6 @@ class LieAlgebra:
         return _bracket(self.constants, u, v)
 
     @cached_property
-    def generating_set(self) -> tuple:
-        """Basis indices whose coordinates generate the algebra under the bracket: a greedy
-        adding the coordinate of largest Lie-closure gain (lowest index on ties)."""
-        memo, chosen, span = {}, (), ({}, [])
-        while len(span[1]) < self.dim:
-            c, span = max(((c, _closure(self.constants, memo, *span, {c: 1}))
-                           for c in range(self.dim)), key=lambda t: len(t[1][1]))
-            chosen += (c,)
-        return chosen
-
-    @cached_property
     def bracket_table(self) -> tuple:
         """(D, T): D is the least positive int making every structure constant integral and
         T[a][b] holds [x_a, x_b] as (k, D c_ab^k) int pairs, for every ordered pair."""
@@ -186,24 +175,6 @@ def _pair(constants, i, j):
 def _bracket(constants, u, v):
     """Bracket of two vectors given as (index, exact coefficient) pairs, as a sparse dict."""
     return combine({}, ((_pair(constants, i, j), a * b) for i, a in u for j, b in v))
-
-
-def _closure(constants, memo, pivots, gens, v):
-    """Lie closure of ``gens`` and ``v`` as (echelon pivots with lead 1, spanning keys)."""
-    pivots, gens, queue = dict(pivots), list(gens), [v]
-    while queue:
-        v = queue.pop()
-        while v and (p := min(v)) in pivots:
-            v = combine(dict(v), [(pivots[p], -v[p])])
-        if v:
-            key = tuple(sorted(v.items()))
-            for g in gens:
-                if (key, g) not in memo:
-                    memo[key, g] = _bracket(constants, key, g)
-                queue.append(memo[key, g])
-            gens.append(key)
-            pivots[min(v)] = {k: exact(c / QQ(v[min(v)])) for k, c in v.items()}
-    return pivots, gens
 
 
 def _int_table(dim, constants) -> tuple:

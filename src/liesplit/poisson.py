@@ -32,14 +32,14 @@ DEFAULT_BOUND = 10**6
 
 
 def _field_terms(L: LieAlgebra, F: Polynomial, targets):
-    """Yield (j, int terms of D_L den_F {F, x_j}) for j in ``targets``, D_L from
+    """Yield (j, int terms of D_L den_F {F, x_j}) for j in ``targets`` (distinct), D_L from
     ``LieAlgebra.poisson_columns``, on F's kept partials (``Polynomial.partials``)."""
     if F.nvars != L.dim:
         raise ValueError("polynomials must live on the algebra's coordinates")
     n = L.dim
     columns = L.poisson_columns[1]
     dF = F.partials()
-    for j in dict.fromkeys(targets):
+    for j in targets:
         V = {}
         for i, lin in columns[j]:
             if i in dF:
@@ -47,14 +47,12 @@ def _field_terms(L: LieAlgebra, F: Polynomial, targets):
         yield j, {e: c for e, c in V.items() if c}
 
 
-def hamiltonian_field(L: LieAlgebra, F: Polynomial, targets=None):
-    """Yield (j, V_j) with V_j = {F, x_j} = sum_i pi_ij dF/dx_i and pi_ij = sum_k c_ij^k x_k.
-
-    Runs over ``targets`` (every coordinate by default) on F's kept partials; by Jacobi,
-    F is invariant when V_j = 0 on ``LieAlgebra.generating_set``.
+def hamiltonian_field(L: LieAlgebra, F: Polynomial):
+    """Yield (j, V_j) with V_j = {F, x_j} = sum_i pi_ij dF/dx_i and pi_ij = sum_k c_ij^k x_k,
+    for every coordinate x_j, on F's kept partials; F is invariant when every V_j = 0.
     """
     den = L.poisson_columns[0] * F.den
-    for j, V in _field_terms(L, F, range(L.dim) if targets is None else targets):
+    for j, V in _field_terms(L, F, range(L.dim)):
         yield j, Polynomial._of(L.dim, V, den)
 
 
@@ -245,6 +243,8 @@ def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,
     over the sampled points is kept, and the stabilizer is returned as an
     abstract algebra with restricted structure constants.
     """
+    if trials < 1:
+        raise ValueError("trials >= 1 required")
     h_indices = tuple(h_indices)
     esc = escaping_bracket(L, h_indices)
     if esc:
@@ -256,7 +256,7 @@ def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,
     # Ann(h) = 0 only when h is everything; the definition then collapses to
     # the stabilizer of a generic point of the full dual.
     support = [i for i in range(L.dim) if i not in h_indices] or None
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         xi = _sample_point(rng, L.dim, bound, support=support)
         # the h columns of D pi(xi): x in h is in the kernel iff xi([x, y]) = 0 for all y
         rows = _tensor_matrix(L, xi).rows
@@ -282,7 +282,7 @@ def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,
                      for pair, col in zip(brackets, coeffs)}
     names = [f"s{k + 1}" for k in range(dim_star)]
     stab = LieAlgebra(names, constants, kind="stabilizer")
-    idx = index_estimate(stab, trials=max(1, trials), seed=seed + 1, bound=bound) if dim_star \
+    idx = index_estimate(stab, trials=trials, seed=seed + 1, bound=bound) if dim_star \
         else IndexEstimate(0, 0, 0, seed, QQ(0))
     return StabilizerReport(h_indices, xi, basis, dim_star, idx, not constants, stab)
 

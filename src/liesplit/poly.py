@@ -57,7 +57,11 @@ def _pack(e, nvars: int) -> int:
     """Packed key of an exponent sequence of length ``nvars``."""
     if isinstance(e, int):
         raise TypeError(f"exponent {e!r} must be a sequence of {nvars} exponents")
-    e = bytes(e)
+    try:
+        e = bytes(e)
+    except ValueError:
+        i, k = next((i, k) for i, k in enumerate(e) if not 0 <= k < 256)
+        raise ValueError(f"exponent {k} of variable {i} is outside 0..255") from None
     if len(e) != nvars:
         raise ValueError(f"exponent vector {e!r} has length {len(e)}, expected {nvars}")
     return int.from_bytes(e, "big")
@@ -110,14 +114,12 @@ class Polynomial:
         coeff = scalar(coeff)
         if not coeff:
             return cls.zero(nvars)
-        e = bytearray(nvars)
-        if isinstance(exps, dict):
-            for i, k in exps.items():
-                e[i] = k
-        else:
-            for i, k in enumerate(exps):
-                e[i] = k
-        return cls._of(nvars, {int.from_bytes(e, "big"): coeff.numerator}, coeff.denominator)
+        e = [0] * nvars
+        for i, k in exps.items() if isinstance(exps, dict) else enumerate(exps):
+            if not 0 <= i < nvars:
+                raise ValueError(f"variable {i} outside 0..{nvars - 1}")
+            e[i] = k
+        return cls._of(nvars, {_pack(e, nvars): coeff.numerator}, coeff.denominator)
 
     @classmethod
     def linear_form(cls, nvars: int, coeffs: Sequence) -> "Polynomial":

@@ -782,6 +782,8 @@ def run_case(name: str, params: dict | None = None, seed: int = 0,
     """Run one worked case end to end and return its report."""
     if name not in _CASES:
         raise CaseParameterError(f"unknown case {name!r}; choose from {sorted(_CASES)}")
+    if trials < 1:
+        raise CaseParameterError("trials >= 1 required")
     return _CASES[name](params or {}, seed, trials, _restriction_degree(dmax))
 
 

@@ -152,6 +152,9 @@ def test_case_keeps_library_errors(monkeypatch):
      "weyl-w0: dmax >= 1 required, got 0"),
     (["weyl-w0", "--type", "A", "--rank", "3", "--arrows", "1:3", "--dmax", "-1"],
      "weyl-w0: dmax >= 1 required, got -1"),
+    (["case", "borel", "--n", "2", "--trials", "0"], "case borel: trials >= 1 required"),
+    (["check-ggs", "--algebra", "gl:4", "--h", "glblocks:3,3"],
+     "--h 'glblocks:3,3': block sizes sum to 6 > matrix size 4"),
 ])
 def test_malformed_input_exits_with_one_line_naming_it(argv, message):
     with pytest.raises(SystemExit) as exc:

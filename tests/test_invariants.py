@@ -24,7 +24,7 @@ from liesplit.invariants import (
     verify_invariance,
 )
 from liesplit.linalg import Matrix, rank_mod_p
-from liesplit.poisson import hamiltonian_field, poisson_bracket
+from liesplit.poisson import poisson_bracket
 from liesplit.poly import Polynomial
 from liesplit.rationals import QQ, QQ0, QQ1
 from liesplit.splitting import (
@@ -466,6 +466,13 @@ def test_trdeg_of_top_components_matches_rank_on_borel():
         assert jacobian_rank(tops, trials=5, seed=0) == g.rank
 
 
+def test_jacobian_rank_needs_at_least_one_trial():
+    x = Polynomial.variable(2, 0)
+    for polys in ([x], []):
+        with pytest.raises(ValueError, match="trials >= 1 required"):
+            jacobian_rank(polys, trials=0)
+
+
 def _jacobian_rank_by_eval(polys, trials, seed, bound):
     """The row construction ``jacobian_rank`` replaced: den_p * dp/dx_i as polynomials,
     evaluated to Fractions whose numerators make the rows."""
@@ -503,15 +510,25 @@ def test_jacobian_rank_rows_are_the_evaluated_gradients():
     assert max(bidecompose(S, F).top.den for F in B.polys) == 256
 
 
-# -- invariance on a generating set ----------------------------------------
+# -- invariance on every coordinate ------------------------------------------
 
 
-def _all_coordinates_invariant(L, F):
-    """The exhaustive verdict: {F, x_j} = 0 for every coordinate x_j."""
-    return all(V.is_zero() for _, V in hamiltonian_field(L, F))
+def _reference_invariant(L, F):
+    """{F, x_j} = sum_i dF/dx_i [x_i, x_j] = 0 for every j, from ``Polynomial.diff`` and
+    ``bracket_pair``."""
+    for j in range(L.dim):
+        field = Polynomial.zero(L.dim)
+        for i in range(L.dim):
+            coeffs = [0] * L.dim
+            for k, c in L.bracket_pair(i, j).items():
+                coeffs[k] = c
+            field = field + F.diff(i) * Polynomial.linear_form(L.dim, coeffs)
+        if not field.is_zero():
+            return False
+    return True
 
 
-def _shortcut_cases():
+def _invariance_cases():
     """(algebra, invariants, root indices): builders and both contractions of an sl3 splitting."""
     builders = ((build_sl(3), "charpoly"), (build_so_even(2), "so_minors_pfaffian"),
                 (build_gl(3), "charpoly"), (build_double(build_sl(2)), "double_extended:charpoly"))
@@ -523,17 +540,35 @@ def _shortcut_cases():
     return cases
 
 
-def test_generating_set_verdict_equals_all_coordinates():
-    for L, invariants, tri in _shortcut_cases():
-        casimir = next(F for F in invariants if F.degree() == 2)
-        planted = [casimir + Polynomial.variable(L.dim, j) for j in range(L.dim)]
-        roots = tri.plus + tri.minus
-        planted += [Polynomial.variable(L.dim, a) * Polynomial.variable(L.dim, b)
-                    for a in roots for b in roots if a <= b]
+def _planted(L, invariants, tri):
+    """Casimir + x_j for every j, and every product of two root coordinates."""
+    casimir = next(F for F in invariants if F.degree() == 2)
+    planted = [casimir + Polynomial.variable(L.dim, j) for j in range(L.dim)]
+    roots = tri.plus + tri.minus
+    return planted + [Polynomial.variable(L.dim, a) * Polynomial.variable(L.dim, b)
+                      for a in roots for b in roots if a <= b]
+
+
+def test_verify_invariance_equals_reference_brackets():
+    for L, invariants, tri in _invariance_cases():
+        planted = _planted(L, invariants, tri)
         for F in invariants + planted:
-            assert verify_invariance(L, F) == _all_coordinates_invariant(L, F), (L, F)
+            assert verify_invariance(L, F) == _reference_invariant(L, F), (L, F)
         assert all(verify_invariance(L, F) for F in invariants)
         assert not all(verify_invariance(L, F) for F in planted)
+
+
+def test_custom_basis_rejects_a_non_invariant_naming_its_degree():
+    sl2 = build_sl(2)
+    h = Polynomial.variable(sl2.dim, sl2.triangular.cartan[0])
+    with pytest.raises(AssertionError, match="custom generator of degree 2 is not invariant"):
+        custom_basis(sl2, [(h * h, 2)])
+    L, invariants, tri = _invariance_cases()[-2]  # keep_h contraction of sl3
+    cubic = next(F for F in invariants if F.degree() == 3)
+    bad = next(F for F in _planted(L, invariants, tri)[:L.dim] if not verify_invariance(L, F))
+    assert custom_basis(L, [(cubic, 3)]).invariance == "brackets"
+    with pytest.raises(AssertionError, match="custom generator of degree 2 is not invariant"):
+        custom_basis(L, [(cubic, 3), (bad, 2)])
 
 
 def _same_terms(F, G):

@@ -17,9 +17,8 @@ from liesplit.liealg import (
     sub_algebra,
 )
 from liesplit import liealg
-from liesplit.linalg import Matrix, rank
+from liesplit.linalg import Matrix
 from liesplit.rationals import QQ
-from liesplit.splitting import contract, horospherical_splitting
 
 
 def test_sl2_chevalley_basis():
@@ -178,34 +177,6 @@ def test_change_basis_rejects_a_corrupted_constant(monkeypatch):
     monkeypatch.setattr(liealg, "inverse", corrupted)
     with pytest.raises(ValueError, match="basis change breaks the bracket"):
         change_basis(sl3, vectors, list("abcdefgh"))
-
-
-def _lie_closure_dim(L, indices):
-    """Dimension of the subalgebra generated by the coordinates ``indices``, by brute force."""
-    rows = [[int(k == i) for k in range(L.dim)] for i in indices]
-    while True:
-        grown = list(rows)
-        for u in rows:
-            for v in rows:
-                w = L.bracket_vec(u, v)
-                cand = [w.get(k, 0) for k in range(L.dim)]
-                if rank(Matrix(grown + [cand])) > len(grown):
-                    grown.append(cand)
-        if len(grown) == len(rows):
-            return len(rows)
-        rows = grown
-
-
-def test_generating_set_generates_the_algebra():
-    sl3 = build_sl(3)
-    S = horospherical_splitting(sl3, [[int(t in sl3.triangular.cartan) for t in range(8)]])
-    for L in (sl3, build_so_even(2), build_algebra("gl", n=3), build_double(build_sl(2)),
-              contract(S, "keep_h"), contract(S, "keep_r")):
-        gens = L.generating_set
-        assert len(set(gens)) == len(gens) and all(0 <= i < L.dim for i in gens)
-        assert _lie_closure_dim(L, gens) == L.dim, L
-        assert L.generating_set is gens  # computed once per algebra
-    assert len(build_so_even(4).generating_set) == 6
 
 
 def test_change_basis_rejects_dependent_vectors():

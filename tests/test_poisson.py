@@ -148,6 +148,15 @@ def test_regular_points_in_ann_h_for_sl4_splitting():
         assert regular_point_check(L, xi, est)
 
 
+def test_sampling_needs_at_least_one_trial():
+    sl2 = build_sl(2)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials >= 1 required"):
+            generic_stabilizer(sl2, (0, 1), trials=trials)
+        with pytest.raises(ValueError, match="trials >= 1 required"):
+            index_estimate(sl2, trials=trials)
+
+
 def test_generic_stabilizer_sl2_cases():
     sl2 = build_sl(2)
     rb = generic_stabilizer(sl2, (0, 1), trials=6, seed=2)

@@ -187,14 +187,6 @@ def test_field_of_a_coordinate_is_the_lie_bracket(name):
             assert field[j] == Polynomial.linear_form(L.dim, coeffs)
 
 
-def test_field_restricted_to_targets():
-    L = ALGEBRAS["sl3"]
-    F = Polynomial.variable(L.dim, 0) * Polynomial.variable(L.dim, 5)
-    full = dict(hamiltonian_field(L, F))
-    part = dict(hamiltonian_field(L, F, targets=[2, 6]))
-    assert part == {2: full[2], 6: full[6]}
-
-
 def _first_cartan_rebuild(g):
     """A horospherical rebuild of g with t1 spanned by the first Cartan coordinate; for the
     double of sl(2), by h - xi with t0 spanned by h + xi, as the double case builds it."""

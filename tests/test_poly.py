@@ -152,6 +152,19 @@ def test_constructor_takes_exponent_sequences_not_packed_keys():
         Polynomial(2, {(1, 0, 0): 1})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Polynomial.variable(3, 5), "variable 5 outside 0..2"),
+    (lambda: Polynomial.variable(3, -1), "variable -1 outside 0..2"),
+    (lambda: Polynomial.monomial(3, (1, 2, 3, 4)), "variable 3 outside 0..2"),
+    (lambda: Polynomial.monomial(3, {0: 300}), "exponent 300 of variable 0 is outside 0..255"),
+    (lambda: Polynomial.monomial(3, {2: -1}), "exponent -1 of variable 2 is outside 0..255"),
+    (lambda: Polynomial(3, {(0, 300, 0): 1}), "exponent 300 of variable 1 is outside 0..255"),
+])
+def test_bad_variable_or_exponent_is_named(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("build", [
     lambda: Polynomial(2, {(1, 0): 0.1}),
     lambda: Polynomial.constant(2, 0.1),

@@ -267,6 +267,17 @@ def test_run_case_rejects_dmax_below_one(name, params):
             run_case(name, params, seed=1, dmax=dmax)
 
 
+@pytest.mark.parametrize("name", ["borel", "so2n", "e6_weyl"])
+def test_run_case_rejects_trials_below_one_before_any_build(name, monkeypatch):
+    def build(*args):
+        raise AssertionError("the case ran")
+
+    monkeypatch.setitem(zalgebra._CASES, name, build)
+    for trials in (0, -1):
+        with pytest.raises(CaseParameterError, match="trials >= 1 required"):
+            run_case(name, {"n": 2}, trials=trials)
+
+
 @pytest.mark.parametrize("t1", [[[1, 0, -2]], [[1, 0, 0, -1]]])
 def test_horo_rejects_malformed_diagonal(t1):
     # not traceless, and one entry more than sl(3) has: neither may be truncated
