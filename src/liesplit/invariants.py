@@ -26,9 +26,9 @@ The good-generating-system test is a degree-sum criterion: for a
 subalgebra h with complement m, sum_j deg_m F_j^bullet >= dim m whenever
 the contraction h x m^ab has the index of q, with equality exactly when
 the top components stay algebraically independent.  The report
-cross-checks the degree sum against the Jacobian rank modulo 2^61 - 1 at
-sampled points (a lower bound on the exact rank there); the two must agree
-on builder algebras.
+cross-checks the degree sum against the Jacobian rank modulo the prime
+``linalg.P`` = 2^30 - 35 at sampled points (a lower bound on the exact rank
+there); the two must agree on builder algebras.
 """
 
 from __future__ import annotations
@@ -283,12 +283,19 @@ def hilbert_basis(L: LieAlgebra, kind: str, verify: bool = True) -> HilbertBasis
 
 def custom_basis(L: LieAlgebra, polys_degrees, verify: bool = True) -> HilbertBasis:
     """A basis from (Polynomial, degree) pairs; with ``verify`` each generator is bracketed
-    against every coordinate (:func:`verify_invariance`), the route named 'brackets'."""
+    against every coordinate (:func:`verify_invariance`), the route named 'brackets'.
+    Each generator must then be homogeneous of its stated degree, which ``ggs_check``
+    reads."""
     gens = tuple((p, d) for p, d in polys_degrees)
     if verify:
         for g, d in gens:
             if not verify_invariance(L, g):
                 raise AssertionError(f"custom generator of degree {d} is not invariant")
+    for i, (g, d) in enumerate(gens):
+        if g.degree() != d or not g.is_homogeneous():
+            actual = g.degree() if g.is_homogeneous() else f"up to {g.degree()}, not homogeneous"
+            raise ValueError(f"custom generator {i} is stated of degree {d} "
+                             f"but has degree {actual}")
     return HilbertBasis(L, "custom", gens, "brackets" if verify else None)
 
 
@@ -385,12 +392,13 @@ def bidecompose(D: Decomposition, F: Polynomial) -> BiDecomposition:
 
 
 def jacobian_rank(polys, trials: int = 5, seed: int = 0, bound: int = 997) -> int:
-    """Max over sampled integer points of the Jacobian rank modulo 2^61 - 1.
+    """Max over sampled integer points of the Jacobian rank modulo ``linalg.P``.
 
     Each is a lower bound on the exact Jacobian rank at its point, hence on the
     transcendence degree.  Row p is ``p.int_gradient(x)``, the gradient of den_p * p
-    at the point x evaluated in ints straight from p's terms: a positive row scale
-    below 2^61 - 1 changes no rank modulo it."""
+    at the point x evaluated in ints straight from p's terms: a row scale prime to P
+    changes no rank modulo P, and any scale keeps the lower bound.  The bound keeps
+    2 bound + 1 <= P (see ``linalg``)."""
     if trials < 1:
         raise ValueError("trials >= 1 required")
     if not polys:

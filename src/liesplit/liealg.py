@@ -4,10 +4,11 @@ Structure constants are stored sparsely for basis pairs i < j, under the
 scalar rule of ``rationals`` (a float constant raises ``TypeError`` naming
 its bracket); the bracket extends by antisymmetry.  Every constructor runs an
 exhaustive Jacobi check over all basis triples, except ``change_basis`` (it checks
-that the basis change is a bracket isomorphism onto the checked algebra it rewrites)
-and ``splitting.family_bracket``: a pencil member a*[,]_0 + b*[,]_inf has a
-Jacobiator quadratic in (a, b), so the pencil is certified by the checks
-at (1,0), (0,1) and (1,1); its Poisson bracket is linear in (a, b),
+that the basis change is a bracket isomorphism onto the checked algebra it rewrites),
+``splitting.contract`` (an Inonu-Wigner contraction of a Lie algebra is Lie, see its
+docstring) and ``splitting.family_bracket``: a pencil member a*[,]_0 + b*[,]_inf has
+a Jacobiator quadratic in (a, b), so the pencil is Lie once (1,0), (0,1) and (1,1)
+are; its Poisson bracket is linear in (a, b),
 {F, G}_(a,b) = a{F, G}_0 + b{F, G}_inf, so commutativity is decided at
 (1,0) and (0,1) (see its docstring).
 

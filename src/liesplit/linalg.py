@@ -27,7 +27,7 @@ columns are the greedy leftmost column basis, so the nullspace vectors
 (1 at one free column, 0 at the others) and the solutions (free
 variables at 0) are unique, and one back-substitution gives both.
 
-Ranks modulo the prime P = 2^61 - 1 have one elimination of their own,
+Ranks modulo the prime P = 2^30 - 35 have one elimination of their own,
 :func:`skew_rank_mod_p`: on the sparse strict upper triangle of a skew
 matrix it pivots on 2 x 2 blocks (Bunch, Math. Comp. 38, 1982), each
 removing two rows and the same two columns and adding 2 to the rank.  A
@@ -36,6 +36,12 @@ field (:func:`rank_mod_p`).  A Pfaffian or minor nonzero modulo P is
 nonzero over the integers, so both are lower bounds on the exact rank,
 for the sampled certificates that need no more; the rank over F_P does
 not depend on the pivot order.
+
+P is the largest prime below 2^30, so a residue is one CPython digit and a
+product of two residues two.  For a sample bound B with 2 B + 1 <= P, a
+minor or Pfaffian f whose coefficients P does not all divide vanishes
+modulo P at a uniform point of [-B, B]^n with probability at most
+deg f / (2 B + 1) (Schwartz, J. ACM 27, 1980), as it does over Q.
 """
 
 from __future__ import annotations
@@ -190,7 +196,7 @@ def rank(m: Matrix) -> int:
     return len(pivots)
 
 
-P = 2**61 - 1
+P = 2**30 - 35  # 1073741789
 
 
 def skew_rank_mod_p(upper: list) -> int:

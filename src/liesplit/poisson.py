@@ -11,9 +11,10 @@ witness over seed-deterministic uniform integer samples.  Every sampled
 rank is a certificate, so claimed indices are always upper bounds on the
 true index and reports store their witnesses for replay.  ``tensor_at``
 gives the exact rank at a point (its callers also compare ranks from
-above); ``index_estimate`` needs the rank only from below and takes it
-modulo the prime 2^61 - 1 by skew 2 x 2 pivots on that upper triangle
-(``linalg.skew_rank_mod_p``), with no full matrix and no lower triangle.
+above); ``index_estimate`` needs the rank only from below and takes it modulo
+the one-digit prime ``linalg.P`` (2 B + 1 <= P for every sample bound B, see
+there) by skew 2 x 2 pivots on that upper triangle (``linalg.skew_rank_mod_p``),
+with no full matrix and no lower triangle.
 """
 
 from __future__ import annotations
@@ -152,9 +153,9 @@ def tensor_at(L_or_S, xi, parameter=None) -> PoissonTensorSample:
 @dataclass
 class IndexEstimate:
     """dim - certified_max_rank, where certified_max_rank is the best rank of pi at the
-    sampled points taken modulo 2^61 - 1: a lower bound on the exact rank of pi at the
-    witness, so claimed_index is an upper bound on the index.  The skew elimination
-    adds 2 per pivot, so the rank is even by construction."""
+    sampled points taken modulo the prime ``linalg.P`` = 2^30 - 35: a lower bound on the
+    exact rank of pi at the witness, so claimed_index is an upper bound on the index.
+    The skew elimination adds 2 per pivot, so the rank is even by construction."""
     claimed_index: int
     certified_max_rank: int
     samples: int
@@ -184,7 +185,7 @@ def _sample_point(rng, dim, bound, support=None):
 
 def index_estimate(L: LieAlgebra, trials: int = 8, seed: int = 0,
                    bound: int = DEFAULT_BOUND) -> IndexEstimate:
-    """dim - (max sampled rank of pi(xi) mod 2^61 - 1); an upper bound on the index,
+    """dim - (max sampled rank of pi(xi) mod ``linalg.P``); an upper bound on the index,
     claimed exact.  Each sample's D pi(xi) goes from ``_tensor_entries`` straight into
     the rows of ``skew_rank_mod_p``."""
     if trials < 1:

@@ -102,7 +102,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
-        return cls.monomial(nvars, (), c)
+        c = scalar(c)
+        return cls._of(nvars, {0: c.numerator}, c.denominator) if c else cls.zero(nvars)
 
     @classmethod
     def variable(cls, nvars: int, i: int, coeff=1) -> "Polynomial":
@@ -110,16 +111,18 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, nvars: int, exps, coeff=1) -> "Polynomial":
-        """``exps`` is a mapping var->exponent or a full exponent sequence."""
+        """``exps`` is a mapping var->exponent or a full exponent sequence of length nvars."""
         coeff = scalar(coeff)
-        if not coeff:
-            return cls.zero(nvars)
         e = [0] * nvars
         for i, k in exps.items() if isinstance(exps, dict) else enumerate(exps):
             if not 0 <= i < nvars:
                 raise ValueError(f"variable {i} outside 0..{nvars - 1}")
             e[i] = k
-        return cls._of(nvars, {_pack(e, nvars): coeff.numerator}, coeff.denominator)
+        # a sequence is packed as given, so a short one meets the constructor's length check
+        key = _pack(e if isinstance(exps, dict) else exps, nvars)
+        if not coeff:
+            return cls.zero(nvars)
+        return cls._of(nvars, {key: coeff.numerator}, coeff.denominator)
 
     @classmethod
     def linear_form(cls, nvars: int, coeffs: Sequence) -> "Polynomial":

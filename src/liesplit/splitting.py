@@ -75,7 +75,7 @@ class Decomposition:
             self.h_degree_of_exponent = lambda e: sum(gather(e))
         else:
             self.h_degree_of_exponent = itemgetter(*h) if h else lambda e: 0
-        self._contractions: dict = {}  # side -> checked contraction, see ``contract``
+        self._contractions: dict = {}  # side -> its contraction, see ``contract``
         self._bidecompositions: dict = {}  # polynomial -> its split, see ``bidecompose``
         self.t1_indices: tuple = ()
         self.t0_indices: tuple = ()
@@ -117,8 +117,16 @@ def make_splitting(L: LieAlgebra, h_part) -> Splitting:
 
 
 def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
-    """Inonu-Wigner contraction on D.algebra's basis, built and Jacobi-checked
-    once per ``D``: later calls return the same object, not to be mutated."""
+    """Inonu-Wigner contraction on D.algebra's basis, built once per ``D``: later calls
+    return the same object, not to be mutated.
+
+    It is Lie whenever ``D.algebra`` is (Inonu and Wigner, PNAS 39, 1953), so no Jacobi
+    check runs.  For t != 0 and phi_t the identity on ``keep`` and t on the rest,
+    mu_t(x, y) = phi_t^-1 mu(phi_t x, phi_t y) is isomorphic to mu.  ``keep`` is a
+    subalgebra (``Decomposition`` checks h, a ``Splitting`` r), so mu_t is polynomial
+    in t with the constants written here at t = 0; its Jacobiator, polynomial in t
+    and zero for t != 0, vanishes at t = 0 too.  ``D.algebra`` is Lie by its own
+    check or ``change_basis``'s verified isomorphism, unless built with check=False."""
     if side not in D._contractions:
         sets = {"keep_h": (D.h_set, D.r_set), "keep_r": (D.r_set, D.h_set)}
         if side not in sets:
@@ -131,7 +139,7 @@ def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
                      () if {i, j} <= other else tuple((k, c) for k, c in entries if k in other)
                      for (i, j), entries in D.algebra.constants.items()}
         D._contractions[side] = LieAlgebra(D.algebra.names, constants,
-                                           kind=f"contract[{side}]({D.algebra.kind})")
+                                           kind=f"contract[{side}]({D.algebra.kind})", check=False)
     return D._contractions[side]
 
 
@@ -139,13 +147,12 @@ def family_bracket(S: Splitting, p: BracketParameter) -> LieAlgebra:
     """The pencil member a*[,]_0 + b*[,]_infinity; (1,1) is the original algebra.
 
     Combines the two contractions of ``contract`` without a per-member Jacobi
-    check, the one unchecked construction in the package; two arguments settle
-    the whole pencil.
+    check; two arguments settle the whole pencil.
     Jacobi: the Jacobiator of a*mu_0 + b*mu_inf is the quadratic form
     a^2 J(mu_0) + ab J(mu_0, mu_inf) + b^2 J(mu_inf) in (a, b), so it
     vanishes for every member once it vanishes at three pairwise
-    non-proportional parameters: (1,0) and (0,1), the contractions that
-    ``contract`` checks, and (1,1), ``S.algebra`` itself.
+    non-proportional parameters: (1,0) and (0,1), the contractions, Lie by
+    the proof in ``contract``, and (1,1), ``S.algebra`` itself.
     ``zalgebra.property_suite`` compares this function's anchors with them.
     Commutativity: {F, G}_(a,b) = a{F, G}_0 + b{F, G}_inf, so a pair
     commutes for every member iff it commutes at (1,0) and (0,1).
@@ -164,7 +171,7 @@ def family_bracket(S: Splitting, p: BracketParameter) -> LieAlgebra:
 
 
 def pencil_member(S: Splitting, p) -> LieAlgebra:
-    """``S.algebra`` at (1,1), the checked contractions at (1,0) and (0,1), else family_bracket."""
+    """``S.algebra`` at (1,1), the cached contractions at (1,0) and (0,1), else family_bracket."""
     p = BracketParameter.of(p)
     if (p.a, p.b) == (1, 1):
         return S.algebra

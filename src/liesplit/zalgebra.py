@@ -190,7 +190,8 @@ def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0,
     kernel identity, and contraction rank monotonicity on Ann(h).
 
     ``pencil_jacobi`` and pencil commutativity are decided at the two
-    checked contractions and ``S.algebra``, as ``family_bracket`` proves.
+    contractions (Lie by the proof in ``contract``) and ``S.algebra``, as
+    ``family_bracket`` proves.
     """
     rng = random.Random(seed)
     results = {}

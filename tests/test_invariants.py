@@ -571,6 +571,22 @@ def test_custom_basis_rejects_a_non_invariant_naming_its_degree():
         custom_basis(L, [(cubic, 3), (bad, 2)])
 
 
+def test_custom_basis_rejects_a_wrong_stated_degree():
+    sl2 = build_sl(2)
+    e, h, f = (Polynomial.variable(3, i) for i in range(3))
+    C = h * h + 4 * e * f
+    # C is invariant, so only its stated degree is wrong
+    with pytest.raises(ValueError, match="generator 0 is stated of degree 5 but has degree 2$"):
+        custom_basis(sl2, [(C, 5)])
+    # checked without ``verify`` too, since ggs_check reads the stated degree
+    with pytest.raises(ValueError, match="generator 1 is stated of degree 2 "
+                                         "but has degree up to 4, not homogeneous"):
+        custom_basis(sl2, [(C, 2), (C + C * C, 2)], verify=False)
+    with pytest.raises(ValueError, match="generator 0 is stated of degree 0 but has degree None"):
+        custom_basis(sl2, [(Polynomial.zero(3), 0)], verify=False)
+    assert custom_basis(sl2, [(C, 2)]).generators == ((C, 2),)
+
+
 def _same_terms(F, G):
     """Equal int terms over equal denominators."""
     return (F.terms == G.terms and F.den == G.den

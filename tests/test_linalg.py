@@ -3,6 +3,8 @@ import random
 import pytest
 
 from liesplit import Matrix, QQ, inverse, rank, rank_and_nullspace, solve
+from liesplit.linalg import P
+from liesplit.poisson import DEFAULT_BOUND
 
 
 def random_matrix(rng, nrows, ncols, frac=False):
@@ -105,3 +107,10 @@ def test_bool_and_fraction_entries_follow_the_scalar_rule():
     assert m.rows == ((1, 0, 3), (2, QQ(1, 3), 5), (7, 8, 9))
     assert [list(map(type, row)) for row in m.rows] == [[int, int, int], [int, QQ, int],
                                                          [int, int, int]]
+
+
+def test_modulus_is_a_one_digit_prime_above_the_sample_range():
+    # one 30-bit CPython digit per residue; 2 B + 1 <= P keeps Schwartz-Zippel's bound
+    assert P < 2**30
+    assert P > 2 * DEFAULT_BOUND + 1
+    assert P > 1 and all(P % d for d in range(2, int(P**0.5) + 1))

@@ -165,6 +165,16 @@ def test_bad_variable_or_exponent_is_named(build, message):
         build()
 
 
+def test_monomial_takes_only_full_exponent_sequences():
+    with pytest.raises(ValueError, match="length 2, expected 3"):
+        Polynomial.monomial(3, (1, 2))
+    with pytest.raises(ValueError, match="length 0, expected 2"):
+        Polynomial.monomial(2, (), 0)
+    assert Polynomial.monomial(3, (0, 1, 2)) == Polynomial.monomial(3, {1: 1, 2: 2})
+    assert Polynomial.constant(3, QQ(3, 2)) == Polynomial(3, {(0, 0, 0): QQ(3, 2)})
+    assert Polynomial.constant(3, 0).is_zero()
+
+
 @pytest.mark.parametrize("build", [
     lambda: Polynomial(2, {(1, 0): 0.1}),
     lambda: Polynomial.constant(2, 0.1),

@@ -152,7 +152,7 @@ def test_pencil_bracket_is_linear_on_bi_components():
         assert nonzero > len(polys)
 
 
-def test_contractions_built_and_checked_once_per_side(monkeypatch):
+def test_contractions_built_once_per_side_without_a_jacobi_check(monkeypatch):
     S = so8_splitting()
     calls = []
     check = liealg.jacobi_report
@@ -168,12 +168,28 @@ def test_contractions_built_and_checked_once_per_side(monkeypatch):
         assert contract(S, "keep_r") is con_r and pencil_member(S, BracketParameter(0, 1)) is con_r
         assert pencil_member(S, (1, 1)) is S.algebra
         tensor_at(S, [1] * S.algebra.dim, (1, 0))
-    assert calls == [28, 28]
+    # Lie by the Inonu-Wigner argument in contract's docstring, not by enumeration
+    assert calls == []
     # a (1,t) member is the unchecked family_bracket, not a cached object
     assert pencil_member(S, (1, 2)) is not pencil_member(S, (1, 2))
-    assert calls == [28, 28]
+    assert calls == []
     # another splitting object owns its own pair
     assert contract(so8_splitting(), "keep_h") is not con_h
+
+
+def test_unchecked_contractions_pass_the_exhaustive_jacobi_check():
+    # the oracle for building contractions with check=False
+    sl3, sl4 = build_sl(3), build_sl(4)
+    borel = make_splitting(sl3, tuple(sl3.triangular.plus) + tuple(sl3.triangular.cartan))
+    horo4 = horospherical_splitting(sl4, [_cartan_line(sl4, 0)])
+    for S in (borel, horo4, so8_splitting(), double_sl3_splitting()):
+        for side in ("keep_h", "keep_r"):
+            assert check_jacobi(contract(S, side)).passed, (S, side)
+        assert _bracket_table(contract(S, "keep_h")) == _bracket_table(family_bracket(S, (1, 0)))
+    # a bare Decomposition: h the Cartan, its complement (the root vectors) not closed
+    D = make_decomposition(sl3, tuple(sl3.triangular.cartan))
+    assert check_jacobi(contract(D, "keep_h")).passed
+    assert contract(D, "keep_h").constants != sl3.constants
 
 
 def test_pencil_members_isomorphic_via_grading_rescale():
