@@ -72,7 +72,7 @@ def _parse_h(spec: str, algebra):
     if spec.startswith("glblocks:"):
         sizes = _ints("--h", spec, r"glblocks:\d+(,\d+)*")
         if algebra.realization is None:
-            raise SystemExit("glblocks needs a matrix builder algebra")
+            raise SystemExit(f"--h {spec!r}: glblocks needs a matrix builder algebra")
         if sum(sizes) > algebra.matrix_size:
             raise SystemExit(f"--h {spec!r}: block sizes sum to {sum(sizes)} > matrix size "
                              f"{algebra.matrix_size}")

@@ -50,7 +50,7 @@ from .splitting import Decomposition, Splitting, contract
 
 def dual_matrix(L: LieAlgebra):
     """Entries of Y(x), the generic dual element in the matrix realization."""
-    if L.realization is None or any(m is None for m in L.realization) or L.gram is None:
+    if L.realization is None or L.gram is None:
         raise ValueError(f"{L.kind} carries no complete matrix realization")
     n = L.dim
     ginv = inverse(L.gram)

@@ -239,7 +239,7 @@ def _certify_realization(L: LieAlgebra) -> RealizationCertificate:
     """The ``LieAlgebra.realization_certificate``: the homomorphism on the sparse matrices,
     then the form on the int ``bracket_table`` against the sparse rows of D_G G."""
     rho, n = L.realization, L.dim
-    if rho is None or any(m is None for m in rho) or L.gram is None:
+    if rho is None or L.gram is None:
         return RealizationCertificate(False, f"{L.kind} carries no complete matrix "
                                              "realization and Gram matrix")
     for a in range(n):
@@ -391,7 +391,8 @@ def build_double(base: LieAlgebra) -> LieAlgebra:
     The appended generators xi_1..xi_l are central; the identification
     with the Cartan basis h_i -> xi_i is fixed once and used by the
     invariant constructions.  The invariant form is the base's Gram matrix
-    next to its Cartan form on the xi's.
+    next to its Cartan form on the xi's.  The double carries no matrix
+    realization: its invariants are lifts of the base's (``double_extended``).
     """
     if base.triangular is None or base.rank is None:
         raise ValueError("the double needs a reductive builder algebra")
@@ -407,13 +408,9 @@ def build_double(base: LieAlgebra) -> LieAlgebra:
     # the xi's bracket to zero with everything
     tri = _triangular(base.constants, tri.plus, tuple(tri.cartan) + tuple(range(base.dim, dim)),
                       tri.minus, gram)
-    realization = None
-    if base.realization is not None:
-        realization = list(base.realization) + [None] * ell
     return LieAlgebra(list(base.names) + [f"xi{k + 1}" for k in range(ell)], base.constants,
-                      rank=base.rank + ell, triangular=tri, realization=realization,
-                      matrix_size=base.matrix_size, gram=gram, kind=f"double[{base.kind}]",
-                      base_algebra=base)
+                      rank=base.rank + ell, triangular=tri, gram=gram,
+                      kind=f"double[{base.kind}]", base_algebra=base)
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
@@ -460,27 +457,32 @@ def build_algebra(kind: str, **params) -> LieAlgebra:
     raise ValueError(f"unknown builder kind {kind!r}")
 
 
-def escaping_bracket(L: LieAlgebra, indices: Sequence[int]):
-    """The first (i, j, k) with i, j in ``indices`` and a component of [x_i, x_j]
-    on x_k outside them, in pair order; None when the indices span a subalgebra."""
-    idx_set = set(indices)
+def subalgebra_indices(L: LieAlgebra, indices: Sequence[int], label: str) -> tuple:
+    """``tuple(indices)`` if they are distinct basis indices spanning a subalgebra of ``L``;
+    else a ``ValueError`` naming ``label`` and the first bad entry: an index outside
+    range(L.dim), a repeated one, or the first bracket in pair order leaving the span."""
+    indices = tuple(indices)
+    seen = set()
+    for i in indices:
+        if not (_is_int(i) and 0 <= i < L.dim):
+            raise ValueError(f"{label}: {i!r} is not a basis index in range({L.dim})")
+        if i in seen:
+            raise ValueError(f"{label}: {i} is listed twice")
+        seen.add(i)
     T = L.bracket_table[1]
     for a, i in enumerate(indices):
         for j in indices[a + 1 :]:
             for k, _ in T[i][j]:
-                if k not in idx_set:
-                    return i, j, k
-    return None
+                if k not in seen:
+                    raise ValueError(f"{label} indices {list(indices)} do not span a subalgebra: "
+                                     f"[{L.names[i]}, {L.names[j]}] has a component on "
+                                     f"{L.names[k]}")
+    return indices
 
 
 def sub_algebra(L: LieAlgebra, indices: Sequence[int]) -> LieAlgebra:
-    """The subalgebra spanned by the given basis indices (must be closed)."""
-    indices = list(indices)
-    esc = escaping_bracket(L, indices)
-    if esc:
-        i, j, _ = esc
-        raise ValueError(f"indices {indices} do not span a subalgebra: "
-                         f"[{L.names[i]}, {L.names[j]}] leaves the span")
+    """The subalgebra on basis indices that pass :func:`subalgebra_indices`, in their order."""
+    indices = subalgebra_indices(L, indices, "sub_algebra")
     pos = {v: i for i, v in enumerate(indices)}
     constants = {}
     for a, i in enumerate(indices):
@@ -514,7 +516,7 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
     if L.gram is not None:
         gram = P.transpose() * L.gram * P
     realization = None
-    if L.realization is not None and all(m is not None for m in L.realization):
+    if L.realization is not None:
         realization = [combine({}, ((L.realization[r], c) for r, c in v.items())) for v in sparse]
     new = LieAlgebra(new_names, constants, rank=L.rank, realization=realization,
                      matrix_size=L.matrix_size, gram=gram, kind=kind or f"adapted[{L.kind}]",

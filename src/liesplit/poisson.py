@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import _kernels as K
-from .liealg import LieAlgebra, _bracket, escaping_bracket
+from .liealg import LieAlgebra, _bracket, subalgebra_indices
 from .linalg import Matrix, rank, rank_and_nullspace, skew_rank_mod_p, solve_many
 from .poly import Polynomial
 from .rationals import QQ, qq_str, scalar
@@ -239,19 +239,14 @@ def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,
                        bound: int = 997) -> StabilizerReport:
     """Stabilizer in h of a generic point of Ann(h) under the h-action on (q/h)*.
 
-    h must span a subalgebra.  For xi in Ann(h) the stabilizer is
+    h must pass ``subalgebra_indices``.  For xi in Ann(h) the stabilizer is
     {x in h : xi([x, y]) = 0 for all y in q}; the best (smallest) witness
     over the sampled points is kept, and the stabilizer is returned as an
     abstract algebra with restricted structure constants.
     """
     if trials < 1:
         raise ValueError("trials >= 1 required")
-    h_indices = tuple(h_indices)
-    esc = escaping_bracket(L, h_indices)
-    if esc:
-        i, j, _ = esc
-        raise ValueError(f"indices {list(h_indices)} do not span a subalgebra: "
-                         f"[{L.names[i]}, {L.names[j]}] leaves the span")
+    h_indices = subalgebra_indices(L, h_indices, "h")
     rng = random.Random(seed)
     best = None
     # Ann(h) = 0 only when h is everything; the definition then collapses to

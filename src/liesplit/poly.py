@@ -356,9 +356,17 @@ class Polynomial:
 
     def part_on(self, keep: Sequence[int]) -> "Polynomial":
         """The terms supported on the variables ``keep``, reindexed onto them (``keep[j]``
-        becomes x_j): self with every other variable set to zero, over len(keep) variables."""
+        becomes x_j): self with every other variable set to zero, over len(keep) variables;
+        a ``ValueError`` names the first entry that is not a variable or repeats one."""
         n = self.nvars
-        others = (1 << 8 * n) - 1 - sum(0xFF * _unit(n, i) for i in set(keep))
+        kept = set()
+        for i in keep:
+            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n:
+                raise ValueError(f"{i!r} is not a variable index in 0..{n - 1}")
+            if i in kept:
+                raise ValueError(f"variable {i} is kept twice")
+            kept.add(i)
+        others = (1 << 8 * n) - 1 - sum(0xFF * _unit(n, i) for i in kept)
         out = {}
         for e, c in self.terms.items():
             if not e & others:

@@ -1,10 +1,11 @@
 """Splittings q = h + r, Inonu-Wigner contractions, and the bracket pencil.
 
-A ``Decomposition`` fixes a subalgebra h spanned by basis vectors plus
-the complementary coordinate subspace r (not necessarily a subalgebra);
-that is enough for the contraction h x r^ab and for bi-degree work.  A
-``Splitting`` additionally requires r to be closed, which unlocks the
-second contraction and the two-parameter family of compatible brackets
+A ``Decomposition`` fixes a subalgebra h spanned by distinct basis vectors
+and r, the other basis vectors in index order (not necessarily a
+subalgebra); that is enough for the contraction h x r^ab and for bi-degree
+work.  A ``Splitting`` also requires r to be closed (``liealg.subalgebra_indices``
+checks both), which unlocks the second contraction and the two-parameter
+family of compatible brackets
 
     [.,.]_(a,b) = a*[.,.]_keep_h + b*[.,.]_keep_r,
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 
-from .liealg import LieAlgebra, Matrix, _triangular, change_basis, escaping_bracket
+from .liealg import LieAlgebra, Matrix, _triangular, change_basis, subalgebra_indices
 from .linalg import rank, rank_and_nullspace
 from .rationals import clear_denominators, combine, qq_str, scalar
 
@@ -51,22 +52,16 @@ class BracketParameter:
 
 
 class Decomposition:
-    """q = h + m with h a subalgebra and m the complementary coordinate span."""
+    """q = h + r: h a subalgebra on distinct basis vectors, r the others in index order."""
 
-    def __init__(self, algebra: LieAlgebra, h_indices, r_indices=None):
+    def __init__(self, algebra: LieAlgebra, h_indices):
         self.algebra = algebra
-        self.h_indices = tuple(h_indices)
-        if r_indices is None:
-            hs = set(self.h_indices)
-            r_indices = [i for i in range(algebra.dim) if i not in hs]
-        self.r_indices = tuple(r_indices)
+        self.h_indices = subalgebra_indices(algebra, h_indices, "h")
         self.h_set = frozenset(self.h_indices)
+        self.r_indices = tuple(i for i in range(algebra.dim) if i not in self.h_set)
         self.r_set = frozenset(self.r_indices)
-        if self.h_set | self.r_set != set(range(algebra.dim)) or self.h_set & self.r_set:
-            raise ValueError("h and r must partition the basis")
         # fixed adapted order: h block first, then r block
         self.order = self.h_indices + self.r_indices
-        self._check_closed(self.h_indices, "h")
         # h-degree of an exponent vector (bytes): one C-level gather of the h slots;
         # itemgetter returns a bare item for one index and takes no empty index list
         h = self.h_indices
@@ -80,12 +75,6 @@ class Decomposition:
         self.t1_indices: tuple = ()
         self.t0_indices: tuple = ()
         self.is_horospherical = False
-
-    def _check_closed(self, indices, label):
-        esc = escaping_bracket(self.algebra, indices)
-        if esc:
-            ni, nj, nk = (self.algebra.names[x] for x in esc)
-            raise ValueError(f"{label} is not a subalgebra: [{ni}, {nj}] has a component on {nk}")
 
     @property
     def dim_h(self):
@@ -102,18 +91,18 @@ class Decomposition:
 class Splitting(Decomposition):
     """Both summands are subalgebras."""
 
-    def __init__(self, algebra, h_indices, r_indices=None):
-        super().__init__(algebra, h_indices, r_indices)
-        self._check_closed(self.r_indices, "r")
+    def __init__(self, algebra, h_indices):
+        super().__init__(algebra, h_indices)
+        subalgebra_indices(algebra, self.r_indices, "r")
 
 
 def make_decomposition(L: LieAlgebra, h_part) -> Decomposition:
-    return Decomposition(L, tuple(h_part))
+    return Decomposition(L, h_part)
 
 
 def make_splitting(L: LieAlgebra, h_part) -> Splitting:
     """Splitting with h spanned by the given basis indices and r the rest."""
-    return Splitting(L, tuple(h_part))
+    return Splitting(L, h_part)
 
 
 def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
@@ -287,7 +276,7 @@ def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Splitting
     adapted.triangular = _triangular(adapted.constants, plus, t1_idx + t0_idx, minus,
                                      adapted.gram)
 
-    S = Splitting(adapted, plus + t1_idx, minus + t0_idx)
+    S = Splitting(adapted, plus + t1_idx)  # r = minus + t0_idx, the rest in index order
     S.t1_indices = t1_idx
     S.t0_indices = t0_idx
     S.is_horospherical = True

@@ -487,11 +487,13 @@ def restriction_check(W: WeylGroup, t0_basis, w0: W0Report | None = None,
     not onto (hence no good generating system exists for the matching
     horospherical subalgebra); success only certifies degrees 1..dmax,
     which is recorded in the report.  A ``dmax`` below 1 would certify
-    nothing and raises ``ValueError``.
+    nothing and raises ``ValueError``, as does one that is not an ``int``.
     """
     rs = W.root_system
     if dmax is None:
         dmax = max(rs.degrees)
+    if isinstance(dmax, bool) or not isinstance(dmax, int):
+        raise ValueError(f"dmax must be an integer, got {dmax!r}")
     if dmax < 1:
         raise ValueError(f"dmax >= 1 required, got {dmax}")
     if w0 is None:

@@ -75,9 +75,11 @@ def _size(params, case: str, least: int, why: str) -> int:
 
 
 def _restriction_degree(dmax):
-    """``dmax`` if it is None (each root system's default) or at least 1; a
-    :class:`CaseParameterError` otherwise, since an empty restriction table
-    would read as onto."""
+    """``dmax`` if it is None (each root system's default) or an ``int`` of at least 1;
+    a :class:`CaseParameterError` otherwise, since a ``bool``, a float or a string is not
+    truncated or parsed, and an empty restriction table would read as onto."""
+    if dmax is not None and (isinstance(dmax, bool) or not isinstance(dmax, int)):
+        raise CaseParameterError(f"dmax must be an integer, got {dmax!r}")
     if dmax is not None and dmax < 1:
         raise CaseParameterError(f"dmax >= 1 required, got {dmax}")
     return dmax

@@ -132,7 +132,7 @@ def test_case_keeps_library_errors(monkeypatch):
     (["weyl-w0", "--type", "D", "--rank", "2", "--arrows", "1:2"],
      "--type D --rank 2 --arrows '1:2': D_n needs n >= 3"),
     (["check-ggs", "--algebra", "sl:3", "--h", "indices:0,99"],
-     "--h 'indices:0,99': h and r must partition the basis"),
+     "--h 'indices:0,99': h: 99 is not a basis index in range(8)"),
     (["check-ggs", "--algebra", "sl:3", "--h", "indices:0,1"],
      "--h 'indices:0,1' --side h: sum of complement degrees 5 < dim m = 6 because the "
      "hypothesis ind(h x m^ab) = ind q fails"),
@@ -155,6 +155,10 @@ def test_case_keeps_library_errors(monkeypatch):
     (["case", "borel", "--n", "2", "--trials", "0"], "case borel: trials >= 1 required"),
     (["check-ggs", "--algebra", "gl:4", "--h", "glblocks:3,3"],
      "--h 'glblocks:3,3': block sizes sum to 6 > matrix size 4"),
+    (["check-ggs", "--algebra", "double:gl:3", "--h", "glblocks:1,2"],
+     "--h 'glblocks:1,2': glblocks needs a matrix builder algebra"),
+    (["check-ggs", "--algebra", "sl:3", "--h", "indices:0,0,1,3,4"],
+     "check-ggs --h 'indices:0,0,1,3,4': h: 0 is listed twice"),
 ])
 def test_malformed_input_exits_with_one_line_naming_it(argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -123,6 +124,22 @@ def test_lift_and_restrict_round_trip():
     assert lifted.restrict_vars([2, 3]) == p
     with pytest.raises(ValueError):
         lifted.restrict_vars([2])
+
+
+@pytest.mark.parametrize("keep, message", [
+    ([0, 1, 1], "variable 1 is kept twice"),  # once read as x0^2*x1*x2
+    ([-1], "-1 is not a variable index in 0..2"),  # once the zero polynomial
+    ([5], "5 is not a variable index in 0..2"),  # once a negative shift count
+    ([0, True], "True is not a variable index in 0..2"),
+    ([0.0], "0.0 is not a variable index in 0..2"),
+])
+def test_part_on_and_restrict_vars_name_a_bad_variable(keep, message):
+    x0, x1, x2 = (Polynomial.variable(3, i) for i in range(3))
+    p = x0**2 * x1 + x2
+    assert p.part_on([0, 1]) == Polynomial.variable(2, 0) ** 2 * Polynomial.variable(2, 1)
+    for method in (p.part_on, p.restrict_vars):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            method(keep)
 
 
 def test_canonical_identifies_scalar_multiples():

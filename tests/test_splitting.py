@@ -1,11 +1,13 @@
 import random
+import re
 
 import pytest
 
 from liesplit import liealg
 from liesplit.invariants import bidecompose, hilbert_basis, transport_basis
-from liesplit.liealg import build_double, build_sl, build_so_even, check_jacobi, custom_algebra
-from liesplit.poisson import poisson_bracket, tensor_at
+from liesplit.liealg import (build_double, build_sl, build_so_even, check_jacobi, custom_algebra,
+                             sub_algebra)
+from liesplit.poisson import generic_stabilizer, poisson_bracket, tensor_at
 from liesplit.poly import Polynomial
 from liesplit.rationals import QQ, QQ0, QQ1
 from liesplit.splitting import (
@@ -41,6 +43,37 @@ def test_make_splitting_rejects_non_subalgebra():
         make_splitting(sl2(), (0, 2))  # {e, f} is not closed
 
 
+# sl(3) has basis (E12, E13, E23, h1, h2, E21, E31, E32): each list is bad at the entry named
+BAD_INDEX_LISTS = [
+    ((0, 0, 1, 3, 4), "0 is listed twice"),
+    ((0, 1, 2, 3, 4, 0), "0 is listed twice"),  # the Borel plus a repeat
+    ((0, 99), "99 is not a basis index in range(8)"),
+    ((3, -1), "-1 is not a basis index in range(8)"),
+    ((0, 0.5), "0.5 is not a basis index in range(8)"),
+    ((True, 3), "True is not a basis index in range(8)"),
+    (("1",), "'1' is not a basis index in range(8)"),
+    ((0, 5), "indices [0, 5] do not span a subalgebra: [E12, E21] has a component on h1"),
+]
+
+
+@pytest.mark.parametrize("entry", [make_decomposition, make_splitting, sub_algebra,
+                                   lambda g, h: generic_stabilizer(g, h, trials=1)],
+                         ids=["make_decomposition", "make_splitting", "sub_algebra",
+                              "generic_stabilizer"])
+@pytest.mark.parametrize("indices, message", BAD_INDEX_LISTS)
+def test_one_check_names_the_bad_index(entry, indices, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entry(build_sl(3), indices)
+
+
+def test_splitting_names_the_bracket_leaving_r():
+    g = build_sl(3)
+    assert make_decomposition(g, (3, 4)).r_indices == (0, 1, 2, 5, 6, 7)
+    with pytest.raises(ValueError, match=r"^r indices \[0, 1, 2, 5, 6, 7\] do not span a "
+                                         r"subalgebra: \[E12, E21\] has a component on h1$"):
+        make_splitting(g, (3, 4))
+
+
 def so8_splitting():
     so8 = build_so_even(4)
     return horospherical_splitting(so8, [[QQ1 if i == c else QQ0 for i in range(28)]
@@ -52,6 +85,9 @@ def test_so8_horospherical_closure():
     assert len(S.h_indices) == 15 and len(S.r_indices) == 13
     assert S.is_horospherical
     assert len(S.t0_indices) == 1
+    # (u+, t1, u-, t0): r = u- + t0 is the complement of h in index order
+    assert S.h_indices == tuple(range(15)) and S.r_indices == tuple(range(15, 28))
+    assert S.t0_indices == (27,)
 
 
 def test_contraction_formula_on_sl2():

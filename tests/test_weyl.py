@@ -198,6 +198,15 @@ def test_restriction_rejects_dmax_below_one():
     assert restriction_check(W, t0, dmax=1).per_degree == [(1, 0, 0)]
 
 
+@pytest.mark.parametrize("dmax", [True, 2.0, "3"])
+def test_restriction_rejects_a_dmax_that_is_not_an_int(dmax):
+    rs = build_root_system("A", 3)
+    W = enumerate_weyl(rs)
+    t0, _ = satake_subspaces(rs, SatakeDiagram(((1, 3),)))
+    with pytest.raises(ValueError, match=f"dmax must be an integer, got {dmax!r}"):
+        restriction_check(W, t0, dmax=dmax)
+
+
 def test_elements_permute_roots_exhaustive():
     for label, rank in (("A", 2), ("A", 3), ("A", 4), ("D", 4)):
         rs = build_root_system(label, rank)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -265,6 +266,14 @@ def test_run_case_rejects_dmax_below_one(name, params):
     for dmax in (0, -1):
         with pytest.raises(CaseParameterError, match=f"dmax >= 1 required, got {dmax}"):
             run_case(name, params, seed=1, dmax=dmax)
+
+
+@pytest.mark.parametrize("dmax", [True, 2.0, "3"])
+@pytest.mark.parametrize("name, params", [("e6_weyl", {}), ("sl2n", {"n": 2}), ("borel", {"n": 2})])
+def test_run_case_rejects_a_dmax_that_is_not_an_int(name, params, dmax):
+    # True was reported as "dmax": true; 2.0 failed in restriction_check after the build
+    with pytest.raises(CaseParameterError, match=re.escape(f"dmax must be an integer, got {dmax!r}")):
+        run_case(name, params, seed=1, dmax=dmax)
 
 
 @pytest.mark.parametrize("name", ["borel", "so2n", "e6_weyl"])
