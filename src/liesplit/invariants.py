@@ -40,7 +40,8 @@ from math import lcm
 from . import _kernels as K
 from .liealg import LieAlgebra, sub_algebra
 from .linalg import Matrix, inverse, rank, rank_mod_p, solve  # noqa: F401  (rank: read by the perfbench tracer tests)
-from .poisson import _sample_point, hamiltonian_field, index_estimate, poisson_bracket
+from .poisson import (_check_trials, _sample_point, hamiltonian_field, index_estimate,
+                      poisson_bracket)
 from .poly import Polynomial
 from .splitting import Decomposition, Splitting, contract
 
@@ -174,7 +175,7 @@ class HilbertBasis:
     generators: tuple  # of (Polynomial, degree)
     # what proved every generator invariant: 'realization' (the algebra's realization
     # certificate), 'double' (the base's, for a double-extended lift), 'brackets'
-    # (verify_invariance, for a custom basis), or None when nothing was checked
+    # (verify_invariance, for a custom basis), or None for a derived basis
     invariance: str | None = None
 
     @property
@@ -200,7 +201,7 @@ def _b_of(L: LieAlgebra) -> int:
     return b
 
 
-def hilbert_basis(L: LieAlgebra, kind: str, verify: bool = True) -> HilbertBasis:
+def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
     """Builder-backed Hilbert bases.
 
     kind: 'charpoly', 'trace_powers', 'so_minors_pfaffian', or
@@ -209,16 +210,15 @@ def hilbert_basis(L: LieAlgebra, kind: str, verify: bool = True) -> HilbertBasis
     come from them by Newton's identities.  A ready list of
     (Polynomial, degree) pairs goes through :func:`custom_basis`.
 
-    With ``verify`` the generators are proved invariant without a bracket: every
-    kind is a conjugation-invariant function of Y(x) = rho(G^-1 x), invariant once
+    The generators are always proved invariant without a bracket: every kind is a
+    conjugation-invariant function of Y(x) = rho(G^-1 x), invariant once
     ``LieAlgebra.realization_certificate`` holds (a double-extended lift by its base's
     certificate), and ``HilbertBasis.invariance`` names that route.  The certificate is
     checked before any generator is built (the so(J) condition of the Pfaffian is the
     skew check of JY in :func:`poly_pfaffian`); a failed one raises ``ValueError``, with
     no fallback to brackets.
     """
-    route = None
-    if verify and kind in ("charpoly", "trace_powers", "so_minors_pfaffian"):
+    if kind in ("charpoly", "trace_powers", "so_minors_pfaffian"):
         cert = L.realization_certificate
         if not cert.passed:
             raise ValueError(f"invariance of the {kind} basis of {L.kind} is not proved: "
@@ -259,14 +259,13 @@ def hilbert_basis(L: LieAlgebra, kind: str, verify: bool = True) -> HilbertBasis
         if base is None or not L.kind.startswith("double["):
             raise ValueError("double_extended needs a double builder algebra")
         base_kind = kind.split(":", 1)[1] if ":" in kind else "charpoly"
-        bb = hilbert_basis(base, base_kind, verify=verify)
-        if verify:
-            # the lifts are invariant as the base generators are once the constants are the
-            # base's, which also makes the appended xi coordinates central
-            if L.constants != base.constants:
-                raise ValueError(f"invariance of the {kind} basis of {L.kind} is not proved: "
-                                 "its structure constants are not those of its base")
-            route = "double"
+        bb = hilbert_basis(base, base_kind)
+        # the lifts are invariant as the base generators are once the constants are the
+        # base's, which also makes the appended xi coordinates central
+        if L.constants != base.constants:
+            raise ValueError(f"invariance of the {kind} basis of {L.kind} is not proved: "
+                             "its structure constants are not those of its base")
+        route = "double"
         gens = [(g.lift(L.dim), d) for g, d in bb.generators]
         gens += [(Polynomial.variable(L.dim, k), 1) for k in range(base.dim, L.dim)]
     else:
@@ -281,22 +280,20 @@ def hilbert_basis(L: LieAlgebra, kind: str, verify: bool = True) -> HilbertBasis
     return HilbertBasis(L, kind, tuple(gens), route)
 
 
-def custom_basis(L: LieAlgebra, polys_degrees, verify: bool = True) -> HilbertBasis:
-    """A basis from (Polynomial, degree) pairs; with ``verify`` each generator is bracketed
-    against every coordinate (:func:`verify_invariance`), the route named 'brackets'.
-    Each generator must then be homogeneous of its stated degree, which ``ggs_check``
-    reads."""
+def custom_basis(L: LieAlgebra, polys_degrees) -> HilbertBasis:
+    """A basis from (Polynomial, degree) pairs; each generator is bracketed against every
+    coordinate (:func:`verify_invariance`), the route named 'brackets', and must then be
+    homogeneous of its stated degree, which ``ggs_check`` reads."""
     gens = tuple((p, d) for p, d in polys_degrees)
-    if verify:
-        for g, d in gens:
-            if not verify_invariance(L, g):
-                raise AssertionError(f"custom generator of degree {d} is not invariant")
+    for g, d in gens:
+        if not verify_invariance(L, g):
+            raise AssertionError(f"custom generator of degree {d} is not invariant")
     for i, (g, d) in enumerate(gens):
         if g.degree() != d or not g.is_homogeneous():
             actual = g.degree() if g.is_homogeneous() else f"up to {g.degree()}, not homogeneous"
             raise ValueError(f"custom generator {i} is stated of degree {d} "
                              f"but has degree {actual}")
-    return HilbertBasis(L, "custom", gens, "brackets" if verify else None)
+    return HilbertBasis(L, "custom", gens, "brackets")
 
 
 def transport_basis(B: HilbertBasis, S: Decomposition) -> HilbertBasis:
@@ -399,8 +396,7 @@ def jacobian_rank(polys, trials: int = 5, seed: int = 0, bound: int = 997) -> in
     at the point x evaluated in ints straight from p's terms: a row scale prime to P
     changes no rank modulo P, and any scale keeps the lower bound.  The bound keeps
     2 bound + 1 <= P (see ``linalg``)."""
-    if trials < 1:
-        raise ValueError("trials >= 1 required")
+    _check_trials(trials)
     if not polys:
         return 0
     n = polys[0].nvars

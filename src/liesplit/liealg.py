@@ -433,7 +433,8 @@ def custom_algebra(names, raw_constants, **kw) -> LieAlgebra:
 
 
 def build_algebra(kind: str, **params) -> LieAlgebra:
-    """Dispatcher: kind in {gl, sl, so_even, double, direct_sum, custom}."""
+    """Dispatcher: kind in {gl, sl, so_even, so (n the matrix size)} with ``n``, or double
+    with a built ``base``; :func:`direct_sum` and :func:`custom_algebra` are called directly."""
     if kind == "gl":
         return build_gl(params["n"])
     if kind == "sl":
@@ -446,14 +447,7 @@ def build_algebra(kind: str, **params) -> LieAlgebra:
             n //= 2
         return build_so_even(n)
     if kind == "double":
-        base = params.get("base")
-        if base is None:
-            base = build_algebra(params["base_kind"], n=params["n"])
-        return build_double(base)
-    if kind == "direct_sum":
-        return direct_sum(params["a"], params["b"])
-    if kind == "custom":
-        return custom_algebra(params["names"], params["constants"])
+        return build_double(params["base"])
     raise ValueError(f"unknown builder kind {kind!r}")
 
 

@@ -10,7 +10,8 @@ Genericity is probabilistic throughout: a "generic" point is the best
 witness over seed-deterministic uniform integer samples.  Every sampled
 rank is a certificate, so claimed indices are always upper bounds on the
 true index and reports store their witnesses for replay.  ``tensor_at``
-gives the exact rank at a point (its callers also compare ranks from
+gives the exact rank at a point of one algebra, a pencil member being
+``splitting.pencil_member``'s (its callers also compare ranks from
 above); ``index_estimate`` needs the rank only from below and takes it modulo
 the one-digit prime ``linalg.P`` (2 B + 1 <= P for every sample bound B, see
 there) by skew 2 x 2 pivots on that upper triangle (``linalg.skew_rank_mod_p``),
@@ -23,11 +24,11 @@ import random
 from dataclasses import dataclass, field
 
 from . import _kernels as K
-from .liealg import LieAlgebra, _bracket, subalgebra_indices
+from .liealg import LieAlgebra, _bracket, _is_int, subalgebra_indices
 from .linalg import Matrix, rank, rank_and_nullspace, skew_rank_mod_p, solve_many
 from .poly import Polynomial
 from .rationals import QQ, qq_str, scalar
-from .splitting import BracketParameter, Decomposition, Splitting, contract, pencil_member
+from .splitting import Splitting, contract
 
 DEFAULT_BOUND = 10**6
 
@@ -75,11 +76,8 @@ def poisson_bracket(L: LieAlgebra, F: Polynomial, G: Polynomial) -> Polynomial:
 @dataclass
 class PoissonTensorSample:
     point: tuple
-    parameter: BracketParameter | None
     matrix: Matrix
     rank: int
-    order: tuple
-    block_a_rank: int | None = None
 
     def kernel(self):
         _, basis = rank_and_nullspace(self.matrix)
@@ -98,16 +96,13 @@ def _tensor_entries(L: LieAlgebra, xi):
             yield i, j, v
 
 
-def _tensor_matrix(L: LieAlgebra, xi, order=None) -> Matrix:
-    """D pi(xi) for exact ``xi``, from :func:`_tensor_entries`, rows and columns in
-    ``order`` (the basis order by default); all ints for an int ``xi``."""
+def _tensor_matrix(L: LieAlgebra, xi) -> Matrix:
+    """D pi(xi) for exact ``xi``, from :func:`_tensor_entries`; all ints for an int ``xi``."""
     n = L.dim
     rows = [[0] * n for _ in range(n)]
     for i, j, v in _tensor_entries(L, xi):
         rows[i][j] = v
         rows[j][i] = -v
-    if order is not None:
-        rows = [[rows[a][b] for b in order] for a in order]
     return Matrix(rows)
 
 
@@ -117,37 +112,19 @@ def _even(rk: int) -> int:
     return rk
 
 
-def tensor_at(L_or_S, xi, parameter=None) -> PoissonTensorSample:
-    """Poisson tensor pi(xi)[a][b] = xi([x_a, x_b]), exact rank included.
-
-    When a splitting is passed, rows/columns follow its adapted order
-    (h block first) and the off-diagonal block A gets its own rank
-    (dim of the h-orbit of xi when xi kills h).
-    """
-    parameter = None if parameter is None else BracketParameter.of(parameter)
-    if isinstance(L_or_S, Decomposition):
-        S = L_or_S
-        L = S.algebra if parameter is None else pencil_member(S, parameter)
-        order = S.order
-    else:
-        S = None
-        L = L_or_S
-        if parameter is not None:
-            raise ValueError("a pencil parameter needs a splitting")
-        order = tuple(range(L.dim))
+def tensor_at(L: LieAlgebra, xi) -> PoissonTensorSample:
+    """Poisson tensor pi(xi)[a][b] = xi([x_a, x_b]) of ``L``, exact rank included; a pencil
+    member is ``splitting.pencil_member``'s algebra, and the h-orbit dimension of a point
+    of Ann(h) is dim h - ``generic_stabilizer``'s ``dim_star``."""
     xi = [scalar(x, "the point") for x in xi]
     if len(xi) != L.dim:
         raise ValueError("point length must equal dim")
-    mat = _tensor_matrix(L, xi, order)
+    mat = _tensor_matrix(L, xi)
     rk = _even(rank(mat))
-    block_a_rank = None
-    if S is not None:
-        nh = S.dim_h
-        block_a_rank = rank(Matrix([row[nh:] for row in mat.rows[:nh]]))
     D = L.bracket_table[0]
     if D > 1:  # the exact tensor pi(xi)
         mat = Matrix([[x // D if x % D == 0 else QQ(x, D) for x in row] for row in mat.rows])
-    return PoissonTensorSample(tuple(xi), parameter, mat, rk, order, block_a_rank)
+    return PoissonTensorSample(tuple(xi), mat, rk)
 
 
 @dataclass
@@ -174,6 +151,14 @@ class IndexEstimate:
         }
 
 
+def _check_trials(trials) -> None:
+    """A ``ValueError`` unless ``trials`` is an ``int`` of at least 1 (no bool, float or str)."""
+    if not _is_int(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ValueError("trials >= 1 required")
+
+
 def _sample_point(rng, dim, bound, support=None):
     if support is None:
         return [rng.randint(-bound, bound) for _ in range(dim)]
@@ -188,8 +173,7 @@ def index_estimate(L: LieAlgebra, trials: int = 8, seed: int = 0,
     """dim - (max sampled rank of pi(xi) mod ``linalg.P``); an upper bound on the index,
     claimed exact.  Each sample's D pi(xi) goes from ``_tensor_entries`` straight into
     the rows of ``skew_rank_mod_p``."""
-    if trials < 1:
-        raise ValueError("trials >= 1 required")
+    _check_trials(trials)
     rng = random.Random(seed)
     best_rank = 0
     witness: tuple = ()
@@ -244,8 +228,7 @@ def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,
     over the sampled points is kept, and the stabilizer is returned as an
     abstract algebra with restricted structure constants.
     """
-    if trials < 1:
-        raise ValueError("trials >= 1 required")
+    _check_trials(trials)
     h_indices = subalgebra_indices(L, h_indices, "h")
     rng = random.Random(seed)
     best = None

@@ -60,8 +60,6 @@ class Decomposition:
         self.h_set = frozenset(self.h_indices)
         self.r_indices = tuple(i for i in range(algebra.dim) if i not in self.h_set)
         self.r_set = frozenset(self.r_indices)
-        # fixed adapted order: h block first, then r block
-        self.order = self.h_indices + self.r_indices
         # h-degree of an exponent vector (bytes): one C-level gather of the h slots;
         # itemgetter returns a bare item for one index and takes no empty index list
         h = self.h_indices

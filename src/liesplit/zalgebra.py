@@ -2,11 +2,11 @@
 
 ``z_generators`` assembles candidate generating sets for the commutative
 algebra attached to a splitting: every nonzero bi-homogeneous component
-of the invariants, optionally together with supplied centre generators
-(mode 'full'), only the middle components plus centres (mode 'm_tilde'),
-or the component window alone (mode 'm').  Candidates are verified, not
-derived: transcendence degree comes from exact Jacobian ranks at sampled
-points and commutativity from exact symbolic brackets across the pencil.
+of the invariants together with any supplied centre generators (mode
+'full'), or only the middle components plus centres (mode 'm_tilde').
+Candidates are verified, not derived: transcendence degree comes from
+exact Jacobian ranks at sampled points and commutativity from exact
+symbolic brackets across the pencil.
 
 ``run_case`` reproduces the worked desk-scale cases end to end and
 returns a serializable report whose named verdicts are the assertions a
@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .liealg import LieAlgebra, build_double, build_sl, build_so_even
+from .liealg import LieAlgebra, _is_int, build_double, build_sl, build_so_even
 from .invariants import (
     HilbertBasis,
     _b_of,
@@ -37,7 +37,7 @@ from .invariants import (
     aks_restrict,
 )
 from .linalg import Matrix
-from .poisson import poisson_bracket, sphericity, tensor_at
+from .poisson import _check_trials, poisson_bracket, sphericity, tensor_at
 from .poly import Polynomial
 from .splitting import (
     BracketParameter,
@@ -67,7 +67,7 @@ def _size(params, case: str, least: int, why: str) -> int:
     is not an ``int`` (a ``bool``, a float or a string is not truncated or parsed) or below
     ``least``."""
     n = params.get("n", least)
-    if isinstance(n, bool) or not isinstance(n, int):
+    if not _is_int(n):
         raise CaseParameterError(f"{case} needs an integer n, got {n!r}")
     if n < least:
         raise CaseParameterError(f"{case} needs n >= {least} ({why})")
@@ -78,7 +78,7 @@ def _restriction_degree(dmax):
     """``dmax`` if it is None (each root system's default) or an ``int`` of at least 1;
     a :class:`CaseParameterError` otherwise, since a ``bool``, a float or a string is not
     truncated or parsed, and an empty restriction table would read as onto."""
-    if dmax is not None and (isinstance(dmax, bool) or not isinstance(dmax, int)):
+    if dmax is not None and not _is_int(dmax):
         raise CaseParameterError(f"dmax must be an integer, got {dmax!r}")
     if dmax is not None and dmax < 1:
         raise CaseParameterError(f"dmax >= 1 required, got {dmax}")
@@ -104,13 +104,13 @@ def z_generators(S: Splitting, B: HilbertBasis, z0_gens=(), zinf_gens=(),
     """Assemble bi-component generator candidates for the splitting's Z-algebra.
 
     mode 'full': every nonzero bi-component plus the supplied centre
-    generators; 'm_tilde': only middle components (0 < h-degree < d) plus
-    centres; 'm': all nonzero components, no centres.  Duplicates are
-    merged up to a scalar (content normalization).
+    generators (none by default: the components alone); 'm_tilde': only middle
+    components (0 < h-degree < d) plus centres.  Duplicates are merged up to a
+    scalar (content normalization).
     """
     if not B.generators:
         raise ValueError("empty Hilbert basis")
-    if mode not in ("full", "m_tilde", "m"):
+    if mode not in ("full", "m_tilde"):
         raise ValueError(f"unknown mode {mode!r}")
     out = []
     seen = {}
@@ -132,11 +132,10 @@ def z_generators(S: Splitting, B: HilbertBasis, z0_gens=(), zinf_gens=(),
             if mode == "m_tilde" and not (0 < i < d):
                 continue
             push(comp.poly, f"F{j + 1}[{i},{d - i}]")
-    if mode in ("full", "m_tilde"):
-        for g in z0_gens:
-            push(g, "Z0")
-        for g in zinf_gens:
-            push(g, "Zinf")
+    for g in z0_gens:
+        push(g, "Z0")
+    for g in zinf_gens:
+        push(g, "Zinf")
     return ZGeneratorSet(S, mode, out)
 
 
@@ -256,8 +255,8 @@ def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0,
         ann = [0] * L.dim
         for i in S.r_indices:
             ann[i] = rng.randint(-99, 99)
-        r0 = tensor_at(S, ann, BracketParameter(1, 0)).rank
-        r1 = tensor_at(S, ann, BracketParameter(1, 1)).rank
+        r0 = tensor_at(con_h, ann).rank
+        r1 = tensor_at(L, ann).rank
         monotone = monotone and r0 <= r1
     results["kernel_identity"] = ok_kernel
     results["contraction_rank_monotone"] = monotone
@@ -457,6 +456,9 @@ def _case_horo(params, seed, trials, dmax):
     elif t1_spec == "zero":
         t1 = []
     else:
+        for d in t1_spec:
+            if not any(d):  # would make the t1 vectors dependent
+                raise CaseParameterError(f"t1 diagonal {list(d)} is zero; for t1 = 0 pass 'zero'")
         t1 = _sl_diagonals(g, (dict(enumerate(d)) for d in t1_spec))
     S, B = _build(g, t1, None, "charpoly", timer)
     rep_h = ggs_check(S, B, side="h", trials=trials, seed=seed)
@@ -782,11 +784,16 @@ _CASES = {
 
 def run_case(name: str, params: dict | None = None, seed: int = 0,
              trials: int = 8, dmax: int | None = None) -> CaseReport:
-    """Run one worked case end to end and return its report."""
+    """Run one worked case end to end and return its report; a :class:`CaseParameterError`
+    before any build for an unknown case or a bad ``trials``, ``seed`` or ``dmax``."""
     if name not in _CASES:
         raise CaseParameterError(f"unknown case {name!r}; choose from {sorted(_CASES)}")
-    if trials < 1:
-        raise CaseParameterError("trials >= 1 required")
+    if not _is_int(seed):
+        raise CaseParameterError(f"seed must be an integer, got {seed!r}")
+    try:
+        _check_trials(trials)
+    except ValueError as exc:
+        raise CaseParameterError(str(exc)) from None
     return _CASES[name](params or {}, seed, trials, _restriction_degree(dmax))
 
 

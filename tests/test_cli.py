@@ -153,6 +153,7 @@ def test_case_keeps_library_errors(monkeypatch):
     (["weyl-w0", "--type", "A", "--rank", "3", "--arrows", "1:3", "--dmax", "-1"],
      "weyl-w0: dmax >= 1 required, got -1"),
     (["case", "borel", "--n", "2", "--trials", "0"], "case borel: trials >= 1 required"),
+    (["case", "horo", "--n", "3", "--t1", "0,0,0"], "case horo: t1 diagonal [0, 0, 0] is zero"),
     (["check-ggs", "--algebra", "gl:4", "--h", "glblocks:3,3"],
      "--h 'glblocks:3,3': block sizes sum to 6 > matrix size 4"),
     (["check-ggs", "--algebra", "double:gl:3", "--h", "glblocks:1,2"],

@@ -5,6 +5,7 @@ import pytest
 from liesplit.liealg import build_double, build_gl, build_sl, build_so_even, change_basis
 from liesplit.invariants import (
     EliminationInfeasible,
+    HilbertBasis,
     aks_restrict,
     bidecompose,
     _power_sums,
@@ -211,7 +212,7 @@ def test_bidecompose_double_casimir_components():
     S = horospherical_splitting(d, [[QQ0, QQ1, QQ0, -QQ1]])
     e, h, f, xi = (Polynomial.variable(4, i) for i in range(4))
     C = h * h + 4 * e * f
-    Bc = transport_basis(custom_basis(d, [(C, 2)], verify=False), S)
+    Bc = transport_basis(custom_basis(d, [(C, 2)]), S)
     dec = bidecompose(S, Bc.polys[0])
     names = S.algebra.names
     m = Polynomial.variable(4, names.index("t1_1"))
@@ -356,8 +357,9 @@ def test_ggs_check_names_a_failed_index_hypothesis():
         ggs_check(D, B)
     # where the indices agree, a short degree sum still breaks the theorem
     S = make_splitting(g, g.triangular.plus + g.triangular.cartan)
-    planted = custom_basis(g, [(Polynomial.variable(g.dim, g.triangular.cartan[0]), 1)],
-                           verify=False)
+    # built directly: custom_basis would reject the non-invariant generator
+    x = Polynomial.variable(g.dim, g.triangular.cartan[0])
+    planted = HilbertBasis(g, "custom", ((x, 1),))
     with pytest.raises(AssertionError, match="0 < dim m = 3: violates a theorem"):
         ggs_check(S, planted)
 
@@ -420,7 +422,7 @@ def test_double_shift_bidegree():
     d = build_double(build_sl(2))
     e, h, f, xi = (Polynomial.variable(4, i) for i in range(4))
     C = h * h + 4 * e * f
-    B = custom_basis(d, [(C, 2), (xi, 1)], verify=False)
+    B = custom_basis(d, [(C, 2), (xi, 1)])
     sh = double_shift_basis(B, side="h")
     assert sh.polys[0] == C - xi * xi
     S = horospherical_splitting(d, [[QQ0, QQ1, QQ0, -QQ1]])
@@ -471,6 +473,9 @@ def test_jacobian_rank_needs_at_least_one_trial():
     for polys in ([x], []):
         with pytest.raises(ValueError, match="trials >= 1 required"):
             jacobian_rank(polys, trials=0)
+        for trials in (True, 2.5, "3"):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                jacobian_rank(polys, trials=trials)
 
 
 def _jacobian_rank_by_eval(polys, trials, seed, bound):
@@ -532,7 +537,7 @@ def _invariance_cases():
     """(algebra, invariants, root indices): builders and both contractions of an sl3 splitting."""
     builders = ((build_sl(3), "charpoly"), (build_so_even(2), "so_minors_pfaffian"),
                 (build_gl(3), "charpoly"), (build_double(build_sl(2)), "double_extended:charpoly"))
-    cases = [(L, hilbert_basis(L, kind, verify=False).polys, L.triangular) for L, kind in builders]
+    cases = [(L, hilbert_basis(L, kind).polys, L.triangular) for L, kind in builders]
     g, S = sl3_paper_splitting()
     decs = [bidecompose(S, F) for F in transport_basis(hilbert_basis(g, "trace_powers"), S).polys]
     cases.append((contract(S, "keep_h"), [d.top for d in decs], S.algebra.triangular))
@@ -578,12 +583,11 @@ def test_custom_basis_rejects_a_wrong_stated_degree():
     # C is invariant, so only its stated degree is wrong
     with pytest.raises(ValueError, match="generator 0 is stated of degree 5 but has degree 2$"):
         custom_basis(sl2, [(C, 5)])
-    # checked without ``verify`` too, since ggs_check reads the stated degree
     with pytest.raises(ValueError, match="generator 1 is stated of degree 2 "
                                          "but has degree up to 4, not homogeneous"):
-        custom_basis(sl2, [(C, 2), (C + C * C, 2)], verify=False)
+        custom_basis(sl2, [(C, 2), (C + C * C, 2)])
     with pytest.raises(ValueError, match="generator 0 is stated of degree 0 but has degree None"):
-        custom_basis(sl2, [(Polynomial.zero(3), 0)], verify=False)
+        custom_basis(sl2, [(Polynomial.zero(3), 0)])
     assert custom_basis(sl2, [(C, 2)]).generators == ((C, 2),)
 
 
@@ -656,7 +660,6 @@ def test_double_needs_the_base_constants():
     gd.constants = {**gd.constants, (0, gd.dim - 1): ((0, 1),)}  # [e, xi] = e: xi not central
     with pytest.raises(ValueError, match="not those of its base"):
         hilbert_basis(gd, "double_extended:charpoly")
-    assert hilbert_basis(gd, "double_extended:charpoly", verify=False).invariance is None
 
 
 def test_certificate_needs_a_realization():

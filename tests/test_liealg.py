@@ -233,7 +233,7 @@ def test_double_gram_is_the_base_form_next_to_the_cartan_form():
 
 
 def test_double_dispatcher_path():
-    d = build_algebra("double", base_kind="sl", n=2)
+    d = build_algebra("double", base=build_algebra("sl", n=2))
     assert d.dim == 4 and d.rank == 2
     assert d.kind.startswith("double[")
 

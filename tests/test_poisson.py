@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -17,10 +18,10 @@ from liesplit.poisson import (
 from liesplit.poly import Polynomial
 from liesplit.rationals import QQ, QQ0, QQ1
 from liesplit.splitting import (
-    BracketParameter,
     contract,
     horospherical_splitting,
     make_splitting,
+    pencil_member,
 )
 
 
@@ -92,9 +93,10 @@ def test_tensor_at_dual_of_h():
 def test_tensor_block_rank_on_contraction():
     sl2 = build_sl(2)
     S = make_splitting(sl2, (0, 1))
-    s = tensor_at(S, [0, 0, 5], BracketParameter(1, 0))
+    s = tensor_at(pencil_member(S, (1, 0)), [0, 0, 5])
     assert s.rank == 2
-    assert s.block_a_rank == 1  # dim of the h-orbit of a generic point of Ann(h)
+    # dim of the h-orbit of a generic point of Ann(h)
+    assert S.dim_h - generic_stabilizer(sl2, S.h_indices).dim_star == 1
 
 
 def test_index_abelian():
@@ -155,6 +157,17 @@ def test_sampling_needs_at_least_one_trial():
             generic_stabilizer(sl2, (0, 1), trials=trials)
         with pytest.raises(ValueError, match="trials >= 1 required"):
             index_estimate(sl2, trials=trials)
+
+
+@pytest.mark.parametrize("trials", [True, 1.5, "3"])
+def test_sampling_needs_an_int_number_of_trials(trials):
+    # True was reported as samples=True; 1.5 raised TypeError from range
+    sl2 = build_sl(2)
+    message = re.escape(f"trials must be an integer, got {trials!r}")
+    with pytest.raises(ValueError, match=message):
+        generic_stabilizer(sl2, (0, 1), trials=trials)
+    with pytest.raises(ValueError, match=message):
+        index_estimate(sl2, trials=trials)
 
 
 def test_generic_stabilizer_sl2_cases():

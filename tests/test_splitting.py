@@ -28,7 +28,7 @@ def sl2():
 def test_make_splitting_borel():
     S = make_splitting(sl2(), (0, 1))
     assert S.dim_h == 2 and S.dim_r == 1
-    assert S.order == (0, 1, 2)
+    assert S.h_indices == (0, 1) and S.r_indices == (2,)
 
 
 @pytest.mark.parametrize("h", [(), (1,), (0, 1), (0, 1, 2)])
@@ -203,7 +203,7 @@ def test_contractions_built_once_per_side_without_a_jacobi_check(monkeypatch):
         assert contract(S, "keep_h") is con_h and pencil_member(S, (1, 0)) is con_h
         assert contract(S, "keep_r") is con_r and pencil_member(S, BracketParameter(0, 1)) is con_r
         assert pencil_member(S, (1, 1)) is S.algebra
-        tensor_at(S, [1] * S.algebra.dim, (1, 0))
+        tensor_at(pencil_member(S, (1, 0)), [1] * S.algebra.dim)
     # Lie by the Inonu-Wigner argument in contract's docstring, not by enumeration
     assert calls == []
     # a (1,t) member is the unchecked family_bracket, not a cached object
@@ -257,8 +257,8 @@ def test_contraction_never_increases_tensor_rank_on_ann_h():
         xi = [0] * g.dim
         for i in S.r_indices:
             xi[i] = rng.randint(-50, 50)
-        r0 = tensor_at(S, xi, BracketParameter(1, 0)).rank
-        r1 = tensor_at(S, xi, BracketParameter(1, 1)).rank
+        r0 = tensor_at(pencil_member(S, BracketParameter(1, 0)), xi).rank
+        r1 = tensor_at(pencil_member(S, BracketParameter(1, 1)), xi).rank
         assert r0 <= r1
 
 

@@ -55,8 +55,10 @@ def test_z_generators_full_mode_sl2():
 
 def test_z_generators_mode_m_counts_components():
     sl2, S, B = borel_sl2()
-    Z = z_generators(S, B, mode="m")
+    Z = z_generators(S, B)  # mode 'full' with no centres: the components alone
     assert len(Z) == 2  # the (1,1) and (2,0) components
+    with pytest.raises(ValueError, match="unknown mode 'm'"):
+        z_generators(S, B, mode="m")
 
 
 def test_trdeg_examples():
@@ -132,7 +134,7 @@ def test_sl3_borel_component_count_and_trdeg():
         [QQ1 if i == sl3.triangular.cartan[1] else QQ0 for i in range(8)],
     ])
     B = transport_basis(hilbert_basis(sl3, "charpoly"), S)
-    Z = z_generators(S, B, mode="m")
+    Z = z_generators(S, B)
     assert len(Z) == 5  # 2 + 3 nonzero components = b(sl3)
     assert jacobian_rank(Z.polys, trials=5, seed=1) == 5
 
@@ -141,7 +143,7 @@ def test_double_m_tilde_exact_generators():
     d = build_double(build_sl(2))
     e, h, f, xi = (Polynomial.variable(4, i) for i in range(4))
     C = h * h + 4 * e * f
-    B0 = custom_basis(d, [(C, 2), (xi, 1)], verify=False)
+    B0 = custom_basis(d, [(C, 2), (xi, 1)])
     S = horospherical_splitting(d, [[QQ0, QQ1, QQ0, -QQ1]])
     B = transport_basis(B0, S)
     names = S.algebra.names
@@ -285,6 +287,27 @@ def test_run_case_rejects_trials_below_one_before_any_build(name, monkeypatch):
     for trials in (0, -1):
         with pytest.raises(CaseParameterError, match="trials >= 1 required"):
             run_case(name, {"n": 2}, trials=trials)
+
+
+@pytest.mark.parametrize("name", ["borel", "horo", "e6_weyl"])
+@pytest.mark.parametrize("option, value", [("trials", True), ("trials", 2.5), ("trials", "3"),
+                                           ("seed", "a"), ("seed", 1.0)])
+def test_run_case_rejects_trials_or_seed_not_an_int_before_any_build(name, option, value,
+                                                                     monkeypatch):
+    # trials=True ran one trial; 2.5 and seed="a" raised TypeError after the build
+    def build(*args):
+        raise AssertionError("the case ran")
+
+    monkeypatch.setitem(zalgebra._CASES, name, build)
+    with pytest.raises(CaseParameterError,
+                       match=re.escape(f"{option} must be an integer, got {value!r}")):
+        run_case(name, {"n": 3}, **{option: value})
+
+
+def test_horo_rejects_a_zero_diagonal():
+    # before, horospherical_splitting raised a plain ValueError ("t1 vectors are dependent")
+    with pytest.raises(CaseParameterError, match=re.escape("t1 diagonal [0, 0, 0] is zero")):
+        run_case("horo", {"n": 3, "t1": [[0, 0, 0]]})
 
 
 @pytest.mark.parametrize("t1", [[[1, 0, -2]], [[1, 0, 0, -1]]])
