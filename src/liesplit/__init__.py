@@ -68,9 +68,7 @@ from .invariants import (
     ggs_check,
     hilbert_basis,
     jacobian_rank,
-    restrict_to_span,
     restrict_to_t0,
-    restrict_to_t1,
     transport_basis,
     verify_invariance,
 )
@@ -91,7 +89,6 @@ from .zalgebra import (
     CaseParameterError,
     CaseReport,
     SuiteReport,
-    ZGeneratorSet,
     available_cases,
     commutativity_suite,
     property_suite,

@@ -24,8 +24,8 @@ from .liealg import algebra_from_json, build_algebra
 from .invariants import ggs_check, hilbert_basis
 from .poisson import index_estimate
 from .splitting import make_decomposition, make_splitting
-from .zalgebra import (CaseParameterError, _restriction_degree, _satake, _Timer, _weyl_route,
-                       available_cases, run_case)
+from .weyl import _check_dmax
+from .zalgebra import CaseParameterError, _satake, _Timer, _weyl_route, available_cases, run_case
 
 
 def _ints(option: str, spec: str, pattern: str) -> list:
@@ -198,7 +198,7 @@ def _cmd_weyl_w0(args) -> int:
     rank = None if args.type == "E6" else args.rank
     given = f"--type {args.type}" + ("" if rank is None else f" --rank {rank}")
     rs, t0 = _or_exit(f"weyl-w0 {given} --arrows {args.arrows!r}", _satake, args.type, rank, arrows)
-    _or_exit("weyl-w0", _restriction_degree, args.dmax)
+    _or_exit("weyl-w0", _check_dmax, args.dmax)
     _, rep, rc = _weyl_route(rs, t0, args.dmax, timer.lap)
     doc = {
         "case": "weyl-w0",

@@ -40,7 +40,7 @@ from math import lcm
 from . import _kernels as K
 from .liealg import LieAlgebra, sub_algebra
 from .linalg import Matrix, inverse, rank, rank_mod_p, solve  # noqa: F401  (rank: read by the perfbench tracer tests)
-from .poisson import (_check_trials, _sample_point, hamiltonian_field, index_estimate,
+from .poisson import (_check_sampling, _sample_point, hamiltonian_field, index_estimate,
                       poisson_bracket)
 from .poly import Polynomial
 from .splitting import Decomposition, Splitting, contract
@@ -308,39 +308,18 @@ def transport_basis(B: HilbertBasis, S: Decomposition) -> HilbertBasis:
     return HilbertBasis(adapted, B.kind + "@adapted", gens)
 
 
-# -- restriction to subspaces of the algebra ----------------------------
-
-
-def restrict_to_span(L: LieAlgebra, F: Polynomial, vectors) -> Polynomial:
-    """Restriction of F (a function on the dual) to the image of a subspace.
-
-    The subspace of the algebra spanned by ``vectors`` is carried into the
-    dual by the invariant form, i.e. x_a -> <v(c), X_a> with
-    v(c) = sum_s c_s vectors[s]; the result is an exact polynomial in the
-    parameters c_1..c_k.
-    """
-    if L.gram is None:
-        raise ValueError("restriction needs the invariant-form Gram matrix")
-    k = len(vectors)
-    gram_t = L.gram.transpose()
-    pairings = [gram_t.matvec(v) for v in vectors]  # <v, X_a> for every a
-    images = [Polynomial.linear_form(k, [p[a] for p in pairings]) for a in range(L.dim)]
-    return F.map_vars(images, k)
-
-
-def _restrict_to_toral(S: Splitting, F: Polynomial, indices, label) -> Polynomial:
-    if not S.is_horospherical:
-        raise ValueError(f"{label} restrictions need a horospherical splitting")
-    unit = [[int(t == i) for t in range(S.algebra.dim)] for i in indices]
-    return restrict_to_span(S.algebra, F, unit)
+# -- restriction to t0 ----------------------------------------------------
 
 
 def restrict_to_t0(S: Splitting, F: Polynomial) -> Polynomial:
-    return _restrict_to_toral(S, F, S.t0_indices, "t0")
-
-
-def restrict_to_t1(S: Splitting, F: Polynomial) -> Polynomial:
-    return _restrict_to_toral(S, F, S.t1_indices, "t1")
+    """Restriction of F (a function on the dual) to t0, carried into the dual by the
+    invariant form: x_a -> <sum_s c_s t0_s, X_a> = sum_s G[t0_s, a] c_s, an exact
+    polynomial in c_1..c_k over the adapted Gram rows of t0."""
+    if not S.is_horospherical:
+        raise ValueError("t0 restrictions need a horospherical splitting")
+    G, k = S.algebra.gram.rows, len(S.t0_indices)
+    return F.map_vars([Polynomial.linear_form(k, [G[i][a] for i in S.t0_indices])
+                       for a in range(S.algebra.dim)], k)
 
 
 # -- bi-homogeneous decomposition ---------------------------------------
@@ -357,15 +336,6 @@ class BiDecomposition:
     components: list
     top: Polynomial     # minimal h-degree component (invariant of the keep_h contraction)
     bottom: Polynomial  # minimal r-degree component
-
-    def component(self, i):
-        """The (i, d-i) piece, zero when absent."""
-        for c in self.components:
-            if c.bidegree[0] == i:
-                return c.poly
-        if self.components:
-            return Polynomial.zero(self.components[0].poly.nvars)
-        raise ValueError("decomposition of the zero polynomial")
 
 
 def bidecompose(D: Decomposition, F: Polynomial) -> BiDecomposition:
@@ -396,7 +366,7 @@ def jacobian_rank(polys, trials: int = 5, seed: int = 0, bound: int = 997) -> in
     at the point x evaluated in ints straight from p's terms: a row scale prime to P
     changes no rank modulo P, and any scale keeps the lower bound.  The bound keeps
     2 bound + 1 <= P (see ``linalg``)."""
-    _check_trials(trials)
+    _check_sampling(trials, seed)
     if not polys:
         return 0
     n = polys[0].nvars

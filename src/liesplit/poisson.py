@@ -151,8 +151,11 @@ class IndexEstimate:
         }
 
 
-def _check_trials(trials) -> None:
-    """A ``ValueError`` unless ``trials`` is an ``int`` of at least 1 (no bool, float or str)."""
+def _check_sampling(trials, seed) -> None:
+    """A ``ValueError`` unless ``seed`` is an ``int`` and ``trials`` an ``int`` of at least 1
+    (no bool, float or str), raised before any draw."""
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not _is_int(trials):
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
@@ -173,7 +176,7 @@ def index_estimate(L: LieAlgebra, trials: int = 8, seed: int = 0,
     """dim - (max sampled rank of pi(xi) mod ``linalg.P``); an upper bound on the index,
     claimed exact.  Each sample's D pi(xi) goes from ``_tensor_entries`` straight into
     the rows of ``skew_rank_mod_p``."""
-    _check_trials(trials)
+    _check_sampling(trials, seed)
     rng = random.Random(seed)
     best_rank = 0
     witness: tuple = ()
@@ -228,7 +231,7 @@ def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,
     over the sampled points is kept, and the stabilizer is returned as an
     abstract algebra with restricted structure constants.
     """
-    _check_trials(trials)
+    _check_sampling(trials, seed)
     h_indices = subalgebra_indices(L, h_indices, "h")
     rng = random.Random(seed)
     best = None

@@ -165,10 +165,6 @@ class Polynomial:
             parts.setdefault(label(_exponents(e, n)), {})[e] = c
         return {k: Polynomial._of(n, t, self.den) for k, t in sorted(parts.items())}
 
-    def homogeneous_components(self) -> dict:
-        """Map total degree -> homogeneous part."""
-        return self.split(sum)
-
     def split_last(self) -> dict:
         """Map k -> c_k over the first nvars - 1 variables, with self = sum_k c_k x_last^k."""
         parts: dict = {}
@@ -342,11 +338,6 @@ class Polynomial:
             K.axpy_terms(out, piece.terms, c * (den // piece.den))
         return Polynomial._of(target_nvars, out, den * self.den)
 
-    def substitute(self, images: dict) -> "Polynomial":
-        """Substitute selected variables; unmapped variables stay themselves."""
-        full = [images.get(i, Polynomial.variable(self.nvars, i)) for i in range(self.nvars)]
-        return self.map_vars(full, self.nvars)
-
     def lift(self, new_nvars: int, offset: int = 0) -> "Polynomial":
         """Reinterpret over a larger variable space, shifting indices by ``offset``."""
         if offset + self.nvars > new_nvars:
@@ -373,14 +364,6 @@ class Polynomial:
                 ex = _exponents(e, n)
                 out[int.from_bytes(bytes(ex[i] for i in keep), "big")] = c
         return Polynomial._of(len(keep), out, self.den)
-
-    def restrict_vars(self, keep: Sequence[int]) -> "Polynomial":
-        """Reindex onto the variables ``keep``; fails if other variables occur."""
-        p = self.part_on(keep)
-        if len(p.terms) < len(self.terms):
-            raise ValueError(f"variable {min(self.support_vars() - set(keep))} occurs "
-                             "but is not kept")
-        return p
 
     # -- normalisation and display -------------------------------------
     def canonical(self):

@@ -40,6 +40,7 @@ from math import prod
 from operator import mul
 
 from . import _kernels as K
+from .liealg import _is_int
 from .linalg import Matrix, inverse, rank, rank_and_nullspace
 from .poly import Polynomial, _exponents, _unit
 from .rationals import QQ, clear_denominators
@@ -304,7 +305,7 @@ class SatakeDiagram:
 
 
 def satake_subspaces(rs: RootSystem, diagram: SatakeDiagram):
-    """(t0, t1): t0 = span of the arrow differences, t1 its orthocomplement in t."""
+    """t0, the span of the arrow differences alpha_i - alpha_j, as a list of vectors."""
     for i, j in diagram.arrows:
         if not (1 <= i <= rs.rank and 1 <= j <= rs.rank):
             raise ValueError(f"arrow ({i},{j}) outside the diagram")
@@ -314,23 +315,7 @@ def satake_subspaces(rs: RootSystem, diagram: SatakeDiagram):
     ]
     if t0 and rank(Matrix.from_columns(t0)) != len(t0):
         raise ValueError("arrow differences are dependent")
-    # t1 = vectors in the span of the simple roots orthogonal to every t0 vector
-    rows = []
-    for v in t0:
-        gv = rs.gram.matvec(v)
-        rows.append([sum(map(mul, rs.simple_roots[j], gv)) for j in range(rs.rank)])
-    if rows:
-        _, null = rank_and_nullspace(Matrix(rows))
-    else:
-        null = [tuple(int(i == j) for i in range(rs.rank)) for j in range(rs.rank)]
-    t1 = [
-        tuple(
-            sum(a[j] * rs.simple_roots[j][t] for j in range(rs.rank))
-            for t in range(rs.model_dim)
-        )
-        for a in null
-    ]
-    return t0, t1
+    return t0
 
 
 @dataclass
@@ -479,6 +464,16 @@ class RestrictionReport:
     stopped_early: bool
 
 
+def _check_dmax(dmax) -> None:
+    """A ``ValueError`` unless ``dmax`` is None (each root system's default) or an ``int``
+    of at least 1: a ``bool``, a float or a string is not truncated or parsed, and an
+    empty restriction table would read as onto."""
+    if dmax is not None and not _is_int(dmax):
+        raise ValueError(f"dmax must be an integer, got {dmax!r}")
+    if dmax is not None and dmax < 1:
+        raise ValueError(f"dmax >= 1 required, got {dmax}")
+
+
 def restriction_check(W: WeylGroup, t0_basis, w0: W0Report | None = None,
                       dmax: int | None = None, stop_at_failure: bool = True) -> RestrictionReport:
     """Degree-by-degree surjectivity of restriction onto the W0-invariants of t0.
@@ -489,13 +484,10 @@ def restriction_check(W: WeylGroup, t0_basis, w0: W0Report | None = None,
     which is recorded in the report.  A ``dmax`` below 1 would certify
     nothing and raises ``ValueError``, as does one that is not an ``int``.
     """
+    _check_dmax(dmax)
     rs = W.root_system
     if dmax is None:
         dmax = max(rs.degrees)
-    if isinstance(dmax, bool) or not isinstance(dmax, int):
-        raise ValueError(f"dmax must be an integer, got {dmax!r}")
-    if dmax < 1:
-        raise ValueError(f"dmax >= 1 required, got {dmax}")
     if w0 is None:
         w0 = w0_compute(W, t0_basis)
     n = rs.model_dim

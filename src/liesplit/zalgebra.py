@@ -1,9 +1,10 @@
 """Poisson-commutative generator sets and the worked case studies.
 
-``z_generators`` assembles candidate generating sets for the commutative
-algebra attached to a splitting: every nonzero bi-homogeneous component
-of the invariants together with any supplied centre generators (mode
-'full'), or only the middle components plus centres (mode 'm_tilde').
+``z_generators`` assembles candidate generating sets, lists of
+(polynomial, tag) pairs, for the commutative algebra attached to a
+splitting: every nonzero bi-homogeneous component of the invariants
+together with any supplied centre generators (mode 'full'), or only the
+middle components plus centres (mode 'm_tilde').
 Candidates are verified, not derived: transcendence degree comes from
 exact Jacobian ranks at sampled points and commutativity from exact
 symbolic brackets across the pencil.
@@ -36,8 +37,8 @@ from .invariants import (
     verify_invariance,
     aks_restrict,
 )
-from .linalg import Matrix
-from .poisson import _check_trials, poisson_bracket, sphericity, tensor_at
+from .linalg import Matrix, rank
+from .poisson import _check_sampling, poisson_bracket, sphericity, tensor_at
 from .poly import Polynomial
 from .splitting import (
     BracketParameter,
@@ -50,6 +51,7 @@ from .splitting import (
 )
 from .weyl import (
     SatakeDiagram,
+    _check_dmax,
     build_root_system,
     enumerate_weyl,
     restriction_check,
@@ -74,34 +76,10 @@ def _size(params, case: str, least: int, why: str) -> int:
     return n
 
 
-def _restriction_degree(dmax):
-    """``dmax`` if it is None (each root system's default) or an ``int`` of at least 1;
-    a :class:`CaseParameterError` otherwise, since a ``bool``, a float or a string is not
-    truncated or parsed, and an empty restriction table would read as onto."""
-    if dmax is not None and not _is_int(dmax):
-        raise CaseParameterError(f"dmax must be an integer, got {dmax!r}")
-    if dmax is not None and dmax < 1:
-        raise CaseParameterError(f"dmax >= 1 required, got {dmax}")
-    return dmax
-
-
-@dataclass
-class ZGeneratorSet:
-    splitting: Splitting
-    mode: str
-    generators: list  # of (Polynomial, provenance tag)
-
-    @property
-    def polys(self):
-        return [g for g, _ in self.generators]
-
-    def __len__(self):
-        return len(self.generators)
-
-
 def z_generators(S: Splitting, B: HilbertBasis, z0_gens=(), zinf_gens=(),
-                 mode: str = "full") -> ZGeneratorSet:
-    """Assemble bi-component generator candidates for the splitting's Z-algebra.
+                 mode: str = "full") -> list:
+    """Bi-component generator candidates for the splitting's Z-algebra, as a list of
+    (Polynomial, provenance tag) pairs.
 
     mode 'full': every nonzero bi-component plus the supplied centre
     generators (none by default: the components alone); 'm_tilde': only middle
@@ -114,7 +92,6 @@ def z_generators(S: Splitting, B: HilbertBasis, z0_gens=(), zinf_gens=(),
         raise ValueError(f"unknown mode {mode!r}")
     out = []
     seen = {}
-    names = S.algebra.names
 
     def push(poly, tag):
         if poly.is_zero():
@@ -136,7 +113,7 @@ def z_generators(S: Splitting, B: HilbertBasis, z0_gens=(), zinf_gens=(),
         push(g, "Z0")
     for g in zinf_gens:
         push(g, "Zinf")
-    return ZGeneratorSet(S, mode, out)
+    return out
 
 
 @dataclass
@@ -150,14 +127,14 @@ class SuiteReport:
         return not self.failures
 
 
-def commutativity_suite(Z: ZGeneratorSet, extra_params=(), max_pairs=None,
+def commutativity_suite(S: Splitting, gens, extra_params=(), max_pairs=None,
                         seed: int = 0) -> SuiteReport:
-    """Pairwise commutativity at (1,0), (0,1), (1,1) and any extra parameters,
-    decided by exact brackets at (1,0) and (0,1) (linearity, see ``family_bracket``)."""
+    """Pairwise commutativity of the (Polynomial, tag) pairs ``gens`` at (1,0), (0,1), (1,1)
+    and any extra parameters, decided by exact brackets at (1,0) and (0,1) (linearity,
+    see ``family_bracket``)."""
     params = [BracketParameter(1, 0), BracketParameter(0, 1), BracketParameter(1, 1)]
     params += [BracketParameter.of(p) for p in extra_params]
-    ends = [(p, pencil_member(Z.splitting, p)) for p in params[:2]]
-    gens = Z.generators
+    ends = [(p, pencil_member(S, p)) for p in params[:2]]
     pairs = [(a, b) for a in range(len(gens)) for b in range(a + 1, len(gens))]
     if max_pairs is not None and len(pairs) > max_pairs:
         rng = random.Random(seed)
@@ -201,9 +178,6 @@ def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0,
         _bracket_table(family_bracket(S, BracketParameter(*p))) == _bracket_table(L)
         for p, L in (((1, 0), con_h), ((0, 1), con_r), ((1, 1), S.algebra))
     )
-    # ten discarded draws: the pair sample below, and so every report, depends on them
-    for _ in range(10):
-        rng.randint(-50, 50), rng.randint(1, 20)
 
     recon = True
     extreme_invariant = True
@@ -231,9 +205,6 @@ def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0,
         if len(pa.terms) * len(pb.terms) > pair_budget:
             continue
         pairs.append((pa, pb))
-    # two discarded (1, t) draws, decided by linearity; later samples depend on them
-    for _ in range(2):
-        rng.randint(1, 40)
     results["pencil_commutativity_sampled"] = all(
         poisson_bracket(L, pa, pb).is_zero() for pa, pb in pairs for L in (con_h, con_r))
 
@@ -355,7 +326,7 @@ def _restrictions(S: Splitting, B: HilbertBasis, names, labels=None) -> dict:
 def _satake(type_label, rank, arrows):
     """The root system and the Satake subspace t0 of the diagram with these arrows."""
     rs = build_root_system(type_label, rank)
-    return rs, satake_subspaces(rs, SatakeDiagram(tuple(arrows)))[0]
+    return rs, satake_subspaces(rs, SatakeDiagram(tuple(arrows)))
 
 
 def _weyl_route(rs, t0, dmax, lap=lambda label: None):
@@ -418,13 +389,13 @@ def _case_borel(params, seed, trials, dmax):
     z0, zinf = _centre_generators(S, B)
     Z = z_generators(S, B, z0, zinf, "full")
     b = _b_of(g)
-    td = jacobian_rank(Z.polys, trials=max(5, trials), seed=seed)
-    suite = commutativity_suite(Z, extra_params=[(1, 7), (1, -3)],
+    td = jacobian_rank([p for p, _ in Z], trials=max(5, trials), seed=seed)
+    suite = commutativity_suite(S, Z, extra_params=[(1, 7), (1, -3)],
                                 max_pairs=60, seed=seed)
     timer.lap("z_algebra")
     sph, props = _suites(S, B, seed, trials)
     timer.lap("suites")
-    component_count = sum(1 for _, tag in Z.generators if tag.startswith("F"))
+    component_count = sum(1 for _, tag in Z if tag.startswith("F"))
     verdicts = {
         "trdeg_equals_b": td == b,
         "z_commutes": suite.passed,
@@ -434,7 +405,7 @@ def _case_borel(params, seed, trials, dmax):
         **props,
     }
     tables = {
-        "generators": [tag for _, tag in Z.generators],
+        "generators": [tag for _, tag in Z],
         "generator_count": len(Z),
         "component_count": component_count,
         "trdeg": td,
@@ -460,6 +431,8 @@ def _case_horo(params, seed, trials, dmax):
             if not any(d):  # would make the t1 vectors dependent
                 raise CaseParameterError(f"t1 diagonal {list(d)} is zero; for t1 = 0 pass 'zero'")
         t1 = _sl_diagonals(g, (dict(enumerate(d)) for d in t1_spec))
+        if t1 and rank(Matrix(t1)) < len(t1):
+            raise CaseParameterError(f"t1 diagonals {[list(d) for d in t1_spec]} are dependent")
     S, B = _build(g, t1, None, "charpoly", timer)
     rep_h = ggs_check(S, B, side="h", trials=trials, seed=seed)
     sph, props = _suites(S, B, seed, trials)
@@ -513,10 +486,10 @@ def _case_double(params, seed, trials, dmax):
     zinf = _toral_variable_polys(S, S.t1_indices)
     Z = z_generators(S, B, z0, zinf, "m_tilde")
     b = _b_of(gd)
-    td = jacobian_rank(Z.polys, trials=max(5, trials), seed=seed)
+    td = jacobian_rank([p for p, _ in Z], trials=max(5, trials), seed=seed)
     rng = random.Random(seed)
     extra = [(1, rng.randint(2, 60)) for _ in range(5)]
-    suite = commutativity_suite(Z, extra_params=extra, seed=seed)
+    suite = commutativity_suite(S, Z, extra_params=extra, seed=seed)
     timer.lap("z_algebra")
 
     sph, props = _suites(S, B, seed, trials)
@@ -538,7 +511,7 @@ def _case_double(params, seed, trials, dmax):
         "m_tilde_count": len(Z),
         "b": b,
         "trdeg": td,
-        "generators": [tag for _, tag in Z.generators],
+        "generators": [tag for _, tag in Z],
         "base_degrees": base_degrees,
         "all_degrees_even": all_even,
         "common_ggs": common_check,
@@ -572,7 +545,7 @@ def _case_sl2n(params, seed, trials, dmax):
     z0, zinf = _centre_generators(S, modified)
     Z = z_generators(S, modified, z0, zinf, "m_tilde")
     b = _b_of(g)
-    td = jacobian_rank(Z.polys, trials=max(5, trials), seed=seed)
+    td = jacobian_rank([p for p, _ in Z], trials=max(5, trials), seed=seed)
     timer.lap("z_algebra")
 
     *_, rc = _weyl_route(*_satake("A", N - 1, [(i, N - i) for i in range(1, n)]), dmax)
@@ -679,12 +652,11 @@ def _case_so2n(params, seed, trials, dmax):
     z0, zinf = _centre_generators(S, B)
     Z = z_generators(S, B, z0, zinf, "m_tilde")
     b = _b_of(g)
-    td = jacobian_rank(Z.polys, trials=max(3, trials), seed=seed, bound=97)
+    td = jacobian_rank([p for p, _ in Z], trials=max(3, trials), seed=seed, bound=97)
     # exact pairwise brackets among the small generators; the large sextic
     # components are covered by the sampled property suite below
-    small = ZGeneratorSet(S, Z.mode,
-                          [(g_, t_) for g_, t_ in Z.generators if len(g_.terms) <= 160])
-    suite = commutativity_suite(small, max_pairs=24, seed=seed)
+    small = [(p, tag) for p, tag in Z if len(p.terms) <= 160]
+    suite = commutativity_suite(S, small, max_pairs=24, seed=seed)
     timer.lap("z_algebra")
 
     *_, rc = _weyl_route(*_satake("D", n, [(n - 1, n)]), dmax)
@@ -788,13 +760,12 @@ def run_case(name: str, params: dict | None = None, seed: int = 0,
     before any build for an unknown case or a bad ``trials``, ``seed`` or ``dmax``."""
     if name not in _CASES:
         raise CaseParameterError(f"unknown case {name!r}; choose from {sorted(_CASES)}")
-    if not _is_int(seed):
-        raise CaseParameterError(f"seed must be an integer, got {seed!r}")
     try:
-        _check_trials(trials)
+        _check_sampling(trials, seed)
+        _check_dmax(dmax)
     except ValueError as exc:
         raise CaseParameterError(str(exc)) from None
-    return _CASES[name](params or {}, seed, trials, _restriction_degree(dmax))
+    return _CASES[name](params or {}, seed, trials, dmax)
 
 
 def available_cases():

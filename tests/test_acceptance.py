@@ -268,7 +268,7 @@ def test_criterion_9_property_suites_and_complement_operator():
     top = bidecompose(S, C).top
     for alpha, beta in ((2, 5), (-1, 3)):
         image = f + alpha * e + beta * h
-        L_top = top.substitute({2: image})
+        L_top = top.map_vars([e, h, image], 3)
         adapted = change_basis(sl2, [[1, 0, 0], [0, 1, 0], [QQ(alpha), QQ(beta), 1]],
                                ["e", "h", "ft"])
         A = adapted.base_change.transpose()

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from liesplit import liealg
+from liesplit.invariants import jacobian_rank
 from liesplit.liealg import build_double, build_sl, custom_algebra, direct_sum
 from liesplit.linalg import Matrix, rank_and_nullspace, solve
 from liesplit.poisson import (
@@ -168,6 +169,19 @@ def test_sampling_needs_an_int_number_of_trials(trials):
         generic_stabilizer(sl2, (0, 1), trials=trials)
     with pytest.raises(ValueError, match=message):
         index_estimate(sl2, trials=trials)
+
+
+@pytest.mark.parametrize("seed", ["a", 1.0, True])
+def test_samplers_reject_a_seed_that_is_not_an_int(seed):
+    # each sampler checks the seed before its first draw, as it checks trials
+    sl2 = build_sl(2)
+    calls = (lambda: generic_stabilizer(sl2, (0, 1), seed=seed),
+             lambda: sphericity(make_splitting(sl2, (0, 1)), seed=seed),
+             lambda: index_estimate(sl2, seed=seed),
+             lambda: jacobian_rank([Polynomial.variable(3, 0)], seed=seed))
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            call()
 
 
 def test_generic_stabilizer_sl2_cases():

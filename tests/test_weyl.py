@@ -174,7 +174,7 @@ _W0_CASES = [
 def test_w0_matches_per_element_oracle(label, rank_, arrows):
     rs = build_root_system(label, rank_)
     W = enumerate_weyl(rs)
-    t0, _ = satake_subspaces(rs, SatakeDiagram(arrows))
+    t0 = satake_subspaces(rs, SatakeDiagram(arrows))
     rep = w0_compute(W, t0)
     assert (rep.orders, rep.element_orders, set(rep.matrices)) == _w0_reference(W, t0)
     assert len(rep.matrices) == rep.order_w0
@@ -191,7 +191,7 @@ def test_w0_full_space_matches_per_element_oracle():
 def test_restriction_rejects_dmax_below_one():
     rs = build_root_system("A", 3)
     W = enumerate_weyl(rs)
-    t0, _ = satake_subspaces(rs, SatakeDiagram(((1, 3),)))
+    t0 = satake_subspaces(rs, SatakeDiagram(((1, 3),)))
     for dmax in (0, -1):
         with pytest.raises(ValueError, match=f"dmax >= 1 required, got {dmax}"):
             restriction_check(W, t0, dmax=dmax)
@@ -202,7 +202,7 @@ def test_restriction_rejects_dmax_below_one():
 def test_restriction_rejects_a_dmax_that_is_not_an_int(dmax):
     rs = build_root_system("A", 3)
     W = enumerate_weyl(rs)
-    t0, _ = satake_subspaces(rs, SatakeDiagram(((1, 3),)))
+    t0 = satake_subspaces(rs, SatakeDiagram(((1, 3),)))
     with pytest.raises(ValueError, match=f"dmax must be an integer, got {dmax!r}"):
         restriction_check(W, t0, dmax=dmax)
 
@@ -247,15 +247,14 @@ def test_int8_encoding_and_product_never_wrap():
 
 def test_satake_a3_matches_symmetric_diagonal():
     rs = build_root_system("A", 3)
-    t0, t1 = satake_subspaces(rs, SatakeDiagram(((1, 3),)))
+    t0 = satake_subspaces(rs, SatakeDiagram(((1, 3),)))
     assert len(t0) == 1
     assert tuple(int(x) for x in t0[0]) == (1, -1, -1, 1)
-    assert len(t1) == 3 - 1  # inside the sum-zero hyperplane
 
 
 def test_satake_dn_arrow_spans_last_axis():
     rs = build_root_system("D", 4)
-    t0, _ = satake_subspaces(rs, SatakeDiagram(((3, 4),)))
+    t0 = satake_subspaces(rs, SatakeDiagram(((3, 4),)))
     assert len(t0) == 1
     v = [int(x) for x in t0[0]]
     assert v[:3] == [0, 0, 0] and v[3] != 0
@@ -263,8 +262,8 @@ def test_satake_dn_arrow_spans_last_axis():
 
 def test_satake_e6_dimension():
     rs = build_root_system("E6")
-    t0, t1 = satake_subspaces(rs, SatakeDiagram(((1, 5), (2, 4))))
-    assert len(t0) == 2 and len(t1) == 4
+    t0 = satake_subspaces(rs, SatakeDiagram(((1, 5), (2, 4))))
+    assert len(t0) == 2
 
 
 def test_satake_validation():
@@ -280,7 +279,7 @@ def test_satake_validation():
 def test_w0_a4_is_s2():
     rs = build_root_system("A", 4)
     W = enumerate_weyl(rs)
-    t0, _ = satake_subspaces(rs, SatakeDiagram(((1, 4), (2, 3))))
+    t0 = satake_subspaces(rs, SatakeDiagram(((1, 4), (2, 3))))
     rep = w0_compute(W, t0)
     assert rep.orders == (120, 8, 4, 2)
     assert rep.element_orders == {1: 1, 2: 1}
@@ -299,7 +298,7 @@ def test_w0_full_space_recovers_w():
 def test_restriction_sl5_fails_at_degree_one():
     rs = build_root_system("A", 4)
     W = enumerate_weyl(rs)
-    t0, _ = satake_subspaces(rs, SatakeDiagram(((1, 4), (2, 3))))
+    t0 = satake_subspaces(rs, SatakeDiagram(((1, 4), (2, 3))))
     rc = restriction_check(W, t0)
     assert rc.per_degree[0] == (1, 0, 1)
     assert rc.first_failure_degree == 1
@@ -309,7 +308,7 @@ def test_restriction_sl5_fails_at_degree_one():
 def test_restriction_so8_passes_all_degrees():
     rs = build_root_system("D", 4)
     W = enumerate_weyl(rs)
-    t0, _ = satake_subspaces(rs, SatakeDiagram(((3, 4),)))
+    t0 = satake_subspaces(rs, SatakeDiagram(((3, 4),)))
     rc = restriction_check(W, t0)
     assert rc.first_failure_degree is None
     assert rc.verdict_up_to_dmax
@@ -348,7 +347,7 @@ def test_image_dimension_monotone_under_products():
     # restricted image of the matching degree
     rs = build_root_system("A", 3)
     W = enumerate_weyl(rs)
-    t0, _ = satake_subspaces(rs, SatakeDiagram(((1, 3),)))
+    t0 = satake_subspaces(rs, SatakeDiagram(((1, 3),)))
     gens = [W.matrix(g) for g in W.generators]
     a = len(t0)
     restr = [
@@ -381,7 +380,7 @@ def test_restriction_verdicts_match_ggs_routes():
     for label, rank_, arrows, expected in cases:
         rs = build_root_system(label, rank_)
         W = enumerate_weyl(rs)
-        t0, _ = satake_subspaces(rs, SatakeDiagram(arrows))
+        t0 = satake_subspaces(rs, SatakeDiagram(arrows))
         rc = restriction_check(W, t0)
         assert rc.verdict_up_to_dmax == expected
 
@@ -389,7 +388,7 @@ def test_restriction_verdicts_match_ggs_routes():
 def test_restriction_full_table_without_short_circuit():
     rs = build_root_system("A", 4)
     W = enumerate_weyl(rs)
-    t0, _ = satake_subspaces(rs, SatakeDiagram(((1, 4), (2, 3))))
+    t0 = satake_subspaces(rs, SatakeDiagram(((1, 4), (2, 3))))
     rc = restriction_check(W, t0, dmax=4, stop_at_failure=False)
     assert rc.first_failure_degree == 1
     assert [d for d, _, _ in rc.per_degree] == [1, 2, 3, 4]
@@ -455,7 +454,7 @@ def test_molien_oracle_counts_invariants_of_w():
 def test_molien_oracle_counts_invariants_of_w0():
     for label, rank_, arrows in (("E6", None, ((1, 5), (2, 4))), ("A", 4, ((1, 4), (2, 3)))):
         rs = build_root_system(label, rank_)
-        t0, _ = satake_subspaces(rs, SatakeDiagram(arrows))
+        t0 = satake_subspaces(rs, SatakeDiagram(arrows))
         rep = w0_compute(enumerate_weyl(rs), t0)
         series = _molien_series(rep.matrices, 6)
         for d in range(1, 7):

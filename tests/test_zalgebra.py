@@ -23,7 +23,6 @@ from liesplit.zalgebra import (
     property_suite,
     run_case,
     z_generators,
-    ZGeneratorSet,
 )
 
 
@@ -43,13 +42,13 @@ def test_z_generators_full_mode_sl2():
 
     dec = bidecompose(S, B.polys[0])
     Z = z_generators(S, B, [dec.top], [t_var], mode="full")
-    tags = [tag for _, tag in Z.generators]
+    tags = [tag for _, tag in Z]
     # both components, plus the toral line from the opposite centre; the
     # supplied Z0 generator coincides with the top component and merges away
     assert len(Z) == 3
     assert tags.count("Zinf") == 1
-    assert jacobian_rank(Z.polys, trials=5, seed=0) == 2  # = b(sl2)
-    suite = commutativity_suite(Z, extra_params=[(1, 5)])
+    assert jacobian_rank([p for p, _ in Z], trials=5, seed=0) == 2  # = b(sl2)
+    suite = commutativity_suite(S, Z, extra_params=[(1, 5)])
     assert suite.passed
 
 
@@ -82,20 +81,19 @@ def test_commutativity_suite_detects_noncommuting_pair():
     names = S.algebra.names
     e = Polynomial.variable(3, names.index("E12"))
     f = Polynomial.variable(3, names.index("E21"))
-    Z = ZGeneratorSet(S, "full", [(e, "e"), (f, "f")])
-    suite = commutativity_suite(Z)
+    suite = commutativity_suite(S, [(e, "e"), (f, "f")])
     assert not suite.passed
     assert suite.failures[0][:2] == ("e", "f")
     # [e,f] vanishes only at the keep_h end, and (0,1) is bracketed second
     assert suite.failures[0][2] == "(0,1)"
 
 
-def _first_failures(Z, params):
+def _first_failures(S, gens, params):
     """The exhaustive oracle: bracket every listed member, keep each pair's first failure."""
-    members = [(p, pencil_member(Z.splitting, p)) for p in params]
+    members = [(p, pencil_member(S, p)) for p in params]
     out = []
-    for a, (fa, ta) in enumerate(Z.generators):
-        for fb, tb in Z.generators[a + 1:]:
+    for a, (fa, ta) in enumerate(gens):
+        for fb, tb in gens[a + 1:]:
             for p, L in members:
                 if not poisson_bracket(L, fa, fb).is_zero():
                     out.append((ta, tb, p.label()))
@@ -117,12 +115,12 @@ def test_commutativity_suite_labels_match_exhaustive_loop():
     coords = [(Polynomial.variable(8, i), n) for i, n in enumerate(S3.algebra.names)]
     extra = [(1, 5), (2, -3), (0, 7)]
     params = [BracketParameter(*p) for p in [(1, 0), (0, 1), (1, 1)] + extra]
-    for Z in (ZGeneratorSet(S, "full", gens), ZGeneratorSet(S3, "full", coords)):
-        suite = commutativity_suite(Z, extra_params=extra)
-        assert suite.failures == _first_failures(Z, params)
+    for splitting, Z in ((S, gens), (S3, coords)):
+        suite = commutativity_suite(splitting, Z, extra_params=extra)
+        assert suite.failures == _first_failures(splitting, Z, params)
         assert suite.parameters == [p.label() for p in params]
         assert suite.pairs_checked == len(Z) * (len(Z) - 1) // 2
-    assert ("t", "e", "(1,0)") in commutativity_suite(ZGeneratorSet(S, "full", gens)).failures
+    assert ("t", "e", "(1,0)") in commutativity_suite(S, gens).failures
     assert poisson_bracket(S.algebra, t, e) == poisson_bracket(pencil_member(S, (1, 0)), t, e)
     assert poisson_bracket(pencil_member(S, (0, 1)), t, e).is_zero()
 
@@ -136,7 +134,7 @@ def test_sl3_borel_component_count_and_trdeg():
     B = transport_basis(hilbert_basis(sl3, "charpoly"), S)
     Z = z_generators(S, B)
     assert len(Z) == 5  # 2 + 3 nonzero components = b(sl3)
-    assert jacobian_rank(Z.polys, trials=5, seed=1) == 5
+    assert jacobian_rank([p for p, _ in Z], trials=5, seed=1) == 5
 
 
 def test_double_m_tilde_exact_generators():
@@ -157,10 +155,10 @@ def test_double_m_tilde_exact_generators():
     eA = Polynomial.variable(4, names.index("E12"))
     fA = Polynomial.variable(4, names.index("E21"))
     want_mid = (QQ(1, 2) * m * p + 4 * eA * fA).canonical()[0]
-    canon = [g.canonical()[0] for g in Z.polys]
+    canon = [g.canonical()[0] for g, _ in Z]
     assert want_mid in canon
     assert p.canonical()[0] in canon and m.canonical()[0] in canon
-    assert commutativity_suite(Z, extra_params=[(1, 3), (1, -7)]).passed
+    assert commutativity_suite(S, Z, extra_params=[(1, 3), (1, -7)]).passed
 
 
 def test_property_suite_borel_sl3():
@@ -308,6 +306,12 @@ def test_horo_rejects_a_zero_diagonal():
     # before, horospherical_splitting raised a plain ValueError ("t1 vectors are dependent")
     with pytest.raises(CaseParameterError, match=re.escape("t1 diagonal [0, 0, 0] is zero")):
         run_case("horo", {"n": 3, "t1": [[0, 0, 0]]})
+
+
+def test_horo_rejects_dependent_diagonals():
+    with pytest.raises(CaseParameterError,
+                       match=re.escape("t1 diagonals [[1, -1, 0], [2, -2, 0]] are dependent")):
+        run_case("horo", {"n": 3, "t1": [[1, -1, 0], [2, -2, 0]]})
 
 
 @pytest.mark.parametrize("t1", [[[1, 0, -2]], [[1, 0, 0, -1]]])
