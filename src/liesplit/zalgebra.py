@@ -427,12 +427,12 @@ def _case_horo(params, seed, trials, dmax):
     elif t1_spec == "zero":
         t1 = []
     else:
-        for d in t1_spec:
-            if not any(d):  # would make the t1 vectors dependent
-                raise CaseParameterError(f"t1 diagonal {list(d)} is zero; for t1 = 0 pass 'zero'")
         t1 = _sl_diagonals(g, (dict(enumerate(d)) for d in t1_spec))
         if t1 and rank(Matrix(t1)) < len(t1):
-            raise CaseParameterError(f"t1 diagonals {[list(d) for d in t1_spec]} are dependent")
+            zero = next((list(d) for d in t1_spec if not any(d)), None)
+            raise CaseParameterError(
+                f"t1 diagonal {zero} is zero; for t1 = 0 pass 'zero'" if zero is not None
+                else f"t1 diagonals {[list(d) for d in t1_spec]} are dependent")
     S, B = _build(g, t1, None, "charpoly", timer)
     rep_h = ggs_check(S, B, side="h", trials=trials, seed=seed)
     sph, props = _suites(S, B, seed, trials)
