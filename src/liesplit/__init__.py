@@ -49,7 +49,6 @@ from .poisson import (
     hamiltonian_field,
     index_estimate,
     poisson_bracket,
-    regular_point_check,
     sphericity,
     tensor_at,
 )

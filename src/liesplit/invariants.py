@@ -33,15 +33,13 @@ there); the two must agree on builder algebras.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import lcm
 
 from . import _kernels as K
 from .liealg import LieAlgebra, sub_algebra
 from .linalg import Matrix, inverse, rank, rank_mod_p, solve  # noqa: F401  (rank: read by the perfbench tracer tests)
-from .poisson import (_check_sampling, _sample_point, hamiltonian_field, index_estimate,
-                      poisson_bracket)
+from .poisson import _best_rank, hamiltonian_field, index_estimate, poisson_bracket
 from .poly import Polynomial
 from .splitting import Decomposition, Splitting, contract
 
@@ -241,18 +239,14 @@ def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
             raise ValueError("so_minors_pfaffian needs the so(2n) builder")
         size = L.matrix_size
         n = size // 2
-        if n % 2:
-            raise ValueError(
-                "Pfaffian sign convention failure: over the rationals the antidiagonal "
-                f"realization of so({size}) has Pf^2 = -Delta_{size} when n is odd"
-            )
         coeffs = charpoly_coefficients(L)
         gens = [(coeffs[2 * k], 2 * k) for k in range(1, n)]
         Y = dual_matrix(L)
         K = [[Y[size - 1 - r][c] for c in range(size)] for r in range(size)]
         pf = poly_pfaffian(K)
-        if pf * pf != coeffs[size]:
-            raise ValueError("Pfaffian sign convention failure: Pf^2 != Delta_2n")
+        # K = J Y with J the antidiagonal of det J = (-1)^n, so Pf(K)^2 = (-1)^n det Y
+        if pf * pf != (-1) ** n * coeffs[size]:
+            raise ValueError("Pfaffian sign convention failure: Pf^2 != (-1)^n Delta_2n")
         gens.append((pf, n))
     elif kind.startswith("double_extended"):
         base = L.base_algebra
@@ -364,19 +358,11 @@ def jacobian_rank(polys, trials: int = 5, seed: int = 0, bound: int = 997) -> in
     Each is a lower bound on the exact Jacobian rank at its point, hence on the
     transcendence degree.  Row p is ``p.int_gradient(x)``, the gradient of den_p * p
     at the point x evaluated in ints straight from p's terms: a row scale prime to P
-    changes no rank modulo P, and any scale keeps the lower bound.  The bound keeps
-    2 bound + 1 <= P (see ``linalg``)."""
-    _check_sampling(trials, seed)
-    if not polys:
-        return 0
-    n = polys[0].nvars
-    rng = random.Random(seed)
-    best = 0
-    for _ in range(trials):
-        x = _sample_point(rng, n, bound)
-        best = max(best, rank_mod_p(Matrix([p.int_gradient(x) for p in polys])))
-        if best == min(len(polys), n):
-            break
+    changes no rank modulo P, and any scale keeps the lower bound.  The points come
+    from ``poisson._best_rank``, which checks 2 bound + 1 <= P (see ``linalg``)."""
+    n = polys[0].nvars if polys else 0
+    best, _ = _best_rank(lambda x: rank_mod_p(Matrix([p.int_gradient(x) for p in polys])), n,
+                         min(len(polys), n), trials, seed, bound)
     return best
 
 

@@ -7,9 +7,13 @@ and kernels of pi(xi), and ``tensor_at`` divides it once by D.  One helper,
 stored pairs i < j; the tensors are built from it.
 
 Genericity is probabilistic throughout: a "generic" point is the best
-witness over seed-deterministic uniform integer samples.  Every sampled
+witness over seed-deterministic uniform integer samples, all drawn by one
+loop, ``_best_rank`` (its callers are ``index_estimate``,
+``generic_stabilizer`` and ``invariants.jacobian_rank``).  Every sampled
 rank is a certificate, so claimed indices are always upper bounds on the
-true index and reports store their witnesses for replay.  ``tensor_at``
+true index.  The index estimate stores its witness (``IndexEstimate.witness``)
+and the stabilizer report its ``sample_point``, for replay; the Jacobian
+rank keeps none.  ``tensor_at``
 gives the exact rank at a point of one algebra, a pencil member being
 ``splitting.pencil_member``'s (its callers also compare ranks from
 above); ``index_estimate`` needs the rank only from below and takes it modulo
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 
 from . import _kernels as K
 from .liealg import LieAlgebra, _bracket, _is_int, subalgebra_indices
-from .linalg import Matrix, rank, rank_and_nullspace, skew_rank_mod_p, solve_many
+from .linalg import P, Matrix, rank, rank_and_nullspace, skew_rank_mod_p, solve_many
 from .poly import Polynomial
 from .rationals import QQ, qq_str, scalar
 from .splitting import Splitting, contract
@@ -171,35 +175,46 @@ def _sample_point(rng, dim, bound, support=None):
     return xi
 
 
+def _best_rank(rank_at, dim, cap, trials, seed, bound, support=None):
+    """(best, witness): the largest ``rank_at(xi)`` over ``trials`` seeded points xi of
+    [-bound, bound]^dim (zero off ``support``), and the first point that reaches it.
+
+    The one sampling loop behind every sampled rank.  ``cap`` is the largest rank the
+    caller's matrix can have; the draws stop at the first point that reaches it, which
+    leaves both values as the full run would.  ``trials`` and ``seed`` pass
+    :func:`_check_sampling`, and ``bound`` must be an ``int`` with 1 <= bound and
+    2 bound + 1 <= ``linalg.P``, the condition of the Schwartz-Zippel bound there;
+    all are checked before any draw."""
+    _check_sampling(trials, seed)
+    if not _is_int(bound) or bound < 1 or 2 * bound + 1 > P:
+        raise ValueError(f"bound must be an integer with 1 <= bound <= {(P - 1) // 2}, "
+                         f"got {bound!r}")
+    rng = random.Random(seed)
+    best, witness = -1, ()
+    for _ in range(trials):
+        xi = _sample_point(rng, dim, bound, support)
+        rk = rank_at(xi)
+        if rk > best:
+            best, witness = rk, tuple(xi)
+            if best >= cap:
+                break
+    return best, witness
+
+
 def index_estimate(L: LieAlgebra, trials: int = 8, seed: int = 0,
                    bound: int = DEFAULT_BOUND) -> IndexEstimate:
     """dim - (max sampled rank of pi(xi) mod ``linalg.P``); an upper bound on the index,
     claimed exact.  Each sample's D pi(xi) goes from ``_tensor_entries`` straight into
     the rows of ``skew_rank_mod_p``."""
-    _check_sampling(trials, seed)
-    rng = random.Random(seed)
-    best_rank = 0
-    witness: tuple = ()
-    for _ in range(trials):
-        xi = _sample_point(rng, L.dim, bound)
+    def rank_at(xi):
         upper = [{} for _ in range(L.dim)]
         for i, j, v in _tensor_entries(L, xi):
             upper[i][j] = v
-        rk = skew_rank_mod_p(upper)
-        if rk > best_rank:
-            best_rank = rk
-            witness = tuple(xi)
-    claimed = L.dim - best_rank
-    return IndexEstimate(claimed, best_rank, trials, seed, QQ(L.dim + claimed, 2), witness)
+        return skew_rank_mod_p(upper)
 
-
-def regular_point_check(L: LieAlgebra, xi, estimate: IndexEstimate | None = None,
-                        trials: int = 8, seed: int = 0) -> bool:
-    """True iff dim ker pi(xi) equals the (cached or freshly claimed) index."""
-    if estimate is None:
-        estimate = index_estimate(L, trials=trials, seed=seed)
-    sample = tensor_at(L, xi)
-    return L.dim - sample.rank == estimate.claimed_index
+    best, witness = _best_rank(rank_at, L.dim, L.dim - L.dim % 2, trials, seed, bound)
+    claimed = L.dim - best
+    return IndexEstimate(claimed, best, trials, seed, QQ(L.dim + claimed, 2), witness)
 
 
 @dataclass
@@ -231,21 +246,18 @@ def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,
     over the sampled points is kept, and the stabilizer is returned as an
     abstract algebra with restricted structure constants.
     """
-    _check_sampling(trials, seed)
     h_indices = subalgebra_indices(L, h_indices, "h")
-    rng = random.Random(seed)
-    best = None
     # Ann(h) = 0 only when h is everything; the definition then collapses to
     # the stabilizer of a generic point of the full dual.
     support = [i for i in range(L.dim) if i not in h_indices] or None
-    for _ in range(trials):
-        xi = _sample_point(rng, L.dim, bound, support=support)
+
+    def h_columns(xi):
         # the h columns of D pi(xi): x in h is in the kernel iff xi([x, y]) = 0 for all y
-        rows = _tensor_matrix(L, xi).rows
-        _, basis = rank_and_nullspace(Matrix([[row[x] for x in h_indices] for row in rows]))
-        if best is None or len(basis) < len(best[1]):
-            best = (tuple(xi), basis)
-    xi, basis = best
+        return Matrix([[row[x] for x in h_indices] for row in _tensor_matrix(L, xi).rows])
+
+    _, xi = _best_rank(lambda xi: rank(h_columns(xi)), L.dim, len(h_indices), trials, seed,
+                       bound, support)
+    _, basis = rank_and_nullspace(h_columns(xi))
     dim_star = len(basis)
     # structure constants of the stabilizer in its own basis, one solve for all brackets
     full_basis = [{i: c for i, c in zip(h_indices, v) if c} for v in basis]
@@ -264,8 +276,7 @@ def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,
                      for pair, col in zip(brackets, coeffs)}
     names = [f"s{k + 1}" for k in range(dim_star)]
     stab = LieAlgebra(names, constants, kind="stabilizer")
-    idx = index_estimate(stab, trials=trials, seed=seed + 1, bound=bound) if dim_star \
-        else IndexEstimate(0, 0, 0, seed, QQ(0))
+    idx = index_estimate(stab, trials=trials, seed=seed + 1, bound=bound)
     return StabilizerReport(h_indices, xi, basis, dim_star, idx, not constants, stab)
 
 

@@ -634,9 +634,8 @@ def _case_sl2n1(params, seed, trials, dmax):
 
 
 def _case_so2n(params, seed, trials, dmax):
-    n = _size(params, "so2n", 4, "smaller n reduces to earlier cases")
-    if n != 4:
-        raise CaseParameterError("desk scale: the so(2n) case study is built for n = 4")
+    # n defaults to 4, the so(8) case study
+    n = _size({"n": 4, **params}, "so2n", 3, "so(4) = sl(2) + sl(2)")
     timer = _Timer()
     g = build_so_even(n)
     cart = g.triangular.cartan

@@ -142,12 +142,14 @@ def test_so8_minors_and_pfaffian():
     assert pf * pf == delta8
 
 
-def test_so_odd_half_rank_rejected():
-    # over the rationals Pf^2 = -Delta_2n when n is odd; the documented
-    # sign-convention error is raised
+def test_so6_pfaffian_sign_rule():
+    # the Pfaffian is taken of J Y with det J = (-1)^n, so Pf^2 = (-1)^n Delta_2n
     so6 = build_so_even(3)
-    with pytest.raises(ValueError, match="sign convention"):
-        hilbert_basis(so6, "so_minors_pfaffian")
+    B = hilbert_basis(so6, "so_minors_pfaffian")
+    assert B.degrees == [2, 4, 3]
+    pf = B.polys[-1]
+    delta6 = charpoly_coefficients(so6)[6]
+    assert pf * pf == -delta6 and not delta6.is_zero()
 
 
 def test_invariance_checks():

@@ -5,14 +5,14 @@ import pytest
 
 from liesplit import liealg
 from liesplit.invariants import jacobian_rank
-from liesplit.liealg import build_double, build_sl, custom_algebra, direct_sum
-from liesplit.linalg import Matrix, rank_and_nullspace, solve
+from liesplit.liealg import build_double, build_gl, build_sl, custom_algebra, direct_sum
+from liesplit.linalg import P, Matrix, rank_and_nullspace, solve
 from liesplit.poisson import (
+    _best_rank,
     generic_stabilizer,
     index_estimate,
     poisson_bracket,
     _sample_point,
-    regular_point_check,
     sphericity,
     tensor_at,
 )
@@ -51,6 +51,14 @@ def test_index_estimate_witness_replays():
         pi = [[sum(witness[k] * c for k, c in g.bracket_pair(a, b).items())
                for b in range(g.dim)] for a in range(g.dim)]
         assert sample.matrix == Matrix(pi)
+
+
+def test_index_witness_of_an_abelian_algebra_is_a_point():
+    # every rank is 0: the witness is the first sample, no longer the empty tuple
+    gl1 = build_gl(1)
+    est = index_estimate(gl1, trials=3, seed=0)
+    assert len(est.witness) == 1 and est.claimed_index == 1
+    assert tensor_at(gl1, est.witness).rank == est.certified_max_rank == 0
 
 
 def test_degree_one_bracket_is_lie_bracket():
@@ -120,10 +128,11 @@ def test_index_contraction_sl3_borel():
 
 
 def test_regular_point_check():
+    # a point is regular iff dim ker pi(xi) is the index
     sl2 = build_sl(2)
     est = index_estimate(sl2, trials=5, seed=0)
-    assert regular_point_check(sl2, [0, 1, 0], est)
-    assert not regular_point_check(sl2, [0, 0, 0], est)
+    assert sl2.dim - tensor_at(sl2, [0, 1, 0]).rank == est.claimed_index
+    assert sl2.dim - tensor_at(sl2, [0, 0, 0]).rank != est.claimed_index
 
 
 def test_regular_points_in_ann_h_for_sl4_splitting():
@@ -148,7 +157,7 @@ def test_regular_points_in_ann_h_for_sl4_splitting():
         xi = [0] * L.dim
         for i in S.r_indices:
             xi[i] = rng.randint(-999, 999)
-        assert regular_point_check(L, xi, est)
+        assert L.dim - tensor_at(L, xi).rank == est.claimed_index
 
 
 def test_sampling_needs_at_least_one_trial():
@@ -182,6 +191,54 @@ def test_samplers_reject_a_seed_that_is_not_an_int(seed):
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
             call()
+
+
+@pytest.mark.parametrize("bound", [0, True, 2**40, 1.5, -3])
+@pytest.mark.parametrize("sampler", ["index_estimate", "generic_stabilizer", "jacobian_rank"])
+def test_samplers_reject_a_bad_bound(sampler, bound):
+    # 0 drew only the zero point (index 8 for sl(3)), True ran as 1, 2**40 broke
+    # 2 bound + 1 <= P, and 1.5 and -3 failed inside randrange
+    sl3 = build_sl(3)
+    call = {"index_estimate": lambda: index_estimate(sl3, bound=bound),
+            "generic_stabilizer": lambda: generic_stabilizer(sl3, (0, 1), bound=bound),
+            "jacobian_rank": lambda: jacobian_rank([Polynomial.variable(8, 0)], bound=bound)}
+    with pytest.raises(ValueError, match=re.escape(f"bound must be an integer with 1 <= bound "
+                                                   f"<= {(P - 1) // 2}, got {bound!r}")):
+        call[sampler]()
+
+
+def _counting_rank(ranks):
+    """A fake ``rank_at`` returning ``ranks`` in turn and recording every point it sees."""
+    seen = []
+
+    def rank_at(xi):
+        seen.append(tuple(xi))
+        return ranks[len(seen) - 1]
+
+    return rank_at, seen
+
+
+def test_best_rank_draws_the_sample_point_sequence():
+    rank_at, seen = _counting_rank([0] * 6)
+    _best_rank(rank_at, 4, 99, 6, 13, 50, support=[0, 2])
+    rng = random.Random(13)
+    assert seen == [tuple(_sample_point(rng, 4, 50, support=[0, 2])) for _ in range(6)]
+    assert all(xi[1] == xi[3] == 0 for xi in seen)
+
+
+def test_best_rank_keeps_the_first_point_at_the_best_rank():
+    rank_at, seen = _counting_rank([1, 3, 2, 3, 0])
+    assert _best_rank(rank_at, 3, 4, 5, 0, 9) == (3, seen[1])
+    assert len(seen) == 5
+    # every rank equal: the first point is the witness
+    rank_at, seen = _counting_rank([0, 0, 0])
+    assert _best_rank(rank_at, 2, 2, 3, 1, 9) == (0, seen[0])
+
+
+def test_best_rank_draws_nothing_after_the_cap():
+    rank_at, seen = _counting_rank([1, 2, 4, 4, 4])
+    assert _best_rank(rank_at, 3, 4, 5, 2, 9) == (4, seen[2])
+    assert len(seen) == 3
 
 
 def test_generic_stabilizer_sl2_cases():

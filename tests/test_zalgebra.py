@@ -248,9 +248,20 @@ def test_bidegree_claim_holds_wherever_it_is_defined(monkeypatch):
     }
 
 
-def test_so2n_rejects_small_n():
-    with pytest.raises(ValueError):
-        run_case("so2n", {"n": 3})
+def test_so2n_rejects_n_below_three():
+    with pytest.raises(CaseParameterError, match=re.escape("so2n needs n >= 3")):
+        run_case("so2n", {"n": 2})
+
+
+def test_so6_case_matches_sl4():
+    # so(6) = sl(4), and the so2n splitting of so(6) is the sl2n splitting of sl(4)
+    so6 = run_case("so2n", {"n": 3}, seed=1)
+    sl4 = run_case("sl2n", {"n": 2}, seed=1)
+    assert all(so6.verdicts.values())
+    keys = ("s0", "s_inf", "weyl_orders", "weyl_per_degree", "sum_m", "dim_m", "b", "trdeg")
+    assert {k: so6.tables[k] for k in keys} == {k: sl4.tables[k] for k in keys}
+    assert (so6.tables["s0"], so6.tables["s_inf"], so6.tables["b"]) == (1, 2, 9)
+    assert so6.tables["sum_m"] == so6.tables["dim_m"] == 7
 
 
 @pytest.mark.parametrize("n", [2.9, 2.0, "3", True, None])
