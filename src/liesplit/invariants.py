@@ -373,7 +373,6 @@ def jacobian_rank(polys, trials: int = 5, seed: int = 0, bound: int = 997) -> in
 class GgsRow:
     degree: int
     deg_m_top: int          # complement-degree of the relevant extreme component
-    deg_h_bottom: int       # h-degree of the other extreme component
     toral_valued: bool | None
     bidegree_top: tuple
 
@@ -397,12 +396,15 @@ def ggs_check(D: Decomposition, B: HilbertBasis, side: str = "h",
               trials: int = 5, seed: int = 0) -> GgsReport:
     """Degree-sum criterion for a good generating system, with Jacobian cross-check.
 
-    side 'h': the complement is r/m and the extreme components are the
-    minimal-h-degree ones; side 'r' (full splittings only) is symmetric.
+    One rule on both sides: each generator contributes its extreme component,
+    the one of least degree in the side's subalgebra (least h-degree on side h,
+    least r-degree on side r, full splittings only), and deg_m is its degree in
+    the complement m (r on side h, h on side r).  The verdict is sum deg_m == dim m.
+    Rows give the bidegree as (h-degree, r-degree) on both sides.
     On a horospherical splitting, ``bidegree_claim_ok`` certifies the bi-degree
-    claim when a = dim of the toral part: every top component not supported on
-    the toral part has bidegree (1, d-1) on side h, or (d-1, 1) on side r (None
-    when a > dim, or off horospherical splittings).
+    claim when a = dim of the toral part: every extreme component not supported on
+    the toral part has degree 1 in the side's subalgebra, so it reads (1, d-1) on
+    side h and (d-1, 1) on side r (None when a > dim, or off horospherical splittings).
     """
     if B.algebra is not D.algebra:
         raise ValueError("basis and splitting live on different algebras")
@@ -417,24 +419,11 @@ def ggs_check(D: Decomposition, B: HilbertBasis, side: str = "h",
     tops = []
     sum_m = 0
     for F, d in B.generators:
-        dec = bidecompose(D, F)
-        if side == "h":
-            top = dec.top
-            hdeg_top = dec.components[0].bidegree[0]
-            deg_m = d - hdeg_top
-            bidegree_top = (hdeg_top, deg_m)
-            other = dec.components[-1].bidegree[0]
-        else:
-            top = dec.bottom
-            hdeg_top = dec.components[-1].bidegree[0]
-            deg_m = hdeg_top
-            bidegree_top = (hdeg_top, d - hdeg_top)
-            other = d - dec.components[0].bidegree[0]
-        tval = None
-        if horo:
-            tval = top.support_vars() <= toral_set
-        rows.append(GgsRow(d, deg_m, other, tval, bidegree_top))
-        tops.append(top)
+        extreme = bidecompose(D, F).components[0 if side == "h" else -1]
+        deg_m = extreme.bidegree[side == "h"]
+        tval = extreme.poly.support_vars() <= toral_set if horo else None
+        rows.append(GgsRow(d, deg_m, tval, extreme.bidegree))
+        tops.append(extreme.poly)
         sum_m += deg_m
     dim_m = D.dim_r if side == "h" else D.dim_h
     verdict = sum_m == dim_m
@@ -463,8 +452,7 @@ def ggs_check(D: Decomposition, B: HilbertBasis, side: str = "h",
                 f"a = {a_count} < dim toral part {dim_toral}: violates a theorem"
             )
         if a_count == dim_toral:
-            want = (lambda r: (1, r.degree - 1)) if side == "h" else (lambda r: (r.degree - 1, 1))
-            claim_ok = all(r.toral_valued or r.bidegree_top == want(r) for r in rows)
+            claim_ok = all(r.toral_valued or r.bidegree_top[side == "r"] == 1 for r in rows)
     return GgsReport(side, rows, sum_m, dim_m, verdict, jrank, rank_known,
                      consistent, a_count, dim_toral, claim_ok)
 
@@ -507,9 +495,9 @@ def eliminate_on_subspace(B: HilbertBasis, S: Splitting, keep) -> HilbertBasis:
         if idx in keep:
             continue
         target = restrict_to_t0(S, P)
-        exps = _weighted_exponents(weights, d)
-        if target.is_zero() and not exps:
+        if target.is_zero():
             continue
+        exps = _weighted_exponents(weights, d)
         prods = []
         for m in exps:
             prod = Polynomial.constant(len(S.t0_indices), 1)
@@ -518,11 +506,8 @@ def eliminate_on_subspace(B: HilbertBasis, S: Splitting, keep) -> HilbertBasis:
                     prod = prod * restrictions[i] ** k
             prods.append(prod)
         monos = sorted({e for p in prods for e in p.terms} | set(target.terms))
-        if not monos and target.is_zero():
-            continue
         A = Matrix([[p.coeff(e) for p in prods] for e in monos])
-        b = [target.coeff(e) for e in monos]
-        lam = solve(A, b) if prods else (None if not target.is_zero() else ())
+        lam = solve(A, [target.coeff(e) for e in monos])
         if lam is None:
             raise EliminationInfeasible(
                 f"generator of degree {d}: its t0-restriction is not a weighted-degree "

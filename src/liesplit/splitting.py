@@ -218,30 +218,25 @@ def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Splitting
 
     t1_cart = to_cartan(t1_basis, "t1")
     k = len(t1_cart)
-    G = tri.cartan_form
     if k:
         T1 = Matrix.from_columns(t1_cart)
         if rank(T1) != k:
             raise ValueError("t1 vectors are dependent")
+        T1tG = T1.transpose() * tri.cartan_form
         # <,> must stay nondegenerate on t1
-        if rank(T1.transpose() * G * T1) != k:
+        if rank(T1tG * T1) != k:
             raise ValueError("the invariant form is degenerate on t1")
-        _, t0_cart = rank_and_nullspace(T1.transpose() * G)
-        t0_cart = [_normalize_direction(v) for v in t0_cart]
+    if t0_basis is None:
+        t0_cart = ([_normalize_direction(v) for v in rank_and_nullspace(T1tG)[1]] if k
+                   else [tuple(int(i == j) for i in range(ell)) for j in range(ell)])
     else:
-        t0_cart = [tuple(int(i == j) for i in range(ell)) for j in range(ell)]
-    if t0_basis is not None:
-        supplied = to_cartan(t0_basis, "t0")
-        if len(supplied) != len(t0_cart):
+        t0_cart = to_cartan(t0_basis, "t0")
+        if len(t0_cart) != ell - k:
             raise ValueError("supplied t0 has the wrong dimension")
-        if k:
-            probe = Matrix.from_columns(t1_cart).transpose() * G
-            for v in supplied:
-                if any(x != 0 for x in probe.matvec(v)):
-                    raise ValueError("supplied t0 is not orthogonal to t1")
-        if rank(Matrix.from_columns(supplied)) != len(supplied):
+        if k and any(x != 0 for v in t0_cart for x in T1tG.matvec(v)):
+            raise ValueError("supplied t0 is not orthogonal to t1")
+        if rank(Matrix.from_columns(t0_cart)) != len(t0_cart):
             raise ValueError("supplied t0 vectors are dependent")
-        t0_cart = supplied
 
     def full_vec(cart_coords):
         v = [0] * L.dim

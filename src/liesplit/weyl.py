@@ -503,9 +503,7 @@ def restriction_check(W: WeylGroup, t0_basis, w0: W0Report | None = None,
         inv = invariant_basis(gen_mats, d, n)
         restricted = [p.map_vars(restr_images, a) for p in inv]
         monos = _monomials(a, d)
-        mat = Matrix([[p.coeff(e) for e in monos] for p in restricted]) if restricted \
-            else Matrix.zeros(1, len(monos))
-        image_dim = rank(mat)
+        image_dim = rank(Matrix([[p.coeff(e) for e in monos] for p in restricted]))
         w0_dim = len(invariant_basis(w0.matrices, d, a))
         if image_dim > w0_dim:
             raise AssertionError("restricted invariants escape the W0-invariants; bug")

@@ -208,7 +208,7 @@ def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0,
     results["pencil_commutativity_sampled"] = all(
         poisson_bracket(L, pa, pb).is_zero() for pa, pb in pairs for L in (con_h, con_r))
 
-    # tensor samples: skewness and even rank are asserted inside tensor_at;
+    # tensor samples: tensor_at asserts the even rank and skewness is checked below;
     # the kernel identity is cross-checked by an independent construction
     L = S.algebra
     ok_kernel = True

@@ -160,6 +160,8 @@ def test_case_keeps_library_errors(monkeypatch):
      "--h 'glblocks:1,2': glblocks needs a matrix builder algebra"),
     (["check-ggs", "--algebra", "sl:3", "--h", "indices:0,0,1,3,4"],
      "check-ggs --h 'indices:0,0,1,3,4': h: 0 is listed twice"),
+    (["check-ggs", "--algebra", "gl:4", "--h", "glblocks:1,3", "--side", "r"],
+     "side 'r' needs a full splitting"),
 ])
 def test_malformed_input_exits_with_one_line_naming_it(argv, message):
     with pytest.raises(SystemExit) as exc:

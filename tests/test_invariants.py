@@ -364,6 +364,37 @@ def test_ggs_check_names_a_failed_index_hypothesis():
         ggs_check(S, planted)
 
 
+def _borel(L):
+    return make_splitting(L, L.triangular.plus + L.triangular.cartan)
+
+
+def _horo_first_cartan(L):
+    t1 = [int(i == L.triangular.cartan[0]) for i in range(L.dim)]
+    return horospherical_splitting(L, [t1])
+
+
+@pytest.mark.parametrize("build, make, kind", [
+    (lambda: build_sl(2), _borel, "charpoly"),
+    (lambda: build_sl(3), _borel, "charpoly"),
+    (lambda: build_sl(4), _borel, "charpoly"),
+    (lambda: build_gl(3), _borel, "charpoly"),
+    (lambda: build_so_even(4), _borel, "so_minors_pfaffian"),
+    (lambda: build_sl(3), _horo_first_cartan, "trace_powers"),
+    (lambda: build_sl(4), _horo_first_cartan, "trace_powers"),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_side_r_equals_side_h_of_the_swapped_splitting(build, make, kind, seed):
+    """Side r of (h, r) is side h of the splitting (r, h), read with the bidegree reversed."""
+    S = make(build())
+    B = hilbert_basis(S.algebra, kind)
+    rep = ggs_check(S, B, side="r", seed=seed)
+    oracle = ggs_check(make_splitting(S.algebra, S.r_indices), B, side="h", seed=seed)
+    assert [(r.degree, r.deg_m_top, r.bidegree_top[::-1]) for r in rep.rows] == \
+        [(r.degree, r.deg_m_top, r.bidegree_top) for r in oracle.rows]
+    fields = ("sum_m", "dim_m", "verdict", "jacobian_rank_top", "consistent")
+    assert [getattr(rep, f) for f in fields] == [getattr(oracle, f) for f in fields]
+
+
 # -- elimination -----------------------------------------------------------
 
 

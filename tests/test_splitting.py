@@ -330,6 +330,26 @@ def test_horospherical_rejects_degenerate_t1():
         horospherical_splitting(g, [v1, v2])  # dependent
 
 
+def test_horospherical_checks_a_supplied_t0():
+    g = build_sl(3)
+    h1, h2 = ([int(i == c) for i in range(8)] for c in g.triangular.cartan)
+    t1 = [[a + b for a, b in zip(h1, h2)]]  # diag(1,0,-1); its complement is h1 - h2 = diag(1,-2,1)
+    t0 = [[a - b for a, b in zip(h1, h2)]]
+    assert horospherical_splitting(g, t1, t0_basis=t0).algebra.constants == \
+        horospherical_splitting(g, t1).algebra.constants
+    for t1_basis, t0_basis, message in (
+            (t1, t0 + [h1], "supplied t0 has the wrong dimension"),
+            (t1, [h1], "supplied t0 is not orthogonal to t1"),
+            (t1, [[0] * 8], "supplied t0 vectors are dependent"),
+            ([], [h1, [2 * x for x in h1]], "supplied t0 vectors are dependent")):
+        with pytest.raises(ValueError, match=message):
+            horospherical_splitting(g, t1_basis, t0_basis=t0_basis)
+    # with t1 = 0 any basis of the Cartan is a t0, in the order given
+    S = horospherical_splitting(g, [], t0_basis=[h2, h1])
+    assert [[S.algebra.base_change[i, t] for i in g.triangular.cartan] for t in S.t0_indices] == \
+        [[0, 1], [1, 0]]
+
+
 def test_float_t1_vectors_are_rejected():
     g = build_sl(3)
     t1 = [0] * g.dim
