@@ -54,8 +54,6 @@ from .poisson import (
 )
 from .invariants import (
     AksReport,
-    BiComponent,
-    BiDecomposition,
     EliminationInfeasible,
     GgsReport,
     HilbertBasis,

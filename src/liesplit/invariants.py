@@ -22,6 +22,13 @@ the theorem says nothing.  The polynomial arithmetic that bracketing the
 builder bases would exercise is covered by the differential and sympy
 oracles of the test suite.
 
+``bidecompose(D, F)`` splits a homogeneous F of degree d into the dict
+{i: the component of bidegree (i, d - i)} over the nonzero components, i
+(the h-degree) increasing; the extreme components are ``parts[min(parts)]``
+(least h-degree) and ``parts[max(parts)]`` (least r-degree).  Each split is
+memoized on ``D`` by ``id(F)``, holding F so the id stays its own: a lookup
+hashes no polynomial.
+
 The good-generating-system test is a degree-sum criterion: for a
 subalgebra h with complement m, sum_j deg_m F_j^bullet >= dim m whenever
 the contraction h x m^ab has the index of q, with equality exactly when
@@ -319,37 +326,24 @@ def restrict_to_t0(S: Splitting, F: Polynomial) -> Polynomial:
 # -- bi-homogeneous decomposition ---------------------------------------
 
 
-@dataclass
-class BiComponent:
-    poly: Polynomial
-    bidegree: tuple  # (h-degree, r-degree)
+def bidecompose(D: Decomposition, F: Polynomial) -> dict:
+    """Split a homogeneous F of degree d by h-degree: {i: the component of bidegree
+    (i, d - i)}, nonzero components only, i increasing; callers split by total degree first.
 
-
-@dataclass
-class BiDecomposition:
-    components: list
-    top: Polynomial     # minimal h-degree component (invariant of the keep_h contraction)
-    bottom: Polynomial  # minimal r-degree component
-
-
-def bidecompose(D: Decomposition, F: Polynomial) -> BiDecomposition:
-    """Split a homogeneous F by h-degree; callers split by total degree first.
-
-    Computed once per ``D`` and polynomial value: later calls with an equal F return
-    the same object, not to be mutated."""
+    Computed once per ``D`` and polynomial object (see the module docstring): later calls
+    with the same F return the same dict, not to be mutated."""
     if F.nvars != D.algebra.dim:
         raise ValueError("polynomial does not live on the splitting's algebra")
-    got = D._bidecompositions.get(F)
+    got = D._bidecompositions.get(id(F))
     if got is not None:
-        return got
+        return got[1]
     if F.is_zero():
         raise ValueError("cannot bidecompose the zero polynomial")
     if not F.is_homogeneous():
         raise ValueError("bidecompose needs a homogeneous polynomial")
-    d = F.degree()
-    comps = [BiComponent(p, (i, d - i)) for i, p in F.split(D.h_degree_of_exponent).items()]
-    got = D._bidecompositions[F] = BiDecomposition(comps, comps[0].poly, comps[-1].poly)
-    return got
+    parts = F.split(D.h_degree_of_exponent)
+    D._bidecompositions[id(F)] = (F, parts)
+    return parts
 
 
 def jacobian_rank(polys, trials: int = 5, seed: int = 0, bound: int = 997) -> int:
@@ -419,11 +413,13 @@ def ggs_check(D: Decomposition, B: HilbertBasis, side: str = "h",
     tops = []
     sum_m = 0
     for F, d in B.generators:
-        extreme = bidecompose(D, F).components[0 if side == "h" else -1]
-        deg_m = extreme.bidegree[side == "h"]
-        tval = extreme.poly.support_vars() <= toral_set if horo else None
-        rows.append(GgsRow(d, deg_m, tval, extreme.bidegree))
-        tops.append(extreme.poly)
+        parts = bidecompose(D, F)
+        i = (min if side == "h" else max)(parts)
+        bidegree = (i, d - i)
+        deg_m = bidegree[side == "h"]
+        tval = parts[i].support_vars() <= toral_set if horo else None
+        rows.append(GgsRow(d, deg_m, tval, bidegree))
+        tops.append(parts[i])
         sum_m += deg_m
     dim_m = D.dim_r if side == "h" else D.dim_h
     verdict = sum_m == dim_m

@@ -69,10 +69,6 @@ class Matrix:
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[0] * ncols for _ in range(nrows)])
-
-    @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
         return cls(list(zip(*cols)))
 

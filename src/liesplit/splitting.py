@@ -69,7 +69,7 @@ class Decomposition:
         else:
             self.h_degree_of_exponent = itemgetter(*h) if h else lambda e: 0
         self._contractions: dict = {}  # side -> its contraction, see ``contract``
-        self._bidecompositions: dict = {}  # polynomial -> its split, see ``bidecompose``
+        self._bidecompositions: dict = {}  # id(F) -> (F, its split), see ``bidecompose``
         self.t1_indices: tuple = ()
         self.t0_indices: tuple = ()
         self.is_horospherical = False

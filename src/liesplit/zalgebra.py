@@ -103,12 +103,10 @@ def z_generators(S: Splitting, B: HilbertBasis, z0_gens=(), zinf_gens=(),
         out.append((poly, tag))
 
     for j, (F, d) in enumerate(B.generators):
-        dec = bidecompose(S, F)
-        for comp in dec.components:
-            i = comp.bidegree[0]
+        for i, comp in bidecompose(S, F).items():
             if mode == "m_tilde" and not (0 < i < d):
                 continue
-            push(comp.poly, f"F{j + 1}[{i},{d - i}]")
+            push(comp, f"F{j + 1}[{i},{d - i}]")
     for g in z0_gens:
         push(g, "Z0")
     for g in zinf_gens:
@@ -164,8 +162,10 @@ def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0,
 
     Jacobi across the whole pencil, bi-decomposition reconstruction,
     extreme components invariant under the matching contractions, sampled
-    pencil commutativity of bi-components, tensor skewness/parity with the
-    kernel identity, and contraction rank monotonicity on Ann(h).
+    pencil commutativity of bi-components (``n_pairs`` pairs of at most
+    ``pair_budget`` term products, False when 200 draws find fewer), tensor
+    skewness/parity with the kernel identity, and contraction rank
+    monotonicity on Ann(h).
 
     ``pencil_jacobi`` and pencil commutativity are decided at the two
     contractions (Lie by the proof in ``contract``) and ``S.algebra``, as
@@ -183,14 +183,14 @@ def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0,
     extreme_invariant = True
     all_components = []
     for F, d in B.generators:
-        dec = bidecompose(S, F)
+        parts = bidecompose(S, F)
         total = Polynomial.zero(F.nvars)
-        for c in dec.components:
-            total = total + c.poly
-            all_components.append(c.poly)
+        for c in parts.values():
+            total = total + c
+            all_components.append(c)
         recon = recon and total == F
-        extreme_invariant = extreme_invariant and verify_invariance(con_h, dec.top)
-        extreme_invariant = extreme_invariant and verify_invariance(con_r, dec.bottom)
+        extreme_invariant = extreme_invariant and verify_invariance(con_h, parts[min(parts)])
+        extreme_invariant = extreme_invariant and verify_invariance(con_r, parts[max(parts)])
     results["bidecompose_reconstruction"] = recon
     results["extreme_components_invariant"] = extreme_invariant
 
@@ -205,7 +205,7 @@ def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0,
         if len(pa.terms) * len(pb.terms) > pair_budget:
             continue
         pairs.append((pa, pb))
-    results["pencil_commutativity_sampled"] = all(
+    results["pencil_commutativity_sampled"] = len(pairs) == n_pairs and all(
         poisson_bracket(L, pa, pb).is_zero() for pa, pb in pairs for L in (con_h, con_r))
 
     # tensor samples: tensor_at asserts the even rank and skewness is checked below;
@@ -359,22 +359,18 @@ def _centre_generators(S: Splitting, B: HilbertBasis):
     z0 = _toral_variable_polys(S, S.t0_indices)
     zinf = _toral_variable_polys(S, S.t1_indices)
     for F, d in B.generators:
-        dec = bidecompose(S, F)
-        if not dec.top.support_vars() <= t0set:
-            z0.append(dec.top)
-        if not dec.bottom.support_vars() <= t1set:
-            zinf.append(dec.bottom)
+        parts = bidecompose(S, F)
+        top, bottom = parts[min(parts)], parts[max(parts)]
+        if not top.support_vars() <= t0set:
+            z0.append(top)
+        if not bottom.support_vars() <= t1set:
+            zinf.append(bottom)
     return z0, zinf
 
 
 def _middle_components_nonzero(S: Splitting, B: HilbertBasis) -> bool:
-    for F, d in B.generators:
-        dec = bidecompose(S, F)
-        present = {c.bidegree[0] for c in dec.components}
-        for i in range(1, d):
-            if i not in present:
-                return False
-    return True
+    """Every generator of degree d has a nonzero component of each h-degree 0 < i < d."""
+    return all(bidecompose(S, F).keys() >= set(range(1, d)) for F, d in B.generators)
 
 
 # -- individual cases --------------------------------------------------------

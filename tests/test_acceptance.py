@@ -265,7 +265,7 @@ def test_criterion_9_property_suites_and_complement_operator():
     e, h, f = (Polynomial.variable(3, i) for i in range(3))
     C = h * h + 4 * e * f
     S = make_splitting(sl2, (0, 1))
-    top = bidecompose(S, C).top
+    top = bidecompose(S, C)[1]
     for alpha, beta in ((2, 5), (-1, 3)):
         image = f + alpha * e + beta * h
         L_top = top.map_vars([e, h, image], 3)
@@ -275,7 +275,8 @@ def test_criterion_9_property_suites_and_complement_operator():
         fwd = inverse(A)
         C_new = C.map_vars([Polynomial.linear_form(3, fwd.rows[i]) for i in range(3)], 3)
         D2 = make_decomposition(adapted, (0, 1))
-        top_new = bidecompose(D2, C_new).top
+        parts = bidecompose(D2, C_new)
+        top_new = parts[min(parts)]
         back = top_new.map_vars([Polynomial.linear_form(3, A.rows[i]) for i in range(3)], 3)
         assert back == L_top
     elapsed = time.perf_counter() - t0

@@ -184,10 +184,7 @@ def test_bidecompose_sl2_casimir():
     S = make_splitting(sl2, (0, 1))
     e, h, f = (Polynomial.variable(3, i) for i in range(3))
     C = h * h + 4 * e * f
-    dec = bidecompose(S, C)
-    assert [c.bidegree for c in dec.components] == [(1, 1), (2, 0)]
-    assert dec.top == 4 * e * f
-    assert dec.bottom == h * h
+    assert bidecompose(S, C) == {1: 4 * e * f, 2: h * h}
 
 
 def test_bidecompose_monomial_single_component():
@@ -195,9 +192,7 @@ def test_bidecompose_monomial_single_component():
     S = make_splitting(sl2, (0, 1))
     e = Polynomial.variable(3, 0)
     f = Polynomial.variable(3, 2)
-    dec = bidecompose(S, e * f**2)
-    assert len(dec.components) == 1
-    assert dec.top is dec.components[0].poly
+    assert bidecompose(S, e * f**2) == {1: e * f**2}
 
 
 def test_bidecompose_requires_homogeneous():
@@ -214,44 +209,40 @@ def test_bidecompose_double_casimir_components():
     e, h, f, xi = (Polynomial.variable(4, i) for i in range(4))
     C = h * h + 4 * e * f
     Bc = transport_basis(custom_basis(d, [(C, 2)]), S)
-    dec = bidecompose(S, Bc.polys[0])
+    parts = bidecompose(S, Bc.polys[0])
     names = S.algebra.names
     m = Polynomial.variable(4, names.index("t1_1"))
     p = Polynomial.variable(4, names.index("t0_1"))
     eA = Polynomial.variable(4, names.index("E12"))
     fA = Polynomial.variable(4, names.index("E21"))
-    assert {c.bidegree: c.poly for c in dec.components} == {
-        (0, 2): QQ(1, 4) * p * p, (1, 1): QQ(1, 2) * m * p + 4 * eA * fA, (2, 0): QQ(1, 4) * m * m}
+    assert parts == {0: QQ(1, 4) * p * p, 1: QQ(1, 2) * m * p + 4 * eA * fA, 2: QQ(1, 4) * m * m}
 
 
 def test_bidecompose_is_split_once_per_splitting_and_value():
     sl2 = build_sl(2)
     e, h, f = (Polynomial.variable(3, i) for i in range(3))
     S = make_splitting(sl2, (0, 1))
-    dec = bidecompose(S, h * h + 4 * e * f)
-    # the same value by another route, with a different term order
+    C = h * h + 4 * e * f
+    dec = bidecompose(S, C)
+    # the memo is keyed by the object: the same polynomial returns the same dict
+    assert bidecompose(S, C) is dec
+    assert list(dec) == [1, 2]
+    # the same value by another route, with a different term order, splits equally
     again = bidecompose(S, Polynomial(3, {(1, 0, 1): 8, (0, 2, 0): 2}).scale(QQ(1, 2)))
-    assert again is dec
-    assert [(c.poly, c.bidegree) for c in again.components] == [(4 * e * f, (1, 1)),
-                                                               (h * h, (2, 0))]
+    assert again == dec == {1: 4 * e * f, 2: h * h}
     # another splitting of the same algebra splits the same polynomial its own way
-    other = bidecompose(make_splitting(sl2, (1, 2)), h * h + 4 * e * f)
-    assert [(c.poly, c.bidegree) for c in other.components] == [(4 * e * f, (1, 1)),
-                                                               (h * h, (2, 0))]
-    other = bidecompose(make_decomposition(sl2, (1,)), h * h + 4 * e * f)
-    assert [(c.poly, c.bidegree) for c in other.components] == [(4 * e * f, (0, 2)),
-                                                               (h * h, (2, 0))]
-    assert bidecompose(S, h * h + 4 * e * f) is dec
+    assert bidecompose(make_splitting(sl2, (1, 2)), C) == {1: 4 * e * f, 2: h * h}
+    assert bidecompose(make_decomposition(sl2, (1,)), C) == {0: 4 * e * f, 2: h * h}
+    assert bidecompose(S, C) is dec
 
 
 def test_reconstruction_property():
     g, S = sl3_paper_splitting()
     B = transport_basis(hilbert_basis(g, "trace_powers"), S)
     for F, d in B.generators:
-        dec = bidecompose(S, F)
         total = Polynomial.zero(F.nvars)
-        for c in dec.components:
-            total = total + c.poly
+        for c in bidecompose(S, F).values():
+            total = total + c
         assert total == F
 
 
@@ -261,9 +252,9 @@ def test_extreme_components_invariant_under_contractions():
     ch = contract(S, "keep_h")
     cr = contract(S, "keep_r")
     for F, d in B.generators:
-        dec = bidecompose(S, F)
-        assert verify_invariance(ch, dec.top)
-        assert verify_invariance(cr, dec.bottom)
+        parts = bidecompose(S, F)
+        assert verify_invariance(ch, parts[min(parts)])
+        assert verify_invariance(cr, parts[max(parts)])
 
 
 def test_pencil_commutativity_of_components():
@@ -272,7 +263,7 @@ def test_pencil_commutativity_of_components():
     B = transport_basis(hilbert_basis(g, "trace_powers"), S)
     comps = []
     for F, d in B.generators:
-        comps.extend(c.poly for c in bidecompose(S, F).components)
+        comps.extend(bidecompose(S, F).values())
     params = [BracketParameter(1, 0), BracketParameter(0, 1), BracketParameter(1, 1)]
     params += [BracketParameter(1, rng.randint(2, 30)) for _ in range(5)]
     for _ in range(8):
@@ -288,7 +279,7 @@ def test_complement_independence_operator():
     e, h, f = (Polynomial.variable(3, i) for i in range(3))
     C = h * h + 4 * e * f
     S = make_splitting(sl2, (0, 1))
-    top_m = bidecompose(S, C).top
+    top_m = bidecompose(S, C)[1]
     for alpha, beta in ((1, 0), (0, 1), (3, -2)):
         # operator L: identity on b, f -> f + alpha e + beta h
         image = f + alpha * e + beta * h
@@ -306,7 +297,8 @@ def test_complement_independence_operator():
         fwd = inverse(A)
         C_new = C.map_vars([Polynomial.linear_form(3, fwd.rows[i]) for i in range(3)], 3)
         D2 = make_decomposition(adapted, (0, 1))
-        top_new = bidecompose(D2, C_new).top
+        parts = bidecompose(D2, C_new)
+        top_new = parts[min(parts)]
         back = top_new.map_vars([Polynomial.linear_form(3, A.rows[i]) for i in range(3)], 3)
         assert back == L_top
 
@@ -449,8 +441,7 @@ def test_double_shift_bidegree():
     assert sh.polys[0] == C - xi * xi
     S = horospherical_splitting(d, [[QQ0, QQ1, QQ0, -QQ1]])
     shifted = transport_basis(sh, S)
-    dec = bidecompose(S, shifted.polys[0])
-    assert [c.bidegree for c in dec.components] == [(1, 1)]
+    assert list(bidecompose(S, shifted.polys[0])) == [1]
     # r-side shift for even degree coincides with the h-side shift
     assert double_shift_basis(B, side="r").polys[0] == sh.polys[0]
 
@@ -486,7 +477,7 @@ def test_trdeg_of_top_components_matches_rank_on_borel():
         g = build_sl(n)
         S = make_splitting(g, tuple(g.triangular.plus) + tuple(g.triangular.cartan))
         B = hilbert_basis(g, "charpoly")
-        tops = [bidecompose(S, F).top for F, _ in B.generators]
+        tops = [parts[min(parts)] for parts in (bidecompose(S, F) for F in B.polys)]
         assert jacobian_rank(tops, trials=5, seed=0) == g.rank
 
 
@@ -526,15 +517,15 @@ def test_jacobian_rank_rows_are_the_evaluated_gradients():
     cases = ((so8_split, "so_minors_pfaffian"), (_sl4_splitting()[1], "charpoly"))
     for S, kind in cases:
         B = hilbert_basis(S.algebra, kind)
-        for side in ("top", "bottom"):
-            polys = [getattr(bidecompose(S, F), side) for F in B.polys]
+        for side in (min, max):
+            polys = [parts[side(parts)] for parts in (bidecompose(S, F) for F in B.polys)]
             for seed, bound in ((0, 997), (1, 97), (2, 1)):
                 want = _jacobian_rank_by_eval(polys, trials=3, seed=seed, bound=bound)
                 assert jacobian_rank(polys, trials=3, seed=seed, bound=bound) == want
             if S is so8_split:  # a good generating system: top and bottom ranks are 4
                 assert jacobian_rank(polys, trials=3) == so8.rank
     # the sl_4 components carry denominators up to 256
-    assert max(bidecompose(S, F).top.den for F in B.polys) == 256
+    assert max(parts[min(parts)].den for parts in (bidecompose(S, F) for F in B.polys)) == 256
 
 
 # -- invariance on every coordinate ------------------------------------------
@@ -562,8 +553,8 @@ def _invariance_cases():
     cases = [(L, hilbert_basis(L, kind).polys, L.triangular) for L, kind in builders]
     g, S = sl3_paper_splitting()
     decs = [bidecompose(S, F) for F in transport_basis(hilbert_basis(g, "trace_powers"), S).polys]
-    cases.append((contract(S, "keep_h"), [d.top for d in decs], S.algebra.triangular))
-    cases.append((contract(S, "keep_r"), [d.bottom for d in decs], S.algebra.triangular))
+    cases.append((contract(S, "keep_h"), [p[min(p)] for p in decs], S.algebra.triangular))
+    cases.append((contract(S, "keep_r"), [p[max(p)] for p in decs], S.algebra.triangular))
     return cases
 
 

@@ -25,7 +25,7 @@ def test_identity_full_rank():
 
 
 def test_zero_matrix_nullspace():
-    r, basis = rank_and_nullspace(Matrix.zeros(2, 3))
+    r, basis = rank_and_nullspace(Matrix([[0, 0, 0], [0, 0, 0]]))
     assert r == 0
     assert len(basis) == 3
 

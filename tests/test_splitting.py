@@ -173,7 +173,7 @@ def test_pencil_bracket_is_linear_on_bi_components():
     for g, kind, t1 in cases:
         S = horospherical_splitting(g, t1)
         B = transport_basis(hilbert_basis(g, kind), S)
-        polys = [c.poly for F, _ in B.generators for c in bidecompose(S, F).components]
+        polys = [c for F in B.polys for c in bidecompose(S, F).values()]
         polys += [Polynomial.variable(g.dim, i) for i in range(g.dim)]
         params = [(1, 0), (0, 1), (1, 1), (2, 0), (1, QQ(rng.randint(-40, 40), rng.randint(1, 9)))]
         members = [(QQ(a), QQ(b), pencil_member(S, (a, b))) for a, b in params]

@@ -136,8 +136,7 @@ def test_fractional_bracket_matches_sympy(side):
     # bi-components with denominators: (2, 0) of p2 with (1, 2) of p3 at keep_h,
     # (0, 2) of p2 with (2, 1) of p3 at keep_r
     h2, h3 = (2, 1) if side == "keep_h" else (0, 2)
-    F, G = ({c.bidegree[0]: c.poly for c in bidecompose(S, p).components}[i]
-            for p, i in ((p2, h2), (p3, h3)))
+    F, G = (bidecompose(S, p)[i] for p, i in ((p2, h2), (p3, h3)))
     assert F.den > 1 and G.den > 1
     xs = sympy.symbols(f"x0:{C.dim}")
     # the pair commutes (the bi-components span a Poisson-commutative family); times

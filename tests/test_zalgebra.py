@@ -9,8 +9,8 @@ import pytest
 
 from liesplit.liealg import build_double, build_sl
 from liesplit import zalgebra
-from liesplit.invariants import (custom_basis, ggs_check, hilbert_basis, jacobian_rank,
-                                 transport_basis)
+from liesplit.invariants import (HilbertBasis, bidecompose, custom_basis, ggs_check,
+                                 hilbert_basis, jacobian_rank, transport_basis)
 from liesplit.poisson import poisson_bracket
 from liesplit.poly import Polynomial
 from liesplit.rationals import QQ, QQ0, QQ1
@@ -40,8 +40,8 @@ def test_z_generators_full_mode_sl2():
     tops = []  # Z0 = k[F_top]; Zinf = S(t) since the whole Cartan sits in h
     from liesplit.invariants import bidecompose
 
-    dec = bidecompose(S, B.polys[0])
-    Z = z_generators(S, B, [dec.top], [t_var], mode="full")
+    parts = bidecompose(S, B.polys[0])
+    Z = z_generators(S, B, [parts[min(parts)]], [t_var], mode="full")
     tags = [tag for _, tag in Z]
     # both components, plus the toral line from the opposite centre; the
     # supplied Z0 generator coincides with the top component and merges away
@@ -170,6 +170,58 @@ def test_property_suite_borel_sl3():
     B = transport_basis(hilbert_basis(sl3, "charpoly"), S)
     results = property_suite(S, B, seed=3)
     assert all(results.values())
+
+
+def test_pencil_commutativity_needs_every_sampled_pair():
+    sl2, S, B = borel_sl2()
+    assert property_suite(S, B, seed=0)["pencil_commutativity_sampled"] is True
+    # no pair of components fits a budget of zero term products: nothing is bracketed
+    assert property_suite(S, B, seed=0, pair_budget=0)["pencil_commutativity_sampled"] is False
+
+
+def _sl3_one_toral_line():
+    """sl3 split horospherically by one Cartan direction t1_1, with t0 the line t0_1."""
+    sl3 = build_sl(3)
+    cartan = sl3.triangular.cartan
+    S = horospherical_splitting(sl3, [[QQ1 if i == cartan[0] else QQ0 for i in range(8)]])
+    x = dict(zip(S.algebra.names, (Polynomial.variable(8, i) for i in range(8))))
+    return S, x
+
+
+def test_centre_generators_are_toral_variables_and_extreme_components():
+    S, x = _sl3_one_toral_line()
+    B = hilbert_basis(S.algebra, "charpoly")
+    e2, e3 = (bidecompose(S, F) for F in B.polys)
+    t0, t1 = x["t0_1"], x["t1_1"]
+    # every least-h-degree component lies on t0, so z0 is t0 alone
+    assert (e2[0], e3[0]) == (QQ(-1, 12) * t0**2, QQ(-1, 108) * t0**3)
+    # of the least-r-degree components, e_2's lies on t1 and e_3's does not
+    assert e2[2] == QQ(-1, 4) * t1**2
+    want = (x["E12"] * x["E23"] * x["E31"] + QQ(1, 2) * x["E13"] * t1 * x["E31"]
+            - QQ(1, 2) * x["E23"] * t1 * x["E32"] + QQ(1, 12) * t1**2 * t0)
+    assert e3[2] == want
+    z0, zinf = zalgebra._centre_generators(S, B)
+    assert z0 == [t0]
+    assert zinf == [t1, want]
+    # on the Borel of sl2 t0 is empty and the least-h-degree component joins z0
+    sl2, S2, B2 = borel_sl2()
+    parts = bidecompose(S2, B2.polys[0])
+    t1 = Polynomial.variable(3, S2.algebra.names.index("t1_1"))
+    assert zalgebra._centre_generators(S2, B2) == ([parts[min(parts)]], [t1])
+
+
+def test_middle_components_nonzero_finds_a_missing_h_degree():
+    S, x = _sl3_one_toral_line()
+    L = S.algebra
+    t0, t1, e12, e21 = x["t0_1"], x["t1_1"], x["E12"], x["E21"]
+    assert zalgebra._middle_components_nonzero(S, hilbert_basis(L, "charpoly"))
+    # h-degrees 0 and 1 of a cubic: the middle h-degree 2 is missing
+    assert list(bidecompose(S, t0**3 + t0**2 * t1)) == [0, 1]
+    assert not zalgebra._middle_components_nonzero(
+        S, HilbertBasis(L, "custom", ((t1, 1), (t0**3 + t0**2 * t1, 3))))
+    # h-degrees 0, 1, 2 of a quadric, and a linear form with no middle h-degree at all
+    assert zalgebra._middle_components_nonzero(
+        S, HilbertBasis(L, "custom", ((t0, 1), (t0**2 + e12 * e21 + t1**2, 2))))
 
 
 def test_pencil_jacobi_fails_when_a_member_loses_an_entry(monkeypatch):
