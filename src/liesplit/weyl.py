@@ -11,13 +11,14 @@ of the indices of w(alpha_1), ..., w(alpha_r) in one fixed list of all
 roots (six bytes per element of W(E6)).  An element x permutes the
 roots, and ``key.translate(perm_x)`` is the key of x w, so enumeration
 and the normalizer computation run on keys and integers and never form a
-matrix.  W is enumerated as a chain of parabolic cosets (Humphreys,
+matrix.  All keys sit back to back in one ``bytes`` table, r bytes per
+element.  W is enumerated as a chain of parabolic cosets (Humphreys,
 *Reflection Groups and Coxeter Groups*, 1.10 and 1.12), one
-``translate`` per element and no membership test, and the result is
-checked exhaustively: closed under every generator, no key twice, and
-|W| = prod d_i.  Model-space matrices are built only on request, as the
-int8 product over an element's generator word, and are checked against
-the key.
+``translate`` per coset and no membership test, and the result is
+checked: closed under every generator, no key twice (proved from the
+coset structure, with no table of seen keys) and |W| = prod d_i.
+Model-space matrices are built only on request, as the int8 product over
+an element's generator word, and are checked against the key.
 
 Each root system carries its fundamental degrees (A_n: 2, ..., n+1; D_n:
 2, 4, ..., 2n-2 and n; E6: 2, 5, 6, 8, 9, 12): |W| = prod d_i bounds and
@@ -34,8 +35,9 @@ fixes x; one block per matrix would cost |W0| times the rows.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, count, islice, product, repeat
+from itertools import combinations_with_replacement, product
 from math import prod
 from operator import mul
 
@@ -166,40 +168,82 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
                       degrees, tuple(pos_alpha))
 
 
+class KeyTable:
+    """A read-only sequence of ``bytes``: keys stored back to back in ``data``, ``width``
+    bytes each.  ``find`` matches only at key-aligned offsets."""
+
+    __slots__ = ("data", "width")
+
+    def __init__(self, data: bytes, width: int):
+        self.data = data
+        self.width = width
+
+    def __len__(self):
+        return len(self.data) // self.width
+
+    def __getitem__(self, k: int) -> bytes:
+        k = range(len(self))[k]   # negative k and IndexError as for a list
+        return self.data[k * self.width:(k + 1) * self.width]
+
+    def __iter__(self):
+        w = self.width
+        return (self.data[i:i + w] for i in range(0, len(self.data), w))
+
+    def find(self, key, start: int = 0, end: int | None = None) -> int:
+        """Position of the first key equal to ``key`` among keys start..end-1, or -1; a
+        match across a key boundary does not count."""
+        w = self.width
+        if len(key) != w:
+            return -1
+        stop = len(self.data) if end is None else end * w
+        at = self.data.find(key, start * w, stop)
+        while at > 0 and at % w:
+            at = self.data.find(key, at - at % w + w, stop)
+        return at // w if at >= 0 else -1
+
+
+Sequence.register(KeyTable)   # registered, not subclassed: random.sample takes it as is
+
+
 class WeylGroup:
     """A finite Weyl group with elements keyed by root images.
 
     ``roots`` lists every root in model coordinates as integer tuples, the
     positive roots first and then their negatives.  The key of w is the
     ``bytes`` whose i-th entry is the index of w(alpha_i) in ``roots``.
+    ``keys`` holds every key back to back, r = rank bytes each, and
+    ``elements`` reads it as a sequence of keys.
 
     ``elements`` is in coset order.  Let W_j = <s_1, ..., s_j> (W_0 = {1})
     and let v_j pair to delta_ij with alpha_i.  The W_j-orbit of v_j is a
     breadth-first walk under s_1, ..., s_j from v_j; the walk gives each
     point p a representative d_p, with d_(s p) = s d_p for the step that
     first reaches s p.  Then W_j is listed as the blocks d_p W_(j-1), one per
-    point in walk order, each block being the keys of W_(j-1) translated by
-    the root permutation of d_p; W_(j-1) itself is the first block.  v_j is
-    dominant and W_(j-1) is its stabilizer, so the blocks are the cosets,
-    but the enumeration does not rely on it.  It checks, for every point p
-    and generator s, that s d_p lies in the block of s p; with W_(j-1) a
-    group by induction, s (d_p W_(j-1)) then stays in the listed set, which
-    contains 1 and so is all of W_j.  It checks that no key repeats, and at
-    the end that |W| = prod d_i.
+    point in walk order, each block being the keys of W_(j-1) passed
+    through the root permutation of d_p by one ``translate``; W_(j-1) itself
+    is the first block.  v_j is dominant and W_(j-1) is its stabilizer, so
+    the blocks are the cosets, but the enumeration does not rely on it.  It
+    checks, for every point p and generator s, that s d_p lies in the block
+    of s p; with W_(j-1) a group by induction, s (d_p W_(j-1)) then stays in
+    the listed set, which contains 1 and so is all of W_j.  No key repeats:
+    each simple reflection is checked once to permute the roots, and
+    s_1, ..., s_(j-1) are checked to fix v_j, so every element of block p
+    sends v_j to p; blocks of distinct points are then disjoint, and within
+    a block distinct keys of W_(j-1) stay distinct.  At the end it checks
+    |W| = prod d_i.
 
     Element k > 0 is s_last[k] applied after element parent[k]: the element
     d_(s p) w of a block is s applied after d_p w.  A representative from
     the walk is the shortest in its coset, so each word is reduced.
     """
 
-    def __init__(self, root_system: RootSystem, roots, elements, index, parent, last,
-                 generators):
+    def __init__(self, root_system: RootSystem, roots, keys: bytes, parent, last, generators):
         self.root_system = root_system
         self.n = root_system.model_dim
         self.roots = roots
-        self.elements = elements          # list of bytes keys, in coset order, identity first
+        self.keys = keys                  # every key back to back, coset order, identity first
+        self.elements = KeyTable(keys, root_system.rank)
         self.generators = generators      # keys of the simple reflections
-        self._index = index               # key -> position in elements
         self._parent = parent
         self._last = last
 
@@ -209,8 +253,8 @@ class WeylGroup:
 
     def matrix(self, element: bytes) -> Matrix:
         """Model-space matrix: the int8 product of the element's generator word."""
-        k = self._index.get(element)
-        if k is None:
+        k = self.elements.find(element)
+        if k < 0:
             raise ValueError("not an element of this Weyl group")
         rs = self.root_system
         n = self.n
@@ -235,6 +279,7 @@ def enumerate_weyl(rs: RootSystem) -> WeylGroup:
     """
     order = prod(rs.degrees)
     n = rs.model_dim
+    width = rs.rank   # bytes per key
     positive = [_int_vector(r) for r in rs.positive_roots]
     roots = tuple(positive + [tuple(-x for x in r) for r in positive])
     if len(roots) > 256:
@@ -242,26 +287,33 @@ def enumerate_weyl(rs: RootSystem) -> WeylGroup:
     where = {r: k for k, r in enumerate(roots)}
     pad = bytes(range(len(roots), 256))
     perms = []   # root permutations of the simple reflections, 256 bytes each
-    for g in rs.reflections:
+    for i, g in enumerate(rs.reflections):
         mat = _decode(g, n)
         perms.append(bytes(where[tuple(sum(map(mul, row, r)) for row in mat)] for r in roots) + pad)
+        if len(set(perms[-1])) != 256:
+            raise AssertionError(f"s_{i + 1} does not permute the roots")
     unit = bytes(range(256))   # the identity permutation
     zeros = bytes(256 - len(roots))
     coords = bytes(x & 0xFF for a in rs.positive_alpha for x in a)   # row by row, mod 256
     identity = bytes(where[_int_vector(a)] for a in rs.simple_roots)
-    index = {identity: 0}
-    elements = [identity]
+    keys = bytearray(identity)
+    table = KeyTable(keys, width)   # reads the keys as they grow
     parent = array("I", [0])
     last = array("B", [0])
     for j in range(rs.rank):
-        m = len(elements)   # the prefix: the group of the previous level, the first block
+        prefix = bytes(keys)   # the group of the previous level, the first block
+        m = len(prefix) // width
         # <s v, root_b> = <v, s root_b>: s sends the pairings P to b -> P[perm_s[b]]
         column = coords[j::rs.rank]   # the alpha_j-coordinates of the positive roots
         start = column + column.translate(_NEGATE) + zeros
+        # the prefix fixes v_j, so block p sends v_j to p and blocks of distinct points are
+        # disjoint; an s_i moving v_j would make the block of s_i v_j the prefix again
+        if any(perms[i].translate(start) != start for i in range(j)):
+            raise AssertionError(f"Weyl enumeration repeats an element at level {j + 1}")
         orbit = [start]
         points = {start: 0}
         reps = [unit]   # root permutation of the representative of each point
-        for d, point in enumerate(orbit):   # point d's block is elements[d * m:(d + 1) * m]
+        for d, point in enumerate(orbit):   # point d's block is keys d * m .. (d + 1) * m - 1
             for s in range(j + 1):
                 image = perms[s].translate(point)
                 e = points.setdefault(image, len(orbit))
@@ -270,22 +322,18 @@ def enumerate_weyl(rs: RootSystem) -> WeylGroup:
                     if m * (e + 1) > order:
                         raise AssertionError(f"Weyl enumeration passed |W| = {order}")
                     reps.append(reps[d].translate(perms[s]))
-                    elements.extend(map(bytes.translate, islice(elements, m), repeat(reps[e])))
-                    index.update(zip(elements[e * m:], count(e * m)))
-                    if len(index) != len(elements):
-                        raise AssertionError(
-                            f"Weyl enumeration repeats an element at level {j + 1}")
+                    keys += prefix.translate(reps[e])
                     parent.extend(range(d * m, (d + 1) * m))
                     last.frombytes(bytes((s,)) * m)
                 # closure: s d_p lies in the block of s p, i.e. d_(s p)^-1 s d_p is in the prefix
-                k = index.get(elements[d * m].translate(perms[s]))
-                if k is None or k // m != e:
+                rep = keys[d * m * width:(d * m + 1) * width].translate(perms[s])
+                if table.find(rep, e * m, (e + 1) * m) < 0:
                     raise AssertionError(
                         f"Weyl enumeration is not closed under s_{s + 1} at level {j + 1}")
-    if len(elements) != order:
-        raise AssertionError(f"enumerated order {len(elements)} != |W| = {order}")
+    if len(keys) != order * width:
+        raise AssertionError(f"enumerated order {len(keys) // width} != |W| = {order}")
     generators = [identity.translate(p) for p in perms]
-    return WeylGroup(rs, roots, elements, index, parent, last, generators)
+    return WeylGroup(rs, roots, bytes(keys), parent, last, generators)
 
 
 @dataclass
@@ -376,7 +424,7 @@ def w0_compute(W: WeylGroup, t0_basis) -> W0Report:
     n_count = 0
     z_count = 0
     images: dict[tuple, None] = {}   # integer images of the t0 basis, one per W0 element
-    for el in W.elements:
+    for el in zip(*[iter(W.keys)] * rs.rank):   # each key as a tuple of root indices
         for coeffs, lookup, target in checks:
             if sum(map(mul, coeffs, map(lookup, el))) != target:
                 break

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 from math import prod
@@ -162,6 +163,62 @@ def test_every_enumeration_check_fires():
         enumerate_weyl(replace(rs, degrees=(2, 2)))   # the third coset of <s_1> passes 4
     with pytest.raises(AssertionError, match="enumerated order 2 != "):
         enumerate_weyl(replace(rs, reflections=(s0, s0)))
+
+
+def test_enumeration_checks_each_reflection_permutes_the_roots():
+    # a "root system" with roots +-(1, -1), +-(1, 0) and a singular s_1 that sends
+    # (1, -1) and (1, 0) both to (1, 0): every image is a root, but two coincide
+    rs = build_root_system("A", 1)
+    fake = replace(rs, positive_roots=((1, -1), (1, 0)), positive_alpha=((1,), (1,)),
+                   reflections=(_encode([[1, 0], [0, 0]], 2),))
+    with pytest.raises(AssertionError, match="s_1 does not permute the roots"):
+        enumerate_weyl(fake)
+
+
+def test_key_table_is_a_sequence_of_keys_in_coset_order():
+    rs = build_root_system("A", 3)
+    W = enumerate_weyl(rs)
+    r = rs.rank
+    keys = list(W.elements)
+    assert len(W.elements) == W.order == len(keys) == len(W.keys) // r
+    assert keys == [W.keys[k * r:(k + 1) * r] for k in range(W.order)]
+    assert all(type(key) is bytes for key in keys)
+    assert W.elements[-1] == keys[-1] and W.elements[-W.order] == keys[0]
+    for k in (W.order, -W.order - 1):
+        with pytest.raises(IndexError):
+            W.elements[k]
+    # the order that _parent and _last index: element k is s_last[k] after element parent[k]
+    for k in range(1, W.order):
+        gen = W.generators[W._last[k]]
+        assert W.matrix(keys[k]) == W.matrix(gen) * W.matrix(keys[W._parent[k]])
+    assert [W.elements.find(key) for key in keys] == list(range(W.order))
+    assert set(random.Random(0).sample(W.elements, 5)) <= set(keys)
+
+
+def test_key_table_finds_only_aligned_keys():
+    W = enumerate_weyl(build_root_system("A", 3))
+    r = W.root_system.rank
+    keys = set(W.elements)
+    # a run of r bytes that straddles two stored keys and is no key itself
+    straddling = next(W.keys[i:i + r] for i in range(1, len(W.keys) - r)
+                      if i % r and W.keys[i:i + r] not in keys)
+    assert W.keys.find(straddling) >= 0
+    assert W.elements.find(straddling) == -1
+    with pytest.raises(ValueError, match="not an element"):
+        W.matrix(straddling)
+    assert W.elements.find(W.elements[0][:-1]) == -1
+
+
+def test_enumeration_of_e6_stays_small():
+    rs = build_root_system("E6")
+    tracemalloc.start()
+    try:
+        W = enumerate_weyl(rs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(W.keys) == 6 * 51840
+    assert peak < 2_000_000, peak
 
 
 _W0_CASES = [

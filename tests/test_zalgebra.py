@@ -179,6 +179,47 @@ def test_pencil_commutativity_needs_every_sampled_pair():
     assert property_suite(S, B, seed=0, pair_budget=0)["pencil_commutativity_sampled"] is False
 
 
+def _suite_brackets(monkeypatch, name, n):
+    """The case report at seed 1 and the (algebra, F, G) of every ``poisson_bracket`` call
+    that ``property_suite`` makes in it."""
+    calls = []
+    suite = zalgebra.property_suite
+
+    def recording(*args, **kw):
+        def bracket(L, F, G):
+            calls.append((L, F, G))
+            return poisson_bracket(L, F, G)
+
+        monkeypatch.setattr(zalgebra, "poisson_bracket", bracket)
+        try:
+            return suite(*args, **kw)
+        finally:
+            monkeypatch.setattr(zalgebra, "poisson_bracket", poisson_bracket)
+
+    monkeypatch.setattr(zalgebra, "property_suite", recording)
+    return run_case(name, {"n": n}, seed=1), calls
+
+
+def test_sampled_pencil_pairs_are_bracketed_once(monkeypatch):
+    # sl(2) has one generator with two components: one pair, once per contraction
+    rep, calls = _suite_brackets(monkeypatch, "borel", 2)
+    assert len(calls) == 2
+    (L0, *pair0), (L1, *pair1) = calls
+    assert L0 is not L1 and list(map(id, pair0)) == list(map(id, pair1))
+    assert rep.verdicts["property_pencil_commutativity_sampled"] is True
+
+
+def test_sampled_pencil_pairs_are_distinct(monkeypatch):
+    rep, calls = _suite_brackets(monkeypatch, "double", 1)
+    per_algebra = {}
+    for L, F, G in calls:
+        per_algebra.setdefault(id(L), []).append(frozenset((id(F), id(G))))
+    assert len(per_algebra) == 2
+    for pairs in per_algebra.values():
+        assert len(pairs) == 5 and len(set(pairs)) == 5
+    assert rep.verdicts["property_pencil_commutativity_sampled"] is True
+
+
 def _sl3_one_toral_line():
     """sl3 split horospherically by one Cartan direction t1_1, with t0 the line t0_1."""
     sl3 = build_sl(3)
