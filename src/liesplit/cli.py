@@ -7,8 +7,9 @@ Subcommands
     index     sampled index estimate for an algebra
 
 Exit code 0 means every asserted verdict holds; the first failed verdict
-is named on stderr otherwise.  Reports serialize as JSON with the stable
-top-level fields {case, params, seed, verdicts, tables, timings_ms}.
+is named on stderr otherwise.  Every subcommand prints one
+``zalgebra.CaseReport``: JSON with the stable top-level fields {case,
+params, seed, verdicts, tables, timings_ms, version}, or markdown.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .invariants import ggs_check, hilbert_basis
 from .poisson import index_estimate
 from .splitting import make_decomposition, make_splitting
 from .weyl import _check_dmax
-from .zalgebra import CaseParameterError, _satake, _Timer, _weyl_route, available_cases, run_case
+from .zalgebra import (CaseParameterError, CaseReport, _satake, _Timer, _weyl_route,
+                       available_cases, run_case)
 
 
 def _ints(option: str, spec: str, pattern: str) -> list:
@@ -107,33 +109,24 @@ def _json(obj, depth: int = 0) -> str:
     return "[" + pad + ("," + pad).join(_json(v, depth + 1) for v in obj) + "\n" + " " * depth + "]"
 
 
-def _emit(doc: dict, fmt: str):
+def _emit(rep: CaseReport, fmt: str):
     if fmt == "json":
-        print(_json(doc))
-    else:
-        _markdown(doc)
-
-
-def _markdown(doc: dict, depth: int = 2):
-    title = doc.get("case") or "report"
-    print(f"{'#' * depth} {title}")
+        print(_json(rep.to_dict()))
+        return
+    print(f"## {rep.case}")
     for key in ("params", "seed", "version"):
-        if key in doc:
-            print(f"- {key}: {doc[key]}")
-    verdicts = doc.get("verdicts", {})
-    if verdicts:
+        print(f"- {key}: {getattr(rep, key)}")
+    if rep.verdicts:
         print("\n| verdict | holds |")
         print("|---|---|")
-        for k, v in verdicts.items():
+        for k, v in rep.verdicts.items():
             print(f"| {k} | {'yes' if v else 'NO'} |")
-    tables = doc.get("tables", {})
-    if tables:
+    if rep.tables:
         print("\n| table entry | value |")
         print("|---|---|")
-        for k, v in tables.items():
+        for k, v in rep.tables.items():
             print(f"| {k} | {v} |")
-    if "timings_ms" in doc:
-        print(f"\n- timings_ms: {doc['timings_ms']}")
+    print(f"\n- timings_ms: {rep.timings_ms}")
 
 
 def _cmd_case(args) -> int:
@@ -146,7 +139,7 @@ def _cmd_case(args) -> int:
         rep = run_case(args.name, params, seed=args.seed, trials=args.trials, dmax=args.dmax)
     except CaseParameterError as exc:  # e.g. a non-traceless diagonal
         raise SystemExit(f"case {args.name}: {exc}") from None
-    _emit(rep.to_dict(), args.format)
+    _emit(rep, args.format)
     if not rep.passed:
         failed = [k for k, v in rep.verdicts.items() if not v]
         print(f"FAILED verdict: {failed[0]}", file=sys.stderr)
@@ -168,24 +161,14 @@ def _cmd_check_ggs(args) -> int:
     rep = _or_exit(f"check-ggs --h {args.h!r} --side {args.side}", ggs_check,
                    deco, basis, side=args.side, seed=args.seed)
     timer.lap("ggs")
-    doc = {
-        "case": "check-ggs",
-        "params": {"algebra": args.algebra, "h": args.h, "basis": args.basis},
-        "seed": args.seed,
-        "verdicts": {"is_ggs": rep.verdict,
-                     "criterion_consistent": rep.consistent in (True, None)},
-        "tables": {
-            "sum_m": rep.sum_m,
-            "dim_m": rep.dim_m,
-            "jacobian_rank": rep.jacobian_rank_top,
-            "rows": [
-                {"degree": r.degree, "deg_m": r.deg_m_top, "bidegree": list(r.bidegree_top)}
-                for r in rep.rows
-            ],
-        },
-        "timings_ms": timer.marks,
-    }
-    _emit(doc, args.format)
+    rows = [{"degree": r.degree, "deg_m": r.deg_m_top, "bidegree": list(r.bidegree_top)}
+            for r in rep.rows]
+    _emit(CaseReport("check-ggs", {"algebra": args.algebra, "h": args.h, "basis": args.basis},
+                     args.seed, {"is_ggs": rep.verdict,
+                                 "criterion_consistent": rep.consistent in (True, None)},
+                     {"sum_m": rep.sum_m, "dim_m": rep.dim_m,
+                      "jacobian_rank": rep.jacobian_rank_top, "rows": rows}, timer.marks),
+          args.format)
     return 0 if rep.consistent in (True, None) else 1
 
 
@@ -200,21 +183,16 @@ def _cmd_weyl_w0(args) -> int:
     rs, t0 = _or_exit(f"weyl-w0 {given} --arrows {args.arrows!r}", _satake, args.type, rank, arrows)
     _or_exit("weyl-w0", _check_dmax, args.dmax)
     _, rep, rc = _weyl_route(rs, t0, args.dmax, timer.lap)
-    doc = {
-        "case": "weyl-w0",
-        "params": {"type": args.type, "rank": rs.rank, "arrows": args.arrows},
-        "seed": 0,
-        "verdicts": {"restriction_onto_up_to_dmax": rc.verdict_up_to_dmax},
-        "tables": {
-            "orders": list(rep.orders),
-            "element_orders": {str(k): v for k, v in sorted(rep.element_orders.items())},
-            "per_degree": [list(x) for x in rc.per_degree],
-            "first_failure_degree": rc.first_failure_degree,
-            "dmax": rc.dmax,
-        },
-        "timings_ms": timer.marks,
+    tables = {
+        "orders": list(rep.orders),
+        "element_orders": {str(k): v for k, v in sorted(rep.element_orders.items())},
+        "per_degree": [list(x) for x in rc.per_degree],
+        "first_failure_degree": rc.first_failure_degree,
+        "dmax": rc.dmax,
     }
-    _emit(doc, args.format)
+    _emit(CaseReport("weyl-w0", {"type": args.type, "rank": rs.rank, "arrows": args.arrows}, 0,
+                     {"restriction_onto_up_to_dmax": rc.verdict_up_to_dmax}, tables, timer.marks),
+          args.format)
     return 0
 
 
@@ -225,15 +203,8 @@ def _cmd_index(args) -> int:
     est = _or_exit(f"index --trials {args.trials}", index_estimate,
                    algebra, trials=args.trials, seed=args.seed)
     timer.lap("index")
-    doc = {
-        "case": "index",
-        "params": {"algebra": args.algebra, "dim": algebra.dim},
-        "seed": args.seed,
-        "verdicts": {},
-        "tables": est.as_dict(),
-        "timings_ms": timer.marks,
-    }
-    _emit(doc, args.format)
+    _emit(CaseReport("index", {"algebra": args.algebra, "dim": algebra.dim}, args.seed, {},
+                     est.as_dict(), timer.marks), args.format)
     return 0
 
 
@@ -245,8 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("json", "markdown"), default="json")
 
-    p = sub.add_parser("case", help="run a named case study")
+    p = sub.add_parser("case", help="run a named case study", parents=[report])
     p.add_argument("name", choices=available_cases())
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--t1", type=_t1_arg, default=None,
@@ -255,10 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--dmax", type=int, default=None)
-    p.add_argument("--format", choices=("json", "markdown"), default="json")
     p.set_defaults(func=_cmd_case)
 
-    p = sub.add_parser("check-ggs", help="degree-sum generating-system test")
+    p = sub.add_parser("check-ggs", help="degree-sum generating-system test", parents=[report])
     p.add_argument("--algebra", required=True,
                    help="builder spec like sl:4 / gl:4 / so:8, or a constants file")
     p.add_argument("--h", required=True,
@@ -267,22 +239,20 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("charpoly", "trace_powers", "so_minors_pfaffian"))
     p.add_argument("--side", choices=("h", "r"), default="h")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "markdown"), default="json")
     p.set_defaults(func=_cmd_check_ggs)
 
-    p = sub.add_parser("weyl-w0", help="normalizer quotient and restriction table")
+    p = sub.add_parser("weyl-w0", help="normalizer quotient and restriction table",
+                       parents=[report])
     p.add_argument("--type", required=True, choices=("A", "D", "E6"))
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--arrows", required=True, help="pairs like 1:5,2:4")
     p.add_argument("--dmax", type=int, default=None)
-    p.add_argument("--format", choices=("json", "markdown"), default="json")
     p.set_defaults(func=_cmd_weyl_w0)
 
-    p = sub.add_parser("index", help="sampled index estimate")
+    p = sub.add_parser("index", help="sampled index estimate", parents=[report])
     p.add_argument("--algebra", required=True)
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "markdown"), default="json")
     p.set_defaults(func=_cmd_index)
     return parser
 

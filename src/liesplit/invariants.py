@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from . import _kernels as K
-from .liealg import LieAlgebra, sub_algebra
+from .liealg import LieAlgebra, _is_int, sub_algebra
 from .linalg import Matrix, inverse, rank, rank_mod_p, solve  # noqa: F401  (rank: read by the perfbench tracer tests)
 from .poisson import _best_rank, hamiltonian_field, index_estimate, poisson_bracket
 from .poly import Polynomial
@@ -478,11 +478,21 @@ def eliminate_on_subspace(B: HilbertBasis, S: Splitting, keep) -> HilbertBasis:
     For each non-kept generator P of degree d, an exact linear solve
     expresses P|_t0 as a weighted-degree-d polynomial in the kept
     restrictions; the result replaces P by P - that combination.  The
-    modified family is again a Hilbert basis (triangular change).
+    modified family is again a Hilbert basis (triangular change).  ``keep`` lists
+    distinct generator indices; a ``ValueError`` names the first entry that is not an
+    ``int`` in range(len(B.generators)) or repeats one.
     """
-    keep = sorted(keep)
     if B.algebra is not S.algebra:
         raise ValueError("basis and splitting live on different algebras")
+    seen = set()
+    for i in keep:
+        if not (_is_int(i) and 0 <= i < len(B.generators)):
+            raise ValueError(f"keep: {i!r} is not a generator index in "
+                             f"range({len(B.generators)})")
+        if i in seen:
+            raise ValueError(f"keep: generator {i} is listed twice")
+        seen.add(i)
+    keep = sorted(seen)
     kept = [(i, *B.generators[i]) for i in keep]
     restrictions = {i: restrict_to_t0(S, g) for i, g, _ in kept}
     weights = [d for _, _, d in kept]

@@ -136,7 +136,9 @@ class IndexEstimate:
     """dim - certified_max_rank, where certified_max_rank is the best rank of pi at the
     sampled points taken modulo the prime ``linalg.P`` = 2^30 - 35: a lower bound on the
     exact rank of pi at the witness, so claimed_index is an upper bound on the index.
-    The skew elimination adds 2 per pivot, so the rank is even by construction."""
+    The skew elimination adds 2 per pivot, so the rank is even by construction.
+    ``samples`` is the ``trials`` budget, not the points drawn: the draws stop at the
+    first point of full rank, so sl(2) draws once and reports 8 at the default."""
     claimed_index: int
     certified_max_rank: int
     samples: int
@@ -155,15 +157,21 @@ class IndexEstimate:
         }
 
 
+def _check_count(name: str, value) -> None:
+    """A ``ValueError`` naming ``name`` unless ``value`` is an ``int`` of at least 1 (no
+    bool, float or str): a sampled check with no samples would certify nothing."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} >= 1 required")
+
+
 def _check_sampling(trials, seed) -> None:
-    """A ``ValueError`` unless ``seed`` is an ``int`` and ``trials`` an ``int`` of at least 1
-    (no bool, float or str), raised before any draw."""
+    """A ``ValueError`` unless ``seed`` is an ``int`` and ``trials`` passes
+    :func:`_check_count`, raised before any draw."""
     if not _is_int(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not _is_int(trials):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError("trials >= 1 required")
+    _check_count("trials", trials)
 
 
 def _sample_point(rng, dim, bound, support=None):

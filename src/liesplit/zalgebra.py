@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .liealg import LieAlgebra, _is_int, build_double, build_sl, build_so_even
@@ -38,7 +38,8 @@ from .invariants import (
     aks_restrict,
 )
 from .linalg import Matrix, rank
-from .poisson import _check_sampling, poisson_bracket, sphericity, tensor_at
+from .poisson import (_check_count, _check_sampling, _sample_point, poisson_bracket, sphericity,
+                      tensor_at)
 from .poly import Polynomial
 from .splitting import (
     BracketParameter,
@@ -129,7 +130,9 @@ def commutativity_suite(S: Splitting, gens, extra_params=(), max_pairs=None,
                         seed: int = 0) -> SuiteReport:
     """Pairwise commutativity of the (Polynomial, tag) pairs ``gens`` at (1,0), (0,1), (1,1)
     and any extra parameters, decided by exact brackets at (1,0) and (0,1) (linearity,
-    see ``family_bracket``)."""
+    see ``family_bracket``); at most ``max_pairs`` seeded pairs when given, an ``int`` >= 1."""
+    if max_pairs is not None:
+        _check_count("max_pairs", max_pairs)
     params = [BracketParameter(1, 0), BracketParameter(0, 1), BracketParameter(1, 1)]
     params += [BracketParameter.of(p) for p in extra_params]
     ends = [(p, pencil_member(S, p)) for p in params[:2]]
@@ -170,8 +173,10 @@ def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0,
 
     ``pencil_jacobi`` and pencil commutativity are decided at the two
     contractions (Lie by the proof in ``contract``) and ``S.algebra``, as
-    ``family_bracket`` proves.
+    ``family_bracket`` proves.  ``n_pairs`` and ``pair_budget`` are ``int``s >= 1.
     """
+    _check_count("n_pairs", n_pairs)
+    _check_count("pair_budget", pair_budget)
     rng = random.Random(seed)
     results = {}
     con_h, con_r = contract(S, "keep_h"), contract(S, "keep_r")
@@ -220,7 +225,7 @@ def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0,
     ok_kernel = True
     monotone = True
     for _ in range(3):
-        xi = [rng.randint(-99, 99) for _ in range(L.dim)]
+        xi = _sample_point(rng, L.dim, 99)
         sample = tensor_at(L, xi)
         if not sample.matrix.is_skew():
             raise AssertionError(f"the Poisson tensor of {L.kind} at {xi} is not skew; "
@@ -229,9 +234,7 @@ def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0,
                           for j in range(L.dim)] for i in range(L.dim)])
         ok_kernel = ok_kernel and direct == sample.matrix
         # contraction never gains rank on Ann(h)
-        ann = [0] * L.dim
-        for i in S.r_indices:
-            ann[i] = rng.randint(-99, 99)
+        ann = _sample_point(rng, L.dim, 99, S.r_indices)
         r0 = tensor_at(con_h, ann).rank
         r1 = tensor_at(L, ann).rank
         monotone = monotone and r0 <= r1
@@ -258,20 +261,11 @@ class CaseReport:
         return all(self.verdicts.values())
 
     def to_dict(self):
-        return {
-            "case": self.case,
-            "params": self.params,
-            "seed": self.seed,
-            "verdicts": dict(self.verdicts),
-            "tables": self.tables,
-            "timings_ms": self.timings_ms,
-            "version": self.version,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc):
-        return cls(doc["case"], doc["params"], doc["seed"], doc["verdicts"],
-                   doc["tables"], doc["timings_ms"], doc.get("version", __version__))
+        return cls(**doc)
 
 
 class _Timer:
@@ -374,6 +368,16 @@ def _centre_generators(S: Splitting, B: HilbertBasis):
     return z0, zinf
 
 
+def _z_algebra(S: Splitting, B: HilbertBasis, z0, zinf, mode: str, trials, seed,
+               least: int = 5, bound: int = 997):
+    """(Z, b, trdeg): the ``mode`` candidates of ``z_generators`` with centres ``z0``,
+    ``zinf``, b of the splitting's algebra, and their Jacobian rank over
+    max(``least``, ``trials``) seeded points of [-``bound``, ``bound``]^dim."""
+    Z = z_generators(S, B, z0, zinf, mode)
+    td = jacobian_rank([p for p, _ in Z], trials=max(least, trials), seed=seed, bound=bound)
+    return Z, _b_of(S.algebra), td
+
+
 def _middle_components_nonzero(S: Splitting, B: HilbertBasis) -> bool:
     """Every generator of degree d has a nonzero component of each h-degree 0 < i < d."""
     return all(bidecompose(S, F).keys() >= set(range(1, d)) for F, d in B.generators)
@@ -388,10 +392,7 @@ def _case_borel(params, seed, trials, dmax):
     g = build_sl(n)
     S, B = _build(g, _vectors(g.dim, ({i: 1} for i in g.triangular.cartan)), None,
                   "charpoly", timer)
-    z0, zinf = _centre_generators(S, B)
-    Z = z_generators(S, B, z0, zinf, "full")
-    b = _b_of(g)
-    td = jacobian_rank([p for p, _ in Z], trials=max(5, trials), seed=seed)
+    Z, b, td = _z_algebra(S, B, *_centre_generators(S, B), "full", trials, seed)
     suite = commutativity_suite(S, Z, extra_params=[(1, 7), (1, -3)],
                                 max_pairs=60, seed=seed)
     timer.lap("z_algebra")
@@ -484,11 +485,8 @@ def _case_double(params, seed, trials, dmax):
     all_even = all(d % 2 == 0 for d in base_degrees)
     timer.lap("ggs")
 
-    z0 = _toral_variable_polys(S, S.t0_indices)
-    zinf = _toral_variable_polys(S, S.t1_indices)
-    Z = z_generators(S, B, z0, zinf, "m_tilde")
-    b = _b_of(gd)
-    td = jacobian_rank([p for p, _ in Z], trials=max(5, trials), seed=seed)
+    Z, b, td = _z_algebra(S, B, _toral_variable_polys(S, S.t0_indices),
+                          _toral_variable_polys(S, S.t1_indices), "m_tilde", trials, seed)
     rng = random.Random(seed)
     extra = [(1, rng.randint(2, 60)) for _ in range(5)]
     suite = commutativity_suite(S, Z, extra_params=extra, seed=seed)
@@ -544,10 +542,7 @@ def _case_sl2n(params, seed, trials, dmax):
     unmodified_rep = ggs_check(S, B, side="h", trials=trials, seed=seed)
     timer.lap("elimination")
 
-    z0, zinf = _centre_generators(S, modified)
-    Z = z_generators(S, modified, z0, zinf, "m_tilde")
-    b = _b_of(g)
-    td = jacobian_rank([p for p, _ in Z], trials=max(5, trials), seed=seed)
+    Z, b, td = _z_algebra(S, modified, *_centre_generators(S, modified), "m_tilde", trials, seed)
     timer.lap("z_algebra")
 
     *_, rc = _weyl_route(*_satake("A", N - 1, [(i, N - i) for i in range(1, n)]), dmax)
@@ -650,10 +645,8 @@ def _case_so2n(params, seed, trials, dmax):
     rep_r = ggs_check(S, B, side="r", trials=trials, seed=seed)
     timer.lap("ggs")
 
-    z0, zinf = _centre_generators(S, B)
-    Z = z_generators(S, B, z0, zinf, "m_tilde")
-    b = _b_of(g)
-    td = jacobian_rank([p for p, _ in Z], trials=max(3, trials), seed=seed, bound=97)
+    Z, b, td = _z_algebra(S, B, *_centre_generators(S, B), "m_tilde", trials, seed,
+                          least=3, bound=97)
     # exact pairwise brackets among the small generators; the large sextic
     # components are covered by the sampled property suite below
     small = [(p, tag) for p, tag in Z if len(p.terms) <= 160]

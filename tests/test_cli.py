@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from liesplit import cli
+from liesplit import __version__, cli
 from liesplit.cli import main
 from liesplit.liealg import algebra_to_json, build_sl
 from liesplit.rationals import QQ
+from liesplit.zalgebra import CaseReport
 
 
 def run_cli(capsys, argv):
@@ -15,14 +16,29 @@ def run_cli(capsys, argv):
     return code, out
 
 
+REPORT_KEYS = {"case", "params", "seed", "verdicts", "tables", "timings_ms", "version"}
+
+
 def test_case_json_schema_and_exit_code(capsys):
     code, out = run_cli(capsys, ["case", "sl2n1", "--n", "1", "--format", "json"])
     assert code == 0
     doc = json.loads(out)
-    assert set(doc) == {"case", "params", "seed", "verdicts", "tables", "timings_ms", "version"}
+    assert set(doc) == REPORT_KEYS
     assert doc["case"] == "sl2n1"
     assert doc["tables"]["restrictions"] == {"P2": "6*c^2", "P3": "-6*c^3"}
     assert all(doc["verdicts"].values())
+    # every subcommand prints the same seven fields, and its JSON is a lossless CaseReport
+    for argv in (["check-ggs", "--algebra", "sl:3", "--h", "borel"],
+                 ["weyl-w0", "--type", "A", "--rank", "3", "--arrows", "1:3"],
+                 ["index", "--algebra", "sl:3", "--trials", "3"]):
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc) == REPORT_KEYS and doc["case"] == argv[0]
+        assert doc["version"] == __version__
+        assert CaseReport.from_dict(doc).to_dict() == doc
+        assert main(argv + ["--format", "markdown"]) == 0
+        assert f"- version: {__version__}\n" in capsys.readouterr().out
 
 
 def test_case_markdown(capsys):

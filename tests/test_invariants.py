@@ -421,6 +421,23 @@ def test_eliminate_sl4_quartic():
     assert rep.verdict and rep.consistent
 
 
+@pytest.mark.parametrize("keep,message", [
+    ([-3], "keep: -3 is not a generator index in range(3)"),
+    ([5], "keep: 5 is not a generator index in range(3)"),
+    ([True], "keep: True is not a generator index"),
+    ([0.0], "keep: 0.0 is not a generator index"),
+    (["0"], "keep: '0' is not a generator index"),
+    ([0, 0], "keep: generator 0 is listed twice"),
+])
+def test_eliminate_rejects_malformed_keep(keep, message):
+    g, S = _sl4_splitting()
+    B = transport_basis(hilbert_basis(g, "trace_powers"), S)
+    with pytest.raises(ValueError) as exc:
+        eliminate_on_subspace(B, S, keep)
+    assert str(exc.value).startswith(message)
+    assert not isinstance(exc.value, EliminationInfeasible)
+
+
 def test_eliminate_sl3_infeasible():
     g, S = sl3_paper_splitting()
     B = transport_basis(hilbert_basis(g, "trace_powers"), S)

@@ -175,8 +175,40 @@ def test_property_suite_borel_sl3():
 def test_pencil_commutativity_needs_every_sampled_pair():
     sl2, S, B = borel_sl2()
     assert property_suite(S, B, seed=0)["pencil_commutativity_sampled"] is True
-    # no pair of components fits a budget of zero term products: nothing is bracketed
-    assert property_suite(S, B, seed=0, pair_budget=0)["pencil_commutativity_sampled"] is False
+    # the components of the sl(3) Borel have 3, 3, 1, 7 and 4 terms, so no pair fits a
+    # budget of two term products: nothing is bracketed
+    sl3 = build_sl(3)
+    S3 = horospherical_splitting(sl3, [[QQ1 if i == c else QQ0 for i in range(8)]
+                                       for c in sl3.triangular.cartan])
+    B3 = transport_basis(hilbert_basis(sl3, "charpoly"), S3)
+    assert property_suite(S3, B3, seed=0, pair_budget=2)["pencil_commutativity_sampled"] is False
+
+
+@pytest.mark.parametrize("knob,value,message", [
+    ("n_pairs", 0, "n_pairs >= 1 required"),
+    ("n_pairs", -3, "n_pairs >= 1 required"),
+    ("n_pairs", True, "n_pairs must be an integer, got True"),
+    ("pair_budget", 0, "pair_budget >= 1 required"),
+    ("pair_budget", 2.5, "pair_budget must be an integer, got 2.5"),
+])
+def test_property_suite_rejects_pair_knobs_that_check_nothing(knob, value, message):
+    sl2, S, B = borel_sl2()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        property_suite(S, B, **{knob: value})
+
+
+@pytest.mark.parametrize("value,message", [
+    (0, "max_pairs >= 1 required"),
+    (-1, "max_pairs >= 1 required"),
+    ("4", "max_pairs must be an integer, got '4'"),
+    (False, "max_pairs must be an integer, got False"),
+])
+def test_commutativity_suite_rejects_max_pairs_that_check_nothing(value, message):
+    sl2, S, B = borel_sl2()
+    Z = z_generators(S, B)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        commutativity_suite(S, Z, max_pairs=value)
+    assert commutativity_suite(S, Z, max_pairs=1).pairs_checked == 1
 
 
 def _suite_brackets(monkeypatch, name, n):
