@@ -24,9 +24,7 @@ from .liealg import (
     build_sl,
     build_so_even,
     change_basis,
-    check_jacobi,
     custom_algebra,
-    direct_sum,
     sub_algebra,
 )
 from .splitting import (
@@ -54,7 +52,6 @@ from .poisson import (
 )
 from .invariants import (
     AksReport,
-    EliminationInfeasible,
     GgsReport,
     HilbertBasis,
     aks_restrict,

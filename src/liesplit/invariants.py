@@ -315,12 +315,19 @@ def transport_basis(B: HilbertBasis, S: Decomposition) -> HilbertBasis:
 def restrict_to_t0(S: Splitting, F: Polynomial) -> Polynomial:
     """Restriction of F (a function on the dual) to t0, carried into the dual by the
     invariant form: x_a -> <sum_s c_s t0_s, X_a> = sum_s G[t0_s, a] c_s, an exact
-    polynomial in c_1..c_k over the adapted Gram rows of t0."""
+    polynomial in c_1..c_k over the adapted Gram rows of t0.
+
+    Computed once per ``S`` and polynomial object, as :func:`bidecompose` is: later calls
+    with the same F return the same polynomial."""
     if not S.is_horospherical:
         raise ValueError("t0 restrictions need a horospherical splitting")
-    G, k = S.algebra.gram.rows, len(S.t0_indices)
-    return F.map_vars([Polynomial.linear_form(k, [G[i][a] for i in S.t0_indices])
-                       for a in range(S.algebra.dim)], k)
+    got = S._t0_restrictions.get(id(F))
+    if got is None:
+        G, k = S.algebra.gram.rows, len(S.t0_indices)
+        got = S._t0_restrictions[id(F)] = (F, F.map_vars(
+            [Polynomial.linear_form(k, [G[i][a] for i in S.t0_indices])
+             for a in range(S.algebra.dim)], k))
+    return got[1]
 
 
 # -- bi-homogeneous decomposition ---------------------------------------
@@ -456,10 +463,6 @@ def ggs_check(D: Decomposition, B: HilbertBasis, side: str = "h",
 # -- elimination on the toral subspace -----------------------------------
 
 
-class EliminationInfeasible(ValueError):
-    pass
-
-
 def _weighted_exponents(weights, total):
     """All exponent tuples m with sum m_s * weights_s == total."""
     if not weights:
@@ -472,15 +475,27 @@ def _weighted_exponents(weights, total):
     return out
 
 
-def eliminate_on_subspace(B: HilbertBasis, S: Splitting, keep) -> HilbertBasis:
-    """Correct non-kept generators so their restrictions to t0 vanish.
+def _power_product(acc: Polynomial, factors, exponents) -> Polynomial:
+    """acc times the product of factors[s] ** exponents[s]."""
+    for f, e in zip(factors, exponents):
+        if e:
+            acc = acc * f**e
+    return acc
 
-    For each non-kept generator P of degree d, an exact linear solve
-    expresses P|_t0 as a weighted-degree-d polynomial in the kept
-    restrictions; the result replaces P by P - that combination.  The
-    modified family is again a Hilbert basis (triangular change).  ``keep`` lists
-    distinct generator indices; a ``ValueError`` names the first entry that is not an
-    ``int`` in range(len(B.generators)) or repeats one.
+
+def eliminate_on_subspace(B: HilbertBasis, S: Splitting, keep=()) -> HilbertBasis:
+    """Correct the generators so that all but the kept ones vanish on t0.
+
+    The generators are walked in increasing degree, stable in list order.  A generator
+    P of degree d is kept when its t0-restriction is nonzero and an exact linear solve
+    cannot write it as a weighted-degree-d polynomial in the restrictions kept so far;
+    otherwise P is replaced by P - that combination, whose restriction is zero (entered
+    into the memo of :func:`restrict_to_t0`).  The modified family is again a Hilbert
+    basis (triangular change).  Without ``keep`` the kept restrictions are a minimal
+    homogeneous generating set of the restricted image (graded Nakayama: a basis of
+    R+/R+^2), so no homogeneous generating system has fewer generators nonzero on t0.
+    ``keep`` lists distinct generator indices kept in any case; a ``ValueError`` names
+    the first entry that is not an ``int`` in range(len(B.generators)) or repeats one.
     """
     if B.algebra is not S.algebra:
         raise ValueError("basis and splitting live on different algebras")
@@ -492,42 +507,31 @@ def eliminate_on_subspace(B: HilbertBasis, S: Splitting, keep) -> HilbertBasis:
         if i in seen:
             raise ValueError(f"keep: generator {i} is listed twice")
         seen.add(i)
-    keep = sorted(seen)
-    kept = [(i, *B.generators[i]) for i in keep]
-    restrictions = {i: restrict_to_t0(S, g) for i, g, _ in kept}
-    weights = [d for _, _, d in kept]
+    n, k = B.algebra.dim, len(S.t0_indices)
+    kept = []  # (generator, degree, its restriction)
     new_gens = list(B.generators)
-    for idx, (P, d) in enumerate(B.generators):
-        if idx in keep:
-            continue
+    for idx in sorted(range(len(B.generators)), key=lambda j: B.generators[j][1]):
+        P, d = B.generators[idx]
         target = restrict_to_t0(S, P)
-        if target.is_zero():
-            continue
-        exps = _weighted_exponents(weights, d)
-        prods = []
-        for m in exps:
-            prod = Polynomial.constant(len(S.t0_indices), 1)
-            for (i, _, _), k in zip(kept, m):
-                if k:
-                    prod = prod * restrictions[i] ** k
-            prods.append(prod)
-        monos = sorted({e for p in prods for e in p.terms} | set(target.terms))
-        A = Matrix([[p.coeff(e) for p in prods] for e in monos])
-        lam = solve(A, [target.coeff(e) for e in monos])
-        if lam is None:
-            raise EliminationInfeasible(
-                f"generator of degree {d}: its t0-restriction is not a weighted-degree "
-                f"combination of the kept restrictions"
-            )
-        correction = Polynomial.zero(B.algebra.dim)
-        for coeff, m in zip(lam, exps):
-            if coeff:
-                term = Polynomial.constant(B.algebra.dim, coeff)
-                for (i, g, _), k in zip(kept, m):
-                    if k:
-                        term = term * g**k
-                correction = correction + term
-        new_gens[idx] = (P - correction, d)
+        if idx not in seen:
+            if target.is_zero():
+                continue
+            exps = _weighted_exponents([w for _, w, _ in kept], d)
+            prods = [_power_product(Polynomial.constant(k, 1), [r for *_, r in kept], m)
+                     for m in exps]
+            monos = sorted({e for p in prods for e in p.terms} | set(target.terms))
+            lam = solve(Matrix([[p.coeff(e) for p in prods] for e in monos]),
+                        [target.coeff(e) for e in monos])
+            if lam is not None:
+                Q = P
+                for coeff, m in zip(lam, exps):
+                    if coeff:
+                        Q = Q - _power_product(Polynomial.constant(n, coeff),
+                                               [g for g, *_ in kept], m)
+                new_gens[idx] = (Q, d)
+                S._t0_restrictions[id(Q)] = (Q, Polynomial.zero(k))
+                continue
+        kept.append((P, d, target))
     return HilbertBasis(B.algebra, f"modified[{B.kind}]", tuple(new_gens))
 
 

@@ -21,9 +21,8 @@ form; ``invariants.hilbert_basis`` proves its builder bases invariant by it.
 
 Builders produce gl(n), sl(n), so(2n) in the antidiagonal realization
 (matrices skew with respect to the antidiagonal, so the Cartan is
-diagonal and the nilradical strictly upper triangular), direct sums,
-and the reductive extension q + t with an abelian copy of the Cartan
-appended.  A matrix builder supplies only its basis matrices in (u+, t, u-)
+diagonal and the nilradical strictly upper triangular) and the
+reductive extension q + t with an abelian copy of the Cartan appended.  A matrix builder supplies only its basis matrices in (u+, t, u-)
 order and how a commutator decomposes in that basis; one routine,
 ``_assemble``, derives the rest: structure constants, the invariant-form
 Gram matrix (the trace form, halved for so(2n)) used to identify the
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .linalg import Matrix, inverse, rank_and_nullspace
+from .linalg import Matrix, inverse
 from .poly import _unit
 from .rationals import QQ, clear_denominators, combine, common_denominator, scalar
 
@@ -121,11 +120,6 @@ class LieAlgebra:
         """[x_i, x_j] as a sparse dict k -> coefficient."""
         return _pair(self.constants, i, j)
 
-    def bracket_vec(self, u, v):
-        """Bracket of two coordinate vectors, as a sparse dict."""
-        u, v = ([(i, c) for i, c in enumerate(map(scalar, w)) if c] for w in (u, v))
-        return _bracket(self.constants, u, v)
-
     @cached_property
     def bracket_table(self) -> tuple:
         """(D, T): D is the least positive int making every structure constant integral and
@@ -150,17 +144,6 @@ class LieAlgebra:
         n = self.dim
         return D, [[(i, {_unit(n, k): c for k, c in T[i][j]}) for i in range(n) if T[i][j]]
                    for j in range(n)]
-
-    def center(self):
-        """Basis of the centre, as coordinate vectors: the x with [x, x_j] = 0 for every j."""
-        n = self.dim
-        rows = [[0] * n for _ in range(n * n)]
-        for i, row in enumerate(self.bracket_table[1]):
-            for j, entries in enumerate(row):
-                for k, c in entries:
-                    rows[j * n + k][i] = c
-        _, basis = rank_and_nullspace(Matrix(rows))
-        return basis
 
     def __repr__(self):
         return f"LieAlgebra({self.kind}, dim={self.dim})"
@@ -207,16 +190,6 @@ def jacobi_report(dim, constants) -> JacobiReport:
                 if any(acc.values()):
                     return JacobiReport(False, (i, j, k))
     return JacobiReport(True, None)
-
-
-def check_jacobi(arg) -> JacobiReport:
-    """Re-run the exhaustive Jacobi check on an algebra (or raw (dim, constants))."""
-    if isinstance(arg, LieAlgebra):
-        return jacobi_report(arg.dim, arg.constants)
-    dim, constants = arg
-    norm = {(i, j): tuple((k, scalar(c, f"bracket [{i}, {j}]")) for k, c in entries)
-            for (i, j), entries in constants.items()}
-    return jacobi_report(dim, norm)
 
 
 # -- matrix-realization helpers ---------------------------------------
@@ -413,19 +386,6 @@ def build_double(base: LieAlgebra) -> LieAlgebra:
                       kind=f"double[{base.kind}]", base_algebra=base)
 
 
-def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
-    names = list(a.names)
-    for nm in b.names:
-        names.append(nm if nm not in a.names else nm + "'")
-    constants = dict(a.constants)
-    for (i, j), entries in b.constants.items():
-        constants[(i + a.dim, j + a.dim)] = tuple((k + a.dim, c) for k, c in entries)
-    rank = None
-    if a.rank is not None and b.rank is not None:
-        rank = a.rank + b.rank
-    return LieAlgebra(names, constants, rank=rank, kind=f"sum[{a.kind},{b.kind}]")
-
-
 def custom_algebra(names, raw_constants, **kw) -> LieAlgebra:
     """Algebra from raw constants {(i, j): [(k, coeff), ...]} with i < j."""
     constants = {tuple(pair): entries for pair, entries in raw_constants.items()}
@@ -434,7 +394,7 @@ def custom_algebra(names, raw_constants, **kw) -> LieAlgebra:
 
 def build_algebra(kind: str, **params) -> LieAlgebra:
     """Dispatcher: kind in {gl, sl, so_even, so (n the matrix size)} with ``n``, or double
-    with a built ``base``; :func:`direct_sum` and :func:`custom_algebra` are called directly."""
+    with a built ``base``; :func:`custom_algebra` is called directly."""
     if kind == "gl":
         return build_gl(params["n"])
     if kind == "sl":

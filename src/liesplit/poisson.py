@@ -83,10 +83,6 @@ class PoissonTensorSample:
     matrix: Matrix
     rank: int
 
-    def kernel(self):
-        _, basis = rank_and_nullspace(self.matrix)
-        return basis
-
 
 def _tensor_entries(L: LieAlgebra, xi):
     """Yield (i, j, D xi([x_i, x_j])) for the pairs i < j with a stored bracket and a
@@ -166,11 +162,17 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} >= 1 required")
 
 
-def _check_sampling(trials, seed) -> None:
-    """A ``ValueError`` unless ``seed`` is an ``int`` and ``trials`` passes
-    :func:`_check_count`, raised before any draw."""
+def _check_seed(seed) -> None:
+    """A ``ValueError`` naming ``seed`` unless it is an ``int`` (no bool, float or str, which
+    ``random.Random`` would take and hash)."""
     if not _is_int(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
+
+
+def _check_sampling(trials, seed) -> None:
+    """A ``ValueError`` unless ``seed`` passes :func:`_check_seed` and ``trials``
+    :func:`_check_count`, raised before any draw."""
+    _check_seed(seed)
     _check_count("trials", trials)
 
 

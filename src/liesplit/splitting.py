@@ -70,6 +70,7 @@ class Decomposition:
             self.h_degree_of_exponent = itemgetter(*h) if h else lambda e: 0
         self._contractions: dict = {}  # side -> its contraction, see ``contract``
         self._bidecompositions: dict = {}  # id(F) -> (F, its split), see ``bidecompose``
+        self._t0_restrictions: dict = {}  # id(F) -> (F, F on t0), see ``restrict_to_t0``
         self.t1_indices: tuple = ()
         self.t0_indices: tuple = ()
         self.is_horospherical = False

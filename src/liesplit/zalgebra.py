@@ -11,7 +11,9 @@ symbolic brackets across the pencil.
 
 ``run_case`` reproduces the worked desk-scale cases end to end and
 returns a serializable report whose named verdicts are the assertions a
-case is expected to satisfy.
+case is expected to satisfy.  The kept generators of ``sl2n`` and
+``sl2n1`` are the ones ``eliminate_on_subspace`` chooses, read off the
+modified basis as those still nonzero on t0.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .invariants import (
     bidecompose,
     double_shift_basis,
     eliminate_on_subspace,
-    EliminationInfeasible,
     ggs_check,
     hilbert_basis,
     jacobian_rank,
@@ -38,8 +39,8 @@ from .invariants import (
     aks_restrict,
 )
 from .linalg import Matrix, rank
-from .poisson import (_check_count, _check_sampling, _sample_point, poisson_bracket, sphericity,
-                      tensor_at)
+from .poisson import (_check_count, _check_sampling, _check_seed, _sample_point, poisson_bracket,
+                      sphericity, tensor_at)
 from .poly import Polynomial
 from .splitting import (
     BracketParameter,
@@ -130,7 +131,9 @@ def commutativity_suite(S: Splitting, gens, extra_params=(), max_pairs=None,
                         seed: int = 0) -> SuiteReport:
     """Pairwise commutativity of the (Polynomial, tag) pairs ``gens`` at (1,0), (0,1), (1,1)
     and any extra parameters, decided by exact brackets at (1,0) and (0,1) (linearity,
-    see ``family_bracket``); at most ``max_pairs`` seeded pairs when given, an ``int`` >= 1."""
+    see ``family_bracket``); at most ``max_pairs`` seeded pairs when given, an ``int`` >= 1,
+    drawn with the ``int`` ``seed``."""
+    _check_seed(seed)
     if max_pairs is not None:
         _check_count("max_pairs", max_pairs)
     params = [BracketParameter(1, 0), BracketParameter(0, 1), BracketParameter(1, 1)]
@@ -173,8 +176,10 @@ def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0,
 
     ``pencil_jacobi`` and pencil commutativity are decided at the two
     contractions (Lie by the proof in ``contract``) and ``S.algebra``, as
-    ``family_bracket`` proves.  ``n_pairs`` and ``pair_budget`` are ``int``s >= 1.
+    ``family_bracket`` proves.  ``n_pairs`` and ``pair_budget`` are ``int``s >= 1 and
+    ``seed`` an ``int``, all checked before any draw.
     """
+    _check_seed(seed)
     _check_count("n_pairs", n_pairs)
     _check_count("pair_budget", pair_budget)
     rng = random.Random(seed)
@@ -321,6 +326,11 @@ def _restrictions(S: Splitting, B: HilbertBasis, names, labels=None) -> dict:
     """Each generator's restriction to t0, printed in the parameter ``names``."""
     labels = labels or [f"P{d}" for _, d in B.generators]
     return {lab: restrict_to_t0(S, F).to_string(names) for lab, (F, _) in zip(labels, B.generators)}
+
+
+def _kept_degrees(S: Splitting, B: HilbertBasis) -> list:
+    """Degrees of the generators of an eliminated basis still nonzero on t0: the kept ones."""
+    return [d for F, d in B.generators if not restrict_to_t0(S, F).is_zero()]
 
 
 def _satake(type_label, rank, arrows):
@@ -535,8 +545,7 @@ def _case_sl2n(params, seed, trials, dmax):
     S, B = _build(g, t1v, t0v, "trace_powers", timer)
 
     restrictions = _restrictions(S, B, [f"c{i + 1}" for i in range(n - 1)])
-    keep = [j for j, (_, d) in enumerate(B.generators) if d <= n]
-    modified = eliminate_on_subspace(B, S, keep)
+    modified = eliminate_on_subspace(B, S)
     rep_h = ggs_check(S, modified, side="h", trials=trials, seed=seed)
     rep_r = ggs_check(S, modified, side="r", trials=trials, seed=seed)
     unmodified_rep = ggs_check(S, B, side="h", trials=trials, seed=seed)
@@ -569,7 +578,7 @@ def _case_sl2n(params, seed, trials, dmax):
     }
     tables = {
         "restrictions": restrictions,
-        "kept": [f"P{d}" for _, d in (B.generators[j] for j in keep)],
+        "kept": [f"P{d}" for d in _kept_degrees(S, modified)],
         "m_tilde_count": len(Z),
         "b": b,
         "trdeg": td,
@@ -595,12 +604,9 @@ def _case_sl2n1(params, seed, trials, dmax):
 
     restrictions = _restrictions(S, B, [f"c{i + 1}" for i in range(n)] if n > 1 else ["c"])
     unmodified_rep = ggs_check(S, B, side="h", trials=trials, seed=seed)
-    keep = [j for j, (_, d) in enumerate(B.generators) if d <= max(2, n)]
-    elimination_infeasible = False
-    try:
-        eliminate_on_subspace(B, S, keep)
-    except EliminationInfeasible:
-        elimination_infeasible = True
+    # the kept restrictions generate the restricted image minimally (graded Nakayama), so
+    # more than dim t0 of them rules out every choice of dim t0 kept generators
+    elimination_infeasible = len(_kept_degrees(S, eliminate_on_subspace(B, S))) > len(S.t0_indices)
     timer.lap("elimination")
 
     *_, rc = _weyl_route(*_satake("A", N - 1, [(i, N - i) for i in range(1, n + 1)]), dmax)

@@ -4,7 +4,6 @@ import pytest
 
 from liesplit.liealg import build_double, build_gl, build_sl, build_so_even, change_basis
 from liesplit.invariants import (
-    EliminationInfeasible,
     HilbertBasis,
     aks_restrict,
     bidecompose,
@@ -419,6 +418,20 @@ def test_eliminate_sl4_quartic():
     assert restrict_to_t0(S, mod.polys[2]).is_zero()
     rep = ggs_check(S, mod, side="h")
     assert rep.verdict and rep.consistent
+    # the greedy choice keeps P2 unasked: the same basis
+    assert eliminate_on_subspace(B, S).generators == mod.generators
+
+
+def test_eliminate_walks_the_generators_in_degree_order():
+    # listed P4, P3, P2: a list-order walk would keep P4 and leave P2 nonzero on t0 too
+    g, S = _sl4_splitting()
+    P2, P3, P4 = transport_basis(hilbert_basis(g, "trace_powers"), S).generators
+    B = HilbertBasis(S.algebra, "reversed", (P4, P3, P2))
+    mod = eliminate_on_subspace(B, S)
+    assert mod.generators[1:] == (P3, P2)
+    assert mod.generators[0] == (P4[0] - QQ(1, 4) * P2[0] * P2[0], 4)
+    assert [not restrict_to_t0(S, F).is_zero() for F in mod.polys] == [False, False, True]
+    assert ggs_check(S, mod, side="h").verdict
 
 
 @pytest.mark.parametrize("keep,message", [
@@ -435,7 +448,6 @@ def test_eliminate_rejects_malformed_keep(keep, message):
     with pytest.raises(ValueError) as exc:
         eliminate_on_subspace(B, S, keep)
     assert str(exc.value).startswith(message)
-    assert not isinstance(exc.value, EliminationInfeasible)
 
 
 def test_eliminate_sl3_infeasible():
@@ -443,8 +455,11 @@ def test_eliminate_sl3_infeasible():
     B = transport_basis(hilbert_basis(g, "trace_powers"), S)
     assert restrict_to_t0(S, B.polys[0]) == Polynomial.monomial(1, [2], 6)
     assert restrict_to_t0(S, B.polys[1]) == Polynomial.monomial(1, [3], -6)
-    with pytest.raises(EliminationInfeasible):
-        eliminate_on_subspace(B, S, keep=[0])
+    # P3 is kept as well: its cubic restriction is no combination of P2's quadratic one,
+    # so 2 generators stay nonzero on t0, more than dim t0 = 1, and nothing is corrected
+    mod = eliminate_on_subspace(B, S, keep=[0])
+    assert mod.generators == B.generators
+    assert sum(not restrict_to_t0(S, F).is_zero() for F in mod.polys) == 2 > len(S.t0_indices) == 1
     with pytest.raises(ValueError, match="t0 restrictions need a horospherical splitting"):
         restrict_to_t0(make_splitting(g, g.triangular.plus + g.triangular.cartan), B.polys[0])
 

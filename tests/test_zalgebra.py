@@ -211,6 +211,22 @@ def test_commutativity_suite_rejects_max_pairs_that_check_nothing(value, message
     assert commutativity_suite(S, Z, max_pairs=1).pairs_checked == 1
 
 
+@pytest.mark.parametrize("seed", ["abc", 1.5, True])
+def test_suites_reject_a_seed_that_is_not_an_int_before_any_draw(monkeypatch, seed):
+    sl2, S, B = borel_sl2()
+    Z = z_generators(S, B)
+
+    def no_draw(*args):
+        raise AssertionError("drew with a rejected seed")
+
+    monkeypatch.setattr(zalgebra.random, "Random", no_draw)
+    message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        property_suite(S, B, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        commutativity_suite(S, Z, max_pairs=1, seed=seed)
+
+
 def _suite_brackets(monkeypatch, name, n):
     """The case report at seed 1 and the (algebra, F, G) of every ``poisson_bracket`` call
     that ``property_suite`` makes in it."""
