@@ -5,10 +5,10 @@ the trace-form identification of the algebra with its dual (one half of
 the trace for the antidiagonal orthogonal realization).  Concretely the
 generic dual element is the matrix Y(x) = sum_a y_a X_a with G y = x,
 where G is the Gram matrix of the invariant form on the chosen basis.
-The characteristic coefficients e_k come from one memoized determinant
-expansion of lambda I - Y, run on int terms over one denominator; the
-power traces tr(Y^k) follow from them by Newton's identities, and the
-so(2n) principal-minor sums are even e_k.
+The characteristic coefficients e_k come from the determinant of lambda I - Y,
+expanded level by level (dropping each level of minors once the next exists)
+on int terms over one denominator; the power traces tr(Y^k) follow from them
+by Newton's identities, and the so(2n) principal-minor sums are even e_k.
 The Pfaffian is the only other expansion.  All are exact polynomials in
 the dual coordinates x.
 
@@ -72,48 +72,63 @@ def dual_matrix(L: LieAlgebra):
 
 
 def _first_row_expansion(entries, split, levels: int) -> Polynomial:
-    """Alternating first-row expansion of a polynomial matrix, memoized over index tuples.
+    """Alternating first-row expansion of a polynomial matrix, built level by level.
 
     ``split(idx)`` gives the row to expand along and the columns it runs
     over; dropping the t-th column leaves the subproblem, with sign (-1)^t.
-    The entries are cleared to int terms over one denominator d first, so the
-    expansion multiplies and adds ints alone, every product into its minor's
-    one dict; a full product takes ``levels`` entries, so the result is
-    divided once by d^levels.
+    The subproblems reachable through nonzero entries are listed one level per
+    size; each level is built from the one below, which is then dropped, and
+    the top's own subproblems are folded into the result one at a time.  The
+    entries are cleared to int terms over one denominator d, so the expansion
+    multiplies and adds ints alone, into one dict per minor; a full product
+    takes ``levels`` entries, so the result is divided once by d^levels.
     """
     nv = entries[0][0].nvars if entries else 0
     d = lcm(*(e.den for row in entries for e in row))
     ints = [[{k: c * (d // e.den) for k, c in e.terms.items()} for e in row] for row in entries]
-    terms = _expand(ints, split, tuple(range(len(entries))), {(): {0: 1}}, nv)
-    return Polynomial._of(nv, terms, d**levels)
 
+    def nonzero(idx):  # (t, entry, subproblem) for each nonzero entry of idx's row
+        row, cols = split(idx)
+        return [(t, ints[row][j], cols[:t] + cols[t + 1 :])
+                for t, j in enumerate(cols) if ints[row][j]]
 
-def _expand(entries, split, idx, memo, nv) -> dict:
-    # a module-level recursion: a self-referencing closure would be a reference
-    # cycle, holding every memoized minor until the next cycle collection
-    got = memo.get(idx)
-    if got is not None:
-        return got
-    row, cols = split(idx)
-    acc: dict = {}
-    sign = 1
-    for t, j in enumerate(cols):
-        e = entries[row][j]
-        if e:
-            sub = _expand(entries, split, cols[:t] + cols[t + 1 :], memo, nv)
-            if sub:
-                K.mul_terms(e if sign > 0 else {k: -c for k, c in e.items()}, sub, nv, acc)
-        sign = -sign
-    if 0 in acc.values():
+    def minor(idx, below) -> dict:
+        if not idx:
+            return {0: 1}
+        acc: dict = {}
+        for t, e, sub in nonzero(idx):
+            s = below(sub)
+            if s:
+                K.mul_terms({k: -c for k, c in e.items()} if t % 2 else e, s, nv, acc)
         for k in [k for k, c in acc.items() if not c]:  # in place: no second copy of acc
             del acc[k]
-    memo[idx] = acc
-    return acc
+        return acc
+
+    reach = [[tuple(range(len(entries)))]]  # the top, then the reachable subproblems by level
+    while reach[-1] and reach[-1][0]:
+        reach.append(list(dict.fromkeys(s for idx in reach[-1] for *_, s in nonzero(idx))))
+    built: dict = {}
+    for level in reversed(reach[2:]):
+        built = {idx: minor(idx, built.__getitem__) for idx in level}  # drops the level below
+    return Polynomial._of(nv, minor(reach[0][0], lambda s: minor(s, built.__getitem__)), d**levels)
+
+
+def _square_size(entries) -> int:
+    """The size of a square matrix of polynomials on one variable count, or a ValueError."""
+    for r, row in enumerate(entries):
+        if len(row) != len(entries):
+            raise ValueError(f"{len(entries)}-row matrix is not square: row {r} has {len(row)} "
+                             "entries")
+        for c, e in enumerate(row):
+            if e.nvars != entries[0][0].nvars:
+                raise ValueError(f"entry ({r}, {c}) has {e.nvars} variables, entry (0, 0) "
+                                 f"has {entries[0][0].nvars}")
+    return len(entries)
 
 
 def poly_det(entries) -> Polynomial:
-    """Determinant of a square matrix of polynomials, memoized over column subsets."""
-    size = len(entries)
+    """Determinant of a square matrix of polynomials, built level by level over column subsets."""
+    size = _square_size(entries)
     return _first_row_expansion(entries, lambda cols: (size - len(cols), cols), size)
 
 
@@ -123,7 +138,7 @@ def poly_pfaffian(entries) -> Polynomial:
     Normalized so the block-diagonal standard form (blocks [[0,1],[-1,0]])
     has Pfaffian +1.
     """
-    size = len(entries)
+    size = _square_size(entries)
     if size % 2:
         raise ValueError("Pfaffian needs even size")
     for i in range(size):
@@ -158,15 +173,22 @@ def _power_sums(e: dict) -> dict:
     """Map k -> p_k = tr(Y^k) from k -> e_k by Newton's identities.
 
     p_k = sum_{i<k} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k, integer
-    multipliers only (Macdonald, Symmetric Functions, I.2).
+    multipliers only (Macdonald, Symmetric Functions, I.2), each p_k summed by
+    ``mul_terms`` into one int dict, sign and multiplier on the smaller factor.
     """
     p = {}
     for k in sorted(e):
-        acc = e[k].scale(k if k % 2 else -k)
-        for i in range(1, k):
-            if e[i].terms and p[k - i].terms:
-                acc = acc + e[i] * p[k - i] if i % 2 else acc - e[i] * p[k - i]
-        p[k] = acc
+        nv, acc = e[k].nvars, {}
+        q = {**p, 0: Polynomial.constant(nv, k)}  # k e_k is e_k times the constant k
+        pairs = [(i, e[i], q[k - i]) for i in (k, *range(1, k)) if e[i] and q[k - i]]
+        den = lcm(*(a.den * b.den for _, a, b in pairs))
+        for i, a, b in pairs:
+            small, big = sorted((a.terms, b.terms), key=len)
+            m = den // (a.den * b.den) * (1 if i % 2 else -1)
+            K.mul_terms({key: c * m for key, c in small.items()}, big, nv, acc)
+        for key in [key for key, c in acc.items() if not c]:  # in place: no second copy of acc
+            del acc[key]
+        p[k] = Polynomial._of(nv, acc, den)
     return p
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -173,6 +174,31 @@ def test_poly_det_and_pfaffian_standard_forms():
         [z, z, c(-1), z],
     ]
     assert poly_pfaffian(std) == c(1)
+
+
+@pytest.mark.parametrize("expand", [poly_det, poly_pfaffian])
+def test_poly_det_and_pfaffian_reject_a_matrix_that_is_not_square(expand):
+    c = lambda v, nv=1: Polynomial.constant(nv, v)
+    with pytest.raises(ValueError, match="1-row matrix is not square: row 0 has 2 entries"):
+        expand([[c(2), c(3)]])
+    with pytest.raises(ValueError, match="2-row matrix is not square: row 0 has 3 entries"):
+        expand([[c(1), c(2), c(3)], [c(4), c(6), c(5)]])
+    with pytest.raises(ValueError, match="2-row matrix is not square: row 1 has 1 entries"):
+        expand([[c(0), c(1)], [c(-1)]])
+    with pytest.raises(ValueError, match=r"entry \(1, 0\) has 3 variables, entry \(0, 0\) has 1"):
+        expand([[c(0), c(1)], [c(-1, 3), c(0)]])
+
+
+def test_so8_charpoly_drops_finished_minors():
+    # the level-by-level expansion holds at most two adjacent levels of minors; the
+    # memo that kept every minor until the end peaked at 6.5 MB here
+    tracemalloc.start()
+    try:
+        charpoly_coefficients(build_so_even(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_500_000, peak
 
 
 # -- bi-decomposition ------------------------------------------------------

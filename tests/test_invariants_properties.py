@@ -1,0 +1,125 @@
+"""Differential property tests: the invariant expansions against textbook formulas.
+
+``poly_det`` and ``poly_pfaffian`` list the subproblems reachable through
+nonzero entries and build them level by level, dropping each level once the
+next exists; the Leibniz permutation sum shares none of that.  Random sparse
+matrices with zero rows and columns leave levels empty or unreachable, and
+``Fraction`` entries exercise the common denominator.  ``_power_sums`` adds
+every product of one p_k into a single int dict; the reference is the plain
+``Polynomial``-arithmetic loop of Newton's identities.
+"""
+
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from liesplit.invariants import (  # noqa: E402
+    _power_sums,
+    charpoly_coefficients,
+    poly_det,
+    poly_pfaffian,
+)
+from liesplit.liealg import build_gl, build_sl  # noqa: E402
+from liesplit.poly import Polynomial  # noqa: E402
+from liesplit.splitting import horospherical_splitting  # noqa: E402
+from liesplit.zalgebra import _sl_diagonals  # noqa: E402
+
+# derandomized, so every run checks the same examples
+CHECKS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+NV = 2
+
+coefficients = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+# about half the entries are zero, so whole rows and columns often vanish
+entries = st.one_of(
+    st.just(Polynomial.zero(NV)),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coefficients,
+                    max_size=3).map(lambda t: Polynomial(NV, t)),
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    size = draw(st.integers(0, 5))
+    zero_rows = draw(st.sets(st.integers(0, 4), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 4), max_size=2))
+    return [[Polynomial.zero(NV) if r in zero_rows or c in zero_cols else draw(entries)
+             for c in range(size)] for r in range(size)]
+
+
+@st.composite
+def skew_matrices(draw):
+    size = 2 * draw(st.integers(0, 3))
+    A = [[Polynomial.zero(NV)] * size for _ in range(size)]
+    for r in range(size):
+        for c in range(r + 1, size):
+            A[r][c] = draw(entries)
+            A[c][r] = -A[r][c]
+    return A
+
+
+def leibniz(A, nv):
+    """sum over permutations s of sign(s) prod_i A[i][s(i)]."""
+    total = Polynomial.zero(nv)
+    for perm in permutations(range(len(A))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(A)) for j in range(i + 1, len(A)))
+        term = Polynomial.constant(nv, -1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * A[i][j]
+        total = total + term
+    return total
+
+
+@CHECKS
+@given(sparse_matrices())
+def test_poly_det_equals_the_leibniz_sum(A):
+    # the empty matrix has no entry to carry a variable count: its determinant is 1 on none
+    assert poly_det(A) == (leibniz(A, NV) if A else Polynomial.constant(0, 1))
+
+
+@CHECKS
+@given(skew_matrices())
+def test_pfaffian_squares_to_the_determinant(A):
+    pf = poly_pfaffian(A)
+    assert pf * pf == poly_det(A)
+
+
+def newton_reference(e):
+    """Newton's identities in ``Polynomial`` arithmetic, one new polynomial per step."""
+    p = {}
+    for k in sorted(e):
+        acc = e[k].scale(k if k % 2 else -k)
+        for i in range(1, k):
+            if e[i].terms and p[k - i].terms:
+                acc = acc + e[i] * p[k - i] if i % 2 else acc - e[i] * p[k - i]
+        p[k] = acc
+    return p
+
+
+def _adapted_sl4():
+    # the adapted sl(4) of case sl2n --n 2: t0 = diag(1,-1,-1,1)
+    g = build_sl(4)
+    t1 = _sl_diagonals(g, ({0: 1, 3: -1}, {1: 1, 2: -1}))
+    t0 = _sl_diagonals(g, ({0: 1, 1: -1, 2: -1, 3: 1},))
+    return horospherical_splitting(g, t1, t0_basis=t0).algebra
+
+
+CHARPOLYS = {"adapted_sl4": charpoly_coefficients(_adapted_sl4()),
+             "gl3": charpoly_coefficients(build_gl(3))}
+
+
+def test_power_sums_of_the_builder_coefficients():
+    assert any(F.den > 1 for F in CHARPOLYS["adapted_sl4"].values())
+    for e in CHARPOLYS.values():
+        assert _power_sums(e) == newton_reference(e)
+
+
+@CHECKS
+@given(st.sampled_from(sorted(CHARPOLYS)), st.lists(coefficients, min_size=4, max_size=4))
+def test_power_sums_equal_the_polynomial_newton_loop(name, scales):
+    # rescaled e_k: rational denominators, zeros and cancellations the builders never give
+    e = {k: F.scale(scales[k - 1]) for k, F in CHARPOLYS[name].items()}
+    assert _power_sums(e) == newton_reference(e)

@@ -1,15 +1,15 @@
 """sympy as an independent oracle for the determinant expansions and the bracket.
 
 ``charpoly_coefficients``, ``poly_det`` and ``poly_pfaffian`` expand
-polynomial matrices by memoized first-row recursion over packed
-polynomials, and the power traces follow from the characteristic
-coefficients by Newton's identities; sympy expands the same symbolic
-matrices with its own algorithms (Berkowitz characteristic polynomial,
-symbolic determinant, matrix powers).  ``poisson_bracket`` clears the
-denominators of the structure constants and of both arguments and divides
-once; sympy differentiates and sums the textbook formula.  ``rank`` and
-``rank_and_nullspace`` eliminate sparse and fraction-free; sympy's
-``DomainMatrix`` row-reduces over QQ.
+polynomial matrices by first-row expansion over packed polynomials, built
+level by level from the smallest reachable minors, and the power traces
+follow from the characteristic coefficients by Newton's identities; sympy
+expands the same symbolic matrices with its own algorithms (Berkowitz
+characteristic polynomial, symbolic determinant, matrix powers).
+``poisson_bracket`` clears the denominators of the structure constants and
+of both arguments and divides once; sympy differentiates and sums the
+textbook formula.  ``rank`` and ``rank_and_nullspace`` eliminate sparse and
+fraction-free; sympy's ``DomainMatrix`` row-reduces over QQ.
 """
 
 import random
