@@ -120,6 +120,8 @@ def _square_size(entries) -> int:
             raise ValueError(f"{len(entries)}-row matrix is not square: row {r} has {len(row)} "
                              "entries")
         for c, e in enumerate(row):
+            if not isinstance(e, Polynomial):
+                raise ValueError(f"entry ({r}, {c}) is not a Polynomial: {e!r}")
             if e.nvars != entries[0][0].nvars:
                 raise ValueError(f"entry ({r}, {c}) has {e.nvars} variables, entry (0, 0) "
                                  f"has {entries[0][0].nvars}")

@@ -91,11 +91,6 @@ class Matrix:
         cols = list(zip(*other.rows))
         return Matrix([[sum(map(mul, row, col)) for col in cols] for row in self.rows])
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
-
     def scale(self, c) -> "Matrix":
         """c * self: zero cells stay 0, int cells stay ints for an integral c."""
         c = scalar(c)

@@ -239,12 +239,8 @@ class StabilizerReport:
     stabilizer_basis: list
     dim_star: int
     index_star: IndexEstimate
-    stabilizer_constants_zero: bool
+    is_abelian: bool          # the stabilizer's structure constants all vanish
     subalgebra: LieAlgebra
-
-    @property
-    def is_abelian(self):
-        return self.stabilizer_constants_zero
 
 
 def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,

@@ -81,7 +81,6 @@ class RootSystem:
     model_dim: int
     simple_roots: tuple       # model-space vectors
     positive_roots: tuple     # model-space vectors
-    cartan_matrix: Matrix
     gram: Matrix              # inner product on the model space
     reflections: tuple        # generator matrices, encoded int8 bytes
     degrees: tuple            # fundamental degrees: |W| = prod, reflections = sum(d - 1)
@@ -164,8 +163,8 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
         for v in pos_alpha
     )
     reflections = tuple(_encode(_reflection_matrix_model(a, gram, n), n) for a in simples)
-    return RootSystem(type_label, rank, n, simples, positive, cartan, gram, reflections,
-                      degrees, tuple(pos_alpha))
+    return RootSystem(type_label, rank, n, simples, positive, gram, reflections, degrees,
+                      tuple(pos_alpha))
 
 
 class KeyTable:
@@ -508,8 +507,6 @@ class RestrictionReport:
     first_failure_degree: int | None
     verdict_up_to_dmax: bool
     dmax: int
-    group_orders: tuple       # (|W|, |N|, |Z|, |W0|)
-    stopped_early: bool
 
 
 def _check_dmax(dmax) -> None:
@@ -560,11 +557,4 @@ def restriction_check(W: WeylGroup, t0_basis, w0: W0Report | None = None,
             first_failure = d
             if stop_at_failure:
                 break
-    return RestrictionReport(
-        per_degree,
-        first_failure,
-        first_failure is None,
-        dmax,
-        w0.orders,
-        stopped_early=first_failure is not None and per_degree[-1][0] < dmax,
-    )
+    return RestrictionReport(per_degree, first_failure, first_failure is None, dmax)

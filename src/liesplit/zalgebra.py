@@ -13,7 +13,9 @@ symbolic brackets across the pencil.
 returns a serializable report whose named verdicts are the assertions a
 case is expected to satisfy.  The kept generators of ``sl2n`` and
 ``sl2n1`` are the ones ``eliminate_on_subspace`` chooses, read off the
-modified basis as those still nonzero on t0.
+modified basis as those still nonzero on t0.  The Satake cases ``sl2n``,
+``sl2n1`` and ``so2n`` read the t0 of their Weyl route off their
+splitting, while ``e6_weyl`` and ``weyl-w0`` take Satake arrows.
 """
 
 from __future__ import annotations
@@ -339,8 +341,17 @@ def _satake(type_label, rank, arrows):
     return rs, satake_subspaces(rs, SatakeDiagram(tuple(arrows)))
 
 
+def _splitting_t0(S: Splitting, type_label, rank):
+    """The root system, and the splitting's t0 in its epsilon model coordinates: the first
+    ``model_dim`` diagonal entries of each t0 element of the adapted sl or so builder."""
+    rs = build_root_system(type_label, rank)
+    rho = S.algebra.realization
+    return rs, [tuple(rho[i].get((k, k), 0) for k in range(rs.model_dim)) for i in S.t0_indices]
+
+
 def _weyl_route(rs, t0, dmax, lap=lambda label: None):
-    """Weyl group -> W0 -> restriction table for a root system and its Satake t0.
+    """Weyl group -> W0 -> restriction table for a root system and a t0 in its model space:
+    the splitting's own t0 for the Satake cases, the arrows' for ``e6_weyl`` and ``weyl-w0``.
 
     ``lap`` is called after the enumeration, the W0 computation and the
     restriction check, with the labels of those three steps.
@@ -554,7 +565,7 @@ def _case_sl2n(params, seed, trials, dmax):
     Z, b, td = _z_algebra(S, modified, *_centre_generators(S, modified), "m_tilde", trials, seed)
     timer.lap("z_algebra")
 
-    *_, rc = _weyl_route(*_satake("A", N - 1, [(i, N - i) for i in range(1, n)]), dmax)
+    _, w0, rc = _weyl_route(*_splitting_t0(S, "A", N - 1), dmax)
     timer.lap("weyl")
 
     sph, props = _suites(S, B, seed, trials)
@@ -582,7 +593,7 @@ def _case_sl2n(params, seed, trials, dmax):
         "m_tilde_count": len(Z),
         "b": b,
         "trdeg": td,
-        "weyl_orders": list(rc.group_orders),
+        "weyl_orders": list(w0.orders),
         "weyl_per_degree": rc.per_degree,
         "sum_m": rep_h.sum_m,
         "dim_m": rep_h.dim_m,
@@ -609,7 +620,7 @@ def _case_sl2n1(params, seed, trials, dmax):
     elimination_infeasible = len(_kept_degrees(S, eliminate_on_subspace(B, S))) > len(S.t0_indices)
     timer.lap("elimination")
 
-    *_, rc = _weyl_route(*_satake("A", N - 1, [(i, N - i) for i in range(1, n + 1)]), dmax)
+    _, w0, rc = _weyl_route(*_splitting_t0(S, "A", N - 1), dmax)
     timer.lap("weyl")
 
     sph, props = _suites(S, B, seed, trials)
@@ -627,7 +638,7 @@ def _case_sl2n1(params, seed, trials, dmax):
         "restrictions": restrictions,
         "a_count": unmodified_rep.a_count,
         "dim_t0": len(S.t0_indices),
-        "weyl_orders": list(rc.group_orders),
+        "weyl_orders": list(w0.orders),
         "weyl_per_degree": rc.per_degree,
         "first_failure_degree": rc.first_failure_degree,
         "s0": sph.s0,
@@ -659,7 +670,7 @@ def _case_so2n(params, seed, trials, dmax):
     suite = commutativity_suite(S, small, max_pairs=24, seed=seed)
     timer.lap("z_algebra")
 
-    *_, rc = _weyl_route(*_satake("D", n, [(n - 1, n)]), dmax)
+    _, w0, rc = _weyl_route(*_splitting_t0(S, "D", n), dmax)
     timer.lap("weyl")
 
     sph, props = _suites(S, B, seed, trials, n_pairs=4, pair_budget=120_000)
@@ -689,7 +700,7 @@ def _case_so2n(params, seed, trials, dmax):
         "b": b,
         "trdeg": td,
         "commute_pairs_checked": suite.pairs_checked,
-        "weyl_orders": list(rc.group_orders),
+        "weyl_orders": list(w0.orders),
         "weyl_per_degree": rc.per_degree,
         "s0": sph.s0,
         "s_inf": sph.s_inf,

@@ -130,6 +130,15 @@ def test_case_keeps_library_errors(monkeypatch):
         main(["case", "horo", "--n", "3"])
 
 
+def test_case_failed_verdict_exits_one_after_printing_the_report(monkeypatch, capsys):
+    report = CaseReport("horo", {"n": 3}, 0, {"holds": True, "fails": False}, {"s0": 1}, {})
+    monkeypatch.setattr(cli, "run_case", lambda *args, **kwargs: report)
+    assert main(["case", "horo", "--n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == report.to_dict()
+    assert err == "FAILED verdict: fails\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["index", "--algebra", "sl:x"], "cannot parse --algebra 'sl:x'"),
     (["index", "--algebra", "foo:3"], "cannot parse --algebra 'foo:3'"),

@@ -189,6 +189,14 @@ def test_poly_det_and_pfaffian_reject_a_matrix_that_is_not_square(expand):
         expand([[c(0), c(1)], [c(-1, 3), c(0)]])
 
 
+@pytest.mark.parametrize("expand, entries", [(poly_det, [[2]]),
+                                             (poly_pfaffian, [[0, 1], [-1, 0]])])
+def test_poly_det_and_pfaffian_reject_an_entry_that_is_not_a_polynomial(expand, entries):
+    # a bare number has no variable count: the entry is named, not an AttributeError raised
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is not a Polynomial"):
+        expand(entries)
+
+
 def test_so8_charpoly_drops_finished_minors():
     # the level-by-level expansion holds at most two adjacent levels of minors; the
     # memo that kept every minor until the end peaked at 6.5 MB here

@@ -448,8 +448,7 @@ def test_restriction_full_table_without_short_circuit():
     t0 = satake_subspaces(rs, SatakeDiagram(((1, 4), (2, 3))))
     rc = restriction_check(W, t0, dmax=4, stop_at_failure=False)
     assert rc.first_failure_degree == 1
-    assert [d for d, _, _ in rc.per_degree] == [1, 2, 3, 4]
-    assert not rc.stopped_early
+    assert [d for d, _, _ in rc.per_degree] == [1, 2, 3, 4]   # past the failure, up to dmax
     for d, image_dim, inv_dim in rc.per_degree:
         assert image_dim <= inv_dim
 

@@ -11,10 +11,12 @@ from liesplit.liealg import build_double, build_sl
 from liesplit import zalgebra
 from liesplit.invariants import (HilbertBasis, bidecompose, custom_basis, ggs_check,
                                  hilbert_basis, jacobian_rank, transport_basis)
+from liesplit.linalg import Matrix, rank
 from liesplit.poisson import poisson_bracket
 from liesplit.poly import Polynomial
 from liesplit.rationals import QQ, QQ0, QQ1
 from liesplit.splitting import BracketParameter, horospherical_splitting, pencil_member
+from liesplit.weyl import SatakeDiagram, satake_subspaces
 from liesplit.zalgebra import (
     CaseParameterError,
     CaseReport,
@@ -481,6 +483,49 @@ def test_sl2n_verdict_table_consistency():
     assert rep3.verdicts["routes_agree"] and rep3.verdicts["no_ggs"]
     rep5 = run_case("sl2n1", {"n": 2}, seed=2)
     assert rep5.verdicts["no_ggs"]
+
+
+class _SplittingBuilt(Exception):
+    """Stops a case once its splitting is built."""
+
+
+# the Satake arrows of each case's diagram, as (type, rank, arrows) for its size n
+_SATAKE_ARROWS = {
+    "sl2n": lambda n: ("A", 2 * n - 1, [(i, 2 * n - i) for i in range(1, n)]),
+    "sl2n1": lambda n: ("A", 2 * n, [(i, 2 * n + 1 - i) for i in range(1, n + 1)]),
+    "so2n": lambda n: ("D", n, [(n - 1, n)]),
+}
+
+
+@pytest.mark.parametrize("name, n", [("sl2n", 2), ("sl2n", 3), ("sl2n", 4), ("sl2n1", 1),
+                                     ("sl2n1", 2), ("sl2n1", 3), ("so2n", 3), ("so2n", 4),
+                                     ("so2n", 5)])
+def test_splitting_t0_spans_the_satake_arrows(name, n, monkeypatch):
+    # the Weyl route reads t0 off the splitting; it is the span of the arrow differences
+    # alpha_i - alpha_j of the case's Satake diagram.  Only the splitting is built.
+    built = []
+
+    def build_and_stop(*args, **kwargs):
+        built.append(horospherical_splitting(*args, **kwargs))
+        raise _SplittingBuilt
+
+    monkeypatch.setattr(zalgebra, "horospherical_splitting", build_and_stop)
+    with pytest.raises(_SplittingBuilt):
+        run_case(name, {"n": n})
+    type_label, rank_, arrows = _SATAKE_ARROWS[name](n)
+    rs, t0 = zalgebra._splitting_t0(built[0], type_label, rank_)
+    arrow_t0 = satake_subspaces(rs, SatakeDiagram(tuple(arrows)))
+    assert len(t0) == len(arrows)
+    assert rank(Matrix(t0)) == rank(Matrix(t0 + arrow_t0)) == len(arrows)
+
+
+def test_horo_with_zero_t1():
+    # t1 = 0: h is the nilradical u+, and t0 is the whole Cartan
+    rep = run_case("horo", {"n": 3, "t1": "zero"}, seed=1)
+    failed = [k for k, v in rep.verdicts.items() if not v]
+    assert not failed, failed
+    t = rep.tables
+    assert (t["s0"], t["s_inf"], t["dim_t0"], t["dim_t1"]) == (2, 0, 2, 0)
 
 
 _OPTIMIZED_CHECKS = {
