@@ -25,7 +25,7 @@ from .liealg import algebra_from_json, build_algebra
 from .invariants import ggs_check, hilbert_basis
 from .poisson import index_estimate
 from .splitting import make_decomposition, make_splitting
-from .weyl import _check_dmax
+from .rationals import _check_count
 from .zalgebra import (CaseParameterError, CaseReport, _satake, _Timer, _weyl_route,
                        available_cases, run_case)
 
@@ -176,12 +176,14 @@ def _cmd_weyl_w0(args) -> int:
     timer = _Timer()
     flat = _ints("--arrows", args.arrows, r"\d+:\d+(,\d+:\d+)*")
     arrows = tuple(zip(flat[::2], flat[1::2]))
+    if args.type == "E6" and args.rank is not None:
+        raise SystemExit(f"weyl-w0: --type E6 takes no --rank, got --rank {args.rank}")
     if args.type != "E6" and args.rank is None:
         raise SystemExit(f"weyl-w0: --type {args.type} needs --rank")
-    rank = None if args.type == "E6" else args.rank
-    given = f"--type {args.type}" + ("" if rank is None else f" --rank {rank}")
-    rs, t0 = _or_exit(f"weyl-w0 {given} --arrows {args.arrows!r}", _satake, args.type, rank, arrows)
-    _or_exit("weyl-w0", _check_dmax, args.dmax)
+    given = f"weyl-w0 --type {args.type}" + ("" if args.rank is None else f" --rank {args.rank}")
+    rs, t0 = _or_exit(f"{given} --arrows {args.arrows!r}", _satake, args.type, args.rank, arrows)
+    if args.dmax is not None:
+        _or_exit("weyl-w0", _check_count, "dmax", args.dmax)
     _, rep, rc = _weyl_route(rs, t0, args.dmax, timer.lap)
     tables = {
         "orders": list(rep.orders),

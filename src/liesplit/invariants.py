@@ -44,10 +44,11 @@ from dataclasses import dataclass
 from math import lcm
 
 from . import _kernels as K
-from .liealg import LieAlgebra, _is_int, sub_algebra
+from .liealg import LieAlgebra, sub_algebra
 from .linalg import Matrix, inverse, rank, rank_mod_p, solve  # noqa: F401  (rank: read by the perfbench tracer tests)
 from .poisson import _best_rank, hamiltonian_field, index_estimate, poisson_bracket
 from .poly import Polynomial
+from .rationals import _indices
 from .splitting import Decomposition, Splitting, contract
 
 
@@ -518,19 +519,11 @@ def eliminate_on_subspace(B: HilbertBasis, S: Splitting, keep=()) -> HilbertBasi
     basis (triangular change).  Without ``keep`` the kept restrictions are a minimal
     homogeneous generating set of the restricted image (graded Nakayama: a basis of
     R+/R+^2), so no homogeneous generating system has fewer generators nonzero on t0.
-    ``keep`` lists distinct generator indices kept in any case; a ``ValueError`` names
-    the first entry that is not an ``int`` in range(len(B.generators)) or repeats one.
+    ``keep`` lists distinct generator indices kept in any case, as ``rationals._indices`` checks.
     """
     if B.algebra is not S.algebra:
         raise ValueError("basis and splitting live on different algebras")
-    seen = set()
-    for i in keep:
-        if not (_is_int(i) and 0 <= i < len(B.generators)):
-            raise ValueError(f"keep: {i!r} is not a generator index in "
-                             f"range({len(B.generators)})")
-        if i in seen:
-            raise ValueError(f"keep: generator {i} is listed twice")
-        seen.add(i)
+    seen = set(_indices("keep:", keep, len(B.generators), "generator index"))
     n, k = B.algebra.dim, len(S.t0_indices)
     kept = []  # (generator, degree, its restriction)
     new_gens = list(B.generators)

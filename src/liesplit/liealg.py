@@ -40,13 +40,13 @@ from typing import Sequence
 
 from .linalg import Matrix, inverse
 from .poly import _unit
-from .rationals import QQ, clear_denominators, combine, common_denominator, scalar
+from .rationals import (QQ, _check_size, _indices, _is_int, clear_denominators, combine,
+                        common_denominator, scalar)
 
 
 class JacobiError(ValueError):
-    def __init__(self, triple, residual):
+    def __init__(self, triple):
         self.triple = triple
-        self.residual = residual
         super().__init__(f"Jacobi identity fails on basis triple {triple}")
 
 
@@ -73,10 +73,6 @@ class RealizationCertificate:
     failure: str | None
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 class LieAlgebra:
     def __init__(self, names, constants, rank=None, triangular=None,
                  realization=None, matrix_size=None, gram=None, kind="custom",
@@ -87,16 +83,11 @@ class LieAlgebra:
         for (i, j), entries in constants.items():
             if not (_is_int(i) and _is_int(j) and 0 <= i < j < self.dim):
                 raise ValueError(f"constants must be indexed by pairs i<j, got {(i, j)}")
-            seen = set()
-            kept = []
             where = f"bracket [{i}, {j}]"
+            entries = tuple(entries)
+            _indices(f"{where}: target", [k for k, _ in entries], self.dim, "basis index")
+            kept = []
             for k, c in entries:
-                if not (_is_int(k) and 0 <= k < self.dim):
-                    raise ValueError(f"{where}: target {k!r} is not a basis index "
-                                     f"in range({self.dim})")
-                if k in seen:
-                    raise ValueError(f"{where}: target {k} is listed twice")
-                seen.add(k)
                 c = scalar(c, where)
                 if c:
                     kept.append((k, c))
@@ -113,7 +104,7 @@ class LieAlgebra:
         if check:
             report = jacobi_report(self.dim, self.constants)
             if not report.passed:
-                raise JacobiError(report.first_violation, None)
+                raise JacobiError(report.first_violation)
 
     # -- bracket ------------------------------------------------------
     def bracket_pair(self, i, j):
@@ -292,8 +283,7 @@ def _ename(i, j, n):
 
 
 def build_gl(n: int) -> LieAlgebra:
-    if n < 1:
-        raise ValueError("gl(n) needs n >= 1")
+    _check_size("gl(n)", n, 1)
     order = (
         [(i, j) for i in range(n) for j in range(n) if i < j]
         + [(i, i) for i in range(n)]
@@ -309,8 +299,7 @@ def build_gl(n: int) -> LieAlgebra:
 
 
 def build_sl(n: int) -> LieAlgebra:
-    if n < 2:
-        raise ValueError("sl(n) needs n >= 2")
+    _check_size("sl(n)", n, 2)
     uppers = [(i, j) for i in range(n) for j in range(n) if i < j]
     lowers = [(i, j) for i in range(n) for j in range(n) if i > j]
     mats = [{p: 1} for p in uppers]
@@ -339,8 +328,7 @@ def build_sl(n: int) -> LieAlgebra:
 
 def build_so_even(n: int) -> LieAlgebra:
     """so(2n), realized as matrices skew-symmetric about the antidiagonal."""
-    if n < 2:
-        raise ValueError("so(2n) needs n >= 2")
+    _check_size("so(2n)", n, 2)
     size = 2 * n
     # orbit representatives (i, j) with i + j < size - 1; mirror of (i, j) is
     # (size-1-j, size-1-i) and the antidiagonal itself is forced to zero
@@ -415,14 +403,8 @@ def subalgebra_indices(L: LieAlgebra, indices: Sequence[int], label: str) -> tup
     """``tuple(indices)`` if they are distinct basis indices spanning a subalgebra of ``L``;
     else a ``ValueError`` naming ``label`` and the first bad entry: an index outside
     range(L.dim), a repeated one, or the first bracket in pair order leaving the span."""
-    indices = tuple(indices)
-    seen = set()
-    for i in indices:
-        if not (_is_int(i) and 0 <= i < L.dim):
-            raise ValueError(f"{label}: {i!r} is not a basis index in range({L.dim})")
-        if i in seen:
-            raise ValueError(f"{label}: {i} is listed twice")
-        seen.add(i)
+    indices = _indices(f"{label}:", indices, L.dim, "basis index")
+    seen = set(indices)
     T = L.bracket_table[1]
     for a, i in enumerate(indices):
         for j in indices[a + 1 :]:

@@ -28,10 +28,10 @@ import random
 from dataclasses import dataclass, field
 
 from . import _kernels as K
-from .liealg import LieAlgebra, _bracket, _is_int, subalgebra_indices
+from .liealg import LieAlgebra, _bracket, subalgebra_indices
 from .linalg import P, Matrix, rank, rank_and_nullspace, skew_rank_mod_p, solve_many
 from .poly import Polynomial
-from .rationals import QQ, qq_str, scalar
+from .rationals import QQ, _check_count, _check_int, _is_int, qq_str, scalar
 from .splitting import Splitting, contract
 
 DEFAULT_BOUND = 10**6
@@ -153,29 +153,6 @@ class IndexEstimate:
         }
 
 
-def _check_count(name: str, value) -> None:
-    """A ``ValueError`` naming ``name`` unless ``value`` is an ``int`` of at least 1 (no
-    bool, float or str): a sampled check with no samples would certify nothing."""
-    if not _is_int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} >= 1 required")
-
-
-def _check_seed(seed) -> None:
-    """A ``ValueError`` naming ``seed`` unless it is an ``int`` (no bool, float or str, which
-    ``random.Random`` would take and hash)."""
-    if not _is_int(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-
-
-def _check_sampling(trials, seed) -> None:
-    """A ``ValueError`` unless ``seed`` passes :func:`_check_seed` and ``trials``
-    :func:`_check_count`, raised before any draw."""
-    _check_seed(seed)
-    _check_count("trials", trials)
-
-
 def _sample_point(rng, dim, bound, support=None):
     if support is None:
         return [rng.randint(-bound, bound) for _ in range(dim)]
@@ -191,11 +168,12 @@ def _best_rank(rank_at, dim, cap, trials, seed, bound, support=None):
 
     The one sampling loop behind every sampled rank.  ``cap`` is the largest rank the
     caller's matrix can have; the draws stop at the first point that reaches it, which
-    leaves both values as the full run would.  ``trials`` and ``seed`` pass
-    :func:`_check_sampling`, and ``bound`` must be an ``int`` with 1 <= bound and
-    2 bound + 1 <= ``linalg.P``, the condition of the Schwartz-Zippel bound there;
-    all are checked before any draw."""
-    _check_sampling(trials, seed)
+    leaves both values as the full run would.  ``seed`` must be an ``int`` (which
+    ``random.Random`` would otherwise hash from a string or a float), ``trials`` an ``int``
+    of at least 1, and ``bound`` an ``int`` with 1 <= bound and 2 bound + 1 <= ``linalg.P``,
+    the condition of the Schwartz-Zippel bound there; all are checked before any draw."""
+    _check_int("seed", seed)
+    _check_count("trials", trials)
     if not _is_int(bound) or bound < 1 or 2 * bound + 1 > P:
         raise ValueError(f"bound must be an integer with 1 <= bound <= {(P - 1) // 2}, "
                          f"got {bound!r}")

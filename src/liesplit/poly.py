@@ -40,7 +40,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from . import _kernels as K
-from .rationals import QQ, clear_denominators, exact, qq_str, scalar
+from .rationals import QQ, _indices, _is_int, clear_denominators, exact, qq_str, scalar
 
 
 def _unit(nvars: int, i: int) -> int:
@@ -231,8 +231,8 @@ class Polynomial:
                               self.den * c.denominator)
 
     def __pow__(self, k: int) -> "Polynomial":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        if not _is_int(k) or k < 0:
+            raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
         result = Polynomial.constant(self.nvars, 1)
         base = self
         while k:
@@ -350,14 +350,8 @@ class Polynomial:
         becomes x_j): self with every other variable set to zero, over len(keep) variables;
         a ``ValueError`` names the first entry that is not a variable or repeats one."""
         n = self.nvars
-        kept = set()
-        for i in keep:
-            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n:
-                raise ValueError(f"{i!r} is not a variable index in 0..{n - 1}")
-            if i in kept:
-                raise ValueError(f"variable {i} is kept twice")
-            kept.add(i)
-        others = (1 << 8 * n) - 1 - sum(0xFF * _unit(n, i) for i in kept)
+        keep = _indices("part_on:", keep, n, "variable index")
+        others = (1 << 8 * n) - 1 - sum(0xFF * _unit(n, i) for i in keep)
         out = {}
         for e, c in self.terms.items():
             if not e & others:

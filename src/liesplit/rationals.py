@@ -10,6 +10,12 @@ enter through the one coercion :func:`scalar`, which rejects ``float``,
 and denominators are cleared through :func:`clear_denominators`.  Sparse
 vectors with exact entries are combined through :func:`combine`.  A true
 division keeps a ``QQ`` operand, so no path divides two ints.
+
+Integer inputs follow one rule: an ``int``, never a ``bool``, float or str
+(:func:`_is_int`, :func:`_check_int`); a count at least 1
+(:func:`_check_count`), a size at least its least value
+(:func:`_check_size`), an index list distinct ints in range
+(:func:`_indices`); anything else raises ``ValueError`` naming the value.
 """
 
 from __future__ import annotations
@@ -22,6 +28,46 @@ RATIONAL_BACKEND = "fractions"
 
 QQ0 = QQ(0)
 QQ1 = QQ(1)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_int(name: str, value) -> None:
+    """A ``ValueError`` naming ``name`` and ``value`` unless it is an ``int``."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_count(name: str, value) -> None:
+    """:func:`_check_int`, and a ``ValueError`` unless ``value`` is at least 1: a sampled
+    check with no samples, or a table with no rows, would certify nothing."""
+    _check_int(name, value)
+    if value < 1:
+        raise ValueError(f"{name} >= 1 required, got {value}")
+
+
+def _check_size(label: str, n, least: int) -> None:
+    """A ``ValueError`` after ``label`` unless ``n`` is an ``int`` of at least ``least``."""
+    if not _is_int(n):
+        raise ValueError(f"{label} needs an integer n, got {n!r}")
+    if n < least:
+        raise ValueError(f"{label} needs n >= {least}, got {n}")
+
+
+def _indices(label: str, items, n: int, noun: str) -> tuple:
+    """``tuple(items)`` if its entries are distinct ``int``s in range(n); else a ``ValueError``
+    after ``label`` naming the first entry that is not a ``noun`` in range(n) or repeats one."""
+    items = tuple(items)
+    seen = set()
+    for i in items:
+        if not (_is_int(i) and 0 <= i < n):
+            raise ValueError(f"{label} {i!r} is not a {noun} in range({n})")
+        if i in seen:
+            raise ValueError(f"{label} {i} is listed twice")
+        seen.add(i)
+    return items
 
 
 def exact(q):

@@ -42,10 +42,9 @@ from math import prod
 from operator import mul
 
 from . import _kernels as K
-from .liealg import _is_int
 from .linalg import Matrix, inverse, rank, rank_and_nullspace
 from .poly import Polynomial, _exponents, _unit
-from .rationals import QQ, clear_denominators
+from .rationals import QQ, _check_count, _check_size, _is_int, clear_denominators
 
 
 def _encode(mat_rows, n) -> bytes:
@@ -132,9 +131,7 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
         simples = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
         degrees = (2, 5, 6, 8, 9, 12)
     elif type_label in ("A", "D"):
-        least = 1 if type_label == "A" else 3
-        if rank is None or rank < least:
-            raise ValueError(f"{type_label}_n needs n >= {least}")
+        _check_size(f"{type_label}_n", rank, 1 if type_label == "A" else 3)
         n = rank + 1 if type_label == "A" else rank
         gram = Matrix.identity(n)
         # e_j - e_(j+1), and for D_n also e_(n-1) + e_n
@@ -342,11 +339,13 @@ class SatakeDiagram:
     def __post_init__(self):
         seen = set()
         for i, j in self.arrows:
+            if not (_is_int(i) and _is_int(j)):
+                raise ValueError(f"arrow {(i, j)!r} must join two integer nodes")
             if i == j:
-                raise ValueError("an arrow must join two distinct nodes")
+                raise ValueError(f"an arrow must join two distinct nodes, got {(i, j)}")
             for x in (i, j):
                 if x in seen:
-                    raise ValueError("arrows must be disjoint")
+                    raise ValueError(f"arrows must be disjoint: node {x} is in two arrows")
                 seen.add(x)
         object.__setattr__(self, "arrows", tuple((i, j) for i, j in self.arrows))
 
@@ -509,16 +508,6 @@ class RestrictionReport:
     dmax: int
 
 
-def _check_dmax(dmax) -> None:
-    """A ``ValueError`` unless ``dmax`` is None (each root system's default) or an ``int``
-    of at least 1: a ``bool``, a float or a string is not truncated or parsed, and an
-    empty restriction table would read as onto."""
-    if dmax is not None and not _is_int(dmax):
-        raise ValueError(f"dmax must be an integer, got {dmax!r}")
-    if dmax is not None and dmax < 1:
-        raise ValueError(f"dmax >= 1 required, got {dmax}")
-
-
 def restriction_check(W: WeylGroup, t0_basis, w0: W0Report | None = None,
                       dmax: int | None = None, stop_at_failure: bool = True) -> RestrictionReport:
     """Degree-by-degree surjectivity of restriction onto the W0-invariants of t0.
@@ -529,10 +518,10 @@ def restriction_check(W: WeylGroup, t0_basis, w0: W0Report | None = None,
     which is recorded in the report.  A ``dmax`` below 1 would certify
     nothing and raises ``ValueError``, as does one that is not an ``int``.
     """
-    _check_dmax(dmax)
     rs = W.root_system
     if dmax is None:
         dmax = max(rs.degrees)
+    _check_count("dmax", dmax)
     if w0 is None:
         w0 = w0_compute(W, t0_basis)
     n = rs.model_dim

@@ -25,7 +25,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .liealg import LieAlgebra, _is_int, build_double, build_sl, build_so_even
+from .liealg import LieAlgebra, build_double, build_sl, build_so_even
 from .invariants import (
     HilbertBasis,
     _b_of,
@@ -41,9 +41,9 @@ from .invariants import (
     aks_restrict,
 )
 from .linalg import Matrix, rank
-from .poisson import (_check_count, _check_sampling, _check_seed, _sample_point, poisson_bracket,
-                      sphericity, tensor_at)
+from .poisson import _sample_point, poisson_bracket, sphericity, tensor_at
 from .poly import Polynomial
+from .rationals import _check_count, _check_int, _is_int
 from .splitting import (
     BracketParameter,
     Splitting,
@@ -55,7 +55,6 @@ from .splitting import (
 )
 from .weyl import (
     SatakeDiagram,
-    _check_dmax,
     build_root_system,
     enumerate_weyl,
     restriction_check,
@@ -135,7 +134,7 @@ def commutativity_suite(S: Splitting, gens, extra_params=(), max_pairs=None,
     and any extra parameters, decided by exact brackets at (1,0) and (0,1) (linearity,
     see ``family_bracket``); at most ``max_pairs`` seeded pairs when given, an ``int`` >= 1,
     drawn with the ``int`` ``seed``."""
-    _check_seed(seed)
+    _check_int("seed", seed)
     if max_pairs is not None:
         _check_count("max_pairs", max_pairs)
     params = [BracketParameter(1, 0), BracketParameter(0, 1), BracketParameter(1, 1)]
@@ -181,7 +180,7 @@ def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0,
     ``family_bracket`` proves.  ``n_pairs`` and ``pair_budget`` are ``int``s >= 1 and
     ``seed`` an ``int``, all checked before any draw.
     """
-    _check_seed(seed)
+    _check_int("seed", seed)
     _check_count("n_pairs", n_pairs)
     _check_count("pair_budget", pair_budget)
     rng = random.Random(seed)
@@ -444,6 +443,9 @@ def _case_borel(params, seed, trials, dmax):
 def _case_horo(params, seed, trials, dmax):
     n = _size(params, "horo", 2, "g = sl(n)")
     t1_spec = params.get("t1", "full")
+    if t1_spec not in ("full", "zero") and not (isinstance(t1_spec, (list, tuple)) and all(
+            isinstance(d, (list, tuple)) and all(map(_is_int, d)) for d in t1_spec)):
+        raise CaseParameterError(f"t1 must be 'full', 'zero' or integer diagonals, got {t1_spec!r}")
     timer = _Timer()
     g = build_sl(n)
     if t1_spec == "full":
@@ -754,29 +756,36 @@ def _case_aks(params, seed, trials, dmax):
 
 
 _CASES = {
-    "borel": _case_borel,
-    "horo": _case_horo,
-    "double": _case_double,
-    "sl2n": _case_sl2n,
-    "sl2n1": _case_sl2n1,
-    "so2n": _case_so2n,
-    "e6_weyl": _case_e6_weyl,
-    "aks": _case_aks,
+    "borel": (_case_borel, ("n",)),
+    "horo": (_case_horo, ("n", "t1")),
+    "double": (_case_double, ("n",)),
+    "sl2n": (_case_sl2n, ("n",)),
+    "sl2n1": (_case_sl2n1, ("n",)),
+    "so2n": (_case_so2n, ("n",)),
+    "e6_weyl": (_case_e6_weyl, ()),
+    "aks": (_case_aks, ("n",)),
 }
 
 
 def run_case(name: str, params: dict | None = None, seed: int = 0,
              trials: int = 8, dmax: int | None = None) -> CaseReport:
     """Run one worked case end to end and return its report; a :class:`CaseParameterError`
-    before any build for an unknown case or a bad ``trials``, ``seed`` or ``dmax``."""
+    before any build for an unknown case, a bad ``trials``, ``seed`` or ``dmax``, or a
+    parameter key the case does not take."""
     if name not in _CASES:
         raise CaseParameterError(f"unknown case {name!r}; choose from {sorted(_CASES)}")
     try:
-        _check_sampling(trials, seed)
-        _check_dmax(dmax)
+        _check_int("seed", seed)
+        _check_count("trials", trials)
+        if dmax is not None:
+            _check_count("dmax", dmax)
     except ValueError as exc:
         raise CaseParameterError(str(exc)) from None
-    return _CASES[name](params or {}, seed, trials, dmax)
+    case, keys = _CASES[name]
+    for key in params or {}:
+        if key not in keys:
+            raise CaseParameterError(f"{name} does not take {key!r}; accepted keys: {list(keys)}")
+    return case(params or {}, seed, trials, dmax)
 
 
 def available_cases():

@@ -187,6 +187,12 @@ def test_case_failed_verdict_exits_one_after_printing_the_report(monkeypatch, ca
      "check-ggs --h 'indices:0,0,1,3,4': h: 0 is listed twice"),
     (["check-ggs", "--algebra", "gl:4", "--h", "glblocks:1,3", "--side", "r"],
      "side 'r' needs a full splitting"),
+    # an option the case or the root system does not take was once ignored
+    (["case", "borel", "--n", "2", "--t1", "zero"],
+     "case borel: borel does not take 't1'; accepted keys: ['n']"),
+    (["case", "e6_weyl", "--n", "5"], "case e6_weyl: e6_weyl does not take 'n'; accepted keys: []"),
+    (["weyl-w0", "--type", "E6", "--rank", "4", "--arrows", "1:5,2:4"],
+     "weyl-w0: --type E6 takes no --rank, got --rank 4"),
 ])
 def test_malformed_input_exits_with_one_line_naming_it(argv, message):
     with pytest.raises(SystemExit) as exc:

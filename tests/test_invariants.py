@@ -474,7 +474,7 @@ def test_eliminate_walks_the_generators_in_degree_order():
     ([True], "keep: True is not a generator index"),
     ([0.0], "keep: 0.0 is not a generator index"),
     (["0"], "keep: '0' is not a generator index"),
-    ([0, 0], "keep: generator 0 is listed twice"),
+    ([0, 0], "keep: 0 is listed twice"),
 ])
 def test_eliminate_rejects_malformed_keep(keep, message):
     g, S = _sl4_splitting()

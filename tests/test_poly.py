@@ -126,11 +126,11 @@ def test_lift_and_restrict_round_trip():
 
 
 @pytest.mark.parametrize("keep, message", [
-    ([0, 1, 1], "variable 1 is kept twice"),  # once read as x0^2*x1*x2
-    ([-1], "-1 is not a variable index in 0..2"),  # once the zero polynomial
-    ([5], "5 is not a variable index in 0..2"),  # once a negative shift count
-    ([0, True], "True is not a variable index in 0..2"),
-    ([0.0], "0.0 is not a variable index in 0..2"),
+    ([0, 1, 1], "part_on: 1 is listed twice"),  # once read as x0^2*x1*x2
+    ([-1], "part_on: -1 is not a variable index in range(3)"),  # once the zero polynomial
+    ([5], "part_on: 5 is not a variable index in range(3)"),  # once a negative shift count
+    ([0, True], "part_on: True is not a variable index in range(3)"),
+    ([0.0], "part_on: 0.0 is not a variable index in range(3)"),
 ])
 def test_part_on_names_a_bad_variable(keep, message):
     x0, x1, x2 = (Polynomial.variable(3, i) for i in range(3))

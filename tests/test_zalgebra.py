@@ -187,10 +187,10 @@ def test_pencil_commutativity_needs_every_sampled_pair():
 
 
 @pytest.mark.parametrize("knob,value,message", [
-    ("n_pairs", 0, "n_pairs >= 1 required"),
-    ("n_pairs", -3, "n_pairs >= 1 required"),
+    ("n_pairs", 0, "n_pairs >= 1 required, got 0"),
+    ("n_pairs", -3, "n_pairs >= 1 required, got -3"),
     ("n_pairs", True, "n_pairs must be an integer, got True"),
-    ("pair_budget", 0, "pair_budget >= 1 required"),
+    ("pair_budget", 0, "pair_budget >= 1 required, got 0"),
     ("pair_budget", 2.5, "pair_budget must be an integer, got 2.5"),
 ])
 def test_property_suite_rejects_pair_knobs_that_check_nothing(knob, value, message):
@@ -200,8 +200,8 @@ def test_property_suite_rejects_pair_knobs_that_check_nothing(knob, value, messa
 
 
 @pytest.mark.parametrize("value,message", [
-    (0, "max_pairs >= 1 required"),
-    (-1, "max_pairs >= 1 required"),
+    (0, "max_pairs >= 1 required, got 0"),
+    (-1, "max_pairs >= 1 required, got -1"),
     ("4", "max_pairs must be an integer, got '4'"),
     (False, "max_pairs must be an integer, got False"),
 ])
