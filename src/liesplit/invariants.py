@@ -6,9 +6,9 @@ the trace for the antidiagonal orthogonal realization).  Concretely the
 generic dual element is the matrix Y(x) = sum_a y_a X_a with G y = x,
 where G is the Gram matrix of the invariant form on the chosen basis.
 The characteristic coefficients e_k come from the determinant of lambda I - Y,
-expanded level by level (dropping each level of minors once the next exists)
-on int terms over one denominator; the power traces tr(Y^k) follow from them
-by Newton's identities, and the so(2n) principal-minor sums are even e_k.
+expanded level by level (dropping each level of minors once the next exists),
+each minor one ``Polynomial.sum_of_products``; the power traces tr(Y^k)
+follow by Newton's identities, and the so(2n) principal-minor sums are even e_k.
 The Pfaffian is the only other expansion.  All are exact polynomials in
 the dual coordinates x.
 
@@ -41,14 +41,16 @@ there); the two must agree on builder algebras.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
 from math import lcm
+from operator import mul
 
-from . import _kernels as K
 from .liealg import LieAlgebra, sub_algebra
 from .linalg import Matrix, inverse, rank, rank_mod_p, solve  # noqa: F401  (rank: read by the perfbench tracer tests)
 from .poisson import _best_rank, hamiltonian_field, index_estimate, poisson_bracket
 from .poly import Polynomial
-from .rationals import _indices
+from .rationals import QQ, _indices
 from .splitting import Decomposition, Splitting, contract
 
 
@@ -80,30 +82,24 @@ def _first_row_expansion(entries, split, levels: int) -> Polynomial:
     The subproblems reachable through nonzero entries are listed one level per
     size; each level is built from the one below, which is then dropped, and
     the top's own subproblems are folded into the result one at a time.  The
-    entries are cleared to int terms over one denominator d, so the expansion
-    multiplies and adds ints alone, into one dict per minor; a full product
-    takes ``levels`` entries, so the result is divided once by d^levels.
+    entries are cleared to one denominator d, so every minor is an integral
+    :meth:`Polynomial.sum_of_products` with no rescaling; a full product takes
+    ``levels`` entries, so the result is divided once by d^levels.
     """
     nv = entries[0][0].nvars if entries else 0
     d = lcm(*(e.den for row in entries for e in row))
-    ints = [[{k: c * (d // e.den) for k, c in e.terms.items()} for e in row] for row in entries]
+    cleared = [[e.scale(d) for e in row] for row in entries]
 
     def nonzero(idx):  # (t, entry, subproblem) for each nonzero entry of idx's row
         row, cols = split(idx)
-        return [(t, ints[row][j], cols[:t] + cols[t + 1 :])
-                for t, j in enumerate(cols) if ints[row][j]]
+        return [(t, cleared[row][j], cols[:t] + cols[t + 1 :])
+                for t, j in enumerate(cols) if cleared[row][j]]
 
-    def minor(idx, below) -> dict:
+    def minor(idx, below) -> Polynomial:
         if not idx:
-            return {0: 1}
-        acc: dict = {}
-        for t, e, sub in nonzero(idx):
-            s = below(sub)
-            if s:
-                K.mul_terms({k: -c for k, c in e.items()} if t % 2 else e, s, nv, acc)
-        for k in [k for k, c in acc.items() if not c]:  # in place: no second copy of acc
-            del acc[k]
-        return acc
+            return Polynomial.constant(nv, 1)
+        return Polynomial.sum_of_products(nv, (((-1) ** t, e, below(sub))
+                                               for t, e, sub in nonzero(idx)))
 
     reach = [[tuple(range(len(entries)))]]  # the top, then the reachable subproblems by level
     while reach[-1] and reach[-1][0]:
@@ -111,7 +107,7 @@ def _first_row_expansion(entries, split, levels: int) -> Polynomial:
     built: dict = {}
     for level in reversed(reach[2:]):
         built = {idx: minor(idx, built.__getitem__) for idx in level}  # drops the level below
-    return Polynomial._of(nv, minor(reach[0][0], lambda s: minor(s, built.__getitem__)), d**levels)
+    return minor(reach[0][0], lambda s: minor(s, built.__getitem__)).scale(QQ(1, d**levels))
 
 
 def _square_size(entries) -> int:
@@ -176,22 +172,14 @@ def _power_sums(e: dict) -> dict:
     """Map k -> p_k = tr(Y^k) from k -> e_k by Newton's identities.
 
     p_k = sum_{i<k} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k, integer
-    multipliers only (Macdonald, Symmetric Functions, I.2), each p_k summed by
-    ``mul_terms`` into one int dict, sign and multiplier on the smaller factor.
+    multipliers only (Macdonald, Symmetric Functions, I.2), each p_k one
+    :meth:`Polynomial.sum_of_products`.
     """
     p = {}
     for k in sorted(e):
-        nv, acc = e[k].nvars, {}
-        q = {**p, 0: Polynomial.constant(nv, k)}  # k e_k is e_k times the constant k
-        pairs = [(i, e[i], q[k - i]) for i in (k, *range(1, k)) if e[i] and q[k - i]]
-        den = lcm(*(a.den * b.den for _, a, b in pairs))
-        for i, a, b in pairs:
-            small, big = sorted((a.terms, b.terms), key=len)
-            m = den // (a.den * b.den) * (1 if i % 2 else -1)
-            K.mul_terms({key: c * m for key, c in small.items()}, big, nv, acc)
-        for key in [key for key, c in acc.items() if not c]:  # in place: no second copy of acc
-            del acc[key]
-        p[k] = Polynomial._of(nv, acc, den)
+        q = {**p, 0: Polynomial.constant(e[k].nvars, k)}  # k e_k is e_k times the constant k
+        p[k] = Polynomial.sum_of_products(e[k].nvars, ((1 if i % 2 else -1, e[i], q[k - i])
+                                                       for i in (k, *range(1, k))))
     return p
 
 
@@ -373,7 +361,7 @@ def bidecompose(D: Decomposition, F: Polynomial) -> dict:
         raise ValueError("cannot bidecompose the zero polynomial")
     if not F.is_homogeneous():
         raise ValueError("bidecompose needs a homogeneous polynomial")
-    parts = F.split(D.h_degree_of_exponent)
+    parts = F.split_degree(D.h_indices)
     D._bidecompositions[id(F)] = (F, parts)
     return parts
 
@@ -500,12 +488,9 @@ def _weighted_exponents(weights, total):
     return out
 
 
-def _power_product(acc: Polynomial, factors, exponents) -> Polynomial:
-    """acc times the product of factors[s] ** exponents[s]."""
-    for f, e in zip(factors, exponents):
-        if e:
-            acc = acc * f**e
-    return acc
+def _power_product(factors, exponents) -> Polynomial:
+    """The product of factors[s] ** exponents[s], some exponent nonzero."""
+    return reduce(mul, (f**e for f, e in zip(factors, exponents) if e))
 
 
 def eliminate_on_subspace(B: HilbertBasis, S: Splitting, keep=()) -> HilbertBasis:
@@ -534,17 +519,14 @@ def eliminate_on_subspace(B: HilbertBasis, S: Splitting, keep=()) -> HilbertBasi
             if target.is_zero():
                 continue
             exps = _weighted_exponents([w for _, w, _ in kept], d)
-            prods = [_power_product(Polynomial.constant(k, 1), [r for *_, r in kept], m)
-                     for m in exps]
+            prods = [_power_product([r for *_, r in kept], m) for m in exps]
             monos = sorted({e for p in prods for e in p.terms} | set(target.terms))
             lam = solve(Matrix([[p.coeff(e) for p in prods] for e in monos]),
                         [target.coeff(e) for e in monos])
             if lam is not None:
-                Q = P
-                for coeff, m in zip(lam, exps):
-                    if coeff:
-                        Q = Q - _power_product(Polynomial.constant(n, coeff),
-                                               [g for g, *_ in kept], m)
+                Q = Polynomial.sum_of_products(n, chain([(1, P, Polynomial.constant(n, 1))], (
+                    (-1, Polynomial.constant(n, c), _power_product([g for g, *_ in kept], m))
+                    for c, m in zip(lam, exps) if c)))
                 new_gens[idx] = (Q, d)
                 S._t0_restrictions[id(Q)] = (Q, Polynomial.zero(k))
                 continue

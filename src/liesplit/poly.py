@@ -8,22 +8,25 @@ for an integral polynomial and equal polynomials have equal ``terms`` and
 ``den``.  The kernels run on ints alone: a sum scales both sides to the
 lcm of the denominators, a product multiplies them, and each result is
 reduced once; ``mul_terms`` can also add a product into a caller's dict,
-so a sum of products (a Poisson bracket) builds no dict per product.
-Outside the polynomial core (this module, ``_kernels`` and ``poisson``)
-code reads coefficients only through :meth:`Polynomial.coeff`,
+so a sum of products builds no dict per product.  Only the polynomial
+core (this module, ``_kernels`` and ``poisson``, whose brackets work on
+:meth:`~Polynomial.partials` dicts) calls a kernel or ``_of`` or reads the
+items or values of ``terms``.  Other code combines polynomials by the
+arithmetic, :meth:`~Polynomial.sum_of_products` (c * a * b summed into one
+int dict: minors, Newton's identities, substitutions) and
+:meth:`~Polynomial.split_degree` (the parts by degree in some variables);
+it reads coefficients only through :meth:`~Polynomial.coeff`,
 :meth:`~Polynomial.items`, :meth:`~Polynomial.eval`,
 :meth:`~Polynomial.canonical` and :meth:`~Polynomial.to_string`, the only
-producers of rational values, and the int-producing
-:meth:`~Polynomial.int_gradient` (den times the gradient at an integer
-point); it builds and reads keys only through ``_unit`` and
-``_exponents``.  :meth:`~Polynomial.split_last` (the coefficients in the
-last variable) and :meth:`~Polynomial.part_on` (the terms on a set of
-variables) regroup terms by shifting and masking keys, with no rational
-round trip.  A key packs the exponent vector into one int, 8 bits per
-variable, variable 0 in the most significant byte, over a fixed width of
-``nvars`` bytes, so exponents stay below 256 (a product past 255 raises
-``OverflowError``), a monomial product is one integer addition, and
-integer order equals the order of the exponent bytes.
+producers of rational values, and :meth:`~Polynomial.int_gradient` (den
+times the gradient at an integer point, in ints), and keys only through
+``_unit`` and ``_exponents``.  :meth:`~Polynomial.split_last`,
+:meth:`~Polynomial.part_on` and :meth:`~Polynomial.split_degree` regroup
+terms by shifting and masking keys.  A key packs the exponent vector into
+one int, 8 bits per variable, variable 0 in the most significant byte,
+over a fixed width of ``nvars`` bytes, so exponents stay below 256 (a
+product past 255 raises ``OverflowError``), a monomial product is one
+integer addition, and integer order equals the order of the exponent bytes.
 Coefficients and points enter through :func:`liesplit.rationals.scalar`,
 which rejects ``float``; the constructor takes {exponent sequence:
 coefficient} maps.  Values are immutable by convention (no caller of
@@ -34,13 +37,13 @@ polynomial has no terms, den = 1, and degree ``None``.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd, lcm
-from operator import or_
+from operator import mul, or_
 from typing import Iterable, Sequence
 
 from . import _kernels as K
-from .rationals import QQ, _indices, _is_int, clear_denominators, exact, qq_str, scalar
+from .rationals import QQ, _check_int, _indices, _is_int, clear_denominators, exact, qq_str, scalar
 
 
 def _unit(nvars: int, i: int) -> int:
@@ -54,14 +57,15 @@ def _exponents(key: int, nvars: int) -> bytes:
 
 
 def _pack(e, nvars: int) -> int:
-    """Packed key of an exponent sequence of length ``nvars``."""
+    """Packed key of an exponent sequence of length ``nvars``, each an ``int`` in 0..255."""
     if isinstance(e, int):
         raise TypeError(f"exponent {e!r} must be a sequence of {nvars} exponents")
-    try:
+    if not isinstance(e, bytes):
+        for i, k in enumerate(e):
+            _check_int(f"exponent of variable {i}", k)
+            if not 0 <= k < 256:
+                raise ValueError(f"exponent {k} of variable {i} is outside 0..255")
         e = bytes(e)
-    except ValueError:
-        i, k = next((i, k) for i, k in enumerate(e) if not 0 <= k < 256)
-        raise ValueError(f"exponent {k} of variable {i} is outside 0..255") from None
     if len(e) != nvars:
         raise ValueError(f"exponent vector {e!r} has length {len(e)}, expected {nvars}")
     return int.from_bytes(e, "big")
@@ -115,6 +119,7 @@ class Polynomial:
         coeff = scalar(coeff)
         e = [0] * nvars
         for i, k in exps.items() if isinstance(exps, dict) else enumerate(exps):
+            _check_int("variable", i)
             if not 0 <= i < nvars:
                 raise ValueError(f"variable {i} outside 0..{nvars - 1}")
             e[i] = k
@@ -157,12 +162,15 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return len(set(self._degrees())) <= 1
 
-    def split(self, label) -> dict:
-        """Map ``label(exponent bytes)`` -> the part of self on those terms, in label order."""
+    def split_degree(self, variables) -> dict:
+        """{k: the part of self of degree k in ``variables``}, nonzero parts only, k increasing;
+        a ``ValueError`` names the first entry that is not a variable or repeats one."""
         n = self.nvars
+        variables = _indices("split_degree:", variables, n, "variable index")
+        mask = sum(0xFF * _unit(n, i) for i in variables)  # the exponent slots of variables
         parts: dict = {}
         for e, c in self.terms.items():
-            parts.setdefault(label(_exponents(e, n)), {})[e] = c
+            parts.setdefault(sum(_exponents(e & mask, n)), {})[e] = c
         return {k: Polynomial._of(n, t, self.den) for k, t in sorted(parts.items())}
 
     def split_last(self) -> dict:
@@ -222,13 +230,41 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    @classmethod
+    def sum_of_products(cls, nvars: int, products) -> "Polynomial":
+        """Sum c * a * b over the (int c, Polynomial a, Polynomial b) ``products``, taken one
+        at a time (a generator can build each factor when it is needed) into one int dict
+        over the running lcm of the a.den * b.den, rescaled in place only when it grows; c
+        and the denominator ratio go on the smaller factor, zeros are dropped once at the end."""
+        acc: dict = {}
+        den = 1  # acc / den is the sum so far
+        for c, a, b in products:
+            _check_int("sum_of_products: c", c)
+            if a.nvars != nvars or b.nvars != nvars:
+                raise ValueError(f"a product over {a.nvars} and {b.nvars} variables, not {nvars}")
+            if not (c and a.terms and b.terms):
+                continue
+            d = a.den * b.den
+            if den % d:
+                m = lcm(den, d)
+                up = m // den
+                for e in acc:
+                    acc[e] *= up
+                den = m
+            c *= den // d
+            small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
+            K.mul_terms(small if c == 1 else {e: v * c for e, v in small.items()}, big, nvars, acc)
+        for e in [e for e, v in acc.items() if not v]:  # in place: no second copy of acc
+            del acc[e]
+        return cls._of(nvars, acc, den)
+
     def scale(self, c) -> "Polynomial":
         c = scalar(c)
         if not c:
             return Polynomial.zero(self.nvars)
-        num = c.numerator
-        return Polynomial._of(self.nvars, {e: v * num for e, v in self.terms.items()},
-                              self.den * c.denominator)
+        num = c.numerator  # 1 shares the terms: a value is never changed in place
+        return Polynomial._of(self.nvars, self.terms if num == 1 else
+                              {e: v * num for e, v in self.terms.items()}, self.den * c.denominator)
 
     def __pow__(self, k: int) -> "Polynomial":
         if not _is_int(k) or k < 0:
@@ -244,8 +280,7 @@ class Polynomial:
 
     # -- calculus -----------------------------------------------------
     def diff(self, var: int) -> "Polynomial":
-        if not 0 <= var < self.nvars:
-            raise ValueError(f"variable index {var} out of range for {self.nvars} variables")
+        _indices("diff:", (var,), self.nvars, "variable index")
         return Polynomial._of(self.nvars, K.diff_terms(self.terms, var, self.nvars), self.den)
 
     def partials(self) -> dict:
@@ -316,27 +351,17 @@ class Polynomial:
         n = self.nvars
         # the exponent slots of variables sent to zero: a term using one contributes nothing
         dead = sum(0xFF * _unit(n, i) for i, im in enumerate(images) if not im.terms)
-        pow_cache: dict[tuple[int, int], Polynomial] = {}
-        out: dict = {}
-        den = 1  # out / den is the sum so far, without self.den
-        one = Polynomial.constant(target_nvars, 1)
-        for e, c in self.terms.items():
-            if e & dead:
-                continue
-            piece = one
-            for i, k in enumerate(_exponents(e, n)):
-                if k:
-                    p = pow_cache.get((i, k))
-                    if p is None:
-                        p = images[i] ** k
-                        pow_cache[(i, k)] = p
-                    piece = piece * p
-            if den % piece.den:
-                m = lcm(den, piece.den)
-                out = {f: v * (m // den) for f, v in out.items()}
-                den = m
-            K.axpy_terms(out, piece.terms, c * (den // piece.den))
-        return Polynomial._of(target_nvars, out, den * self.den)
+        power = lru_cache(maxsize=None)(lambda i, k: images[i] ** k)
+
+        def products():  # c x^e -> (c, its factors but the last, the last)
+            one = Polynomial.constant(target_nvars, 1)
+            for e, c in self.terms.items():
+                if not e & dead:
+                    fs = [power(i, k) for i, k in enumerate(_exponents(e, n)) if k] or [one]
+                    yield c, reduce(mul, fs[:-1]) if len(fs) > 1 else one, fs[-1]
+
+        out = Polynomial.sum_of_products(target_nvars, products())
+        return out if self.den == 1 else out.scale(QQ(1, self.den))
 
     def lift(self, new_nvars: int, offset: int = 0) -> "Polynomial":
         """Reinterpret over a larger variable space, shifting indices by ``offset``."""

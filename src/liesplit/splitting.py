@@ -3,9 +3,10 @@
 A ``Decomposition`` fixes a subalgebra h spanned by distinct basis vectors
 and r, the other basis vectors in index order (not necessarily a
 subalgebra); that is enough for the contraction h x r^ab and for bi-degree
-work.  A ``Splitting`` also requires r to be closed (``liealg.subalgebra_indices``
-checks both), which unlocks the second contraction and the two-parameter
-family of compatible brackets
+work (the h-degree is the degree in ``h_indices``, read by
+``Polynomial.split_degree``).  A ``Splitting`` also requires r to be closed
+(``liealg.subalgebra_indices`` checks both), which unlocks the second
+contraction and the two-parameter family of compatible brackets
 
     [.,.]_(a,b) = a*[.,.]_keep_h + b*[.,.]_keep_r,
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import itemgetter
 
 from .liealg import LieAlgebra, Matrix, _triangular, change_basis, subalgebra_indices
 from .linalg import rank, rank_and_nullspace
@@ -60,14 +60,6 @@ class Decomposition:
         self.h_set = frozenset(self.h_indices)
         self.r_indices = tuple(i for i in range(algebra.dim) if i not in self.h_set)
         self.r_set = frozenset(self.r_indices)
-        # h-degree of an exponent vector (bytes): one C-level gather of the h slots;
-        # itemgetter returns a bare item for one index and takes no empty index list
-        h = self.h_indices
-        if len(h) > 1:
-            gather = itemgetter(*h)
-            self.h_degree_of_exponent = lambda e: sum(gather(e))
-        else:
-            self.h_degree_of_exponent = itemgetter(*h) if h else lambda e: 0
         self._contractions: dict = {}  # side -> its contraction, see ``contract``
         self._bidecompositions: dict = {}  # id(F) -> (F, its split), see ``bidecompose``
         self._t0_restrictions: dict = {}  # id(F) -> (F, F on t0), see ``restrict_to_t0``

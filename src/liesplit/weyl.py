@@ -119,8 +119,10 @@ _E6_EDGES = ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6))  # chain 1-2-3-4-5, node 6 
 
 
 def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
-    """Supported types: ('A', n), ('D', n >= 3), ('E6',)."""
+    """Supported types: ('A', n), ('D', n >= 3), ('E6',); E6 takes no rank."""
     if type_label == "E6":
+        if rank is not None:
+            raise ValueError(f"E6 takes no rank, got {rank!r}")
         rank = n = 6
         c = [[0] * 6 for _ in range(6)]
         for i in range(6):

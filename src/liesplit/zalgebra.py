@@ -43,7 +43,7 @@ from .invariants import (
 from .linalg import Matrix, rank
 from .poisson import _sample_point, poisson_bracket, sphericity, tensor_at
 from .poly import Polynomial
-from .rationals import _check_count, _check_int, _is_int
+from .rationals import _check_count, _check_int, _check_size, _is_int
 from .splitting import (
     BracketParameter,
     Splitting,
@@ -68,14 +68,12 @@ class CaseParameterError(ValueError):
 
 
 def _size(params, case: str, least: int, why: str) -> int:
-    """The size parameter ``n``, by default ``least``; a :class:`CaseParameterError` when it
-    is not an ``int`` (a ``bool``, a float or a string is not truncated or parsed) or below
-    ``least``."""
+    """``n``, by default ``least``, or ``rationals._check_size``'s error as a CaseParameterError."""
     n = params.get("n", least)
-    if not _is_int(n):
-        raise CaseParameterError(f"{case} needs an integer n, got {n!r}")
-    if n < least:
-        raise CaseParameterError(f"{case} needs n >= {least} ({why})")
+    try:
+        _check_size(case, n, least)
+    except ValueError as exc:
+        raise CaseParameterError(f"{exc} ({why})" if _is_int(n) else str(exc)) from None
     return n
 
 

@@ -73,6 +73,27 @@ def _case(v):
     return run_case(*v)
 
 
+def _diff(v):
+    return (Polynomial.variable(3, 1) * Polynomial.variable(3, 2)).diff(v)
+
+
+def _monomial(v):
+    return Polynomial.monomial(3, v)
+
+
+def _variable(v):
+    return Polynomial.variable(3, v)
+
+
+def _sum_c(v):
+    x = Polynomial.variable(3, 0)
+    return Polynomial.sum_of_products(3, [(v, x, x)])
+
+
+def _rank_e6(v):
+    return build_root_system("E6", v)
+
+
 _ROWS = [
     (_subalgebra, [0, True], "h: True is not a basis index in range(3)"),
     (_subalgebra, [0.0], "h: 0.0 is not a basis index in range(3)"),
@@ -136,6 +157,18 @@ _ROWS = [
     (_case, ("borel", {"m": 3}), "borel does not take 'm'; accepted keys: ['n']"),  # once n = 2
     (_case, ("aks", {"n": 2, "t1": "zero"}), "aks does not take 't1'; accepted keys: ['n']"),
     (_case, ("e6_weyl", {"n": 5}), "e6_weyl does not take 'n'; accepted keys: []"),
+    (_diff, True, "diff: True is not a variable index in range(3)"),  # once d/dx1
+    (_diff, 1.0, "diff: 1.0 is not a variable index in range(3)"),  # once a TypeError
+    (_monomial, {True: 1}, "variable must be an integer, got True"),  # once equal to x1
+    (_monomial, {"0": 1}, "variable must be an integer, got '0'"),  # once a bare TypeError
+    (_monomial, {0: 1.0}, "exponent of variable 0 must be an integer, got 1.0"),
+    (_monomial, (0, True, 0), "exponent of variable 1 must be an integer, got True"),
+    (_variable, True, "variable must be an integer, got True"),
+    (_variable, 1.0, "variable must be an integer, got 1.0"),  # once a bare TypeError
+    (_sum_c, True, "sum_of_products: c must be an integer, got True"),
+    (_sum_c, 1.5, "sum_of_products: c must be an integer, got 1.5"),
+    (_rank_e6, 4, "E6 takes no rank, got 4"),  # once rank 6
+    (_rank_e6, 6, "E6 takes no rank, got 6"),
 ]
 
 

@@ -97,7 +97,7 @@ def test_central_difference_telescoping_degree_three():
 def test_homogeneous_components_sum_back():
     rng = random.Random(99)
     p = random_poly(rng, 3, max_terms=8)
-    parts = p.split(sum)  # total degree -> homogeneous part
+    parts = p.split_degree(range(3))  # total degree -> homogeneous part
     total = Polynomial.zero(3)
     for d, comp in parts.items():
         assert comp.is_homogeneous()

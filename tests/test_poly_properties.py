@@ -197,7 +197,7 @@ def test_equal_values_by_different_routes_are_stored_identically(data, draw):
     assert same_form((p + q) - q, p)
     assert same_form(p.scale(c) - p.scale(c), Polynomial.zero(n))
     assert same_form(Polynomial(n, dict(p.items())), p)
-    assert same_form(sum(p.split(sum).values(), Polynomial.zero(n)), p)
+    assert same_form(sum(p.split_degree(range(n)).values(), Polynomial.zero(n)), p)
     assert same_form(p.canonical()[0].scale(p.canonical()[1]), p)
     assert len({p * q, q * p, (p * q).scale(1)}) == 1
 
@@ -321,3 +321,62 @@ def test_exponent_127_plus_128_fits_and_128_plus_128_overflows(nvars, var):
         assert sorted(next(full.items())[0]) == [0] * (nvars - 2) + [255, 255]
         with pytest.raises(OverflowError, match="255"):
             (x**128 * y**200) * (x**128 * y)
+
+
+@CHECKS
+@given(st.data())
+def test_sum_of_products_matches_the_naive_sum(draw):
+    n = draw.draw(st.integers(1, 6))
+    poly = terms(n).map(lambda t: Polynomial(n, t))
+    products = draw.draw(st.lists(st.tuples(st.integers(-3, 3), poly, poly), max_size=5))
+    taken = []
+
+    def stream():  # records what the sum takes, so it is seen to take each product once
+        for item in products:
+            taken.append(item)
+            yield item
+
+    want = sum((c * (a * b) for c, a, b in products), Polynomial.zero(n))
+    assert same_form(Polynomial.sum_of_products(n, stream()), want)
+    assert taken == products
+    # each product against its negative, the factors swapped: everything cancels
+    back = [(-c, b, a) for c, a, b in products]
+    assert same_form(Polynomial.sum_of_products(n, products + back), Polynomial.zero(n))
+
+
+def test_sum_of_products_rescales_as_the_denominator_grows():
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    half, third = x.scale(Fraction(1, 2)), y.scale(Fraction(1, 3))
+    products = [(1, half, y), (-2, third, x), (0, half, third), (5, third, half)]
+    got = Polynomial.sum_of_products(2, products)  # den 2, then 6, then 6
+    assert same_form(got, (x * y).scale(Fraction(1, 2) - Fraction(2, 3) + Fraction(5, 6)))
+    assert same_form(Polynomial.sum_of_products(2, []), Polynomial.zero(2))
+    assert same_form(Polynomial.sum_of_products(2, [(1, half, half), (-1, half, half)]),
+                     Polynomial.zero(2))
+    with pytest.raises(ValueError, match="3 variables"):
+        Polynomial.sum_of_products(2, [(1, x, Polynomial.variable(3, 0))])
+
+
+@CHECKS
+@given(pair(), st.data())
+def test_split_degree_parts_sum_back_by_their_degree(data, draw):
+    n, a, _ = data
+    p = Polynomial(n, a)
+    chosen = draw.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    for variables in (chosen, (), range(n)):
+        parts = p.split_degree(variables)
+        assert list(parts) == sorted(parts)
+        assert same_form(sum(parts.values(), Polynomial.zero(n)), p)
+        for k, q in parts.items():
+            assert q and {sum(e[i] for i in variables) for e, _ in q.items()} == {k}
+    assert p.split_degree(()) == ({0: p} if a else {})
+
+
+def test_split_degree_reads_exponents_up_to_255():
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    p = x**255 * y**200 + y**255 * z + 3 * z**255
+    assert p.split_degree((0, 1)) == {0: 3 * z**255, 255: y**255 * z, 455: x**255 * y**200}
+    assert p.split_degree(range(3)) == {255: 3 * z**255, 256: y**255 * z, 455: x**255 * y**200}
+    assert p.split_degree((2,)) == {0: x**255 * y**200, 1: y**255 * z, 255: 3 * z**255}
+    with pytest.raises(ValueError, match="split_degree: 3 is not a variable index"):
+        p.split_degree((0, 3))
