@@ -19,6 +19,14 @@ One cached certificate per algebra, ``LieAlgebra.realization_certificate``,
 checks that the realization is a homomorphism and the Gram matrix an invariant
 form; ``invariants.hilbert_basis`` proves its builder bases invariant by it.
 
+``LieAlgebra.index_floor`` is the lower bound on the index that an algebra's
+construction proves, and ``poisson.index_estimate`` stops sampling once a rank meets
+the ceiling dim - index_floor.  A reductive builder algebra and its double carry their
+rank (ind = rk for reductive algebras); a ``change_basis`` rebuild, an isomorphism,
+keeps the floor of the algebra it rewrites, and so do the contractions and pencil
+members of ``splitting`` (the index can only grow under a contraction).  Every other
+algebra (custom, JSON-loaded, ``sub_algebra``, stabilizers) has floor 0.
+
 Builders produce gl(n), sl(n), so(2n) in the antidiagonal realization
 (matrices skew with respect to the antidiagonal, so the Cartan is
 diagonal and the nilradical strictly upper triangular) and the
@@ -101,6 +109,7 @@ class LieAlgebra:
         self.kind = kind
         self.base_algebra = base_algebra
         self.base_change = base_change
+        self.index_floor = 0  # a proven lower bound on the index, see the module docstring
         if check:
             report = jacobi_report(self.dim, self.constants)
             if not report.passed:
@@ -269,8 +278,10 @@ def _assemble(mats, names, decompose, ell, kind, half=False) -> LieAlgebra:
     tri = _triangular(constants, range(nplus), range(nplus, nplus + ell),
                       range(nplus + ell, n), gram)
     size = 1 + max(max(p) for m in mats for p in m)
-    return LieAlgebra(names, constants, rank=ell, triangular=tri, realization=mats,
-                      matrix_size=size, gram=gram, kind=kind)
+    L = LieAlgebra(names, constants, rank=ell, triangular=tri, realization=mats,
+                   matrix_size=size, gram=gram, kind=kind)
+    L.index_floor = ell  # reductive: ind = rank
+    return L
 
 
 # -- builders ----------------------------------------------------------
@@ -369,9 +380,11 @@ def build_double(base: LieAlgebra) -> LieAlgebra:
     # the xi's bracket to zero with everything
     tri = _triangular(base.constants, tri.plus, tuple(tri.cartan) + tuple(range(base.dim, dim)),
                       tri.minus, gram)
-    return LieAlgebra(list(base.names) + [f"xi{k + 1}" for k in range(ell)], base.constants,
-                      rank=base.rank + ell, triangular=tri, gram=gram,
-                      kind=f"double[{base.kind}]", base_algebra=base)
+    double = LieAlgebra(list(base.names) + [f"xi{k + 1}" for k in range(ell)], base.constants,
+                        rank=base.rank + ell, triangular=tri, gram=gram,
+                        kind=f"double[{base.kind}]", base_algebra=base)
+    double.index_floor = double.rank  # reductive as well: ind = rank
+    return double
 
 
 def custom_algebra(names, raw_constants, **kw) -> LieAlgebra:
@@ -461,6 +474,7 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
     for (a, b), image in images.items():
         if combine({}, ((sparse[k], c) for k, c in new.bracket_pair(a, b).items())) != image:
             raise ValueError(f"basis change breaks the bracket [{new_names[a]}, {new_names[b]}]")
+    new.index_floor = L.index_floor
     return new
 
 

@@ -11,9 +11,13 @@ witness over seed-deterministic uniform integer samples, all drawn by one
 loop, ``_best_rank`` (its callers are ``index_estimate``,
 ``generic_stabilizer`` and ``invariants.jacobian_rank``).  Every sampled
 rank is a certificate, so claimed indices are always upper bounds on the
-true index.  The index estimate stores its witness (``IndexEstimate.witness``)
-and the stabilizer report its ``sample_point``, for replay; the Jacobian
-rank keeps none.  ``tensor_at``
+true index.  The loop stops at a ceiling no rank can pass; for the index it
+is dim - ``LieAlgebra.index_floor``, the lower bound on the index that the
+algebra's construction proves (its rank for a reductive builder algebra,
+inherited by rebuilds, contractions and pencil members), so an estimate
+that meets its floor proves the index.  The index estimate stores its
+witness (``IndexEstimate.witness``) and the stabilizer report its
+``sample_point``, for replay; the Jacobian rank keeps none.  ``tensor_at``
 gives the exact rank at a point of one algebra, a pencil member being
 ``splitting.pencil_member``'s (its callers also compare ranks from
 above); ``index_estimate`` needs the rank only from below and takes it modulo
@@ -134,7 +138,9 @@ class IndexEstimate:
     exact rank of pi at the witness, so claimed_index is an upper bound on the index.
     The skew elimination adds 2 per pivot, so the rank is even by construction.
     ``samples`` is the ``trials`` budget, not the points drawn: the draws stop at the
-    first point of full rank, so sl(2) draws once and reports 8 at the default."""
+    first point whose rank meets the ceiling dim - ``index_floor`` (rounded down to even),
+    so sl(2) and so(8) draw once and report 8 at the default.  A claimed index equal to
+    the algebra's ``index_floor`` is then exact: the floor bounds it from below."""
     claimed_index: int
     certified_max_rank: int
     samples: int
@@ -167,8 +173,10 @@ def _best_rank(rank_at, dim, cap, trials, seed, bound, support=None):
     [-bound, bound]^dim (zero off ``support``), and the first point that reaches it.
 
     The one sampling loop behind every sampled rank.  ``cap`` is the largest rank the
-    caller's matrix can have; the draws stop at the first point that reaches it, which
-    leaves both values as the full run would.  ``seed`` must be an ``int`` (which
+    caller's matrix can have at any point, a proven ceiling (for the index, dim minus the
+    algebra's ``index_floor``); the draws stop at the first point that reaches it, which
+    leaves both values as the full run would, and a rank above it raises
+    ``AssertionError``: the ceiling was wrong.  ``seed`` must be an ``int`` (which
     ``random.Random`` would otherwise hash from a string or a float), ``trials`` an ``int``
     of at least 1, and ``bound`` an ``int`` with 1 <= bound and 2 bound + 1 <= ``linalg.P``,
     the condition of the Schwartz-Zippel bound there; all are checked before any draw."""
@@ -183,8 +191,11 @@ def _best_rank(rank_at, dim, cap, trials, seed, bound, support=None):
         xi = _sample_point(rng, dim, bound, support)
         rk = rank_at(xi)
         if rk > best:
+            if rk > cap:
+                raise AssertionError(f"sampled rank {rk} exceeds the proven ceiling {cap}: "
+                                     "index floor bug")
             best, witness = rk, tuple(xi)
-            if best >= cap:
+            if best == cap:
                 break
     return best, witness
 
@@ -193,14 +204,17 @@ def index_estimate(L: LieAlgebra, trials: int = 8, seed: int = 0,
                    bound: int = DEFAULT_BOUND) -> IndexEstimate:
     """dim - (max sampled rank of pi(xi) mod ``linalg.P``); an upper bound on the index,
     claimed exact.  Each sample's D pi(xi) goes from ``_tensor_entries`` straight into
-    the rows of ``skew_rank_mod_p``."""
+    the rows of ``skew_rank_mod_p``.  The draws stop at the even ceiling
+    dim - ``L.index_floor``: a rank mod P at any point is at most the generic rank
+    dim - ind <= dim - index_floor, so no later point could beat one that meets it."""
     def rank_at(xi):
         upper = [{} for _ in range(L.dim)]
         for i, j, v in _tensor_entries(L, xi):
             upper[i][j] = v
         return skew_rank_mod_p(upper)
 
-    best, witness = _best_rank(rank_at, L.dim, L.dim - L.dim % 2, trials, seed, bound)
+    cap = L.dim - L.index_floor
+    best, witness = _best_rank(rank_at, L.dim, cap - cap % 2, trials, seed, bound)
     claimed = L.dim - best
     return IndexEstimate(claimed, best, trials, seed, QQ(L.dim + claimed, 2), witness)
 

@@ -43,7 +43,8 @@ from operator import mul, or_
 from typing import Iterable, Sequence
 
 from . import _kernels as K
-from .rationals import QQ, _check_int, _indices, _is_int, clear_denominators, exact, qq_str, scalar
+from .rationals import (QQ, _check_count, _check_int, _indices, _is_int, clear_denominators, exact,
+                        qq_str, scalar)
 
 
 def _unit(nvars: int, i: int) -> int:
@@ -82,6 +83,7 @@ class Polynomial:
 
     def __init__(self, nvars: int, terms=None):
         """The polynomial of a {exponent sequence: exact scalar} map (repeated keys add up)."""
+        _check_count("nvars", nvars, 0)
         self.nvars = nvars
         clean = {}
         for e, c in (terms or {}).items():
@@ -102,10 +104,12 @@ class Polynomial:
     # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
+        _check_count("nvars", nvars, 0)
         return cls._of(nvars, {})
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
+        _check_count("nvars", nvars, 0)
         c = scalar(c)
         return cls._of(nvars, {0: c.numerator}, c.denominator) if c else cls.zero(nvars)
 
@@ -116,6 +120,7 @@ class Polynomial:
     @classmethod
     def monomial(cls, nvars: int, exps, coeff=1) -> "Polynomial":
         """``exps`` is a mapping var->exponent or a full exponent sequence of length nvars."""
+        _check_count("nvars", nvars, 0)
         coeff = scalar(coeff)
         e = [0] * nvars
         for i, k in exps.items() if isinstance(exps, dict) else enumerate(exps):
@@ -364,9 +369,12 @@ class Polynomial:
         return out if self.den == 1 else out.scale(QQ(1, self.den))
 
     def lift(self, new_nvars: int, offset: int = 0) -> "Polynomial":
-        """Reinterpret over a larger variable space, shifting indices by ``offset``."""
+        """Reinterpret over a larger variable space, shifting indices by ``offset`` >= 0."""
+        _check_count("lift: new_nvars", new_nvars, 0)
+        _check_count("lift: offset", offset, 0)
         if offset + self.nvars > new_nvars:
-            raise ValueError("lift target too small")
+            raise ValueError(f"lift target too small: {self.nvars} variables at offset "
+                             f"{offset} need {offset + self.nvars}, got {new_nvars}")
         shift = 8 * (new_nvars - offset - self.nvars)
         return Polynomial._of(new_nvars, {e << shift: c for e, c in self.terms.items()}, self.den)
 

@@ -12,8 +12,8 @@ vectors with exact entries are combined through :func:`combine`.  A true
 division keeps a ``QQ`` operand, so no path divides two ints.
 
 Integer inputs follow one rule: an ``int``, never a ``bool``, float or str
-(:func:`_is_int`, :func:`_check_int`); a count at least 1
-(:func:`_check_count`), a size at least its least value
+(:func:`_is_int`, :func:`_check_int`); a count at least 1, or 0 where none is
+allowed (:func:`_check_count`), a size at least its least value
 (:func:`_check_size`), an index list distinct ints in range
 (:func:`_indices`); anything else raises ``ValueError`` naming the value.
 """
@@ -40,12 +40,13 @@ def _check_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_count(name: str, value) -> None:
-    """:func:`_check_int`, and a ``ValueError`` unless ``value`` is at least 1: a sampled
-    check with no samples, or a table with no rows, would certify nothing."""
+def _check_count(name: str, value, least: int = 1) -> None:
+    """:func:`_check_int`, and a ``ValueError`` unless ``value`` is at least ``least``: a
+    sampled check with no samples, or a table with no rows, would certify nothing, and a
+    negative number of variables or offset would overflow a packed exponent key."""
     _check_int(name, value)
-    if value < 1:
-        raise ValueError(f"{name} >= 1 required, got {value}")
+    if value < least:
+        raise ValueError(f"{name} >= {least} required, got {value}")
 
 
 def _check_size(label: str, n, least: int) -> None:

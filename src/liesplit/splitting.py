@@ -106,7 +106,11 @@ def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
     subalgebra (``Decomposition`` checks h, a ``Splitting`` r), so mu_t is polynomial
     in t with the constants written here at t = 0; its Jacobiator, polynomial in t
     and zero for t != 0, vanishes at t = 0 too.  ``D.algebra`` is Lie by its own
-    check or ``change_basis``'s verified isomorphism, unless built with check=False."""
+    check or ``change_basis``'s verified isomorphism, unless built with check=False.
+
+    The contraction inherits ``D.algebra.index_floor``: at a fixed point the Poisson
+    tensor of mu_t has entries polynomial in t, so its rank at t = 0 is at most its rank
+    at some t != 0, where mu_t ~ mu; hence ind mu_0 >= ind mu."""
     if side not in D._contractions:
         sets = {"keep_h": (D.h_set, D.r_set), "keep_r": (D.r_set, D.h_set)}
         if side not in sets:
@@ -118,8 +122,10 @@ def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
         constants = {(i, j): entries if {i, j} <= keep else
                      () if {i, j} <= other else tuple((k, c) for k, c in entries if k in other)
                      for (i, j), entries in D.algebra.constants.items()}
-        D._contractions[side] = LieAlgebra(D.algebra.names, constants,
-                                           kind=f"contract[{side}]({D.algebra.kind})", check=False)
+        con = LieAlgebra(D.algebra.names, constants,
+                         kind=f"contract[{side}]({D.algebra.kind})", check=False)
+        con.index_floor = D.algebra.index_floor
+        D._contractions[side] = con
     return D._contractions[side]
 
 
@@ -136,6 +142,10 @@ def family_bracket(S: Splitting, p: BracketParameter) -> LieAlgebra:
     ``zalgebra.property_suite`` compares this function's anchors with them.
     Commutativity: {F, G}_(a,b) = a{F, G}_0 + b{F, G}_inf, so a pair
     commutes for every member iff it commutes at (1,0) and (0,1).
+    Index: every member inherits ``S.algebra.index_floor``.  For ab != 0 and phi the map
+    that is a on h and b on r, phi^-1 [phi x, phi y] = a[x, y]_0 + b[x, y]_inf, so the
+    member is isomorphic to q; for a = 0 or b = 0 it is a nonzero multiple of a
+    contraction, whose index is at least ind q (see ``contract``).
     """
     if not isinstance(S, Splitting):
         raise ValueError("the pencil needs r to be a subalgebra (a full splitting)")
@@ -146,8 +156,10 @@ def family_bracket(S: Splitting, p: BracketParameter) -> LieAlgebra:
         acc = combine({}, ((dict(c0.get(key, ())), p.a), (dict(cinf.get(key, ())), p.b)))
         if acc:
             constants[key] = tuple(acc.items())
-    return LieAlgebra(S.algebra.names, constants,
-                      kind=f"family{p.label()}({S.algebra.kind})", check=False)
+    member = LieAlgebra(S.algebra.names, constants,
+                        kind=f"family{p.label()}({S.algebra.kind})", check=False)
+    member.index_floor = S.algebra.index_floor
+    return member
 
 
 def pencil_member(S: Splitting, p) -> LieAlgebra:

@@ -90,6 +90,22 @@ def _sum_c(v):
     return Polynomial.sum_of_products(3, [(v, x, x)])
 
 
+def _lift_offset(v):
+    return Polynomial.variable(2, 0).lift(3, v)
+
+
+def _lift_nvars(v):
+    return Polynomial.variable(2, 0).lift(v)
+
+
+def _constant_nvars(v):
+    return Polynomial.constant(v, 5)
+
+
+def _variable_nvars(v):
+    return Polynomial.variable(v, 0)
+
+
 def _rank_e6(v):
     return build_root_system("E6", v)
 
@@ -169,6 +185,18 @@ _ROWS = [
     (_sum_c, 1.5, "sum_of_products: c must be an integer, got 1.5"),
     (_rank_e6, 4, "E6 takes no rank, got 4"),  # once rank 6
     (_rank_e6, 6, "E6 takes no rank, got 6"),
+    (_lift_offset, -1, "lift: offset >= 0 required, got -1"),  # once keys too wide to print
+    (_lift_offset, 1.0, "lift: offset must be an integer, got 1.0"),  # once a bare TypeError
+    (_lift_offset, True, "lift: offset must be an integer, got True"),  # once offset 1
+    (_lift_offset, 2, "lift target too small: 2 variables at offset 2 need 4, got 3"),
+    (_lift_nvars, 3.0, "lift: new_nvars must be an integer, got 3.0"),  # once a bare TypeError
+    (_lift_nvars, "3", "lift: new_nvars must be an integer, got '3'"),
+    (Polynomial, -1, "nvars >= 0 required, got -1"),  # once accepted
+    (Polynomial, 2.0, "nvars must be an integer, got 2.0"),
+    (Polynomial, True, "nvars must be an integer, got True"),  # once one variable
+    (Polynomial.zero, -1, "nvars >= 0 required, got -1"),  # once accepted
+    (_constant_nvars, -1, "nvars >= 0 required, got -1"),  # once failed only on printing
+    (_variable_nvars, 2.5, "nvars must be an integer, got 2.5"),  # once a bare TypeError
 ]
 
 

@@ -3,9 +3,11 @@ import re
 
 import pytest
 
-from liesplit import liealg
+from liesplit import liealg, poisson
 from liesplit.invariants import jacobian_rank
-from liesplit.liealg import build_double, build_gl, build_sl, custom_algebra
+from liesplit.liealg import (LieAlgebra, algebra_from_json, algebra_to_json, build_double,
+                             build_gl, build_sl, build_so_even, change_basis, custom_algebra,
+                             sub_algebra)
 from liesplit.linalg import P, Matrix, rank_and_nullspace, solve
 from liesplit.poisson import (
     _best_rank,
@@ -20,6 +22,7 @@ from liesplit.poly import Polynomial
 from liesplit.rationals import QQ, QQ0, QQ1
 from liesplit.splitting import (
     contract,
+    family_bracket,
     horospherical_splitting,
     make_splitting,
     pencil_member,
@@ -152,10 +155,13 @@ def test_index_sl2():
     assert est.certified_max_rank == 2
 
 
-def test_index_contraction_sl3_borel():
+def _sl3_borel_splitting():
     sl3 = build_sl(3)
-    S = make_splitting(sl3, tuple(sl3.triangular.plus) + tuple(sl3.triangular.cartan))
-    con = contract(S, "keep_h")
+    return make_splitting(sl3, tuple(sl3.triangular.plus) + tuple(sl3.triangular.cartan))
+
+
+def test_index_contraction_sl3_borel():
+    con = contract(_sl3_borel_splitting(), "keep_h")
     assert index_estimate(con, trials=5, seed=1).claimed_index == 2
 
 
@@ -167,9 +173,9 @@ def test_regular_point_check():
     assert sl2.dim - tensor_at(sl2, [0, 0, 0]).rank != est.claimed_index
 
 
-def test_regular_points_in_ann_h_for_sl4_splitting():
-    # generic points of Ann(h) are regular for the semidirect setup of the
-    # 2n = 4 case; five seeds, five samples
+def _sl4_horospherical():
+    """The horospherical splitting of sl(4) with t1 spanned by diag(1, 0, 0, -1) and
+    diag(0, 1, -1, 0)."""
     g = build_sl(4)
     t1 = []
     cart = g.triangular.cartan
@@ -180,7 +186,13 @@ def test_regular_points_in_ann_h_for_sl4_splitting():
             run = run + QQ(diag[k])
             v[i] = run
         t1.append(v)
-    S = horospherical_splitting(g, t1)
+    return horospherical_splitting(g, t1)
+
+
+def test_regular_points_in_ann_h_for_sl4_splitting():
+    # generic points of Ann(h) are regular for the semidirect setup of the
+    # 2n = 4 case; five seeds, five samples
+    S = _sl4_horospherical()
     L = S.algebra
     est = index_estimate(L, trials=6, seed=0)
     assert est.claimed_index == 3
@@ -271,6 +283,85 @@ def test_best_rank_draws_nothing_after_the_cap():
     rank_at, seen = _counting_rank([1, 2, 4, 4, 4])
     assert _best_rank(rank_at, 3, 4, 5, 2, 9) == (4, seen[2])
     assert len(seen) == 3
+
+
+def test_best_rank_raises_above_the_cap():
+    rank_at, seen = _counting_rank([2, 6, 4])
+    with pytest.raises(AssertionError, match="sampled rank 6 exceeds the proven ceiling 4"):
+        _best_rank(rank_at, 3, 4, 3, 0, 9)
+    assert len(seen) == 2
+
+
+def test_a_floor_above_the_index_is_caught():
+    # the Borel contraction of sl(3) has index 2, so a floor of 4 caps the rank at 4 < 6
+    con = contract(_sl3_borel_splitting(), "keep_h")
+    bad = LieAlgebra(con.names, con.constants, check=False)
+    bad.index_floor = 4
+    with pytest.raises(AssertionError, match="exceeds the proven ceiling 4: index floor bug"):
+        index_estimate(bad, trials=5, seed=1)
+
+
+def _so8_horospherical():
+    g = build_so_even(4)
+    units = [[int(i == k) for i in range(g.dim)] for k in g.triangular.cartan[:3]]
+    return horospherical_splitting(g, units)
+
+
+def _double_sl2_horospherical():
+    d = build_double(build_sl(2))  # basis (e, h, f, xi1)
+    return horospherical_splitting(d, [[0, 1, 0, -1]])
+
+
+_CEILING_SPLITTINGS = {"sl3": _adapted_sl3, "sl4": _sl4_horospherical,
+                       "double_sl2": _double_sl2_horospherical, "so8": _so8_horospherical}
+
+
+def test_index_floors_follow_the_construction():
+    sl3, so8 = build_sl(3), build_so_even(4)
+    assert (sl3.index_floor, so8.index_floor, build_gl(4).index_floor) == (2, 4, 4)
+    assert build_double(sl3).index_floor == 4
+    S = _adapted_sl3()
+    assert S.algebra.index_floor == 2  # a change_basis rebuild
+    for side in ("keep_h", "keep_r"):
+        assert contract(S, side).index_floor == 2
+    for p in ((1, 0), (0, 1), (2, -3)):
+        assert family_bracket(S, p).index_floor == 2
+    plus = sl3.triangular.plus
+    for L in (algebra_from_json(algebra_to_json(so8)), sub_algebra(sl3, plus),
+              generic_stabilizer(sl3, plus).subalgebra, custom_algebra(["a"], {}),
+              change_basis(custom_algebra(["a"], {}), [[2]], ["b"])):
+        assert L.index_floor == 0
+
+
+@pytest.mark.parametrize("label", _CEILING_SPLITTINGS)
+def test_the_ceiling_changes_no_estimate(label):
+    S = _CEILING_SPLITTINGS[label]()
+    for side in ("keep_h", "keep_r"):
+        con = contract(S, side)
+        assert con.index_floor == S.algebra.rank
+        floorless = LieAlgebra(con.names, con.constants, check=False)
+        for seed in range(5):
+            assert (index_estimate(con, trials=5, seed=seed).as_dict()
+                    == index_estimate(floorless, trials=5, seed=seed).as_dict())
+
+
+def test_contraction_estimates_stop_at_the_ceiling(monkeypatch):
+    draws = []
+
+    def counting(*args, **kwargs):
+        draws.append(1)
+        return _sample_point(*args, **kwargs)
+
+    monkeypatch.setattr(poisson, "_sample_point", counting)
+    S = _so8_horospherical()
+    for side in ("keep_h", "keep_r"):
+        draws.clear()
+        est = index_estimate(contract(S, side), trials=5, seed=0)
+        assert (est.claimed_index, est.samples, len(draws)) == (4, 5, 1)
+    # a JSON-loaded so(8) proves no floor, so it draws the whole budget
+    draws.clear()
+    est = index_estimate(algebra_from_json(algebra_to_json(build_so_even(4))), trials=5, seed=0)
+    assert (est.claimed_index, est.samples, len(draws)) == (4, 5, 5)
 
 
 def test_generic_stabilizer_sl2_cases():
