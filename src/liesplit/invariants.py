@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from itertools import chain, combinations
 from math import lcm
 from operator import mul
 
@@ -50,7 +50,7 @@ from .liealg import LieAlgebra, sub_algebra
 from .linalg import Matrix, inverse, rank, rank_mod_p, solve  # noqa: F401  (rank: read by the perfbench tracer tests)
 from .poisson import _best_rank, hamiltonian_field, index_estimate, poisson_bracket
 from .poly import Polynomial
-from .rationals import QQ, _indices
+from .rationals import QQ, _check_length, _indices
 from .splitting import Decomposition, Splitting, contract
 
 
@@ -352,8 +352,7 @@ def bidecompose(D: Decomposition, F: Polynomial) -> dict:
 
     Computed once per ``D`` and polynomial object (see the module docstring): later calls
     with the same F return the same dict, not to be mutated."""
-    if F.nvars != D.algebra.dim:
-        raise ValueError("polynomial does not live on the splitting's algebra")
+    _check_length("bidecompose: F", F.nvars, D.algebra.dim, "variables")
     got = D._bidecompositions.get(id(F))
     if got is not None:
         return got[1]
@@ -373,8 +372,11 @@ def jacobian_rank(polys, trials: int = 5, seed: int = 0, bound: int = 997) -> in
     transcendence degree.  Row p is ``p.int_gradient(x)``, the gradient of den_p * p
     at the point x evaluated in ints straight from p's terms: a row scale prime to P
     changes no rank modulo P, and any scale keeps the lower bound.  The points come
-    from ``poisson._best_rank``, which checks 2 bound + 1 <= P (see ``linalg``)."""
+    from ``poisson._best_rank``, which checks 2 bound + 1 <= P (see ``linalg``).  All
+    polynomials have the variable count of the first, or a ``ValueError`` names one."""
     n = polys[0].nvars if polys else 0
+    for i, p in enumerate(polys):
+        _check_length(f"polynomial {i}", p.nvars, n, "variables")
     best, _ = _best_rank(lambda x: rank_mod_p(Matrix([p.int_gradient(x) for p in polys])), n,
                          min(len(polys), n), trials, seed, bound)
     return best
@@ -566,7 +568,6 @@ def double_shift_basis(B: HilbertBasis, side: str = "h") -> HilbertBasis:
 class AksSide:
     generators: list       # nonzero restricted invariants, over the summand's variables
     commutes: bool
-    first_failure: tuple | None
 
 
 @dataclass
@@ -577,22 +578,9 @@ class AksReport:
 
 def _aks_side(L, indices, B):
     sub = sub_algebra(L, indices)
-    gens = []
-    for F, d in B.generators:
-        p = F.part_on(indices)
-        if not p.is_zero():
-            gens.append(p)
-    commutes = True
-    failure = None
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            if not poisson_bracket(sub, gens[a], gens[b]).is_zero():
-                commutes = False
-                failure = (a, b)
-                break
-        if failure:
-            break
-    return AksSide(gens, commutes, failure)
+    gens = [p for F, _ in B.generators if not (p := F.part_on(indices)).is_zero()]
+    return AksSide(gens, all(poisson_bracket(sub, a, b).is_zero()
+                             for a, b in combinations(gens, 2)))
 
 
 def aks_restrict(S: Splitting, B: HilbertBasis) -> AksReport:

@@ -48,8 +48,8 @@ from typing import Sequence
 
 from .linalg import Matrix, inverse
 from .poly import _unit
-from .rationals import (QQ, _check_size, _indices, _is_int, clear_denominators, combine,
-                        common_denominator, scalar)
+from .rationals import (QQ, _check_int, _check_length, _check_size, _indices, _is_int,
+                        clear_denominators, combine, common_denominator, scalar)
 
 
 class JacobiError(ValueError):
@@ -395,21 +395,22 @@ def custom_algebra(names, raw_constants, **kw) -> LieAlgebra:
 
 def build_algebra(kind: str, **params) -> LieAlgebra:
     """Dispatcher: kind in {gl, sl, so_even, so (n the matrix size)} with ``n``, or double
-    with a built ``base``; :func:`custom_algebra` is called directly."""
-    if kind == "gl":
-        return build_gl(params["n"])
-    if kind == "sl":
-        return build_sl(params["n"])
-    if kind in ("so_even", "so"):
-        n = params["n"]
-        if kind == "so":
-            if n % 2:
-                raise ValueError("only so(2n) is supported")
-            n //= 2
-        return build_so_even(n)
-    if kind == "double":
-        return build_double(params["base"])
-    raise ValueError(f"unknown builder kind {kind!r}")
+    with a built ``base``; :func:`custom_algebra` is called directly.  An unknown kind or
+    a missing parameter raises a ``ValueError`` naming it."""
+    builders = {"gl": build_gl, "sl": build_sl, "so_even": build_so_even, "so": build_so_even,
+                "double": build_double}
+    if kind not in builders:
+        raise ValueError(f"unknown builder kind {kind!r}")
+    key = "base" if kind == "double" else "n"
+    if key not in params:
+        raise ValueError(f"builder kind {kind!r} needs the parameter {key!r}")
+    arg = params[key]
+    if kind == "so":  # n is the matrix size 2m of so(2m)
+        _check_int("so: n", arg)
+        if arg % 2:
+            raise ValueError("only so(2n) is supported")
+        arg //= 2
+    return builders[kind](arg)
 
 
 def subalgebra_indices(L: LieAlgebra, indices: Sequence[int], label: str) -> tuple:
@@ -443,9 +444,12 @@ def sub_algebra(L: LieAlgebra, indices: Sequence[int]) -> LieAlgebra:
 
 
 def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra:
-    """Rewrite the algebra in the basis given by ``new_vectors`` (old coordinates)."""
-    if len(new_vectors) != L.dim:
-        raise ValueError("need a full new basis")
+    """Rewrite the algebra in the basis given by ``new_vectors`` (old coordinates): dim
+    vectors of dim entries and dim ``new_names``, or a ``ValueError`` naming what is off."""
+    _check_length("new basis", len(new_vectors), L.dim, "vectors")
+    _check_length("new basis", len(new_names), L.dim, "names")
+    for k, v in enumerate(new_vectors):
+        _check_length(f"new basis vector {k}", len(v), L.dim, "entries")
     P = Matrix.from_columns(new_vectors)
     sparse = [{r: c for r, c in enumerate(v) if c} for v in zip(*P.rows)]  # under the scalar rule
     try:

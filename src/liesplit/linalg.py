@@ -49,7 +49,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Sequence
 
-from .rationals import QQ, common_denominator, exact, scalar
+from .rationals import QQ, _check_length, common_denominator, exact, scalar
 
 
 class Matrix:
@@ -60,9 +60,8 @@ class Matrix:
                           for row in rows)
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged rows")
+        for r, row in enumerate(self.rows):
+            _check_length(f"row {r}", len(row), self.ncols, "entries")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -70,6 +69,9 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
+        """The matrix with these columns; one not as long as the first raises ``ValueError``."""
+        for c, col in enumerate(cols):
+            _check_length(f"column {c}", len(col), len(cols[0]), "entries")
         return cls(list(zip(*cols)))
 
     def __getitem__(self, ij):
@@ -81,13 +83,11 @@ class Matrix:
 
     def matvec(self, v: Sequence) -> tuple:
         v = [scalar(x) for x in v]
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch")
+        _check_length("vector", len(v), self.ncols, "entries")
         return tuple(exact(sum(map(mul, row, v))) for row in self.rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
+        _check_length("right factor", other.nrows, self.ncols, "rows")
         cols = list(zip(*other.rows))
         return Matrix([[sum(map(mul, row, col)) for col in cols] for row in self.rows])
 
@@ -264,15 +264,18 @@ def rank_and_nullspace(m: Matrix):
 
 
 def solve(m: Matrix, b: Sequence):
-    """One exact solution of M x = b (free variables at 0), or None."""
+    """One exact solution of M x = b (free variables at 0), or None; see :func:`solve_many`."""
     sols = solve_many(m, [list(b)])
     return sols[0] if sols is not None else None
 
 
 def solve_many(m: Matrix, bs: Sequence[Sequence]):
-    """Solve M x = b for several right-hand sides at once; None if any is inconsistent."""
+    """Solve M x = b for several right-hand sides at once; None if any is inconsistent.
+    A b without exactly one entry per row of M raises a ``ValueError`` naming it."""
     ncols = m.ncols
     k = len(bs)
+    for t, b in enumerate(bs):
+        _check_length(f"right-hand side {t}", len(b), m.nrows, "entries")
     aug = Matrix([list(row) + [bs[t][i] for t in range(k)] for i, row in enumerate(m.rows)])
     pivots, rest = _echelon(_integer_rows(aug), ncols)
     if rest:

@@ -43,8 +43,8 @@ from operator import mul, or_
 from typing import Iterable, Sequence
 
 from . import _kernels as K
-from .rationals import (QQ, _check_count, _check_int, _indices, _is_int, clear_denominators, exact,
-                        qq_str, scalar)
+from .rationals import (QQ, _check_count, _check_int, _check_length, _indices, _is_int,
+                        clear_denominators, exact, qq_str, scalar)
 
 
 def _unit(nvars: int, i: int) -> int:
@@ -67,8 +67,7 @@ def _pack(e, nvars: int) -> int:
             if not 0 <= k < 256:
                 raise ValueError(f"exponent {k} of variable {i} is outside 0..255")
         e = bytes(e)
-    if len(e) != nvars:
-        raise ValueError(f"exponent vector {e!r} has length {len(e)}, expected {nvars}")
+    _check_length("exponent vector", len(e), nvars, "exponents")
     return int.from_bytes(e, "big")
 
 
@@ -136,6 +135,8 @@ class Polynomial:
 
     @classmethod
     def linear_form(cls, nvars: int, coeffs: Sequence) -> "Polynomial":
+        """sum_i coeffs[i] x_i: one coefficient per variable, a short list is not padded."""
+        _check_length("linear_form", len(coeffs), nvars, "coefficients")
         d, ints = clear_denominators(scalar(c) for c in coeffs)
         return cls._of(nvars, {_unit(nvars, i): c for i, c in enumerate(ints) if c}, d)
 
@@ -190,15 +191,11 @@ class Polynomial:
         return {i for i, k in enumerate(used) if k}
 
     # -- arithmetic ---------------------------------------------------
-    def _check(self, other: "Polynomial"):
-        if self.nvars != other.nvars:
-            raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
-
     def _plus(self, other, sign: int) -> "Polynomial":
         """self + sign * other over the least common denominator."""
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.nvars, other)
-        self._check(other)
+        _check_length("operand", other.nvars, self.nvars, "variables")
         da, db = self.den, other.den
         if da == db:
             out = dict(self.terms)
@@ -226,7 +223,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            self._check(other)
+            _check_length("factor", other.nvars, self.nvars, "variables")
             if not (self.terms and other.terms):
                 return Polynomial.zero(self.nvars)
             return Polynomial._of(self.nvars, K.mul_terms(self.terms, other.terms, self.nvars),
@@ -245,8 +242,8 @@ class Polynomial:
         den = 1  # acc / den is the sum so far
         for c, a, b in products:
             _check_int("sum_of_products: c", c)
-            if a.nvars != nvars or b.nvars != nvars:
-                raise ValueError(f"a product over {a.nvars} and {b.nvars} variables, not {nvars}")
+            _check_length("sum_of_products: a", a.nvars, nvars, "variables")
+            _check_length("sum_of_products: b", b.nvars, nvars, "variables")
             if not (c and a.terms and b.terms):
                 continue
             d = a.den * b.den
@@ -301,10 +298,11 @@ class Polynomial:
     def int_gradient(self, point: Sequence[int]) -> list:
         """[den * d self/d x_i at the integer ``point`` for each i], ints, in one pass over
         the terms: a term's partial derivatives share prefix and suffix products of its
-        factors x_j^k_j."""
+        factors x_j^k_j.  Each coordinate is an ``int`` under the integer rule."""
         n = self.nvars
-        if len(point) != n:
-            raise ValueError(f"point has length {len(point)}, expected {n}")
+        _check_length("point", len(point), n, "coordinates")
+        for i, x in enumerate(point):
+            _check_int(f"point coordinate {i}", x)
         grad = [0] * n
         factors: dict = {}  # (i, k) -> (i, k * point[i] ** (k - 1), point[i] ** k)
         for e, c in self.terms.items():
@@ -327,9 +325,8 @@ class Polynomial:
         return grad
 
     def eval(self, point: Sequence):
-        if len(point) != self.nvars:
-            raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
         n = self.nvars
+        _check_length("point", len(point), n, "coordinates")
         point = [scalar(p) for p in point]
         pow_cache: dict[tuple[int, int], object] = {}
         total = 0
@@ -348,11 +345,9 @@ class Polynomial:
     # -- substitution -------------------------------------------------
     def map_vars(self, images: Sequence["Polynomial"], target_nvars: int) -> "Polynomial":
         """Substitute every variable ``x_i`` by ``images[i]`` (over ``target_nvars``)."""
-        if len(images) != self.nvars:
-            raise ValueError("one image per variable is required")
-        for im in images:
-            if im.nvars != target_nvars:
-                raise ValueError("images must live in the target variable space")
+        _check_length("map_vars", len(images), self.nvars, "images")
+        for i, im in enumerate(images):
+            _check_length(f"image {i}", im.nvars, target_nvars, "variables")
         n = self.nvars
         # the exponent slots of variables sent to zero: a term using one contributes nothing
         dead = sum(0xFF * _unit(n, i) for i, im in enumerate(images) if not im.terms)

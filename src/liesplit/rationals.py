@@ -16,6 +16,9 @@ Integer inputs follow one rule: an ``int``, never a ``bool``, float or str
 allowed (:func:`_check_count`), a size at least its least value
 (:func:`_check_size`), an index list distinct ints in range
 (:func:`_indices`); anything else raises ``ValueError`` naming the value.
+Sizes follow one length rule (:func:`_check_length`): a vector, row, column or
+coefficient list has the length its space asks for and a polynomial its variable
+count, or a ``ValueError`` names it with both sizes; nothing is truncated or padded.
 """
 
 from __future__ import annotations
@@ -25,9 +28,6 @@ from functools import reduce
 from math import lcm
 
 RATIONAL_BACKEND = "fractions"
-
-QQ0 = QQ(0)
-QQ1 = QQ(1)
 
 
 def _is_int(x) -> bool:
@@ -69,6 +69,12 @@ def _indices(label: str, items, n: int, noun: str) -> tuple:
             raise ValueError(f"{label} {i} is listed twice")
         seen.add(i)
     return items
+
+
+def _check_length(label: str, got: int, n: int, noun: str) -> None:
+    """A ``ValueError`` naming ``label`` unless ``got`` (a length or a variable count) is n."""
+    if got != n:
+        raise ValueError(f"{label} has {got} {noun}, expected {n}")
 
 
 def exact(q):

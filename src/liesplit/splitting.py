@@ -25,7 +25,7 @@ from math import gcd
 
 from .liealg import LieAlgebra, Matrix, _triangular, change_basis, subalgebra_indices
 from .linalg import rank, rank_and_nullspace
-from .rationals import clear_denominators, combine, qq_str, scalar
+from .rationals import _check_length, clear_denominators, combine, qq_str, scalar
 
 
 @dataclass(frozen=True)
@@ -205,9 +205,8 @@ def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Splitting
 
     def to_cartan(vectors, label):
         out = []
-        for v in vectors:
-            if len(v) != L.dim:
-                raise ValueError(f"{label} vectors must use full algebra coordinates")
+        for j, v in enumerate(vectors):
+            _check_length(f"{label} vector {j}", len(v), L.dim, "entries")
             w = [0] * ell
             for i, c in enumerate(v):
                 c = scalar(c, f"{label} vector")

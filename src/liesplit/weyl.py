@@ -44,7 +44,7 @@ from operator import mul
 from . import _kernels as K
 from .linalg import Matrix, inverse, rank, rank_and_nullspace
 from .poly import Polynomial, _exponents, _unit
-from .rationals import QQ, _check_count, _check_size, _is_int, clear_denominators
+from .rationals import QQ, _check_count, _check_length, _check_size, _is_int, clear_denominators
 
 
 def _encode(mat_rows, n) -> bytes:
@@ -399,9 +399,12 @@ def w0_compute(W: WeylGroup, t0_basis) -> W0Report:
     once as sum_i c_i alpha_i + f with f orthogonal to the roots, hence
     fixed by W, and scaled to integers; then w(u) = sum_i c_i w(alpha_i) + f
     is read off the key and tested against an integer annihilator of t0.
-    Only members are projected onto the t0 basis in rationals.
+    Only members are projected onto the t0 basis in rationals.  Each t0 vector has
+    ``model_dim`` entries, or a ``ValueError`` names it.
     """
     rs = W.root_system
+    for k, u in enumerate(t0_basis):
+        _check_length(f"t0 vector {k}", len(u), rs.model_dim, "entries")
     a = len(t0_basis)
     T = Matrix.from_columns(t0_basis)
     proj = inverse(T.transpose() * rs.gram * T) * (T.transpose() * rs.gram)
@@ -478,13 +481,16 @@ def invariant_basis(matrices, degree, nvars):
     For the elements or generators of a finite group acting by
     x_i -> row_i . x, this is the kernel of sum_m (m - 1); the module
     docstring gives the argument.  Every basis vector is checked against
-    every matrix, so other inputs raise ``AssertionError``, not a wrong space.
+    every matrix, so other inputs raise ``AssertionError``, not a wrong space;
+    a matrix that is not ``nvars`` x ``nvars`` raises a ``ValueError`` naming it.
     """
     monos = _monomials(nvars, degree)
     pos = {e: i for i, e in enumerate(monos)}
     moves = []   # per matrix, the columns of m - 1 as {row: value}
     total = [[0] * len(monos) for _ in monos]
-    for m in matrices:
+    for k, m in enumerate(matrices):
+        _check_length(f"matrix {k}", m.nrows, nvars, "rows")
+        _check_length(f"matrix {k}", m.ncols, nvars, "columns")
         moves.append([{pos[f]: image.coeff(f) for f in image.terms}
                       for image in _monomial_images(m.rows, nvars, degree)])
         for col, column in enumerate(moves[-1]):
@@ -524,9 +530,11 @@ def restriction_check(W: WeylGroup, t0_basis, w0: W0Report | None = None,
     if dmax is None:
         dmax = max(rs.degrees)
     _check_count("dmax", dmax)
+    n = rs.model_dim
+    for k, u in enumerate(t0_basis):
+        _check_length(f"t0 vector {k}", len(u), n, "entries")
     if w0 is None:
         w0 = w0_compute(W, t0_basis)
-    n = rs.model_dim
     a = len(t0_basis)
     gen_mats = [W.matrix(g) for g in W.generators]
     # x_i restricted to the subspace: x_i(sum_s c_s u_s) = sum_s u_s[i] c_s

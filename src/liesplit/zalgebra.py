@@ -43,7 +43,7 @@ from .invariants import (
 from .linalg import Matrix, rank
 from .poisson import _sample_point, poisson_bracket, sphericity, tensor_at
 from .poly import Polynomial
-from .rationals import _check_count, _check_int, _check_size, _is_int
+from .rationals import _check_count, _check_int, _check_length, _check_size, _is_int
 from .splitting import (
     BracketParameter,
     Splitting,
@@ -85,7 +85,7 @@ def z_generators(S: Splitting, B: HilbertBasis, z0_gens=(), zinf_gens=(),
     mode 'full': every nonzero bi-component plus the supplied centre
     generators (none by default: the components alone); 'm_tilde': only middle
     components (0 < h-degree < d) plus centres.  Duplicates are merged up to a
-    scalar (content normalization).
+    scalar (content normalization).  A centre generator must live on the splitting's algebra.
     """
     if not B.generators:
         raise ValueError("empty Hilbert basis")
@@ -108,10 +108,10 @@ def z_generators(S: Splitting, B: HilbertBasis, z0_gens=(), zinf_gens=(),
             if mode == "m_tilde" and not (0 < i < d):
                 continue
             push(comp, f"F{j + 1}[{i},{d - i}]")
-    for g in z0_gens:
-        push(g, "Z0")
-    for g in zinf_gens:
-        push(g, "Zinf")
+    for tag, gens in (("Z0", z0_gens), ("Zinf", zinf_gens)):
+        for k, g in enumerate(gens):
+            _check_length(f"{tag} generator {k}", g.nvars, S.algebra.dim, "variables")
+            push(g, tag)
     return out
 
 
@@ -452,6 +452,11 @@ def _case_horo(params, seed, trials, dmax):
         t1 = []
     else:
         t1 = _sl_diagonals(g, (dict(enumerate(d)) for d in t1_spec))
+        try:  # a long diagonal fails above; a short one would be padded with zeros
+            for d in t1_spec:
+                _check_length(f"t1 diagonal {list(d)}", len(d), n, "entries")
+        except ValueError as exc:
+            raise CaseParameterError(str(exc)) from None
         if t1 and rank(Matrix(t1)) < len(t1):
             zero = next((list(d) for d in t1_spec if not any(d)), None)
             raise CaseParameterError(

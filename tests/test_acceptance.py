@@ -20,7 +20,7 @@ from liesplit.invariants import (
 from liesplit.linalg import inverse
 from liesplit.poisson import index_estimate
 from liesplit.poly import Polynomial
-from liesplit.rationals import QQ, QQ0, QQ1
+from liesplit.rationals import QQ
 from liesplit.splitting import (
     contract,
     horospherical_splitting,
@@ -129,13 +129,13 @@ def test_criterion_5_sl4_elimination():
     t0 = time.perf_counter()
     g = build_sl(4)
     cart = g.triangular.cartan
-    t0v = [[QQ0] * 15]
-    t0v[0][cart[0]] = QQ1
-    t0v[0][cart[2]] = -QQ1
+    t0v = [[QQ(0)] * 15]
+    t0v[0][cart[0]] = QQ(1)
+    t0v[0][cart[2]] = -QQ(1)
     t1v = []
     for diag in ([1, 0, 0, -1], [0, 1, -1, 0]):
-        v = [QQ0] * 15
-        run = QQ0
+        v = [QQ(0)] * 15
+        run = QQ(0)
         for k, i in enumerate(cart):
             run = run + QQ(diag[k])
             v[i] = run
@@ -201,21 +201,21 @@ def test_criterion_8_index_law():
     t0 = time.perf_counter()
     cases = []
     sl2 = build_sl(2)
-    cases.append((sl2, horospherical_splitting(sl2, [[QQ0, QQ1, QQ0]]), 5))
+    cases.append((sl2, horospherical_splitting(sl2, [[QQ(0), QQ(1), QQ(0)]]), 5))
     sl3 = build_sl(3)
     cart3 = sl3.triangular.cartan
-    v = [QQ0] * 8
-    v[cart3[0]] = QQ1
-    v[cart3[1]] = QQ1
+    v = [QQ(0)] * 8
+    v[cart3[0]] = QQ(1)
+    v[cart3[1]] = QQ(1)
     cases.append((sl3, horospherical_splitting(sl3, [v]), 5))
     d2 = build_double(sl2)
-    cases.append((d2, horospherical_splitting(d2, [[QQ0, QQ1, QQ0, -QQ1]]), 5))
+    cases.append((d2, horospherical_splitting(d2, [[QQ(0), QQ(1), QQ(0), -QQ(1)]]), 5))
     sl4 = build_sl(4)
     cart4 = sl4.triangular.cartan
     t1v = []
     for diag in ([1, 0, 0, -1], [0, 1, -1, 0]):
-        w = [QQ0] * 15
-        run = QQ0
+        w = [QQ(0)] * 15
+        run = QQ(0)
         for k, i in enumerate(cart4):
             run = run + QQ(diag[k])
             w[i] = run
@@ -226,8 +226,8 @@ def test_criterion_8_index_law():
     so8 = build_so_even(4)
     t1so = []
     for i in so8.triangular.cartan[:3]:
-        w = [QQ0] * 28
-        w[i] = QQ1
+        w = [QQ(0)] * 28
+        w[i] = QQ(1)
         t1so.append(w)
     cases.append((so8, horospherical_splitting(so8, t1so), 5))
     for g, S, seeds in cases:

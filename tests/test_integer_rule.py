@@ -8,7 +8,8 @@ from functools import lru_cache
 import pytest
 
 from liesplit.invariants import eliminate_on_subspace, hilbert_basis, transport_basis
-from liesplit.liealg import LieAlgebra, build_gl, build_sl, build_so_even, subalgebra_indices
+from liesplit.liealg import (LieAlgebra, build_algebra, build_gl, build_sl, build_so_even,
+                             subalgebra_indices)
 from liesplit.poisson import index_estimate
 from liesplit.poly import Polynomial
 from liesplit.splitting import horospherical_splitting
@@ -110,6 +111,14 @@ def _rank_e6(v):
     return build_root_system("E6", v)
 
 
+def _gradient_at(v):
+    return Polynomial.variable(2, 0).int_gradient(v)
+
+
+def _so_size(v):
+    return build_algebra("so", n=v)
+
+
 _ROWS = [
     (_subalgebra, [0, True], "h: True is not a basis index in range(3)"),
     (_subalgebra, [0.0], "h: 0.0 is not a basis index in range(3)"),
@@ -197,6 +206,11 @@ _ROWS = [
     (Polynomial.zero, -1, "nvars >= 0 required, got -1"),  # once accepted
     (_constant_nvars, -1, "nvars >= 0 required, got -1"),  # once failed only on printing
     (_variable_nvars, 2.5, "nvars must be an integer, got 2.5"),  # once a bare TypeError
+    (_gradient_at, [1.5, 2], "point coordinate 0 must be an integer, got 1.5"),  # once [1.0, 0]
+    (_gradient_at, ["1/2", 0], "point coordinate 0 must be an integer, got '1/2'"),  # TypeError
+    (_gradient_at, [1, True], "point coordinate 1 must be an integer, got True"),
+    (_so_size, "8", "so: n must be an integer, got '8'"),  # once a bare TypeError
+    (_so_size, 8.0, "so: n must be an integer, got 8.0"),  # once named the half, 4.0
 ]
 
 

@@ -26,7 +26,7 @@ from liesplit.invariants import (
 from liesplit.linalg import Matrix, rank_mod_p
 from liesplit.poisson import poisson_bracket
 from liesplit.poly import Polynomial
-from liesplit.rationals import QQ, QQ0, QQ1
+from liesplit.rationals import QQ
 from liesplit.splitting import (
     BracketParameter,
     contract,
@@ -56,9 +56,9 @@ def _gl_block_indices(gl, sizes):
 def sl3_paper_splitting():
     g = build_sl(3)
     cart = g.triangular.cartan
-    v = [QQ0] * 8
-    v[cart[0]] = QQ1
-    v[cart[1]] = QQ1  # diag(1, 0, -1)
+    v = [QQ(0)] * 8
+    v[cart[0]] = QQ(1)
+    v[cart[1]] = QQ(1)  # diag(1, 0, -1)
     return g, horospherical_splitting(g, [v])
 
 
@@ -238,7 +238,7 @@ def test_bidecompose_requires_homogeneous():
 
 def test_bidecompose_double_casimir_components():
     d = build_double(build_sl(2))
-    S = horospherical_splitting(d, [[QQ0, QQ1, QQ0, -QQ1]])
+    S = horospherical_splitting(d, [[QQ(0), QQ(1), QQ(0), -QQ(1)]])
     e, h, f, xi = (Polynomial.variable(4, i) for i in range(4))
     C = h * h + 4 * e * f
     Bc = transport_basis(custom_basis(d, [(C, 2)]), S)
@@ -426,13 +426,13 @@ def test_side_r_equals_side_h_of_the_swapped_splitting(build, make, kind, seed):
 def _sl4_splitting():
     g = build_sl(4)
     cart = g.triangular.cartan
-    t0 = [[QQ0] * 15]
-    t0[0][cart[0]] = QQ1
-    t0[0][cart[2]] = -QQ1  # diag(1,-1,-1,1)
+    t0 = [[QQ(0)] * 15]
+    t0[0][cart[0]] = QQ(1)
+    t0[0][cart[2]] = -QQ(1)  # diag(1,-1,-1,1)
     t1 = []
     for diag in ([1, 0, 0, -1], [0, 1, -1, 0]):
-        v = [QQ0] * 15
-        run = QQ0
+        v = [QQ(0)] * 15
+        run = QQ(0)
         for k, i in enumerate(cart):
             run = run + QQ(diag[k])
             v[i] = run
@@ -505,7 +505,7 @@ def test_double_shift_bidegree():
     B = custom_basis(d, [(C, 2), (xi, 1)])
     sh = double_shift_basis(B, side="h")
     assert sh.polys[0] == C - xi * xi
-    S = horospherical_splitting(d, [[QQ0, QQ1, QQ0, -QQ1]])
+    S = horospherical_splitting(d, [[QQ(0), QQ(1), QQ(0), -QQ(1)]])
     shifted = transport_basis(sh, S)
     assert list(bidecompose(S, shifted.polys[0])) == [1]
     # r-side shift for even degree coincides with the h-side shift

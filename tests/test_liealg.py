@@ -86,6 +86,15 @@ def test_builder_dispatcher_and_guards():
         build_algebra("nope", n=2)
 
 
+@pytest.mark.parametrize("kind, params, missing", [
+    ("gl", {}, "'n'"), ("sl", {"m": 3}, "'n'"), ("so_even", {}, "'n'"), ("so", {}, "'n'"),
+    ("double", {"n": 2}, "'base'"),  # each once a bare KeyError
+])
+def test_builder_names_a_missing_parameter(kind, params, missing):
+    with pytest.raises(ValueError, match=f"^builder kind '{kind}' needs the parameter {missing}$"):
+        build_algebra(kind, **params)
+
+
 def test_structure_constants_json_round_trip():
     sl3 = build_sl(3)
     text = algebra_to_json(sl3)

@@ -180,6 +180,13 @@ def test_construction_products_and_transpose_match_reference(a, data):
     assert exact_form(m.matvec(v)) == r_matvec(a, v)
 
 
+@CHECKS
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=5)))
+def test_from_columns_is_the_transpose_of_its_columns(cols):
+    assert Matrix.from_columns(cols).transpose().rows == tuple(map(tuple, cols))
+
+
 # more examples: a wrong Bareiss divisor on a row that skipped updates shows in few of them
 @settings(CHECKS, max_examples=250)
 @given(matrices())

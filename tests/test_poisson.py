@@ -19,7 +19,7 @@ from liesplit.poisson import (
     tensor_at,
 )
 from liesplit.poly import Polynomial
-from liesplit.rationals import QQ, QQ0, QQ1
+from liesplit.rationals import QQ
 from liesplit.splitting import (
     contract,
     family_bracket,
@@ -180,8 +180,8 @@ def _sl4_horospherical():
     t1 = []
     cart = g.triangular.cartan
     for diag in ([1, 0, 0, -1], [0, 1, -1, 0]):
-        v = [QQ0] * g.dim
-        run = QQ0
+        v = [QQ(0)] * g.dim
+        run = QQ(0)
         for k, i in enumerate(cart):
             run = run + QQ(diag[k])
             v[i] = run
@@ -382,13 +382,13 @@ def test_stabilizer_closure_and_witness():
     # witness point is stored and annihilates the stabilizer directions
     L = sl3
     for v in rep.stabilizer_basis:
-        full = [QQ0] * L.dim
+        full = [QQ(0)] * L.dim
         for pos, i in enumerate(rep.h_indices):
             full[i] = v[pos]
         for j in range(L.dim):
-            unit = [QQ1 if t == j else QQ0 for t in range(L.dim)]
+            unit = [QQ(1) if t == j else QQ(0) for t in range(L.dim)]
             w = _bracket_vec(L, full, unit)
-            val = sum((QQ(rep.sample_point[k]) * c for k, c in w.items()), QQ0)
+            val = sum((QQ(rep.sample_point[k]) * c for k, c in w.items()), QQ(0))
             assert val == 0
 
 
@@ -404,9 +404,9 @@ def test_sphericity_sl2_sides():
 def test_sphericity_sl3_horospherical():
     g = build_sl(3)
     cart = g.triangular.cartan
-    v = [QQ0] * 8
-    v[cart[0]] = QQ1
-    v[cart[1]] = QQ1
+    v = [QQ(0)] * 8
+    v[cart[0]] = QQ(1)
+    v[cart[1]] = QQ(1)
     S = horospherical_splitting(g, [v])
     rep = sphericity(S, trials=6, seed=3)
     assert (rep.s0, rep.s_inf) == (1, 1)
@@ -415,7 +415,7 @@ def test_sphericity_sl3_horospherical():
 
 def test_sphericity_double_sl2():
     d = build_double(build_sl(2))
-    S = horospherical_splitting(d, [[QQ0, QQ1, QQ0, -QQ1]])
+    S = horospherical_splitting(d, [[QQ(0), QQ(1), QQ(0), -QQ(1)]])
     rep = sphericity(S, trials=6, seed=3)
     assert (rep.s0, rep.s_inf) == (1, 1)
     assert rep.rank == 2
@@ -440,9 +440,9 @@ def test_kernel_is_stabilizer():
     for v in rank_and_nullspace(s.matrix)[1]:
         # xi([v, y]) = 0 for every basis direction y
         for j in range(8):
-            unit = [QQ1 if t == j else QQ0 for t in range(8)]
+            unit = [QQ(1) if t == j else QQ(0) for t in range(8)]
             w = _bracket_vec(sl3, list(v), unit)
-            assert sum((QQ(xi[k]) * c for k, c in w.items()), QQ0) == 0
+            assert sum((QQ(xi[k]) * c for k, c in w.items()), QQ(0)) == 0
 
 
 def test_float_tensor_point_is_rejected():

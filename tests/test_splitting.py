@@ -9,7 +9,7 @@ from liesplit.liealg import (build_double, build_sl, build_so_even, custom_algeb
                              jacobi_report, sub_algebra)
 from liesplit.poisson import generic_stabilizer, poisson_bracket, tensor_at
 from liesplit.poly import Polynomial
-from liesplit.rationals import QQ, QQ0, QQ1
+from liesplit.rationals import QQ
 from liesplit.splitting import (
     BracketParameter,
     contract,
@@ -82,7 +82,7 @@ def test_splitting_names_the_bracket_leaving_r():
 
 def so8_splitting():
     so8 = build_so_even(4)
-    return horospherical_splitting(so8, [[QQ1 if i == c else QQ0 for i in range(28)]
+    return horospherical_splitting(so8, [[QQ(1) if i == c else QQ(0) for i in range(28)]
                                          for c in so8.triangular.cartan[:3]])
 
 
@@ -128,7 +128,7 @@ def test_family_bracket_endpoints_and_identity():
     # Cartan, (1,1) lists some pairs' entries in another order than the
     # adapted algebra does: the identity holds per pair, not as tuples
     g = build_sl(3)
-    horo = horospherical_splitting(g, [[QQ1 if i == g.triangular.cartan[0] else QQ0
+    horo = horospherical_splitting(g, [[QQ(1) if i == g.triangular.cartan[0] else QQ(0)
                                         for i in range(8)]])
     for S in (make_splitting(sl2(), (0, 1)), horo):
         for p, want in (((1, 1), S.algebra), ((1, 0), contract(S, "keep_h")),
@@ -143,8 +143,8 @@ def double_sl3_splitting():
     d = build_double(g)
     t1 = []
     for k, i in enumerate(g.triangular.cartan):
-        v = [QQ0] * d.dim
-        v[i], v[g.dim + k] = QQ1, -QQ1
+        v = [QQ(0)] * d.dim
+        v[i], v[g.dim + k] = QQ(1), -QQ(1)
         t1.append(v)
     return horospherical_splitting(d, t1)
 
@@ -162,7 +162,7 @@ def test_family_jacobi_for_random_parameters():
 
 
 def _cartan_line(g, k):
-    return [QQ1 if i == g.triangular.cartan[k] else QQ0 for i in range(g.dim)]
+    return [QQ(1) if i == g.triangular.cartan[k] else QQ(0) for i in range(g.dim)]
 
 
 def test_pencil_bracket_is_linear_on_bi_components():
@@ -173,7 +173,7 @@ def test_pencil_bracket_is_linear_on_bi_components():
     cases = (
         (sl3, "charpoly", [_cartan_line(sl3, 0)]),
         (so4, "so_minors_pfaffian", [_cartan_line(so4, 0)]),
-        (build_double(sl2()), "double_extended:charpoly", [[QQ0, QQ1, QQ0, -QQ1]]),
+        (build_double(sl2()), "double_extended:charpoly", [[QQ(0), QQ(1), QQ(0), -QQ(1)]]),
     )
     rng = random.Random(7)
     for g, kind, t1 in cases:
@@ -242,7 +242,7 @@ def test_pencil_members_isomorphic_via_grading_rescale():
     for _ in range(4):
         t = QQ(rng.randint(1, 20), rng.randint(1, 7))
         Lt = family_bracket(S, BracketParameter(1, t))
-        scale = [QQ1 if i in S.h_set else t for i in range(g.dim)]
+        scale = [QQ(1) if i in S.h_set else t for i in range(g.dim)]
         keys = set(Lt.constants) | set(g.constants)
         for (i, j) in keys:
             lhs = {}
@@ -272,7 +272,7 @@ def test_drinfeld_double_contraction():
     # double(sl2) with h = <e, h-xi>: the keep_h contraction is b acting on
     # its dual, matching the directly-built semidirect product b x (b*)^ab.
     d = build_double(sl2())
-    t1 = [[QQ0, QQ1, QQ0, -QQ1]]
+    t1 = [[QQ(0), QQ(1), QQ(0), -QQ(1)]]
     S = horospherical_splitting(d, t1)
     con = contract(S, "keep_h")  # basis (e, m=h-xi, f, p=h+xi)
     # direct model: basis (E, H, E*, H*), [H,E]=2E, [E,E*]=2H*, [H,E*]=-2E*
@@ -286,10 +286,10 @@ def test_drinfeld_double_contraction():
     img = change_basis(
         con,
         [
-            [QQ1, QQ0, QQ0, QQ0],
-            [QQ0, QQ1, QQ0, QQ0],
-            [QQ0, QQ0, QQ1, QQ0],
-            [QQ0, QQ0, QQ0, QQ(1, 4)],
+            [QQ(1), QQ(0), QQ(0), QQ(0)],
+            [QQ(0), QQ(1), QQ(0), QQ(0)],
+            [QQ(0), QQ(0), QQ(1), QQ(0)],
+            [QQ(0), QQ(0), QQ(0), QQ(1, 4)],
         ],
         ["E", "H", "Es", "Hs"],
     )
@@ -298,7 +298,7 @@ def test_drinfeld_double_contraction():
 
 def test_horospherical_extreme_cases():
     g = sl2()
-    full = horospherical_splitting(g, [[QQ0, QQ1, QQ0]])
+    full = horospherical_splitting(g, [[QQ(0), QQ(1), QQ(0)]])
     assert len(full.t1_indices) == 1 and len(full.t0_indices) == 0
     assert full.dim_h == 2  # h = b
     empty = horospherical_splitting(g, [])
@@ -310,9 +310,9 @@ def test_horospherical_sl3_paper_subspace():
     # t1 = span diag(1,0,-1); the complement is span diag(1,-2,1)
     g = build_sl(3)
     cart = g.triangular.cartan
-    v = [QQ0] * 8
-    v[cart[0]] = QQ1
-    v[cart[1]] = QQ1  # h1 + h2 = diag(1,0,-1)
+    v = [QQ(0)] * 8
+    v[cart[0]] = QQ(1)
+    v[cart[1]] = QQ(1)  # h1 + h2 = diag(1,0,-1)
     S = horospherical_splitting(g, [v])
     t0 = S.t0_indices[0]
     # the adapted t0 vector, read through the base change, is diag(1,-2,1):
@@ -324,13 +324,13 @@ def test_horospherical_sl3_paper_subspace():
 def test_horospherical_rejects_degenerate_t1():
     g = build_sl(3)
     cart = g.triangular.cartan
-    bad = [QQ0] * 8
-    bad[0] = QQ1  # a root vector, not in the Cartan
+    bad = [QQ(0)] * 8
+    bad[0] = QQ(1)  # a root vector, not in the Cartan
     with pytest.raises(ValueError):
         horospherical_splitting(g, [bad])
-    v1 = [QQ0] * 8
-    v1[cart[0]] = QQ1
-    v2 = [QQ0] * 8
+    v1 = [QQ(0)] * 8
+    v1[cart[0]] = QQ(1)
+    v2 = [QQ(0)] * 8
     v2[cart[0]] = QQ(2)
     with pytest.raises(ValueError):
         horospherical_splitting(g, [v1, v2])  # dependent

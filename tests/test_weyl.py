@@ -10,7 +10,7 @@ import pytest
 from liesplit._kernels import pure
 from liesplit.linalg import Matrix, inverse, rank_and_nullspace
 from liesplit.poly import Polynomial
-from liesplit.rationals import QQ, QQ0, QQ1, clear_denominators
+from liesplit.rationals import QQ, clear_denominators
 from liesplit.weyl import (
     SatakeDiagram,
     _decode,
@@ -240,7 +240,7 @@ def test_w0_matches_per_element_oracle(label, rank_, arrows):
 def test_w0_full_space_matches_per_element_oracle():
     # nonzero F (the fixed line of the A2 model) and the full support
     W = enumerate_weyl(build_root_system("A", 2))
-    basis = [tuple(QQ1 if i == j else QQ0 for i in range(3)) for j in range(3)]
+    basis = [tuple(QQ(1) if i == j else QQ(0) for i in range(3)) for j in range(3)]
     rep = w0_compute(W, basis)
     assert (rep.orders, rep.element_orders, set(rep.matrices)) == _w0_reference(W, basis)
 
@@ -345,7 +345,7 @@ def test_w0_a4_is_s2():
 def test_w0_full_space_recovers_w():
     rs = build_root_system("A", 2)
     W = enumerate_weyl(rs)
-    basis = [tuple(QQ1 if i == j else QQ0 for i in range(3)) for j in range(3)]
+    basis = [tuple(QQ(1) if i == j else QQ(0) for i in range(3)) for j in range(3)]
     rep = w0_compute(W, basis)
     assert rep.order_n == W.order
     assert rep.order_z == 1
@@ -464,7 +464,7 @@ def _degrees_series(degrees, dmax):
 
 def _det(rows):
     if not rows:
-        return QQ1
+        return QQ(1)
     return sum(
         (-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
         for j in range(len(rows))
@@ -473,19 +473,19 @@ def _det(rows):
 
 def _molien_series(matrices, dmax):
     """Coefficients of 1/|G| sum_g 1/det(1 - t g) up to t^dmax, exactly."""
-    total = [QQ0] * (dmax + 1)
+    total = [QQ(0)] * (dmax + 1)
     for g in matrices:
         a = g.nrows
         # det(1 - t g) = sum_k (-t)^k (sum of the principal k-minors of g)
-        p = [QQ0] * (dmax + 1)
+        p = [QQ(0)] * (dmax + 1)
         for k in range(min(a, dmax) + 1):
             p[k] = (-1) ** k * sum(
                 (_det([[g[i, j] for j in idx] for i in idx]) for idx in combinations(range(a), k)),
-                QQ0,
+                QQ(0),
             )
-        inv = [QQ1] + [QQ0] * dmax
+        inv = [QQ(1)] + [QQ(0)] * dmax
         for k in range(1, dmax + 1):
-            inv[k] = -sum((p[j] * inv[k - j] for j in range(1, k + 1)), QQ0)
+            inv[k] = -sum((p[j] * inv[k - j] for j in range(1, k + 1)), QQ(0))
         total = [x + y for x, y in zip(total, inv)]
     return [x / len(matrices) for x in total]
 

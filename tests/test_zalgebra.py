@@ -14,7 +14,7 @@ from liesplit.invariants import (HilbertBasis, bidecompose, custom_basis, ggs_ch
 from liesplit.linalg import Matrix, rank
 from liesplit.poisson import poisson_bracket
 from liesplit.poly import Polynomial
-from liesplit.rationals import QQ, QQ0, QQ1
+from liesplit.rationals import QQ
 from liesplit.splitting import BracketParameter, horospherical_splitting, pencil_member
 from liesplit.weyl import SatakeDiagram, satake_subspaces
 from liesplit.zalgebra import (
@@ -30,7 +30,7 @@ from liesplit.zalgebra import (
 
 def borel_sl2():
     sl2 = build_sl(2)
-    S = horospherical_splitting(sl2, [[QQ0, QQ1, QQ0]])
+    S = horospherical_splitting(sl2, [[QQ(0), QQ(1), QQ(0)]])
     B = transport_basis(hilbert_basis(sl2, "charpoly"), S)
     return sl2, S, B
 
@@ -112,7 +112,7 @@ def test_commutativity_suite_labels_match_exhaustive_loop():
     t, e, f = (Polynomial.variable(3, names.index(n)) for n in ("t1_1", "E12", "E21"))
     gens = [(t, "t"), (e, "e"), (f, "f"), (B.polys[0], "C"), (t * t, "t2")]
     g3 = build_sl(3)
-    S3 = horospherical_splitting(g3, [[QQ1 if i == g3.triangular.cartan[0] else QQ0
+    S3 = horospherical_splitting(g3, [[QQ(1) if i == g3.triangular.cartan[0] else QQ(0)
                                        for i in range(8)]])
     coords = [(Polynomial.variable(8, i), n) for i, n in enumerate(S3.algebra.names)]
     extra = [(1, 5), (2, -3), (0, 7)]
@@ -130,8 +130,8 @@ def test_commutativity_suite_labels_match_exhaustive_loop():
 def test_sl3_borel_component_count_and_trdeg():
     sl3 = build_sl(3)
     S = horospherical_splitting(sl3, [
-        [QQ1 if i == sl3.triangular.cartan[0] else QQ0 for i in range(8)],
-        [QQ1 if i == sl3.triangular.cartan[1] else QQ0 for i in range(8)],
+        [QQ(1) if i == sl3.triangular.cartan[0] else QQ(0) for i in range(8)],
+        [QQ(1) if i == sl3.triangular.cartan[1] else QQ(0) for i in range(8)],
     ])
     B = transport_basis(hilbert_basis(sl3, "charpoly"), S)
     Z = z_generators(S, B)
@@ -144,7 +144,7 @@ def test_double_m_tilde_exact_generators():
     e, h, f, xi = (Polynomial.variable(4, i) for i in range(4))
     C = h * h + 4 * e * f
     B0 = custom_basis(d, [(C, 2), (xi, 1)])
-    S = horospherical_splitting(d, [[QQ0, QQ1, QQ0, -QQ1]])
+    S = horospherical_splitting(d, [[QQ(0), QQ(1), QQ(0), -QQ(1)]])
     B = transport_basis(B0, S)
     names = S.algebra.names
     z0 = [Polynomial.variable(4, names.index("t0_1"))]
@@ -166,8 +166,8 @@ def test_double_m_tilde_exact_generators():
 def test_property_suite_borel_sl3():
     sl3 = build_sl(3)
     S = horospherical_splitting(sl3, [
-        [QQ1 if i == sl3.triangular.cartan[0] else QQ0 for i in range(8)],
-        [QQ1 if i == sl3.triangular.cartan[1] else QQ0 for i in range(8)],
+        [QQ(1) if i == sl3.triangular.cartan[0] else QQ(0) for i in range(8)],
+        [QQ(1) if i == sl3.triangular.cartan[1] else QQ(0) for i in range(8)],
     ])
     B = transport_basis(hilbert_basis(sl3, "charpoly"), S)
     results = property_suite(S, B, seed=3)
@@ -180,7 +180,7 @@ def test_pencil_commutativity_needs_every_sampled_pair():
     # the components of the sl(3) Borel have 3, 3, 1, 7 and 4 terms, so no pair fits a
     # budget of two term products: nothing is bracketed
     sl3 = build_sl(3)
-    S3 = horospherical_splitting(sl3, [[QQ1 if i == c else QQ0 for i in range(8)]
+    S3 = horospherical_splitting(sl3, [[QQ(1) if i == c else QQ(0) for i in range(8)]
                                        for c in sl3.triangular.cartan])
     B3 = transport_basis(hilbert_basis(sl3, "charpoly"), S3)
     assert property_suite(S3, B3, seed=0, pair_budget=2)["pencil_commutativity_sampled"] is False
@@ -274,7 +274,7 @@ def _sl3_one_toral_line():
     """sl3 split horospherically by one Cartan direction t1_1, with t0 the line t0_1."""
     sl3 = build_sl(3)
     cartan = sl3.triangular.cartan
-    S = horospherical_splitting(sl3, [[QQ1 if i == cartan[0] else QQ0 for i in range(8)]])
+    S = horospherical_splitting(sl3, [[QQ(1) if i == cartan[0] else QQ(0) for i in range(8)]])
     x = dict(zip(S.algebra.names, (Polynomial.variable(8, i) for i in range(8))))
     return S, x
 
