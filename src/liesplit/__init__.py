@@ -18,7 +18,6 @@ from .liealg import (
     TriangularData,
     algebra_from_json,
     algebra_to_json,
-    build_algebra,
     build_double,
     build_gl,
     build_sl,
@@ -30,7 +29,6 @@ from .liealg import (
 from .splitting import (
     BracketParameter,
     Decomposition,
-    Splitting,
     contract,
     family_bracket,
     horospherical_splitting,

@@ -21,10 +21,10 @@ import sys
 from functools import lru_cache
 
 from . import __version__
-from .liealg import algebra_from_json, build_algebra
+from .liealg import algebra_from_json, build_double, build_gl, build_sl, build_so_even
 from .invariants import ggs_check, hilbert_basis
 from .poisson import index_estimate
-from .splitting import make_decomposition, make_splitting
+from .splitting import make_decomposition
 from .rationals import _check_count
 from .zalgebra import (CaseParameterError, CaseReport, _satake, _Timer, _weyl_route,
                        available_cases, run_case)
@@ -48,12 +48,16 @@ def _or_exit(label: str, f, *args, **kwargs):
 def _load_algebra(spec: str):
     """'sl:4', 'gl:3', 'so:8', 'double:sl:3', or a path to a constants file."""
     if ":" in spec:
-        m = re.fullmatch(r"(double:)?(gl|sl|so|so_even):(\d+)", spec)
+        m = re.fullmatch(r"(double:)?(gl|sl|so):(\d+)", spec)
         if m is None:
             raise SystemExit(f"cannot parse --algebra {spec!r}: expected gl:N, sl:N, so:N, "
                              "double:<kind>:N or a constants file")
-        L = _or_exit(f"--algebra {spec!r}", build_algebra, m[2], n=int(m[3]))  # sl:1, so:7
-        return build_algebra("double", base=L) if m[1] else L
+        n = int(m[3])
+        if m[2] == "so" and n % 2:  # so:N names so(N)
+            raise SystemExit(f"--algebra {spec!r}: only so(2n) is supported")
+        build, n = {"gl": (build_gl, n), "sl": (build_sl, n), "so": (build_so_even, n // 2)}[m[2]]
+        L = _or_exit(f"--algebra {spec!r}", build, n)  # sl:1, so:2
+        return build_double(L) if m[1] else L
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -151,10 +155,7 @@ def _cmd_check_ggs(args) -> int:
     timer = _Timer()
     algebra = _load_algebra(args.algebra)
     h = _parse_h(args.h, algebra)
-    try:
-        deco = make_splitting(algebra, h)
-    except ValueError:
-        deco = _or_exit(f"check-ggs --h {args.h!r}", make_decomposition, algebra, h)
+    deco = _or_exit(f"check-ggs --h {args.h!r}", make_decomposition, algebra, h)
     timer.lap("build")
     basis = _or_exit(f"check-ggs --basis {args.basis}", hilbert_basis, algebra, args.basis)
     timer.lap("basis")

@@ -51,7 +51,7 @@ from .linalg import Matrix, inverse, rank, rank_mod_p, solve  # noqa: F401  (ran
 from .poisson import _best_rank, hamiltonian_field, index_estimate, poisson_bracket
 from .poly import Polynomial
 from .rationals import QQ, _check_length, _indices
-from .splitting import Decomposition, Splitting, contract
+from .splitting import Decomposition, contract
 
 
 # -- generic dual element and determinant/pfaffian expansion -----------
@@ -325,7 +325,7 @@ def transport_basis(B: HilbertBasis, S: Decomposition) -> HilbertBasis:
 # -- restriction to t0 ----------------------------------------------------
 
 
-def restrict_to_t0(S: Splitting, F: Polynomial) -> Polynomial:
+def restrict_to_t0(S: Decomposition, F: Polynomial) -> Polynomial:
     """Restriction of F (a function on the dual) to t0, carried into the dual by the
     invariant form: x_a -> <sum_s c_s t0_s, X_a> = sum_s G[t0_s, a] c_s, an exact
     polynomial in c_1..c_k over the adapted Gram rows of t0.
@@ -414,7 +414,7 @@ def ggs_check(D: Decomposition, B: HilbertBasis, side: str = "h",
 
     One rule on both sides: each generator contributes its extreme component,
     the one of least degree in the side's subalgebra (least h-degree on side h,
-    least r-degree on side r, full splittings only), and deg_m is its degree in
+    least r-degree on side r, when r is closed), and deg_m is its degree in
     the complement m (r on side h, h on side r).  The verdict is sum deg_m == dim m.
     Rows give the bidegree as (h-degree, r-degree) on both sides.
     On a horospherical splitting, ``bidegree_claim_ok`` certifies the bi-degree
@@ -426,7 +426,7 @@ def ggs_check(D: Decomposition, B: HilbertBasis, side: str = "h",
         raise ValueError("basis and splitting live on different algebras")
     if side not in ("h", "r"):
         raise ValueError("side must be 'h' or 'r'")
-    if side == "r" and not isinstance(D, Splitting):
+    if side == "r" and not D.r_closed:
         raise ValueError("side 'r' needs a full splitting")
     horo = D.is_horospherical
     toral = D.t0_indices if side == "h" else D.t1_indices
@@ -495,7 +495,7 @@ def _power_product(factors, exponents) -> Polynomial:
     return reduce(mul, (f**e for f, e in zip(factors, exponents) if e))
 
 
-def eliminate_on_subspace(B: HilbertBasis, S: Splitting, keep=()) -> HilbertBasis:
+def eliminate_on_subspace(B: HilbertBasis, S: Decomposition, keep=()) -> HilbertBasis:
     """Correct the generators so that all but the kept ones vanish on t0.
 
     The generators are walked in increasing degree, stable in list order.  A generator
@@ -583,7 +583,7 @@ def _aks_side(L, indices, B):
                              for a, b in combinations(gens, 2)))
 
 
-def aks_restrict(S: Splitting, B: HilbertBasis) -> AksReport:
+def aks_restrict(S: Decomposition, B: HilbertBasis) -> AksReport:
     """Restrictions of the invariants to each summand's dual are Poisson-commutative.
 
     Side h keeps the pure-h components (the restrictions to Ann(r)) and

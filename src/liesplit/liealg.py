@@ -36,7 +36,8 @@ order and how a commutator decomposes in that basis; one routine,
 Gram matrix (the trace form, halved for so(2n)) used to identify the
 algebra with its dual, and triangular data (root labels and the restriction
 of the form to the Cartan), read by ``_triangular`` as for the double and
-the horospherical rebuilds.
+the horospherical rebuilds.  Each builder checks its own size, and the matrix
+size N of an algebra is read off its realization.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Sequence
 
 from .linalg import Matrix, inverse
 from .poly import _unit
-from .rationals import (QQ, _check_int, _check_length, _check_size, _indices, _is_int,
+from .rationals import (QQ, _check_length, _check_size, _indices, _is_int,
                         clear_denominators, combine, common_denominator, scalar)
 
 
@@ -83,7 +84,7 @@ class RealizationCertificate:
 
 class LieAlgebra:
     def __init__(self, names, constants, rank=None, triangular=None,
-                 realization=None, matrix_size=None, gram=None, kind="custom",
+                 realization=None, gram=None, kind="custom",
                  base_algebra=None, base_change=None, check=True):
         self.dim = len(names)
         self.names = tuple(names)
@@ -104,7 +105,8 @@ class LieAlgebra:
         self.rank = rank
         self.triangular = triangular
         self.realization = realization
-        self.matrix_size = matrix_size
+        self.matrix_size = (None if realization is None else  # N x N: 1 + the largest index
+                            1 + max((max(p) for m in realization for p in m), default=-1))
         self.gram = gram
         self.kind = kind
         self.base_algebra = base_algebra
@@ -260,7 +262,7 @@ def _assemble(mats, names, decompose, ell, kind, half=False) -> LieAlgebra:
     """The algebra of the basis matrices ``mats``, listed as (u+, Cartan of size ``ell``, u-)
     with u+ and u- of equal size: the constants of [mats[i], mats[j]] as ``decompose`` writes
     a matrix in the basis, the trace form (half of it when ``half``) as Gram matrix, the
-    triangular data, and the realization, of rank ``ell`` and matrix size read off ``mats``."""
+    triangular data, and the realization, of rank ``ell``."""
     n = len(mats)
     constants = {}
     for i in range(n):
@@ -277,9 +279,8 @@ def _assemble(mats, names, decompose, ell, kind, half=False) -> LieAlgebra:
     nplus = (n - ell) // 2
     tri = _triangular(constants, range(nplus), range(nplus, nplus + ell),
                       range(nplus + ell, n), gram)
-    size = 1 + max(max(p) for m in mats for p in m)
-    L = LieAlgebra(names, constants, rank=ell, triangular=tri, realization=mats,
-                   matrix_size=size, gram=gram, kind=kind)
+    L = LieAlgebra(names, constants, rank=ell, triangular=tri, realization=mats, gram=gram,
+                   kind=kind)
     L.index_floor = ell  # reductive: ind = rank
     return L
 
@@ -393,24 +394,17 @@ def custom_algebra(names, raw_constants, **kw) -> LieAlgebra:
     return LieAlgebra(names, constants, kind=kw.pop("kind", "custom"), **kw)
 
 
-def build_algebra(kind: str, **params) -> LieAlgebra:
-    """Dispatcher: kind in {gl, sl, so_even, so (n the matrix size)} with ``n``, or double
-    with a built ``base``; :func:`custom_algebra` is called directly.  An unknown kind or
-    a missing parameter raises a ``ValueError`` naming it."""
-    builders = {"gl": build_gl, "sl": build_sl, "so_even": build_so_even, "so": build_so_even,
-                "double": build_double}
-    if kind not in builders:
-        raise ValueError(f"unknown builder kind {kind!r}")
-    key = "base" if kind == "double" else "n"
-    if key not in params:
-        raise ValueError(f"builder kind {kind!r} needs the parameter {key!r}")
-    arg = params[key]
-    if kind == "so":  # n is the matrix size 2m of so(2m)
-        _check_int("so: n", arg)
-        if arg % 2:
-            raise ValueError("only so(2n) is supported")
-        arg //= 2
-    return builders[kind](arg)
+def _closure_gap(L: LieAlgebra, indices: tuple, label: str) -> str | None:
+    """None if ``indices`` span a subalgebra of ``L``, else the first bracket leaving it."""
+    seen = set(indices)
+    T = L.bracket_table[1]
+    for a, i in enumerate(indices):
+        for j in indices[a + 1 :]:
+            for k, _ in T[i][j]:
+                if k not in seen:
+                    return (f"{label} indices {list(indices)} do not span a subalgebra: "
+                            f"[{L.names[i]}, {L.names[j]}] has a component on {L.names[k]}")
+    return None
 
 
 def subalgebra_indices(L: LieAlgebra, indices: Sequence[int], label: str) -> tuple:
@@ -418,15 +412,8 @@ def subalgebra_indices(L: LieAlgebra, indices: Sequence[int], label: str) -> tup
     else a ``ValueError`` naming ``label`` and the first bad entry: an index outside
     range(L.dim), a repeated one, or the first bracket in pair order leaving the span."""
     indices = _indices(f"{label}:", indices, L.dim, "basis index")
-    seen = set(indices)
-    T = L.bracket_table[1]
-    for a, i in enumerate(indices):
-        for j in indices[a + 1 :]:
-            for k, _ in T[i][j]:
-                if k not in seen:
-                    raise ValueError(f"{label} indices {list(indices)} do not span a subalgebra: "
-                                     f"[{L.names[i]}, {L.names[j]}] has a component on "
-                                     f"{L.names[k]}")
+    if gap := _closure_gap(L, indices, label):
+        raise ValueError(gap)
     return indices
 
 
@@ -471,9 +458,8 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
     realization = None
     if L.realization is not None:
         realization = [combine({}, ((L.realization[r], c) for r, c in v.items())) for v in sparse]
-    new = LieAlgebra(new_names, constants, rank=L.rank, realization=realization,
-                     matrix_size=L.matrix_size, gram=gram, kind=kind or f"adapted[{L.kind}]",
-                     base_algebra=L, base_change=P, check=False)
+    new = LieAlgebra(new_names, constants, rank=L.rank, realization=realization, gram=gram,
+                     kind=kind or f"adapted[{L.kind}]", base_algebra=L, base_change=P, check=False)
     # P c'_ab = [P e_a, P e_b] for all a < b: P is an isomorphism onto L, so Jacobi holds
     for (a, b), image in images.items():
         if combine({}, ((sparse[k], c) for k, c in new.bracket_pair(a, b).items())) != image:

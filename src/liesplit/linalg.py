@@ -64,6 +64,13 @@ class Matrix:
             _check_length(f"row {r}", len(row), self.ncols, "entries")
 
     @classmethod
+    def _shaped(cls, rows, ncols: int) -> "Matrix":
+        """``cls(rows)``, of ``ncols`` columns also when it has no rows."""
+        m = cls(rows)
+        m.ncols = m.ncols if m.nrows else ncols
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
@@ -72,14 +79,14 @@ class Matrix:
         """The matrix with these columns; one not as long as the first raises ``ValueError``."""
         for c, col in enumerate(cols):
             _check_length(f"column {c}", len(col), len(cols[0]), "entries")
-        return cls(list(zip(*cols)))
+        return cls._shaped(list(zip(*cols)), len(cols))
 
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)))
+        return Matrix.from_columns(self.rows) if self.rows else Matrix([()] * self.ncols)
 
     def matvec(self, v: Sequence) -> tuple:
         v = [scalar(x) for x in v]
@@ -88,16 +95,18 @@ class Matrix:
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         _check_length("right factor", other.nrows, self.ncols, "rows")
-        cols = list(zip(*other.rows))
-        return Matrix([[sum(map(mul, row, col)) for col in cols] for row in self.rows])
+        cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
+        return Matrix._shaped([[sum(map(mul, row, col)) for col in cols] for row in self.rows],
+                              other.ncols)
 
     def scale(self, c) -> "Matrix":
         """c * self: zero cells stay 0, int cells stay ints for an integral c."""
         c = scalar(c)
         if type(c) is int:
-            return Matrix([[x * c if type(x) is int else exact(x * c) for x in row]
-                           for row in self.rows])
-        return Matrix([[exact(x * c) if x else 0 for x in row] for row in self.rows])
+            rows = [[x * c if type(x) is int else exact(x * c) for x in row] for row in self.rows]
+        else:
+            rows = [[exact(x * c) if x else 0 for x in row] for row in self.rows]
+        return Matrix._shaped(rows, self.ncols)
 
     def is_skew(self) -> bool:
         if self.nrows != self.ncols:
@@ -109,7 +118,7 @@ class Matrix:
         )
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return isinstance(other, Matrix) and (self.ncols, self.rows) == (other.ncols, other.rows)
 
     def __hash__(self):
         return hash(self.rows)

@@ -36,7 +36,7 @@ from .liealg import LieAlgebra, _bracket, subalgebra_indices
 from .linalg import P, Matrix, rank, rank_and_nullspace, skew_rank_mod_p, solve_many
 from .poly import Polynomial
 from .rationals import QQ, _check_count, _check_int, _check_length, _is_int, qq_str, scalar
-from .splitting import Splitting, contract
+from .splitting import Decomposition, contract
 
 DEFAULT_BOUND = 10**6
 
@@ -285,7 +285,7 @@ class SphericityReport:
     verdicts: dict
 
 
-def sphericity(S: Splitting, trials: int = 8, seed: int = 0) -> SphericityReport:
+def sphericity(S: Decomposition, trials: int = 8, seed: int = 0) -> SphericityReport:
     """Rosenlicht-style invariants s0, s_inf plus rank/complexity bookkeeping.
 
     Uses s0 = dim Ann(h) - dim h + dim h_star and ind h_star = rank - r(G/H);

@@ -363,14 +363,10 @@ class Polynomial:
         out = Polynomial.sum_of_products(target_nvars, products())
         return out if self.den == 1 else out.scale(QQ(1, self.den))
 
-    def lift(self, new_nvars: int, offset: int = 0) -> "Polynomial":
-        """Reinterpret over a larger variable space, shifting indices by ``offset`` >= 0."""
-        _check_count("lift: new_nvars", new_nvars, 0)
-        _check_count("lift: offset", offset, 0)
-        if offset + self.nvars > new_nvars:
-            raise ValueError(f"lift target too small: {self.nvars} variables at offset "
-                             f"{offset} need {offset + self.nvars}, got {new_nvars}")
-        shift = 8 * (new_nvars - offset - self.nvars)
+    def lift(self, new_nvars: int) -> "Polynomial":
+        """Reinterpret over ``new_nvars`` >= ``nvars`` variables, the new ones last."""
+        _check_count("lift: new_nvars", new_nvars, self.nvars)
+        shift = 8 * (new_nvars - self.nvars)
         return Polynomial._of(new_nvars, {e << shift: c for e, c in self.terms.items()}, self.den)
 
     def part_on(self, keep: Sequence[int]) -> "Polynomial":

@@ -43,7 +43,7 @@ def _check_int(name: str, value) -> None:
 def _check_count(name: str, value, least: int = 1) -> None:
     """:func:`_check_int`, and a ``ValueError`` unless ``value`` is at least ``least``: a
     sampled check with no samples, or a table with no rows, would certify nothing, and a
-    negative number of variables or offset would overflow a packed exponent key."""
+    negative number of variables would overflow a packed exponent key."""
     _check_int(name, value)
     if value < least:
         raise ValueError(f"{name} >= {least} required, got {value}")

@@ -1,12 +1,12 @@
 """Splittings q = h + r, Inonu-Wigner contractions, and the bracket pencil.
 
 A ``Decomposition`` fixes a subalgebra h spanned by distinct basis vectors
-and r, the other basis vectors in index order (not necessarily a
-subalgebra); that is enough for the contraction h x r^ab and for bi-degree
-work (the h-degree is the degree in ``h_indices``, read by
-``Polynomial.split_degree``).  A ``Splitting`` also requires r to be closed
-(``liealg.subalgebra_indices`` checks both), which unlocks the second
-contraction and the two-parameter family of compatible brackets
+and r, the other basis vectors in index order; that is enough for the
+contraction h x r^ab and for bi-degree work (the h-degree is the degree in
+``h_indices``, read by ``Polynomial.split_degree``).  Whether r is a subalgebra
+too is a fact of the data, read once off the bracket table as ``r_closed``;
+``make_splitting`` insists on it.  A closed r unlocks the second contraction
+and the two-parameter family of compatible brackets
 
     [.,.]_(a,b) = a*[.,.]_keep_h + b*[.,.]_keep_r,
 
@@ -15,7 +15,7 @@ with (1,1) giving back the original bracket exactly.
 ``horospherical_splitting`` rebuilds a reductive algebra in a basis
 adapted to h+ = u+ + t1 and h- = u- + t0 with t0 the orthogonal
 complement of t1 in the Cartan; the new Cartan coordinates are named
-t1_i / t0_i and the splitting records both blocks.
+t1_i / t0_i and the splitting records both blocks, which makes it horospherical.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .liealg import LieAlgebra, Matrix, _triangular, change_basis, subalgebra_indices
+from .liealg import LieAlgebra, Matrix, _closure_gap, _triangular, change_basis, subalgebra_indices
 from .linalg import rank, rank_and_nullspace
 from .rationals import _check_length, clear_denominators, combine, qq_str, scalar
 
@@ -60,12 +60,18 @@ class Decomposition:
         self.h_set = frozenset(self.h_indices)
         self.r_indices = tuple(i for i in range(algebra.dim) if i not in self.h_set)
         self.r_set = frozenset(self.r_indices)
+        self._r_gap = _closure_gap(algebra, self.r_indices, "r")  # why r is not closed, or None
+        self.r_closed = self._r_gap is None  # r is a subalgebra too
         self._contractions: dict = {}  # side -> its contraction, see ``contract``
         self._bidecompositions: dict = {}  # id(F) -> (F, its split), see ``bidecompose``
         self._t0_restrictions: dict = {}  # id(F) -> (F, F on t0), see ``restrict_to_t0``
         self.t1_indices: tuple = ()
         self.t0_indices: tuple = ()
-        self.is_horospherical = False
+
+    @property
+    def is_horospherical(self) -> bool:
+        """Whether the toral blocks t1, t0 of ``horospherical_splitting`` are recorded."""
+        return bool(self.t1_indices or self.t0_indices)
 
     @property
     def dim_h(self):
@@ -79,21 +85,17 @@ class Decomposition:
         return f"{type(self).__name__}(h={self.dim_h}, r={self.dim_r}, dim={self.algebra.dim})"
 
 
-class Splitting(Decomposition):
-    """Both summands are subalgebras."""
-
-    def __init__(self, algebra, h_indices):
-        super().__init__(algebra, h_indices)
-        subalgebra_indices(algebra, self.r_indices, "r")
-
-
 def make_decomposition(L: LieAlgebra, h_part) -> Decomposition:
     return Decomposition(L, h_part)
 
 
-def make_splitting(L: LieAlgebra, h_part) -> Splitting:
-    """Splitting with h spanned by the given basis indices and r the rest."""
-    return Splitting(L, h_part)
+def make_splitting(L: LieAlgebra, h_part) -> Decomposition:
+    """The decomposition with h spanned by the given basis indices and r the rest, or a
+    ``ValueError`` naming the first bracket that leaves r."""
+    D = Decomposition(L, h_part)
+    if not D.r_closed:
+        raise ValueError(D._r_gap)
+    return D
 
 
 def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
@@ -103,7 +105,7 @@ def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
     It is Lie whenever ``D.algebra`` is (Inonu and Wigner, PNAS 39, 1953), so no Jacobi
     check runs.  For t != 0 and phi_t the identity on ``keep`` and t on the rest,
     mu_t(x, y) = phi_t^-1 mu(phi_t x, phi_t y) is isomorphic to mu.  ``keep`` is a
-    subalgebra (``Decomposition`` checks h, a ``Splitting`` r), so mu_t is polynomial
+    subalgebra (``Decomposition`` checks h and reads ``r_closed``), so mu_t is polynomial
     in t with the constants written here at t = 0; its Jacobiator, polynomial in t
     and zero for t != 0, vanishes at t = 0 too.  ``D.algebra`` is Lie by its own
     check or ``change_basis``'s verified isomorphism, unless built with check=False.
@@ -115,7 +117,7 @@ def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
         sets = {"keep_h": (D.h_set, D.r_set), "keep_r": (D.r_set, D.h_set)}
         if side not in sets:
             raise ValueError("side must be keep_h or keep_r")
-        if side == "keep_r" and not isinstance(D, Splitting):
+        if side == "keep_r" and not D.r_closed:
             raise ValueError("keep_r needs r to be a subalgebra (a full splitting)")
         keep, other = sets[side]
         # brackets inside keep stay, inside other vanish, across keep only their other part
@@ -129,7 +131,7 @@ def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
     return D._contractions[side]
 
 
-def family_bracket(S: Splitting, p: BracketParameter) -> LieAlgebra:
+def family_bracket(S: Decomposition, p: BracketParameter) -> LieAlgebra:
     """The pencil member a*[,]_0 + b*[,]_infinity; (1,1) is the original algebra.
 
     Combines the two contractions of ``contract`` without a per-member Jacobi
@@ -147,7 +149,7 @@ def family_bracket(S: Splitting, p: BracketParameter) -> LieAlgebra:
     member is isomorphic to q; for a = 0 or b = 0 it is a nonzero multiple of a
     contraction, whose index is at least ind q (see ``contract``).
     """
-    if not isinstance(S, Splitting):
+    if not S.r_closed:
         raise ValueError("the pencil needs r to be a subalgebra (a full splitting)")
     p = BracketParameter.of(p)
     c0, cinf = contract(S, "keep_h").constants, contract(S, "keep_r").constants
@@ -162,32 +164,26 @@ def family_bracket(S: Splitting, p: BracketParameter) -> LieAlgebra:
     return member
 
 
-def pencil_member(S: Splitting, p) -> LieAlgebra:
+def pencil_member(S: Decomposition, p) -> LieAlgebra:
     """``S.algebra`` at (1,1), the cached contractions at (1,0) and (0,1), else family_bracket."""
     p = BracketParameter.of(p)
     if (p.a, p.b) == (1, 1):
         return S.algebra
     side = {(1, 0): "keep_h", (0, 1): "keep_r"}.get((p.a, p.b))
-    if side is None or not isinstance(S, Splitting):
-        return family_bracket(S, p)  # raises for a bare Decomposition
+    if side is None or not S.r_closed:
+        return family_bracket(S, p)  # raises when r is not closed
     return contract(S, side)
 
 
 def _normalize_direction(vec):
     """Scale to coprime integers with the first nonzero entry positive."""
     _, ints = clear_denominators(vec)
-    g = gcd(*ints)
-    if g:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    lead = next((x for x in ints if x), 0)
+    g = gcd(*ints) if lead > 0 else -gcd(*ints)  # 0 only for the zero vector
+    return tuple(x // g for x in ints) if g else tuple(ints)
 
 
-def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Splitting:
+def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Decomposition:
     """Adapted splitting h+ = u+ + t1, h- = u- + t0 with t0 = t1-perp in the Cartan.
 
     ``t1_basis`` lists vectors (full coordinates of L) supported on the
@@ -242,27 +238,14 @@ def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Splitting
         if rank(Matrix.from_columns(t0_cart)) != len(t0_cart):
             raise ValueError("supplied t0 vectors are dependent")
 
-    def full_vec(cart_coords):
-        v = [0] * L.dim
-        for i, c in enumerate(cart_coords):
-            v[cartan[i]] = c
-        return v
+    def vec(coords):  # the vector of L with these {index: value} coordinates
+        return [coords.get(t, 0) for t in range(L.dim)]
 
-    def unit(i):
-        return [int(t == i) for t in range(L.dim)]
-
-    new_vectors = (
-        [unit(i) for i in tri.plus]
-        + [full_vec(w) for w in t1_cart]
-        + [unit(i) for i in tri.minus]
-        + [full_vec(w) for w in t0_cart]
-    )
-    names = (
-        [L.names[i] for i in tri.plus]
-        + [f"t1_{i + 1}" for i in range(k)]
-        + [L.names[i] for i in tri.minus]
-        + [f"t0_{i + 1}" for i in range(ell - k)]
-    )
+    toral = [vec(dict(zip(cartan, w))) for w in [*t1_cart, *t0_cart]]
+    new_vectors = ([vec({i: 1}) for i in tri.plus] + toral[:k]
+                   + [vec({i: 1}) for i in tri.minus] + toral[k:])
+    names = ([L.names[i] for i in tri.plus] + [f"t1_{i + 1}" for i in range(k)]
+             + [L.names[i] for i in tri.minus] + [f"t0_{i + 1}" for i in range(ell - k)])
     adapted = change_basis(L, new_vectors, names, kind=f"horo[{L.kind}]")
 
     nplus, nminus = len(tri.plus), len(tri.minus)
@@ -273,8 +256,7 @@ def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Splitting
     adapted.triangular = _triangular(adapted.constants, plus, t1_idx + t0_idx, minus,
                                      adapted.gram)
 
-    S = Splitting(adapted, plus + t1_idx)  # r = minus + t0_idx, the rest in index order
+    S = make_splitting(adapted, plus + t1_idx)  # r = minus + t0_idx, the rest in index order
     S.t1_indices = t1_idx
     S.t0_indices = t0_idx
-    S.is_horospherical = True
     return S

@@ -392,6 +392,14 @@ def _t0_images(expansions, key, roots) -> tuple:
     return tuple(out)
 
 
+def _check_t0(t0_basis, n: int) -> None:
+    """A ``ValueError`` for an empty t0 basis, or naming the first t0 vector not of n entries."""
+    if not t0_basis:
+        raise ValueError("the t0 basis is empty")
+    for k, u in enumerate(t0_basis):
+        _check_length(f"t0 vector {k}", len(u), n, "entries")
+
+
 def w0_compute(W: WeylGroup, t0_basis) -> W0Report:
     """N_W(t0), Z_W(t0), and the induced action W0 = N/Z on t0.
 
@@ -399,12 +407,11 @@ def w0_compute(W: WeylGroup, t0_basis) -> W0Report:
     once as sum_i c_i alpha_i + f with f orthogonal to the roots, hence
     fixed by W, and scaled to integers; then w(u) = sum_i c_i w(alpha_i) + f
     is read off the key and tested against an integer annihilator of t0.
-    Only members are projected onto the t0 basis in rationals.  Each t0 vector has
-    ``model_dim`` entries, or a ``ValueError`` names it.
+    Only members are projected onto the t0 basis in rationals.  The t0 basis is not
+    empty and each vector has ``model_dim`` entries, or a ``ValueError`` says which.
     """
     rs = W.root_system
-    for k, u in enumerate(t0_basis):
-        _check_length(f"t0 vector {k}", len(u), rs.model_dim, "entries")
+    _check_t0(t0_basis, rs.model_dim)
     a = len(t0_basis)
     T = Matrix.from_columns(t0_basis)
     proj = inverse(T.transpose() * rs.gram * T) * (T.transpose() * rs.gram)
@@ -524,15 +531,14 @@ def restriction_check(W: WeylGroup, t0_basis, w0: W0Report | None = None,
     not onto (hence no good generating system exists for the matching
     horospherical subalgebra); success only certifies degrees 1..dmax,
     which is recorded in the report.  A ``dmax`` below 1 would certify
-    nothing and raises ``ValueError``, as does one that is not an ``int``.
+    nothing and raises ``ValueError``, as do a non-``int`` one and an empty t0 basis.
     """
     rs = W.root_system
     if dmax is None:
         dmax = max(rs.degrees)
     _check_count("dmax", dmax)
     n = rs.model_dim
-    for k, u in enumerate(t0_basis):
-        _check_length(f"t0 vector {k}", len(u), n, "entries")
+    _check_t0(t0_basis, n)
     if w0 is None:
         w0 = w0_compute(W, t0_basis)
     a = len(t0_basis)

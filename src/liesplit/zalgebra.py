@@ -46,7 +46,7 @@ from .poly import Polynomial
 from .rationals import _check_count, _check_int, _check_length, _check_size, _is_int
 from .splitting import (
     BracketParameter,
-    Splitting,
+    Decomposition,
     contract,
     family_bracket,
     horospherical_splitting,
@@ -77,7 +77,7 @@ def _size(params, case: str, least: int, why: str) -> int:
     return n
 
 
-def z_generators(S: Splitting, B: HilbertBasis, z0_gens=(), zinf_gens=(),
+def z_generators(S: Decomposition, B: HilbertBasis, z0_gens=(), zinf_gens=(),
                  mode: str = "full") -> list:
     """Bi-component generator candidates for the splitting's Z-algebra, as a list of
     (Polynomial, provenance tag) pairs.
@@ -126,7 +126,7 @@ class SuiteReport:
         return not self.failures
 
 
-def commutativity_suite(S: Splitting, gens, extra_params=(), max_pairs=None,
+def commutativity_suite(S: Decomposition, gens, extra_params=(), max_pairs=None,
                         seed: int = 0) -> SuiteReport:
     """Pairwise commutativity of the (Polynomial, tag) pairs ``gens`` at (1,0), (0,1), (1,1)
     and any extra parameters, decided by exact brackets at (1,0) and (0,1) (linearity,
@@ -161,7 +161,7 @@ def _bracket_table(L: LieAlgebra) -> dict:
     return {pair: dict(entries) for pair, entries in L.constants.items()}
 
 
-def property_suite(S: Splitting, B: HilbertBasis, seed: int = 0,
+def property_suite(S: Decomposition, B: HilbertBasis, seed: int = 0,
                    n_pairs: int = 5, pair_budget: int = 250_000) -> dict:
     """The cross-cutting exactness checks every case must pass.
 
@@ -314,20 +314,20 @@ def _build(g: LieAlgebra, t1v, t0v, kind: str, timer):
     return S, B
 
 
-def _suites(S: Splitting, B: HilbertBasis, seed, trials, **kw):
+def _suites(S: Decomposition, B: HilbertBasis, seed, trials, **kw):
     """Sphericity report and the property suite's verdicts, prefixed ``property_``."""
     sph = sphericity(S, trials=trials, seed=seed)
     props = property_suite(S, B, seed=seed, **kw)
     return sph, {f"property_{k}": v for k, v in props.items()}
 
 
-def _restrictions(S: Splitting, B: HilbertBasis, names, labels=None) -> dict:
+def _restrictions(S: Decomposition, B: HilbertBasis, names, labels=None) -> dict:
     """Each generator's restriction to t0, printed in the parameter ``names``."""
     labels = labels or [f"P{d}" for _, d in B.generators]
     return {lab: restrict_to_t0(S, F).to_string(names) for lab, (F, _) in zip(labels, B.generators)}
 
 
-def _kept_degrees(S: Splitting, B: HilbertBasis) -> list:
+def _kept_degrees(S: Decomposition, B: HilbertBasis) -> list:
     """Degrees of the generators of an eliminated basis still nonzero on t0: the kept ones."""
     return [d for F, d in B.generators if not restrict_to_t0(S, F).is_zero()]
 
@@ -338,7 +338,7 @@ def _satake(type_label, rank, arrows):
     return rs, satake_subspaces(rs, SatakeDiagram(tuple(arrows)))
 
 
-def _splitting_t0(S: Splitting, type_label, rank):
+def _splitting_t0(S: Decomposition, type_label, rank):
     """The root system, and the splitting's t0 in its epsilon model coordinates: the first
     ``model_dim`` diagonal entries of each t0 element of the adapted sl or so builder."""
     rs = build_root_system(type_label, rank)
@@ -362,11 +362,11 @@ def _weyl_route(rs, t0, dmax, lap=lambda label: None):
     return W, rep, rc
 
 
-def _toral_variable_polys(S: Splitting, indices):
+def _toral_variable_polys(S: Decomposition, indices):
     return [Polynomial.variable(S.algebra.dim, i) for i in indices]
 
 
-def _centre_generators(S: Splitting, B: HilbertBasis):
+def _centre_generators(S: Decomposition, B: HilbertBasis):
     """Free generators of the two contraction centres for a horospherical splitting.
 
     Z0: a basis of t0 plus the minimal-h-degree components not supported on
@@ -386,7 +386,7 @@ def _centre_generators(S: Splitting, B: HilbertBasis):
     return z0, zinf
 
 
-def _z_algebra(S: Splitting, B: HilbertBasis, z0, zinf, mode: str, trials, seed,
+def _z_algebra(S: Decomposition, B: HilbertBasis, z0, zinf, mode: str, trials, seed,
                least: int = 5, bound: int = 997):
     """(Z, b, trdeg): the ``mode`` candidates of ``z_generators`` with centres ``z0``,
     ``zinf``, b of the splitting's algebra, and their Jacobian rank over
@@ -396,7 +396,7 @@ def _z_algebra(S: Splitting, B: HilbertBasis, z0, zinf, mode: str, trials, seed,
     return Z, _b_of(S.algebra), td
 
 
-def _middle_components_nonzero(S: Splitting, B: HilbertBasis) -> bool:
+def _middle_components_nonzero(S: Decomposition, B: HilbertBasis) -> bool:
     """Every generator of degree d has a nonzero component of each h-degree 0 < i < d."""
     return all(bidecompose(S, F).keys() >= set(range(1, d)) for F, d in B.generators)
 

@@ -193,12 +193,24 @@ def test_case_failed_verdict_exits_one_after_printing_the_report(monkeypatch, ca
     (["case", "e6_weyl", "--n", "5"], "case e6_weyl: e6_weyl does not take 'n'; accepted keys: []"),
     (["weyl-w0", "--type", "E6", "--rank", "4", "--arrows", "1:5,2:4"],
      "weyl-w0: --type E6 takes no --rank, got --rank 4"),
+    (["index", "--algebra", "so_even:4"], "cannot parse --algebra 'so_even:4'"),  # so(8) is so:8
 ])
 def test_malformed_input_exits_with_one_line_naming_it(argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
     assert message in exc.value.code
+
+
+@pytest.mark.parametrize("spec, kind, dim, rank, size", [
+    ("gl:2", "gl(2)", 4, 2, 2),
+    ("sl:3", "sl(3)", 8, 2, 3),
+    ("so:8", "so(8)", 28, 4, 8),  # so:N names so(N), built as so(2n) with n = N/2
+    ("double:sl:2", "double[sl(2)]", 4, 2, None),
+])
+def test_algebra_spec_builds_the_named_algebra(spec, kind, dim, rank, size):
+    L = cli._load_algebra(spec)
+    assert (L.kind, L.dim, L.rank, L.matrix_size) == (kind, dim, rank, size)
 
 
 def test_malformed_constants_file_exits_with_one_line_naming_the_entry(tmp_path):

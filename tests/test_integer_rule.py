@@ -8,8 +8,7 @@ from functools import lru_cache
 import pytest
 
 from liesplit.invariants import eliminate_on_subspace, hilbert_basis, transport_basis
-from liesplit.liealg import (LieAlgebra, build_algebra, build_gl, build_sl, build_so_even,
-                             subalgebra_indices)
+from liesplit.liealg import LieAlgebra, build_gl, build_sl, build_so_even, subalgebra_indices
 from liesplit.poisson import index_estimate
 from liesplit.poly import Polynomial
 from liesplit.splitting import horospherical_splitting
@@ -91,10 +90,6 @@ def _sum_c(v):
     return Polynomial.sum_of_products(3, [(v, x, x)])
 
 
-def _lift_offset(v):
-    return Polynomial.variable(2, 0).lift(3, v)
-
-
 def _lift_nvars(v):
     return Polynomial.variable(2, 0).lift(v)
 
@@ -113,10 +108,6 @@ def _rank_e6(v):
 
 def _gradient_at(v):
     return Polynomial.variable(2, 0).int_gradient(v)
-
-
-def _so_size(v):
-    return build_algebra("so", n=v)
 
 
 _ROWS = [
@@ -194,12 +185,9 @@ _ROWS = [
     (_sum_c, 1.5, "sum_of_products: c must be an integer, got 1.5"),
     (_rank_e6, 4, "E6 takes no rank, got 4"),  # once rank 6
     (_rank_e6, 6, "E6 takes no rank, got 6"),
-    (_lift_offset, -1, "lift: offset >= 0 required, got -1"),  # once keys too wide to print
-    (_lift_offset, 1.0, "lift: offset must be an integer, got 1.0"),  # once a bare TypeError
-    (_lift_offset, True, "lift: offset must be an integer, got True"),  # once offset 1
-    (_lift_offset, 2, "lift target too small: 2 variables at offset 2 need 4, got 3"),
     (_lift_nvars, 3.0, "lift: new_nvars must be an integer, got 3.0"),  # once a bare TypeError
     (_lift_nvars, "3", "lift: new_nvars must be an integer, got '3'"),
+    (_lift_nvars, 1, "lift: new_nvars >= 2 required, got 1"),  # a lift drops no variable
     (Polynomial, -1, "nvars >= 0 required, got -1"),  # once accepted
     (Polynomial, 2.0, "nvars must be an integer, got 2.0"),
     (Polynomial, True, "nvars must be an integer, got True"),  # once one variable
@@ -209,8 +197,6 @@ _ROWS = [
     (_gradient_at, [1.5, 2], "point coordinate 0 must be an integer, got 1.5"),  # once [1.0, 0]
     (_gradient_at, ["1/2", 0], "point coordinate 0 must be an integer, got '1/2'"),  # TypeError
     (_gradient_at, [1, True], "point coordinate 1 must be an integer, got True"),
-    (_so_size, "8", "so: n must be an integer, got '8'"),  # once a bare TypeError
-    (_so_size, 8.0, "so: n must be an integer, got 8.0"),  # once named the half, 4.0
 ]
 
 

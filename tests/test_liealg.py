@@ -7,8 +7,8 @@ from liesplit.liealg import (
     LieAlgebra,
     algebra_from_json,
     algebra_to_json,
-    build_algebra,
     build_double,
+    build_gl,
     build_sl,
     build_so_even,
     change_basis,
@@ -73,26 +73,6 @@ def test_jacobi_failure_reported_with_triple():
 def test_abelian_algebra_passes_jacobi():
     L = custom_algebra(["a", "b", "c"], {})
     assert _jacobi_holds(L)
-
-
-def test_builder_dispatcher_and_guards():
-    assert build_algebra("gl", n=2).dim == 4
-    assert build_algebra("so", n=8).dim == 28
-    with pytest.raises(ValueError):
-        build_algebra("sl", n=1)
-    with pytest.raises(ValueError):
-        build_algebra("so_even", n=1)
-    with pytest.raises(ValueError):
-        build_algebra("nope", n=2)
-
-
-@pytest.mark.parametrize("kind, params, missing", [
-    ("gl", {}, "'n'"), ("sl", {"m": 3}, "'n'"), ("so_even", {}, "'n'"), ("so", {}, "'n'"),
-    ("double", {"n": 2}, "'base'"),  # each once a bare KeyError
-])
-def test_builder_names_a_missing_parameter(kind, params, missing):
-    with pytest.raises(ValueError, match=f"^builder kind '{kind}' needs the parameter {missing}$"):
-        build_algebra(kind, **params)
 
 
 def test_structure_constants_json_round_trip():
@@ -183,6 +163,15 @@ def test_change_basis_preserves_structure():
     assert _jacobi_holds(new)
 
 
+@pytest.mark.parametrize("build, size", [
+    (lambda: build_gl(3), 3), (lambda: build_sl(4), 4), (lambda: build_so_even(4), 8),
+    (lambda: change_basis(build_sl(2), [[1, 0, 0], [0, 1, 0], [1, 0, 1]], ["e", "h", "f+e"]), 2),
+    (lambda: build_double(build_sl(2)), None),  # no realization, no matrix size
+])
+def test_matrix_size_is_read_off_the_realization(build, size):
+    assert build().matrix_size == size
+
+
 def test_change_basis_rejects_a_corrupted_constant(monkeypatch):
     sl3 = build_sl(3)
     vectors = [[int(t == i) + int(t == 0 and i == 3) for t in range(8)] for i in range(8)]
@@ -237,12 +226,6 @@ def test_double_gram_is_the_base_form_next_to_the_cartan_form():
     assert d.triangular.cartan == base.triangular.cartan + (8, 9)
     assert all(d.triangular.root_labels[r] == label + (0, 0)
                for r, label in base.triangular.root_labels.items())
-
-
-def test_double_dispatcher_path():
-    d = build_algebra("double", base=build_algebra("sl", n=2))
-    assert d.dim == 4 and d.rank == 2
-    assert d.kind.startswith("double[")
 
 
 def test_float_structure_constants_are_rejected():

@@ -119,10 +119,10 @@ def test_map_vars_linear_change():
 def test_lift_and_restrict_round_trip():
     x, y = x_y()
     p = x**2 * y + 3 * x
-    lifted = p.lift(5, offset=2)
+    lifted = p.lift(5)
     assert lifted.nvars == 5
-    assert lifted.part_on([2, 3]) == p
-    assert lifted.part_on([2]) == Polynomial.variable(1, 0, 3)  # the terms using x3 drop
+    assert lifted.part_on([0, 1]) == p
+    assert lifted.part_on([0]) == Polynomial.variable(1, 0, 3)  # the terms using y drop
 
 
 @pytest.mark.parametrize("keep, message", [

@@ -9,7 +9,7 @@ import pytest
 
 from liesplit.invariants import bidecompose, hilbert_basis, jacobian_rank, transport_basis
 from liesplit.liealg import build_sl, change_basis
-from liesplit.linalg import Matrix, solve
+from liesplit.linalg import Matrix, rank_and_nullspace, solve
 from liesplit.poisson import hamiltonian_field, poisson_bracket, tensor_at
 from liesplit.poly import Polynomial
 from liesplit.splitting import horospherical_splitting
@@ -169,6 +169,8 @@ _ROWS = [
     (_invariants_on_2, [[1, 0, 0], [0, 1, 0]], "matrix 0 has 3 columns, expected 2"),
     (_w0, [(1, -1)], "t0 vector 0 has 2 entries, expected 3"),
     (_restriction, [(1, -1, 0, 0)], "t0 vector 0 has 4 entries, expected 3"),
+    (_w0, [], "the t0 basis is empty"),  # once "right factor has 3 rows, expected 0"
+    (_restriction, [], "the t0 basis is empty"),
     (jacobian_rank, [_x(3), _x(2)], "polynomial 1 has 2 variables, expected 3"),
     (_centre, [_x(3)], "Z0 generator 0 has 3 variables, expected 8"),
     (_horo_t1, [[1, -1]], "t1 diagonal [1, -1] has 2 entries, expected 3"),  # once exit 0
@@ -181,3 +183,27 @@ def test_length_rule_rejects_a_wrong_size_by_name(entry, value, message):
     with pytest.raises(ValueError) as exc:
         entry(value)
     assert str(exc.value) == message
+
+
+# a matrix with no rows keeps its column count, and one with no columns its row count
+_SHAPES = [
+    (lambda: Matrix.from_columns([(), ()]), (0, 2)),  # once 0 x 0
+    (lambda: Matrix([[], []]).transpose(), (0, 2)),  # once 0 x 0
+    (lambda: Matrix.from_columns([(), ()]).transpose(), (2, 0)),
+    (lambda: Matrix.from_columns([(), ()]).scale(3), (0, 2)),  # once 0 x 0
+    (lambda: Matrix([[], []]) * Matrix.from_columns([(), (), ()]), (2, 3)),  # once 2 x 0
+]
+
+
+@pytest.mark.parametrize("build, shape", _SHAPES, ids=["from_columns", "transpose",
+                                                        "transpose_back", "scale", "product"])
+def test_a_matrix_without_rows_or_columns_keeps_its_shape(build, shape):
+    m = build()
+    assert (m.nrows, m.ncols) == shape
+    assert len(m.rows) == shape[0] and all(len(row) == shape[1] for row in m.rows)
+
+
+def test_the_nullspace_of_a_matrix_without_rows_is_the_whole_space():
+    # once (0, []): the two columns were lost
+    assert rank_and_nullspace(Matrix.from_columns([(), ()])) == (0, [(1, 0), (0, 1)])
+    assert Matrix.from_columns([(), ()]) != Matrix.from_columns([(), (), ()])  # once both 0 x 0

@@ -108,15 +108,28 @@ def test_contraction_formula_on_sl2():
 
 
 def test_contract_keep_r_requires_splitting():
-    # gl-style decomposition whose complement is not closed
     sl3 = build_sl(3)
-    # h = b (upper + cartan), complement r = u_- is fine; force a Decomposition
-    D = make_decomposition(sl3, tuple(sl3.triangular.plus) + tuple(sl3.triangular.cartan))
+    # h the Cartan: its complement, the root vectors, is not closed ([E12, E21] = h1)
+    D = make_decomposition(sl3, tuple(sl3.triangular.cartan))
+    assert not D.r_closed
     contract(D, "keep_h")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="keep_r needs r to be a subalgebra"):
         contract(D, "keep_r")
-    with pytest.raises(ValueError):  # the pencil certificate needs r closed
+    with pytest.raises(ValueError, match="the pencil needs r"):  # its certificate needs r closed
         family_bracket(D, BracketParameter(1, 2))
+    with pytest.raises(ValueError, match="the pencil needs r"):
+        pencil_member(D, (0, 1))
+
+
+def test_a_closed_r_is_read_off_the_data():
+    # the Borel of sl(3) through make_decomposition: r = u- is closed, as make_splitting checks
+    sl3 = build_sl(3)
+    h = tuple(sl3.triangular.plus) + tuple(sl3.triangular.cartan)
+    D, S = make_decomposition(sl3, h), make_splitting(sl3, h)
+    assert D.r_closed and S.r_closed
+    assert _bracket_table(contract(D, "keep_r")) == _bracket_table(contract(S, "keep_r"))
+    for p in ((1, 0), (0, 1), (1, 1), (2, -3)):
+        assert _bracket_table(pencil_member(D, p)) == _bracket_table(pencil_member(S, p))
 
 
 def _bracket_table(L):
