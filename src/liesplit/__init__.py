@@ -23,7 +23,6 @@ from .liealg import (
     build_sl,
     build_so_even,
     change_basis,
-    custom_algebra,
     sub_algebra,
 )
 from .splitting import (

@@ -55,8 +55,10 @@ def _load_algebra(spec: str):
         n = int(m[3])
         if m[2] == "so" and n % 2:  # so:N names so(N)
             raise SystemExit(f"--algebra {spec!r}: only so(2n) is supported")
+        if m[2] == "so" and n < 4:
+            raise SystemExit(f"--algebra {spec!r}: so:N needs an even N >= 4, got {n}")
         build, n = {"gl": (build_gl, n), "sl": (build_sl, n), "so": (build_so_even, n // 2)}[m[2]]
-        L = _or_exit(f"--algebra {spec!r}", build, n)  # sl:1, so:2
+        L = _or_exit(f"--algebra {spec!r}", build, n)  # sl:1
         return build_double(L) if m[1] else L
     try:
         with open(spec, "r", encoding="utf-8") as fh:
@@ -239,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True,
                    help="'borel', 'glblocks:n1,n2,...', or 'indices:i,j,...'")
     p.add_argument("--basis", default="charpoly",
-                   choices=("charpoly", "trace_powers", "so_minors_pfaffian"))
+                   choices=("charpoly", "trace_powers"), help="the e_k or the p_k = tr Y^k; "
+                   "so(2n) takes its Pfaffian for the top one, a double its base's lifts")
     p.add_argument("--side", choices=("h", "r"), default="h")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check_ggs)

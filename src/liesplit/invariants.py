@@ -8,15 +8,15 @@ where G is the Gram matrix of the invariant form on the chosen basis.
 The characteristic coefficients e_k come from the determinant of lambda I - Y,
 expanded level by level (dropping each level of minors once the next exists),
 each minor one ``Polynomial.sum_of_products``; the power traces tr(Y^k)
-follow by Newton's identities, and the so(2n) principal-minor sums are even e_k.
-The Pfaffian is the only other expansion.  All are exact polynomials in
-the dual coordinates x.
+follow by Newton's identities.  The so(2n) Pfaffian, which replaces the top
+generator of either family, is the only other expansion.  All are exact
+polynomials in the dual coordinates x.
 
 Each of them is a conjugation-invariant function of Y, so its invariance is a
 theorem once rho is a homomorphism and G a nondegenerate ad-invariant form:
 ``hilbert_basis`` proves it by the algebra's cached
-``LieAlgebra.realization_certificate`` (a double-extended lift by its base's)
-and brackets nothing.  ``verify_invariance`` brackets a polynomial against
+``LieAlgebra.realization_certificate`` (the lifts on a Cartan double by its
+base's) and brackets nothing.  ``verify_invariance`` brackets a polynomial against
 every coordinate; it serves ``custom_basis`` and the contractions, where
 the theorem says nothing.  The polynomial arithmetic that bracketing the
 builder bases would exercise is covered by the differential and sympy
@@ -189,10 +189,9 @@ def _power_sums(e: dict) -> dict:
 @dataclass
 class HilbertBasis:
     algebra: LieAlgebra
-    kind: str
     generators: tuple  # of (Polynomial, degree)
     # what proved every generator invariant: 'realization' (the algebra's realization
-    # certificate), 'double' (the base's, for a double-extended lift), 'brackets'
+    # certificate), 'double' (the base's, for the lifts on a Cartan double), 'brackets'
     # (verify_invariance, for a custom basis), or None for a derived basis
     invariance: str | None = None
 
@@ -219,71 +218,61 @@ def _b_of(L: LieAlgebra) -> int:
     return b
 
 
+def _double_base(L: LieAlgebra) -> LieAlgebra | None:
+    """The base of a Cartan double (``liealg.build_double``), else None: the double is the
+    one algebra with a base and no base change."""
+    return L.base_algebra if L.base_change is None else None
+
+
 def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
-    """Builder-backed Hilbert bases.
+    """The basic invariants of a builder algebra or its adapted rebuild, in one family.
 
-    kind: 'charpoly', 'trace_powers', 'so_minors_pfaffian', or
-    'double_extended[:base_kind]' (base kind defaults to charpoly).  Every
-    kind starts from the characteristic coefficients; the power traces
-    come from them by Newton's identities.  A ready list of
-    (Polynomial, degree) pairs goes through :func:`custom_basis`.
+    kind: 'charpoly', the characteristic coefficients e_k, or 'trace_powers', the power
+    traces p_k = tr Y^k from the e_k by Newton's identities; identically zero ones (the
+    trace on sl, the odd ones on so) are dropped.  On so(2n) the Pfaffian, of degree n,
+    replaces the top generator: e_2n = +-Pf^2, and Newton's identities invert over Q.  On
+    a Cartan double the basis is the lifts of its base's basis of the same kind, then the
+    appended xi coordinates.  A ready list of polynomials goes through :func:`custom_basis`.
 
-    The generators are always proved invariant without a bracket: every kind is a
+    The generators are always proved invariant without a bracket: each is a
     conjugation-invariant function of Y(x) = rho(G^-1 x), invariant once
-    ``LieAlgebra.realization_certificate`` holds (a double-extended lift by its base's
-    certificate), and ``HilbertBasis.invariance`` names that route.  The certificate is
-    checked before any generator is built (the so(J) condition of the Pfaffian is the
-    skew check of JY in :func:`poly_pfaffian`); a failed one raises ``ValueError``, with
-    no fallback to brackets.
+    ``LieAlgebra.realization_certificate`` holds (on a double, its base's certificate),
+    and ``HilbertBasis.invariance`` names that route.  The certificate is checked before
+    any generator is built (the so(J) condition of the Pfaffian is the skew check of JY in
+    :func:`poly_pfaffian`); a failed one raises ``ValueError``, with no fallback to brackets.
     """
-    if kind in ("charpoly", "trace_powers", "so_minors_pfaffian"):
-        cert = L.realization_certificate
-        if not cert.passed:
-            raise ValueError(f"invariance of the {kind} basis of {L.kind} is not proved: "
-                             f"{cert.failure}")
-        route = "realization"
-    root = L
-    while root.base_change is not None:  # an adapted rebuild keeps the realization
-        root = root.base_algebra
-    if kind in ("charpoly", "trace_powers"):
-        if root.kind.startswith("so("):
-            raise ValueError(f"{kind} is no Hilbert basis of {L.kind}: the so(2n) invariants "
-                             "need the Pfaffian of degree n; use so_minors_pfaffian")
-        coeffs = charpoly_coefficients(L)
-        if kind == "trace_powers":
-            coeffs = _power_sums(coeffs)
-        # identically-zero generators (the trace on sl) are dropped
-        gens = [(coeffs[k], k) for k in range(1, L.matrix_size + 1) if coeffs[k].terms]
-    elif kind == "so_minors_pfaffian":
-        if not root.kind.startswith("so("):
-            raise ValueError("so_minors_pfaffian needs the so(2n) builder")
-        size = L.matrix_size
-        n = size // 2
-        coeffs = charpoly_coefficients(L)
-        gens = [(coeffs[2 * k], 2 * k) for k in range(1, n)]
-        Y = dual_matrix(L)
-        K = [[Y[size - 1 - r][c] for c in range(size)] for r in range(size)]
-        pf = poly_pfaffian(K)
-        # K = J Y with J the antidiagonal of det J = (-1)^n, so Pf(K)^2 = (-1)^n det Y
-        if pf * pf != (-1) ** n * coeffs[size]:
-            raise ValueError("Pfaffian sign convention failure: Pf^2 != (-1)^n Delta_2n")
-        gens.append((pf, n))
-    elif kind.startswith("double_extended"):
-        base = L.base_algebra
-        if base is None or not L.kind.startswith("double["):
-            raise ValueError("double_extended needs a double builder algebra")
-        base_kind = kind.split(":", 1)[1] if ":" in kind else "charpoly"
-        bb = hilbert_basis(base, base_kind)
+    if kind not in ("charpoly", "trace_powers"):
+        raise ValueError(f"unknown Hilbert basis kind {kind!r}")
+    base = _double_base(L)
+    if base is not None:
         # the lifts are invariant as the base generators are once the constants are the
         # base's, which also makes the appended xi coordinates central
         if L.constants != base.constants:
             raise ValueError(f"invariance of the {kind} basis of {L.kind} is not proved: "
                              "its structure constants are not those of its base")
         route = "double"
-        gens = [(g.lift(L.dim), d) for g, d in bb.generators]
+        gens = [(g.lift(L.dim), d) for g, d in hilbert_basis(base, kind).generators]
         gens += [(Polynomial.variable(L.dim, k), 1) for k in range(base.dim, L.dim)]
     else:
-        raise ValueError(f"unknown Hilbert basis kind {kind!r}")
+        cert = L.realization_certificate
+        if not cert.passed:
+            raise ValueError(f"invariance of the {kind} basis of {L.kind} is not proved: "
+                             f"{cert.failure}")
+        route = "realization"
+        e = charpoly_coefficients(L)
+        coeffs = _power_sums(e) if kind == "trace_powers" else e
+        size = L.matrix_size
+        gens = [(coeffs[k], k) for k in range(1, size + 1) if coeffs[k].terms]
+        root = L
+        while root.base_change is not None:  # an adapted rebuild keeps the realization
+            root = root.base_algebra
+        if root.kind.startswith("so("):
+            Y = dual_matrix(L)
+            pf = poly_pfaffian([[Y[size - 1 - r][c] for c in range(size)] for r in range(size)])
+            # J is the antidiagonal of det J = (-1)^n, so Pf(J Y)^2 = (-1)^n det Y
+            if pf * pf != (-1) ** (size // 2) * e[size]:
+                raise ValueError("Pfaffian sign convention failure: Pf^2 != (-1)^n Delta_2n")
+            gens[-1] = (pf, size // 2)
 
     if L.rank is not None:
         if len(gens) != L.rank:
@@ -291,23 +280,21 @@ def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
         total = sum(d for _, d in gens)
         if total != _b_of(L):
             raise AssertionError(f"sum of degrees {total} != b(g) = {_b_of(L)}")
-    return HilbertBasis(L, kind, tuple(gens), route)
+    return HilbertBasis(L, tuple(gens), route)
 
 
-def custom_basis(L: LieAlgebra, polys_degrees) -> HilbertBasis:
-    """A basis from (Polynomial, degree) pairs; each generator is bracketed against every
-    coordinate (:func:`verify_invariance`), the route named 'brackets', and must then be
-    homogeneous of its stated degree, which ``ggs_check`` reads."""
-    gens = tuple((p, d) for p, d in polys_degrees)
-    for g, d in gens:
+def custom_basis(L: LieAlgebra, polys) -> HilbertBasis:
+    """A basis from nonzero homogeneous polynomials, each of its own degree; each is
+    bracketed against every coordinate (:func:`verify_invariance`), the route named
+    'brackets'.  A zero, non-homogeneous or non-invariant one is named by its index."""
+    gens = []
+    for i, g in enumerate(polys):
+        if not (g and g.is_homogeneous()):
+            raise ValueError(f"custom generator {i} is {'not homogeneous' if g else 'zero'}")
         if not verify_invariance(L, g):
-            raise AssertionError(f"custom generator of degree {d} is not invariant")
-    for i, (g, d) in enumerate(gens):
-        if g.degree() != d or not g.is_homogeneous():
-            actual = g.degree() if g.is_homogeneous() else f"up to {g.degree()}, not homogeneous"
-            raise ValueError(f"custom generator {i} is stated of degree {d} "
-                             f"but has degree {actual}")
-    return HilbertBasis(L, "custom", gens, "brackets")
+            raise AssertionError(f"custom generator {i} of degree {g.degree()} is not invariant")
+        gens.append((g, g.degree()))
+    return HilbertBasis(L, tuple(gens), "brackets")
 
 
 def transport_basis(B: HilbertBasis, S: Decomposition) -> HilbertBasis:
@@ -319,7 +306,7 @@ def transport_basis(B: HilbertBasis, S: Decomposition) -> HilbertBasis:
     n = adapted.dim
     images = [Polynomial.linear_form(n, A.rows[i]) for i in range(n)]
     gens = tuple((g.map_vars(images, n), d) for g, d in B.generators)
-    return HilbertBasis(adapted, B.kind + "@adapted", gens)
+    return HilbertBasis(adapted, gens)
 
 
 # -- restriction to t0 ----------------------------------------------------
@@ -533,7 +520,7 @@ def eliminate_on_subspace(B: HilbertBasis, S: Decomposition, keep=()) -> Hilbert
                 S._t0_restrictions[id(Q)] = (Q, Polynomial.zero(k))
                 continue
         kept.append((P, d, target))
-    return HilbertBasis(B.algebra, f"modified[{B.kind}]", tuple(new_gens))
+    return HilbertBasis(B.algebra, tuple(new_gens))
 
 
 def double_shift_basis(B: HilbertBasis, side: str = "h") -> HilbertBasis:
@@ -544,8 +531,8 @@ def double_shift_basis(B: HilbertBasis, side: str = "h") -> HilbertBasis:
     generators (the xi's themselves) pass through unchanged.
     """
     L = B.algebra
-    base = L.base_algebra
-    if base is None or not L.kind.startswith("double["):
+    base = _double_base(L)
+    if base is None:
         raise ValueError("double shifts need a basis over a double builder algebra")
     if side not in ("h", "r"):
         raise ValueError("side must be 'h' or 'r'")
@@ -558,7 +545,7 @@ def double_shift_basis(B: HilbertBasis, side: str = "h") -> HilbertBasis:
     for F, d in B.generators:
         sign = -1 if side == "r" and d % 2 else 1
         gens.append((F if d == 1 else F - sign * F.map_vars(images, n), d))
-    return HilbertBasis(L, f"double_shift[{side}]", tuple(gens))
+    return HilbertBasis(L, tuple(gens))
 
 
 # -- AKS restriction ------------------------------------------------------

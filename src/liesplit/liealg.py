@@ -365,7 +365,7 @@ def build_double(base: LieAlgebra) -> LieAlgebra:
     with the Cartan basis h_i -> xi_i is fixed once and used by the
     invariant constructions.  The invariant form is the base's Gram matrix
     next to its Cartan form on the xi's.  The double carries no matrix
-    realization: its invariants are lifts of the base's (``double_extended``).
+    realization: its invariants are lifts of the base's (``invariants.hilbert_basis``).
     """
     if base.triangular is None or base.rank is None:
         raise ValueError("the double needs a reductive builder algebra")
@@ -386,12 +386,6 @@ def build_double(base: LieAlgebra) -> LieAlgebra:
                         kind=f"double[{base.kind}]", base_algebra=base)
     double.index_floor = double.rank  # reductive as well: ind = rank
     return double
-
-
-def custom_algebra(names, raw_constants, **kw) -> LieAlgebra:
-    """Algebra from raw constants {(i, j): [(k, coeff), ...]} with i < j."""
-    constants = {tuple(pair): entries for pair, entries in raw_constants.items()}
-    return LieAlgebra(names, constants, kind=kw.pop("kind", "custom"), **kw)
 
 
 def _closure_gap(L: LieAlgebra, indices: tuple, label: str) -> str | None:

@@ -491,7 +491,7 @@ def _case_double(params, seed, trials, dmax):
     g = build_sl(n + 1)
     gd = build_double(g)
     ell = g.rank
-    B0 = hilbert_basis(gd, "double_extended:charpoly")
+    B0 = hilbert_basis(gd, "charpoly")
     cart = list(enumerate(g.triangular.cartan))
     t1v = _vectors(gd.dim, ({i: 1, g.dim + k: -1} for k, i in cart))
     t0v = _vectors(gd.dim, ({i: 1, g.dim + k: 1} for k, i in cart))
@@ -659,7 +659,7 @@ def _case_so2n(params, seed, trials, dmax):
     g = build_so_even(n)
     cart = g.triangular.cartan
     S, B = _build(g, _vectors(g.dim, ({i: 1} for i in cart[: n - 1])),
-                  _vectors(g.dim, [{cart[n - 1]: 1}]), "so_minors_pfaffian", timer)
+                  _vectors(g.dim, [{cart[n - 1]: 1}]), "charpoly", timer)
 
     labels = [f"Delta_{d}" for _, d in B.generators[:-1]] + ["Pf"]
     restrictions = _restrictions(S, B, ["c"], labels)

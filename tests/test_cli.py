@@ -70,6 +70,29 @@ def test_check_ggs_borel_preset(capsys):
     assert json.loads(out)["verdicts"]["is_ggs"] is True
 
 
+@pytest.mark.parametrize("argv, dim_m, jacobian_rank", [
+    (["--algebra", "double:sl:2", "--h", "borel"], 1, 2),
+    (["--algebra", "double:sl:3", "--h", "borel", "--seed", "1"], 3, 4),
+])
+def test_check_ggs_on_a_double_takes_the_base_lifts(capsys, argv, dim_m, jacobian_rank):
+    code, out = run_cli(capsys, ["check-ggs", *argv])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdicts"] == {"is_ggs": True, "criterion_consistent": True}
+    t = doc["tables"]
+    assert (t["sum_m"], t["dim_m"], t["jacobian_rank"]) == (dim_m, dim_m, jacobian_rank)
+
+
+def test_check_ggs_so8_trace_powers_rows_match_charpoly(capsys):
+    argv = ["check-ggs", "--algebra", "so:8", "--h", "borel", "--seed", "1", "--basis"]
+    docs = [json.loads(run_cli(capsys, argv + [kind])[1]) for kind in ("charpoly", "trace_powers")]
+    rows = [d["tables"]["rows"] for d in docs]
+    assert rows[0] == rows[1]
+    assert [row["bidegree"] for row in rows[1]] == [[1, 1], [1, 3], [1, 5], [1, 3]]
+    verdicts = {"is_ggs": True, "criterion_consistent": True}
+    assert docs[0]["verdicts"] == docs[1]["verdicts"] == verdicts
+
+
 def test_weyl_w0_subcommand(capsys):
     code, out = run_cli(
         capsys,
@@ -161,16 +184,10 @@ def test_case_failed_verdict_exits_one_after_printing_the_report(monkeypatch, ca
     (["check-ggs", "--algebra", "sl:3", "--h", "indices:0,1"],
      "--h 'indices:0,1' --side h: sum of complement degrees 5 < dim m = 6 because the "
      "hypothesis ind(h x m^ab) = ind q fails"),
-    (["check-ggs", "--algebra", "sl:3", "--h", "borel", "--basis", "so_minors_pfaffian"],
-     "--basis so_minors_pfaffian: so_minors_pfaffian needs the so(2n) builder"),
     (["case", "borel", "--n", "1"], "case borel: borel needs n >= 2"),
     (["case", "horo", "--n", "1"], "case horo: horo needs n >= 2"),
     (["case", "aks", "--n", "1"], "case aks: aks needs n >= 2"),
     (["case", "double", "--n", "0"], "case double: double needs n >= 1"),
-    (["check-ggs", "--algebra", "so:8", "--h", "borel", "--basis", "trace_powers"],
-     "--basis trace_powers: trace_powers is no Hilbert basis of so(8)"),
-    (["check-ggs", "--algebra", "so:8", "--h", "borel", "--basis", "charpoly"],
-     "--basis charpoly: charpoly is no Hilbert basis of so(8)"),
     (["case", "e6_weyl", "--dmax", "0"], "case e6_weyl: dmax >= 1 required, got 0"),
     (["case", "so2n", "--n", "4", "--dmax", "-1"], "case so2n: dmax >= 1 required, got -1"),
     (["weyl-w0", "--type", "A", "--rank", "3", "--arrows", "1:3", "--dmax", "0"],
@@ -194,6 +211,8 @@ def test_case_failed_verdict_exits_one_after_printing_the_report(monkeypatch, ca
     (["weyl-w0", "--type", "E6", "--rank", "4", "--arrows", "1:5,2:4"],
      "weyl-w0: --type E6 takes no --rank, got --rank 4"),
     (["index", "--algebra", "so_even:4"], "cannot parse --algebra 'so_even:4'"),  # so(8) is so:8
+    (["index", "--algebra", "so:2"], "--algebra 'so:2': so:N needs an even N >= 4, got 2"),
+    (["index", "--algebra", "so:0"], "--algebra 'so:0': so:N needs an even N >= 4, got 0"),
 ])
 def test_malformed_input_exits_with_one_line_naming_it(argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -79,18 +79,20 @@ def test_gl3_trace_powers():
     assert B.degrees == [1, 2, 3]
 
 
-def _matrix_power_traces(L):
-    """The nonzero (tr Y^k, k) by repeated products of the polynomial matrix Y: the
-    reference for the Newton's-identities route of ``hilbert_basis``."""
+def _matrix_power_traces(L, top=None):
+    """The nonzero (tr Y^k, k) for k up to ``top`` (the matrix size by default) by repeated
+    products of the polynomial matrix Y: the reference for the Newton's-identities route
+    of ``hilbert_basis``."""
     Y = dual_matrix(L)
     size = L.matrix_size
+    top = top or size
     zero = Polynomial.zero(L.dim)
     current, out = Y, []
-    for k in range(1, size + 1):
+    for k in range(1, top + 1):
         tr = sum((current[i][i] for i in range(size)), zero)
         if tr.terms:
             out.append((tr, k))
-        if k < size:
+        if k < top:
             current = [[sum((current[i][t] * Y[t][j] for t in range(size)), zero)
                         for j in range(size)] for i in range(size)]
     return out
@@ -122,20 +124,27 @@ def test_trace_powers_equal_matrix_power_traces():
         want = _matrix_power_traces(L)
         assert B.degrees == [k for _, k in want], L.kind
         assert all(_same_terms(F, G) for F, (G, _) in zip(B.polys, want)), L.kind
-    # on so(4) the odd traces vanish and p2, p4 (degree sum 6 != b = 4) are no
-    # Hilbert basis, so the builder rejects the kind; the power sums still agree
-    so4 = build_so_even(2)
-    with pytest.raises(ValueError, match="trace_powers is no Hilbert basis of so[(]4[)]"):
-        hilbert_basis(so4, "trace_powers")
-    newton = [(p, k) for k, p in _power_sums(charpoly_coefficients(so4)).items() if p.terms]
-    want = _matrix_power_traces(so4)
-    assert [k for _, k in newton] == [k for _, k in want] == [2, 4]
-    assert all(_same_terms(F, G) for (F, _), (G, _) in zip(newton, want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_so_trace_powers_end_on_the_pfaffian(n):
+    # on so(2n) the odd traces vanish and p_2n gives way to the Pfaffian, as e_2n does
+    so = build_so_even(n)
+    B, charpoly = hilbert_basis(so, "trace_powers"), hilbert_basis(so, "charpoly")
+    assert B.degrees == [2 * k for k in range(1, n)] + [n]
+    assert B.generators[-1] == charpoly.generators[-1]  # the Pfaffian
+    want = _matrix_power_traces(so, 2 * n - 2)
+    assert [d for _, d in want] == B.degrees[:-1]
+    assert all(_same_terms(F, G) for F, (G, _) in zip(B.polys, want))
+    # Newton's sums of the charpoly basis without its Pfaffian: p_k needs e_1 .. e_k only
+    e = {k: Polynomial.zero(so.dim) for k in range(1, 2 * n - 1)}
+    e.update((d, F) for F, d in charpoly.generators[:-1])
+    assert B.polys[:-1] == [p for p in _power_sums(e).values() if p.terms]
 
 
 def test_so8_minors_and_pfaffian():
     so8 = build_so_even(4)
-    B = hilbert_basis(so8, "so_minors_pfaffian")
+    B = hilbert_basis(so8, "charpoly")
     assert B.degrees == [2, 4, 6, 4]
     pf = B.polys[-1]
     delta8 = charpoly_coefficients(so8)[8]
@@ -145,7 +154,7 @@ def test_so8_minors_and_pfaffian():
 def test_so6_pfaffian_sign_rule():
     # the Pfaffian is taken of J Y with det J = (-1)^n, so Pf^2 = (-1)^n Delta_2n
     so6 = build_so_even(3)
-    B = hilbert_basis(so6, "so_minors_pfaffian")
+    B = hilbert_basis(so6, "charpoly")
     assert B.degrees == [2, 4, 3]
     pf = B.polys[-1]
     delta6 = charpoly_coefficients(so6)[6]
@@ -241,7 +250,7 @@ def test_bidecompose_double_casimir_components():
     S = horospherical_splitting(d, [[QQ(0), QQ(1), QQ(0), -QQ(1)]])
     e, h, f, xi = (Polynomial.variable(4, i) for i in range(4))
     C = h * h + 4 * e * f
-    Bc = transport_basis(custom_basis(d, [(C, 2)]), S)
+    Bc = transport_basis(custom_basis(d, [C]), S)
     parts = bidecompose(S, Bc.polys[0])
     names = S.algebra.names
     m = Polynomial.variable(4, names.index("t1_1"))
@@ -384,7 +393,7 @@ def test_ggs_check_names_a_failed_index_hypothesis():
     S = make_splitting(g, g.triangular.plus + g.triangular.cartan)
     # built directly: custom_basis would reject the non-invariant generator
     x = Polynomial.variable(g.dim, g.triangular.cartan[0])
-    planted = HilbertBasis(g, "custom", ((x, 1),))
+    planted = HilbertBasis(g, ((x, 1),))
     with pytest.raises(AssertionError, match="0 < dim m = 3: violates a theorem"):
         ggs_check(S, planted)
 
@@ -403,9 +412,10 @@ def _horo_first_cartan(L):
     (lambda: build_sl(3), _borel, "charpoly"),
     (lambda: build_sl(4), _borel, "charpoly"),
     (lambda: build_gl(3), _borel, "charpoly"),
-    (lambda: build_so_even(4), _borel, "so_minors_pfaffian"),
+    (lambda: build_so_even(4), _borel, "charpoly"),
     (lambda: build_sl(3), _horo_first_cartan, "trace_powers"),
     (lambda: build_sl(4), _horo_first_cartan, "trace_powers"),
+    (lambda: build_so_even(4), _borel, "trace_powers"),
 ])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_side_r_equals_side_h_of_the_swapped_splitting(build, make, kind, seed):
@@ -460,7 +470,7 @@ def test_eliminate_walks_the_generators_in_degree_order():
     # listed P4, P3, P2: a list-order walk would keep P4 and leave P2 nonzero on t0 too
     g, S = _sl4_splitting()
     P2, P3, P4 = transport_basis(hilbert_basis(g, "trace_powers"), S).generators
-    B = HilbertBasis(S.algebra, "reversed", (P4, P3, P2))
+    B = HilbertBasis(S.algebra, (P4, P3, P2))
     mod = eliminate_on_subspace(B, S)
     assert mod.generators[1:] == (P3, P2)
     assert mod.generators[0] == (P4[0] - QQ(1, 4) * P2[0] * P2[0], 4)
@@ -498,11 +508,73 @@ def test_eliminate_sl3_infeasible():
         restrict_to_t0(make_splitting(g, g.triangular.plus + g.triangular.cartan), B.polys[0])
 
 
+# -- restrictions to t0 from the diagonal of rho(t0) -------------------------
+
+
+def _case_splitting(name, n):
+    """The horospherical splitting of the case study ``name`` at ``n``, as ``run_case``
+    builds it, or for 'so_cartan' the one of so(2n) with t1 = 0, where t0 is the whole
+    Cartan and the Pfaffian restricts to the nonzero product of the diagonal."""
+    if name.startswith("so"):
+        g = build_so_even(n)
+        units = [[int(i == c) for i in range(g.dim)] for c in g.triangular.cartan]
+        split = n - 1 if name == "so2n" else 0
+        return horospherical_splitting(g, units[:split], t0_basis=units[split:])
+    N = 2 * n + (name == "sl2n1")
+    g = build_sl(N)
+    if name == "sl2n":  # t1 antisymmetric, t0 symmetric diagonals
+        t1 = [[int(k == i) - int(k == N - 1 - i) for k in range(N)] for i in range(n)]
+        t0 = [[int(k in (i, N - 1 - i)) - int(k in (i + 1, N - 2 - i)) for k in range(N)]
+              for i in range(n - 1)]
+    else:  # t0 = diag(c_n..c_1, -2 sum c_i, c_1..c_n), listed from c_n
+        t1 = [[int(k == n - i) - int(k == n + i) for k in range(N)] for i in range(1, n + 1)]
+        t0 = [[int(k in (n - i, n + i)) - 2 * int(k == n) for k in range(N)]
+              for i in range(n, 0, -1)]
+    return horospherical_splitting(g, _traceless_diagonals(g, t1),
+                                   t0_basis=_traceless_diagonals(g, t0))
+
+
+def _diagonal_restrictions(S, B, kind):
+    """Each generator of the ``kind`` basis ``B`` on t0, read off the diagonal
+    d_k(c) = sum_s c_s rho(t0_s)_kk: e_j(d) or sum_k d_k^j by its degree j, and Pf of the
+    J-twisted diagonal for the so(2n) Pfaffian, the last generator there."""
+    L = S.algebra
+    k, size = len(S.t0_indices), L.matrix_size
+    d = [Polynomial.zero(k) for _ in range(size)]
+    for s, idx in enumerate(S.t0_indices):
+        for (r, c), v in L.realization[idx].items():
+            assert r == c, f"rho(t0_{s}) is not diagonal"
+            d[r] = d[r] + Polynomial.variable(k, s, v)
+    e = [Polynomial.constant(k, 1)] + [Polynomial.zero(k)] * size
+    for x in d:  # the coefficients of prod (1 + d_k t), one factor at a time
+        e = [e[0]] + [e[j] + x * e[j - 1] for j in range(1, size + 1)]
+    p = [sum((x**j for x in d), Polynomial.zero(k)) for j in range(size + 1)]
+    out = [(e if kind == "charpoly" else p)[j] for j in B.degrees]
+    if S.algebra.base_algebra.kind.startswith("so("):
+        out[-1] = poly_pfaffian([[d[c] if r + c == size - 1 else Polynomial.zero(k)
+                                  for c in range(size)] for r in range(size)])
+    return out
+
+
+@pytest.mark.parametrize("name, n", [("sl2n", 2), ("sl2n", 3), ("sl2n1", 1), ("sl2n1", 2),
+                                     ("so2n", 3), ("so2n", 4), ("so_cartan", 3),
+                                     ("so_cartan", 4)])
+@pytest.mark.parametrize("kind", ["charpoly", "trace_powers"])
+def test_restrictions_equal_symmetric_functions_of_the_t0_diagonal(name, n, kind):
+    # Chevalley restriction: on t0 every invariant is a symmetric function of the diagonal
+    # of Y = sum_s c_s rho(t0_s); no determinant and no Newton's identities on this side
+    S = _case_splitting(name, n)
+    B = hilbert_basis(S.algebra, kind)
+    want = _diagonal_restrictions(S, B, kind)
+    assert [restrict_to_t0(S, F) for F in B.polys] == want
+    assert not all(r.is_zero() for r in want)
+
+
 def test_double_shift_bidegree():
     d = build_double(build_sl(2))
     e, h, f, xi = (Polynomial.variable(4, i) for i in range(4))
     C = h * h + 4 * e * f
-    B = custom_basis(d, [(C, 2), (xi, 1)])
+    B = custom_basis(d, [C, xi])
     sh = double_shift_basis(B, side="h")
     assert sh.polys[0] == C - xi * xi
     S = horospherical_splitting(d, [[QQ(0), QQ(1), QQ(0), -QQ(1)]])
@@ -580,7 +652,7 @@ def test_jacobian_rank_rows_are_the_evaluated_gradients():
     cart = so8.triangular.cartan
     units = [[int(i == c) for i in range(so8.dim)] for c in cart]
     so8_split = horospherical_splitting(so8, units[:3], t0_basis=units[3:])
-    cases = ((so8_split, "so_minors_pfaffian"), (_sl4_splitting()[1], "charpoly"))
+    cases = ((so8_split, "charpoly"), (_sl4_splitting()[1], "charpoly"))
     for S, kind in cases:
         B = hilbert_basis(S.algebra, kind)
         for side in (min, max):
@@ -614,8 +686,8 @@ def _reference_invariant(L, F):
 
 def _invariance_cases():
     """(algebra, invariants, root indices): builders and both contractions of an sl3 splitting."""
-    builders = ((build_sl(3), "charpoly"), (build_so_even(2), "so_minors_pfaffian"),
-                (build_gl(3), "charpoly"), (build_double(build_sl(2)), "double_extended:charpoly"))
+    builders = ((build_sl(3), "charpoly"), (build_so_even(2), "charpoly"),
+                (build_gl(3), "charpoly"), (build_double(build_sl(2)), "charpoly"))
     cases = [(L, hilbert_basis(L, kind).polys, L.triangular) for L, kind in builders]
     g, S = sl3_paper_splitting()
     decs = [bidecompose(S, F) for F in transport_basis(hilbert_basis(g, "trace_powers"), S).polys]
@@ -645,29 +717,45 @@ def test_verify_invariance_equals_reference_brackets():
 def test_custom_basis_rejects_a_non_invariant_naming_its_degree():
     sl2 = build_sl(2)
     h = Polynomial.variable(sl2.dim, sl2.triangular.cartan[0])
-    with pytest.raises(AssertionError, match="custom generator of degree 2 is not invariant"):
-        custom_basis(sl2, [(h * h, 2)])
+    with pytest.raises(AssertionError, match="custom generator 0 of degree 2 is not invariant"):
+        custom_basis(sl2, [h * h])
     L, invariants, tri = _invariance_cases()[-2]  # keep_h contraction of sl3
     cubic = next(F for F in invariants if F.degree() == 3)
-    bad = next(F for F in _planted(L, invariants, tri)[:L.dim] if not verify_invariance(L, F))
-    assert custom_basis(L, [(cubic, 3)]).invariance == "brackets"
-    with pytest.raises(AssertionError, match="custom generator of degree 2 is not invariant"):
-        custom_basis(L, [(cubic, 3), (bad, 2)])
+    bad = next(F for F in _planted(L, invariants, tri)[L.dim:] if not verify_invariance(L, F))
+    assert custom_basis(L, [cubic]).invariance == "brackets"
+    with pytest.raises(AssertionError, match="custom generator 1 of degree 2 is not invariant"):
+        custom_basis(L, [cubic, bad])
 
 
-def test_custom_basis_rejects_a_wrong_stated_degree():
+def test_custom_basis_reads_each_degree_and_names_a_zero_or_inhomogeneous_generator():
     sl2 = build_sl(2)
     e, h, f = (Polynomial.variable(3, i) for i in range(3))
     C = h * h + 4 * e * f
-    # C is invariant, so only its stated degree is wrong
-    with pytest.raises(ValueError, match="generator 0 is stated of degree 5 but has degree 2$"):
-        custom_basis(sl2, [(C, 5)])
-    with pytest.raises(ValueError, match="generator 1 is stated of degree 2 "
-                                         "but has degree up to 4, not homogeneous"):
-        custom_basis(sl2, [(C, 2), (C + C * C, 2)])
-    with pytest.raises(ValueError, match="generator 0 is stated of degree 0 but has degree None"):
-        custom_basis(sl2, [(Polynomial.zero(3), 0)])
-    assert custom_basis(sl2, [(C, 2)]).generators == ((C, 2),)
+    assert custom_basis(sl2, [C, C * C]).generators == ((C, 2), (C * C, 4))
+    # C + C^2 is invariant, so only its degrees are wrong
+    with pytest.raises(ValueError, match="custom generator 1 is not homogeneous$"):
+        custom_basis(sl2, [C, C + C * C])
+    with pytest.raises(ValueError, match="custom generator 0 is zero$"):
+        custom_basis(sl2, [Polynomial.zero(3)])
+
+
+@pytest.mark.parametrize("kind", ["charpoly", "trace_powers"])
+def test_double_basis_is_the_lifts_of_its_base_and_the_xi(kind):
+    for base in (build_sl(2), build_sl(3), build_gl(2), build_so_even(3)):
+        gd = build_double(base)
+        B = hilbert_basis(gd, kind)
+        want = [(F.lift(gd.dim), d) for F, d in hilbert_basis(base, kind).generators]
+        want += [(Polynomial.variable(gd.dim, k), 1) for k in range(base.dim, gd.dim)]
+        assert B.generators == tuple(want) and B.invariance == "double", base
+
+
+@pytest.mark.parametrize("kind", ["so_minors_pfaffian", "double_extended",
+                                  "double_extended:charpoly", "double_extended:trace_powers"])
+def test_a_kind_the_algebra_decides_is_no_spelling(kind):
+    # so(2n) takes its Pfaffian and a double its base's lifts under charpoly and trace_powers
+    for L in (build_so_even(2), build_double(build_sl(2)), build_sl(3)):
+        with pytest.raises(ValueError, match=f"unknown Hilbert basis kind '{kind}'"):
+            hilbert_basis(L, kind)
 
 
 def _same_terms(F, G):
@@ -686,7 +774,7 @@ def test_basis_on_adapted_algebra_equals_transported_basis():
         (sl3, "charpoly", units(sl3, sl3.triangular.cartan), None),
         (sl4, "trace_powers", _traceless_diagonals(sl4, ([1, 0, 0, -1], [0, 1, -1, 0])),
          _traceless_diagonals(sl4, ([1, -1, -1, 1],))),
-        (so8, "so_minors_pfaffian", units(so8, so8.triangular.cartan[:3]),
+        (so8, "charpoly", units(so8, so8.triangular.cartan[:3]),
          units(so8, so8.triangular.cartan[3:])),
     )
     for g, kind, t1v, t0v in cases:
@@ -723,7 +811,7 @@ def _mutated(build, field):
 ])
 @pytest.mark.parametrize("build, kind", [
     (lambda: build_sl(3), "charpoly"),
-    (lambda: build_so_even(4), "so_minors_pfaffian"),
+    (lambda: build_so_even(4), "charpoly"),
 ], ids=["sl3", "so8"])
 def test_certificate_fails_on_a_mutated_algebra(build, kind, field, failure):
     L = _mutated(build, field)
@@ -738,12 +826,12 @@ def test_double_needs_the_base_constants():
     gd = build_double(build_sl(2))
     gd.constants = {**gd.constants, (0, gd.dim - 1): ((0, 1),)}  # [e, xi] = e: xi not central
     with pytest.raises(ValueError, match="not those of its base"):
-        hilbert_basis(gd, "double_extended:charpoly")
+        hilbert_basis(gd, "charpoly")
 
 
 def test_certificate_needs_a_realization():
     sl2 = build_sl(2)
     cert = build_double(sl2).realization_certificate  # the xi's have no matrices
     assert not cert.passed and "no complete matrix realization" in cert.failure
-    assert custom_basis(sl2, [(hilbert_basis(sl2, "charpoly").polys[0], 2)]).invariance \
+    assert custom_basis(sl2, [hilbert_basis(sl2, "charpoly").polys[0]]).invariance \
         == "brackets"

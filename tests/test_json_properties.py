@@ -19,7 +19,7 @@ from liesplit.liealg import (  # noqa: E402
     build_gl,
     build_sl,
     build_so_even,
-    custom_algebra,
+    LieAlgebra,
 )
 from liesplit.rationals import QQ  # noqa: E402
 
@@ -41,7 +41,7 @@ def two_step_nilpotent(draw):
             targets = draw(st.lists(st.integers(p, p + q - 1), unique=True)) if q else []
             if targets:
                 constants[(i, j)] = tuple((k, QQ(draw(coeff))) for k in targets)
-    return custom_algebra([f"x{i}" for i in range(p + q)], constants)
+    return LieAlgebra([f"x{i}" for i in range(p + q)], constants)
 
 
 algebras = st.sampled_from(BUILT) | two_step_nilpotent()

@@ -6,7 +6,7 @@ import pytest
 from liesplit import liealg, poisson
 from liesplit.invariants import jacobian_rank
 from liesplit.liealg import (LieAlgebra, algebra_from_json, algebra_to_json, build_double,
-                             build_gl, build_sl, build_so_even, change_basis, custom_algebra,
+                             build_gl, build_sl, build_so_even, change_basis,
                              sub_algebra)
 from liesplit.linalg import P, Matrix, rank_and_nullspace, solve
 from liesplit.poisson import (
@@ -35,7 +35,7 @@ def _direct_sum(a, b):
     constants = dict(a.constants)
     for (i, j), entries in b.constants.items():
         constants[(i + a.dim, j + a.dim)] = tuple((k + a.dim, c) for k, c in entries)
-    return custom_algebra(names, constants, rank=a.rank + b.rank, kind=f"sum[{a.kind},{b.kind}]")
+    return LieAlgebra(names, constants, rank=a.rank + b.rank, kind=f"sum[{a.kind},{b.kind}]")
 
 
 def _bracket_vec(L, u, v):
@@ -144,7 +144,7 @@ def test_tensor_block_rank_on_contraction():
 
 
 def test_index_abelian():
-    ab = custom_algebra(list("abcd"), {})
+    ab = LieAlgebra(list("abcd"), {})
     assert index_estimate(ab, trials=3, seed=0).claimed_index == 4
 
 
@@ -328,8 +328,8 @@ def test_index_floors_follow_the_construction():
         assert family_bracket(S, p).index_floor == 2
     plus = sl3.triangular.plus
     for L in (algebra_from_json(algebra_to_json(so8)), sub_algebra(sl3, plus),
-              generic_stabilizer(sl3, plus).subalgebra, custom_algebra(["a"], {}),
-              change_basis(custom_algebra(["a"], {}), [[2]], ["b"])):
+              generic_stabilizer(sl3, plus).subalgebra, LieAlgebra(["a"], {}),
+              change_basis(LieAlgebra(["a"], {}), [[2]], ["b"])):
         assert L.index_floor == 0
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from liesplit import liealg
 from liesplit.invariants import bidecompose, hilbert_basis, transport_basis
-from liesplit.liealg import (build_double, build_sl, build_so_even, custom_algebra,
+from liesplit.liealg import (LieAlgebra, build_double, build_sl, build_so_even,
                              jacobi_report, sub_algebra)
 from liesplit.poisson import generic_stabilizer, poisson_bracket, tensor_at
 from liesplit.poly import Polynomial
@@ -185,8 +185,8 @@ def test_pencil_bracket_is_linear_on_bi_components():
     sl3, so4 = build_sl(3), build_so_even(2)
     cases = (
         (sl3, "charpoly", [_cartan_line(sl3, 0)]),
-        (so4, "so_minors_pfaffian", [_cartan_line(so4, 0)]),
-        (build_double(sl2()), "double_extended:charpoly", [[QQ(0), QQ(1), QQ(0), -QQ(1)]]),
+        (so4, "charpoly", [_cartan_line(so4, 0)]),
+        (build_double(sl2()), "charpoly", [[QQ(0), QQ(1), QQ(0), -QQ(1)]]),
     )
     rng = random.Random(7)
     for g, kind, t1 in cases:
@@ -289,7 +289,7 @@ def test_drinfeld_double_contraction():
     S = horospherical_splitting(d, t1)
     con = contract(S, "keep_h")  # basis (e, m=h-xi, f, p=h+xi)
     # direct model: basis (E, H, E*, H*), [H,E]=2E, [E,E*]=2H*, [H,E*]=-2E*
-    model = custom_algebra(
+    model = LieAlgebra(
         ["E", "H", "Es", "Hs"],
         {(0, 1): ((0, QQ(-2)),), (0, 2): ((3, QQ(2)),), (1, 2): ((2, QQ(-2)),)},
     )

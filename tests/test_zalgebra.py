@@ -143,7 +143,7 @@ def test_double_m_tilde_exact_generators():
     d = build_double(build_sl(2))
     e, h, f, xi = (Polynomial.variable(4, i) for i in range(4))
     C = h * h + 4 * e * f
-    B0 = custom_basis(d, [(C, 2), (xi, 1)])
+    B0 = custom_basis(d, [C, xi])
     S = horospherical_splitting(d, [[QQ(0), QQ(1), QQ(0), -QQ(1)]])
     B = transport_basis(B0, S)
     names = S.algebra.names
@@ -309,10 +309,10 @@ def test_middle_components_nonzero_finds_a_missing_h_degree():
     # h-degrees 0 and 1 of a cubic: the middle h-degree 2 is missing
     assert list(bidecompose(S, t0**3 + t0**2 * t1)) == [0, 1]
     assert not zalgebra._middle_components_nonzero(
-        S, HilbertBasis(L, "custom", ((t1, 1), (t0**3 + t0**2 * t1, 3))))
+        S, HilbertBasis(L, ((t1, 1), (t0**3 + t0**2 * t1, 3))))
     # h-degrees 0, 1, 2 of a quadric, and a linear form with no middle h-degree at all
     assert zalgebra._middle_components_nonzero(
-        S, HilbertBasis(L, "custom", ((t0, 1), (t0**2 + e12 * e21 + t1**2, 2))))
+        S, HilbertBasis(L, ((t0, 1), (t0**2 + e12 * e21 + t1**2, 2))))
 
 
 def test_pencil_jacobi_fails_when_a_member_loses_an_entry(monkeypatch):
