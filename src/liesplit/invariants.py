@@ -192,7 +192,8 @@ class HilbertBasis:
     generators: tuple  # of (Polynomial, degree)
     # what proved every generator invariant: 'realization' (the algebra's realization
     # certificate), 'double' (the base's, for the lifts on a Cartan double), 'brackets'
-    # (verify_invariance, for a custom basis), or None for a derived basis
+    # (verify_invariance, for a custom basis), kept by a transport; None only after an
+    # elimination or a double shift
     invariance: str | None = None
 
     @property
@@ -232,7 +233,9 @@ def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
     trace on sl, the odd ones on so) are dropped.  On so(2n) the Pfaffian, of degree n,
     replaces the top generator: e_2n = +-Pf^2, and Newton's identities invert over Q.  On
     a Cartan double the basis is the lifts of its base's basis of the same kind, then the
-    appended xi coordinates.  A ready list of polynomials goes through :func:`custom_basis`.
+    appended xi coordinates.  An adapted rebuild that carries no realization (one of a
+    double) gets its base's basis through :func:`transport_basis`.  A ready list of
+    polynomials goes through :func:`custom_basis`.
 
     The generators are always proved invariant without a bracket: each is a
     conjugation-invariant function of Y(x) = rho(G^-1 x), invariant once
@@ -243,6 +246,8 @@ def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
     """
     if kind not in ("charpoly", "trace_powers"):
         raise ValueError(f"unknown Hilbert basis kind {kind!r}")
+    if L.realization is None and L.base_change is not None:
+        return _transport(hilbert_basis(L.base_algebra, kind), L)
     base = _double_base(L)
     if base is not None:
         # the lifts are invariant as the base generators are once the constants are the
@@ -298,15 +303,19 @@ def custom_basis(L: LieAlgebra, polys) -> HilbertBasis:
 
 
 def transport_basis(B: HilbertBasis, S: Decomposition) -> HilbertBasis:
-    """Rewrite a basis in the adapted coordinates of a rebuilt splitting."""
-    adapted = S.algebra
+    """Rewrite a basis in the adapted coordinates of a rebuilt splitting.  The invariance
+    route stays ``B``'s: the rebuild is the isomorphism ``change_basis`` verified."""
+    return _transport(B, S.algebra)
+
+
+def _transport(B: HilbertBasis, adapted: LieAlgebra) -> HilbertBasis:
     if adapted.base_algebra is not B.algebra or adapted.base_change is None:
         raise ValueError("splitting is not an adapted rebuild of the basis algebra")
     A = inverse(adapted.base_change.transpose())
     n = adapted.dim
     images = [Polynomial.linear_form(n, A.rows[i]) for i in range(n)]
     gens = tuple((g.map_vars(images, n), d) for g, d in B.generators)
-    return HilbertBasis(adapted, gens)
+    return HilbertBasis(adapted, gens, B.invariance)
 
 
 # -- restriction to t0 ----------------------------------------------------
@@ -315,19 +324,12 @@ def transport_basis(B: HilbertBasis, S: Decomposition) -> HilbertBasis:
 def restrict_to_t0(S: Decomposition, F: Polynomial) -> Polynomial:
     """Restriction of F (a function on the dual) to t0, carried into the dual by the
     invariant form: x_a -> <sum_s c_s t0_s, X_a> = sum_s G[t0_s, a] c_s, an exact
-    polynomial in c_1..c_k over the adapted Gram rows of t0.
-
-    Computed once per ``S`` and polynomial object, as :func:`bidecompose` is: later calls
-    with the same F return the same polynomial."""
+    polynomial in c_1..c_k over the adapted Gram rows of t0, substituted afresh per call."""
     if not S.is_horospherical:
         raise ValueError("t0 restrictions need a horospherical splitting")
-    got = S._t0_restrictions.get(id(F))
-    if got is None:
-        G, k = S.algebra.gram.rows, len(S.t0_indices)
-        got = S._t0_restrictions[id(F)] = (F, F.map_vars(
-            [Polynomial.linear_form(k, [G[i][a] for i in S.t0_indices])
-             for a in range(S.algebra.dim)], k))
-    return got[1]
+    G, k = S.algebra.gram.rows, len(S.t0_indices)
+    return F.map_vars([Polynomial.linear_form(k, [G[i][a] for i in S.t0_indices])
+                       for a in range(S.algebra.dim)], k)
 
 
 # -- bi-homogeneous decomposition ---------------------------------------
@@ -488,17 +490,17 @@ def eliminate_on_subspace(B: HilbertBasis, S: Decomposition, keep=()) -> Hilbert
     The generators are walked in increasing degree, stable in list order.  A generator
     P of degree d is kept when its t0-restriction is nonzero and an exact linear solve
     cannot write it as a weighted-degree-d polynomial in the restrictions kept so far;
-    otherwise P is replaced by P - that combination, whose restriction is zero (entered
-    into the memo of :func:`restrict_to_t0`).  The modified family is again a Hilbert
-    basis (triangular change).  Without ``keep`` the kept restrictions are a minimal
-    homogeneous generating set of the restricted image (graded Nakayama: a basis of
-    R+/R+^2), so no homogeneous generating system has fewer generators nonzero on t0.
+    otherwise P is replaced by P - that combination, whose restriction is zero.  The
+    modified family is again a Hilbert basis (triangular change).  Without ``keep`` the
+    kept restrictions are a minimal homogeneous generating set of the restricted image
+    (graded Nakayama: a basis of R+/R+^2), so no homogeneous generating system has fewer
+    generators nonzero on t0.
     ``keep`` lists distinct generator indices kept in any case, as ``rationals._indices`` checks.
     """
     if B.algebra is not S.algebra:
         raise ValueError("basis and splitting live on different algebras")
     seen = set(_indices("keep:", keep, len(B.generators), "generator index"))
-    n, k = B.algebra.dim, len(S.t0_indices)
+    n = B.algebra.dim
     kept = []  # (generator, degree, its restriction)
     new_gens = list(B.generators)
     for idx in sorted(range(len(B.generators)), key=lambda j: B.generators[j][1]):
@@ -517,7 +519,6 @@ def eliminate_on_subspace(B: HilbertBasis, S: Decomposition, keep=()) -> Hilbert
                     (-1, Polynomial.constant(n, c), _power_product([g for g, *_ in kept], m))
                     for c, m in zip(lam, exps) if c)))
                 new_gens[idx] = (Q, d)
-                S._t0_restrictions[id(Q)] = (Q, Polynomial.zero(k))
                 continue
         kept.append((P, d, target))
     return HilbertBasis(B.algebra, tuple(new_gens))

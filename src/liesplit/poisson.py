@@ -81,7 +81,6 @@ def poisson_bracket(L: LieAlgebra, F: Polynomial, G: Polynomial) -> Polynomial:
 
 @dataclass
 class PoissonTensorSample:
-    point: tuple
     matrix: Matrix
     rank: int
 
@@ -125,7 +124,7 @@ def tensor_at(L: LieAlgebra, xi) -> PoissonTensorSample:
     D = L.bracket_table[0]
     if D > 1:  # the exact tensor pi(xi)
         mat = Matrix([[x // D if x % D == 0 else QQ(x, D) for x in row] for row in mat.rows])
-    return PoissonTensorSample(tuple(xi), mat, rk)
+    return PoissonTensorSample(mat, rk)
 
 
 @dataclass
@@ -314,7 +313,5 @@ def sphericity(S: Decomposition, trials: int = 8, seed: int = 0) -> SphericityRe
     verdicts = {
         "sum_equals_rank": s0 + s_inf == ell,
         "nondegenerate": ind0.claimed_index == ell and indinf.claimed_index == ell,
-        "h_star_abelian": h_star.is_abelian,
-        "r_star_abelian": r_star.is_abelian,
     }
     return SphericityReport(s0, s_inf, c_gh, c_gr, ell, verdicts)

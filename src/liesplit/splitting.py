@@ -64,7 +64,6 @@ class Decomposition:
         self.r_closed = self._r_gap is None  # r is a subalgebra too
         self._contractions: dict = {}  # side -> its contraction, see ``contract``
         self._bidecompositions: dict = {}  # id(F) -> (F, its split), see ``bidecompose``
-        self._t0_restrictions: dict = {}  # id(F) -> (F, F on t0), see ``restrict_to_t0``
         self.t1_indices: tuple = ()
         self.t0_indices: tuple = ()
 

@@ -75,7 +75,6 @@ def _int_vector(v) -> tuple:
 
 @dataclass
 class RootSystem:
-    type_label: str
     rank: int
     model_dim: int
     simple_roots: tuple       # model-space vectors
@@ -162,8 +161,7 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
         for v in pos_alpha
     )
     reflections = tuple(_encode(_reflection_matrix_model(a, gram, n), n) for a in simples)
-    return RootSystem(type_label, rank, n, simples, positive, gram, reflections, degrees,
-                      tuple(pos_alpha))
+    return RootSystem(rank, n, simples, positive, gram, reflections, degrees, tuple(pos_alpha))
 
 
 class KeyTable:

@@ -328,7 +328,8 @@ def _restrictions(S: Decomposition, B: HilbertBasis, names, labels=None) -> dict
 
 
 def _kept_degrees(S: Decomposition, B: HilbertBasis) -> list:
-    """Degrees of the generators of an eliminated basis still nonzero on t0: the kept ones."""
+    """Degrees of the generators of an eliminated basis still nonzero on t0: the kept ones,
+    each restricted afresh, so a correction that misses t0 is counted, not trusted."""
     return [d for F, d in B.generators if not restrict_to_t0(S, F).is_zero()]
 
 

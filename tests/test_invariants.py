@@ -514,7 +514,10 @@ def test_eliminate_sl3_infeasible():
 def _case_splitting(name, n):
     """The horospherical splitting of the case study ``name`` at ``n``, as ``run_case``
     builds it, or for 'so_cartan' the one of so(2n) with t1 = 0, where t0 is the whole
-    Cartan and the Pfaffian restricts to the nonzero product of the diagonal."""
+    Cartan and the Pfaffian restricts to the nonzero product of the diagonal; for
+    'sl_cartan' and 'gl_cartan' the one of sl(n) or gl(n) with t1 = 0."""
+    if name in ("sl_cartan", "gl_cartan"):
+        return horospherical_splitting((build_sl if name == "sl_cartan" else build_gl)(n), [])
     if name.startswith("so"):
         g = build_so_even(n)
         units = [[int(i == c) for i in range(g.dim)] for c in g.triangular.cartan]
@@ -557,8 +560,9 @@ def _diagonal_restrictions(S, B, kind):
 
 
 @pytest.mark.parametrize("name, n", [("sl2n", 2), ("sl2n", 3), ("sl2n1", 1), ("sl2n1", 2),
-                                     ("so2n", 3), ("so2n", 4), ("so_cartan", 3),
-                                     ("so_cartan", 4)])
+                                     ("sl2n1", 3), ("so2n", 3), ("so2n", 4), ("so_cartan", 3),
+                                     ("so_cartan", 4), ("sl_cartan", 3), ("sl_cartan", 4),
+                                     ("sl_cartan", 5), ("sl_cartan", 6), ("gl_cartan", 4)])
 @pytest.mark.parametrize("kind", ["charpoly", "trace_powers"])
 def test_restrictions_equal_symmetric_functions_of_the_t0_diagonal(name, n, kind):
     # Chevalley restriction: on t0 every invariant is a symmetric function of the diagonal
@@ -747,6 +751,21 @@ def test_double_basis_is_the_lifts_of_its_base_and_the_xi(kind):
         want = [(F.lift(gd.dim), d) for F, d in hilbert_basis(base, kind).generators]
         want += [(Polynomial.variable(gd.dim, k), 1) for k in range(base.dim, gd.dim)]
         assert B.generators == tuple(want) and B.invariance == "double", base
+
+
+@pytest.mark.parametrize("kind", ["charpoly", "trace_powers"])
+def test_basis_on_a_rebuilt_double_is_the_transported_one(kind):
+    # the rebuild carries no realization: the verified basis change carries the double's
+    # basis over, and with it the route that proved the generators invariant
+    for base in (build_sl(2), build_sl(3)):
+        gd = build_double(base)
+        t1 = [[int(t == i) - int(t == base.dim + k) for t in range(gd.dim)]
+              for k, i in enumerate(base.triangular.cartan)]
+        S = horospherical_splitting(gd, t1)
+        B = hilbert_basis(S.algebra, kind)
+        want = transport_basis(hilbert_basis(gd, kind), S)
+        assert B.algebra is S.algebra and B.generators == want.generators, base
+        assert B.invariance == want.invariance == "double", base
 
 
 @pytest.mark.parametrize("kind", ["so_minors_pfaffian", "double_extended",

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from liesplit.liealg import build_double, build_sl
-from liesplit import zalgebra
+from liesplit import invariants, zalgebra
 from liesplit.invariants import (HilbertBasis, bidecompose, custom_basis, ggs_check,
                                  hilbert_basis, jacobian_rank, transport_basis)
 from liesplit.linalg import Matrix, rank
@@ -483,6 +483,17 @@ def test_sl2n_verdict_table_consistency():
     assert rep3.verdicts["routes_agree"] and rep3.verdicts["no_ggs"]
     rep5 = run_case("sl2n1", {"n": 2}, seed=2)
     assert rep5.verdicts["no_ggs"]
+
+
+def test_kept_table_restricts_the_corrected_generators_afresh(monkeypatch):
+    # a planted defect: each solved combination doubled, so the corrected P4 = P4 - 2 lam P2^2
+    # no longer vanishes on t0; the kept table must show it rather than trust the elimination
+    solve = invariants.solve
+    monkeypatch.setattr(invariants, "solve",
+                        lambda A, b: None if (x := solve(A, b)) is None else [2 * c for c in x])
+    rep = run_case("sl2n", {"n": 2}, seed=1)
+    assert rep.tables["kept"] == ["P2", "P4"]
+    assert rep.verdicts["ggs_exists"] is False
 
 
 class _SplittingBuilt(Exception):
