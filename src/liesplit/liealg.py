@@ -3,8 +3,9 @@
 Structure constants are stored sparsely for basis pairs i < j, under the
 scalar rule of ``rationals`` (a float constant raises ``TypeError`` naming
 its bracket); the bracket extends by antisymmetry.  Every constructor runs an
-exhaustive Jacobi check over all basis triples, except ``change_basis`` (it checks
-that the basis change is a bracket isomorphism onto the checked algebra it rewrites),
+exhaustive Jacobi check over all basis triples, except the matrix builders (``_assemble``
+proves the algebra Lie by its realization), ``change_basis`` (it checks that the basis
+change is a bracket isomorphism onto the checked algebra it rewrites),
 ``splitting.contract`` (an Inonu-Wigner contraction of a Lie algebra is Lie, see its
 docstring) and ``splitting.family_bracket``: a pencil member a*[,]_0 + b*[,]_inf has
 a Jacobiator quadratic in (a, b), so the pencil is Lie once (1,0), (0,1) and (1,1)
@@ -16,8 +17,8 @@ One cached int table per algebra, ``LieAlgebra.bracket_table`` (every [x_a, x_b]
 scaled by the common denominator D of the constants), serves the Jacobi check,
 the Poisson columns, tensors and stabilizers of ``poisson`` and the centre.
 One cached certificate per algebra, ``LieAlgebra.realization_certificate``,
-checks that the realization is a homomorphism and the Gram matrix an invariant
-form; ``invariants.hilbert_basis`` proves its builder bases invariant by it.
+checks that the realization is a homomorphism and the Gram matrix a nondegenerate
+invariant form; ``invariants.hilbert_basis`` proves its builder bases invariant by it.
 
 ``LieAlgebra.index_floor`` is the lower bound on the index that an algebra's
 construction proves, and ``poisson.index_estimate`` stops sampling once a rank meets
@@ -45,12 +46,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Sequence
 
-from .linalg import Matrix, inverse
+from .linalg import Matrix, inverse, rank
 from .poly import _unit
 from .rationals import (QQ, _check_length, _check_size, _indices, _is_int,
-                        clear_denominators, combine, common_denominator, scalar)
+                        clear_denominators, combine, common_denominator, exact, scalar)
 
 
 class JacobiError(ValueError):
@@ -76,8 +78,8 @@ class TriangularData:
 
 @dataclass
 class RealizationCertificate:
-    """Whether rho (``realization``) is a homomorphism and G (``gram``) a symmetric
-    ad-invariant form; ``failure`` names the first fact that fails (None when ``passed``)."""
+    """Whether rho (``realization``) is a homomorphism and G (``gram``) a nondegenerate
+    invariant form; ``failure`` names the first fact that fails (None when ``passed``)."""
     passed: bool
     failure: str | None
 
@@ -130,12 +132,10 @@ class LieAlgebra:
 
     @cached_property
     def realization_certificate(self) -> RealizationCertificate:
-        """rho[e_a, e_b] = sum_k c_ab^k rho(e_k) for every a < b, and G symmetric with
-        G ad(e_a) skew for every a, checked once from this algebra's own fields.
-
-        Then Y(x) = rho(G^-1 x) is equivariant once G is nondegenerate, which ``inverse``
-        shows wherever G^-1 is formed, so every conjugation-invariant function of Y is an
-        invariant of the algebra."""
+        """rho[e_a, e_b] = sum_k c_ab^k rho(e_k) for every a < b, and G symmetric and
+        nondegenerate with G ad(e_a) skew for every a, checked once from this algebra's own
+        fields.  Then Y(x) = rho(G^-1 x) is equivariant, so every conjugation-invariant
+        function of Y is an invariant of the algebra."""
         return _certify_realization(self)
 
     @cached_property
@@ -197,17 +197,21 @@ def jacobi_report(dim, constants) -> JacobiReport:
 # -- matrix-realization helpers ---------------------------------------
 
 
-def _smul(a: dict, b: dict) -> dict:
-    """Sparse product of matrices given as {(r, c): coeff}."""
-    bysrc: dict[int, list] = {}
-    for (r, c), v in b.items():
-        bysrc.setdefault(r, []).append((c, v))
-    return combine({}, (({(r, c2): v2 for c2, v2 in bysrc.get(c, ())}, v)
-                        for (r, c), v in a.items()))
-
-
-def _scomm(a: dict, b: dict) -> dict:
-    return combine(_smul(a, b), [(_smul(b, a), -1)])
+def _commutators(mats):
+    """(i, j, [mats[i], mats[j]]) for every pair i < j of sparse matrices {(r, c): coeff}: each
+    matrix is indexed by row once, and both products of a pair accumulate into one dict."""
+    rows = [{} for _ in mats]
+    for m, by_row in zip(mats, rows):
+        for (r, c), v in m.items():
+            by_row.setdefault(r, []).append((c, v))
+    for i, j in combinations(range(len(mats)), 2):
+        out = {}
+        for x, by_row, sign in ((mats[i], rows[j], 1), (mats[j], rows[i], -1)):
+            for (r, c), v in x.items():
+                v *= sign
+                for c2, w in by_row.get(c, ()):
+                    out[r, c2] = out.get((r, c2), 0) + v * w
+        yield i, j, {k: exact(v) for k, v in out.items() if v}
 
 
 def _certify_realization(L: LieAlgebra) -> RealizationCertificate:
@@ -217,12 +221,10 @@ def _certify_realization(L: LieAlgebra) -> RealizationCertificate:
     if rho is None or L.gram is None:
         return RealizationCertificate(False, f"{L.kind} carries no complete matrix "
                                              "realization and Gram matrix")
-    for a in range(n):
-        for b in range(a + 1, n):
-            want = combine({}, ((rho[k], c) for k, c in L.constants.get((a, b), ())))
-            if _scomm(rho[a], rho[b]) != want:
-                return RealizationCertificate(False, "the realization is no homomorphism on "
-                                                     f"[{L.names[a]}, {L.names[b]}]")
+    for a, b, comm in _commutators(rho):
+        if comm != combine({}, ((rho[k], c) for k, c in L.constants.get((a, b), ()))):
+            return RealizationCertificate(False, "the realization is no homomorphism on "
+                                                 f"[{L.names[a]}, {L.names[b]}]")
     _, ints = clear_denominators(x for row in L.gram.rows for x in row)
     G = [{c: v for c, v in enumerate(ints[r * n:(r + 1) * n]) if v} for r in range(n)]
     for r in range(n):
@@ -238,6 +240,8 @@ def _certify_realization(L: LieAlgebra) -> RealizationCertificate:
                 if U[c].get(b, 0) != -v:
                     return RealizationCertificate(False, "the Gram matrix is not ad-invariant: "
                                                          f"G ad({L.names[a]}) is not skew")
+    if rank(L.gram) < n:
+        return RealizationCertificate(False, "the Gram matrix is degenerate")
     return RealizationCertificate(True, None)
 
 
@@ -262,25 +266,35 @@ def _assemble(mats, names, decompose, ell, kind, half=False) -> LieAlgebra:
     """The algebra of the basis matrices ``mats``, listed as (u+, Cartan of size ``ell``, u-)
     with u+ and u- of equal size: the constants of [mats[i], mats[j]] as ``decompose`` writes
     a matrix in the basis, the trace form (half of it when ``half``) as Gram matrix, the
-    triangular data, and the realization, of rank ``ell``."""
+    triangular data, and the realization, of rank ``ell``.  It is Lie with no Jacobi sweep:
+    e_i -> mats[i] is injective (each matrix holds a cell no earlier one holds) and the
+    constants recombine to every commutator, so it embeds the algebra in gl(N)."""
     n = len(mats)
+    by_cell = {}  # (c, r) -> the (b, M_b[r, c]) of the matrices holding cell (r, c)
+    for b, (name, m) in enumerate(zip(names, mats)):
+        if all((c, r) in by_cell for r, c in m):
+            raise ValueError(f"{kind}: basis matrix {name} touches no entry new to the basis")
+        for (r, c), y in m.items():
+            by_cell.setdefault((c, r), []).append((b, y))
     constants = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            entries = tuple((k, c) for k, c in decompose(_scomm(mats[i], mats[j])) if c)
-            if entries:
-                constants[(i, j)] = entries
-    g = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            v = sum(x * mats[b].get((c, r), 0) for (r, c), x in mats[a].items())
-            g[a][b] = g[b][a] = QQ(v, 2) if half else v
-    gram = Matrix(g)
+    for i, j, comm in _commutators(mats):
+        entries = tuple((k, c) for k, c in decompose(comm) if c)
+        if combine({}, ((mats[k], c) for k, c in entries)) != comm:
+            raise ValueError(f"{kind}: the constants of [{names[i]}, {names[j]}] do not "
+                             "recombine to its commutator")
+        if entries:
+            constants[(i, j)] = entries
+    g = [[0] * n for _ in range(n)]  # tr(M_a M_b) = sum of M_a[r, c] M_b[c, r]
+    for a, m in enumerate(mats):
+        for cell, x in m.items():
+            for b, y in by_cell.get(cell, ()):
+                g[a][b] += x * y
+    gram = Matrix([[QQ(v, 2) if v % 2 else v // 2 for v in row] for row in g] if half else g)
     nplus = (n - ell) // 2
     tri = _triangular(constants, range(nplus), range(nplus, nplus + ell),
                       range(nplus + ell, n), gram)
     L = LieAlgebra(names, constants, rank=ell, triangular=tri, realization=mats, gram=gram,
-                   kind=kind)
+                   kind=kind, check=False)
     L.index_floor = ell  # reductive: ind = rank
     return L
 
@@ -439,13 +453,20 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
         raise ValueError("new basis vectors are dependent") from None
     # new coordinates of an old vector w are sum_k w_k * (column k of P^-1)
     columns = [{r: c for r, c in enumerate(col) if c} for col in zip(*Pinv.rows)]
-    constants, images = {}, {}
-    for a in range(L.dim):
-        for b in range(a + 1, L.dim):
-            images[a, b] = _bracket(L.constants, sparse[a].items(), sparse[b].items())
-            coeffs = combine({}, ((columns[k], c) for k, c in images[a, b].items()))
-            if coeffs:
-                constants[(a, b)] = tuple(sorted(coeffs.items()))
+    # [P e_a, P e_b] = sum of P_ia P_jb [e_i, e_j] over the brackets of L that are not zero
+    hits = [[(a, x) for a, x in enumerate(row) if x] for row in P.rows]  # the P_ia != 0 of i
+    images = {}
+    for (i, j), entries in L.constants.items():
+        entries = dict(entries)
+        for a, x in hits[i]:
+            for b, y in hits[j]:
+                if a != b:  # [P e_a, P e_a] = 0
+                    key, s = ((a, b), x * y) if a < b else ((b, a), -x * y)
+                    combine(images.setdefault(key, {}), [(entries, s)])
+    constants = {}
+    for (a, b), image in sorted(images.items()):
+        if coeffs := combine({}, ((columns[k], c) for k, c in image.items())):
+            constants[(a, b)] = tuple(sorted(coeffs.items()))
     gram = None
     if L.gram is not None:
         gram = P.transpose() * L.gram * P
@@ -454,9 +475,9 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
         realization = [combine({}, ((L.realization[r], c) for r, c in v.items())) for v in sparse]
     new = LieAlgebra(new_names, constants, rank=L.rank, realization=realization, gram=gram,
                      kind=kind or f"adapted[{L.kind}]", base_algebra=L, base_change=P, check=False)
-    # P c'_ab = [P e_a, P e_b] for all a < b: P is an isomorphism onto L, so Jacobi holds
+    # P c'_ab = [P e_a, P e_b] for all a < b (0 = 0 unlisted): P is an isomorphism, so Lie
     for (a, b), image in images.items():
-        if combine({}, ((sparse[k], c) for k, c in new.bracket_pair(a, b).items())) != image:
+        if combine({}, ((sparse[k], c) for k, c in new.constants.get((a, b), ()))) != image:
             raise ValueError(f"basis change breaks the bracket [{new_names[a]}, {new_names[b]}]")
     new.index_floor = L.index_floor
     return new

@@ -5,12 +5,13 @@ an ``int`` when integral, a ``Fraction`` otherwise, and a ``float`` raises
 ``TypeError`` (a row of plain ints already follows the rule and is kept
 as it is).  Solutions and nullspace vectors follow the same rule.
 
-Rank, nullspace and solving all run through one sparse fraction-free
-echelon routine.  Each row is scaled by the common denominator of its
-entries (which changes neither the row space nor the nullspace) and kept
-as {column: int} of its nonzero entries.  Columns are taken left to
-right; the pivot of a column is the row with the fewest nonzeros among
-the rows that have an entry there, and only those rows are updated.
+Rank, nullspace, solving and inverses all run through one sparse
+fraction-free echelon routine.  Each row (right-hand sides appended) is
+scaled by the common denominator of its entries (which changes neither the
+row space nor the nullspace) and kept as {column: int} of its nonzeros.
+Columns are taken left to right; the pivot of a column is the row with the
+fewest nonzeros among the rows that have an entry there, and only those
+rows are updated.
 
 This is Bareiss's elimination (Math. Comp. 22, 1968) made lazy.  Eager
 Bareiss updates every remaining row r at step k, with pivot row P, pivot
@@ -25,7 +26,10 @@ so the division is exact, and so is bringing a stale pivot row to its
 eager value (times p_k / p_m).  Whatever rows are picked, the pivot
 columns are the greedy leftmost column basis, so the nullspace vectors
 (1 at one free column, 0 at the others) and the solutions (free
-variables at 0) are unique, and one back-substitution gives both.
+variables at 0) are unique, and one pass of back-substitution over sparse
+vectors gives all of them.  Products skip zero cells.  The builders'
+realization proof in ``liesplit.liealg`` needs from here only the rank
+that shows their Gram matrix nondegenerate.
 
 Ranks modulo the prime P = 2^30 - 35 have one elimination of their own,
 :func:`skew_rank_mod_p`: on the sparse strict upper triangle of a skew
@@ -49,7 +53,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Sequence
 
-from .rationals import QQ, _check_length, common_denominator, exact, scalar
+from .rationals import QQ, _check_length, combine, common_denominator, exact, scalar
 
 
 class Matrix:
@@ -95,9 +99,13 @@ class Matrix:
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         _check_length("right factor", other.nrows, self.ncols, "rows")
-        cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        return Matrix._shaped([[sum(map(mul, row, col)) for col in cols] for row in self.rows],
-                              other.ncols)
+        nonzero = [[(c, y) for c, y in enumerate(row) if y] for row in other.rows]
+        out = [[0] * other.ncols for _ in self.rows]
+        for acc, row in zip(out, self.rows):
+            for x, cells in zip(row, nonzero):
+                for c, y in cells if x else ():
+                    acc[c] += x * y
+        return Matrix._shaped(out, other.ncols)
 
     def scale(self, c) -> "Matrix":
         """c * self: zero cells stay 0, int cells stay ints for an integral c."""
@@ -127,16 +135,15 @@ class Matrix:
         return f"Matrix({[list(map(str, row)) for row in self.rows]})"
 
 
+def _cleared(row: dict) -> dict:
+    """The sparse row {col: nonzero exact scalar} times its common denominator, as ints."""
+    d = common_denominator(row.values())
+    return row if d == 1 else {c: x.numerator * (d // x.denominator) for c, x in row.items()}
+
+
 def _integer_rows(m: Matrix) -> list[dict]:
-    """Each row scaled by the common denominator of its entries, as {col: int} of the nonzeros."""
-    out = []
-    for row in m.rows:
-        d = common_denominator(row)
-        if d == 1:
-            out.append({c: x for c, x in enumerate(row) if x})
-        else:
-            out.append({c: x.numerator * (d // x.denominator) for c, x in enumerate(row) if x})
-    return out
+    """Each row of ``m`` as a :func:`_cleared` sparse row."""
+    return [_cleared({c: x for c, x in enumerate(row) if x}) for row in m.rows]
 
 
 def _echelon(rows: list[dict], ncols: int):
@@ -178,17 +185,19 @@ def _echelon(rows: list[dict], ncols: int):
     return pivots, [row for rest in waiting.values() for row, _ in rest]
 
 
-def _back_substitute(pivots, x: list) -> list:
-    """``x`` with its pivot entries set so that every pivot row annihilates it.
-
-    The other entries of ``x`` are given; they are 0 except the few that
-    pick one nullspace vector or one right-hand side.
-    """
-    for pc, row in reversed(pivots):
-        s = -sum(v * x[c] for c, v in row.items() if x[c])
-        p = row[pc]
-        x[pc] = s // p if type(s) is int and not s % p else exact(s / QQ(p))
-    return x
+def _back_substitute(pivots, x: dict, k: int, ncols: int) -> list:
+    """The k vectors x_t of length ``ncols`` that every pivot row annihilates, from ``x``, their
+    other entries as {column: {t: x_t[column]}}, to which one pass adds every pivot entry."""
+    for pc, row in reversed(pivots) if k else ():
+        s = combine({}, ((x[c], v) for c, v in row.items() if c in x))
+        p = -row[pc]
+        x[pc] = {t: y // p if type(y) is int and not y % p else exact(y / QQ(p))
+                 for t, y in s.items()}
+    out = [[0] * ncols for _ in range(k)]
+    for c, entries in x.items():
+        for t, y in entries.items() if c < ncols else ():
+            out[t][c] = y
+    return [tuple(v) for v in out]
 
 
 def rank(m: Matrix) -> int:
@@ -263,13 +272,9 @@ def rank_and_nullspace(m: Matrix):
     ncols = m.ncols
     pivots, _ = _echelon(_integer_rows(m), ncols)
     pivot_set = {pc for pc, _ in pivots}
-    basis = []
-    for f in range(ncols):
-        if f not in pivot_set:
-            x = [0] * ncols
-            x[f] = 1
-            basis.append(tuple(_back_substitute(pivots, x)))
-    return len(pivots), basis
+    free = [f for f in range(ncols) if f not in pivot_set]
+    return len(pivots), _back_substitute(pivots, {f: {t: 1} for t, f in enumerate(free)},
+                                         len(free), ncols)
 
 
 def solve(m: Matrix, b: Sequence):
@@ -282,25 +287,22 @@ def solve_many(m: Matrix, bs: Sequence[Sequence]):
     """Solve M x = b for several right-hand sides at once; None if any is inconsistent.
     A b without exactly one entry per row of M raises a ``ValueError`` naming it."""
     ncols = m.ncols
-    k = len(bs)
+    aug = [{c: x for c, x in enumerate(row) if x} for row in m.rows]  # [M | b_0 .. b_(k-1)]
     for t, b in enumerate(bs):
         _check_length(f"right-hand side {t}", len(b), m.nrows, "entries")
-    aug = Matrix([list(row) + [bs[t][i] for t in range(k)] for i, row in enumerate(m.rows)])
-    pivots, rest = _echelon(_integer_rows(aug), ncols)
+        for i, y in enumerate(b if {*map(type, b)} <= {int} else map(scalar, b)):
+            if y:
+                aug[i][ncols + t] = y
+    pivots, rest = _echelon([_cleared(row) for row in aug], ncols)
     if rest:
         return None
-    sols = []
-    for t in range(k):
-        # M x - b = 0 is the augmented matrix times (x, -e_t)
-        x = [0] * (ncols + k)
-        x[ncols + t] = -1
-        sols.append(tuple(_back_substitute(pivots, x)[:ncols]))
-    return sols
+    # M x - b = 0 is the augmented matrix times (x, -e_t)
+    k = len(bs)
+    return _back_substitute(pivots, {ncols + t: {t: -1} for t in range(k)}, k, ncols)
 
 
 def inverse(m: Matrix) -> Matrix:
-    if m.nrows != m.ncols:
-        raise ValueError("not square")
+    _check_length("matrix to invert", m.ncols, m.nrows, "columns")
     # for square M, M X = I is consistent exactly when M is nonsingular
     cols = solve_many(m, [[int(i == j) for i in range(m.nrows)] for j in range(m.nrows)])
     if cols is None:

@@ -89,6 +89,8 @@ def scalar(value, where: str = ""):
     """
     if type(value) is int:
         return value
+    if type(value) is QQ:  # already reduced
+        return exact(value)
     if isinstance(value, float):
         at = f" in {where}" if where else ""
         raise TypeError(f"float {value!r}{at} is not an exact scalar; "

@@ -808,13 +808,16 @@ def test_basis_on_adapted_algebra_equals_transported_basis():
 
 
 def _mutated(build, field):
-    """A fresh builder algebra with one realization entry, or one Gram entry, changed."""
+    """A fresh builder algebra with one realization entry, or one Gram entry, changed, or
+    its Gram matrix zeroed."""
     L = build()
     if field == "realization":
         rho = list(L.realization)
         cell, v = next(iter(rho[0].items()))
         rho[0] = {**rho[0], cell: v + 1}
         L.realization = rho
+    elif field == "gram_zero":  # symmetric and ad-invariant, but degenerate
+        L.gram = Matrix([[0] * L.dim] * L.dim)
     else:
         rows = [list(r) for r in L.gram.rows]
         a, b = (L.triangular.cartan[0],) * 2 if field == "gram_cartan" else (0, 1)
@@ -827,6 +830,7 @@ def _mutated(build, field):
     ("realization", "no homomorphism"),
     ("gram_cartan", "not ad-invariant"),
     ("gram_offdiagonal", "not symmetric"),
+    ("gram_zero", "the Gram matrix is degenerate"),
 ])
 @pytest.mark.parametrize("build, kind", [
     (lambda: build_sl(3), "charpoly"),

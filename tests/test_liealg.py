@@ -230,3 +230,56 @@ def test_float_structure_constants_are_rejected():
     raw = {(0, 1): [(0, -2.0)], (0, 2): [(1, 1)], (1, 2): [(2, -2)]}
     with pytest.raises(TypeError, match=r"float -2\.0 in bracket \[0, 1\]"):
         LieAlgebra(["e", "h", "f"], raw)
+
+
+# -- builders proved Lie by their realization ---------------------------------
+
+
+def test_builders_make_no_jacobi_sweep(monkeypatch):
+    calls = []
+    check = liealg.jacobi_report
+
+    def counting(dim, constants):
+        calls.append(dim)
+        return check(dim, constants)
+
+    monkeypatch.setattr(liealg, "jacobi_report", counting)
+    for L in (build_gl(3), build_sl(3), build_so_even(3)):
+        assert L.realization_certificate.passed
+    # Lie by _assemble's proof: independent matrices whose commutators the constants recombine to
+    assert calls == []
+
+
+@pytest.mark.parametrize("build, sizes", [
+    (build_gl, range(1, 6)), (build_sl, range(2, 7)), (build_so_even, range(2, 6)),
+], ids=["gl1-5", "sl2-6", "so4-10"])
+def test_builder_constants_pass_the_exhaustive_jacobi_check(build, sizes):
+    # the oracle for building the matrix algebras with check=False
+    for n in sizes:
+        assert _jacobi_holds(build(n)), n
+
+
+def test_assemble_names_the_bracket_a_lossy_decompose_drops():
+    mats = [{(0, 1): 1}, {(0, 0): 1}, {(1, 1): 1}, {(1, 0): 1}]  # gl(2): E12, E11, E22, E21
+    names = ["E12", "E11", "E22", "E21"]
+
+    def decompose(m):
+        return [(names.index(f"E{r + 1}{c + 1}"), v) for (r, c), v in m.items()]
+
+    def without_e22(m):  # forgets the E22 component of every commutator
+        return [(k, v) for k, v in decompose(m) if k != 2]
+
+    assert liealg._assemble(mats, names, decompose, 2, "gl(2)").constants == \
+        build_gl(2).constants
+    # [E12, E11] and [E12, E22] have no E22 component; [E12, E21] = E11 - E22 is the first loss
+    with pytest.raises(ValueError, match=r"gl\(2\): the constants of \[E12, E21\] do not "
+                                         "recombine to its commutator"):
+        liealg._assemble(mats, names, without_e22, 2, "gl(2)")
+
+
+def test_assemble_needs_an_entry_new_to_the_basis_in_every_matrix():
+    # E11 + E22 touches only cells E11 and E22 already hold: independence is not shown
+    mats = [{(0, 1): 1}, {(0, 0): 1}, {(1, 1): 1}, {(0, 0): 1, (1, 1): 1}, {(1, 0): 1}]
+    names = ["E12", "E11", "E22", "I", "E21"]
+    with pytest.raises(ValueError, match="basis matrix I touches no entry new to the basis"):
+        liealg._assemble(mats, names, lambda m: [], 2, "gl(2)+I")

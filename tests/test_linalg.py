@@ -89,6 +89,11 @@ def test_inverse_of_singular_raises():
         inverse(Matrix([[1, 2], [2, 4]]))
 
 
+def test_inverse_of_a_non_square_matrix_names_both_sizes():
+    with pytest.raises(ValueError, match="matrix to invert has 3 columns, expected 2"):
+        inverse(Matrix([[1, 0, 0], [0, 1, 0]]))
+
+
 def test_skew_detection():
     assert Matrix([[0, 2], [-2, 0]]).is_skew()
     assert not Matrix([[1, 2], [-2, 0]]).is_skew()

@@ -4,7 +4,8 @@ The reference keeps a matrix as a list of rows of ``Fraction`` and runs
 textbook Gauss-Jordan elimination.  ``Matrix`` stores integral entries as
 ints and eliminates fraction-free on sparse rows cleared to integers, so
 agreement on random rational matrices (dense up to 4 x 4, sparse up to
-10 x 10, skew-symmetric) checks the scalar rule, the denominator
+10 x 10, skew-symmetric, and for the inverse shaped like basis changes up
+to 10 x 10) checks the scalar rule, the denominator
 clearing, the pivot choice, the per-row Bareiss divisors and the
 back-substitution.  The free variables of a nullspace vector and of a
 solution are 0 except the one set to 1, which pins both to the
@@ -180,6 +181,35 @@ def test_construction_products_and_transpose_match_reference(a, data):
     assert exact_form(m.matvec(v)) == r_matvec(a, v)
 
 
+# entries whose products are often integral (1/2 * 2) or cancel, so the storage rule shows
+halves = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)])
+
+
+@st.composite
+def product_factors(draw):
+    """Reference factors a (p x q) and b (q x r), sizes 1-6, mostly zero cells, with some
+    rows of a and columns of b all zero."""
+    p, q, r = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = [[Fraction(draw(halves)) for _ in range(q)] for _ in range(p)]
+    b = [[Fraction(draw(halves)) for _ in range(r)] for _ in range(q)]
+    for i in draw(st.sets(st.integers(0, p - 1))):
+        a[i] = [Fraction(0)] * q
+    for j in draw(st.sets(st.integers(0, r - 1))):
+        for row in b:
+            row[j] = Fraction(0)
+    return a, b
+
+
+@CHECKS
+@given(product_factors())
+def test_products_match_reference_on_zero_cells_and_the_storage_rule(ab):
+    a, b = ab
+    product = Matrix(a) * Matrix(b)
+    # ref checks every cell: an int when integral (a cell with no nonzero product is int 0)
+    assert ref(product) == r_mul(a, b)
+    assert (product.nrows, product.ncols) == (len(a), len(b[0]))
+
+
 @CHECKS
 @given(st.integers(0, 5).flatmap(
     lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=5)))
@@ -265,8 +295,27 @@ def test_solve_matches_reference(a, data):
     assert exact_form(solve(m, b)) == r_solve(a, b)
 
 
-@CHECKS
-@given(st.integers(1, 4).flatmap(lambda n: matrices(nrows=n, ncols=n)))
+@st.composite
+def basis_changes(draw):
+    """An n x n matrix shaped like an adapted basis change, n up to 10: unit columns e_i for
+    i outside a set C of k rows, and k toral columns supported on C, whose k x k block is
+    invertible or (with its rank dropping) singular; the columns in any order."""
+    n = draw(st.integers(1, 10))
+    toral_rows = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    k = len(toral_rows)
+    block = draw(matrices(nrows=k, ncols=k)) if k else []
+    cols = [[Fraction(int(r == i)) for r in range(n)] for i in range(n) if i not in toral_rows]
+    for j in range(k):
+        col = [Fraction(0)] * n
+        for i, r in enumerate(toral_rows):
+            col[r] = block[i][j]
+        cols.append(col)
+    cols = draw(st.permutations(cols))
+    return [list(row) for row in zip(*cols)]
+
+
+@settings(CHECKS, max_examples=160)
+@given(st.integers(1, 4).flatmap(lambda n: matrices(nrows=n, ncols=n)) | basis_changes())
 def test_inverse_matches_reference(a):
     m = Matrix(a)
     n = m.nrows
