@@ -25,7 +25,7 @@ from .liealg import algebra_from_json, build_double, build_gl, build_sl, build_s
 from .invariants import ggs_check, hilbert_basis
 from .poisson import index_estimate
 from .splitting import make_decomposition
-from .rationals import _check_count
+from .weyl import _check_dmax
 from .zalgebra import (CaseParameterError, CaseReport, _satake, _Timer, _weyl_route,
                        available_cases, run_case)
 
@@ -186,7 +186,7 @@ def _cmd_weyl_w0(args) -> int:
     given = f"weyl-w0 --type {args.type}" + ("" if args.rank is None else f" --rank {args.rank}")
     rs, t0 = _or_exit(f"{given} --arrows {args.arrows!r}", _satake, args.type, args.rank, arrows)
     if args.dmax is not None:
-        _or_exit("weyl-w0", _check_count, "dmax", args.dmax)
+        _or_exit("weyl-w0", _check_dmax, args.dmax)
     _, rep, rc = _weyl_route(rs, t0, args.dmax, timer.lap)
     tables = {
         "orders": list(rep.orders),

@@ -25,26 +25,45 @@ Each root system carries its fundamental degrees (A_n: 2, ..., n+1; D_n:
 certifies the enumeration, sum (d_i - 1) counts the positive roots, and
 max d_i is the default restriction degree.
 
-The invariants of W (from its simple reflections) and of W0 (from all its
-elements) both come from ``invariant_basis``: the kernel of one square
-matrix sum_m (m - 1) on the degree-d coefficients.  A finite group keeps an
-inner product, so <m x, x> <= |x|^2 and the sum kills x only when every m
-fixes x; one block per matrix would cost |W0| times the rows.
+Restriction works on generators, never on a whole invariant.  The W side is
+n = ``model_dim`` basic invariants: the linear forms that vanish on the roots
+(the W-fixed part of the model, a line for A_n), and for each fundamental
+degree d the first orbit power sum f = sum_nu (nu . x)^d, over the W-orbit of
+a fundamental weight's linear form, whose gradient raises the Jacobian rank at
+a seeded integer point.  A Jacobian of rank n modulo ``linalg.P`` at one point
+proves the n invariants algebraically independent; their degrees multiply to
+|W|, which the enumeration certified, and the sorted degrees of independent
+homogeneous invariants dominate the basic degrees, so they equal them and
+C[f] has the Hilbert series of C[t]^W and is all of it (Humphreys,
+*Reflection Groups and Coxeter Groups*, 3.7-3.9).  Each generator is
+restricted to t0 by substituting t0 into its linear forms before the powers
+are taken, and the image in degree d is the span of the weighted degree-d
+products of the restricted generators.  The W0 side is Molien's formula:
+dim C[t0]^W0_d is the t^d coefficient of (1/|W0|) sum_g 1/det(1 - t g).
+
+``invariant_basis`` (the kernel of one square matrix sum_m (m - 1) on the
+degree-d coefficients) is kept as the oracle the tests check both sides
+against.  A finite group keeps an inner product, so <m x, x> <= |x|^2 and
+the sum kills x only when every m fixes x; one block per matrix would cost
+|W0| times the rows.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import prod
 from operator import mul
+from random import Random
 
 from . import _kernels as K
-from .linalg import Matrix, inverse, rank, rank_and_nullspace
+from .linalg import P, Matrix, inverse, rank, rank_and_nullspace, rank_mod_p
 from .poly import Polynomial, _exponents, _unit
-from .rationals import QQ, _check_count, _check_length, _check_size, _is_int, clear_denominators
+from .rationals import (QQ, _check_count, _check_length, _check_size, _is_int,
+                        clear_denominators, exact)
 
 
 def _encode(mat_rows, n) -> bytes:
@@ -464,7 +483,10 @@ def w0_compute(W: WeylGroup, t0_basis) -> W0Report:
 
 
 def _monomials(nvars, degree):
-    """Keys of the degree-``degree`` monomials, in combination order."""
+    """Keys of the degree-``degree`` monomials, in combination order; past degree 255 a key
+    would carry into the next variable's byte, so that raises ``ValueError``."""
+    if degree > 255:
+        raise ValueError(f"degree <= 255 required, got {degree}: exponents are stored in one byte")
     return [sum(_unit(nvars, i) for i in combo)
             for combo in combinations_with_replacement(range(nvars), degree)]
 
@@ -521,6 +543,131 @@ class RestrictionReport:
     dmax: int
 
 
+def _check_dmax(dmax) -> None:
+    """A ``ValueError`` unless ``dmax`` is an ``int`` in 1..255: a table of no rows would read
+    as onto, and a polynomial key keeps each exponent in one byte."""
+    _check_count("dmax", dmax)
+    if dmax > 255:
+        raise ValueError(f"dmax <= 255 required, got {dmax}: exponents are stored in one byte")
+
+
+def _orbit(start: tuple, gens) -> list:
+    """The orbit of the integer vector ``start`` under the integer matrices ``gens`` (as rows),
+    by closure."""
+    orbit = [start]
+    seen = {start}
+    for v in orbit:   # grows while it is walked
+        for rows in gens:
+            w = tuple(sum(map(mul, row, v)) for row in rows)
+            if w not in seen:
+                seen.add(w)
+                orbit.append(w)
+    return orbit
+
+
+def _fundamental_forms(rs: RootSystem) -> list:
+    """For each fundamental weight w_i, a positive integer multiple of the linear form
+    x -> <w_i, x>: sum over the positive roots alpha of c_i(alpha) <alpha, x>, with c_i(alpha)
+    the alpha_i-coordinate of alpha.  The map T x = sum_alpha <alpha, x> alpha commutes with
+    W, so it is a positive multiple of the identity on each irreducible summand of the span
+    of the roots (Schur) and kills the fixed part; the form is <T w_i, x> times
+    2 / |alpha_i|^2, as <alpha, w_i> = c_i(alpha) |alpha_i|^2 / 2, and w_i is in one summand."""
+    g_roots = [tuple(sum(map(mul, row, r)) for row in rs.gram.rows) for r in rs.positive_roots]
+    return [tuple(sum(c[i] * v[t] for c, v in zip(rs.positive_alpha, g_roots))
+                  for t in range(rs.model_dim))
+            for i in range(rs.rank)]
+
+
+_JACOBIAN_POINTS = 4    # seeded integer points tried for the Jacobian certificate
+_POINT_BOUND = 997      # their coordinates lie in [-B, B]
+
+
+def _basic_invariants(W: WeylGroup, candidates) -> list:
+    """Basic invariants of W on the model space, as [(degree, forms)] standing for
+    sum_nu (nu . x)^degree: the linear forms that vanish on the simple roots, then per
+    fundamental degree, increasing, the first power sum over the W-orbit of a form in
+    ``candidates`` whose gradient at the point is independent modulo ``P`` of those
+    chosen (the module docstring has the proof).  A point where some degree finds none
+    gives way to the next seeded one; ``AssertionError`` names the degree after the last,
+    and degrees that do not multiply to |W| raise it before any search."""
+    rs = W.root_system
+    n = rs.model_dim
+    if prod(rs.degrees) != W.order:
+        raise AssertionError(f"the degrees {rs.degrees} multiply to {prod(rs.degrees)}, "
+                             f"not |W| = {W.order}")
+    fixed = [(1, [tuple(clear_denominators(v)[1])])
+             for v in rank_and_nullspace(Matrix(rs.simple_roots))[1]]
+    # forms transform by the transposes: (nu . w x) = (w^T nu) . x
+    gens = [W.matrix(g).transpose().rows for g in W.generators]
+    orbits = []   # of the candidates, each computed when first tried
+    rng = Random(0)
+    for _ in range(_JACOBIAN_POINTS):
+        point = [rng.randint(-_POINT_BOUND, _POINT_BOUND) for _ in range(n)]
+        chosen = list(fixed)
+        rows = [forms[0] for _, forms in fixed]   # the gradients at the point
+        pairings = []   # per orbit, (nu . point) for each nu
+        for d in sorted(rs.degrees):
+            for k, start in enumerate(candidates):
+                if k == len(orbits):
+                    orbits.append(_orbit(tuple(start), gens))
+                if k == len(pairings):
+                    pairings.append([sum(map(mul, nu, point)) for nu in orbits[k]])
+                # the gradient of f, divided by d: sum_nu (nu . point)^(d - 1) nu
+                weights = [pow(v, d - 1, P) for v in pairings[k]]
+                grad = [sum(map(mul, weights, column)) for column in zip(*orbits[k])]
+                if rank_mod_p(Matrix(rows + [grad])) > len(rows):
+                    rows.append(grad)
+                    chosen.append((d, orbits[k]))
+                    break
+            else:
+                break   # no candidate of degree d at this point
+        else:
+            return chosen
+    raise AssertionError(f"no orbit power sum of degree {d} raises the Jacobian rank "
+                         f"at any of {_JACOBIAN_POINTS} points")
+
+
+def _molien_series(matrices, a: int, dmax: int) -> list:
+    """[dim C[t0]^W0_d for d = 0..dmax] from the a x a matrices of every W0 element: the
+    t^d coefficients of (1/|W0|) sum_g 1/det(1 - t g) (Molien), one series per distinct
+    det(1 - t g).  A matrix of another shape raises a ``ValueError`` naming it."""
+    dets = Counter()
+    for k, g in enumerate(matrices):
+        _check_length(f"matrix {k}", g.nrows, a, "rows")
+        _check_length(f"matrix {k}", g.ncols, a, "columns")
+        # det(1 - t g) = sum_j c_j t^j, by Newton: j c_j = -sum_(i <= j) tr(g^i) c_(j - i);
+        # g has finite order, so the c_j are integers and exact() makes them ints
+        traces = []
+        power = g
+        for _ in range(a):
+            traces.append(sum(power[i, i] for i in range(a)))
+            power = power * g
+        c = [1]
+        for j in range(1, a + 1):
+            c.append(exact(-sum(traces[i - 1] * c[j - i] for i in range(1, j + 1)) / QQ(j)))
+        dets[tuple(c)] += 1
+    total = [0] * (dmax + 1)
+    for c, count in dets.items():
+        series = [1]   # the power series of 1 / det(1 - t g)
+        for d in range(1, dmax + 1):
+            series.append(-sum(c[j] * series[d - j] for j in range(1, min(a, d) + 1)))
+        total = [x + count * y for x, y in zip(total, series)]
+    dims = [QQ(x, len(matrices)) for x in total]
+    if any(x.denominator != 1 for x in dims):
+        raise AssertionError("a Molien coefficient is not an integer: W0 is not a group")
+    return [x.numerator for x in dims]
+
+
+def _power_sum_on_t0(forms, d: int, t0_basis) -> Polynomial:
+    """sum_nu (nu . x)^d on x = sum_s c_s u_s, in the c_s: nu . x = sum_s (nu . u_s) c_s, so
+    t0 goes into each linear form before its power is taken, once per distinct form."""
+    a = len(t0_basis)
+    one = Polynomial.constant(a, 1)
+    on_t0 = Counter(tuple(sum(map(mul, nu, u)) for u in t0_basis) for nu in forms)
+    return Polynomial.sum_of_products(a, ((m, one, Polynomial.linear_form(a, ell) ** d)
+                                          for ell, m in on_t0.items() if any(ell)))
+
+
 def restriction_check(W: WeylGroup, t0_basis, w0: W0Report | None = None,
                       dmax: int | None = None, stop_at_failure: bool = True) -> RestrictionReport:
     """Degree-by-degree surjectivity of restriction onto the W0-invariants of t0.
@@ -528,31 +675,35 @@ def restriction_check(W: WeylGroup, t0_basis, w0: W0Report | None = None,
     Soundness is one-sided: a failing degree certifies that restriction is
     not onto (hence no good generating system exists for the matching
     horospherical subalgebra); success only certifies degrees 1..dmax,
-    which is recorded in the report.  A ``dmax`` below 1 would certify
-    nothing and raises ``ValueError``, as do a non-``int`` one and an empty t0 basis.
+    which is recorded in the report.  Both columns are exact: the module
+    docstring gives the route and the proof.  A ``dmax`` outside 1..255 would
+    certify nothing or overflow an exponent and raises ``ValueError``, as do a
+    non-``int`` one and an empty t0 basis.
     """
     rs = W.root_system
     if dmax is None:
         dmax = max(rs.degrees)
-    _check_count("dmax", dmax)
-    n = rs.model_dim
-    _check_t0(t0_basis, n)
+    _check_dmax(dmax)
+    _check_t0(t0_basis, rs.model_dim)
     if w0 is None:
         w0 = w0_compute(W, t0_basis)
-    a = len(t0_basis)
-    gen_mats = [W.matrix(g) for g in W.generators]
-    # x_i restricted to the subspace: x_i(sum_s c_s u_s) = sum_s u_s[i] c_s
-    restr_images = [
-        Polynomial.linear_form(a, [t0_basis[s][i] for s in range(a)]) for i in range(n)
-    ]
+    w0_dims = _molien_series(w0.matrices, len(t0_basis), dmax)
+    gens = _basic_invariants(W, _fundamental_forms(rs))
+    restricted = []   # (degree, generator on t0) for the nonzero ones, degree by degree
+    # products[d]: (product, index of its last factor) for each weighted degree-d monomial
+    # in the restricted generators, factors in nondecreasing index
+    products = [[(Polynomial.constant(len(t0_basis), 1), 0)]]
     per_degree = []
     first_failure = None
     for d in range(1, dmax + 1):
-        inv = invariant_basis(gen_mats, d, n)
-        restricted = [p.map_vars(restr_images, a) for p in inv]
-        monos = _monomials(a, d)
-        image_dim = rank(Matrix([[p.coeff(e) for e in monos] for p in restricted]))
-        w0_dim = len(invariant_basis(w0.matrices, d, a))
+        for e, forms in gens:
+            if e == d and (g := _power_sum_on_t0(forms, d, t0_basis)):
+                restricted.append((d, g))
+        products.append([(p * g, i) for i, (e, g) in enumerate(restricted) if e <= d
+                         for p, j in products[d - e] if j <= i])
+        monos = sorted({m for p, _ in products[d] for m in p.terms})
+        image_dim = rank(Matrix([[p.coeff(m) for m in monos] for p, _ in products[d]]))
+        w0_dim = w0_dims[d]
         if image_dim > w0_dim:
             raise AssertionError("restricted invariants escape the W0-invariants; bug")
         per_degree.append((d, image_dim, w0_dim))

@@ -55,6 +55,7 @@ from .splitting import (
 )
 from .weyl import (
     SatakeDiagram,
+    _check_dmax,
     build_root_system,
     enumerate_weyl,
     restriction_check,
@@ -782,7 +783,7 @@ def run_case(name: str, params: dict | None = None, seed: int = 0,
         _check_int("seed", seed)
         _check_count("trials", trials)
         if dmax is not None:
-            _check_count("dmax", dmax)
+            _check_dmax(dmax)
     except ValueError as exc:
         raise CaseParameterError(str(exc)) from None
     case, keys = _CASES[name]

@@ -194,6 +194,8 @@ def test_case_failed_verdict_exits_one_after_printing_the_report(monkeypatch, ca
      "weyl-w0: dmax >= 1 required, got 0"),
     (["weyl-w0", "--type", "A", "--rank", "3", "--arrows", "1:3", "--dmax", "-1"],
      "weyl-w0: dmax >= 1 required, got -1"),
+    (["weyl-w0", "--type", "A", "--rank", "3", "--arrows", "1:3", "--dmax", "256"],
+     "weyl-w0: dmax <= 255 required, got 256: exponents are stored in one byte"),
     (["case", "borel", "--n", "2", "--trials", "0"], "case borel: trials >= 1 required"),
     (["case", "horo", "--n", "3", "--t1", "0,0,0"], "case horo: t1 diagonal [0, 0, 0] is zero"),
     (["check-ggs", "--algebra", "gl:4", "--h", "glblocks:3,3"],

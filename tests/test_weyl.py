@@ -1,20 +1,24 @@
 import random
 import tracemalloc
 from dataclasses import replace
-from itertools import combinations
 from math import prod
 from operator import mul
 
 import pytest
 
 from liesplit._kernels import pure
-from liesplit.linalg import Matrix, inverse, rank_and_nullspace
+from liesplit import weyl
+from liesplit.linalg import Matrix, inverse, rank, rank_and_nullspace
 from liesplit.poly import Polynomial
 from liesplit.rationals import QQ, clear_denominators
 from liesplit.weyl import (
     SatakeDiagram,
+    _basic_invariants,
     _decode,
     _encode,
+    _fundamental_forms,
+    _molien_series,
+    _monomials,
     build_root_system,
     enumerate_weyl,
     invariant_basis,
@@ -462,34 +466,6 @@ def _degrees_series(degrees, dmax):
     return coeffs
 
 
-def _det(rows):
-    if not rows:
-        return QQ(1)
-    return sum(
-        (-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-        for j in range(len(rows))
-    )
-
-
-def _molien_series(matrices, dmax):
-    """Coefficients of 1/|G| sum_g 1/det(1 - t g) up to t^dmax, exactly."""
-    total = [QQ(0)] * (dmax + 1)
-    for g in matrices:
-        a = g.nrows
-        # det(1 - t g) = sum_k (-t)^k (sum of the principal k-minors of g)
-        p = [QQ(0)] * (dmax + 1)
-        for k in range(min(a, dmax) + 1):
-            p[k] = (-1) ** k * sum(
-                (_det([[g[i, j] for j in idx] for i in idx]) for idx in combinations(range(a), k)),
-                QQ(0),
-            )
-        inv = [QQ(1)] + [QQ(0)] * dmax
-        for k in range(1, dmax + 1):
-            inv[k] = -sum((p[j] * inv[k - j] for j in range(1, k + 1)), QQ(0))
-        total = [x + y for x, y in zip(total, inv)]
-    return [x / len(matrices) for x in total]
-
-
 def test_molien_oracle_counts_invariants_of_w():
     # the model's fundamental degrees: A_n on n+1 coordinates has 1..n+1
     cases = (
@@ -508,10 +484,172 @@ def test_molien_oracle_counts_invariants_of_w():
 
 
 def test_molien_oracle_counts_invariants_of_w0():
-    for label, rank_, arrows in (("E6", None, ((1, 5), (2, 4))), ("A", 4, ((1, 4), (2, 3)))):
+    # the library's Molien column against the kernel of sum_g (g - 1) over every W0 element
+    for label, rank_, arrows in (("E6", None, ((1, 5), (2, 4))), ("E6", None, ((1, 6), (3, 5))),
+                                 ("A", 4, ((1, 4), (2, 3))), ("A", 7, ((1, 7), (2, 6), (3, 5)))):
         rs = build_root_system(label, rank_)
         t0 = satake_subspaces(rs, SatakeDiagram(arrows))
         rep = w0_compute(enumerate_weyl(rs), t0)
-        series = _molien_series(rep.matrices, 6)
+        series = _molien_series(rep.matrices, len(t0), 6)
+        assert series[0] == 1
         for d in range(1, 7):
             assert len(invariant_basis(rep.matrices, d, len(t0))) == series[d], (label, d)
+
+
+def _oracle_rows(W, t0, w0, dmax):
+    """The restriction table by whole invariants: C[t]^W_d as the kernel of sum_i (s_i - 1)
+    on the degree-d coefficients, restricted to t0 and ranked, and C[t0]^W0_d as the kernel
+    over every W0 element."""
+    rs = W.root_system
+    gens = [W.matrix(g) for g in W.generators]
+    a = len(t0)
+    restr = [Polynomial.linear_form(a, [t0[s][i] for s in range(a)]) for i in range(rs.model_dim)]
+    rows = []
+    for d in range(1, dmax + 1):
+        image = [p.map_vars(restr, a) for p in invariant_basis(gens, d, rs.model_dim)]
+        monos = sorted({e for p in image for e in p.terms})
+        rows.append((d, rank(Matrix([[p.coeff(e) for e in monos] for p in image])),
+                     len(invariant_basis(w0.matrices, d, a))))
+    return rows
+
+
+_ORACLE_CASES = [
+    ("A", 2, ((1, 2),), 6), ("A", 3, ((1, 3),), 6), ("A", 4, ((1, 4), (2, 3)), 6),
+    ("A", 5, ((1, 5), (2, 4)), 6), ("D", 4, ((3, 4),), 6), ("D", 5, ((4, 5),), 6),
+    ("E6", None, ((1, 5), (2, 4)), 5), ("E6", None, ((1, 6), (3, 5)), 5),
+]
+
+
+@pytest.mark.parametrize("label, rank_, arrows, dmax", _ORACLE_CASES)
+def test_restriction_matches_the_invariant_basis_oracle(label, rank_, arrows, dmax):
+    rs = build_root_system(label, rank_)
+    W = enumerate_weyl(rs)
+    t0 = satake_subspaces(rs, SatakeDiagram(arrows))
+    rep = w0_compute(W, t0)
+    rc = restriction_check(W, t0, rep, dmax=dmax, stop_at_failure=False)
+    assert rc.per_degree == _oracle_rows(W, t0, rep, dmax)
+
+
+@pytest.mark.parametrize("t0, rows", [
+    ([(1, 1, 1)], [(1, 1, 1), (2, 1, 1), (3, 1, 1), (4, 1, 1)]),   # the W-fixed line itself
+    ([(1, 0, 0)], [(1, 1, 1), (2, 1, 1), (3, 1, 1), (4, 1, 1)]),   # off the roots' span
+])
+def test_restriction_sees_the_fixed_direction_of_the_a2_model(t0, rows):
+    # the power sums over the weight orbits vanish on the fixed line and see only the part of
+    # x in the span of the roots; the fixed linear form x0 + x1 + x2 is the degree-1 generator
+    W = enumerate_weyl(build_root_system("A", 2))
+    rep = w0_compute(W, t0)
+    rc = restriction_check(W, t0, rep, dmax=4, stop_at_failure=False)
+    assert rc.per_degree == rows == _oracle_rows(W, t0, rep, 4)
+    assert rc.verdict_up_to_dmax
+
+
+def test_restriction_tables_at_scale():
+    # A7 1:7,2:6,3:5 is the t0 of sl2n at n = 4, and E6 1:5,2:4 that of e6_weyl, through d = 12
+    rs = build_root_system("A", 7)
+    W = enumerate_weyl(rs)
+    t0 = satake_subspaces(rs, SatakeDiagram(((1, 7), (2, 6), (3, 5))))
+    rep = w0_compute(W, t0)
+    assert rep.orders == (40320, 384, 16, 24)
+    rc = restriction_check(W, t0, rep, dmax=8)
+    assert rc.per_degree == [(1, 0, 0), (2, 1, 1), (3, 1, 1), (4, 2, 2), (5, 1, 1), (6, 3, 3),
+                             (7, 2, 2), (8, 4, 4)]
+    rs = build_root_system("E6")
+    W = enumerate_weyl(rs)
+    t0 = satake_subspaces(rs, SatakeDiagram(((1, 5), (2, 4))))
+    rc = restriction_check(W, t0, dmax=12, stop_at_failure=False)
+    assert rc.per_degree[3:] == [(4, 1, 1), (5, 1, 1), (6, 2, 2), (7, 1, 1), (8, 2, 2), (9, 2, 2),
+                                 (10, 2, 2), (11, 2, 2), (12, 3, 3)]
+    assert rc.first_failure_degree == 3
+
+
+@pytest.mark.parametrize("label, rank_", _GROUPS)
+def test_basic_invariants_have_the_fundamental_degrees(label, rank_):
+    rs = build_root_system(label, rank_)
+    W = enumerate_weyl(rs)
+    gens = _basic_invariants(W, _fundamental_forms(rs))
+    fixed = rs.model_dim - rs.rank
+    assert [d for d, _ in gens] == [1] * fixed + sorted(rs.degrees)
+    # each fundamental form pairs to zero with every simple root but its own
+    for i, form in enumerate(_fundamental_forms(rs)):
+        pairings = [sum(map(mul, form, alpha)) for alpha in rs.simple_roots]
+        assert pairings[i] > 0 and pairings[:i] + pairings[i + 1:] == [0] * (rs.rank - 1)
+    # an orbit is W-stable: every generator permutes it
+    for _, forms in gens[fixed:]:
+        for g in W.generators:
+            m = W.matrix(g).transpose()
+            assert {m.matvec(nu) for nu in forms} == set(forms)
+
+
+@pytest.mark.parametrize("label, rank_, t0", [
+    ("A", 2, [(1, 0, 0)]), ("A", 3, [(1, -1, -1, 1)]), ("D", 4, [(0, 0, 0, 2), (1, 1, 0, 0)]),
+])
+def test_each_generator_is_invariant_and_restricts_as_its_expansion(label, rank_, t0):
+    # the whole invariant sum_nu (nu . x)^d, expanded: fixed by every generator of W, and
+    # its substitution into t0 is the generator the restriction table is built from
+    rs = build_root_system(label, rank_)
+    W = enumerate_weyl(rs)
+    n, a = rs.model_dim, len(t0)
+    restr = [Polynomial.linear_form(a, [u[i] for u in t0]) for i in range(n)]
+    for d, forms in _basic_invariants(W, _fundamental_forms(rs)):
+        f = sum((Polynomial.linear_form(n, nu) ** d for nu in forms), Polynomial.zero(n))
+        assert f, (label, d)
+        assert all(_acts(W.matrix(g), f) == f for g in W.generators), (label, d)
+        assert weyl._power_sum_on_t0(forms, d, t0) == f.map_vars(restr, a), (label, d)
+
+
+def test_a_degree_table_that_does_not_multiply_to_the_order_raises():
+    rs = build_root_system("A", 3)
+    W = enumerate_weyl(rs)
+    t0 = satake_subspaces(rs, SatakeDiagram(((1, 3),)))
+    W.root_system = replace(rs, degrees=(2, 3, 5))
+    with pytest.raises(AssertionError, match=r"multiply to 30, not \|W\| = 24"):
+        restriction_check(W, t0)
+
+
+def test_the_search_names_the_degree_no_candidate_reaches():
+    # the power sums over +-e_i give p_2, p_4 and p_6 but never the Pfaffian x1 x2 x3 x4,
+    # so the second invariant of degree 4 is missing at every point
+    rs = build_root_system("D", 4)
+    W = enumerate_weyl(rs)
+    forms = _fundamental_forms(rs)
+    with pytest.raises(AssertionError, match="no orbit power sum of degree 4"):
+        _basic_invariants(W, forms[:1])
+    assert [d for d, _ in _basic_invariants(W, forms[:1] + forms[2:3])] == [2, 4, 4, 6]
+
+
+def test_a_molien_column_one_short_trips_the_escape_assertion(monkeypatch):
+    rs = build_root_system("D", 4)
+    W = enumerate_weyl(rs)
+    t0 = satake_subspaces(rs, SatakeDiagram(((3, 4),)))
+    short = weyl._molien_series
+    monkeypatch.setattr(weyl, "_molien_series",
+                        lambda *args: [x - (d == 2) for d, x in enumerate(short(*args))])
+    with pytest.raises(AssertionError, match="escape the W0-invariants"):
+        restriction_check(W, t0)
+
+
+def test_molien_rejects_a_matrix_of_the_wrong_shape_and_a_set_that_is_no_group():
+    rs = build_root_system("E6")
+    W = enumerate_weyl(rs)
+    t0 = satake_subspaces(rs, SatakeDiagram(((1, 5), (2, 4))))
+    rep = w0_compute(W, t0)
+    k = len(rep.matrices)
+    for bad, message in ((Matrix.identity(3), f"matrix {k} has 3 rows, expected 2"),
+                         (Matrix([[1, 0, 0], [0, 1, 0]]), f"matrix {k} has 3 columns, expected 2")):
+        with pytest.raises(ValueError, match=message):
+            restriction_check(W, t0, replace(rep, matrices=rep.matrices + [bad]))
+    # 1 and 0 on a line: (1/(1 - t) + 1) / 2 has t-coefficient 1/2
+    with pytest.raises(AssertionError, match="not an integer"):
+        _molien_series([Matrix([[1]]), Matrix([[0]])], 1, 2)
+
+
+def test_degrees_past_255_are_rejected_by_name():
+    # x1^256 would carry into the byte of x0
+    with pytest.raises(ValueError, match="degree <= 255 required, got 256"):
+        _monomials(2, 256)
+    rs = build_root_system("D", 4)
+    W = enumerate_weyl(rs)
+    t0 = satake_subspaces(rs, SatakeDiagram(((3, 4),)))
+    with pytest.raises(ValueError, match="dmax <= 255 required, got 256"):
+        restriction_check(W, t0, dmax=256)

@@ -420,6 +420,9 @@ def test_run_case_rejects_dmax_below_one(name, params):
     for dmax in (0, -1):
         with pytest.raises(CaseParameterError, match=f"dmax >= 1 required, got {dmax}"):
             run_case(name, params, seed=1, dmax=dmax)
+    # past 255 an exponent would not fit its byte
+    with pytest.raises(CaseParameterError, match="dmax <= 255 required, got 256"):
+        run_case(name, params, seed=1, dmax=256)
 
 
 @pytest.mark.parametrize("dmax", [True, 2.0, "3"])
