@@ -2,10 +2,13 @@
 
 Structure constants are stored sparsely for basis pairs i < j, under the
 scalar rule of ``rationals`` (a float constant raises ``TypeError`` naming
-its bracket); the bracket extends by antisymmetry.  Every constructor runs an
-exhaustive Jacobi check over all basis triples, except the matrix builders (``_assemble``
-proves the algebra Lie by its realization), ``change_basis`` (it checks that the basis
-change is a bracket isomorphism onto the checked algebra it rewrites),
+its bracket); the bracket extends by antisymmetry.  Outside constants (a user's,
+``algebra_from_json``, ``sub_algebra``, stabilizers) enter through ``LieAlgebra(names,
+constants, kind)``: it names a malformed key or bracket and runs an exhaustive Jacobi
+check over all basis triples.  ``LieAlgebra._derived`` builds, unchecked, an algebra
+with the facts its construction proves (index floor, rank, triangular data, realization,
+Gram matrix): the builders (``_assemble`` proves them Lie by their realization, and
+``build_double`` adds central xi's), ``change_basis`` (it checks a bracket isomorphism),
 ``splitting.contract`` (an Inonu-Wigner contraction of a Lie algebra is Lie, see its
 docstring) and ``splitting.family_bracket``: a pencil member a*[,]_0 + b*[,]_inf has
 a Jacobiator quadratic in (a, b), so the pencil is Lie once (1,0), (0,1) and (1,1)
@@ -25,8 +28,8 @@ construction proves, and ``poisson.index_estimate`` stops sampling once a rank m
 the ceiling dim - index_floor.  A reductive builder algebra and its double carry their
 rank (ind = rk for reductive algebras); a ``change_basis`` rebuild, an isomorphism,
 keeps the floor of the algebra it rewrites, and so do the contractions and pencil
-members of ``splitting`` (the index can only grow under a contraction).  Every other
-algebra (custom, JSON-loaded, ``sub_algebra``, stabilizers) has floor 0.
+members of ``splitting`` (the index can only grow under a contraction).  The public
+constructor proves floor 0 (custom, JSON-loaded, ``sub_algebra``, stabilizers).
 
 Builders produce gl(n), sl(n), so(2n) in the antidiagonal realization
 (matrices skew with respect to the antidiagonal, so the Cartan is
@@ -85,39 +88,45 @@ class RealizationCertificate:
 
 
 class LieAlgebra:
-    def __init__(self, names, constants, rank=None, triangular=None,
-                 realization=None, gram=None, kind="custom",
-                 base_algebra=None, base_change=None, check=True):
-        self.dim = len(names)
-        self.names = tuple(names)
-        self.constants = {}
-        for (i, j), entries in constants.items():
-            if not (_is_int(i) and _is_int(j) and 0 <= i < j < self.dim):
-                raise ValueError(f"constants must be indexed by pairs i<j, got {(i, j)}")
-            where = f"bracket [{i}, {j}]"
-            entries = tuple(entries)
-            _indices(f"{where}: target", [k for k, _ in entries], self.dim, "basis index")
-            kept = []
-            for k, c in entries:
-                c = scalar(c, where)
-                if c:
-                    kept.append((k, c))
-            if kept:
-                self.constants[(i, j)] = tuple(kept)
-        self.rank = rank
-        self.triangular = triangular
-        self.realization = realization
-        self.matrix_size = (None if realization is None else  # N x N: 1 + the largest index
-                            1 + max((max(p) for m in realization for p in m), default=-1))
-        self.gram = gram
-        self.kind = kind
-        self.base_algebra = base_algebra
-        self.base_change = base_change
+    # facts only a construction proves, set by ``_derived`` (see the module docstring)
+    rank = triangular = realization = matrix_size = gram = base_algebra = base_change = None
+
+    def __init__(self, names, constants, kind="custom"):
+        """The algebra of outside structure constants {(i, j): [(k, c_ij^k), ...]}, i < j,
+        each entry checked, then the exhaustive Jacobi sweep; its index floor is 0."""
+        self.names, self.kind = tuple(names), kind
+        self.dim = n = len(self.names)
+        if not isinstance(constants, dict):
+            raise ValueError(f"constants must be a dict, got a {type(constants).__name__}")
+        self.constants = {}  # zeros and empty brackets dropped, scalars under the scalar rule
+        for key, entries in constants.items():
+            if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_int, key))
+                    and 0 <= key[0] < key[1] < n):
+                raise ValueError(f"constants must be indexed by pairs i<j, got {key!r}")
+            where = f"bracket [{key[0]}, {key[1]}]"
+            if not (isinstance(entries, (list, tuple)) and all(
+                    isinstance(e, (list, tuple)) and len(e) == 2 for e in entries)):
+                raise ValueError(f"{where}: {entries!r} is not a list of (target, coeff) pairs")
+            _indices(f"{where}: target", [k for k, _ in entries], n, "basis index")
+            if kept := tuple((k, x) for k, c in entries if (x := scalar(c, where))):
+                self.constants[key] = kept
         self.index_floor = 0  # a proven lower bound on the index, see the module docstring
-        if check:
-            report = jacobi_report(self.dim, self.constants)
-            if not report.passed:
-                raise JacobiError(report.first_violation)
+        if not (report := jacobi_report(n, self.constants)).passed:
+            raise JacobiError(report.first_violation)
+
+    @classmethod
+    def _derived(cls, names, constants, kind, *, index_floor, rank=None, triangular=None,
+                 realization=None, gram=None, base_algebra=None, base_change=None):
+        """The algebra of ``constants`` stored as ``__init__`` stores them, unchecked: its
+        caller proves it Lie, and ``index_floor`` and the facts given."""
+        L = cls.__new__(cls)
+        L.names = tuple(names)
+        L.dim, L.constants, L.kind, L.index_floor = len(L.names), constants, kind, index_floor
+        L.rank, L.triangular, L.gram = rank, triangular, gram
+        L.base_algebra, L.base_change, L.realization = base_algebra, base_change, realization
+        if realization is not None:  # N x N matrices: 1 + the largest index
+            L.matrix_size = 1 + max((max(p) for m in realization for p in m), default=-1)
+        return L
 
     # -- bracket ------------------------------------------------------
     def bracket_pair(self, i, j):
@@ -293,10 +302,8 @@ def _assemble(mats, names, decompose, ell, kind, half=False) -> LieAlgebra:
     nplus = (n - ell) // 2
     tri = _triangular(constants, range(nplus), range(nplus, nplus + ell),
                       range(nplus + ell, n), gram)
-    L = LieAlgebra(names, constants, rank=ell, triangular=tri, realization=mats, gram=gram,
-                   kind=kind, check=False)
-    L.index_floor = ell  # reductive: ind = rank
-    return L
+    return LieAlgebra._derived(names, constants, kind, index_floor=ell,  # reductive: ind = rank
+                               rank=ell, triangular=tri, realization=mats, gram=gram)
 
 
 # -- builders ----------------------------------------------------------
@@ -377,15 +384,12 @@ def build_double(base: LieAlgebra) -> LieAlgebra:
 
     The appended generators xi_1..xi_l are central; the identification
     with the Cartan basis h_i -> xi_i is fixed once and used by the
-    invariant constructions.  The invariant form is the base's Gram matrix
-    next to its Cartan form on the xi's.  The double carries no matrix
-    realization: its invariants are lifts of the base's (``invariants.hilbert_basis``).
+    invariant constructions, and every Jacobiator is one of the base's.  The invariant form
+    is the base's Gram matrix next to its Cartan form on the xi's.  The double carries no
+    matrix realization: its invariants are lifts of the base's (``invariants.hilbert_basis``).
     """
-    if base.triangular is None or base.rank is None:
+    if base.triangular is None:  # with a rank and a Gram matrix, see ``LieAlgebra._derived``
         raise ValueError("the double needs a reductive builder algebra")
-    if base.gram is None:
-        raise ValueError(f"the double of {base.kind} needs its Gram matrix (the invariant "
-                         "form), and the base algebra has none")
     tri = base.triangular
     ell = len(tri.cartan)
     dim = base.dim + ell
@@ -395,11 +399,10 @@ def build_double(base: LieAlgebra) -> LieAlgebra:
     # the xi's bracket to zero with everything
     tri = _triangular(base.constants, tri.plus, tuple(tri.cartan) + tuple(range(base.dim, dim)),
                       tri.minus, gram)
-    double = LieAlgebra(list(base.names) + [f"xi{k + 1}" for k in range(ell)], base.constants,
-                        rank=base.rank + ell, triangular=tri, gram=gram,
-                        kind=f"double[{base.kind}]", base_algebra=base)
-    double.index_floor = double.rank  # reductive as well: ind = rank
-    return double
+    rk = base.rank + ell  # reductive as well: ind = rank
+    return LieAlgebra._derived(list(base.names) + [f"xi{k + 1}" for k in range(ell)],
+                               base.constants, f"double[{base.kind}]", index_floor=rk, rank=rk,
+                               triangular=tri, gram=gram, base_algebra=base)
 
 
 def _closure_gap(L: LieAlgebra, indices: tuple, label: str) -> str | None:
@@ -467,20 +470,16 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
     for (a, b), image in sorted(images.items()):
         if coeffs := combine({}, ((columns[k], c) for k, c in image.items())):
             constants[(a, b)] = tuple(sorted(coeffs.items()))
-    gram = None
-    if L.gram is not None:
-        gram = P.transpose() * L.gram * P
-    realization = None
-    if L.realization is not None:
-        realization = [combine({}, ((L.realization[r], c) for r, c in v.items())) for v in sparse]
-    new = LieAlgebra(new_names, constants, rank=L.rank, realization=realization, gram=gram,
-                     kind=kind or f"adapted[{L.kind}]", base_algebra=L, base_change=P, check=False)
+    gram = None if L.gram is None else P.transpose() * L.gram * P
+    realization = None if L.realization is None else [
+        combine({}, ((L.realization[r], c) for r, c in v.items())) for v in sparse]
     # P c'_ab = [P e_a, P e_b] for all a < b (0 = 0 unlisted): P is an isomorphism, so Lie
     for (a, b), image in images.items():
-        if combine({}, ((sparse[k], c) for k, c in new.constants.get((a, b), ()))) != image:
+        if combine({}, ((sparse[k], c) for k, c in constants.get((a, b), ()))) != image:
             raise ValueError(f"basis change breaks the bracket [{new_names[a]}, {new_names[b]}]")
-    new.index_floor = L.index_floor
-    return new
+    return LieAlgebra._derived(new_names, constants, kind or f"adapted[{L.kind}]",
+                               index_floor=L.index_floor, rank=L.rank, realization=realization,
+                               gram=gram, base_algebra=L, base_change=P)
 
 
 # -- structure-constant file format ------------------------------------

@@ -8,8 +8,8 @@ stored pairs i < j; the tensors are built from it.
 
 Genericity is probabilistic throughout: a "generic" point is the best
 witness over seed-deterministic uniform integer samples, all drawn by one
-loop, ``_best_rank`` (its callers are ``index_estimate``,
-``generic_stabilizer`` and ``invariants.jacobian_rank``).  Every sampled
+loop, ``_best_rank`` (its callers are ``index_estimate``, ``generic_stabilizer``,
+``invariants.jacobian_rank`` and ``weyl._basic_invariants``).  Every sampled
 rank is a certificate, so claimed indices are always upper bounds on the
 true index.  The loop stops at a ceiling no rank can pass; for the index it
 is dim - ``LieAlgebra.index_floor``, the lower bound on the index that the

@@ -106,8 +106,8 @@ def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
     mu_t(x, y) = phi_t^-1 mu(phi_t x, phi_t y) is isomorphic to mu.  ``keep`` is a
     subalgebra (``Decomposition`` checks h and reads ``r_closed``), so mu_t is polynomial
     in t with the constants written here at t = 0; its Jacobiator, polynomial in t
-    and zero for t != 0, vanishes at t = 0 too.  ``D.algebra`` is Lie by its own
-    check or ``change_basis``'s verified isomorphism, unless built with check=False.
+    and zero for t != 0, vanishes at t = 0 too.  ``D.algebra`` is Lie by the Jacobi sweep
+    of the public constructor or by the construction that derived it.
 
     The contraction inherits ``D.algebra.index_floor``: at a fixed point the Poisson
     tensor of mu_t has entries polynomial in t, so its rank at t = 0 is at most its rank
@@ -120,13 +120,14 @@ def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
             raise ValueError("keep_r needs r to be a subalgebra (a full splitting)")
         keep, other = sets[side]
         # brackets inside keep stay, inside other vanish, across keep only their other part
-        constants = {(i, j): entries if {i, j} <= keep else
-                     () if {i, j} <= other else tuple((k, c) for k, c in entries if k in other)
-                     for (i, j), entries in D.algebra.constants.items()}
-        con = LieAlgebra(D.algebra.names, constants,
-                         kind=f"contract[{side}]({D.algebra.kind})", check=False)
-        con.index_floor = D.algebra.index_floor
-        D._contractions[side] = con
+        constants = {}
+        for (i, j), entries in D.algebra.constants.items():
+            kept = entries if {i, j} <= keep else tuple(e for e in entries if e[0] in other)
+            if kept and not {i, j} <= other:
+                constants[(i, j)] = kept
+        D._contractions[side] = LieAlgebra._derived(
+            D.algebra.names, constants, f"contract[{side}]({D.algebra.kind})",
+            index_floor=D.algebra.index_floor)
     return D._contractions[side]
 
 
@@ -157,10 +158,8 @@ def family_bracket(S: Decomposition, p: BracketParameter) -> LieAlgebra:
         acc = combine({}, ((dict(c0.get(key, ())), p.a), (dict(cinf.get(key, ())), p.b)))
         if acc:
             constants[key] = tuple(acc.items())
-    member = LieAlgebra(S.algebra.names, constants,
-                        kind=f"family{p.label()}({S.algebra.kind})", check=False)
-    member.index_floor = S.algebra.index_floor
-    return member
+    return LieAlgebra._derived(S.algebra.names, constants, f"family{p.label()}({S.algebra.kind})",
+                               index_floor=S.algebra.index_floor)
 
 
 def pencil_member(S: Decomposition, p) -> LieAlgebra:

@@ -57,10 +57,10 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import prod
 from operator import mul
-from random import Random
 
 from . import _kernels as K
 from .linalg import P, Matrix, inverse, rank, rank_and_nullspace, rank_mod_p
+from .poisson import _best_rank
 from .poly import Polynomial, _exponents, _unit
 from .rationals import (QQ, _check_count, _check_length, _check_size, _is_int,
                         clear_denominators, exact)
@@ -587,9 +587,9 @@ def _basic_invariants(W: WeylGroup, candidates) -> list:
     sum_nu (nu . x)^degree: the linear forms that vanish on the simple roots, then per
     fundamental degree, increasing, the first power sum over the W-orbit of a form in
     ``candidates`` whose gradient at the point is independent modulo ``P`` of those
-    chosen (the module docstring has the proof).  A point where some degree finds none
-    gives way to the next seeded one; ``AssertionError`` names the degree after the last,
-    and degrees that do not multiply to |W| raise it before any search."""
+    chosen (the module docstring has the proof).  A point where some degree finds none gives
+    way to the next one ``poisson._best_rank`` draws; ``AssertionError`` names the degree
+    after the last, and degrees that do not multiply to |W| raise it before any search."""
     rs = W.root_system
     n = rs.model_dim
     if prod(rs.degrees) != W.order:
@@ -599,11 +599,10 @@ def _basic_invariants(W: WeylGroup, candidates) -> list:
              for v in rank_and_nullspace(Matrix(rs.simple_roots))[1]]
     # forms transform by the transposes: (nu . w x) = (w^T nu) . x
     gens = [W.matrix(g).transpose().rows for g in W.generators]
-    orbits = []   # of the candidates, each computed when first tried
-    rng = Random(0)
-    for _ in range(_JACOBIAN_POINTS):
-        point = [rng.randint(-_POINT_BOUND, _POINT_BOUND) for _ in range(n)]
-        chosen = list(fixed)
+    orbits, chosen = [], []   # orbits of the candidates, each computed when first tried
+
+    def rank_at(point):
+        chosen[:] = fixed   # then the generators this point certifies
         rows = [forms[0] for _, forms in fixed]   # the gradients at the point
         pairings = []   # per orbit, (nu . point) for each nu
         for d in sorted(rs.degrees):
@@ -621,10 +620,13 @@ def _basic_invariants(W: WeylGroup, candidates) -> list:
                     break
             else:
                 break   # no candidate of degree d at this point
-        else:
-            return chosen
-    raise AssertionError(f"no orbit power sum of degree {d} raises the Jacobian rank "
-                         f"at any of {_JACOBIAN_POINTS} points")
+        return len(rows)
+
+    if _best_rank(rank_at, n, n, _JACOBIAN_POINTS, 0, _POINT_BOUND)[0] < n:
+        d = sorted(rs.degrees)[len(chosen) - len(fixed)]   # where the last point failed
+        raise AssertionError(f"no orbit power sum of degree {d} raises the Jacobian rank "
+                             f"at any of {_JACOBIAN_POINTS} points")
+    return chosen
 
 
 def _molien_series(matrices, a: int, dmax: int) -> list:

@@ -29,7 +29,7 @@ def _subalgebra(v):
 
 
 def _targets(v):
-    return LieAlgebra(("a", "b", "c"), {(0, 1): v}, check=False)
+    return LieAlgebra(("a", "b", "c"), {(0, 1): v})
 
 
 def _part_on(v):

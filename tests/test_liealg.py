@@ -25,6 +25,12 @@ def _jacobi_holds(L):
     return jacobi_report(L.dim, L.constants).passed
 
 
+def _validated_copy_agrees(A):
+    """A derived algebra stores no empty bracket, and the public constructor (every entry
+    checked, then the exhaustive Jacobi sweep) stores its constants unchanged."""
+    return all(A.constants.values()) and LieAlgebra(A.names, A.constants).constants == A.constants
+
+
 def test_sl2_chevalley_basis():
     sl2 = build_sl(2)
     assert sl2.dim == 3
@@ -116,15 +122,21 @@ def test_json_constants_rejected_with_the_offending_entry(brackets, message):
     assert message in str(exc.value)
 
 
-@pytest.mark.parametrize("entries, message", [
-    (((7, 1),), "target 7 is not a basis index"),
-    (((0, 1), (0, 1)), "target 0 is listed twice"),
-    (((0.5, 1),), "target 0.5 is not a basis index"),
+@pytest.mark.parametrize("constants, message", [
+    ({(0, 1): ((7, 1),)}, "bracket [0, 1]: target 7 is not a basis index"),
+    ({(0, 1): ((0, 1), (0, 1))}, "bracket [0, 1]: target 0 is listed twice"),
+    ({(0, 1): ((0.5, 1),)}, "bracket [0, 1]: target 0.5 is not a basis index"),
+    ({(0, 1): [(1, 1, 5)]}, "bracket [0, 1]: [(1, 1, 5)] is not a list of (target, coeff) pairs"),
+    ({(0, 1): [1]}, "bracket [0, 1]: [1] is not a list of (target, coeff) pairs"),
+    ({(0, 1): 5}, "bracket [0, 1]: 5 is not a list of (target, coeff) pairs"),
+    ({0: [(1, 1)]}, "constants must be indexed by pairs i<j, got 0"),
+    ({(1, 0): [(1, 1)]}, "constants must be indexed by pairs i<j, got (1, 0)"),
+    ([((0, 1), [(1, 1)])], "constants must be a dict, got a list"),
 ])
-def test_constructor_rejects_bad_bracket_targets(entries, message):
+def test_constructor_names_the_malformed_entry(constants, message):
     with pytest.raises(ValueError) as exc:
-        LieAlgebra(["x0", "x1"], {(0, 1): entries})
-    assert "bracket [0, 1]" in str(exc.value) and message in str(exc.value)
+        LieAlgebra(["x0", "x1"], constants)
+    assert message in str(exc.value)
 
 
 def test_gram_matches_trace_form():
@@ -202,11 +214,11 @@ def test_root_labels_give_diagonal_cartan_action():
             assert br == ({r: label[pos]} if label[pos] else {})
 
 
-def test_double_needs_the_gram_matrix():
+def test_double_needs_a_builder_algebra():
+    # the public constructor takes no rank, triangular data or Gram matrix
     sl2 = build_sl(2)
-    bare = LieAlgebra(sl2.names, sl2.constants, rank=1, triangular=sl2.triangular)
-    with pytest.raises(ValueError, match="needs its Gram matrix"):
-        build_double(bare)
+    with pytest.raises(ValueError, match="the double needs a reductive builder algebra"):
+        build_double(LieAlgebra(sl2.names, sl2.constants))
 
 
 def test_double_gram_is_the_base_form_next_to_the_cartan_form():
@@ -246,7 +258,9 @@ def test_builders_make_no_jacobi_sweep(monkeypatch):
     monkeypatch.setattr(liealg, "jacobi_report", counting)
     for L in (build_gl(3), build_sl(3), build_so_even(3)):
         assert L.realization_certificate.passed
-    # Lie by _assemble's proof: independent matrices whose commutators the constants recombine to
+        assert build_double(L).base_algebra is L
+    # Lie by _assemble's proof: independent matrices whose commutators the constants recombine
+    # to; the double appends central xi's, so its Jacobiators are the base's
     assert calls == []
 
 
@@ -254,9 +268,11 @@ def test_builders_make_no_jacobi_sweep(monkeypatch):
     (build_gl, range(1, 6)), (build_sl, range(2, 7)), (build_so_even, range(2, 6)),
 ], ids=["gl1-5", "sl2-6", "so4-10"])
 def test_builder_constants_pass_the_exhaustive_jacobi_check(build, sizes):
-    # the oracle for building the matrix algebras with check=False
+    # the oracle for the builders and their doubles, which run no check
     for n in sizes:
-        assert _jacobi_holds(build(n)), n
+        L = build(n)
+        for A in (L, build_double(L)):
+            assert _validated_copy_agrees(A), A.kind
 
 
 def test_assemble_names_the_bracket_a_lossy_decompose_drops():

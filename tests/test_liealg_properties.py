@@ -120,7 +120,7 @@ def test_jacobi_report_matches_reference(algebra):
 @given(st.one_of(rebased(), random_constants()))
 def test_bracket_table_holds_every_bracket_times_d(algebra):
     n, constants = algebra
-    L = LieAlgebra([f"x{a}" for a in range(n)], constants, check=False)
+    L = LieAlgebra._derived([f"x{a}" for a in range(n)], constants, "custom", index_floor=0)
     D, T = L.bracket_table
     assert D == lcm(*(Fraction(c).denominator for e in constants.values() for _, c in e))
     for a in range(n):

@@ -35,7 +35,8 @@ def _direct_sum(a, b):
     constants = dict(a.constants)
     for (i, j), entries in b.constants.items():
         constants[(i + a.dim, j + a.dim)] = tuple((k + a.dim, c) for k, c in entries)
-    return LieAlgebra(names, constants, rank=a.rank + b.rank, kind=f"sum[{a.kind},{b.kind}]")
+    return LieAlgebra._derived(names, constants, f"sum[{a.kind},{b.kind}]", index_floor=0,
+                               rank=a.rank + b.rank)
 
 
 def _bracket_vec(L, u, v):
@@ -295,8 +296,7 @@ def test_best_rank_raises_above_the_cap():
 def test_a_floor_above_the_index_is_caught():
     # the Borel contraction of sl(3) has index 2, so a floor of 4 caps the rank at 4 < 6
     con = contract(_sl3_borel_splitting(), "keep_h")
-    bad = LieAlgebra(con.names, con.constants, check=False)
-    bad.index_floor = 4
+    bad = LieAlgebra._derived(con.names, con.constants, con.kind, index_floor=4)
     with pytest.raises(AssertionError, match="exceeds the proven ceiling 4: index floor bug"):
         index_estimate(bad, trials=5, seed=1)
 
@@ -339,7 +339,7 @@ def test_the_ceiling_changes_no_estimate(label):
     for side in ("keep_h", "keep_r"):
         con = contract(S, side)
         assert con.index_floor == S.algebra.rank
-        floorless = LieAlgebra(con.names, con.constants, check=False)
+        floorless = LieAlgebra(con.names, con.constants)
         for seed in range(5):
             assert (index_estimate(con, trials=5, seed=seed).as_dict()
                     == index_estimate(floorless, trials=5, seed=seed).as_dict())

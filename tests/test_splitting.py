@@ -5,7 +5,7 @@ import pytest
 
 from liesplit import liealg
 from liesplit.invariants import bidecompose, hilbert_basis, transport_basis
-from liesplit.liealg import (LieAlgebra, build_double, build_sl, build_so_even,
+from liesplit.liealg import (LieAlgebra, build_double, build_gl, build_sl, build_so_even,
                              jacobi_report, sub_algebra)
 from liesplit.poisson import generic_stabilizer, poisson_bracket, tensor_at
 from liesplit.poly import Polynomial
@@ -24,6 +24,12 @@ from liesplit.splitting import (
 def _jacobi_holds(L):
     """The exhaustive Jacobi check re-run on a built algebra."""
     return jacobi_report(L.dim, L.constants).passed
+
+
+def _validated_copy_agrees(A):
+    """A derived algebra stores no empty bracket, and the public constructor (every entry
+    checked, then the exhaustive Jacobi sweep) stores its constants unchanged."""
+    return all(A.constants.values()) and LieAlgebra(A.names, A.constants).constants == A.constants
 
 
 def sl2():
@@ -233,13 +239,19 @@ def test_contractions_built_once_per_side_without_a_jacobi_check(monkeypatch):
 
 
 def test_unchecked_contractions_pass_the_exhaustive_jacobi_check():
-    # the oracle for building contractions with check=False
+    # the oracle for the rebuilds, contractions and pencil members, which run no check
     sl3, sl4 = build_sl(3), build_sl(4)
     borel = make_splitting(sl3, tuple(sl3.triangular.plus) + tuple(sl3.triangular.cartan))
     horo4 = horospherical_splitting(sl4, [_cartan_line(sl4, 0)])
-    for S in (borel, horo4, so8_splitting(), double_sl3_splitting()):
-        for side in ("keep_h", "keep_r"):
-            assert _jacobi_holds(contract(S, side)), (S, side)
+    # every builder of the exhaustive builder check, t1 = its Cartan minus one coordinate
+    builders = [build(n) for build, sizes in ((build_gl, range(1, 6)), (build_sl, range(2, 7)),
+                                              (build_so_even, range(2, 6))) for n in sizes]
+    rebuilds = [horospherical_splitting(L, [_cartan_line(L, k) for k in range(L.rank - 1)])
+                for L in builders]
+    for S in (borel, horo4, so8_splitting(), double_sl3_splitting(), *rebuilds):
+        for A in (S.algebra, contract(S, "keep_h"), contract(S, "keep_r"),
+                  family_bracket(S, (1, QQ(-3, 2)))):
+            assert _validated_copy_agrees(A), A.kind
         assert _bracket_table(contract(S, "keep_h")) == _bracket_table(family_bracket(S, (1, 0)))
     # a bare Decomposition: h the Cartan, its complement (the root vectors) not closed
     D = make_decomposition(sl3, tuple(sl3.triangular.cartan))

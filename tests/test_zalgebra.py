@@ -546,7 +546,7 @@ _OPTIMIZED_CHECKS = {
     # dim + rank = 3 + 0 is odd: no Borel subalgebra dimension
     "b_of": ("from liesplit.invariants import _b_of\n"
              "from liesplit.liealg import LieAlgebra\n"
-             "_b_of(LieAlgebra(['a', 'b', 'c'], {}, rank=0))\n",
+             "_b_of(LieAlgebra._derived(['a', 'b', 'c'], {}, 'custom', index_floor=0, rank=0))\n",
              "ValueError: dim + rank = 3 + 0"),
     # a Poisson tensor made non-skew reaches property_suite's skewness check
     "tensor_skew": ("from liesplit import zalgebra\n"
