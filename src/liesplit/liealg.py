@@ -4,17 +4,17 @@ Structure constants are stored sparsely for basis pairs i < j, under the
 scalar rule of ``rationals`` (a float constant raises ``TypeError`` naming
 its bracket); the bracket extends by antisymmetry.  Outside constants (a user's,
 ``algebra_from_json``, ``sub_algebra``, stabilizers) enter through ``LieAlgebra(names,
-constants, kind)``: it names a malformed key or bracket and runs an exhaustive Jacobi
-check over all basis triples.  ``LieAlgebra._derived`` builds, unchecked, an algebra
-with the facts its construction proves (index floor, rank, triangular data, realization,
-Gram matrix): the builders (``_assemble`` proves them Lie by their realization, and
-``build_double`` adds central xi's), ``change_basis`` (it checks a bracket isomorphism),
-``splitting.contract`` (an Inonu-Wigner contraction of a Lie algebra is Lie, see its
-docstring) and ``splitting.family_bracket``: a pencil member a*[,]_0 + b*[,]_inf has
-a Jacobiator quadratic in (a, b), so the pencil is Lie once (1,0), (0,1) and (1,1)
-are; its Poisson bracket is linear in (a, b),
-{F, G}_(a,b) = a{F, G}_0 + b{F, G}_inf, so commutativity is decided at
-(1,0) and (0,1) (see its docstring).
+constants, kind)``: it names a malformed name, key or bracket and runs an exhaustive
+Jacobi check over all basis triples.  ``LieAlgebra._derived`` builds, unchecked, an
+algebra with the facts its construction proves (index floor, rank, triangular data,
+realization, Gram matrix, the kept block of a contraction): the builders (``_assemble``
+proves them Lie by their realization, and ``build_double`` adds central xi's),
+``change_basis`` (it checks a bracket isomorphism), ``splitting.contract`` (an
+Inonu-Wigner contraction of a Lie algebra is Lie, see its docstring) and
+``splitting.family_bracket``: a pencil member a*[,]_0 + b*[,]_inf has a Jacobiator
+quadratic in (a, b), so the pencil is Lie once (1,0), (0,1) and (1,1) are; its Poisson
+bracket is linear in (a, b), {F, G}_(a,b) = a{F, G}_0 + b{F, G}_inf, so commutativity
+is decided at (1,0) and (0,1) (see its docstring).
 
 One cached int table per algebra, ``LieAlgebra.bracket_table`` (every [x_a, x_b]
 scaled by the common denominator D of the constants), serves the Jacobi check,
@@ -90,10 +90,20 @@ class RealizationCertificate:
 class LieAlgebra:
     # facts only a construction proves, set by ``_derived`` (see the module docstring)
     rank = triangular = realization = matrix_size = gram = base_algebra = base_change = None
+    kept_block = None  # on a contraction, the basis indices of the subalgebra it keeps
 
     def __init__(self, names, constants, kind="custom"):
         """The algebra of outside structure constants {(i, j): [(k, c_ij^k), ...]}, i < j,
-        each entry checked, then the exhaustive Jacobi sweep; its index floor is 0."""
+        on ``names``, a list or tuple of distinct strings, one per basis vector; each entry
+        checked, then the exhaustive Jacobi sweep; its index floor is 0."""
+        if not isinstance(names, (list, tuple)):
+            raise ValueError(f"names must be a list or tuple of strings, got {names!r}")
+        first: dict = {}  # name -> its first index
+        for i, x in enumerate(names):
+            if not isinstance(x, str):
+                raise ValueError(f"name {i} is {x!r}, not a string")
+            if first.setdefault(x, i) != i:
+                raise ValueError(f"name {i} {x!r} repeats name {first[x]}")
         self.names, self.kind = tuple(names), kind
         self.dim = n = len(self.names)
         if not isinstance(constants, dict):
@@ -116,7 +126,8 @@ class LieAlgebra:
 
     @classmethod
     def _derived(cls, names, constants, kind, *, index_floor, rank=None, triangular=None,
-                 realization=None, gram=None, base_algebra=None, base_change=None):
+                 realization=None, gram=None, base_algebra=None, base_change=None,
+                 kept_block=None):
         """The algebra of ``constants`` stored as ``__init__`` stores them, unchecked: its
         caller proves it Lie, and ``index_floor`` and the facts given."""
         L = cls.__new__(cls)
@@ -124,6 +135,7 @@ class LieAlgebra:
         L.dim, L.constants, L.kind, L.index_floor = len(L.names), constants, kind, index_floor
         L.rank, L.triangular, L.gram = rank, triangular, gram
         L.base_algebra, L.base_change, L.realization = base_algebra, base_change, realization
+        L.kept_block = kept_block
         if realization is not None:  # N x N matrices: 1 + the largest index
             L.matrix_size = 1 + max((max(p) for m in realization for p in m), default=-1)
         return L
@@ -443,7 +455,10 @@ def sub_algebra(L: LieAlgebra, indices: Sequence[int]) -> LieAlgebra:
 
 def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra:
     """Rewrite the algebra in the basis given by ``new_vectors`` (old coordinates): dim
-    vectors of dim entries and dim ``new_names``, or a ``ValueError`` naming what is off."""
+    vectors of dim entries and dim ``new_names``, or a ``ValueError`` naming what is off.
+    The rebuild keeps the rank, the index floor, the realization and the Gram matrix, and
+    the triangular data when every new vector is a multiple of a root vector or lies in
+    the Cartan (the horospherical rebuilds of ``splitting``)."""
     _check_length("new basis", len(new_vectors), L.dim, "vectors")
     _check_length("new basis", len(new_names), L.dim, "names")
     for k, v in enumerate(new_vectors):
@@ -477,9 +492,16 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
     for (a, b), image in images.items():
         if combine({}, ((sparse[k], c) for k, c in constants.get((a, b), ()))) != image:
             raise ValueError(f"basis change breaks the bracket [{new_names[a]}, {new_names[b]}]")
+    tri = L.triangular
+    if tri is not None:  # multiples of root vectors and Cartan elements keep their blocks
+        plus, minus = ([a for a, v in enumerate(sparse) if len(v) == 1 and v.keys() <= set(b)]
+                       for b in (tri.plus, tri.minus))
+        cartan = [a for a, v in enumerate(sparse) if v.keys() <= set(tri.cartan)]
+        tri = (_triangular(constants, plus, cartan, minus, gram)
+               if len(plus) + len(cartan) + len(minus) == L.dim else None)
     return LieAlgebra._derived(new_names, constants, kind or f"adapted[{L.kind}]",
-                               index_floor=L.index_floor, rank=L.rank, realization=realization,
-                               gram=gram, base_algebra=L, base_change=P)
+                               index_floor=L.index_floor, rank=L.rank, triangular=tri,
+                               realization=realization, gram=gram, base_algebra=L, base_change=P)
 
 
 # -- structure-constant file format ------------------------------------

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from . import _kernels as K
 from .liealg import LieAlgebra, _bracket, subalgebra_indices
 from .linalg import P, Matrix, rank, rank_and_nullspace, skew_rank_mod_p, solve_many
-from .poly import Polynomial
+from .poly import Polynomial, _unit
 from .rationals import QQ, _check_count, _check_int, _check_length, _is_int, qq_str, scalar
 from .splitting import Decomposition, contract
 
@@ -65,17 +65,37 @@ def hamiltonian_field(L: LieAlgebra, F: Polynomial):
         yield j, Polynomial._of(L.dim, V, den)
 
 
+def _degree_in(F: Polynomial, indices) -> int:
+    """The largest degree of a term of F in the variables ``indices``, -1 for F = 0: the
+    sum of the masked key's exponent bytes, read modulo 255 (256 = 1 there), so exact
+    below degree 255.  Only the order of a bracket's arguments depends on it."""
+    mask = sum(0xFF * _unit(F.nvars, i) for i in indices)  # the exponent slots of ``indices``
+    return max(((e & mask) % 255 for e in F.terms), default=-1)
+
+
 def poisson_bracket(L: LieAlgebra, F: Polynomial, G: Polynomial) -> Polynomial:
     """{F, G} = sum_j {F, x_j} dG/dx_j, over the coordinates G depends on, in integers
-    divided once by D_L den_F den_G; both read their kept partials."""
+    divided once by D_L den_F den_G; both read their kept partials.
+
+    On a contraction (``L.kept_block``) the argument of lower degree in the kept block
+    takes the Hamiltonian field, and {F, G} = -{G, F} when that is G.  By the Lenard-Magri
+    recursion of the pencil, {F_i, .}_keep_h = -{F_(i-1), .}_keep_r on the bi-components
+    F_i of an invariant, and its extreme components are Casimirs of their own contraction,
+    so the field of the lower one is the smaller, and zero for a Casimir: on the sl(5)
+    splitting of case sl2n1, a pair of 269 and 55 terms takes 3,536 term products at
+    keep_h where the other order takes 32,884."""
     n = L.dim
     _check_length("G", G.nvars, n, "variables")
+    _check_length("F", F.nvars, n, "variables")
+    sign = 1
+    if L.kept_block is not None and _degree_in(G, L.kept_block) < _degree_in(F, L.kept_block):
+        F, G, sign = G, F, -1
     dG = G.partials()
     acc: dict = {}
     for j, V in _field_terms(L, F, dG):
         if V:
             K.mul_terms(V, dG[j], n, acc)
-    return Polynomial._of(n, {e: c for e, c in acc.items() if c},
+    return Polynomial._of(n, {e: sign * c for e, c in acc.items() if c},
                           L.poisson_columns[0] * F.den * G.den)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .liealg import LieAlgebra, Matrix, _closure_gap, _triangular, change_basis, subalgebra_indices
+from .liealg import LieAlgebra, Matrix, _closure_gap, change_basis, subalgebra_indices
 from .linalg import rank, rank_and_nullspace
 from .rationals import _check_length, clear_denominators, combine, qq_str, scalar
 
@@ -111,7 +111,8 @@ def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
 
     The contraction inherits ``D.algebra.index_floor``: at a fixed point the Poisson
     tensor of mu_t has entries polynomial in t, so its rank at t = 0 is at most its rank
-    at some t != 0, where mu_t ~ mu; hence ind mu_0 >= ind mu."""
+    at some t != 0, where mu_t ~ mu; hence ind mu_0 >= ind mu.  It records the indices of
+    ``keep`` as ``kept_block``, by which ``poisson.poisson_bracket`` orders its arguments."""
     if side not in D._contractions:
         sets = {"keep_h": (D.h_set, D.r_set), "keep_r": (D.r_set, D.h_set)}
         if side not in sets:
@@ -127,7 +128,7 @@ def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
                 constants[(i, j)] = kept
         D._contractions[side] = LieAlgebra._derived(
             D.algebra.names, constants, f"contract[{side}]({D.algebra.kind})",
-            index_floor=D.algebra.index_floor)
+            index_floor=D.algebra.index_floor, kept_block=tuple(sorted(keep)))
     return D._contractions[side]
 
 
@@ -247,14 +248,7 @@ def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Decomposi
     adapted = change_basis(L, new_vectors, names, kind=f"horo[{L.kind}]")
 
     nplus, nminus = len(tri.plus), len(tri.minus)
-    plus = tuple(range(nplus))
-    t1_idx = tuple(range(nplus, nplus + k))
-    minus = tuple(range(nplus + k, nplus + k + nminus))
-    t0_idx = tuple(range(nplus + k + nminus, L.dim))
-    adapted.triangular = _triangular(adapted.constants, plus, t1_idx + t0_idx, minus,
-                                     adapted.gram)
-
-    S = make_splitting(adapted, plus + t1_idx)  # r = minus + t0_idx, the rest in index order
-    S.t1_indices = t1_idx
-    S.t0_indices = t0_idx
+    S = make_splitting(adapted, range(nplus + k))  # h = u+ + t1, r = u- + t0 in index order
+    S.t1_indices = tuple(range(nplus, nplus + k))
+    S.t0_indices = tuple(range(nplus + k + nminus, L.dim))
     return S

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from liesplit import _kernels as K
 from liesplit.liealg import build_double, build_gl, build_sl, build_so_even, change_basis
 from liesplit.invariants import (
     HilbertBasis,
@@ -207,15 +208,35 @@ def test_poly_det_and_pfaffian_reject_an_entry_that_is_not_a_polynomial(expand, 
 
 
 def test_so8_charpoly_drops_finished_minors():
-    # the level-by-level expansion holds at most two adjacent levels of minors; the
-    # memo that kept every minor until the end peaked at 6.5 MB here
+    # the expansion meets in the middle and never holds the levels just below the top
+    # (about 2.1 MB here); level by level to the top it peaked at 3.8 MB, and the memo
+    # that kept every minor until the end at 6.5 MB
     tracemalloc.start()
     try:
         charpoly_coefficients(build_so_even(4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4_500_000, peak
+    assert peak < 3_000_000, peak
+
+
+def test_so8_adapted_charpoly_term_products(monkeypatch):
+    # the adapted so(8) of case so2n: 49,855 term products meeting in the middle, 86,793
+    # level by level to the top
+    g = build_so_even(4)
+    cart = g.triangular.cartan
+    S = horospherical_splitting(g, [[int(k == i) for k in range(g.dim)] for i in cart[:3]],
+                                [[int(k == cart[3]) for k in range(g.dim)]])
+    count = [0]
+    mul = K.mul_terms
+
+    def counted(a, b, nvars, out=None):
+        count[0] += len(a) * len(b)
+        return mul(a, b, nvars, out)
+
+    monkeypatch.setattr(K, "mul_terms", counted)
+    charpoly_coefficients(S.algebra)
+    assert count[0] <= 52_000, count[0]
 
 
 # -- bi-decomposition ------------------------------------------------------

@@ -1,16 +1,21 @@
 """Differential property tests: the invariant expansions against textbook formulas.
 
-``poly_det`` and ``poly_pfaffian`` list the subproblems reachable through
-nonzero entries and build them level by level, dropping each level once the
-next exists; the Leibniz permutation sum shares none of that.  Random sparse
-matrices with zero rows and columns leave levels empty or unreachable, and
+``poly_det`` and ``poly_pfaffian`` meet in the middle: the bottom levels of
+subproblems reachable through nonzero entries are built level by level, the
+top rows are summed into one coefficient per subproblem at half the depth,
+and each such subproblem is built only to be multiplied by its coefficient.
+The Leibniz permutation sum and the perfect-matching sum share none of that.
+Random sparse matrices with zero rows and columns leave levels empty or
+unreachable, odd and even sizes split the levels unevenly and evenly, and
 ``Fraction`` entries exercise the common denominator.  ``_power_sums`` adds
 every product of one p_k into a single int dict; the reference is the plain
 ``Polynomial``-arithmetic loop of Newton's identities.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
+from operator import mul
 
 import pytest
 
@@ -43,33 +48,60 @@ entries = st.one_of(
 
 @st.composite
 def sparse_matrices(draw):
-    size = draw(st.integers(0, 5))
-    zero_rows = draw(st.sets(st.integers(0, 4), max_size=2))
-    zero_cols = draw(st.sets(st.integers(0, 4), max_size=2))
+    size = draw(st.integers(0, 7))
+    zero_rows = draw(st.sets(st.integers(0, 6), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 6), max_size=2))
     return [[Polynomial.zero(NV) if r in zero_rows or c in zero_cols else draw(entries)
              for c in range(size)] for r in range(size)]
 
 
 @st.composite
 def skew_matrices(draw):
-    size = 2 * draw(st.integers(0, 3))
+    size = 2 * draw(st.integers(0, 4))
+    zero = draw(st.sets(st.integers(0, 7), max_size=1))  # a zero row and its column
     A = [[Polynomial.zero(NV)] * size for _ in range(size)]
     for r in range(size):
         for c in range(r + 1, size):
-            A[r][c] = draw(entries)
-            A[c][r] = -A[r][c]
+            if not {r, c} & zero:
+                A[r][c] = draw(entries)
+                A[c][r] = -A[r][c]
     return A
+
+
+def _sign(perm) -> int:
+    """The sign of a permutation, by counting its inversions."""
+    n = len(perm)
+    return -1 if sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2 else 1
 
 
 def leibniz(A, nv):
     """sum over permutations s of sign(s) prod_i A[i][s(i)]."""
     total = Polynomial.zero(nv)
     for perm in permutations(range(len(A))):
-        inversions = sum(perm[i] > perm[j] for i in range(len(A)) for j in range(i + 1, len(A)))
-        term = Polynomial.constant(nv, -1 if inversions % 2 else 1)
-        for i, j in enumerate(perm):
-            term = term * A[i][j]
-        total = total + term
+        factors = [A[i][j] for i, j in enumerate(perm)]
+        if all(factors):
+            total = total + reduce(mul, factors, Polynomial.constant(nv, _sign(perm)))
+    return total
+
+
+def perfect_matchings(items):
+    """Every way to pair off ``items`` (a tuple of even length), as lists of pairs."""
+    if not items:
+        yield []
+        return
+    for k in range(1, len(items)):
+        for rest in perfect_matchings(items[1:k] + items[k + 1:]):
+            yield [(items[0], items[k])] + rest
+
+
+def matching_sum(A, nv):
+    """sum over perfect matchings M of sign(i1 j1 i2 j2 ...) prod A[i][j] over (i, j) in M."""
+    total = Polynomial.zero(nv)
+    for M in perfect_matchings(tuple(range(len(A)))):
+        factors = [A[i][j] for i, j in M]
+        if all(factors):
+            sign = _sign([x for pair in M for x in pair])
+            total = total + reduce(mul, factors, Polynomial.constant(nv, sign))
     return total
 
 
@@ -78,6 +110,12 @@ def leibniz(A, nv):
 def test_poly_det_equals_the_leibniz_sum(A):
     # the empty matrix has no entry to carry a variable count: its determinant is 1 on none
     assert poly_det(A) == (leibniz(A, NV) if A else Polynomial.constant(0, 1))
+
+
+@CHECKS
+@given(skew_matrices())
+def test_poly_pfaffian_equals_the_matching_sum(A):
+    assert poly_pfaffian(A) == (matching_sum(A, NV) if A else Polynomial.constant(0, 1))
 
 
 @CHECKS

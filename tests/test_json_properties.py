@@ -73,6 +73,33 @@ def test_valid_document_round_trips(L):
     assert algebra_to_json(back) == text
 
 
+@st.composite
+def accepted_inputs(draw):
+    """(names, constants) the public constructor accepts: distinct names of any text, as a
+    list or a tuple, and any constants on at most two basis vectors (no Jacobi triple
+    exists there), or two-step nilpotent ones, zero coefficients included, beyond."""
+    names = draw(st.lists(st.text(max_size=4), min_size=1, max_size=5, unique=True))
+    n = len(names)
+    coeff = st.integers(-9, 9) | st.fractions(max_denominator=9)
+    if n <= 2:
+        p, targets = n, st.integers(0, n - 1)
+    else:
+        p = draw(st.integers(1, n - 1))  # brackets of x_0..x_(p-1) land in the centre x_p..
+        targets = st.integers(p, n - 1)
+    constants = {(i, j): draw(st.lists(st.tuples(targets, coeff), max_size=2,
+                                       unique_by=lambda e: e[0]))
+                 for i in range(p) for j in range(i + 1, p)}
+    return draw(st.sampled_from((list, tuple)))(names), constants
+
+
+@CHECKS
+@given(accepted_inputs())
+def test_every_accepted_algebra_round_trips(inputs):
+    L = LieAlgebra(*inputs)
+    back = algebra_from_json(algebra_to_json(L))
+    assert (back.names, back.constants) == (L.names, L.constants)
+
+
 @CHECKS
 @given(algebras, st.data())
 def test_mutated_document_loads_or_raises_value_error(L, data):

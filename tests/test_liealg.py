@@ -122,7 +122,12 @@ def test_json_constants_rejected_with_the_offending_entry(brackets, message):
     assert message in str(exc.value)
 
 
-@pytest.mark.parametrize("constants, message", [
+@pytest.mark.parametrize("names, constants, message", [
+    ([1, 2], {}, "name 0 is 1, not a string"),
+    (["x", "x"], {}, "name 1 'x' repeats name 0"),
+    ("ab", {}, "names must be a list or tuple of strings, got 'ab'"),
+    (5, {}, "names must be a list or tuple of strings, got 5"),
+] + [(["x0", "x1"], constants, message) for constants, message in [
     ({(0, 1): ((7, 1),)}, "bracket [0, 1]: target 7 is not a basis index"),
     ({(0, 1): ((0, 1), (0, 1))}, "bracket [0, 1]: target 0 is listed twice"),
     ({(0, 1): ((0.5, 1),)}, "bracket [0, 1]: target 0.5 is not a basis index"),
@@ -132,10 +137,10 @@ def test_json_constants_rejected_with_the_offending_entry(brackets, message):
     ({0: [(1, 1)]}, "constants must be indexed by pairs i<j, got 0"),
     ({(1, 0): [(1, 1)]}, "constants must be indexed by pairs i<j, got (1, 0)"),
     ([((0, 1), [(1, 1)])], "constants must be a dict, got a list"),
-])
-def test_constructor_names_the_malformed_entry(constants, message):
+]])
+def test_constructor_names_the_malformed_entry(names, constants, message):
     with pytest.raises(ValueError) as exc:
-        LieAlgebra(["x0", "x1"], constants)
+        LieAlgebra(names, constants)
     assert message in str(exc.value)
 
 
@@ -171,6 +176,12 @@ def test_change_basis_preserves_structure():
     assert new.bracket_pair(1, 0) == {0: QQ(2)}
     assert new.bracket_pair(0, 2) == {1: QQ(1)}
     assert _jacobi_holds(new)
+    # multiples of root vectors and a Cartan element keep the triangular data; f + e does not
+    tri = new.triangular
+    assert (tri.plus, tri.cartan, tri.minus) == ((0,), (1,), (2,))
+    assert tri.root_labels == {0: (2,), 2: (-2,)} and tri.cartan_form == Matrix([[2]])
+    skewed = change_basis(sl2, [[1, 0, 0], [0, 1, 0], [1, 0, 1]], ["e", "h", "f+e"])
+    assert skewed.triangular is None
 
 
 @pytest.mark.parametrize("build, size", [

@@ -1,10 +1,11 @@
 import random
 import re
+from functools import lru_cache
 
 import pytest
 
-from liesplit import liealg, poisson
-from liesplit.invariants import jacobian_rank
+from liesplit import _kernels as K, liealg, poisson
+from liesplit.invariants import bidecompose, hilbert_basis, jacobian_rank
 from liesplit.liealg import (LieAlgebra, algebra_from_json, algebra_to_json, build_double,
                              build_gl, build_sl, build_so_even, change_basis,
                              sub_algebra)
@@ -27,6 +28,7 @@ from liesplit.splitting import (
     make_splitting,
     pencil_member,
 )
+from liesplit.zalgebra import _sl_diagonals, _vectors
 
 
 def _direct_sum(a, b):
@@ -506,3 +508,81 @@ def test_generic_stabilizer_matches_bracket_pair_rows():
             assert {p: dict(e) for p, e in rep.subalgebra.constants.items()} == constants
             assert rep.is_abelian == (not constants)
     assert not rep.is_abelian and rep.dim_star == 3
+
+
+@lru_cache(maxsize=None)
+def _case_bases(case):
+    """The splitting and basis of case sl2n1 at n = 2 (sl(5), power traces) or so2n at n = 4
+    (so(8), characteristic coefficients and the Pfaffian), built as the cases build them."""
+    if case == "sl2n1":
+        g = build_sl(5)
+        t0 = _sl_diagonals(g, ({2 - i: 1, 2 + i: 1, 2: -2} for i in (1, 2)))
+        t1 = _sl_diagonals(g, ({2 - i: 1, 2 + i: -1} for i in (1, 2)))
+        S = horospherical_splitting(g, t1, t0[::-1])
+        return S, hilbert_basis(S.algebra, "trace_powers")
+    g = build_so_even(4)
+    cart = g.triangular.cartan
+    S = horospherical_splitting(g, _vectors(g.dim, ({i: 1} for i in cart[:3])),
+                                _vectors(g.dim, [{cart[3]: 1}]))
+    return S, hilbert_basis(S.algebra, "charpoly")
+
+
+@pytest.mark.parametrize("case", ["sl2n1", "so2n"])
+@pytest.mark.parametrize("side", ["keep_h", "keep_r"])
+def test_contraction_brackets_are_exactly_antisymmetric(case, side):
+    """{F, G} = -{G, F} exactly for every pair of bi-components (on so(8), every pair within
+    30,000 term products, which leaves out the large sextic components with all but the
+    smallest others), and for each bi-component with every coordinate, which it need not
+    commute with; there both orders equal the bracket on the same contraction with no
+    kept block, in the order given."""
+    S, B = _case_bases(case)
+    L = contract(S, side)
+    plain = LieAlgebra._derived(L.names, L.constants, L.kind, index_floor=L.index_floor)
+    parts = [c for F in B.polys for c in bidecompose(S, F).values()]
+    nonzero = 0
+    for a, F in enumerate(parts):
+        for G in parts[a + 1:]:
+            if case == "sl2n1" or len(F.terms) * len(G.terms) <= 30_000:
+                assert poisson_bracket(L, F, G) == -poisson_bracket(L, G, F)
+        for j in range(L.dim):
+            x = Polynomial.variable(L.dim, j)
+            Fx = poisson_bracket(L, F, x)
+            assert Fx == -poisson_bracket(L, x, F) == poisson_bracket(plain, F, x)
+            assert poisson_bracket(plain, x, F) == -Fx
+            nonzero += bool(Fx)
+    assert nonzero > len(parts)
+
+
+def _term_pairs(monkeypatch):
+    """A list whose one entry counts the term pairs of ``_kernels.mul_terms`` from now on."""
+    count = [0]
+    mul = K.mul_terms
+
+    def counted(a, b, nvars, out=None):
+        count[0] += len(a) * len(b)
+        return mul(a, b, nvars, out)
+
+    monkeypatch.setattr(K, "mul_terms", counted)
+    return count
+
+
+@pytest.mark.parametrize("case", ["sl2n1", "so2n"])
+def test_a_casimir_costs_the_same_in_either_order(case, monkeypatch):
+    """An extreme bi-component, a Casimir of the contraction keeping the block it has least
+    degree in, takes the field whichever argument it is: both orders cost what the Casimir
+    first costs on the same contraction with no kept block."""
+    S, B = _case_bases(case)
+    count = _term_pairs(monkeypatch)
+    for F in B.polys:
+        parts = bidecompose(S, F)
+        for side, end in (("keep_h", min(parts)), ("keep_r", max(parts))):
+            L, E = contract(S, side), parts[end]
+            plain = LieAlgebra._derived(L.names, L.constants, L.kind, index_floor=0)
+            for i, C in parts.items():
+                if i != end:
+                    costs = []
+                    for A, X, Y in ((plain, E, C), (L, E, C), (L, C, E)):
+                        count[0] = 0
+                        assert poisson_bracket(A, X, Y).is_zero()
+                        costs.append(count[0])
+                    assert costs[0] == costs[1] == costs[2], (side, end, i, costs)

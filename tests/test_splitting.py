@@ -1,9 +1,11 @@
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
-from liesplit import liealg
+from liesplit import liealg, zalgebra
 from liesplit.invariants import bidecompose, hilbert_basis, transport_basis
 from liesplit.liealg import (LieAlgebra, build_double, build_gl, build_sl, build_so_even,
                              jacobi_report, sub_algebra)
@@ -387,3 +389,31 @@ def test_float_t1_vectors_are_rejected():
     t1[g.triangular.cartan[0]] = 0.5
     with pytest.raises(TypeError, match="float 0.5 in t1 vector"):
         horospherical_splitting(g, [t1])
+
+
+class _Split(Exception):
+    """Stops a case once its horospherical splitting exists."""
+
+
+def test_golden_rebuilds_carry_the_triangular_data_of_their_blocks(monkeypatch):
+    """``change_basis`` gives every golden case's adapted algebra the triangular data of
+    its blocks (u+, t1 + t0, u-), as read off the rebuilt constants and Gram matrix."""
+    made = []
+
+    def split(L, t1_basis, t0_basis=None):
+        made.append(horospherical_splitting(L, t1_basis, t0_basis))
+        raise _Split
+
+    monkeypatch.setattr(zalgebra, "horospherical_splitting", split)
+    golden = json.loads((Path(__file__).parent / "data" / "case_reports.json").read_text())
+    for entry in golden:
+        if entry["name"] not in ("e6_weyl", "aks"):
+            with pytest.raises(_Split):
+                zalgebra.run_case(entry["name"], dict(entry["params"]), seed=entry["seed"])
+    assert len(made) == 10
+    for S in made:
+        A, base = S.algebra, S.algebra.base_algebra.triangular
+        nplus, k = len(base.plus), len(S.t1_indices)
+        minus = range(nplus + k, nplus + k + len(base.minus))
+        assert A.triangular == liealg._triangular(
+            A.constants, range(nplus), S.t1_indices + S.t0_indices, minus, A.gram), A.kind
