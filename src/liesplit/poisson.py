@@ -17,13 +17,13 @@ algebra's construction proves (its rank for a reductive builder algebra,
 inherited by rebuilds, contractions and pencil members), so an estimate
 that meets its floor proves the index.  The index estimate stores its
 witness (``IndexEstimate.witness``) and the stabilizer report its
-``sample_point``, for replay; the Jacobian rank keeps none.  ``tensor_at``
-gives the exact rank at a point of one algebra, a pencil member being
-``splitting.pencil_member``'s (its callers also compare ranks from
-above); ``index_estimate`` needs the rank only from below and takes it modulo
-the one-digit prime ``linalg.P`` (2 B + 1 <= P for every sample bound B, see
-there) by skew 2 x 2 pivots on that upper triangle (``linalg.skew_rank_mod_p``),
-with no full matrix and no lower triangle.
+``sample_point``, for replay; the Jacobian rank keeps none.  Ranks are taken
+modulo the one-digit prime ``linalg.P`` (2 B + 1 <= P for every sample bound B,
+see there) by skew 2 x 2 pivots on that upper triangle (``linalg.skew_rank_mod_p``),
+with no full matrix and no lower triangle: a lower bound on the exact rank.  An
+exact rank (``tensor_at``'s, and the stabilizer's ``dim_star``) is the rank mod P
+when that meets the proven ceiling, the upper bound, and else comes from exact
+elimination (``linalg.rank``, ``linalg.rank_and_nullspace``).
 """
 
 from __future__ import annotations
@@ -127,7 +127,32 @@ def _tensor_matrix(L: LieAlgebra, xi) -> Matrix:
     return Matrix(rows)
 
 
-def _even(rk: int) -> int:
+def _rank_mod_p(L: LieAlgebra, xi, h=None) -> int:
+    """Rank modulo ``linalg.P`` of D pi(xi) at an int point, or with a set ``h`` of its
+    entries that meet h, from :func:`_tensor_entries` straight into ``skew_rank_mod_p``."""
+    upper = [{} for _ in range(L.dim)]
+    for i, j, v in _tensor_entries(L, xi):
+        if h is None or i in h or j in h:
+            upper[i][j] = v
+    return skew_rank_mod_p(upper)
+
+
+def _check_ceiling(rk: int, cap: int, what: str) -> None:
+    if rk > cap:  # the ceiling, and so the index floor under it, was wrong
+        raise AssertionError(f"{what} {rk} exceeds the proven ceiling {cap}: index floor bug")
+
+
+def _tensor_rank(L: LieAlgebra, xi, mat=None) -> int:
+    """The exact rank of pi(xi): its rank mod P at an int point when that meets the even
+    ceiling dim - ``L.index_floor`` (a rank mod P bounds it from below, the generic rank
+    from above), else the elimination of ``mat`` = D pi(xi), built when not given."""
+    cap = (L.dim - L.index_floor) // 2 * 2
+    if all(type(x) is int for x in xi):
+        rk = _rank_mod_p(L, xi)
+        _check_ceiling(rk, cap, "the rank modulo P")
+        if rk == cap:
+            return rk
+    rk = rank(_tensor_matrix(L, xi) if mat is None else mat)
     if rk % 2:
         raise AssertionError("skew-symmetric matrices have even rank; elimination bug")
     return rk
@@ -136,11 +161,12 @@ def _even(rk: int) -> int:
 def tensor_at(L: LieAlgebra, xi) -> PoissonTensorSample:
     """Poisson tensor pi(xi)[a][b] = xi([x_a, x_b]) of ``L``, exact rank included; a pencil
     member is ``splitting.pencil_member``'s algebra, and the h-orbit dimension of a point
-    of Ann(h) is dim h - ``generic_stabilizer``'s ``dim_star``."""
+    of Ann(h) is dim h - ``generic_stabilizer``'s ``dim_star``.  The rank is exact: a rank
+    modulo P that meets the proven ceiling dim - ``L.index_floor``, or else elimination."""
     xi = [scalar(x, "the point") for x in xi]
     _check_length("point", len(xi), L.dim, "coordinates")
     mat = _tensor_matrix(L, xi)
-    rk = _even(rank(mat))
+    rk = _tensor_rank(L, xi, mat)
     D = L.bracket_table[0]
     if D > 1:  # the exact tensor pi(xi)
         mat = Matrix([[x // D if x % D == 0 else QQ(x, D) for x in row] for row in mat.rows])
@@ -207,9 +233,7 @@ def _best_rank(rank_at, dim, cap, trials, seed, bound, support=None):
         xi = _sample_point(rng, dim, bound, support)
         rk = rank_at(xi)
         if rk > best:
-            if rk > cap:
-                raise AssertionError(f"sampled rank {rk} exceeds the proven ceiling {cap}: "
-                                     "index floor bug")
+            _check_ceiling(rk, cap, "sampled rank")
             best, witness = rk, tuple(xi)
             if best == cap:
                 break
@@ -219,18 +243,11 @@ def _best_rank(rank_at, dim, cap, trials, seed, bound, support=None):
 def index_estimate(L: LieAlgebra, trials: int = 8, seed: int = 0,
                    bound: int = DEFAULT_BOUND) -> IndexEstimate:
     """dim - (max sampled rank of pi(xi) mod ``linalg.P``); an upper bound on the index,
-    claimed exact.  Each sample's D pi(xi) goes from ``_tensor_entries`` straight into
-    the rows of ``skew_rank_mod_p``.  The draws stop at the even ceiling
-    dim - ``L.index_floor``: a rank mod P at any point is at most the generic rank
-    dim - ind <= dim - index_floor, so no later point could beat one that meets it."""
-    def rank_at(xi):
-        upper = [{} for _ in range(L.dim)]
-        for i, j, v in _tensor_entries(L, xi):
-            upper[i][j] = v
-        return skew_rank_mod_p(upper)
-
-    cap = L.dim - L.index_floor
-    best, witness = _best_rank(rank_at, L.dim, cap - cap % 2, trials, seed, bound)
+    claimed exact.  The draws stop at the even ceiling dim - ``L.index_floor``: a rank
+    mod P at any point is at most the generic rank dim - ind <= dim - index_floor, so
+    no later point could beat one that meets it."""
+    best, witness = _best_rank(lambda xi: _rank_mod_p(L, xi), L.dim,
+                               (L.dim - L.index_floor) // 2 * 2, trials, seed, bound)
     claimed = L.dim - best
     return IndexEstimate(claimed, best, trials, seed, QQ(L.dim + claimed, 2), witness)
 
@@ -239,9 +256,10 @@ def index_estimate(L: LieAlgebra, trials: int = 8, seed: int = 0,
 class StabilizerReport:
     """The stabilizer in h of the sampled point ``sample_point`` of Ann(h).
 
-    ``dim_star`` is the exact kernel dimension at that point, the smallest over the
-    samples: an upper bound on the dimension of the generic stabilizer (the kernel
-    can only grow on special points), which is the side it certifies."""
+    ``sample_point`` is the first sample whose h columns have the largest rank mod P, and
+    ``dim_star`` the exact kernel dimension there, by elimination: an upper bound on the
+    dimension of the generic stabilizer (the kernel can only grow on special points),
+    which is the side it certifies."""
     h_indices: tuple
     sample_point: tuple
     stabilizer_basis: list
@@ -256,22 +274,31 @@ def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,
     """Stabilizer in h of a generic point of Ann(h) under the h-action on (q/h)*.
 
     h must pass ``subalgebra_indices``.  For xi in Ann(h) the stabilizer is
-    {x in h : xi([x, y]) = 0 for all y in q}; the best (smallest) witness
-    over the sampled points is kept, and the stabilizer is returned as an
-    abstract algebra with restricted structure constants.
+    {x in h : xi([x, y]) = 0 for all y in q}, the kernel of the h columns of D pi(xi),
+    ranked mod P from ``_tensor_entries`` at each sample (see ``StabilizerReport``); the
+    stabilizer is returned as an abstract algebra with restricted structure constants.
+
+    For h != q the draws stop at the proven ceiling min(|h|, dim - |h|, (dim -
+    ``index_floor``) // 2) on that rank: xi vanishes on [h, h], so D pi(xi) is [[0, -B^T],
+    [B, C]] with B its rows off h in the h columns, [[0, -B^T], [B, 0]] (the entries that
+    meet h) has rank 2 rank B, and a nonsingular k x k minor B0 of B makes a principal
+    minor det(B0)^2 of pi(xi), so 2 k <= dim - ``index_floor``.  For h = q the h columns
+    are all of D pi(xi), under ``index_estimate``'s ceiling.
     """
     h_indices = subalgebra_indices(L, h_indices, "h")
     # Ann(h) = 0 only when h is everything; the definition then collapses to
     # the stabilizer of a generic point of the full dual.
     support = [i for i in range(L.dim) if i not in h_indices] or None
+    h, half = set(h_indices), (L.dim - L.index_floor) // 2
+    cap = 2 * half if support is None else min(len(h), L.dim - len(h), half)
 
-    def h_columns(xi):
-        # the h columns of D pi(xi): x in h is in the kernel iff xi([x, y]) = 0 for all y
-        return Matrix([[row[x] for x in h_indices] for row in _tensor_matrix(L, xi).rows])
+    def rank_at(xi):
+        return _rank_mod_p(L, xi) if support is None else _rank_mod_p(L, xi, h) // 2
 
-    _, xi = _best_rank(lambda xi: rank(h_columns(xi)), L.dim, len(h_indices), trials, seed,
-                       bound, support)
-    _, basis = rank_and_nullspace(h_columns(xi))
+    _, xi = _best_rank(rank_at, L.dim, cap, trials, seed, bound, support)
+    # the h columns of D pi(xi): x in h is in the kernel iff xi([x, y]) = 0 for all y
+    _, basis = rank_and_nullspace(Matrix([[row[x] for x in h_indices]
+                                          for row in _tensor_matrix(L, xi).rows]))
     dim_star = len(basis)
     # structure constants of the stabilizer in its own basis, one solve for all brackets
     full_basis = [{i: c for i, c in zip(h_indices, v) if c} for v in basis]

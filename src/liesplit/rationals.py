@@ -85,16 +85,18 @@ def exact(q):
 def scalar(value, where: str = ""):
     """The one coercion: ``value`` (int, rational, or 'num/den' string) under :func:`exact`.
 
-    A ``float`` raises ``TypeError`` naming the value and, when given, ``where`` it occurs.
+    A ``float`` raises ``TypeError`` and a ``bool`` (which ``Fraction`` reads as 0 or 1)
+    ``ValueError``, each naming the value and, when given, ``where`` it occurs.
     """
     if type(value) is int:
         return value
     if type(value) is QQ:  # already reduced
         return exact(value)
-    if isinstance(value, float):
+    if isinstance(value, (float, bool)):
         at = f" in {where}" if where else ""
-        raise TypeError(f"float {value!r}{at} is not an exact scalar; "
-                        "pass an int, a Fraction or a 'num/den' string")
+        error = TypeError if isinstance(value, float) else ValueError
+        raise error(f"{type(value).__name__} {value!r}{at} is not an exact scalar; "
+                    "pass an int, a Fraction or a 'num/den' string")
     return exact(QQ(value))
 
 

@@ -9,7 +9,8 @@ import pytest
 
 from liesplit.invariants import eliminate_on_subspace, hilbert_basis, transport_basis
 from liesplit.liealg import LieAlgebra, build_gl, build_sl, build_so_even, subalgebra_indices
-from liesplit.poisson import index_estimate
+from liesplit.linalg import Matrix
+from liesplit.poisson import index_estimate, tensor_at
 from liesplit.poly import Polynomial
 from liesplit.splitting import horospherical_splitting
 from liesplit.weyl import (SatakeDiagram, build_root_system, enumerate_weyl, restriction_check,
@@ -110,6 +111,22 @@ def _gradient_at(v):
     return Polynomial.variable(2, 0).int_gradient(v)
 
 
+def _coefficient(v):
+    return Polynomial(2, {(1, 0): v})
+
+
+def _matrix_entry(v):
+    return Matrix([[v, 2]])
+
+
+def _eval_at(v):
+    return Polynomial.variable(2, 0).eval(v)
+
+
+def _tensor_point(v):
+    return tensor_at(build_sl(2), v)
+
+
 _ROWS = [
     (_subalgebra, [0, True], "h: True is not a basis index in range(3)"),
     (_subalgebra, [0.0], "h: 0.0 is not a basis index in range(3)"),
@@ -197,6 +214,11 @@ _ROWS = [
     (_gradient_at, [1.5, 2], "point coordinate 0 must be an integer, got 1.5"),  # once [1.0, 0]
     (_gradient_at, ["1/2", 0], "point coordinate 0 must be an integer, got '1/2'"),  # TypeError
     (_gradient_at, [1, True], "point coordinate 1 must be an integer, got True"),
+    # a bool scalar was read as 0 or 1 wherever a value enters through rationals.scalar
+    (_coefficient, True, "bool True is not an exact scalar"),
+    (_matrix_entry, True, "bool True is not an exact scalar"),
+    (_eval_at, [True, 3], "bool True is not an exact scalar"),
+    (_tensor_point, [True, 0, 1], "bool True in the point is not an exact scalar"),
 ]
 
 

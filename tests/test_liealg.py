@@ -137,7 +137,10 @@ def test_json_constants_rejected_with_the_offending_entry(brackets, message):
     ({0: [(1, 1)]}, "constants must be indexed by pairs i<j, got 0"),
     ({(1, 0): [(1, 1)]}, "constants must be indexed by pairs i<j, got (1, 0)"),
     ([((0, 1), [(1, 1)])], "constants must be a dict, got a list"),
-]])
+]] + [
+    # a bool coefficient was read as 1
+    (["a", "b", "c"], {(0, 1): [(2, True)]}, "bool True in bracket [0, 1] is not an exact"),
+])
 def test_constructor_names_the_malformed_entry(names, constants, message):
     with pytest.raises(ValueError) as exc:
         LieAlgebra(names, constants)

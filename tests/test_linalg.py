@@ -108,7 +108,10 @@ def test_float_entries_are_rejected():
 
 
 def test_bool_and_fraction_entries_follow_the_scalar_rule():
-    m = Matrix([[True, False, 3], [QQ(4, 2), QQ(1, 3), 5], (7, 8, 9)])
+    # a bool was read as 0 or 1
+    with pytest.raises(ValueError, match="bool True is not an exact scalar"):
+        Matrix([[True, 2]])
+    m = Matrix([[1, 0, 3], [QQ(4, 2), QQ(1, 3), 5], (7, 8, 9)])
     assert m.rows == ((1, 0, 3), (2, QQ(1, 3), 5), (7, 8, 9))
     assert [list(map(type, row)) for row in m.rows] == [[int, int, int], [int, QQ, int],
                                                          [int, int, int]]

@@ -1,15 +1,17 @@
+import json
 import random
 import re
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
-from liesplit import _kernels as K, liealg, poisson
+from liesplit import _kernels as K, liealg, poisson, zalgebra
 from liesplit.invariants import bidecompose, hilbert_basis, jacobian_rank
 from liesplit.liealg import (LieAlgebra, algebra_from_json, algebra_to_json, build_double,
                              build_gl, build_sl, build_so_even, change_basis,
                              sub_algebra)
-from liesplit.linalg import P, Matrix, rank_and_nullspace, solve
+from liesplit.linalg import P, Matrix, rank, rank_and_nullspace, solve
 from liesplit.poisson import (
     _best_rank,
     generic_stabilizer,
@@ -28,7 +30,7 @@ from liesplit.splitting import (
     make_splitting,
     pencil_member,
 )
-from liesplit.zalgebra import _sl_diagonals, _vectors
+from liesplit.zalgebra import _sl_diagonals, _vectors, run_case
 
 
 def _direct_sum(a, b):
@@ -297,10 +299,35 @@ def test_best_rank_raises_above_the_cap():
 
 def test_a_floor_above_the_index_is_caught():
     # the Borel contraction of sl(3) has index 2, so a floor of 4 caps the rank at 4 < 6
-    con = contract(_sl3_borel_splitting(), "keep_h")
+    S = _sl3_borel_splitting()
+    con = contract(S, "keep_h")
     bad = LieAlgebra._derived(con.names, con.constants, con.kind, index_floor=4)
     with pytest.raises(AssertionError, match="exceeds the proven ceiling 4: index floor bug"):
         index_estimate(bad, trials=5, seed=1)
+    xi = _sample_point(random.Random(1), con.dim, 99)
+    assert tensor_at(con, xi).rank == 6
+    with pytest.raises(AssertionError, match="rank modulo P 6 exceeds the proven ceiling 4"):
+        tensor_at(bad, xi)
+    # h = q: the h columns are all of pi(xi), under the same ceiling
+    with pytest.raises(AssertionError, match="sampled rank 6 exceeds the proven ceiling 4"):
+        generic_stabilizer(bad, range(con.dim), trials=5, seed=1)
+    # the Borel h: its 5 columns have rank 3 on Ann(h), over the ceiling min(5, 3, 4 // 2)
+    assert generic_stabilizer(con, S.h_indices, trials=5, seed=1).dim_star == 5 - 3
+    with pytest.raises(AssertionError, match="sampled rank 3 exceeds the proven ceiling 2"):
+        generic_stabilizer(bad, S.h_indices, trials=5, seed=1)
+
+
+def test_rational_points_and_floorless_algebras_take_elimination(monkeypatch):
+    calls = []
+    monkeypatch.setattr(poisson, "rank", lambda m: calls.append(m) or rank(m))
+    sl3 = build_sl(3)
+    xi = _sample_point(random.Random(2), sl3.dim, 99)
+    assert tensor_at(sl3, xi).rank == 6 and not calls  # the rank mod P meets the ceiling 6
+    for L, point in ((sl3, [QQ(1, 2)] + xi[1:]), (LieAlgebra(sl3.names, sl3.constants), xi),
+                     (sl3, [0] * sl3.dim)):
+        calls.clear()
+        sample = tensor_at(L, point)
+        assert len(calls) == 1 and sample.rank == rank(sample.matrix), (L, point)
 
 
 def _so8_horospherical():
@@ -586,3 +613,73 @@ def test_a_casimir_costs_the_same_in_either_order(case, monkeypatch):
                         assert poisson_bracket(A, X, Y).is_zero()
                         costs.append(count[0])
                     assert costs[0] == costs[1] == costs[2], (side, end, i, costs)
+
+
+class _Built(Exception):
+    pass
+
+
+@lru_cache(maxsize=None)
+def _golden_splittings():
+    """Every splitting a golden case report runs ``sphericity`` on, taken from ``run_case``
+    as it builds it: the case stops at its first horospherical splitting."""
+    golden = json.loads((Path(__file__).parent / "data" / "case_reports.json").read_text())
+    build = zalgebra.horospherical_splitting
+
+    def built(*args, **kwargs):
+        raise _Built(build(*args, **kwargs))
+
+    out = {}
+    zalgebra.horospherical_splitting = built
+    try:
+        for entry in golden:
+            try:
+                run_case(entry["name"], dict(entry["params"]))
+            except _Built as done:
+                out[f"{entry['name']}{entry['params']}"] = done.args[0]
+    finally:
+        zalgebra.horospherical_splitting = build
+    return out
+
+
+def _exact_rank_stabilizer(L, h_indices, trials, seed, bound=997):
+    """(dim_star, sample_point) as ``generic_stabilizer`` took them by exact elimination:
+    the first of all ``trials`` points of Ann(h) whose h columns have the largest rank."""
+    support = [i for i in range(L.dim) if i not in h_indices] or None
+
+    def h_columns(xi):
+        return Matrix([[row[x] for x in h_indices]
+                       for row in poisson._tensor_matrix(L, xi).rows])
+
+    _, xi = _best_rank(lambda xi: rank(h_columns(xi)), L.dim, len(h_indices), trials, seed,
+                       bound, support)
+    return len(rank_and_nullspace(h_columns(xi))[1]), xi
+
+
+def test_stabilizers_match_the_exact_rank_draws_on_every_golden_splitting(monkeypatch):
+    draws, inner = [], []
+
+    def counting(*args, **kwargs):
+        if not inner:  # not a draw of the stabilizer's own index estimate
+            draws.append(1)
+        return _sample_point(*args, **kwargs)
+
+    def estimate(*args, **kwargs):
+        inner.append(1)
+        try:
+            return index_estimate(*args, **kwargs)
+        finally:
+            inner.pop()
+
+    monkeypatch.setattr(poisson, "_sample_point", counting)
+    monkeypatch.setattr(poisson, "index_estimate", estimate)
+    splittings = _golden_splittings()
+    assert len(splittings) == 10, sorted(splittings)
+    for label, S in splittings.items():
+        for h in (S.h_indices, S.r_indices):
+            for seed in range(4):
+                expected = _exact_rank_stabilizer(S.algebra, h, 8, seed)
+                draws.clear()
+                rep = generic_stabilizer(S.algebra, h, trials=8, seed=seed)
+                assert (rep.dim_star, rep.sample_point) == expected, (label, h, seed)
+                assert len(draws) == 1, (label, h, seed)  # the first draw meets the ceiling

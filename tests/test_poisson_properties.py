@@ -1,5 +1,8 @@
 """Property tests for the Lie-Poisson bracket and its Hamiltonian field."""
 
+import random
+from functools import lru_cache
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -9,10 +12,11 @@ from liesplit.invariants import hilbert_basis, transport_basis, verify_invarianc
 from liesplit.liealg import (build_double, build_gl, build_sl, build_so_even,  # noqa: E402
                              change_basis, sub_algebra)
 from liesplit.linalg import Matrix, rank  # noqa: E402
-from liesplit.poisson import hamiltonian_field, poisson_bracket  # noqa: E402
+from liesplit.poisson import hamiltonian_field, poisson_bracket, tensor_at  # noqa: E402
 from liesplit.poly import Polynomial  # noqa: E402
 from liesplit.rationals import QQ  # noqa: E402
-from liesplit.splitting import contract, horospherical_splitting  # noqa: E402
+from liesplit.splitting import contract, horospherical_splitting, pencil_member  # noqa: E402
+from liesplit.zalgebra import _vectors  # noqa: E402
 
 
 def _traceless_diagonals(g, diags):
@@ -226,3 +230,41 @@ def test_h_squared_is_not_invariant_in_sl2():
     h = Polynomial.variable(3, 1)
     assert not verify_invariance(sl2, h * h)
     assert verify_invariance(sl2, h * h + 4 * Polynomial.variable(3, 0) * Polynomial.variable(3, 2))
+
+
+@lru_cache(maxsize=None)
+def _rank_family(name):
+    """A splitting of sl(n) (t1 = the first Cartan coordinate), so(8) (t1 = the first three)
+    or the Cartan double of sl(3) (t1 = h_k - xi_k, t0 = h_k + xi_k, as case double builds
+    it), and the algebras whose tensors are ranked on it: the builder, its rebuild, both
+    contractions and the pencil member at (2, -3)."""
+    if name == "double_sl3":
+        g = build_double(build_sl(3))
+        m, cart = g.base_algebra.dim, list(enumerate(g.base_algebra.triangular.cartan))
+        S = horospherical_splitting(g, _vectors(g.dim, ({i: 1, m + k: -1} for k, i in cart)),
+                                    t0_basis=_vectors(g.dim, ({i: 1, m + k: 1} for k, i in cart)))
+    else:
+        g = build_so_even(4) if name == "so8" else build_sl(int(name[2:]))
+        cart = g.triangular.cartan
+        S = horospherical_splitting(g, _vectors(g.dim, ({i: 1} for i in
+                                                        cart[: 3 if name == "so8" else 1])))
+    return S, (g, S.algebra, contract(S, "keep_h"), contract(S, "keep_r"),
+               pencil_member(S, (2, -3)))
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "sl5", "so8", "double_sl3"])
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32))
+def test_tensor_rank_is_the_exact_rank(name, seed):
+    """The rank ``tensor_at`` reports, from a rank mod P that meets the ceiling or else from
+    elimination, equals the exact rank of its matrix at a generic point, the zero point, a
+    point of Ann(h) and a point of t0, on every algebra of the family."""
+    S, algebras = _rank_family(name)
+    rng = random.Random(seed)
+    for support in (range(S.algebra.dim), (), S.r_indices, S.t0_indices):
+        xi = [0] * S.algebra.dim
+        for i in support:
+            xi[i] = rng.randint(-10**6, 10**6)
+        for L in algebras:
+            sample = tensor_at(L, xi)
+            assert sample.rank == rank(sample.matrix), (name, L.kind, xi)
