@@ -9,9 +9,10 @@ The characteristic coefficients e_k come from the determinant of lambda I - Y,
 a Laplace expansion along the first half of the rows, met by the minors of the
 rest built level by level (``_first_row_expansion``), each minor one
 ``Polynomial.sum_of_products``; the power traces tr(Y^k)
-follow by Newton's identities.  The so(2n) Pfaffian, which replaces the top
-generator of either family, is the only other expansion.  All are exact
-polynomials in the dual coordinates x.
+follow by Newton's identities.  The Pfaffian, the only other expansion, replaces
+the top generator of either family when every rho(e_a) is skew about the
+antidiagonal J, as on so(2n): the condition ``poly_pfaffian`` checks on J Y.
+All are exact polynomials in the dual coordinates x.
 
 Each of them is a conjugation-invariant function of Y, so its invariance is a
 theorem once rho is a homomorphism and G a nondegenerate ad-invariant form:
@@ -48,8 +49,8 @@ from math import lcm
 from operator import mul
 
 from .liealg import LieAlgebra, sub_algebra
-from .linalg import Matrix, inverse, rank, rank_mod_p, solve  # noqa: F401  (rank: read by the perfbench tracer tests)
-from .poisson import _best_rank, hamiltonian_field, index_estimate, poisson_bracket
+from .linalg import Matrix, _best_rank, inverse, rank, rank_mod_p, solve  # noqa: F401  (rank: read by the perfbench tracer tests)
+from .poisson import hamiltonian_field, index_estimate, poisson_bracket
 from .poly import Polynomial
 from .rationals import QQ, _check_length, _indices
 from .splitting import Decomposition, contract
@@ -88,10 +89,8 @@ def _first_row_expansion(entries, split, levels: int) -> Polynomial:
     subproblem there is built only when its coefficient multiplies it into the
     result, then dropped.  It is built from the level below it, and the levels
     below that are built from the bottom up, each dropped once the next exists,
-    so the large levels just below the top are never held whole.  On the
-    adapted so(8) this takes 49,855 term products where expanding level by
-    level to the top took 86,793.  The entries are cleared to one denominator
-    d, so every minor and coefficient is an integral
+    so the large levels just below the top are never held whole.  The entries
+    are cleared to one denominator d, so every minor and coefficient is an integral
     :meth:`Polynomial.sum_of_products` with no rescaling; a full product takes
     ``levels`` entries, so the result is divided once by d^levels.
     """
@@ -250,12 +249,13 @@ def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
 
     kind: 'charpoly', the characteristic coefficients e_k, or 'trace_powers', the power
     traces p_k = tr Y^k from the e_k by Newton's identities; identically zero ones (the
-    trace on sl, the odd ones on so) are dropped.  On so(2n) the Pfaffian, of degree n,
-    replaces the top generator: e_2n = +-Pf^2, and Newton's identities invert over Q.  On
-    a Cartan double the basis is the lifts of its base's basis of the same kind, then the
-    appended xi coordinates.  An adapted rebuild that carries no realization (one of a
-    double) gets its base's basis through :func:`transport_basis`.  A ready list of
-    polynomials goes through :func:`custom_basis`.
+    trace on sl, the odd ones on so) are dropped.  On so(2n), read off a realization skew
+    about the antidiagonal, the Pfaffian (degree n) replaces the top generator: e_2n =
+    +-Pf^2, and Newton's identities invert over Q.  On a Cartan double the basis is the
+    lifts of its base's basis of the same kind, then the appended xi coordinates.  An
+    adapted rebuild that carries no realization (one of a double) gets its base's basis
+    through :func:`transport_basis`.  A ready list of polynomials goes through
+    :func:`custom_basis`.
 
     The generators are always proved invariant without a bracket: each is a
     conjugation-invariant function of Y(x) = rho(G^-1 x), invariant once
@@ -288,12 +288,10 @@ def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
         coeffs = _power_sums(e) if kind == "trace_powers" else e
         size = L.matrix_size
         gens = [(coeffs[k], k) for k in range(1, size + 1) if coeffs[k].terms]
-        root = L
-        while root.base_change is not None:  # an adapted rebuild keeps the realization
-            root = root.base_algebra
-        if root.kind.startswith("so("):
-            Y = dual_matrix(L)
-            pf = poly_pfaffian([[Y[size - 1 - r][c] for c in range(size)] for r in range(size)])
+        # so(J) of even size, J the antidiagonal: J rho(e_a) is skew for every a
+        if size % 2 == 0 and all(m.get((size - 1 - c, size - 1 - r), 0) == -v
+                                 for m in L.realization for (r, c), v in m.items()):
+            pf = poly_pfaffian(dual_matrix(L)[::-1])  # J Y: the rows of Y in reverse order
             # J is the antidiagonal of det J = (-1)^n, so Pf(J Y)^2 = (-1)^n det Y
             if pf * pf != (-1) ** (size // 2) * e[size]:
                 raise ValueError("Pfaffian sign convention failure: Pf^2 != (-1)^n Delta_2n")
@@ -311,9 +309,12 @@ def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
 def custom_basis(L: LieAlgebra, polys) -> HilbertBasis:
     """A basis from nonzero homogeneous polynomials, each of its own degree; each is
     bracketed against every coordinate (:func:`verify_invariance`), the route named
-    'brackets'.  A zero, non-homogeneous or non-invariant one is named by its index."""
+    'brackets'.  One that is not a Polynomial, zero, non-homogeneous or not invariant is
+    named by its index."""
     gens = []
     for i, g in enumerate(polys):
+        if not isinstance(g, Polynomial):
+            raise ValueError(f"custom generator {i} is {g!r}, not a Polynomial")
         if not (g and g.is_homogeneous()):
             raise ValueError(f"custom generator {i} is {'not homogeneous' if g else 'zero'}")
         if not verify_invariance(L, g):
@@ -381,7 +382,7 @@ def jacobian_rank(polys, trials: int = 5, seed: int = 0, bound: int = 997) -> in
     transcendence degree.  Row p is ``p.int_gradient(x)``, the gradient of den_p * p
     at the point x evaluated in ints straight from p's terms: a row scale prime to P
     changes no rank modulo P, and any scale keeps the lower bound.  The points come
-    from ``poisson._best_rank``, which checks 2 bound + 1 <= P (see ``linalg``).  All
+    from ``linalg._best_rank``, which checks 2 bound + 1 <= P (see ``linalg``).  All
     polynomials have the variable count of the first, or a ``ValueError`` names one."""
     n = polys[0].nvars if polys else 0
     for i, p in enumerate(polys):

@@ -96,15 +96,7 @@ class LieAlgebra:
         """The algebra of outside structure constants {(i, j): [(k, c_ij^k), ...]}, i < j,
         on ``names``, a list or tuple of distinct strings, one per basis vector; each entry
         checked, then the exhaustive Jacobi sweep; its index floor is 0."""
-        if not isinstance(names, (list, tuple)):
-            raise ValueError(f"names must be a list or tuple of strings, got {names!r}")
-        first: dict = {}  # name -> its first index
-        for i, x in enumerate(names):
-            if not isinstance(x, str):
-                raise ValueError(f"name {i} is {x!r}, not a string")
-            if first.setdefault(x, i) != i:
-                raise ValueError(f"name {i} {x!r} repeats name {first[x]}")
-        self.names, self.kind = tuple(names), kind
+        self.names, self.kind = _names(names), kind
         self.dim = n = len(self.names)
         if not isinstance(constants, dict):
             raise ValueError(f"constants must be a dict, got a {type(constants).__name__}")
@@ -170,6 +162,19 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra({self.kind}, dim={self.dim})"
+
+
+def _names(names) -> tuple:
+    """``tuple(names)`` for a list or tuple of distinct strings, else a ``ValueError``."""
+    if not isinstance(names, (list, tuple)):
+        raise ValueError(f"names must be a list or tuple of strings, got {names!r}")
+    first: dict = {}  # name -> its first index
+    for i, x in enumerate(names):
+        if not isinstance(x, str):
+            raise ValueError(f"name {i} is {x!r}, not a string")
+        if first.setdefault(x, i) != i:
+            raise ValueError(f"name {i} {x!r} repeats name {first[x]}")
+    return tuple(names)
 
 
 def _pair(constants, i, j):
@@ -455,12 +460,12 @@ def sub_algebra(L: LieAlgebra, indices: Sequence[int]) -> LieAlgebra:
 
 def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra:
     """Rewrite the algebra in the basis given by ``new_vectors`` (old coordinates): dim
-    vectors of dim entries and dim ``new_names``, or a ``ValueError`` naming what is off.
-    The rebuild keeps the rank, the index floor, the realization and the Gram matrix, and
-    the triangular data when every new vector is a multiple of a root vector or lies in
-    the Cartan (the horospherical rebuilds of ``splitting``)."""
+    vectors of dim entries and dim distinct string ``new_names``, or a ``ValueError``
+    naming what is off.  The rebuild keeps the rank, the index floor, the realization and
+    the Gram matrix, and the triangular data when every new vector is a multiple of a root
+    vector or lies in the Cartan (the horospherical rebuilds of ``splitting``)."""
     _check_length("new basis", len(new_vectors), L.dim, "vectors")
-    _check_length("new basis", len(new_names), L.dim, "names")
+    _check_length("new basis", len(_names(new_names)), L.dim, "names")
     for k, v in enumerate(new_vectors):
         _check_length(f"new basis vector {k}", len(v), L.dim, "entries")
     P = Matrix.from_columns(new_vectors)

@@ -45,15 +45,18 @@ P is the largest prime below 2^30, so a residue is one CPython digit and a
 product of two residues two.  For a sample bound B with 2 B + 1 <= P, a
 minor or Pfaffian f whose coefficients P does not all divide vanishes
 modulo P at a uniform point of [-B, B]^n with probability at most
-deg f / (2 B + 1) (Schwartz, J. ACM 27, 1980), as it does over Q.
+deg f / (2 B + 1) (Schwartz, J. ACM 27, 1980), as it does over Q.  Every
+sampled rank draws its points through :func:`_best_rank`, which checks B first.
 """
 
 from __future__ import annotations
 
+import random
 from operator import mul
 from typing import Sequence
 
-from .rationals import QQ, _check_length, combine, common_denominator, exact, scalar
+from .rationals import (QQ, _check_count, _check_int, _check_length, _is_int, combine,
+                        common_denominator, exact, scalar)
 
 
 class Matrix:
@@ -206,6 +209,46 @@ def rank(m: Matrix) -> int:
 
 
 P = 2**30 - 35  # 1073741789
+
+
+def _check_ceiling(rk: int, cap: int, what: str) -> None:
+    if rk > cap:  # the ceiling, and so the index floor under it, was wrong
+        raise AssertionError(f"{what} {rk} exceeds the proven ceiling {cap}: index floor bug")
+
+
+def _sample_point(rng, dim, bound, support=None):
+    xi = [0] * dim
+    for i in range(dim) if support is None else support:
+        xi[i] = rng.randint(-bound, bound)
+    return xi
+
+
+def _best_rank(rank_at, dim, cap, trials, seed, bound, support=None):
+    """(best, witness): the largest ``rank_at(xi)`` over ``trials`` seeded points xi of
+    [-bound, bound]^dim (zero off ``support``), and the first point that reaches it.
+
+    ``cap`` is a proven ceiling on the rank at any point (for the index, dim minus the
+    algebra's ``index_floor``): the draws stop at the first point that reaches it, which
+    leaves both values as the full run would, and a rank above it raises
+    ``AssertionError``.  ``seed`` must be an ``int`` (``random.Random`` would hash a string
+    or a float), ``trials`` an ``int`` >= 1 and ``bound`` an ``int`` with 1 <= bound and
+    2 bound + 1 <= ``P``; all are checked before any draw."""
+    _check_int("seed", seed)
+    _check_count("trials", trials)
+    if not _is_int(bound) or bound < 1 or 2 * bound + 1 > P:
+        raise ValueError(f"bound must be an integer with 1 <= bound <= {(P - 1) // 2}, "
+                         f"got {bound!r}")
+    rng = random.Random(seed)
+    best, witness = -1, ()
+    for _ in range(trials):
+        xi = _sample_point(rng, dim, bound, support)
+        rk = rank_at(xi)
+        if rk > best:
+            _check_ceiling(rk, cap, "sampled rank")
+            best, witness = rk, tuple(xi)
+            if best == cap:
+                break
+    return best, witness
 
 
 def skew_rank_mod_p(upper: list) -> int:

@@ -6,20 +6,17 @@ and kernels of pi(xi), and ``tensor_at`` divides it once by D.  One helper,
 ``_tensor_entries``, reads the strict upper triangle of D pi(xi) off the
 stored pairs i < j; the tensors are built from it.
 
-Genericity is probabilistic throughout: a "generic" point is the best
-witness over seed-deterministic uniform integer samples, all drawn by one
-loop, ``_best_rank`` (its callers are ``index_estimate``, ``generic_stabilizer``,
-``invariants.jacobian_rank`` and ``weyl._basic_invariants``).  Every sampled
-rank is a certificate, so claimed indices are always upper bounds on the
-true index.  The loop stops at a ceiling no rank can pass; for the index it
-is dim - ``LieAlgebra.index_floor``, the lower bound on the index that the
-algebra's construction proves (its rank for a reductive builder algebra,
-inherited by rebuilds, contractions and pencil members), so an estimate
-that meets its floor proves the index.  The index estimate stores its
-witness (``IndexEstimate.witness``) and the stabilizer report its
-``sample_point``, for replay; the Jacobian rank keeps none.  Ranks are taken
-modulo the one-digit prime ``linalg.P`` (2 B + 1 <= P for every sample bound B,
-see there) by skew 2 x 2 pivots on that upper triangle (``linalg.skew_rank_mod_p``),
+Genericity is probabilistic throughout: a "generic" point is the best witness
+over seed-deterministic uniform integer samples, all drawn by ``linalg._best_rank``.
+Every sampled rank is a certificate, so claimed indices are always upper bounds on
+the true index.  The draws stop at a ceiling no rank can pass; the tensor's is
+``_ceiling``, dim - ``LieAlgebra.index_floor`` rounded down to even, the floor
+being the lower bound on the index that the algebra's construction proves (its
+rank for a reductive builder algebra, inherited by rebuilds, contractions and
+pencil members), so an estimate that meets its floor proves the index.  The
+index estimate stores its witness and the stabilizer report its ``sample_point``,
+for replay.  Ranks are taken modulo the one-digit prime ``linalg.P`` by skew
+2 x 2 pivots on that upper triangle (``linalg.skew_rank_mod_p``),
 with no full matrix and no lower triangle: a lower bound on the exact rank.  An
 exact rank (``tensor_at``'s, and the stabilizer's ``dim_star``) is the rank mod P
 when that meets the proven ceiling, the upper bound, and else comes from exact
@@ -28,14 +25,14 @@ elimination (``linalg.rank``, ``linalg.rank_and_nullspace``).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from . import _kernels as K
 from .liealg import LieAlgebra, _bracket, subalgebra_indices
-from .linalg import P, Matrix, rank, rank_and_nullspace, skew_rank_mod_p, solve_many
+from .linalg import (Matrix, _best_rank, _check_ceiling, rank, rank_and_nullspace,
+                     skew_rank_mod_p, solve_many)
 from .poly import Polynomial, _unit
-from .rationals import QQ, _check_count, _check_int, _check_length, _is_int, qq_str, scalar
+from .rationals import QQ, _check_length, qq_str, scalar
 from .splitting import Decomposition, contract
 
 DEFAULT_BOUND = 10**6
@@ -137,19 +134,18 @@ def _rank_mod_p(L: LieAlgebra, xi, h=None) -> int:
     return skew_rank_mod_p(upper)
 
 
-def _check_ceiling(rk: int, cap: int, what: str) -> None:
-    if rk > cap:  # the ceiling, and so the index floor under it, was wrong
-        raise AssertionError(f"{what} {rk} exceeds the proven ceiling {cap}: index floor bug")
+def _ceiling(L: LieAlgebra) -> int:
+    """Every rank of pi, mod P or exact, is even and at most dim - ind <= dim - index_floor."""
+    return (L.dim - L.index_floor) // 2 * 2
 
 
 def _tensor_rank(L: LieAlgebra, xi, mat=None) -> int:
-    """The exact rank of pi(xi): its rank mod P at an int point when that meets the even
-    ceiling dim - ``L.index_floor`` (a rank mod P bounds it from below, the generic rank
-    from above), else the elimination of ``mat`` = D pi(xi), built when not given."""
-    cap = (L.dim - L.index_floor) // 2 * 2
+    """The exact rank of pi(xi): its rank mod P at an int point when that meets the
+    :func:`_ceiling` (a rank mod P bounds it from below, the generic rank from above),
+    else the elimination of ``mat`` = D pi(xi), built when not given."""
     if all(type(x) is int for x in xi):
         rk = _rank_mod_p(L, xi)
-        _check_ceiling(rk, cap, "the rank modulo P")
+        _check_ceiling(rk, cap := _ceiling(L), "the rank modulo P")
         if rk == cap:
             return rk
     rk = rank(_tensor_matrix(L, xi) if mat is None else mat)
@@ -159,10 +155,9 @@ def _tensor_rank(L: LieAlgebra, xi, mat=None) -> int:
 
 
 def tensor_at(L: LieAlgebra, xi) -> PoissonTensorSample:
-    """Poisson tensor pi(xi)[a][b] = xi([x_a, x_b]) of ``L``, exact rank included; a pencil
-    member is ``splitting.pencil_member``'s algebra, and the h-orbit dimension of a point
-    of Ann(h) is dim h - ``generic_stabilizer``'s ``dim_star``.  The rank is exact: a rank
-    modulo P that meets the proven ceiling dim - ``L.index_floor``, or else elimination."""
+    """Poisson tensor pi(xi)[a][b] = xi([x_a, x_b]) of ``L`` and its exact rank, from
+    :func:`_tensor_rank`; a pencil member is ``splitting.pencil_member``'s algebra, and the
+    h-orbit dimension of a point of Ann(h) is dim h - ``generic_stabilizer``'s ``dim_star``."""
     xi = [scalar(x, "the point") for x in xi]
     _check_length("point", len(xi), L.dim, "coordinates")
     mat = _tensor_matrix(L, xi)
@@ -179,10 +174,9 @@ class IndexEstimate:
     sampled points taken modulo the prime ``linalg.P`` = 2^30 - 35: a lower bound on the
     exact rank of pi at the witness, so claimed_index is an upper bound on the index.
     The skew elimination adds 2 per pivot, so the rank is even by construction.
-    ``samples`` is the ``trials`` budget, not the points drawn: the draws stop at the
-    first point whose rank meets the ceiling dim - ``index_floor`` (rounded down to even),
-    so sl(2) and so(8) draw once and report 8 at the default.  A claimed index equal to
-    the algebra's ``index_floor`` is then exact: the floor bounds it from below."""
+    ``samples`` is the ``trials`` budget, not the points drawn: the draws stop at the first
+    point whose rank meets ``_ceiling``, so sl(2) and so(8) draw once and report 8 at the
+    default.  A claimed index equal to ``index_floor`` is exact: the floor bounds it below."""
     claimed_index: int
     certified_max_rank: int
     samples: int
@@ -201,53 +195,12 @@ class IndexEstimate:
         }
 
 
-def _sample_point(rng, dim, bound, support=None):
-    if support is None:
-        return [rng.randint(-bound, bound) for _ in range(dim)]
-    xi = [0] * dim
-    for i in support:
-        xi[i] = rng.randint(-bound, bound)
-    return xi
-
-
-def _best_rank(rank_at, dim, cap, trials, seed, bound, support=None):
-    """(best, witness): the largest ``rank_at(xi)`` over ``trials`` seeded points xi of
-    [-bound, bound]^dim (zero off ``support``), and the first point that reaches it.
-
-    The one sampling loop behind every sampled rank.  ``cap`` is the largest rank the
-    caller's matrix can have at any point, a proven ceiling (for the index, dim minus the
-    algebra's ``index_floor``); the draws stop at the first point that reaches it, which
-    leaves both values as the full run would, and a rank above it raises
-    ``AssertionError``: the ceiling was wrong.  ``seed`` must be an ``int`` (which
-    ``random.Random`` would otherwise hash from a string or a float), ``trials`` an ``int``
-    of at least 1, and ``bound`` an ``int`` with 1 <= bound and 2 bound + 1 <= ``linalg.P``,
-    the condition of the Schwartz-Zippel bound there; all are checked before any draw."""
-    _check_int("seed", seed)
-    _check_count("trials", trials)
-    if not _is_int(bound) or bound < 1 or 2 * bound + 1 > P:
-        raise ValueError(f"bound must be an integer with 1 <= bound <= {(P - 1) // 2}, "
-                         f"got {bound!r}")
-    rng = random.Random(seed)
-    best, witness = -1, ()
-    for _ in range(trials):
-        xi = _sample_point(rng, dim, bound, support)
-        rk = rank_at(xi)
-        if rk > best:
-            _check_ceiling(rk, cap, "sampled rank")
-            best, witness = rk, tuple(xi)
-            if best == cap:
-                break
-    return best, witness
-
-
 def index_estimate(L: LieAlgebra, trials: int = 8, seed: int = 0,
                    bound: int = DEFAULT_BOUND) -> IndexEstimate:
     """dim - (max sampled rank of pi(xi) mod ``linalg.P``); an upper bound on the index,
-    claimed exact.  The draws stop at the even ceiling dim - ``L.index_floor``: a rank
-    mod P at any point is at most the generic rank dim - ind <= dim - index_floor, so
-    no later point could beat one that meets it."""
-    best, witness = _best_rank(lambda xi: _rank_mod_p(L, xi), L.dim,
-                               (L.dim - L.index_floor) // 2 * 2, trials, seed, bound)
+    claimed exact.  The draws stop at the :func:`_ceiling`, which no later point passes."""
+    best, witness = _best_rank(lambda xi: _rank_mod_p(L, xi), L.dim, _ceiling(L), trials,
+                               seed, bound)
     claimed = L.dim - best
     return IndexEstimate(claimed, best, trials, seed, QQ(L.dim + claimed, 2), witness)
 
@@ -289,8 +242,8 @@ def generic_stabilizer(L: LieAlgebra, h_indices, trials: int = 8, seed: int = 0,
     # Ann(h) = 0 only when h is everything; the definition then collapses to
     # the stabilizer of a generic point of the full dual.
     support = [i for i in range(L.dim) if i not in h_indices] or None
-    h, half = set(h_indices), (L.dim - L.index_floor) // 2
-    cap = 2 * half if support is None else min(len(h), L.dim - len(h), half)
+    h, full = set(h_indices), _ceiling(L)
+    cap = full if support is None else min(len(h), L.dim - len(h), full // 2)
 
     def rank_at(xi):
         return _rank_mod_p(L, xi) if support is None else _rank_mod_p(L, xi, h) // 2

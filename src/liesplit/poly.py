@@ -103,14 +103,12 @@ class Polynomial:
     # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        _check_count("nvars", nvars, 0)
-        return cls._of(nvars, {})
+        return cls(nvars)
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
         _check_count("nvars", nvars, 0)
-        c = scalar(c)
-        return cls._of(nvars, {0: c.numerator}, c.denominator) if c else cls.zero(nvars)
+        return cls(nvars, {bytes(nvars): c})
 
     @classmethod
     def variable(cls, nvars: int, i: int, coeff=1) -> "Polynomial":
@@ -120,7 +118,6 @@ class Polynomial:
     def monomial(cls, nvars: int, exps, coeff=1) -> "Polynomial":
         """``exps`` is a mapping var->exponent or a full exponent sequence of length nvars."""
         _check_count("nvars", nvars, 0)
-        coeff = scalar(coeff)
         e = [0] * nvars
         for i, k in exps.items() if isinstance(exps, dict) else enumerate(exps):
             _check_int("variable", i)
@@ -128,10 +125,7 @@ class Polynomial:
                 raise ValueError(f"variable {i} outside 0..{nvars - 1}")
             e[i] = k
         # a sequence is packed as given, so a short one meets the constructor's length check
-        key = _pack(e if isinstance(exps, dict) else exps, nvars)
-        if not coeff:
-            return cls.zero(nvars)
-        return cls._of(nvars, {key: coeff.numerator}, coeff.denominator)
+        return cls(nvars, {tuple(e if isinstance(exps, dict) else exps): coeff})
 
     @classmethod
     def linear_form(cls, nvars: int, coeffs: Sequence) -> "Polynomial":
@@ -422,6 +416,8 @@ class Polynomial:
         return s.replace("+ -", "- ")
 
     def __eq__(self, other):
+        if isinstance(other, str):  # a 'num/den' string would equal it and hash apart
+            return NotImplemented
         if not isinstance(other, Polynomial):
             if other == 0:
                 return not self.terms
@@ -429,6 +425,8 @@ class Polynomial:
         return self.nvars == other.nvars and self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {0}:  # a constant equals its value, so it hashes as it
+            return hash(QQ(self.terms.get(0, 0), self.den))
         return hash((self.nvars, self.den, frozenset(self.terms.items())))
 
     def __bool__(self):

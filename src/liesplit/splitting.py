@@ -174,6 +174,11 @@ def pencil_member(S: Decomposition, p) -> LieAlgebra:
     return contract(S, side)
 
 
+def _vectors(dim: int, maps):
+    """Coordinate vectors of length ``dim``, one per {position: value} map."""
+    return [[entries.get(i, 0) for i in range(dim)] for entries in maps]
+
+
 def _normalize_direction(vec):
     """Scale to coprime integers with the first nonzero entry positive."""
     _, ints = clear_denominators(vec)
@@ -201,6 +206,8 @@ def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Decomposi
     def to_cartan(vectors, label):
         out = []
         for j, v in enumerate(vectors):
+            if not isinstance(v, (list, tuple)):
+                raise ValueError(f"{label} vector {j} is {v!r}, not a sequence of {L.dim} entries")
             _check_length(f"{label} vector {j}", len(v), L.dim, "entries")
             w = [0] * ell
             for i, c in enumerate(v):
@@ -237,12 +244,9 @@ def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Decomposi
         if rank(Matrix.from_columns(t0_cart)) != len(t0_cart):
             raise ValueError("supplied t0 vectors are dependent")
 
-    def vec(coords):  # the vector of L with these {index: value} coordinates
-        return [coords.get(t, 0) for t in range(L.dim)]
-
-    toral = [vec(dict(zip(cartan, w))) for w in [*t1_cart, *t0_cart]]
-    new_vectors = ([vec({i: 1}) for i in tri.plus] + toral[:k]
-                   + [vec({i: 1}) for i in tri.minus] + toral[k:])
+    toral = _vectors(L.dim, (dict(zip(cartan, w)) for w in [*t1_cart, *t0_cart]))
+    new_vectors = (_vectors(L.dim, ({i: 1} for i in tri.plus)) + toral[:k]
+                   + _vectors(L.dim, ({i: 1} for i in tri.minus)) + toral[k:])
     names = ([L.names[i] for i in tri.plus] + [f"t1_{i + 1}" for i in range(k)]
              + [L.names[i] for i in tri.minus] + [f"t0_{i + 1}" for i in range(ell - k)])
     adapted = change_basis(L, new_vectors, names, kind=f"horo[{L.kind}]")

@@ -23,7 +23,9 @@ an element's generator word, and are checked against the key.
 Each root system carries its fundamental degrees (A_n: 2, ..., n+1; D_n:
 2, 4, ..., 2n-2 and n; E6: 2, 5, 6, 8, 9, 12): |W| = prod d_i bounds and
 certifies the enumeration, sum (d_i - 1) counts the positive roots, and
-max d_i is the default restriction degree.
+max d_i is the default restriction degree.  Every root is W-conjugate to a
+simple root (Humphreys 1.5), so the roots are the ``_orbit`` walks from the
+simple roots in simple-root coordinates, one per simple root not yet reached.
 
 Restriction works on generators, never on a whole invariant.  The W side is
 n = ``model_dim`` basic invariants: the linear forms that vanish on the roots
@@ -59,8 +61,7 @@ from math import prod
 from operator import mul
 
 from . import _kernels as K
-from .linalg import P, Matrix, inverse, rank, rank_and_nullspace, rank_mod_p
-from .poisson import _best_rank
+from .linalg import P, Matrix, _best_rank, inverse, rank, rank_and_nullspace, rank_mod_p
 from .poly import Polynomial, _exponents, _unit
 from .rationals import (QQ, _check_count, _check_length, _check_size, _is_int,
                         clear_denominators, exact)
@@ -116,21 +117,15 @@ def _reflection_matrix_model(alpha, gram: Matrix, n):
 
 
 def _positive_roots_alpha(cartan: Matrix, rank: int):
-    """All positive roots in simple-root coordinates, by reflection closure."""
-    simples = [tuple(1 if i == j else 0 for i in range(rank)) for j in range(rank)]
-    seen = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(rank):
-                pairing = sum(v[j] * cartan[i, j] for j in range(rank))
-                w = tuple(v[j] - (pairing if j == i else 0) for j in range(rank))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return sorted(v for v in seen if all(c >= 0 for c in v))
+    """All positive roots in simple-root coordinates: the ``_orbit`` of each simple root not
+    yet reached under s_i(v) = v - <v, alpha_i^vee> alpha_i (see the module docstring)."""
+    gens = [[[int(t == j) - (cartan[i, j] if t == i else 0) for j in range(rank)]
+             for t in range(rank)] for i in range(rank)]
+    roots: dict = {}
+    for a in Matrix.identity(rank).rows:
+        if a not in roots:
+            roots.update(dict.fromkeys(_orbit(a, gens)))
+    return sorted(v for v in roots if min(v) >= 0)
 
 
 _E6_EDGES = ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6))  # chain 1-2-3-4-5, node 6 on 3
@@ -356,10 +351,13 @@ class SatakeDiagram:
     arrows: tuple  # pairs of 1-based node indices
 
     def __post_init__(self):
+        if not isinstance(self.arrows, (list, tuple)):
+            raise ValueError(f"arrows must be a list or tuple of node pairs, got {self.arrows!r}")
         seen = set()
-        for i, j in self.arrows:
-            if not (_is_int(i) and _is_int(j)):
-                raise ValueError(f"arrow {(i, j)!r} must join two integer nodes")
+        for a in self.arrows:
+            if not (isinstance(a, (list, tuple)) and len(a) == 2 and all(map(_is_int, a))):
+                raise ValueError(f"arrow {a!r} must join two integer nodes")
+            i, j = a
             if i == j:
                 raise ValueError(f"an arrow must join two distinct nodes, got {(i, j)}")
             for x in (i, j):
@@ -588,7 +586,7 @@ def _basic_invariants(W: WeylGroup, candidates) -> list:
     fundamental degree, increasing, the first power sum over the W-orbit of a form in
     ``candidates`` whose gradient at the point is independent modulo ``P`` of those
     chosen (the module docstring has the proof).  A point where some degree finds none gives
-    way to the next one ``poisson._best_rank`` draws; ``AssertionError`` names the degree
+    way to the next one ``linalg._best_rank`` draws; ``AssertionError`` names the degree
     after the last, and degrees that do not multiply to |W| raise it before any search."""
     rs = W.root_system
     n = rs.model_dim

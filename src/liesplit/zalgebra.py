@@ -40,13 +40,14 @@ from .invariants import (
     verify_invariance,
     aks_restrict,
 )
-from .linalg import Matrix, rank
-from .poisson import _sample_point, _tensor_rank, poisson_bracket, sphericity, tensor_at
+from .linalg import Matrix, _sample_point, rank, solve
+from .poisson import _tensor_rank, poisson_bracket, sphericity, tensor_at
 from .poly import Polynomial
 from .rationals import _check_count, _check_int, _check_length, _check_size, _is_int
 from .splitting import (
     BracketParameter,
     Decomposition,
+    _vectors,
     contract,
     family_bracket,
     horospherical_splitting,
@@ -193,12 +194,11 @@ def property_suite(S: Decomposition, B: HilbertBasis, seed: int = 0,
     recon = True
     extreme_invariant = True
     all_components = []
-    for F, d in B.generators:
+    one = Polynomial.constant(S.algebra.dim, 1)
+    for F in B.polys:
         parts = bidecompose(S, F)
-        total = Polynomial.zero(F.nvars)
-        for c in parts.values():
-            total = total + c
-            all_components.append(c)
+        all_components.extend(parts.values())
+        total = Polynomial.sum_of_products(F.nvars, ((1, c, one) for c in parts.values()))
         recon = recon and total == F
         extreme_invariant = extreme_invariant and verify_invariance(con_h, parts[min(parts)])
         extreme_invariant = extreme_invariant and verify_invariance(con_r, parts[max(parts)])
@@ -282,25 +282,23 @@ class _Timer:
         self._t = now
 
 
-def _vectors(dim: int, maps):
-    """Coordinate vectors of length ``dim``, one per {position: value} map."""
-    return [[entries.get(i, 0) for i in range(dim)] for entries in maps]
+def _diagonal(L: LieAlgebra, i: int, size: int) -> tuple:
+    """The first ``size`` diagonal entries of rho(e_i) in the realization of ``L``."""
+    return tuple(L.realization[i].get((k, k), 0) for k in range(size))
 
 
 def _sl_diagonals(L: LieAlgebra, maps):
-    """sl-basis coordinates of traceless diagonal matrices given as {position: value} maps."""
+    """Basis coordinates of the diagonal matrices given as {position: value} maps, each
+    solved against the diagonals of the Cartan elements of the realization of ``L``."""
+    cartan, size = L.triangular.cartan, L.matrix_size
+    H = Matrix.from_columns([_diagonal(L, i, size) for i in cartan])
     out = []
-    size = len(L.triangular.cartan) + 1
     for diag in maps:
-        if sum(diag.values()) != 0 or not all(0 <= k < size for k in diag):
+        if not diag.keys() <= set(range(size)) or (
+                x := solve(H, [diag.get(k, 0) for k in range(size)])) is None:
             raise CaseParameterError(f"{list(diag.values())} is not a traceless diagonal "
                                      f"of size {size}")
-        coords = {}
-        run = 0
-        for k, i in enumerate(L.triangular.cartan):
-            run = run + diag.get(k, 0)
-            coords[i] = run
-        out.append(coords)
+        out.append(dict(zip(cartan, x)))
     return _vectors(L.dim, out)
 
 
@@ -342,8 +340,7 @@ def _splitting_t0(S: Decomposition, type_label, rank):
     """The root system, and the splitting's t0 in its epsilon model coordinates: the first
     ``model_dim`` diagonal entries of each t0 element of the adapted sl or so builder."""
     rs = build_root_system(type_label, rank)
-    rho = S.algebra.realization
-    return rs, [tuple(rho[i].get((k, k), 0) for k in range(rs.model_dim)) for i in S.t0_indices]
+    return rs, [_diagonal(S.algebra, i, rs.model_dim) for i in S.t0_indices]
 
 
 def _weyl_route(rs, t0, dmax, lap=lambda label: None):

@@ -176,6 +176,9 @@ _ROWS = [
     (_arrows, ((1.0, 3),), "arrow (1.0, 3) must join two integer nodes"),
     (_arrows, (("1", 3),), "arrow ('1', 3) must join two integer nodes"),
     (_arrows, ((1, 9),), "arrow (1,9) outside the diagram"),
+    (_arrows, ((1,),), "arrow (1,) must join two integer nodes"),  # once a failed unpacking
+    (_arrows, ((1, 2, 3),), "arrow (1, 2, 3) must join two integer nodes"),
+    (_arrows, 5, "arrows must be a list or tuple of node pairs, got 5"),  # once a TypeError
     (_arrows, ((1, 3), (3, 2)), "arrows must be disjoint: node 3 is in two arrows"),
     (_pow, True, "exponent must be a nonnegative integer, got True"),  # once x**True == x
     (_pow, 2.0, "exponent must be a nonnegative integer, got 2.0"),

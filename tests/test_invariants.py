@@ -762,6 +762,10 @@ def test_custom_basis_reads_each_degree_and_names_a_zero_or_inhomogeneous_genera
         custom_basis(sl2, [C, C + C * C])
     with pytest.raises(ValueError, match="custom generator 0 is zero$"):
         custom_basis(sl2, [Polynomial.zero(3)])
+    # once an AttributeError, and "is zero" for None
+    for bad in (5, None, "C"):
+        with pytest.raises(ValueError, match=f"custom generator 1 is {bad!r}, not a Polynomial$"):
+            custom_basis(sl2, [C, bad])
 
 
 @pytest.mark.parametrize("kind", ["charpoly", "trace_powers"])

@@ -147,6 +147,18 @@ def test_constructor_names_the_malformed_entry(names, constants, message):
     assert message in str(exc.value)
 
 
+@pytest.mark.parametrize("names, message", [
+    (["a", "b", "a"], "name 2 'a' repeats name 0"),  # once accepted
+    ([0, 1, 2], "name 0 is 0, not a string"),  # once accepted
+    ("abc", "names must be a list or tuple of strings, got 'abc'"),  # once read as a, b, c
+    (5, "names must be a list or tuple of strings, got 5"),
+])
+def test_change_basis_applies_the_constructor_name_rule(names, message):
+    with pytest.raises(ValueError) as exc:
+        change_basis(build_sl(2), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], names)
+    assert str(exc.value) == message
+
+
 def test_gram_matches_trace_form():
     sl2 = build_sl(2)
     # <e,f> = tr(E12 E21) = 1, <h,h> = 2

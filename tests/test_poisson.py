@@ -6,21 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from liesplit import _kernels as K, liealg, poisson, zalgebra
+from liesplit import _kernels as K, liealg, linalg, poisson, zalgebra
 from liesplit.invariants import bidecompose, hilbert_basis, jacobian_rank
 from liesplit.liealg import (LieAlgebra, algebra_from_json, algebra_to_json, build_double,
                              build_gl, build_sl, build_so_even, change_basis,
                              sub_algebra)
-from liesplit.linalg import P, Matrix, rank, rank_and_nullspace, solve
-from liesplit.poisson import (
-    _best_rank,
-    generic_stabilizer,
-    index_estimate,
-    poisson_bracket,
-    _sample_point,
-    sphericity,
-    tensor_at,
-)
+from liesplit.linalg import P, Matrix, _best_rank, _sample_point, rank, rank_and_nullspace, solve
+from liesplit.poisson import (generic_stabilizer, index_estimate, poisson_bracket, sphericity,
+                              tensor_at)
 from liesplit.poly import Polynomial
 from liesplit.rationals import QQ
 from liesplit.splitting import (
@@ -381,7 +374,7 @@ def test_contraction_estimates_stop_at_the_ceiling(monkeypatch):
         draws.append(1)
         return _sample_point(*args, **kwargs)
 
-    monkeypatch.setattr(poisson, "_sample_point", counting)
+    monkeypatch.setattr(linalg, "_sample_point", counting)
     S = _so8_horospherical()
     for side in ("keep_h", "keep_r"):
         draws.clear()
@@ -671,7 +664,7 @@ def test_stabilizers_match_the_exact_rank_draws_on_every_golden_splitting(monkey
         finally:
             inner.pop()
 
-    monkeypatch.setattr(poisson, "_sample_point", counting)
+    monkeypatch.setattr(linalg, "_sample_point", counting)
     monkeypatch.setattr(poisson, "index_estimate", estimate)
     splittings = _golden_splittings()
     assert len(splittings) == 10, sorted(splittings)

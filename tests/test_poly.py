@@ -190,6 +190,20 @@ def test_monomial_takes_only_full_exponent_sequences():
     assert Polynomial.constant(3, 0).is_zero()
 
 
+def test_a_constant_hashes_as_the_value_it_equals():
+    # once {Polynomial.constant(2, 3), 3} had two elements
+    x = Polynomial.variable(2, 0)
+    for p, c in ((Polynomial.constant(2, 3), 3), (Polynomial.zero(2), 0),
+                 (Polynomial.constant(2, QQ(-5, 4)), QQ(-5, 4)), (x - x + 7, 7)):
+        assert p == c and hash(p) == hash(c)
+        assert len({p, c}) == 1 and {p: "p"}[c] == "p"
+    assert len({x, x + 0, Polynomial.monomial(2, {0: 1})}) == 1
+    assert len({x, 2 * x, x * x, Polynomial.constant(2, 2)}) == 4
+    # a 'num/den' string spells a scalar but is not one: it equals no polynomial
+    assert Polynomial.constant(2, 3) != "3" and "3" != Polynomial.constant(2, 3)
+    assert len({Polynomial.constant(2, 3), "3"}) == 2
+
+
 @pytest.mark.parametrize("build", [
     lambda: Polynomial(2, {(1, 0): 0.1}),
     lambda: Polynomial.constant(2, 0.1),

@@ -39,3 +39,14 @@ def test_the_boundary_covers_the_modules_that_build_invariants():
 @pytest.mark.parametrize("path", OUTSIDE, ids=[p.name for p in OUTSIDE])
 def test_no_module_outside_the_core_reaches_into_the_representation(path):
     assert list(_reaches(ast.parse(path.read_text(encoding="utf-8")))) == []
+
+
+def test_weyl_imports_only_the_arithmetic_layers():
+    """The Weyl route draws its Jacobian points through ``linalg``, not ``poisson``: it
+    imports only ``_kernels``, ``linalg``, ``poly`` and ``rationals`` of the package."""
+    tree = ast.parse((PACKAGE / "weyl.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from . import x, from .x import y
+            imported.update([node.module] if node.module else (a.name for a in node.names))
+    assert imported == {"_kernels", "linalg", "poly", "rationals"}, imported

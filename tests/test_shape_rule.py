@@ -152,6 +152,8 @@ _ROWS = [
     (_tensor, [1, 2], "point has 2 coordinates, expected 3"),
     (_t1, [[0, 1, 0]], "t1 vector 0 has 3 entries, expected 8"),
     (_t0, [[1]], "t0 vector 0 has 1 entries, expected 8"),
+    (_t1, [0] * 8, "t1 vector 0 is 0, not a sequence of 8 entries"),  # once a bare TypeError
+    (_t0, [0] * 8, "t0 vector 0 is 0, not a sequence of 8 entries"),
     (_basis, [[1, 0, 0], [0, 1, 0]], "new basis has 2 vectors, expected 3"),
     (_bidecompose, _x(3), "bidecompose: F has 3 variables, expected 8"),
     # each of these was once truncated, padded with zeros or a bare error
