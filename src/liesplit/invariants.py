@@ -309,12 +309,13 @@ def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
 def custom_basis(L: LieAlgebra, polys) -> HilbertBasis:
     """A basis from nonzero homogeneous polynomials, each of its own degree; each is
     bracketed against every coordinate (:func:`verify_invariance`), the route named
-    'brackets'.  One that is not a Polynomial, zero, non-homogeneous or not invariant is
-    named by its index."""
+    'brackets'.  One that is not a Polynomial, has the wrong variable count, or is zero,
+    non-homogeneous or not invariant is named by its index."""
     gens = []
     for i, g in enumerate(polys):
         if not isinstance(g, Polynomial):
             raise ValueError(f"custom generator {i} is {g!r}, not a Polynomial")
+        _check_length(f"custom generator {i}", g.nvars, L.dim, "variables")
         if not (g and g.is_homogeneous()):
             raise ValueError(f"custom generator {i} is {'not homogeneous' if g else 'zero'}")
         if not verify_invariance(L, g):

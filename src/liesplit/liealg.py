@@ -52,7 +52,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
-from .linalg import Matrix, inverse, rank
+from .linalg import Matrix, _first_dependent, inverse, rank
 from .poly import _unit
 from .rationals import (QQ, _check_length, _check_size, _indices, _is_int,
                         clear_denominators, combine, common_denominator, exact, scalar)
@@ -473,7 +473,8 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
     try:
         Pinv = inverse(P)
     except ValueError:
-        raise ValueError("new basis vectors are dependent") from None
+        raise ValueError("new basis vectors are dependent: "
+                         + _first_dependent("new basis", new_vectors)) from None
     # new coordinates of an old vector w are sum_k w_k * (column k of P^-1)
     columns = [{r: c for r, c in enumerate(col) if c} for col in zip(*Pinv.rows)]
     # [P e_a, P e_b] = sum of P_ia P_jb [e_i, e_j] over the brackets of L that are not zero

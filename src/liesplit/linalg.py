@@ -208,6 +208,14 @@ def rank(m: Matrix) -> int:
     return len(pivots)
 
 
+def _first_dependent(label: str, vectors) -> str:
+    """Names the first of the dependent ``vectors`` that is zero or a combination of the ones
+    before it, as '``label`` vector k is ...'; one rank per prefix, so only for a message."""
+    k = next(k for k in range(len(vectors)) if rank(Matrix(vectors[: k + 1])) <= k)
+    what = "a combination of the ones before it" if rank(Matrix([vectors[k]])) else "zero"
+    return f"{label} vector {k} is {what}"
+
+
 P = 2**30 - 35  # 1073741789
 
 

@@ -416,9 +416,11 @@ class Polynomial:
         return s.replace("+ -", "- ")
 
     def __eq__(self, other):
-        if isinstance(other, str):  # a 'num/den' string would equal it and hash apart
-            return NotImplemented
         if not isinstance(other, Polynomial):
+            # only an exact scalar is a constant: a 'num/den' string would equal it and hash
+            # apart, and a float or a bool is not a scalar at all
+            if type(other) not in (int, QQ):
+                return NotImplemented
             if other == 0:
                 return not self.terms
             other = Polynomial.constant(self.nvars, other)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .liealg import LieAlgebra, Matrix, _closure_gap, change_basis, subalgebra_indices
-from .linalg import rank, rank_and_nullspace
+from .linalg import _first_dependent, rank, rank_and_nullspace
 from .rationals import _check_length, clear_denominators, combine, qq_str, scalar
 
 
@@ -227,7 +227,7 @@ def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Decomposi
     if k:
         T1 = Matrix.from_columns(t1_cart)
         if rank(T1) != k:
-            raise ValueError("t1 vectors are dependent")
+            raise ValueError(f"t1 vectors are dependent: {_first_dependent('t1', t1_cart)}")
         T1tG = T1.transpose() * tri.cartan_form
         # <,> must stay nondegenerate on t1
         if rank(T1tG * T1) != k:
@@ -242,7 +242,8 @@ def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Decomposi
         if k and any(x != 0 for v in t0_cart for x in T1tG.matvec(v)):
             raise ValueError("supplied t0 is not orthogonal to t1")
         if rank(Matrix.from_columns(t0_cart)) != len(t0_cart):
-            raise ValueError("supplied t0 vectors are dependent")
+            raise ValueError("supplied t0 vectors are dependent: "
+                             + _first_dependent("t0", t0_cart))
 
     toral = _vectors(L.dim, (dict(zip(cartan, w)) for w in [*t1_cart, *t0_cart]))
     new_vectors = (_vectors(L.dim, ({i: 1} for i in tri.plus)) + toral[:k]

@@ -43,11 +43,9 @@ are taken, and the image in degree d is the span of the weighted degree-d
 products of the restricted generators.  The W0 side is Molien's formula:
 dim C[t0]^W0_d is the t^d coefficient of (1/|W0|) sum_g 1/det(1 - t g).
 
-``invariant_basis`` (the kernel of one square matrix sum_m (m - 1) on the
-degree-d coefficients) is kept as the oracle the tests check both sides
-against.  A finite group keeps an inner product, so <m x, x> <= |x|^2 and
-the sum kills x only when every m fixes x; one block per matrix would cost
-|W0| times the rows.
+``invariant_basis`` (the kernel of the blocks m - 1, one per matrix, stacked
+on the degree-d coefficients: the common fixed space of any list of matrices)
+is kept as the oracle the tests check both sides against.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import prod
 from operator import mul
 
@@ -501,35 +499,22 @@ def _monomial_images(m_rows, nvars, degree):
 
 
 def invariant_basis(matrices, degree, nvars):
-    """Basis of the degree-``degree`` polynomials fixed by every matrix.
-
-    For the elements or generators of a finite group acting by
-    x_i -> row_i . x, this is the kernel of sum_m (m - 1); the module
-    docstring gives the argument.  Every basis vector is checked against
-    every matrix, so other inputs raise ``AssertionError``, not a wrong space;
-    a matrix that is not ``nvars`` x ``nvars`` raises a ``ValueError`` naming it.
+    """Basis of the degree-``degree`` polynomials fixed by every matrix, acting by
+    x_i -> row_i . x: the kernel of the blocks m - 1 stacked, one per matrix.  A matrix
+    that is not ``nvars`` x ``nvars`` raises a ``ValueError`` naming it.
     """
     monos = _monomials(nvars, degree)
     pos = {e: i for i, e in enumerate(monos)}
-    moves = []   # per matrix, the columns of m - 1 as {row: value}
-    total = [[0] * len(monos) for _ in monos]
+    rows = []
     for k, m in enumerate(matrices):
         _check_length(f"matrix {k}", m.nrows, nvars, "rows")
         _check_length(f"matrix {k}", m.ncols, nvars, "columns")
-        moves.append([{pos[f]: image.coeff(f) for f in image.terms}
-                      for image in _monomial_images(m.rows, nvars, degree)])
-        for col, column in enumerate(moves[-1]):
-            column[col] = column.get(col, 0) - 1
-            for row, c in column.items():
-                total[row][col] += c
-    _, null = rank_and_nullspace(Matrix(total))
-    for cols, v in product(moves, null):
-        acc = [0] * len(monos)
-        for x, column in zip(v, cols):
-            for row, c in column.items():
-                acc[row] += x * c
-        if any(acc):
-            raise AssertionError("a matrix moves a vector in the kernel of sum_m (m - 1)")
+        block = [[-int(row == col) for col in range(len(monos))] for row in range(len(monos))]
+        for col, image in enumerate(_monomial_images(m.rows, nvars, degree)):
+            for f in image.terms:
+                block[pos[f]][col] += image.coeff(f)
+        rows += block
+    _, null = rank_and_nullspace(Matrix._shaped(rows, len(monos)))
     return [Polynomial(nvars, {_exponents(e, nvars): c for e, c in zip(monos, v)}) for v in null]
 
 

@@ -359,10 +359,6 @@ def _weyl_route(rs, t0, dmax, lap=lambda label: None):
     return W, rep, rc
 
 
-def _toral_variable_polys(S: Decomposition, indices):
-    return [Polynomial.variable(S.algebra.dim, i) for i in indices]
-
-
 def _centre_generators(S: Decomposition, B: HilbertBasis):
     """Free generators of the two contraction centres for a horospherical splitting.
 
@@ -371,8 +367,8 @@ def _centre_generators(S: Decomposition, B: HilbertBasis):
     """
     t0set = set(S.t0_indices)
     t1set = set(S.t1_indices)
-    z0 = _toral_variable_polys(S, S.t0_indices)
-    zinf = _toral_variable_polys(S, S.t1_indices)
+    z0 = [Polynomial.variable(S.algebra.dim, i) for i in S.t0_indices]
+    zinf = [Polynomial.variable(S.algebra.dim, i) for i in S.t1_indices]
     for F, d in B.generators:
         parts = bidecompose(S, F)
         top, bottom = parts[min(parts)], parts[max(parts)]
@@ -383,12 +379,12 @@ def _centre_generators(S: Decomposition, B: HilbertBasis):
     return z0, zinf
 
 
-def _z_algebra(S: Decomposition, B: HilbertBasis, z0, zinf, mode: str, trials, seed,
+def _z_algebra(S: Decomposition, B: HilbertBasis, mode: str, trials, seed,
                least: int = 5, bound: int = 997):
-    """(Z, b, trdeg): the ``mode`` candidates of ``z_generators`` with centres ``z0``,
-    ``zinf``, b of the splitting's algebra, and their Jacobian rank over
+    """(Z, b, trdeg): the ``mode`` candidates of ``z_generators`` with the centres of
+    ``_centre_generators``, b of the splitting's algebra, and their Jacobian rank over
     max(``least``, ``trials``) seeded points of [-``bound``, ``bound``]^dim."""
-    Z = z_generators(S, B, z0, zinf, mode)
+    Z = z_generators(S, B, *_centre_generators(S, B), mode)
     td = jacobian_rank([p for p, _ in Z], trials=max(least, trials), seed=seed, bound=bound)
     return Z, _b_of(S.algebra), td
 
@@ -407,9 +403,8 @@ def _case_borel(params, seed, trials, dmax):
     g = build_sl(n)
     S, B = _build(g, _vectors(g.dim, ({i: 1} for i in g.triangular.cartan)), None,
                   "charpoly", timer)
-    Z, b, td = _z_algebra(S, B, *_centre_generators(S, B), "full", trials, seed)
-    suite = commutativity_suite(S, Z, extra_params=[(1, 7), (1, -3)],
-                                max_pairs=60, seed=seed)
+    Z, b, td = _z_algebra(S, B, "full", trials, seed)
+    suite = commutativity_suite(S, Z, max_pairs=60, seed=seed)
     timer.lap("z_algebra")
     sph, props = _suites(S, B, seed, trials)
     timer.lap("suites")
@@ -508,8 +503,7 @@ def _case_double(params, seed, trials, dmax):
     all_even = all(d % 2 == 0 for d in base_degrees)
     timer.lap("ggs")
 
-    Z, b, td = _z_algebra(S, B, _toral_variable_polys(S, S.t0_indices),
-                          _toral_variable_polys(S, S.t1_indices), "m_tilde", trials, seed)
+    Z, b, td = _z_algebra(S, B, "m_tilde", trials, seed)
     rng = random.Random(seed)
     extra = [(1, rng.randint(2, 60)) for _ in range(5)]
     suite = commutativity_suite(S, Z, extra_params=extra, seed=seed)
@@ -564,7 +558,7 @@ def _case_sl2n(params, seed, trials, dmax):
     unmodified_rep = ggs_check(S, B, side="h", trials=trials, seed=seed)
     timer.lap("elimination")
 
-    Z, b, td = _z_algebra(S, modified, *_centre_generators(S, modified), "m_tilde", trials, seed)
+    Z, b, td = _z_algebra(S, modified, "m_tilde", trials, seed)
     timer.lap("z_algebra")
 
     _, w0, rc = _weyl_route(*_splitting_t0(S, "A", N - 1), dmax)
@@ -664,8 +658,7 @@ def _case_so2n(params, seed, trials, dmax):
     rep_r = ggs_check(S, B, side="r", trials=trials, seed=seed)
     timer.lap("ggs")
 
-    Z, b, td = _z_algebra(S, B, *_centre_generators(S, B), "m_tilde", trials, seed,
-                          least=3, bound=97)
+    Z, b, td = _z_algebra(S, B, "m_tilde", trials, seed, least=3, bound=97)
     # exact pairwise brackets among the small generators; the large sextic
     # components are covered by the sampled property suite below
     small = [(p, tag) for p, tag in Z if len(p.terms) <= 160]

@@ -229,6 +229,13 @@ def test_change_basis_rejects_dependent_vectors():
     sl2 = build_sl(2)
     with pytest.raises(ValueError, match="new basis vectors are dependent"):
         change_basis(sl2, [[1, 0, 0], [0, 1, 0], [1, 1, 0]], ["a", "b", "c"])
+    # the first vector that is zero or a combination of the ones before it is named
+    for vectors, message in (
+            ([[1, 0, 0], [0, 1, 0], [1, 1, 0]], "vector 2 is a combination of the ones before it"),
+            ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], "vector 1 is zero"),
+            ([[0, 1, 0], ["-1/2", 0, 0], [2, 1, 0]], "vector 2 is a combination of the ones before it")):
+        with pytest.raises(ValueError, match=f"^new basis vectors are dependent: new basis {message}$"):
+            change_basis(sl2, vectors, ["a", "b", "c"])
 
 
 def test_root_labels_give_diagonal_cartan_action():

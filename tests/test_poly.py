@@ -202,6 +202,13 @@ def test_a_constant_hashes_as_the_value_it_equals():
     # a 'num/den' string spells a scalar but is not one: it equals no polynomial
     assert Polynomial.constant(2, 3) != "3" and "3" != Polynomial.constant(2, 3)
     assert len({Polynomial.constant(2, 3), "3"}) == 2
+    # nor are a float, a bool, None, a list or an object, which each raised TypeError once
+    one = Polynomial.constant(2, 1)
+    for other in (None, 1.0, True, [1], object()):
+        assert one != other and other != one
+    assert one not in [None, 1.0] and len({one, 1.0}) == 2
+    # zero equals 0, but not 0.0, which once passed through the `== 0` shortcut
+    assert Polynomial.zero(2) == 0 and Polynomial.zero(2) != 0.0
 
 
 @pytest.mark.parametrize("build", [

@@ -7,7 +7,8 @@ from functools import lru_cache
 
 import pytest
 
-from liesplit.invariants import bidecompose, hilbert_basis, jacobian_rank, transport_basis
+from liesplit.invariants import (bidecompose, custom_basis, hilbert_basis, jacobian_rank,
+                                 transport_basis)
 from liesplit.liealg import build_sl, change_basis
 from liesplit.linalg import Matrix, rank_and_nullspace, solve
 from liesplit.poisson import hamiltonian_field, poisson_bracket, tensor_at
@@ -76,6 +77,10 @@ def _sum_of_products(b):
 
 def _field(F):
     return list(hamiltonian_field(build_sl(2), F))
+
+
+def _custom(F):
+    return custom_basis(build_sl(2), [F])
 
 
 def _bracket(G):
@@ -149,6 +154,7 @@ _ROWS = [
     (_sum_of_products, _x(3), "sum_of_products: b has 3 variables, expected 2"),
     (_field, _x(2), "F has 2 variables, expected 3"),
     (_bracket, _x(2), "G has 2 variables, expected 3"),
+    (_custom, _x(4), "custom generator 0 has 4 variables, expected 3"),  # once "F has 4 variables"
     (_tensor, [1, 2], "point has 2 coordinates, expected 3"),
     (_t1, [[0, 1, 0]], "t1 vector 0 has 3 entries, expected 8"),
     (_t0, [[1]], "t0 vector 0 has 1 entries, expected 8"),

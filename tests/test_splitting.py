@@ -359,8 +359,12 @@ def test_horospherical_rejects_degenerate_t1():
     v1[cart[0]] = QQ(1)
     v2 = [QQ(0)] * 8
     v2[cart[0]] = QQ(2)
-    with pytest.raises(ValueError):
-        horospherical_splitting(g, [v1, v2])  # dependent
+    # a dependent t1 names its first vector that is zero or a combination of the ones before it
+    with pytest.raises(ValueError, match="t1 vectors are dependent: t1 vector 1 is a combination"
+                                         " of the ones before it$"):
+        horospherical_splitting(g, [v1, v2])
+    with pytest.raises(ValueError, match="t1 vectors are dependent: t1 vector 1 is zero$"):
+        horospherical_splitting(g, [v1, [0] * 8])
 
 
 def test_horospherical_checks_a_supplied_t0():
@@ -373,8 +377,10 @@ def test_horospherical_checks_a_supplied_t0():
     for t1_basis, t0_basis, message in (
             (t1, t0 + [h1], "supplied t0 has the wrong dimension"),
             (t1, [h1], "supplied t0 is not orthogonal to t1"),
-            (t1, [[0] * 8], "supplied t0 vectors are dependent"),
-            ([], [h1, [2 * x for x in h1]], "supplied t0 vectors are dependent")):
+            # the first vector that is zero or a combination of the ones before it is named
+            (t1, [[0] * 8], "supplied t0 vectors are dependent: t0 vector 0 is zero$"),
+            ([], [h1, [2 * x for x in h1]],
+             "supplied t0 vectors are dependent: t0 vector 1 is a combination of the ones before it$")):
         with pytest.raises(ValueError, match=message):
             horospherical_splitting(g, t1_basis, t0_basis=t0_basis)
     # with t1 = 0 any basis of the Cartan is a t0, in the order given

@@ -157,7 +157,8 @@ def so8_poisson_tensor():
 
 
 def a5_degree4_matrix(monkeypatch):
-    """sum_i (s_i - 1) on the degree-4 polynomials of the A5 model, as invariant_basis builds it."""
+    """The blocks s_i - 1 on the degree-4 polynomials of the A5 model, one per generator,
+    stacked as invariant_basis builds them."""
     W = weyl.enumerate_weyl(weyl.build_root_system("A", 5))
     seen = []
 
@@ -176,7 +177,7 @@ def test_rank_and_nullspace_match_sympy(build, monkeypatch):
     from sympy.polys.matrices import DomainMatrix
 
     m = so8_poisson_tensor() if build == "so8_tensor" else a5_degree4_matrix(monkeypatch)
-    assert (m.nrows, m.ncols) == ((28, 28) if build == "so8_tensor" else (126, 126))
+    assert (m.nrows, m.ncols) == ((28, 28) if build == "so8_tensor" else (5 * 126, 126))
     to_qq = sympy.QQ.convert
     dm = DomainMatrix([[to_qq(x) for x in row] for row in m.rows], (m.nrows, m.ncols), sympy.QQ)
     _, pivots = dm.rref()

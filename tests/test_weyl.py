@@ -397,10 +397,17 @@ def test_generator_fixed_space_equals_element_fixed_space():
                 assert all(_acts(m, p) == p for m in all_mats), (label, d)
 
 
-def test_invariant_basis_rejects_a_set_that_is_not_a_finite_group():
-    # the kernel of (2 - 1) + (0 - 1) is everything, but neither matrix fixes x
-    with pytest.raises(AssertionError):
-        invariant_basis([Matrix([[2]]), Matrix([[0]])], 1, 1)
+def test_invariant_basis_is_the_common_fixed_space_of_any_matrices():
+    # once an AssertionError: the kernel of (2 - 1) + (0 - 1) is everything, but neither
+    # matrix fixes x
+    assert invariant_basis([Matrix([[2]]), Matrix([[0]])], 1, 1) == []
+    # the shear x0 -> x0 + x1, x1 -> x1 generates no finite group, and fixes exactly x1^d
+    shear = [Matrix([[1, 1], [0, 1]])]
+    x1 = Polynomial.variable(2, 1)
+    assert invariant_basis(shear, 1, 2) == [x1]
+    assert invariant_basis(shear, 2, 2) == [x1**2]
+    # an empty list fixes every monomial
+    assert len(invariant_basis([], 2, 2)) == 3
 
 
 def test_image_dimension_monotone_under_products():

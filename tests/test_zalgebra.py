@@ -15,7 +15,7 @@ from liesplit.linalg import Matrix, rank
 from liesplit.poisson import poisson_bracket
 from liesplit.poly import Polynomial
 from liesplit.rationals import QQ
-from liesplit.splitting import BracketParameter, horospherical_splitting, pencil_member
+from liesplit.splitting import BracketParameter, _vectors, horospherical_splitting, pencil_member
 from liesplit.weyl import SatakeDiagram, satake_subspaces
 from liesplit.zalgebra import (
     CaseParameterError,
@@ -299,6 +299,22 @@ def test_centre_generators_are_toral_variables_and_extreme_components():
     parts = bidecompose(S2, B2.polys[0])
     t1 = Polynomial.variable(3, S2.algebra.names.index("t1_1"))
     assert zalgebra._centre_generators(S2, B2) == ([parts[min(parts)]], [t1])
+
+
+def test_double_centres_are_the_toral_coordinates():
+    # on the Cartan double every extreme component lies on its torus, so the case takes its
+    # centres from the same rule as the other Z stages
+    for n in (1, 2, 3):
+        g = build_sl(n + 1)
+        gd = build_double(g)
+        cart = list(enumerate(g.triangular.cartan))
+        t1v = _vectors(gd.dim, ({i: 1, g.dim + k: -1} for k, i in cart))
+        t0v = _vectors(gd.dim, ({i: 1, g.dim + k: 1} for k, i in cart))
+        S = horospherical_splitting(gd, t1v, t0_basis=t0v)
+        B = transport_basis(hilbert_basis(gd, "charpoly"), S)
+        x = [Polynomial.variable(gd.dim, i) for i in range(gd.dim)]
+        assert zalgebra._centre_generators(S, B) == (
+            [x[i] for i in S.t0_indices], [x[i] for i in S.t1_indices]), n
 
 
 def test_middle_components_nonzero_finds_a_missing_h_degree():
