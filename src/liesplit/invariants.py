@@ -12,7 +12,11 @@ rest built level by level (``_first_row_expansion``), each minor one
 follow by Newton's identities.  The Pfaffian, the only other expansion, replaces
 the top generator of either family when every rho(e_a) is skew about the
 antidiagonal J, as on so(2n): the condition ``poly_pfaffian`` checks on J Y.
-All are exact polynomials in the dual coordinates x.
+There Y^T = -J Y J, so det(lambda - Y) = det(lambda + Y) and every odd e_k is
+zero: ``hilbert_basis`` asks the final sum of the expansion for the even
+lambda-powers of e_2 .. e_(2n-2) only, and checks the sign Pf(J Y)^2 = (-1)^n det Y
+at one seeded integer point instead of squaring Pf against e_2n, which it never
+builds.  All are exact polynomials in the dual coordinates x.
 
 Each of them is a conjugation-invariant function of Y, so its invariance is a
 theorem once rho is a homomorphism and G a nondegenerate ad-invariant form:
@@ -42,6 +46,7 @@ there); the two must agree on builder algebras.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations
@@ -76,7 +81,7 @@ def dual_matrix(L: LieAlgebra):
     return Y
 
 
-def _first_row_expansion(entries, split, levels: int) -> Polynomial:
+def _first_row_expansion(entries, split, levels: int, powers=None) -> Polynomial:
     """Alternating first-row expansion of a polynomial matrix, met in the middle.
 
     ``split(idx)`` gives the row to expand along and the columns it runs
@@ -93,6 +98,11 @@ def _first_row_expansion(entries, split, levels: int) -> Polynomial:
     are cleared to one denominator d, so every minor and coefficient is an integral
     :meth:`Polynomial.sum_of_products` with no rescaling; a full product takes
     ``levels`` entries, so the result is divided once by d^levels.
+
+    With ``powers``, a set of degrees in the last variable, the final sum splits
+    each minor and its coefficient by that degree and multiplies only the parts whose
+    degrees add up to one of ``powers``: the result is the part of the whole
+    expansion in those degrees, and no product of another degree is formed.
     """
     nv = entries[0][0].nvars if entries else 0
     d = lcm(*(e.den for row in entries for e in row))
@@ -124,8 +134,17 @@ def _first_row_expansion(entries, split, levels: int) -> Polynomial:
                 paths.setdefault(sub, []).append(((-1) ** t, e, c))
         coeffs = {sub: c for sub, p in paths.items()
                   if (c := Polynomial.sum_of_products(nv, p))}
-    return Polynomial.sum_of_products(nv, ((1, c, minor(idx, built.__getitem__))
-                                           for idx, c in coeffs.items())).scale(QQ(1, d**levels))
+
+    def parts(p):  # by degree in the last variable, or whole
+        return {0: p} if powers is None else p.split_degree((nv - 1,))
+
+    def products():
+        for idx, c in coeffs.items():
+            below = parts(minor(idx, built.__getitem__))
+            yield from ((1, ci, mj) for i, ci in parts(c).items() for j, mj in below.items()
+                        if powers is None or i + j in powers)
+
+    return Polynomial.sum_of_products(nv, products()).scale(QQ(1, d**levels))
 
 
 def _square_size(entries) -> int:
@@ -146,8 +165,14 @@ def _square_size(entries) -> int:
 def poly_det(entries) -> Polynomial:
     """Determinant of a square matrix of polynomials, by ``_first_row_expansion`` over
     column subsets."""
-    size = _square_size(entries)
-    return _first_row_expansion(entries, lambda cols: (size - len(cols), cols), size)
+    _square_size(entries)
+    return _det(entries)
+
+
+def _det(entries, powers=None) -> Polynomial:
+    """``poly_det`` of a matrix known to be square, its ``powers`` as the expansion's."""
+    size = len(entries)
+    return _first_row_expansion(entries, lambda cols: (size - len(cols), cols), size, powers)
 
 
 def poly_pfaffian(entries) -> Polynomial:
@@ -167,39 +192,66 @@ def poly_pfaffian(entries) -> Polynomial:
 
 
 def charpoly_coefficients(L: LieAlgebra) -> dict:
-    """Map k -> e_k with det(lambda I - Y) = sum_k (-1)^k e_k lambda^(N-k)."""
-    Y = dual_matrix(L)
-    size = L.matrix_size
-    n = L.dim
+    """Map k -> e_k with det(lambda I - Y) = sum_k (-1)^k e_k lambda^(N-k).
+
+    On a realization skew about the antidiagonal J (so(2n)), Y^T = -J Y J, so
+    det(lambda - Y) = det(lambda + Y) and every odd e_k is identically zero; this map
+    still holds them all, while ``hilbert_basis`` expands only the even ones it keeps."""
+    return _charpoly(dual_matrix(L), range(1, L.matrix_size + 1))
+
+
+def _charpoly(Y, ks) -> dict:
+    """Map k -> e_k for each k of ``ks``, the determinant taking only lambda^(N-k)."""
+    size, n = len(Y), Y[0][0].nvars
     lam = Polynomial.variable(n + 1, n)
-    entries = [
-        [
-            (lam - Y[r][c].lift(n + 1) if r == c else -Y[r][c].lift(n + 1))
-            for c in range(size)
-        ]
-        for r in range(size)
-    ]
-    by_lambda = poly_det(entries).split_last()  # lambda is the last variable
-    out = {}
-    for k in range(1, size + 1):
-        p = by_lambda.get(size - k, Polynomial.zero(n))
-        out[k] = -p if k % 2 else p
-    return out
+    entries = [[(lam if r == c else 0) - Y[r][c].lift(n + 1) for c in range(size)]
+               for r in range(size)]
+    # lambda is the last variable
+    by_lambda = _det(entries, {size - k for k in ks}).split_last()
+    return {k: (-1) ** k * by_lambda.get(size - k, Polynomial.zero(n)) for k in ks}
 
 
 def _power_sums(e: dict) -> dict:
-    """Map k -> p_k = tr(Y^k) from k -> e_k by Newton's identities.
+    """Map k -> p_k = tr(Y^k) from k -> e_k by Newton's identities, for each k of ``e``.
 
     p_k = sum_{i<k} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k, integer
     multipliers only (Macdonald, Symmetric Functions, I.2), each p_k one
-    :meth:`Polynomial.sum_of_products`.
+    :meth:`Polynomial.sum_of_products`.  An e_i that ``e`` lacks is taken as zero: on
+    so(2n) ``e`` holds the even ones only, the odd ones being zero.
     """
     p = {}
     for k in sorted(e):
         q = {**p, 0: Polynomial.constant(e[k].nvars, k)}  # k e_k is e_k times the constant k
         p[k] = Polynomial.sum_of_products(e[k].nvars, ((1 if i % 2 else -1, e[i], q[k - i])
-                                                       for i in (k, *range(1, k))))
+                                                       for i in (k, *range(1, k)) if i in e))
     return p
+
+
+def _pfaffian_sign_holds(pf: Polynomial, Y) -> bool:
+    """Whether Pf(J Y(x))^2 = (-1)^n det Y(x) at one seeded integer point x where
+    ``pf`` = Pf(J Y) is nonzero, det Y(x) by Gaussian elimination over Q.
+
+    J is the antidiagonal, of det J = (-1)^n, so for the true Pfaffian the identity holds
+    as polynomials: one such point fixes the sign convention and rejects any other
+    multiple c Pf (c^2 != 1).  A zero ``pf`` fails."""
+    rng, v = random.Random(0), 0
+    while pf and not v:
+        x = [rng.randint(-9, 9) for _ in range(pf.nvars)]
+        v = pf.eval(x)
+    if not v:
+        return False
+    rows, det = [[y.eval(x) for y in row] for row in Y], QQ(1)
+    for k in range(len(rows)):
+        j = next((j for j in range(k, len(rows)) if rows[j][k]), None)
+        if j is None:  # det Y(x) = 0, where Pf(J Y(x)) is not
+            return False
+        if j != k:
+            rows[k], rows[j], det = rows[j], rows[k], -det
+        det *= rows[k][k]
+        for row in rows[k + 1:]:
+            f = row[k] / rows[k][k]
+            row[k:] = [a - f * b for a, b in zip(row[k:], rows[k][k:])]
+    return v * v == (-1) ** (len(Y) // 2) * det
 
 
 # -- Hilbert bases ------------------------------------------------------
@@ -251,7 +303,10 @@ def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
     traces p_k = tr Y^k from the e_k by Newton's identities; identically zero ones (the
     trace on sl, the odd ones on so) are dropped.  On so(2n), read off a realization skew
     about the antidiagonal, the Pfaffian (degree n) replaces the top generator: e_2n =
-    +-Pf^2, and Newton's identities invert over Q.  On a Cartan double the basis is the
+    +-Pf^2, and Newton's identities invert over Q.  There the odd e_k vanish and e_2n
+    is not needed, so only e_2, e_4, .., e_(2n-2) are expanded, and the sign
+    Pf(J Y)^2 = (-1)^n det Y is checked at one integer point where Pf is nonzero
+    (a ``ValueError`` if it fails).  On a Cartan double the basis is the
     lifts of its base's basis of the same kind, then the appended xi coordinates.  An
     adapted rebuild that carries no realization (one of a double) gets its base's basis
     through :func:`transport_basis`.  A ready list of polynomials goes through
@@ -284,18 +339,19 @@ def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
             raise ValueError(f"invariance of the {kind} basis of {L.kind} is not proved: "
                              f"{cert.failure}")
         route = "realization"
-        e = charpoly_coefficients(L)
+        Y, size = dual_matrix(L), L.matrix_size
+        # so(J) of even size, J the antidiagonal: J rho(e_a) is skew for every a, so
+        # Y^T = -J Y J, the odd e_k vanish and the Pfaffian takes the place of e_2n
+        skew = size % 2 == 0 and all(m.get((size - 1 - c, size - 1 - r), 0) == -v
+                                     for m in L.realization for (r, c), v in m.items())
+        e = _charpoly(Y, range(2, size - 1, 2) if skew else range(1, size + 1))
         coeffs = _power_sums(e) if kind == "trace_powers" else e
-        size = L.matrix_size
-        gens = [(coeffs[k], k) for k in range(1, size + 1) if coeffs[k].terms]
-        # so(J) of even size, J the antidiagonal: J rho(e_a) is skew for every a
-        if size % 2 == 0 and all(m.get((size - 1 - c, size - 1 - r), 0) == -v
-                                 for m in L.realization for (r, c), v in m.items()):
-            pf = poly_pfaffian(dual_matrix(L)[::-1])  # J Y: the rows of Y in reverse order
-            # J is the antidiagonal of det J = (-1)^n, so Pf(J Y)^2 = (-1)^n det Y
-            if pf * pf != (-1) ** (size // 2) * e[size]:
+        gens = [(c, k) for k, c in coeffs.items() if c.terms]  # k increasing
+        if skew:
+            pf = poly_pfaffian(Y[::-1])  # J Y: the rows of Y in reverse order
+            if not _pfaffian_sign_holds(pf, Y):
                 raise ValueError("Pfaffian sign convention failure: Pf^2 != (-1)^n Delta_2n")
-            gens[-1] = (pf, size // 2)
+            gens.append((pf, size // 2))
 
     if L.rank is not None:
         if len(gens) != L.rank:

@@ -40,7 +40,7 @@ from .invariants import (
     verify_invariance,
     aks_restrict,
 )
-from .linalg import Matrix, _sample_point, rank, solve
+from .linalg import Matrix, _sample_point, solve
 from .poisson import _tensor_rank, poisson_bracket, sphericity, tensor_at
 from .poly import Polynomial
 from .rationals import _check_count, _check_int, _check_length, _check_size, _is_int
@@ -449,12 +449,15 @@ def _case_horo(params, seed, trials, dmax):
                 _check_length(f"t1 diagonal {list(d)}", len(d), n, "entries")
         except ValueError as exc:
             raise CaseParameterError(str(exc)) from None
-        if t1 and rank(Matrix(t1)) < len(t1):
-            zero = next((list(d) for d in t1_spec if not any(d)), None)
-            raise CaseParameterError(
-                f"t1 diagonal {zero} is zero; for t1 = 0 pass 'zero'" if zero is not None
-                else f"t1 diagonals {[list(d) for d in t1_spec]} are dependent")
-    S, B = _build(g, t1, None, "charpoly", timer)
+    try:
+        S = horospherical_splitting(g, t1)
+    except ValueError:  # the trace form is definite on real diagonals: t1 is dependent
+        zero = next((list(d) for d in t1_spec if not any(d)), None)
+        raise CaseParameterError(
+            f"t1 diagonal {zero} is zero; for t1 = 0 pass 'zero'" if zero is not None
+            else f"t1 diagonals {[list(d) for d in t1_spec]} are dependent") from None
+    B = hilbert_basis(S.algebra, "charpoly")
+    timer.lap("build")
     rep_h = ggs_check(S, B, side="h", trials=trials, seed=seed)
     sph, props = _suites(S, B, seed, trials)
     timer.lap("checks")

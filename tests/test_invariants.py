@@ -4,11 +4,14 @@ import tracemalloc
 import pytest
 
 from liesplit import _kernels as K
+from liesplit import invariants
 from liesplit.liealg import build_double, build_gl, build_sl, build_so_even, change_basis
 from liesplit.invariants import (
     HilbertBasis,
     aks_restrict,
     bidecompose,
+    _charpoly,
+    _pfaffian_sign_holds,
     _power_sums,
     charpoly_coefficients,
     custom_basis,
@@ -220,13 +223,16 @@ def test_so8_charpoly_drops_finished_minors():
     assert peak < 3_000_000, peak
 
 
-def test_so8_adapted_charpoly_term_products(monkeypatch):
-    # the adapted so(8) of case so2n: 49,855 term products meeting in the middle, 86,793
-    # level by level to the top
+def _adapted_so8():
+    """The adapted so(8) of case so2n: t1 the first three Cartan coordinates."""
     g = build_so_even(4)
     cart = g.triangular.cartan
-    S = horospherical_splitting(g, [[int(k == i) for k in range(g.dim)] for i in cart[:3]],
-                                [[int(k == cart[3]) for k in range(g.dim)]])
+    return horospherical_splitting(g, [[int(k == i) for k in range(g.dim)] for i in cart[:3]],
+                                   [[int(k == cart[3]) for k in range(g.dim)]]).algebra
+
+
+def _count_term_pairs(monkeypatch):
+    """A one-item list that counts the term pairs of every ``mul_terms`` from now on."""
     count = [0]
     mul = K.mul_terms
 
@@ -235,8 +241,91 @@ def test_so8_adapted_charpoly_term_products(monkeypatch):
         return mul(a, b, nvars, out)
 
     monkeypatch.setattr(K, "mul_terms", counted)
-    charpoly_coefficients(S.algebra)
+    return count
+
+
+def test_so8_adapted_charpoly_term_products(monkeypatch):
+    # 49,854 term products meeting in the middle, 86,793 level by level to the top
+    L = _adapted_so8()
+    count = _count_term_pairs(monkeypatch)
+    charpoly_coefficients(L)
     assert count[0] <= 52_000, count[0]
+
+
+def test_so8_adapted_hilbert_basis_term_products(monkeypatch):
+    # the even e_k below e_8 only, and the sign of the Pfaffian at one point: 15,236 term
+    # products; 61,082 when the whole charpoly and Pf * Pf were built
+    L = _adapted_so8()
+    L.realization_certificate
+    count = _count_term_pairs(monkeypatch)
+    hilbert_basis(L, "charpoly")
+    assert count[0] <= 16_000, count[0]
+
+
+def _charpoly_reference(L):
+    """k -> e_k of det(lambda I - Y) through ``poly_det``, every lambda-power multiplied out."""
+    Y, size, n = dual_matrix(L), L.matrix_size, L.dim
+    lam = Polynomial.variable(n + 1, n)
+    by_lambda = poly_det([[(lam if r == c else 0) - Y[r][c].lift(n + 1) for c in range(size)]
+                          for r in range(size)]).split_last()
+    return {k: (-1) ** k * by_lambda.get(size - k, Polynomial.zero(n))
+            for k in range(1, size + 1)}
+
+
+@pytest.mark.parametrize("L", [build_so_even(2), build_so_even(3), build_so_even(4),
+                               build_sl(4), build_gl(3)], ids=lambda L: L.kind)
+def test_selected_charpoly_coefficients_equal_the_whole_expansion(L):
+    want = _charpoly_reference(L)
+    assert charpoly_coefficients(L) == want
+    size = L.matrix_size
+    for ks in (range(2, size - 1, 2), range(1, size + 1, 3), [size]):
+        assert _charpoly(dual_matrix(L), ks) == {k: want[k] for k in ks}, list(ks)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_so_odd_charpoly_coefficients_vanish(n):
+    # Y^T = -J Y J, so det(lambda - Y) = det(lambda + Y)
+    e = charpoly_coefficients(build_so_even(n))
+    assert all(e[k].is_zero() for k in range(1, 2 * n, 2))
+    assert not any(e[k].is_zero() for k in range(2, 2 * n + 1, 2))
+
+
+def test_a_wrong_pfaffian_fails_the_sign_check(monkeypatch):
+    # 2 Pf squares to 4 det(J Y): the check at one point sees it
+    pfaffian = invariants.poly_pfaffian
+    monkeypatch.setattr(invariants, "poly_pfaffian", lambda entries: 2 * pfaffian(entries))
+    for L in (build_so_even(3), _adapted_so8()):
+        with pytest.raises(ValueError, match="Pfaffian sign convention failure"):
+            hilbert_basis(L, "charpoly")
+
+
+def _standard_skew(n):
+    return [[(j == i + 1) - (i == j + 1) if i // 2 == j // 2 else 0 for j in range(2 * n)]
+            for i in range(2 * n)]
+
+
+@pytest.mark.parametrize("K, pf", [(_standard_skew(2), 1), (_standard_skew(3), 1),
+                                   ([[0, 0, 1, 0], [0, 0, 1, 1], [-1, -1, 0, 0],
+                                     [0, -1, 0, 0]], -1)])
+def test_pfaffian_sign_check_at_a_point(K, pf):
+    # Y = J K: Pf(J Y) = Pf(K) and det Y = det J det K = (-1)^n Pf(K)^2.  The first pivot of
+    # each Y is zero; the last Y takes one row swap, the standard ones two
+    c = lambda v: Polynomial.constant(1, v)
+    Y = [[c(v) for v in row] for row in K[::-1]]
+    assert poly_pfaffian(Y[::-1]) == c(pf)
+    assert [_pfaffian_sign_holds(c(p), Y) for p in (pf, -pf, 2 * pf, 0)] == [True, True,
+                                                                             False, False]
+
+
+def test_so8_trace_powers_are_newtons_sums_of_the_whole_charpoly():
+    # the odd e_k and e_8 are never built, and the basis is the one the whole charpoly gives
+    L = _adapted_so8()
+    B = hilbert_basis(L, "trace_powers")
+    p = _power_sums(_charpoly_reference(L))
+    assert B.degrees == [2, 4, 6, 4]
+    assert B.polys[:-1] == [p[2], p[4], p[6]]
+    assert B.polys[-1] == hilbert_basis(L, "charpoly").polys[-1]
+    assert [len(F.terms) for F in B.polys] == [16, 274, 4416, 105]
 
 
 # -- bi-decomposition ------------------------------------------------------
