@@ -183,11 +183,11 @@ def poly_pfaffian(entries) -> Polynomial:
     """
     size = _square_size(entries)
     if size % 2:
-        raise ValueError("Pfaffian needs even size")
+        raise ValueError(f"Pfaffian needs even size, got {size}")
     for i in range(size):
         for j in range(i, size):
             if entries[i][j] != -entries[j][i]:
-                raise ValueError("matrix is not skew-symmetric")
+                raise ValueError(f"matrix is not skew-symmetric at ({i}, {j})")
     return _first_row_expansion(entries, lambda idx: (idx[0], idx[1:]), size // 2)
 
 
@@ -492,7 +492,7 @@ def ggs_check(D: Decomposition, B: HilbertBasis, side: str = "h",
     if B.algebra is not D.algebra:
         raise ValueError("basis and splitting live on different algebras")
     if side not in ("h", "r"):
-        raise ValueError("side must be 'h' or 'r'")
+        raise ValueError(f"side must be 'h' or 'r', got {side!r}")
     if side == "r" and not D.r_closed:
         raise ValueError("side 'r' needs a full splitting")
     horo = D.is_horospherical
@@ -614,7 +614,7 @@ def double_shift_basis(B: HilbertBasis, side: str = "h") -> HilbertBasis:
     if base is None:
         raise ValueError("double shifts need a basis over a double builder algebra")
     if side not in ("h", "r"):
-        raise ValueError("side must be 'h' or 'r'")
+        raise ValueError(f"side must be 'h' or 'r', got {side!r}")
     cartan = base.triangular.cartan
     n = L.dim
     images = [Polynomial.variable(n, base.dim + cartan.index(i)) if i in cartan

@@ -116,7 +116,7 @@ def contract(D: Decomposition, side: str = "keep_h") -> LieAlgebra:
     if side not in D._contractions:
         sets = {"keep_h": (D.h_set, D.r_set), "keep_r": (D.r_set, D.h_set)}
         if side not in sets:
-            raise ValueError("side must be keep_h or keep_r")
+            raise ValueError(f"side must be keep_h or keep_r, got {side!r}")
         if side == "keep_r" and not D.r_closed:
             raise ValueError("keep_r needs r to be a subalgebra (a full splitting)")
         keep, other = sets[side]

@@ -11,14 +11,16 @@ of the indices of w(alpha_1), ..., w(alpha_r) in one fixed list of all
 roots (six bytes per element of W(E6)).  An element x permutes the
 roots, and ``key.translate(perm_x)`` is the key of x w, so enumeration
 and the normalizer computation run on keys and integers and never form a
-matrix.  All keys sit back to back in one ``bytes`` table, r bytes per
-element.  W is enumerated as a chain of parabolic cosets (Humphreys,
-*Reflection Groups and Coxeter Groups*, 1.10 and 1.12), one
-``translate`` per coset and no membership test, and the result is
-checked: closed under every generator, no key twice (proved from the
-coset structure, with no table of seen keys) and |W| = prod d_i.
+matrix.  All keys sit back to back in one table, r bytes per element: a
+``bytearray`` of prod d_i * r bytes, allocated once and filled in place,
+one coset block at a time.  W is enumerated as a chain of parabolic
+cosets (Humphreys, *Reflection Groups and Coxeter Groups*, 1.10 and
+1.12), one ``translate`` per coset and no membership test, and the
+result is checked: closed under every generator, no key twice (proved
+from the coset structure, with no table of seen keys) and |W| = prod d_i.
 Model-space matrices are built only on request, as the int8 product over
-an element's generator word, and are checked against the key.
+an element's generator word, read from the orbit walks of the levels, and
+are checked against the key.
 
 Each root system carries its fundamental degrees (A_n: 2, ..., n+1; D_n:
 2, 4, ..., 2n-2 and n; E6: 2, 5, 6, 8, 9, 12): |W| = prod d_i bounds and
@@ -50,7 +52,6 @@ is kept as the oracle the tests check both sides against.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -177,12 +178,13 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
 
 
 class KeyTable:
-    """A read-only sequence of ``bytes``: keys stored back to back in ``data``, ``width``
-    bytes each.  ``find`` matches only at key-aligned offsets."""
+    """A read-only sequence of ``bytes``: keys stored back to back in ``data`` (``bytes`` or
+    a ``bytearray`` not to be mutated), ``width`` bytes each, each key read out as ``bytes``
+    so that it hashes.  ``find`` matches only at key-aligned offsets."""
 
     __slots__ = ("data", "width")
 
-    def __init__(self, data: bytes, width: int):
+    def __init__(self, data, width: int):
         self.data = data
         self.width = width
 
@@ -191,11 +193,11 @@ class KeyTable:
 
     def __getitem__(self, k: int) -> bytes:
         k = range(len(self))[k]   # negative k and IndexError as for a list
-        return self.data[k * self.width:(k + 1) * self.width]
+        return bytes(self.data[k * self.width:(k + 1) * self.width])
 
     def __iter__(self):
         w = self.width
-        return (self.data[i:i + w] for i in range(0, len(self.data), w))
+        return (bytes(self.data[i:i + w]) for i in range(0, len(self.data), w))
 
     def find(self, key, start: int = 0, end: int | None = None) -> int:
         """Position of the first key equal to ``key`` among keys start..end-1, or -1; a
@@ -219,8 +221,9 @@ class WeylGroup:
     ``roots`` lists every root in model coordinates as integer tuples, the
     positive roots first and then their negatives.  The key of w is the
     ``bytes`` whose i-th entry is the index of w(alpha_i) in ``roots``.
-    ``keys`` holds every key back to back, r = rank bytes each, and
-    ``elements`` reads it as a sequence of keys.
+    ``keys`` holds every key back to back, r = rank bytes each: the one
+    ``bytearray`` the enumeration filled in place, not to be mutated.
+    ``elements`` reads it as a sequence of ``bytes`` keys.
 
     ``elements`` is in coset order.  Let W_j = <s_1, ..., s_j> (W_0 = {1})
     and let v_j pair to delta_ij with alpha_i.  The W_j-orbit of v_j is a
@@ -240,20 +243,22 @@ class WeylGroup:
     a block distinct keys of W_(j-1) stay distinct.  At the end it checks
     |W| = prod d_i.
 
-    Element k > 0 is s_last[k] applied after element parent[k]: the element
-    d_(s p) w of a block is s applied after d_p w.  A representative from
-    the walk is the shortest in its coset, so each word is reduced.
+    Words are read from the orbit walks.  Level j keeps (m, came_from, via):
+    m = |W_(j-1)| and, per point p, the point that first reached p and the
+    index of the generator that did.  Element k = p m + t (p > 0) is s_via[p]
+    applied after element came_from[p] m + t, as d_(s p) w = s d_p w; a
+    representative from the walk is the shortest in its coset, so each word
+    is reduced.
     """
 
-    def __init__(self, root_system: RootSystem, roots, keys: bytes, parent, last, generators):
+    def __init__(self, root_system: RootSystem, roots, keys: bytearray, levels, generators):
         self.root_system = root_system
         self.n = root_system.model_dim
         self.roots = roots
         self.keys = keys                  # every key back to back, coset order, identity first
         self.elements = KeyTable(keys, root_system.rank)
         self.generators = generators      # keys of the simple reflections
-        self._parent = parent
-        self._last = last
+        self._levels = levels             # per level, (|W_(j-1)|, came_from, via)
 
     @property
     def order(self):
@@ -267,9 +272,11 @@ class WeylGroup:
         rs = self.root_system
         n = self.n
         acc = _encode(Matrix.identity(n).rows, n)
-        while k:
-            acc = K.matmul_i8(acc, rs.reflections[self._last[k]], n)
-            k = self._parent[k]
+        for block, came_from, via in reversed(self._levels):
+            while k >= block:   # element k lies in block p > 0 of this level
+                p, t = divmod(k, block)
+                acc = K.matmul_i8(acc, rs.reflections[via[p]], n)
+                k = came_from[p] * block + t
         m = Matrix(_decode(acc, n))
         for i, alpha in enumerate(rs.simple_roots):
             if m.matvec(alpha) != self.roots[element[i]]:
@@ -283,7 +290,9 @@ def enumerate_weyl(rs: RootSystem) -> WeylGroup:
     The ``WeylGroup`` docstring gives the element order and the proof.  A
     point of an orbit is held as its pairings with the roots, one byte per
     root (for v_j, the alpha_j-coordinates of the roots), so s moves it by
-    one ``translate``.
+    one ``translate``.  The table is allocated once, prod d_i * r bytes, and
+    each block is written into its slice; beside it the enumeration holds
+    one copy of the previous level and one block.
     """
     order = prod(rs.degrees)
     n = rs.model_dim
@@ -304,13 +313,13 @@ def enumerate_weyl(rs: RootSystem) -> WeylGroup:
     zeros = bytes(256 - len(roots))
     coords = bytes(x & 0xFF for a in rs.positive_alpha for x in a)   # row by row, mod 256
     identity = bytes(where[_int_vector(a)] for a in rs.simple_roots)
-    keys = bytearray(identity)
-    table = KeyTable(keys, width)   # reads the keys as they grow
-    parent = array("I", [0])
-    last = array("B", [0])
+    keys = bytearray(order * width)   # the one table, filled block by block
+    keys[:width] = identity
+    table = KeyTable(keys, width)
+    levels = []   # (m, came_from, via) per level, as the WeylGroup docstring says
+    m = 1   # |W_(j-1)|: the keys written so far, the first block of level j
     for j in range(rs.rank):
-        prefix = bytes(keys)   # the group of the previous level, the first block
-        m = len(prefix) // width
+        prefix = bytes(memoryview(keys)[:m * width])   # W_(j-1), the first block: one copy
         # <s v, root_b> = <v, s root_b>: s sends the pairings P to b -> P[perm_s[b]]
         column = coords[j::rs.rank]   # the alpha_j-coordinates of the positive roots
         start = column + column.translate(_NEGATE) + zeros
@@ -321,6 +330,7 @@ def enumerate_weyl(rs: RootSystem) -> WeylGroup:
         orbit = [start]
         points = {start: 0}
         reps = [unit]   # root permutation of the representative of each point
+        came_from, via = [0], [0]   # per point, the point that first reached it and by which s
         for d, point in enumerate(orbit):   # point d's block is keys d * m .. (d + 1) * m - 1
             for s in range(j + 1):
                 image = perms[s].translate(point)
@@ -330,18 +340,20 @@ def enumerate_weyl(rs: RootSystem) -> WeylGroup:
                     if m * (e + 1) > order:
                         raise AssertionError(f"Weyl enumeration passed |W| = {order}")
                     reps.append(reps[d].translate(perms[s]))
-                    keys += prefix.translate(reps[e])
-                    parent.extend(range(d * m, (d + 1) * m))
-                    last.frombytes(bytes((s,)) * m)
+                    keys[e * m * width:(e + 1) * m * width] = prefix.translate(reps[e])
+                    came_from.append(d)
+                    via.append(s)
                 # closure: s d_p lies in the block of s p, i.e. d_(s p)^-1 s d_p is in the prefix
                 rep = keys[d * m * width:(d * m + 1) * width].translate(perms[s])
                 if table.find(rep, e * m, (e + 1) * m) < 0:
                     raise AssertionError(
                         f"Weyl enumeration is not closed under s_{s + 1} at level {j + 1}")
-    if len(keys) != order * width:
-        raise AssertionError(f"enumerated order {len(keys) // width} != |W| = {order}")
+        levels.append((m, came_from, via))
+        m *= len(orbit)
+    if m != order:
+        raise AssertionError(f"enumerated order {m} != |W| = {order}")
     generators = [identity.translate(p) for p in perms]
-    return WeylGroup(rs, roots, bytes(keys), parent, last, generators)
+    return WeylGroup(rs, roots, keys, levels, generators)
 
 
 @dataclass

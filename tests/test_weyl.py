@@ -50,6 +50,15 @@ def _breadth_first(rs):
     return roots, perms, length
 
 
+def _steps(W):
+    """(k, parent, s) for each element k > 0, read from the level orbits: element k = p m + t
+    of block p > 0 of a level is generator s = via[p] applied after element came_from[p] m + t."""
+    for m, came_from, via in W._levels:
+        for k in range(m, m * len(came_from)):
+            p, t = divmod(k, m)
+            yield k, came_from[p] * m + t, via[p]
+
+
 def _w0_reference(W, t0_basis):
     """Reference normalizer loop: every element's integer images of the t0 basis, tested
     against an integer annihilator of t0; returns (orders, element orders, matrices)."""
@@ -138,11 +147,13 @@ def test_coset_enumeration_matches_breadth_first_oracle(label, rank_):
     assert W.elements[0] == identity
     assert set(W.elements) == set(length)
     assert W.generators == [identity.translate(p) for p in perms]
-    # element k > 0 is s_last[k] applied after element parent[k], by a reduced word
+    # each element k > 0 is a generator applied after its parent, by a reduced word
+    steps = list(_steps(W))
+    assert [k for k, _, _ in steps] == list(range(1, W.order))
     word = [0] * W.order
-    for k in range(1, W.order):
-        assert W.elements[W._parent[k]].translate(perms[W._last[k]]) == W.elements[k]
-        word[k] = word[W._parent[k]] + 1
+    for k, parent, s in steps:
+        assert W.elements[parent].translate(perms[s]) == W.elements[k]
+        word[k] = word[parent] + 1
     assert word == [length[el] for el in W.elements]
     # the key names the image of each simple root, for every element through D5
     sample = W.elements if W.order <= 1920 else random.Random(0).sample(W.elements, 64)
@@ -191,10 +202,9 @@ def test_key_table_is_a_sequence_of_keys_in_coset_order():
     for k in (W.order, -W.order - 1):
         with pytest.raises(IndexError):
             W.elements[k]
-    # the order that _parent and _last index: element k is s_last[k] after element parent[k]
-    for k in range(1, W.order):
-        gen = W.generators[W._last[k]]
-        assert W.matrix(keys[k]) == W.matrix(gen) * W.matrix(keys[W._parent[k]])
+    # the order the level orbits index: element k is generator s after its parent
+    for k, parent, s in _steps(W):
+        assert W.matrix(keys[k]) == W.matrix(W.generators[s]) * W.matrix(keys[parent])
     assert [W.elements.find(key) for key in keys] == list(range(W.order))
     assert set(random.Random(0).sample(W.elements, 5)) <= set(keys)
 
@@ -204,8 +214,8 @@ def test_key_table_finds_only_aligned_keys():
     r = W.root_system.rank
     keys = set(W.elements)
     # a run of r bytes that straddles two stored keys and is no key itself
-    straddling = next(W.keys[i:i + r] for i in range(1, len(W.keys) - r)
-                      if i % r and W.keys[i:i + r] not in keys)
+    straddling = next(bytes(W.keys[i:i + r]) for i in range(1, len(W.keys) - r)
+                      if i % r and bytes(W.keys[i:i + r]) not in keys)
     assert W.keys.find(straddling) >= 0
     assert W.elements.find(straddling) == -1
     with pytest.raises(ValueError, match="not an element"):
@@ -214,15 +224,19 @@ def test_key_table_finds_only_aligned_keys():
 
 
 def test_enumeration_of_e6_stays_small():
+    # the table is allocated once and filled in place: no final copy of it, and no
+    # per-element word arrays beside it
     rs = build_root_system("E6")
+    size = 6 * 51840
     tracemalloc.start()
     try:
         W = enumerate_weyl(rs)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(W.keys) == 6 * 51840
-    assert peak < 2_000_000, peak
+    assert len(W.keys) == size
+    assert peak <= 1.6 * size, peak / size
+    assert held <= 1.3 * size, held / size
 
 
 _W0_CASES = [
