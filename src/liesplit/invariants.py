@@ -31,9 +31,9 @@ oracles of the test suite.
 ``bidecompose(D, F)`` splits a homogeneous F of degree d into the dict
 {i: the component of bidegree (i, d - i)} over the nonzero components, i
 (the h-degree) increasing; the extreme components are ``parts[min(parts)]``
-(least h-degree) and ``parts[max(parts)]`` (least r-degree).  Each split is
-memoized on ``D`` by ``id(F)``, holding F so the id stays its own: a lookup
-hashes no polynomial.
+(least h-degree) and ``parts[max(parts)]`` (least r-degree).  It keeps no
+state: a basis keeps the splits of its own generators, one list per h
+(``HilbertBasis.split``).
 
 The good-generating-system test is a degree-sum criterion: for a
 subalgebra h with complement m, sum_j deg_m F_j^bullet >= dim m whenever
@@ -47,7 +47,7 @@ there); the two must agree on builder algebras.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations
 from math import lcm
@@ -257,7 +257,7 @@ def _pfaffian_sign_holds(pf: Polynomial, Y) -> bool:
 # -- Hilbert bases ------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class HilbertBasis:
     algebra: LieAlgebra
     generators: tuple  # of (Polynomial, degree)
@@ -266,6 +266,15 @@ class HilbertBasis:
     # (verify_invariance, for a custom basis), kept by a transport; None only after an
     # elimination or a double shift
     invariance: str | None = None
+    _splits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def split(self, D: Decomposition) -> list:
+        """Each generator's :func:`bidecompose` dict on ``D``, in generator order, computed once
+        per ``D.h_indices`` and kept on the basis: the same list each call, not to be mutated."""
+        key = D.algebra.dim, D.h_indices  # a D of another dimension meets bidecompose's check
+        if key not in self._splits:
+            self._splits[key] = [bidecompose(D, F) for F, _ in self.generators]
+        return self._splits[key]
 
     @property
     def polys(self):
@@ -388,7 +397,8 @@ def transport_basis(B: HilbertBasis, S: Decomposition) -> HilbertBasis:
 
 def _transport(B: HilbertBasis, adapted: LieAlgebra) -> HilbertBasis:
     if adapted.base_algebra is not B.algebra or adapted.base_change is None:
-        raise ValueError("splitting is not an adapted rebuild of the basis algebra")
+        raise ValueError(f"splitting algebra {adapted.kind} is not an adapted rebuild of the "
+                         f"basis algebra {B.algebra.kind}")
     A = inverse(adapted.base_change.transpose())
     n = adapted.dim
     images = [Polynomial.linear_form(n, A.rows[i]) for i in range(n)]
@@ -415,21 +425,14 @@ def restrict_to_t0(S: Decomposition, F: Polynomial) -> Polynomial:
 
 def bidecompose(D: Decomposition, F: Polynomial) -> dict:
     """Split a homogeneous F of degree d by h-degree: {i: the component of bidegree
-    (i, d - i)}, nonzero components only, i increasing; callers split by total degree first.
-
-    Computed once per ``D`` and polynomial object (see the module docstring): later calls
-    with the same F return the same dict, not to be mutated."""
+    (i, d - i)}, nonzero components only, i increasing; callers split by total degree first."""
     _check_length("bidecompose: F", F.nvars, D.algebra.dim, "variables")
-    got = D._bidecompositions.get(id(F))
-    if got is not None:
-        return got[1]
     if F.is_zero():
         raise ValueError("cannot bidecompose the zero polynomial")
     if not F.is_homogeneous():
-        raise ValueError("bidecompose needs a homogeneous polynomial")
-    parts = F.split_degree(D.h_indices)
-    D._bidecompositions[id(F)] = (F, parts)
-    return parts
+        a, b, *_ = F.split_degree(range(F.nvars))  # the total degrees, increasing
+        raise ValueError(f"bidecompose needs a homogeneous polynomial, got degrees {a} and {b}")
+    return F.split_degree(D.h_indices)
 
 
 def jacobian_rank(polys, trials: int = 5, seed: int = 0, bound: int = 997) -> int:
@@ -490,7 +493,8 @@ def ggs_check(D: Decomposition, B: HilbertBasis, side: str = "h",
     side h and (d-1, 1) on side r (None when a > dim, or off horospherical splittings).
     """
     if B.algebra is not D.algebra:
-        raise ValueError("basis and splitting live on different algebras")
+        raise ValueError(f"basis and splitting live on different algebras: basis on "
+                         f"{B.algebra.kind}, splitting on {D.algebra.kind}")
     if side not in ("h", "r"):
         raise ValueError(f"side must be 'h' or 'r', got {side!r}")
     if side == "r" and not D.r_closed:
@@ -501,8 +505,7 @@ def ggs_check(D: Decomposition, B: HilbertBasis, side: str = "h",
     rows = []
     tops = []
     sum_m = 0
-    for F, d in B.generators:
-        parts = bidecompose(D, F)
+    for d, parts in zip(B.degrees, B.split(D)):
         i = (min if side == "h" else max)(parts)
         bidegree = (i, d - i)
         deg_m = bidegree[side == "h"]
@@ -576,7 +579,8 @@ def eliminate_on_subspace(B: HilbertBasis, S: Decomposition, keep=()) -> Hilbert
     ``keep`` lists distinct generator indices kept in any case, as ``rationals._indices`` checks.
     """
     if B.algebra is not S.algebra:
-        raise ValueError("basis and splitting live on different algebras")
+        raise ValueError(f"basis and splitting live on different algebras: basis on "
+                         f"{B.algebra.kind}, splitting on {S.algebra.kind}")
     seen = set(_indices("keep:", keep, len(B.generators), "generator index"))
     n = B.algebra.dim
     kept = []  # (generator, degree, its restriction)

@@ -63,7 +63,6 @@ class Decomposition:
         self._r_gap = _closure_gap(algebra, self.r_indices, "r")  # why r is not closed, or None
         self.r_closed = self._r_gap is None  # r is a subalgebra too
         self._contractions: dict = {}  # side -> its contraction, see ``contract``
-        self._bidecompositions: dict = {}  # id(F) -> (F, its split), see ``bidecompose``
         self.t1_indices: tuple = ()
         self.t0_indices: tuple = ()
 
@@ -237,10 +236,9 @@ def horospherical_splitting(L: LieAlgebra, t1_basis, t0_basis=None) -> Decomposi
                    else [tuple(int(i == j) for i in range(ell)) for j in range(ell)])
     else:
         t0_cart = to_cartan(t0_basis, "t0")
-        if len(t0_cart) != ell - k:
-            raise ValueError("supplied t0 has the wrong dimension")
-        if k and any(x != 0 for v in t0_cart for x in T1tG.matvec(v)):
-            raise ValueError("supplied t0 is not orthogonal to t1")
+        _check_length("supplied t0", len(t0_cart), ell - k, "vectors")
+        if k and (bad := [j for j, v in enumerate(t0_cart) if any(T1tG.matvec(v))]):
+            raise ValueError(f"supplied t0 vector {bad[0]} is not orthogonal to t1")
         if rank(Matrix.from_columns(t0_cart)) != len(t0_cart):
             raise ValueError("supplied t0 vectors are dependent: "
                              + _first_dependent("t0", t0_cart))

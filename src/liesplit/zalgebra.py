@@ -29,7 +29,6 @@ from .liealg import LieAlgebra, build_double, build_sl, build_so_even
 from .invariants import (
     HilbertBasis,
     _b_of,
-    bidecompose,
     double_shift_basis,
     eliminate_on_subspace,
     ggs_check,
@@ -105,8 +104,8 @@ def z_generators(S: Decomposition, B: HilbertBasis, z0_gens=(), zinf_gens=(),
         seen[canon] = tag
         out.append((poly, tag))
 
-    for j, (F, d) in enumerate(B.generators):
-        for i, comp in bidecompose(S, F).items():
+    for j, (d, parts) in enumerate(zip(B.degrees, B.split(S))):
+        for i, comp in parts.items():
             if mode == "m_tilde" and not (0 < i < d):
                 continue
             push(comp, f"F{j + 1}[{i},{d - i}]")
@@ -195,8 +194,7 @@ def property_suite(S: Decomposition, B: HilbertBasis, seed: int = 0,
     extreme_invariant = True
     all_components = []
     one = Polynomial.constant(S.algebra.dim, 1)
-    for F in B.polys:
-        parts = bidecompose(S, F)
+    for F, parts in zip(B.polys, B.split(S)):
         all_components.extend(parts.values())
         total = Polynomial.sum_of_products(F.nvars, ((1, c, one) for c in parts.values()))
         recon = recon and total == F
@@ -369,8 +367,7 @@ def _centre_generators(S: Decomposition, B: HilbertBasis):
     t1set = set(S.t1_indices)
     z0 = [Polynomial.variable(S.algebra.dim, i) for i in S.t0_indices]
     zinf = [Polynomial.variable(S.algebra.dim, i) for i in S.t1_indices]
-    for F, d in B.generators:
-        parts = bidecompose(S, F)
+    for parts in B.split(S):
         top, bottom = parts[min(parts)], parts[max(parts)]
         if not top.support_vars() <= t0set:
             z0.append(top)
@@ -391,7 +388,7 @@ def _z_algebra(S: Decomposition, B: HilbertBasis, mode: str, trials, seed,
 
 def _middle_components_nonzero(S: Decomposition, B: HilbertBasis) -> bool:
     """Every generator of degree d has a nonzero component of each h-degree 0 < i < d."""
-    return all(bidecompose(S, F).keys() >= set(range(1, d)) for F, d in B.generators)
+    return all(parts.keys() >= set(range(1, d)) for d, parts in zip(B.degrees, B.split(S)))
 
 
 # -- individual cases --------------------------------------------------------

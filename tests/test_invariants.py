@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from liesplit import _kernels as K
-from liesplit import invariants
+from liesplit import invariants, zalgebra
 from liesplit.liealg import build_double, build_gl, build_sl, build_so_even, change_basis
 from liesplit.invariants import (
     HilbertBasis,
@@ -376,8 +376,6 @@ def test_bidecompose_is_split_once_per_splitting_and_value():
     S = make_splitting(sl2, (0, 1))
     C = h * h + 4 * e * f
     dec = bidecompose(S, C)
-    # the memo is keyed by the object: the same polynomial returns the same dict
-    assert bidecompose(S, C) is dec
     assert list(dec) == [1, 2]
     # the same value by another route, with a different term order, splits equally
     again = bidecompose(S, Polynomial(3, {(1, 0, 1): 8, (0, 2, 0): 2}).scale(QQ(1, 2)))
@@ -385,7 +383,46 @@ def test_bidecompose_is_split_once_per_splitting_and_value():
     # another splitting of the same algebra splits the same polynomial its own way
     assert bidecompose(make_splitting(sl2, (1, 2)), C) == {1: 4 * e * f, 2: h * h}
     assert bidecompose(make_decomposition(sl2, (1,)), C) == {0: 4 * e * f, 2: h * h}
-    assert bidecompose(S, C) is dec
+    # a basis splits its generators once per h: the same list again, and for an equal h
+    B = custom_basis(sl2, [C])
+    split = B.split(S)
+    assert split == [dec] and B.split(S) is split
+    assert B.split(make_splitting(sl2, (0, 1))) is split
+    other = B.split(make_decomposition(sl2, (1,)))
+    assert other is not split and other == [{0: 4 * e * f, 2: h * h}]
+    assert B.split(make_decomposition(sl2, (1,))) is other
+    # an equal h on an algebra of another dimension finds no split and is rejected
+    with pytest.raises(ValueError, match="^bidecompose: F has 3 variables, expected 8$"):
+        B.split(make_decomposition(build_sl(3), (0, 1)))
+
+
+def _holds_polynomial(value) -> bool:
+    if isinstance(value, Polynomial):
+        return True
+    if isinstance(value, dict):
+        return any(map(_holds_polynomial, [*value.keys(), *value.values()]))
+    return isinstance(value, (list, tuple, set, frozenset)) and any(map(_holds_polynomial, value))
+
+
+def test_a_basis_splits_each_generator_once_for_every_reader(monkeypatch):
+    g, S = sl3_paper_splitting()
+    B = transport_basis(hilbert_basis(g, "trace_powers"), S)
+    calls = []
+
+    def counted(D, F):
+        calls.append(F)
+        return bidecompose(D, F)
+
+    monkeypatch.setattr(invariants, "bidecompose", counted)
+    for side in ("h", "r"):
+        ggs_check(S, B, side=side)
+    zalgebra.z_generators(S, B)
+    zalgebra.property_suite(S, B)
+    zalgebra._z_algebra(S, B, "m_tilde", trials=1, seed=0)  # its centres read the split too
+    assert zalgebra._middle_components_nonzero(S, B)
+    assert [id(F) for F in calls] == [id(F) for F in B.polys]
+    # the split is the basis's: the splitting holds no polynomial
+    assert not any(_holds_polynomial(v) for v in vars(S).values())
 
 
 def test_reconstruction_property():

@@ -19,6 +19,7 @@ from liesplit.zalgebra import z_generators
 _AB = LieAlgebra(("a", "b"), {(0, 1): [(1, 1)]})
 _X = Polynomial.linear_form(2, (1, 0))
 _ZERO = Polynomial.constant(2, 0)
+_E = Polynomial.variable(3, 0)
 
 
 @cache
@@ -31,6 +32,16 @@ def _sl2():
 def _sl3():
     L = build_sl(3)
     return L, make_splitting(L, (0, 1, 2, 3, 4)), hilbert_basis(L, "charpoly")
+
+
+def _supplied_t0(count):
+    """sl(4) with t1 = <h_1> and a supplied t0 of ``count`` vectors: the first vector of the
+    default t0, then h_1 itself."""
+    L = build_sl(4)
+    t1 = [[int(i == L.triangular.cartan[0]) for i in range(L.dim)]]
+    S = horospherical_splitting(L, t1)
+    t0 = [S.algebra.base_change[i, S.t0_indices[0]] for i in range(L.dim)]
+    horospherical_splitting(L, t1, t0_basis=[t0] + t1 * (count - 1))
 
 
 def _borel_of_a_file(tmp_path):
@@ -47,15 +58,19 @@ _REJECTIONS = [
     ("pfaffian_not_skew", lambda _: poly_pfaffian([[_ZERO, _X], [_X, _ZERO]]), ValueError,
      r"matrix is not skew-symmetric at \(0, 1\)"),
     ("transport_basis", lambda _: transport_basis(_sl3()[2], _sl2()[1]), ValueError,
-     "splitting is not an adapted rebuild of the basis algebra"),
+     r"splitting algebra sl\(2\) is not an adapted rebuild of the basis algebra sl\(3\)"),
     ("bidecompose_zero", lambda _: bidecompose(_sl2()[1], Polynomial.constant(3, 0)),
      ValueError, "cannot bidecompose the zero polynomial"),
+    ("bidecompose_inhomogeneous", lambda _: bidecompose(_sl2()[1], _E**3 + _E + _E * _E),
+     ValueError, "bidecompose needs a homogeneous polynomial, got degrees 1 and 2"),
     ("ggs_algebras", lambda _: ggs_check(_sl3()[1], _sl2()[2]), ValueError,
-     "basis and splitting live on different algebras"),
+     r"basis and splitting live on different algebras: basis on sl\(2\), splitting on "
+     r"sl\(3\)"),
     ("ggs_side", lambda _: ggs_check(_sl2()[1], _sl2()[2], side="x"), ValueError,
      "side must be 'h' or 'r', got 'x'"),
     ("eliminate_algebras", lambda _: eliminate_on_subspace(_sl3()[2], _sl2()[1]), ValueError,
-     "basis and splitting live on different algebras"),
+     r"basis and splitting live on different algebras: basis on sl\(3\), splitting on "
+     r"sl\(2\)"),
     ("double_shift_base", lambda _: double_shift_basis(_sl2()[2]), ValueError,
      "double shifts need a basis over a double builder algebra"),
     ("double_shift_side",
@@ -65,6 +80,9 @@ _REJECTIONS = [
      "side must be keep_h or keep_r, got 'x'"),
     ("horospherical", lambda _: horospherical_splitting(_AB, []), ValueError,
      "horospherical splittings need a reductive builder algebra"),
+    ("t0_count", lambda _: _supplied_t0(3), ValueError, "supplied t0 has 3 vectors, expected 2"),
+    ("t0_orthogonal", lambda _: _supplied_t0(2), ValueError,
+     "supplied t0 vector 1 is not orthogonal to t1"),
     ("root_system_type", lambda _: build_root_system("B", 3), ValueError,
      "unsupported root system type 'B'"),
     ("z_generators_empty", lambda _: z_generators(_sl2()[1], custom_basis(build_sl(2), [])),

@@ -375,8 +375,8 @@ def test_horospherical_checks_a_supplied_t0():
     assert horospherical_splitting(g, t1, t0_basis=t0).algebra.constants == \
         horospherical_splitting(g, t1).algebra.constants
     for t1_basis, t0_basis, message in (
-            (t1, t0 + [h1], "supplied t0 has the wrong dimension"),
-            (t1, [h1], "supplied t0 is not orthogonal to t1"),
+            (t1, t0 + [h1], "supplied t0 has 2 vectors, expected 1$"),
+            (t1, [h1], "supplied t0 vector 0 is not orthogonal to t1$"),
             # the first vector that is zero or a combination of the ones before it is named
             (t1, [[0] * 8], "supplied t0 vectors are dependent: t0 vector 0 is zero$"),
             ([], [h1, [2 * x for x in h1]],
