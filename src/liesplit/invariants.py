@@ -41,20 +41,25 @@ the contraction h x m^ab has the index of q, with equality exactly when
 the top components stay algebraically independent.  The report
 cross-checks the degree sum against the Jacobian rank modulo the prime
 ``linalg.P`` = 2^30 - 35 at sampled points (a lower bound on the exact rank
-there); the two must agree on builder algebras.
+there); the two must agree on builder algebras.  A builder generator keeps its recipe
+(e_k, p_k, Pf or an elimination's combination), whose gradient is tr(X M_b) for an N x N
+matrix X of Y, so its bi-components' rows come from the realization (``_component_rows``).
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, combinations
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from .liealg import LieAlgebra, sub_algebra
-from .linalg import Matrix, _best_rank, inverse, rank, rank_mod_p, solve  # noqa: F401  (rank: read by the perfbench tracer tests)
+from .linalg import (P, Matrix, _best_rank, _mod_p, _pfaffian_mod_p, inverse, rank,  # noqa: F401
+                     skew_rank_mod_p, solve)  # rank: read by the perfbench tracer tests
 from .poisson import hamiltonian_field, index_estimate, poisson_bracket
 from .poly import Polynomial
 from .rationals import QQ, _check_length, _indices
@@ -65,20 +70,15 @@ from .splitting import Decomposition, contract
 
 
 def dual_matrix(L: LieAlgebra):
-    """Entries of Y(x), the generic dual element in the matrix realization."""
+    """Entries of Y(x) = sum_b x_b M_b, the generic dual element in the matrix realization."""
     if L.realization is None or L.gram is None:
         raise ValueError(f"{L.kind} carries no complete matrix realization")
-    n = L.dim
-    ginv = inverse(L.gram)
-    y = [Polynomial.linear_form(n, ginv.rows[a]) for a in range(n)]
-    size = L.matrix_size
-    Y = [[Polynomial.zero(n) for _ in range(size)] for _ in range(size)]
-    for a in range(n):
-        if y[a].is_zero():
-            continue
-        for (r, c), v in L.realization[a].items():
-            Y[r][c] = Y[r][c] + y[a] * v
-    return Y
+    n, size, cells = L.dim, L.matrix_size, {}
+    for b, m in enumerate(L._dual_matrices):
+        for rc, v in m.items():
+            cells.setdefault(rc, [0] * n)[b] = v
+    return [[Polynomial.linear_form(n, cells[r, c]) if (r, c) in cells else Polynomial.zero(n)
+             for c in range(size)] for r in range(size)]
 
 
 def _first_row_expansion(entries, split, levels: int, powers=None) -> Polynomial:
@@ -227,9 +227,10 @@ def _power_sums(e: dict) -> dict:
     return p
 
 
-def _pfaffian_sign_holds(pf: Polynomial, Y) -> bool:
+def _pfaffian_sign_holds(pf: Polynomial, mats, size: int) -> bool:
     """Whether Pf(J Y(x))^2 = (-1)^n det Y(x) at one seeded integer point x where
-    ``pf`` = Pf(J Y) is nonzero, det Y(x) by Gaussian elimination over Q.
+    ``pf`` = Pf(J Y) is nonzero, det(d Y(x)) = d^N det Y(x) by Bareiss elimination of
+    Y(x) = sum_b x_b M_b (``LieAlgebra._dual_matrices``) over ints, cleared by d.
 
     J is the antidiagonal, of det J = (-1)^n, so for the true Pfaffian the identity holds
     as polynomials: one such point fixes the sign convention and rejects any other
@@ -240,18 +241,23 @@ def _pfaffian_sign_holds(pf: Polynomial, Y) -> bool:
         v = pf.eval(x)
     if not v:
         return False
-    rows, det = [[y.eval(x) for y in row] for row in Y], QQ(1)
-    for k in range(len(rows)):
-        j = next((j for j in range(k, len(rows)) if rows[j][k]), None)
+    d = lcm(*(y.denominator for m in mats for y in m.values()))
+    rows, det, prev = [[0] * size for _ in range(size)], 1, 1
+    for xb, m in zip(x, mats):
+        for (r, c), y in m.items() if xb else ():
+            rows[r][c] += xb * (y * d).numerator
+    for k in range(size):
+        j = next((j for j in range(k, size) if rows[j][k]), None)
         if j is None:  # det Y(x) = 0, where Pf(J Y(x)) is not
             return False
         if j != k:
             rows[k], rows[j], det = rows[j], rows[k], -det
-        det *= rows[k][k]
-        for row in rows[k + 1:]:
-            f = row[k] / rows[k][k]
-            row[k:] = [a - f * b for a, b in zip(row[k:], rows[k][k:])]
-    return v * v == (-1) ** (len(Y) // 2) * det
+        pk = rows[k]
+        for row in rows[k + 1:]:  # each division exact: the entries are minors
+            row[k + 1:] = [(a * pk[k] - row[k] * b) // prev
+                           for a, b in zip(row[k + 1:], pk[k + 1:])]
+        prev = pk[k]
+    return v * v * d**size == (-1) ** (size // 2) * det * prev
 
 
 # -- Hilbert bases ------------------------------------------------------
@@ -266,6 +272,9 @@ class HilbertBasis:
     # (verify_invariance, for a custom basis), kept by a transport; None only after an
     # elimination or a double shift
     invariance: str | None = None
+    # per generator for _component_rows: ('e', k), ('p', k), ('pf',) or ('combination', base,
+    # ((c, ((s, m_s), ..)), ..)) for base - sum c prod F_s^m_s; None off a realization
+    recipes: tuple | None = None
     _splits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def split(self, D: Decomposition) -> list:
@@ -332,7 +341,7 @@ def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
         raise ValueError(f"unknown Hilbert basis kind {kind!r}")
     if L.realization is None and L.base_change is not None:
         return _transport(hilbert_basis(L.base_algebra, kind), L)
-    base = _double_base(L)
+    base, recipes = _double_base(L), None
     if base is not None:
         # the lifts are invariant as the base generators are once the constants are the
         # base's, which also makes the appended xi coordinates central
@@ -356,11 +365,13 @@ def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
         e = _charpoly(Y, range(2, size - 1, 2) if skew else range(1, size + 1))
         coeffs = _power_sums(e) if kind == "trace_powers" else e
         gens = [(c, k) for k, c in coeffs.items() if c.terms]  # k increasing
+        recipes = [("p" if kind == "trace_powers" else "e", k) for _, k in gens]
         if skew:
             pf = poly_pfaffian(Y[::-1])  # J Y: the rows of Y in reverse order
-            if not _pfaffian_sign_holds(pf, Y):
+            if not _pfaffian_sign_holds(pf, L._dual_matrices, size):
                 raise ValueError("Pfaffian sign convention failure: Pf^2 != (-1)^n Delta_2n")
             gens.append((pf, size // 2))
+            recipes.append(("pf",))
 
     if L.rank is not None:
         if len(gens) != L.rank:
@@ -368,7 +379,7 @@ def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
         total = sum(d for _, d in gens)
         if total != _b_of(L):
             raise AssertionError(f"sum of degrees {total} != b(g) = {_b_of(L)}")
-    return HilbertBasis(L, tuple(gens), route)
+    return HilbertBasis(L, tuple(gens), route, recipes and tuple(recipes))
 
 
 def custom_basis(L: LieAlgebra, polys) -> HilbertBasis:
@@ -403,7 +414,8 @@ def _transport(B: HilbertBasis, adapted: LieAlgebra) -> HilbertBasis:
     n = adapted.dim
     images = [Polynomial.linear_form(n, A.rows[i]) for i in range(n)]
     gens = tuple((g.map_vars(images, n), d) for g, d in B.generators)
-    return HilbertBasis(adapted, gens, B.invariance)
+    return HilbertBasis(adapted, gens, B.invariance,  # on a realization, Y'(x) is Y(A x)
+                        B.recipes if adapted.realization is not None else None)
 
 
 # -- restriction to t0 ----------------------------------------------------
@@ -443,13 +455,118 @@ def jacobian_rank(polys, trials: int = 5, seed: int = 0, bound: int = 997) -> in
     at the point x evaluated in ints straight from p's terms: a row scale prime to P
     changes no rank modulo P, and any scale keeps the lower bound.  The points come
     from ``linalg._best_rank``, which checks 2 bound + 1 <= P (see ``linalg``).  All
-    polynomials have the variable count of the first, or a ``ValueError`` names one."""
+    polynomials have the variable count of the first, or a ``ValueError`` names one.
+    The Z and GGS tops take builder rows from :func:`_component_rows`, equal up to units."""
     n = polys[0].nvars if polys else 0
     for i, p in enumerate(polys):
         _check_length(f"polynomial {i}", p.nvars, n, "variables")
-    best, _ = _best_rank(lambda x: rank_mod_p(Matrix([p.int_gradient(x) for p in polys])), n,
-                         min(len(polys), n), trials, seed, bound)
-    return best
+    return _jacobian_rank([(p, None) for p in polys], n, trials, seed, bound)
+
+
+def _jacobian_rank(rows, n, trials, seed, bound, B=None, D=None) -> int:
+    """:func:`jacobian_rank` of the (polynomial, source) ``rows``, a source (j, i) naming the
+    h-degree-i component on ``D`` of generator j of ``B``: B's :func:`_component_rows` once
+    they hold over 2 (d + 1) N^2 terms, d the top degree (measured crossovers: 160 to 1,020)."""
+    known = [k for k, (_, c) in enumerate(rows) if c] if B and B.recipes else []
+    if known and sum(len(rows[k][0].terms) for k in known) <= 2 * (
+            max(B.degrees) + 1) * B.algebra.matrix_size ** 2:
+        known = []
+
+    def rank_at(x):  # the rows bordered into [[0, J], [-J^T, 0]] for skew_rank_mod_p
+        route = _component_rows(B, D, x, [rows[k][1] for k in known]) if known else None
+        ready = dict(zip(known, route or ()))
+        grads = (ready[k] if k in ready else p.int_gradient(x) for k, (p, _) in enumerate(rows))
+        upper = [{len(rows) + c: v for c, v in enumerate(g) if v} for g in grads]
+        return skew_rank_mod_p(upper + [{} for _ in range(n)]) // 2
+
+    return _best_rank(rank_at, n, min(len(rows), n), trials, seed, bound)[0]
+
+
+# -- Jacobian rows from the realization, modulo P ---------------------------
+
+
+def _matmul_mod_p(A, B):
+    """A B modulo P; up to N = 16, where N products of residues fit 64 bits, B's rows packed."""
+    if len(B) > 16:
+        return [[sum(map(mul, row, col)) % P for col in zip(*B)] for row in A]
+    packed = [int.from_bytes(array("Q", row).tobytes(), sys.byteorder) for row in B]
+    return [[v % P for v in memoryview(sum(map(mul, row, packed)).to_bytes(
+        8 * len(B), sys.byteorder)).cast("Q")] for row in A]
+
+
+@cache
+def _interpolation_mod_p(k: int) -> list:
+    """V^-1 mod P for V = (s^i), s = 1 .. k: g = sum_(i<k) c_i s^i has c_i = (V^-1 g)_i."""
+    V = inverse(Matrix([[s**i for i in range(k)] for s in range(1, k + 1)]))
+    return [[_mod_p(v) for v in row] for row in V.rows]
+
+
+def _recipe_gradients(recipes, Y, mats):
+    """Each recipe's gradient mod P at Y = Y(y), dF/dy_b = tr(X M_b) (``mats``: [flat cells],
+    [residues]); a ``ValueError`` where Pf = 0.  With t_m = tr(Y^m M_b), d p_k = k t_(k-1);
+    Faddeev-LeVerrier's B_k = sum_(i<=k) a_i Y^(k-i), a_k of det(lambda - Y) = sum a_k
+    lambda^(N-k) by Newton, give d a_k = -tr(B_(k-1) M_b), e_k = (-1)^k a_k; Y^-1 = -B_(N-1) / a_N
+    and a_N = (-1)^(N/2) Pf^2 give d Pf = Pf tr(Y^-1 dY) / 2 = (-1)^(N/2) d a_N / (2 Pf)."""
+    N = len(Y)
+    powers = [[[int(r == c) for c in range(N)] for r in range(N)], Y]  # Y^0 .. Y^(N-1)
+    while len(powers) < N:
+        powers.append(_matmul_mod_p(Y, powers[-1]))
+    t, p, a, yt = [], [None], [1], [v for col in zip(*Y) for v in col]  # p[k] = tr(Y^k)
+    for m, X in enumerate(powers):
+        flat = [v for row in X for v in row]
+        t.append([sum(map(mul, map(flat.__getitem__, cells), vs)) % P for cells, vs in mats])
+        p.append(sum(map(mul, flat, yt)) % P)
+        a.append(-sum(map(mul, a[::-1], p[1:])) * pow(m + 1, -1, P) % P)
+
+    def d_a(k):  # the gradient of a_k
+        return [-sum(map(mul, a[k - 1::-1], col)) % P for col in zip(*t[:k])]
+
+    @cache
+    def at(r):  # (value, gradient) of the recipe r
+        if r[0] == "e":
+            return (-1) ** r[1] * a[r[1]] % P, [(-1) ** r[1] * v % P for v in d_a(r[1])]
+        if r[0] == "p":
+            return p[r[1]], [r[1] * v % P for v in t[r[1] - 1]]
+        if r[0] == "pf":
+            pf = _pfaffian_mod_p(Y[::-1])  # J Y: the rows of Y in reverse order
+            u = (-1) ** (N // 2) * pow(2 * pf, -1, P)
+            return pf, [u * v % P for v in d_a(N)]
+        v, g = at(r[1])  # base - sum c prod_s F_s^m_s
+        for c, exps in r[2]:
+            fs = [(m, *at(recipes[s])) for s, m in exps]
+            c, pows = _mod_p(c), [pow(f, m, P) for m, f, _ in fs]
+            v -= c * prod(pows)
+            for k, (m, f, df) in enumerate(fs):  # d/dF_k of c prod_s F_s^m_s
+                u = c * m * pow(f, m - 1, P) * prod(pows[:k] + pows[k + 1:]) % P
+                g = [(x - u * y) % P for x, y in zip(g, df)]
+        return v % P, g
+
+    return [at(r)[1] for r in recipes]
+
+
+def _component_rows(B: HilbertBasis, D: Decomposition, x, comps) -> list | None:
+    """For each (j, i) of ``comps``, the gradient at x modulo P of F_j,i, the h-degree-i component
+    on ``D`` of generator j of ``B`` (its ``int_gradient`` over den), interpolated from those of
+    G_j(s) = F_j(s x_h, x_r) = sum_i s^i F_j,i(x) at s = 1 .. d_j + 1; None if Pf(J Y) is 0
+    modulo P at one of those s."""
+    h, N, degrees = set(D.h_indices), B.algebra.matrix_size, B.degrees
+    mats = [([N * c + r for r, c in m], [_mod_p(v) for v in m.values()])
+            for m in B.algebra._dual_matrices]  # tr(X M_b) reads the flattened X at c N + r
+    Yh, Yr = [[0] * N for _ in range(N)], [[0] * N for _ in range(N)]
+    for b, (xb, (cells, vs)) in enumerate(zip(x, mats)):
+        for k, v in zip(cells, vs) if xb else ():
+            (Yh if b in h else Yr)[k % N][k // N] += xb * v
+    grads = [[] for _ in B.generators]  # grads[j][s - 1]: G_j's gradient at s
+    try:
+        for s in range(1, max(degrees) + 2):
+            at = _recipe_gradients(B.recipes, [[(s * u + v) % P for u, v in zip(*rows)]
+                                               for rows in zip(Yh, Yr)], mats)
+            for g, row in zip(grads, at):  # dG/dx_b = s dF/dy_b for b in h
+                g.append([s * v % P if b in h else v for b, v in enumerate(row)])
+    except ValueError:  # Pf(J Y) = 0: no inverse of 2 Pf modulo P
+        return None
+    weights = [(_interpolation_mod_p(degrees[j] + 1)[i], grads[j]) for j, i in comps]
+    return [[sum(map(mul, w, col)) % P for col in zip(*g)] for w, g in weights]
 
 
 # -- good generating systems --------------------------------------------
@@ -502,16 +619,14 @@ def ggs_check(D: Decomposition, B: HilbertBasis, side: str = "h",
     horo = D.is_horospherical
     toral = D.t0_indices if side == "h" else D.t1_indices
     toral_set = set(toral)
-    rows = []
-    tops = []
-    sum_m = 0
+    rows, tops, sum_m = [], [], 0
     for d, parts in zip(B.degrees, B.split(D)):
         i = (min if side == "h" else max)(parts)
         bidegree = (i, d - i)
         deg_m = bidegree[side == "h"]
         tval = parts[i].support_vars() <= toral_set if horo else None
         rows.append(GgsRow(d, deg_m, tval, bidegree))
-        tops.append(parts[i])
+        tops.append((parts[i], (len(tops), i)))
         sum_m += deg_m
     dim_m = D.dim_r if side == "h" else D.dim_h
     verdict = sum_m == dim_m
@@ -523,22 +638,18 @@ def ggs_check(D: Decomposition, B: HilbertBasis, side: str = "h",
             raise ValueError(f"sum of complement degrees {sum_m} < dim m = {dim_m} because the "
                              f"hypothesis ind({side} x m^ab) = ind q fails: the keep_{side} "
                              f"contraction has sampled index {ind_c}, {D.algebra.kind} has {ind_q}")
-        raise AssertionError(
-            f"sum of complement degrees {sum_m} < dim m = {dim_m}: violates a theorem"
-        )
-    jrank = jacobian_rank(tops, trials=trials, seed=seed)
+        raise AssertionError(f"sum of complement degrees {sum_m} < dim m = {dim_m}: "
+                             "violates a theorem")
+    jrank = _jacobian_rank(tops, D.algebra.dim, trials, seed, 997, B, D)
     rank_known = D.algebra.rank
-    consistent = None
-    if rank_known is not None:
-        consistent = verdict == (jrank == rank_known)
+    consistent = None if rank_known is None else verdict == (jrank == rank_known)
     a_count = dim_toral = claim_ok = None
     if horo:
         a_count = sum(1 for r in rows if r.toral_valued)
         dim_toral = len(toral)
         if a_count < dim_toral:
-            raise AssertionError(
-                f"a = {a_count} < dim toral part {dim_toral}: violates a theorem"
-            )
+            raise AssertionError(f"a = {a_count} < dim toral part {dim_toral}: "
+                                 "violates a theorem")
         if a_count == dim_toral:
             claim_ok = all(r.toral_valued or r.bidegree_top[side == "r"] == 1 for r in rows)
     return GgsReport(side, rows, sum_m, dim_m, verdict, jrank, rank_known,
@@ -552,12 +663,8 @@ def _weighted_exponents(weights, total):
     """All exponent tuples m with sum m_s * weights_s == total."""
     if not weights:
         return [()] if total == 0 else []
-    out = []
-    w0 = weights[0]
-    for k in range(total // w0 + 1):
-        for rest in _weighted_exponents(weights[1:], total - k * w0):
-            out.append((k,) + rest)
-    return out
+    return [(k,) + rest for k in range(total // weights[0] + 1)
+            for rest in _weighted_exponents(weights[1:], total - k * weights[0])]
 
 
 def _power_product(factors, exponents) -> Polynomial:
@@ -583,27 +690,31 @@ def eliminate_on_subspace(B: HilbertBasis, S: Decomposition, keep=()) -> Hilbert
                          f"{B.algebra.kind}, splitting on {S.algebra.kind}")
     seen = set(_indices("keep:", keep, len(B.generators), "generator index"))
     n = B.algebra.dim
-    kept = []  # (generator, degree, its restriction)
-    new_gens = list(B.generators)
+    kept = []  # (index, generator, degree, its restriction)
+    new_gens, recipes = list(B.generators), B.recipes and list(B.recipes)
     for idx in sorted(range(len(B.generators)), key=lambda j: B.generators[j][1]):
         P, d = B.generators[idx]
         target = restrict_to_t0(S, P)
         if idx not in seen:
             if target.is_zero():
                 continue
-            exps = _weighted_exponents([w for _, w, _ in kept], d)
+            exps = _weighted_exponents([w for _, _, w, _ in kept], d)
             prods = [_power_product([r for *_, r in kept], m) for m in exps]
             monos = sorted({e for p in prods for e in p.terms} | set(target.terms))
             lam = solve(Matrix([[p.coeff(e) for p in prods] for e in monos]),
                         [target.coeff(e) for e in monos])
             if lam is not None:
                 Q = Polynomial.sum_of_products(n, chain([(1, P, Polynomial.constant(n, 1))], (
-                    (-1, Polynomial.constant(n, c), _power_product([g for g, *_ in kept], m))
+                    (-1, Polynomial.constant(n, c), _power_product([g for _, g, *_ in kept], m))
                     for c, m in zip(lam, exps) if c)))
                 new_gens[idx] = (Q, d)
+                if recipes:
+                    recipes[idx] = ("combination", recipes[idx], tuple(
+                        (c, tuple((kept[s][0], k) for s, k in enumerate(m) if k))
+                        for c, m in zip(lam, exps) if c))
                 continue
-        kept.append((P, d, target))
-    return HilbertBasis(B.algebra, tuple(new_gens))
+        kept.append((idx, P, d, target))
+    return HilbertBasis(B.algebra, tuple(new_gens), None, recipes and tuple(recipes))
 
 
 def double_shift_basis(B: HilbertBasis, side: str = "h") -> HilbertBasis:
@@ -624,11 +735,9 @@ def double_shift_basis(B: HilbertBasis, side: str = "h") -> HilbertBasis:
     images = [Polynomial.variable(n, base.dim + cartan.index(i)) if i in cartan
               else Polynomial.variable(n, i) if i >= base.dim else Polynomial.zero(n)
               for i in range(n)]
-    gens = []
-    for F, d in B.generators:
-        sign = -1 if side == "r" and d % 2 else 1
-        gens.append((F if d == 1 else F - sign * F.map_vars(images, n), d))
-    return HilbertBasis(L, tuple(gens))
+    sign = {d: -1 if side == "r" and d % 2 else 1 for d in B.degrees}
+    return HilbertBasis(L, tuple((F if d == 1 else F - sign[d] * F.map_vars(images, n), d)
+                                 for F, d in B.generators))
 
 
 # -- AKS restriction ------------------------------------------------------
@@ -660,7 +769,4 @@ def aks_restrict(S: Decomposition, B: HilbertBasis) -> AksReport:
     checks pairwise brackets inside S(h) with h's own Lie-Poisson
     structure; side r is symmetric.
     """
-    L = S.algebra
-    side_h = _aks_side(L, S.h_indices, B)
-    side_r = _aks_side(L, S.r_indices, B)
-    return AksReport(side_h, side_r)
+    return AksReport(_aks_side(S.algebra, S.h_indices, B), _aks_side(S.algebra, S.r_indices, B))

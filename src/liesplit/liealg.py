@@ -152,6 +152,14 @@ class LieAlgebra:
         return _certify_realization(self)
 
     @cached_property
+    def _dual_matrices(self) -> tuple:
+        """M_b = sum_a (G^-1)_ab rho(e_a) for each b, sparse {(r, c): exact}, so that
+        Y(x) = sum_b x_b M_b is the generic dual element of the realization."""
+        ginv, rho = inverse(self.gram).rows, self.realization
+        return tuple(combine({}, ((rho[a], row[b]) for a, row in enumerate(ginv) if row[b]))
+                     for b in range(self.dim))
+
+    @cached_property
     def poisson_columns(self) -> tuple:
         """(D, columns): columns[j] lists the (i, lin) with lin the int terms of
         D pi_ij = D sum_k c_ij^k x_k, for the Lie-Poisson tensor pi, read off ``bracket_table``."""
@@ -514,10 +522,8 @@ def change_basis(L: LieAlgebra, new_vectors, new_names, kind=None) -> LieAlgebra
 
 
 def algebra_to_json(L: LieAlgebra) -> str:
-    brackets = []
-    for (i, j) in sorted(L.constants):
-        entries = [[k, c.numerator, c.denominator] for k, c in L.constants[(i, j)]]
-        brackets.append([i, j, entries])
+    brackets = [[i, j, [[k, c.numerator, c.denominator] for k, c in L.constants[(i, j)]]]
+                for (i, j) in sorted(L.constants)]
     return json.dumps({"dim": L.dim, "basis_names": list(L.names), "brackets": brackets},
                       indent=1)
 

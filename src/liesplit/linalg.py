@@ -52,6 +52,7 @@ sampled rank draws its points through :func:`_best_rank`, which checks B first.
 from __future__ import annotations
 
 import random
+from math import prod
 from operator import mul
 from typing import Sequence
 
@@ -219,6 +220,11 @@ def _first_dependent(label: str, vectors) -> str:
 P = 2**30 - 35  # 1073741789
 
 
+def _mod_p(q) -> int:
+    """An exact scalar modulo ``P``; a ``ValueError`` when P divides its denominator."""
+    return q.numerator * pow(q.denominator, -1, P) % P
+
+
 def _check_ceiling(rk: int, cap: int, what: str) -> None:
     if rk > cap:  # the ceiling, and so the index floor under it, was wrong
         raise AssertionError(f"{what} {rk} exceeds the proven ceiling {cap}: index floor bug")
@@ -262,7 +268,21 @@ def _best_rank(rank_at, dim, cap, trials, seed, bound, support=None):
 def skew_rank_mod_p(upper: list) -> int:
     """Rank modulo ``P`` of the skew-symmetric int matrix A whose strict upper triangle is
     ``upper``: ``upper[i]`` maps j > i to a_ij (absent entries are 0).  The rows are
-    updated in place.
+    updated in place (:func:`_skew_pivots`)."""
+    return 2 * sum(1 for _ in _skew_pivots(upper))
+
+
+def _pfaffian_mod_p(A) -> int:
+    """Pf(A) modulo ``P`` of a skew int matrix (its rows), 0 below full rank: each pivot of
+    :func:`_skew_pivots` splits a_pq off, so Pf(A) = sgn(s) prod a_pq, s = (p_1, q_1, ..)."""
+    pivots = list(_skew_pivots([dict(enumerate(row[i + 1:], i + 1)) for i, row in enumerate(A)]))
+    order = [i for p, q, _ in pivots for i in (p, q)]
+    inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
+    return (-1) ** inversions * prod(v for *_, v in pivots) % P if len(order) == len(A) else 0
+
+
+def _skew_pivots(upper: list):
+    """Yield (p, q, a_pq modulo ``P``) for each 2 x 2 pivot of :func:`skew_rank_mod_p`.
 
     Each step takes the first row p with an entry left and pivots on the 2 x 2 block
     of p and q = its first column: rows and columns p and q go, the rank grows by 2,
@@ -271,12 +291,12 @@ def skew_rank_mod_p(upper: list) -> int:
     and only at j > i.  An entry is reduced mod P when its row or column is pivoted
     on, so it grows by less than 2 P^2 a step until then.
     """
-    r = 0
     for p, row in enumerate(upper):
         row = {k: y for k, x in row.items() if (y := x % P)}
         if not row:
             continue
         q = min(row)
+        yield p, q, row[q]
         inv = pow(row.pop(q), -1, P)
         g = {k: x * inv % P for k, x in row.items()}  # a_pk / a_pq
         h = {}  # a_qk: minus column q above row q, then row q
@@ -299,8 +319,6 @@ def skew_rank_mod_p(upper: list) -> int:
                 for j, x in h.items():
                     if j > i:
                         new[j] = get(j, 0) - gi * x
-        r += 2
-    return r
 
 
 def rank_mod_p(m: Matrix) -> int:

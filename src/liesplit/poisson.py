@@ -26,6 +26,8 @@ elimination (``linalg.rank``, ``linalg.rank_and_nullspace``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from . import _kernels as K
 from .liealg import LieAlgebra, _bracket, subalgebra_indices
@@ -40,16 +42,24 @@ DEFAULT_BOUND = 10**6
 
 def _field_terms(L: LieAlgebra, F: Polynomial, targets):
     """Yield (j, int terms of D_L den_F {F, x_j}) for j in ``targets`` (distinct), D_L from
-    ``LieAlgebra.poisson_columns``, on F's kept partials (``Polynomial.partials``)."""
+    ``LieAlgebra.poisson_columns``, on F's kept partials (``Polynomial.partials``); without an
+    exponent >= 128 in F no product with a linear form carries, so ``mul_terms`` checks none."""
     n = L.dim
     _check_length("F", F.nvars, n, "variables")
     columns = L.poisson_columns[1]
     dF = F.partials()
+    big = reduce(or_, F.terms, 0) & 0x80 * ((1 << 8 * n) - 1) // 255  # an exponent >= 128
     for j in targets:
         V = {}
+        get = V.get
         for i, lin in columns[j]:
-            if i in dF:
+            if i in dF and big:
                 K.mul_terms(dF[i], lin, n, V)
+            elif i in dF:
+                for ea, ca in lin.items():
+                    for eb, cb in dF[i].items():
+                        e = ea + eb
+                        V[e] = get(e, 0) + ca * cb
         yield j, {e: c for e, c in V.items() if c}
 
 

@@ -57,6 +57,14 @@ def _exponents(key: int, nvars: int) -> bytes:
     return key.to_bytes(nvars, "big")
 
 
+def _degree_reader(nvars: int):
+    """key -> the sum of its exponent bytes: (k & E) + ((k >> 8) & E), E the alternate bytes,
+    holds byte pairs in 16-bit lanes summed mod 65535 = 2^16 - 1, exact to 256 variables."""
+    E = 255 * ((1 << 16 * ((nvars + 1) // 2)) - 1) // 65535
+    return ((lambda k: ((k & E) + ((k >> 8) & E)) % 65535) if nvars <= 256
+            else lambda k: sum(_exponents(k, nvars)))
+
+
 def _pack(e, nvars: int) -> int:
     """Packed key of an exponent sequence of length ``nvars``, each an ``int`` in 0..255."""
     if isinstance(e, int):
@@ -147,8 +155,7 @@ class Polynomial:
         return c if self.den == 1 else exact(QQ(c, self.den))
 
     def _degrees(self):
-        n = self.nvars
-        return (sum(_exponents(e, n)) for e in self.terms)
+        return map(_degree_reader(self.nvars), self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -169,8 +176,9 @@ class Polynomial:
         variables = _indices("split_degree:", variables, n, "variable index")
         mask = sum(0xFF * _unit(n, i) for i in variables)  # the exponent slots of variables
         parts: dict = {}
+        degree = _degree_reader(n)
         for e, c in self.terms.items():
-            parts.setdefault(sum(_exponents(e & mask, n)), {})[e] = c
+            parts.setdefault(degree(e & mask), {})[e] = c
         return {k: Polynomial._of(n, t, self.den) for k, t in sorted(parts.items())}
 
     def split_last(self) -> dict:
@@ -321,8 +329,7 @@ class Polynomial:
     def eval(self, point: Sequence):
         n = self.nvars
         _check_length("point", len(point), n, "coordinates")
-        point = [scalar(p) for p in point]
-        pow_cache: dict[tuple[int, int], object] = {}
+        pow_cache: dict[tuple[int, int], object] = {}  # only the coordinates used are read
         total = 0
         for e, c in self.terms.items():
             v = c
@@ -330,7 +337,7 @@ class Polynomial:
                 if k:
                     p = pow_cache.get((i, k))
                     if p is None:
-                        p = point[i] ** k
+                        p = scalar(point[i]) ** k
                         pow_cache[(i, k)] = p
                     v = v * p
             total = total + v

@@ -29,11 +29,11 @@ from .liealg import LieAlgebra, build_double, build_sl, build_so_even
 from .invariants import (
     HilbertBasis,
     _b_of,
+    _jacobian_rank,
     double_shift_basis,
     eliminate_on_subspace,
     ggs_check,
     hilbert_basis,
-    jacobian_rank,
     restrict_to_t0,
     transport_basis,
     verify_invariance,
@@ -93,15 +93,15 @@ def z_generators(S: Decomposition, B: HilbertBasis, z0_gens=(), zinf_gens=(),
     if mode not in ("full", "m_tilde"):
         raise ValueError(f"unknown mode {mode!r}")
     out = []
-    seen = {}
+    seen = {}  # (term count, largest key), which proportional polynomials share -> those pushed
 
     def push(poly, tag):
         if poly.is_zero():
             return
-        canon, _ = poly.canonical()
-        if canon in seen:
+        pushed = seen.setdefault((len(poly.terms), max(poly.terms)), [])
+        if any(q.canonical()[0] == poly.canonical()[0] for q in pushed):
             return
-        seen[canon] = tag
+        pushed.append(poly)
         out.append((poly, tag))
 
     for j, (d, parts) in enumerate(zip(B.degrees, B.split(S))):
@@ -382,7 +382,10 @@ def _z_algebra(S: Decomposition, B: HilbertBasis, mode: str, trials, seed,
     ``_centre_generators``, b of the splitting's algebra, and their Jacobian rank over
     max(``least``, ``trials``) seeded points of [-``bound``, ``bound``]^dim."""
     Z = z_generators(S, B, *_centre_generators(S, B), mode)
-    td = jacobian_rank([p for p, _ in Z], trials=max(least, trials), seed=seed, bound=bound)
+    # each bi-component of B, by identity, names its (generator, h-degree) for its row
+    where = {id(c): (j, i) for j, parts in enumerate(B.split(S)) for i, c in parts.items()}
+    td = _jacobian_rank([(p, where.get(id(p))) for p, _ in Z], S.algebra.dim,
+                        max(least, trials), seed, bound, B, S)
     return Z, _b_of(S.algebra), td
 
 

@@ -27,7 +27,7 @@ from liesplit.invariants import (
     transport_basis,
     verify_invariance,
 )
-from liesplit.linalg import Matrix, rank_mod_p
+from liesplit.linalg import P, Matrix, _pfaffian_mod_p, rank_mod_p
 from liesplit.poisson import poisson_bracket
 from liesplit.poly import Polynomial
 from liesplit.rationals import QQ
@@ -310,11 +310,20 @@ def _standard_skew(n):
 def test_pfaffian_sign_check_at_a_point(K, pf):
     # Y = J K: Pf(J Y) = Pf(K) and det Y = det J det K = (-1)^n Pf(K)^2.  The first pivot of
     # each Y is zero; the last Y takes one row swap, the standard ones two
+    # Y(x) = x_0 J K on one coordinate, so Pf(J Y(x)) = x_0^n Pf(K)
     c = lambda v: Polynomial.constant(1, v)
     Y = [[c(v) for v in row] for row in K[::-1]]
     assert poly_pfaffian(Y[::-1]) == c(pf)
-    assert [_pfaffian_sign_holds(c(p), Y) for p in (pf, -pf, 2 * pf, 0)] == [True, True,
-                                                                             False, False]
+    mats, size = [{(r, col): v for r, row in enumerate(K[::-1]) for col, v in enumerate(row)
+                   if v}], len(K)
+    x0n = Polynomial.monomial(1, {0: size // 2})
+    assert [_pfaffian_sign_holds(p * x0n, mats, size) for p in (pf, -pf, 2 * pf, 0)] == [
+        True, True, False, False]
+    # the 2 x 2 pivots' Pfaffian modulo P, which the Jacobian rows of Pf read, and its n-th
+    # power law under scaling; one zero row leaves it 0
+    assert _pfaffian_mod_p(K) == pf % P
+    assert _pfaffian_mod_p([[-3 * v for v in row] for row in K]) == (-3) ** (size // 2) * pf % P
+    assert _pfaffian_mod_p([[0] * size] + K[1:]) == 0
 
 
 def test_so8_trace_powers_are_newtons_sums_of_the_whole_charpoly():

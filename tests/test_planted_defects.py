@@ -3,13 +3,19 @@
 Each row plants one defect by monkeypatch, runs one small case, and names the verdicts the
 defect flips (every other verdict still holds) or the error it raises.  The rows here cover
 the bi-degree layer: each defect rewrites what ``invariants.bidecompose`` returns, which
-every reader of a split reaches through ``HilbertBasis.split``.
+every reader of a split reaches through ``HilbertBasis.split``.  The last rows plant a wrong
+entry in one matrix M_b of Y(x) = sum_b x_b M_b, which the Jacobian rows read, and the row
+oracle (a realization row is the gradient the terms give, modulo P) catches it.
 """
 
 import pytest
 
 from liesplit import invariants
+from liesplit.invariants import hilbert_basis
+from liesplit.liealg import build_so_even
+from liesplit.linalg import P
 from liesplit.poly import Polynomial
+from liesplit.splitting import _vectors, horospherical_splitting
 from liesplit.zalgebra import run_case
 
 
@@ -98,3 +104,38 @@ def test_the_relabelling_never_applies_where_the_next_degree_is_taken(monkeypatc
     changed = _plant(monkeypatch, _relabel_the_lowest_part)
     assert run_case(case, {"n": n}, seed=1).passed
     assert not changed
+
+
+# -- the realization's Jacobian rows ----------------------------------------
+
+
+def _so6_splitting():
+    g = build_so_even(3)
+    cart = g.triangular.cartan
+    S = horospherical_splitting(g, _vectors(g.dim, ({i: 1} for i in cart[:2])),
+                                t0_basis=_vectors(g.dim, [{cart[2]: 1}]))
+    return S, hilbert_basis(S.algebra, "charpoly")
+
+
+def _rows_off_int_gradient(B, S, x):
+    """The bi-components (j, i) whose realization row at x is not their gradient modulo P,
+    ``int_gradient`` over den."""
+    parts = B.split(S)
+    comps = [(j, i) for j, p in enumerate(parts) for i in p]
+    return [(j, i) for (j, i), row in zip(comps, invariants._component_rows(B, S, x, comps))
+            if row != [v * pow(parts[j][i].den, -1, P) % P for v in parts[j][i].int_gradient(x)]]
+
+
+@pytest.mark.parametrize("side", ["h", "r"])
+def test_one_wrong_entry_of_a_dual_matrix_fails_the_row_oracle(monkeypatch, side):
+    S, B = _so6_splitting()
+    x = [(7 * k) % 23 - 11 for k in range(S.algebra.dim)]
+    assert _rows_off_int_gradient(B, S, x) == []
+    # one entry of the first M_b of a coordinate on the side, plus one
+    b = next(b for b in (S.h_indices if side == "h" else S.r_indices)
+             if S.algebra._dual_matrices[b])
+    mats = list(S.algebra._dual_matrices)
+    cell = next(iter(mats[b]))
+    mats[b] = {**mats[b], cell: mats[b][cell] + 1}
+    monkeypatch.setitem(S.algebra.__dict__, "_dual_matrices", tuple(mats))
+    assert _rows_off_int_gradient(B, S, x)

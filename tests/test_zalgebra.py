@@ -139,6 +139,23 @@ def test_sl3_borel_component_count_and_trdeg():
     assert jacobian_rank([p for p, _ in Z], trials=5, seed=1) == 5
 
 
+def test_z_generators_merge_scalar_multiples_only():
+    # a multiple of a component merges away; a polynomial of the same term count and largest
+    # key, one coefficient off, is kept: a bucket by size and leading key is not the test
+    sl3 = build_sl(3)
+    S = horospherical_splitting(sl3, [
+        [QQ(1) if i == sl3.triangular.cartan[0] else QQ(0) for i in range(8)],
+        [QQ(1) if i == sl3.triangular.cartan[1] else QQ(0) for i in range(8)],
+    ])
+    B = transport_basis(hilbert_basis(sl3, "charpoly"), S)
+    comp = max((c for parts in B.split(S) for c in parts.values()), key=lambda c: len(c.terms))
+    e, c = min(comp.items())
+    off = comp + Polynomial(comp.nvars, {tuple(e): c})
+    assert len(off.terms) == len(comp.terms) and max(off.terms) == max(comp.terms)
+    Z = z_generators(S, B, [QQ(-3, 2) * comp, off])
+    assert [tag for _, tag in Z].count("Z0") == 1 and Z[-1][0] is off
+
+
 def test_double_m_tilde_exact_generators():
     d = build_double(build_sl(2))
     e, h, f, xi = (Polynomial.variable(4, i) for i in range(4))
