@@ -11,7 +11,9 @@ equals the order of the exponent bytes.  A term product whose exponent of
 some variable would exceed 255 raises ``OverflowError``; it never carries
 into the next variable.  ``mul_terms`` either returns the product or adds
 it into a dict the caller passes, so a sum of products builds no
-intermediate dicts and drops its zero coefficients once.
+intermediate dicts and drops its zero coefficients once.  It is the carry test
+before ``mul_add_terms``, the one product loop, called directly only where one
+bound per expansion or bracket has ruled out every carry.
 
 Square integer matrices for reflection-group work are encoded as
 ``bytes`` of two's-complement int8 entries, row major; a product entry
@@ -46,20 +48,27 @@ def mul_terms(a: dict, b: dict, nvars: int, out: dict | None = None) -> dict:
                 if (ea ^ eb ^ (ea + eb)) & carries:
                     raise OverflowError("exponent sum exceeds 255, the largest exponent "
                                         "a packed exponent byte holds")
-    items = b.items()
     if out is None and len(a) == 1:  # one term: no two products share a key
         (ea, ca), = a.items()
-        return {ea + eb: ca * cb for eb, cb in items}
-    acc = {} if out is None else out
-    get = acc.get
-    for ea, ca in a.items():
-        for eb, cb in items:
-            e = ea + eb
-            acc[e] = get(e, 0) + ca * cb
+        return {ea + eb: ca * cb for eb, cb in b.items()}
+    acc = mul_add_terms(a, b, nvars, {} if out is None else out)
     if out is None:
         for e in [e for e, c in acc.items() if not c]:  # in place: no second copy of acc
             del acc[e]
     return acc
+
+
+def mul_add_terms(a: dict, b: dict, nvars: int, out: dict) -> dict:
+    """``mul_terms(a, b, nvars, out)`` with no carry test: out += a * b, zeros kept."""
+    if len(a) > len(b):  # iterate the smaller map outside
+        a, b = b, a
+    items = b.items()
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in items:
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
+    return out
 
 
 def axpy_terms(acc: dict, src: dict, coeff: int) -> None:

@@ -5,18 +5,18 @@ the trace-form identification of the algebra with its dual (one half of
 the trace for the antidiagonal orthogonal realization).  Concretely the
 generic dual element is the matrix Y(x) = sum_a y_a X_a with G y = x,
 where G is the Gram matrix of the invariant form on the chosen basis.
-The characteristic coefficients e_k come from the determinant of lambda I - Y,
-a Laplace expansion along the first half of the rows, met by the minors of the
-rest built level by level (``_first_row_expansion``), each minor one
-``Polynomial.sum_of_products``; the power traces tr(Y^k)
-follow by Newton's identities.  The Pfaffian, the only other expansion, replaces
+The characteristic coefficients e_k are the lambda^(N-k) coefficients of det(lambda I + Y),
+Y's nonzero entries read off the M_b (``_dual_cells``) and expanded by
+``poly.laplace_expansion``, lambda a grade of its int terms; the power traces tr(Y^k)
+follow by Newton's identities.  The same expansion gives the Pfaffian, which replaces
 the top generator of either family when every rho(e_a) is skew about the
-antidiagonal J, as on so(2n): the condition ``poly_pfaffian`` checks on J Y.
+antidiagonal J, as on so(2n): then J Y is skew, so its entries are not checked again.
 There Y^T = -J Y J, so det(lambda - Y) = det(lambda + Y) and every odd e_k is
 zero: ``hilbert_basis`` asks the final sum of the expansion for the even
 lambda-powers of e_2 .. e_(2n-2) only, and checks the sign Pf(J Y)^2 = (-1)^n det Y
 at one seeded integer point instead of squaring Pf against e_2n, which it never
-builds.  All are exact polynomials in the dual coordinates x.
+builds.  All are exact polynomials in the dual coordinates x.  This module reads no
+terms and calls no kernel (an expansion bounds its exponents once: ``poly``'s carry rule).
 
 Each of them is a conjugation-invariant function of Y, so its invariance is a
 theorem once rho is a homomorphism and G a nondegenerate ad-invariant form:
@@ -61,94 +61,30 @@ from .liealg import LieAlgebra, sub_algebra
 from .linalg import (P, Matrix, _best_rank, _mod_p, _pfaffian_mod_p, inverse, rank,  # noqa: F401
                      skew_rank_mod_p, solve)  # rank: read by the perfbench tracer tests
 from .poisson import hamiltonian_field, index_estimate, poisson_bracket
-from .poly import Polynomial
-from .rationals import QQ, _check_length, _indices
+from .poly import Polynomial, laplace_expansion
+from .rationals import _check_length, _indices
 from .splitting import Decomposition, contract
 
 
 # -- generic dual element and determinant/pfaffian expansion -----------
 
 
-def dual_matrix(L: LieAlgebra):
-    """Entries of Y(x) = sum_b x_b M_b, the generic dual element in the matrix realization."""
+def _dual_cells(L: LieAlgebra) -> dict:
+    """{(r, c): Y(x)[r][c]} over the nonzero entries of Y(x) = sum_b x_b M_b (``dual_matrix``)."""
     if L.realization is None or L.gram is None:
         raise ValueError(f"{L.kind} carries no complete matrix realization")
-    n, size, cells = L.dim, L.matrix_size, {}
-    for b, m in enumerate(L._dual_matrices):
-        for rc, v in m.items():
-            cells.setdefault(rc, [0] * n)[b] = v
-    return [[Polynomial.linear_form(n, cells[r, c]) if (r, c) in cells else Polynomial.zero(n)
-             for c in range(size)] for r in range(size)]
+    return Polynomial.linear_matrix(L.dim, L._dual_matrices)
 
 
-def _first_row_expansion(entries, split, levels: int, powers=None) -> Polynomial:
-    """Alternating first-row expansion of a polynomial matrix, met in the middle.
-
-    ``split(idx)`` gives the row to expand along and the columns it runs
-    over; dropping the t-th column leaves the subproblem, with sign (-1)^t.
-    The subproblems reachable through nonzero entries are listed one level per
-    size.  At depth = ``levels // 2`` below the top the expansion is a
-    generalized Laplace expansion: the top ``depth`` levels are summed, from
-    the top down, into one coefficient per subproblem at that depth (the
-    signed minors of the first rows, or the Pfaffian analogue), and each
-    subproblem there is built only when its coefficient multiplies it into the
-    result, then dropped.  It is built from the level below it, and the levels
-    below that are built from the bottom up, each dropped once the next exists,
-    so the large levels just below the top are never held whole.  The entries
-    are cleared to one denominator d, so every minor and coefficient is an integral
-    :meth:`Polynomial.sum_of_products` with no rescaling; a full product takes
-    ``levels`` entries, so the result is divided once by d^levels.
-
-    With ``powers``, a set of degrees in the last variable, the final sum splits
-    each minor and its coefficient by that degree and multiplies only the parts whose
-    degrees add up to one of ``powers``: the result is the part of the whole
-    expansion in those degrees, and no product of another degree is formed.
-    """
-    nv = entries[0][0].nvars if entries else 0
-    d = lcm(*(e.den for row in entries for e in row))
-    cleared = [[e.scale(d) for e in row] for row in entries]
-
-    def nonzero(idx):  # (t, entry, subproblem) for each nonzero entry of idx's row
-        row, cols = split(idx)
-        return [(t, cleared[row][j], cols[:t] + cols[t + 1 :])
-                for t, j in enumerate(cols) if cleared[row][j]]
-
-    def minor(idx, below) -> Polynomial:
-        if not idx:
-            return Polynomial.constant(nv, 1)
-        return Polynomial.sum_of_products(nv, (((-1) ** t, e, below(sub))
-                                               for t, e, sub in nonzero(idx)))
-
-    depth = levels // 2
-    reach = [[tuple(range(len(entries)))]]  # the top, then the reachable subproblems by level
-    while reach[-1] and reach[-1][0]:
-        reach.append(list(dict.fromkeys(s for idx in reach[-1] for *_, s in nonzero(idx))))
-    built: dict = {}
-    for level in reversed(reach[depth + 1:]):
-        built = {idx: minor(idx, built.__getitem__) for idx in level}  # drops the level below
-    coeffs = {reach[0][0]: Polynomial.constant(nv, 1)}  # the top rows summed down to depth
-    for _ in range(depth):
-        paths: dict = {}
-        for idx, c in coeffs.items():
-            for t, e, sub in nonzero(idx):
-                paths.setdefault(sub, []).append(((-1) ** t, e, c))
-        coeffs = {sub: c for sub, p in paths.items()
-                  if (c := Polynomial.sum_of_products(nv, p))}
-
-    def parts(p):  # by degree in the last variable, or whole
-        return {0: p} if powers is None else p.split_degree((nv - 1,))
-
-    def products():
-        for idx, c in coeffs.items():
-            below = parts(minor(idx, built.__getitem__))
-            yield from ((1, ci, mj) for i, ci in parts(c).items() for j, mj in below.items()
-                        if powers is None or i + j in powers)
-
-    return Polynomial.sum_of_products(nv, products()).scale(QQ(1, d**levels))
+def dual_matrix(L: LieAlgebra):
+    """Entries of Y(x) = sum_b x_b M_b, the generic dual element in the matrix realization."""
+    Y, size, zero = _dual_cells(L), L.matrix_size, Polynomial.zero(L.dim)
+    return [[Y.get((r, c), zero) for c in range(size)] for r in range(size)]
 
 
-def _square_size(entries) -> int:
-    """The size of a square matrix of polynomials on one variable count, or a ValueError."""
+def _cells(entries) -> tuple:
+    """(size, nvars, {(r, c): entry} over the nonzero entries) of a square matrix of
+    polynomials on one variable count, or a ValueError."""
     for r, row in enumerate(entries):
         if len(row) != len(entries):
             raise ValueError(f"{len(entries)}-row matrix is not square: row {r} has {len(row)} "
@@ -159,20 +95,14 @@ def _square_size(entries) -> int:
             if e.nvars != entries[0][0].nvars:
                 raise ValueError(f"entry ({r}, {c}) has {e.nvars} variables, entry (0, 0) "
                                  f"has {entries[0][0].nvars}")
-    return len(entries)
+    return len(entries), entries[0][0].nvars if entries else 0, {
+        (r, c): e for r, row in enumerate(entries) for c, e in enumerate(row) if e}
 
 
 def poly_det(entries) -> Polynomial:
-    """Determinant of a square matrix of polynomials, by ``_first_row_expansion`` over
-    column subsets."""
-    _square_size(entries)
-    return _det(entries)
-
-
-def _det(entries, powers=None) -> Polynomial:
-    """``poly_det`` of a matrix known to be square, its ``powers`` as the expansion's."""
-    size = len(entries)
-    return _first_row_expansion(entries, lambda cols: (size - len(cols), cols), size, powers)
+    """Determinant of a square matrix of polynomials, by ``poly.laplace_expansion``."""
+    size, n, cells = _cells(entries)
+    return laplace_expansion(n, size, cells, False, None).get(0, Polynomial.zero(n))
 
 
 def poly_pfaffian(entries) -> Polynomial:
@@ -181,14 +111,14 @@ def poly_pfaffian(entries) -> Polynomial:
     Normalized so the block-diagonal standard form (blocks [[0,1],[-1,0]])
     has Pfaffian +1.
     """
-    size = _square_size(entries)
+    size, n, cells = _cells(entries)
     if size % 2:
         raise ValueError(f"Pfaffian needs even size, got {size}")
     for i in range(size):
         for j in range(i, size):
             if entries[i][j] != -entries[j][i]:
                 raise ValueError(f"matrix is not skew-symmetric at ({i}, {j})")
-    return _first_row_expansion(entries, lambda idx: (idx[0], idx[1:]), size // 2)
+    return laplace_expansion(n, size, cells, True, None).get(0, Polynomial.zero(n))
 
 
 def charpoly_coefficients(L: LieAlgebra) -> dict:
@@ -197,18 +127,14 @@ def charpoly_coefficients(L: LieAlgebra) -> dict:
     On a realization skew about the antidiagonal J (so(2n)), Y^T = -J Y J, so
     det(lambda - Y) = det(lambda + Y) and every odd e_k is identically zero; this map
     still holds them all, while ``hilbert_basis`` expands only the even ones it keeps."""
-    return _charpoly(dual_matrix(L), range(1, L.matrix_size + 1))
+    return _charpoly(L.dim, L.matrix_size, _dual_cells(L), range(1, L.matrix_size + 1))
 
 
-def _charpoly(Y, ks) -> dict:
-    """Map k -> e_k for each k of ``ks``, the determinant taking only lambda^(N-k)."""
-    size, n = len(Y), Y[0][0].nvars
-    lam = Polynomial.variable(n + 1, n)
-    entries = [[(lam if r == c else 0) - Y[r][c].lift(n + 1) for c in range(size)]
-               for r in range(size)]
-    # lambda is the last variable
-    by_lambda = _det(entries, {size - k for k in ks}).split_last()
-    return {k: (-1) ** k * by_lambda.get(size - k, Polynomial.zero(n)) for k in ks}
+def _charpoly(n: int, size: int, Y: dict, ks) -> dict:
+    """Map k -> e_k = [lambda^(N-k)] det(lambda I + Y) for each k of ``ks``, Y the nonzero
+    cells of a size x size matrix over n variables: the expansion forms those degrees only."""
+    e = laplace_expansion(n, size, Y, False, {size - k for k in ks})
+    return {k: e.get(size - k, Polynomial.zero(n)) for k in ks}
 
 
 def _power_sums(e: dict) -> dict:
@@ -334,8 +260,9 @@ def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
     conjugation-invariant function of Y(x) = rho(G^-1 x), invariant once
     ``LieAlgebra.realization_certificate`` holds (on a double, its base's certificate),
     and ``HilbertBasis.invariance`` names that route.  The certificate is checked before
-    any generator is built (the so(J) condition of the Pfaffian is the skew check of JY in
-    :func:`poly_pfaffian`); a failed one raises ``ValueError``, with no fallback to brackets.
+    any generator is built (the so(J) condition of the Pfaffian, that J rho(e_a) is skew for
+    every a, makes J Y skew, so its entries are not checked again); a failed one raises
+    ``ValueError``, with no fallback to brackets.
     """
     if kind not in ("charpoly", "trace_powers"):
         raise ValueError(f"unknown Hilbert basis kind {kind!r}")
@@ -357,17 +284,18 @@ def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
             raise ValueError(f"invariance of the {kind} basis of {L.kind} is not proved: "
                              f"{cert.failure}")
         route = "realization"
-        Y, size = dual_matrix(L), L.matrix_size
+        Y, size, n = _dual_cells(L), L.matrix_size, L.dim
         # so(J) of even size, J the antidiagonal: J rho(e_a) is skew for every a, so
-        # Y^T = -J Y J, the odd e_k vanish and the Pfaffian takes the place of e_2n
+        # Y^T = -J Y J, J Y is skew, the odd e_k vanish and the Pfaffian takes e_2n's place
         skew = size % 2 == 0 and all(m.get((size - 1 - c, size - 1 - r), 0) == -v
                                      for m in L.realization for (r, c), v in m.items())
-        e = _charpoly(Y, range(2, size - 1, 2) if skew else range(1, size + 1))
+        e = _charpoly(n, size, Y, range(2, size - 1, 2) if skew else range(1, size + 1))
         coeffs = _power_sums(e) if kind == "trace_powers" else e
         gens = [(c, k) for k, c in coeffs.items() if c.terms]  # k increasing
         recipes = [("p" if kind == "trace_powers" else "e", k) for _, k in gens]
         if skew:
-            pf = poly_pfaffian(Y[::-1])  # J Y: the rows of Y in reverse order
+            JY = {(size - 1 - r, c): v for (r, c), v in Y.items()}  # the rows of Y reversed
+            pf = laplace_expansion(n, size, JY, True, None).get(0, Polynomial.zero(n))
             if not _pfaffian_sign_holds(pf, L._dual_matrices, size):
                 raise ValueError("Pfaffian sign convention failure: Pf^2 != (-1)^n Delta_2n")
             gens.append((pf, size // 2))

@@ -40,26 +40,25 @@ from .splitting import Decomposition, contract
 DEFAULT_BOUND = 10**6
 
 
-def _field_terms(L: LieAlgebra, F: Polynomial, targets):
+def _below_128(F: Polynomial) -> bool:
+    """Whether every exponent of F is below 128, by one scan of its keys."""
+    return not reduce(or_, F.terms, 0) & 0x80 * ((1 << 8 * F.nvars) - 1) // 255
+
+
+def _field_terms(L: LieAlgebra, F: Polynomial, targets, small: bool):
     """Yield (j, int terms of D_L den_F {F, x_j}) for j in ``targets`` (distinct), D_L from
-    ``LieAlgebra.poisson_columns``, on F's kept partials (``Polynomial.partials``); without an
-    exponent >= 128 in F no product with a linear form carries, so ``mul_terms`` checks none."""
+    ``LieAlgebra.poisson_columns``, on F's kept partials (``Polynomial.partials``); when
+    ``small`` (:func:`_below_128` of F) no product with a linear form carries or is tested."""
     n = L.dim
     _check_length("F", F.nvars, n, "variables")
     columns = L.poisson_columns[1]
     dF = F.partials()
-    big = reduce(or_, F.terms, 0) & 0x80 * ((1 << 8 * n) - 1) // 255  # an exponent >= 128
+    mul = K.mul_add_terms if small else K.mul_terms
     for j in targets:
-        V = {}
-        get = V.get
+        V: dict = {}
         for i, lin in columns[j]:
-            if i in dF and big:
-                K.mul_terms(dF[i], lin, n, V)
-            elif i in dF:
-                for ea, ca in lin.items():
-                    for eb, cb in dF[i].items():
-                        e = ea + eb
-                        V[e] = get(e, 0) + ca * cb
+            if i in dF:
+                mul(lin, dF[i], n, V)
         yield j, {e: c for e, c in V.items() if c}
 
 
@@ -68,7 +67,7 @@ def hamiltonian_field(L: LieAlgebra, F: Polynomial):
     for every coordinate x_j, on F's kept partials; F is invariant when every V_j = 0.
     """
     den = L.poisson_columns[0] * F.den
-    for j, V in _field_terms(L, F, range(L.dim)):
+    for j, V in _field_terms(L, F, range(L.dim), _below_128(F)):
         yield j, Polynomial._of(L.dim, V, den)
 
 
@@ -97,11 +96,12 @@ def poisson_bracket(L: LieAlgebra, F: Polynomial, G: Polynomial) -> Polynomial:
     sign = 1
     if L.kept_block is not None and _degree_in(G, L.kept_block) < _degree_in(F, L.kept_block):
         F, G, sign = G, F, -1
-    dG = G.partials()
+    dG, small = G.partials(), _below_128(F)
+    mul = K.mul_add_terms if small and _below_128(G) else K.mul_terms  # V_j <= 128, dG_j < 128
     acc: dict = {}
-    for j, V in _field_terms(L, F, dG):
+    for j, V in _field_terms(L, F, dG, small):
         if V:
-            K.mul_terms(V, dG[j], n, acc)
+            mul(V, dG[j], n, acc)
     return Polynomial._of(n, {e: sign * c for e, c in acc.items() if c},
                           L.poisson_columns[0] * F.den * G.den)
 

@@ -13,8 +13,9 @@ core (this module, ``_kernels`` and ``poisson``, whose brackets work on
 :meth:`~Polynomial.partials` dicts) calls a kernel or ``_of`` or reads the
 items or values of ``terms``.  Other code combines polynomials by the
 arithmetic, :meth:`~Polynomial.sum_of_products` (c * a * b summed into one
-int dict: minors, Newton's identities, substitutions) and
-:meth:`~Polynomial.split_degree` (the parts by degree in some variables);
+int dict: Newton's identities, substitutions), :func:`laplace_expansion`
+(det, Pf and the lambda-graded det(lambda I + A) of a matrix, as from
+:meth:`~Polynomial.linear_matrix`) and :meth:`~Polynomial.split_degree` (by degree);
 it reads coefficients only through :meth:`~Polynomial.coeff`,
 :meth:`~Polynomial.items`, :meth:`~Polynomial.eval`,
 :meth:`~Polynomial.canonical` and :meth:`~Polynomial.to_string`, the only
@@ -24,9 +25,10 @@ times the gradient at an integer point, in ints), and keys only through
 :meth:`~Polynomial.part_on` and :meth:`~Polynomial.split_degree` regroup
 terms by shifting and masking keys.  A key packs the exponent vector into
 one int, 8 bits per variable, variable 0 in the most significant byte,
-over a fixed width of ``nvars`` bytes, so exponents stay below 256 (a
-product past 255 raises ``OverflowError``), a monomial product is one
-integer addition, and integer order equals the order of the exponent bytes.
+over a fixed width of ``nvars`` bytes, so exponents stay below 256 (``mul_terms``
+raises ``OverflowError`` past 255; one bound per expansion or bracket can rule that out
+for ``mul_add_terms``), a monomial product is one integer addition, and integer order equals
+the order of the exponent bytes.
 Coefficients and points enter through :func:`liesplit.rationals.scalar`,
 which rejects ``float``; the constructor takes {exponent sequence:
 coefficient} maps.  Values are immutable by convention (no caller of
@@ -37,7 +39,7 @@ polynomial has no terms, den = 1, and degree ``None``.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from math import gcd, lcm
 from operator import mul, or_
 from typing import Iterable, Sequence
@@ -134,6 +136,18 @@ class Polynomial:
             e[i] = k
         # a sequence is packed as given, so a short one meets the constructor's length check
         return cls(nvars, {tuple(e if isinstance(exps, dict) else exps): coeff})
+
+    @classmethod
+    def linear_matrix(cls, nvars: int, mats: Sequence[dict]) -> dict:
+        """{(r, c): sum_b mats[b][r, c] x_b} over the cells some matrix holds, from one sparse
+        {(r, c): nonzero exact scalar} matrix per variable."""
+        _check_length("linear_matrix", len(mats), nvars, "matrices")
+        cells: dict = {}
+        for b, m in enumerate(mats):
+            for rc, v in m.items():
+                cells.setdefault(rc, {})[_unit(nvars, b)] = scalar(v)
+        return {rc: cls._of(nvars, dict(zip(t, ints)), d)
+                for rc, t in cells.items() for d, ints in [clear_denominators(t.values())]}
 
     @classmethod
     def linear_form(cls, nvars: int, coeffs: Sequence) -> "Polynomial":
@@ -443,3 +457,82 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.nvars}, {self.to_string()})"
+
+
+def laplace_expansion(nvars: int, size: int, cells: dict, pfaffian: bool, powers) -> dict:
+    """{0: det A}, or with ``pfaffian`` {0: Pf A}, for the size x size matrix A of the nonzero
+    ``cells`` {(r, c): Polynomial}; with a set ``powers`` (not None), {k: [lambda^k]
+    det(lambda I + A)} for k in it; a zero has no key.  One first-row expansion of int terms
+    over d, the dens' lcm, graded {lambda-degree: terms}.  A subproblem is the bitmask U of
+    the columns (Pf: indices) used; its row is the next (Pf: the least index not in U), and
+    the step to column j has the sign of the parity of the free columns below j.  Met in the
+    middle: the lower levels are built bottom up, each dropping the last, the top ones down to
+    coefficients, and each minor at half depth only for its coefficient, in ``powers``.  A
+    product takes one cell per row: when no variable's largest exponents over the rows sum
+    past 255, every one is ``mul_add_terms``, else ``mul_terms`` with its ``OverflowError``.
+    A det takes its rows from both ends inward, which on the builders' realizations (upper and
+    lower triangles, Cartan on the diagonal) makes up to a quarter fewer term products."""
+    at = [min(2 * r, 2 * size - 1 - 2 * r) for r in range(size)]  # r in the order 0, N-1, 1, ..
+    cells = ({rc: p for rc, p in cells.items() if rc[0] < rc[1]} if pfaffian  # Pf: i < j
+             else {(at[r], at[c]): p for (r, c), p in cells.items()})  # P A P^T: the same det
+    d = lcm(*(p.den for p in cells.values()))
+    graded = {rc: {0: p.terms if p.den == d else {e: v * (d // p.den) for e, v in p.terms.items()}}
+              for rc, p in cells.items()}
+    for r in range(size) if powers is not None else ():
+        graded.setdefault((r, r), {})[1] = {0: d}  # lambda d
+    rows: list = [[] for _ in range(size)]  # (column bit, d A[r][c], -d A[r][c]), graded
+    for (r, c), g in sorted(graded.items()):
+        rows[r].append((1 << c, g, {k: {e: -v for e, v in t.items()} for k, t in g.items()}))
+    top = [0] * nvars  # per variable, its largest exponents over the rows, summed
+    for row in rows:
+        for i, col in enumerate(zip(*(_exponents(e, nvars) for _, g, _ in row
+                                      for e in g.get(0, ())))):
+            top[i] += max(col)
+    kernel = K.mul_add_terms if max(top, default=0) <= 255 else K.mul_terms
+
+    @cache
+    def moves(U):  # [(signed cell, U with its column)] over the nonzero cells of U's row
+        if pfaffian:
+            low = ~U & (U + 1)
+            U, r = U | low, low.bit_length() - 1
+        else:
+            r = U.bit_count()
+        return [((neg if (~U & (bit - 1)).bit_count() & 1 else pos), U | bit)
+                for bit, pos, neg in rows[r] if not U & bit]
+
+    def clean(g):  # zero coefficients and empty degrees dropped
+        return {k: t for k, u in g.items()
+                if (t := {e: v for e, v in u.items() if v} if 0 in u.values() else u)}
+
+    def pull(U, steps, table):  # the sum of cell * table[V] over the (cell, V) steps of U
+        acc: dict = {}
+        for g, V in steps(U):
+            if V in table:
+                for i, x in g.items():
+                    for j, y in table[V].items():
+                        kernel(x, y, nvars, acc.setdefault(i + j, {}))
+        return clean(acc)
+
+    levels = size // 2 if pfaffian else size
+    depth = levels // 2
+    reach, back = [[0]], {}  # the reachable subproblems by level; back[V]: the steps into V
+    for _ in range(levels):
+        for U in reach[-1]:
+            for g, V in moves(U):
+                back.setdefault(V, []).append((g, U))
+        reach.append(list(dict.fromkeys(V for U in reach[-1] for _, V in moves(U))))
+    one = {0: {0: 1}}
+    built = dict.fromkeys(reach[levels], one)
+    for level in reversed(reach[depth + 1:levels]):  # the bottom up, each level dropping the last
+        built = {U: m for U in level if (m := pull(U, moves, built))}
+    coeffs = {0: one}
+    for level in reach[1:depth + 1]:  # the top down
+        coeffs = {V: c for V in level if (c := pull(V, back.__getitem__, coeffs))}
+    out: dict = {}
+    for U, c in coeffs.items():  # each minor at depth built for its coefficient alone
+        m = pull(U, moves, built) if depth < levels else one
+        for i, x in c.items():
+            for j, y in m.items():
+                if powers is None or i + j in powers:
+                    kernel(x, y, nvars, out.setdefault(i + j, {}))
+    return {k: Polynomial._of(nvars, t, d**levels) for k, t in sorted(clean(out).items())}

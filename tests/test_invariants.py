@@ -189,6 +189,32 @@ def test_poly_det_and_pfaffian_standard_forms():
     assert poly_pfaffian(std) == c(1)
 
 
+def test_poly_det_and_pfaffian_bound_exponents_once(monkeypatch):
+    # a product takes one cell per row (Pf: one above the diagonal): where every variable's
+    # largest exponents over the rows sum to at most 255 no product carries, and none is
+    # tested; past that each product is ``mul_terms``, and one that carries raises
+    x = lambda k: Polynomial.monomial(2, {0: k})
+    one, zero = Polynomial.constant(2, 1), Polynomial.zero(2)
+
+    def skew(a01, a02, a03, a12, a13, a23):  # Pf = a01 a23 - a02 a13 + a03 a12
+        up = {(0, 1): a01, (0, 2): a02, (0, 3): a03, (1, 2): a12, (1, 3): a13, (2, 3): a23}
+        return [[up[r, c] if r < c else -up[c, r] if c < r else zero for c in range(4)]
+                for r in range(4)]
+
+    checked, mul = [], K.mul_terms
+    monkeypatch.setattr(K, "mul_terms", lambda *args: checked.append(1) or mul(*args))
+    assert poly_det([[x(200), one], [one, x(55)]]) == x(255) - one
+    assert poly_pfaffian(skew(x(200), zero, one, one, zero, x(55))) == x(255) + one
+    assert not checked
+    # row maxima 200 + 100: every product tested, none carries
+    assert poly_det([[x(200), zero], [x(100), x(55)]]) == x(255)
+    assert checked
+    with pytest.raises(OverflowError, match="255"):
+        poly_det([[x(200), one], [one, x(56)]])
+    with pytest.raises(OverflowError, match="255"):
+        poly_pfaffian(skew(x(200), zero, zero, zero, zero, x(56)))
+
+
 @pytest.mark.parametrize("expand", [poly_det, poly_pfaffian])
 def test_poly_det_and_pfaffian_reject_a_matrix_that_is_not_square(expand):
     c = lambda v, nv=1: Polynomial.constant(nv, v)
@@ -232,20 +258,21 @@ def _adapted_so8():
 
 
 def _count_term_pairs(monkeypatch):
-    """A one-item list that counts the term pairs of every ``mul_terms`` from now on."""
+    """A one-item list that counts the term pairs of every ``mul_terms`` and of every
+    unchecked ``mul_add_terms`` (the expansions' products) from now on."""
     count = [0]
-    mul = K.mul_terms
+    for name in ("mul_terms", "mul_add_terms"):
+        def counted(a, b, *rest, kernel=getattr(K, name)):
+            count[0] += len(a) * len(b)
+            return kernel(a, b, *rest)
 
-    def counted(a, b, nvars, out=None):
-        count[0] += len(a) * len(b)
-        return mul(a, b, nvars, out)
-
-    monkeypatch.setattr(K, "mul_terms", counted)
+        monkeypatch.setattr(K, name, counted)
     return count
 
 
 def test_so8_adapted_charpoly_term_products(monkeypatch):
-    # 49,854 term products meeting in the middle, 86,793 level by level to the top
+    # 41,964 term products meeting in the middle with the rows taken from both ends inward,
+    # 49,854 with the rows in order, 86,793 level by level to the top
     L = _adapted_so8()
     count = _count_term_pairs(monkeypatch)
     charpoly_coefficients(L)
@@ -253,8 +280,9 @@ def test_so8_adapted_charpoly_term_products(monkeypatch):
 
 
 def test_so8_adapted_hilbert_basis_term_products(monkeypatch):
-    # the even e_k below e_8 only, and the sign of the Pfaffian at one point: 15,236 term
-    # products; 61,082 when the whole charpoly and Pf * Pf were built
+    # the even e_k below e_8 only, and the sign of the Pfaffian at one point: 11,890 term
+    # products (15,236 with the rows in order); 61,082 when the whole charpoly and Pf * Pf
+    # were built
     L = _adapted_so8()
     L.realization_certificate
     count = _count_term_pairs(monkeypatch)
@@ -278,8 +306,9 @@ def test_selected_charpoly_coefficients_equal_the_whole_expansion(L):
     want = _charpoly_reference(L)
     assert charpoly_coefficients(L) == want
     size = L.matrix_size
+    Y = invariants._dual_cells(L)
     for ks in (range(2, size - 1, 2), range(1, size + 1, 3), [size]):
-        assert _charpoly(dual_matrix(L), ks) == {k: want[k] for k in ks}, list(ks)
+        assert _charpoly(L.dim, size, Y, ks) == {k: want[k] for k in ks}, list(ks)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -292,8 +321,13 @@ def test_so_odd_charpoly_coefficients_vanish(n):
 
 def test_a_wrong_pfaffian_fails_the_sign_check(monkeypatch):
     # 2 Pf squares to 4 det(J Y): the check at one point sees it
-    pfaffian = invariants.poly_pfaffian
-    monkeypatch.setattr(invariants, "poly_pfaffian", lambda entries: 2 * pfaffian(entries))
+    expand = invariants.laplace_expansion  # the expansion of det and Pf that hilbert_basis calls
+
+    def doubled_pfaffian(n, size, cells, pfaffian, powers):
+        out = expand(n, size, cells, pfaffian, powers)
+        return {k: 2 * p for k, p in out.items()} if pfaffian else out
+
+    monkeypatch.setattr(invariants, "laplace_expansion", doubled_pfaffian)
     for L in (build_so_even(3), _adapted_so8()):
         with pytest.raises(ValueError, match="Pfaffian sign convention failure"):
             hilbert_basis(L, "charpoly")

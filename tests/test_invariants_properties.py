@@ -1,13 +1,18 @@
 """Differential property tests: the invariant expansions against textbook formulas.
 
-``poly_det`` and ``poly_pfaffian`` meet in the middle: the bottom levels of
-subproblems reachable through nonzero entries are built level by level, the
-top rows are summed into one coefficient per subproblem at half the depth,
-and each such subproblem is built only to be multiplied by its coefficient.
-The Leibniz permutation sum and the perfect-matching sum share none of that.
-Random sparse matrices with zero rows and columns leave levels empty or
-unreachable, odd and even sizes split the levels unevenly and evenly, and
-``Fraction`` entries exercise the common denominator.  ``_power_sums`` adds
+``poly_det`` and ``poly_pfaffian`` are ``poly.laplace_expansion``, which meets
+in the middle on int terms: the bottom levels of subproblems (column bitmasks)
+reachable through nonzero entries are built level by level, the top rows are
+summed into one coefficient per subproblem at half the depth, and each such
+subproblem is built only to be multiplied by its coefficient.  The Leibniz
+permutation sum and the perfect-matching sum share none of that.  Random sparse
+matrices with zero rows and columns leave levels empty or unreachable, odd and
+even sizes split the levels unevenly and evenly, and ``Fraction`` entries
+exercise the common denominator.  With lambda as a grade of the terms, the
+expansion of det(lambda I + A) gives the coefficient of each lambda-power asked
+for, against the determinant with lambda as one more variable.  The products of
+these small exponents pass the expansion's one exponent bound, so they run with
+no carry test; ``test_invariants`` covers the bound itself.  ``_power_sums`` adds
 every product of one p_k into a single int dict; the reference is the plain
 ``Polynomial``-arithmetic loop of Newton's identities.
 """
@@ -29,7 +34,7 @@ from liesplit.invariants import (  # noqa: E402
     poly_pfaffian,
 )
 from liesplit.liealg import build_gl, build_sl  # noqa: E402
-from liesplit.poly import Polynomial  # noqa: E402
+from liesplit.poly import Polynomial, laplace_expansion  # noqa: E402
 from liesplit.splitting import horospherical_splitting  # noqa: E402
 from liesplit.zalgebra import _sl_diagonals  # noqa: E402
 
@@ -123,6 +128,29 @@ def test_poly_pfaffian_equals_the_matching_sum(A):
 def test_pfaffian_squares_to_the_determinant(A):
     pf = poly_pfaffian(A)
     assert pf * pf == poly_det(A)
+
+
+def lambda_reference(A, nv):
+    """{k: the coefficient of lambda^k in det(lambda I + A)}, the nonzero ones, with lambda one
+    more variable, the last, through ``poly_det``: as ``_charpoly_reference`` of
+    ``test_invariants`` expands det(lambda I - Y)."""
+    if not A:
+        return {0: Polynomial.constant(nv, 1)}
+    lam = Polynomial.variable(nv + 1, nv)
+    det = poly_det([[(lam if r == c else 0) + e.lift(nv + 1) for c, e in enumerate(row)]
+                    for r, row in enumerate(A)])
+    return {k: p for k, p in det.split_last().items() if p}
+
+
+@CHECKS
+@given(sparse_matrices(), st.data())
+def test_lambda_graded_expansion_equals_lambda_as_a_variable(A, data):
+    want, size = lambda_reference(A, NV), len(A)
+    cells = {(r, c): e for r, row in enumerate(A) for c, e in enumerate(row) if e}
+    assert laplace_expansion(NV, size, cells, False, set(range(size + 1))) == want
+    powers = data.draw(st.sets(st.integers(0, size)))
+    assert laplace_expansion(NV, size, cells, False, powers) == {
+        k: p for k, p in want.items() if k in powers}
 
 
 def newton_reference(e):

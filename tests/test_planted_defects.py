@@ -3,14 +3,19 @@
 Each row plants one defect by monkeypatch, runs one small case, and names the verdicts the
 defect flips (every other verdict still holds) or the error it raises.  The rows here cover
 the bi-degree layer: each defect rewrites what ``invariants.bidecompose`` returns, which
-every reader of a split reaches through ``HilbertBasis.split``.  The last rows plant a wrong
+every reader of a split reaches through ``HilbertBasis.split``.  The next rows plant a wrong
 entry in one matrix M_b of Y(x) = sum_b x_b M_b, which the Jacobian rows read, and the row
-oracle (a realization row is the gradient the terms give, modulo P) catches it.
+oracle (a realization row is the gradient the terms give, modulo P) catches it.  The last
+rows plant a wrong column sign in ``poly.laplace_expansion``, the one expansion of the
+determinants and Pfaffians that ``hilbert_basis`` builds its generators from.
 """
+
+import inspect
+import re
 
 import pytest
 
-from liesplit import invariants
+from liesplit import invariants, poly
 from liesplit.invariants import hilbert_basis
 from liesplit.liealg import build_so_even
 from liesplit.linalg import P
@@ -139,3 +144,37 @@ def test_one_wrong_entry_of_a_dual_matrix_fails_the_row_oracle(monkeypatch, side
     mats[b] = {**mats[b], cell: mats[b][cell] + 1}
     monkeypatch.setitem(S.algebra.__dict__, "_dual_matrices", tuple(mats))
     assert _rows_off_int_gradient(B, S, x)
+
+
+# -- the expansion's column signs -------------------------------------------
+
+SIGN = "(~U & (bit - 1)).bit_count() & 1"  # the parity of the free columns below column j
+
+# (the wrong parity, case, params, the verdicts it flips or the ValueError it raises)
+SIGN_ROWS = [
+    # the used columns below j: a determinant changes by (-1)^(N (N - 1) / 2) only, as every
+    # permutation takes each column once, but a Pfaffian takes half the indices as columns,
+    # so Pf(J Y) is another polynomial and its sign check at one point fails
+    ("(U & (bit - 1)).bit_count() & 1", "so2n", {"n": 3},
+     "Pfaffian sign convention failure: Pf^2 != (-1)^n Delta_2n"),
+    # only the column just below j: the e_k of sl(4) are no longer invariants
+    ("(~U & (bit >> 1)).bit_count() & 1", "sl2n", {"n": 2},
+     {"property_extreme_components_invariant", "property_pencil_commutativity_sampled"}),
+]
+
+
+@pytest.mark.parametrize("parity, case, params, expected", SIGN_ROWS,
+                         ids=[f"{c}-{p['n']}" for _, c, p, _ in SIGN_ROWS])
+def test_a_wrong_column_sign_of_the_expansion_is_caught(monkeypatch, parity, case, params,
+                                                        expected):
+    source = inspect.getsource(poly.laplace_expansion)
+    assert source.count(SIGN) == 1
+    namespace = dict(vars(poly))
+    exec(compile(source.replace(SIGN, parity), poly.__file__, "exec"), namespace)
+    monkeypatch.setattr(invariants, "laplace_expansion", namespace["laplace_expansion"])
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            run_case(case, params, seed=1)
+        return
+    verdicts = run_case(case, params, seed=1).verdicts
+    assert {k for k, v in verdicts.items() if v is not True} == expected

@@ -101,6 +101,31 @@ def test_degree_one_bracket_is_lie_bracket():
     assert poisson_bracket(sl2, e, f) == h
 
 
+def test_bracket_products_at_the_exponent_limit(monkeypatch):
+    # with every exponent of F and G below 128, V_j = {F, x_j} stays at most 128 and dG_j
+    # below 128, so no product carries and none is tested: {h^127 e, h^127 f} reaches h^255;
+    # an exponent of 128 sends every product through the carry test, and one past 255 raises
+    sl2 = build_sl(2)
+    e, h, f = sl2_vars()
+    pi = {(0, 1): -2 * e, (0, 2): h, (1, 2): -2 * f}  # [e, h] = -2e, [e, f] = h, [h, f] = -2f
+
+    def reference(F, G):
+        return sum((c * (F.diff(i) * G.diff(j) - F.diff(j) * G.diff(i))
+                    for (i, j), c in pi.items()), Polynomial.zero(3))
+
+    small, large, too_large = (h**127 * e, h**127 * f), (h**128 * e, f), (h**128 * e, h**127 * f)
+    want = [reference(*small), reference(*large)]
+    assert want[0] == h**255 - 508 * e * h**253 * f
+    checked, mul = [], K.mul_terms
+    monkeypatch.setattr(K, "mul_terms", lambda *args: checked.append(1) or mul(*args))
+    assert poisson_bracket(sl2, *small) == want[0]
+    assert not checked
+    assert poisson_bracket(sl2, *large) == want[1]
+    assert checked
+    with pytest.raises(OverflowError, match="255"):
+        poisson_bracket(sl2, *too_large)
+
+
 def test_casimir_brackets_vanish():
     sl2 = build_sl(2)
     e, h, f = sl2_vars()
@@ -574,15 +599,15 @@ def test_contraction_brackets_are_exactly_antisymmetric(case, side):
 
 
 def _term_pairs(monkeypatch):
-    """A list whose one entry counts the term pairs of ``_kernels.mul_terms`` from now on."""
+    """A list whose one entry counts the term pairs of ``_kernels.mul_terms`` and of the
+    unchecked ``_kernels.mul_add_terms`` from now on."""
     count = [0]
-    mul = K.mul_terms
+    for name in ("mul_terms", "mul_add_terms"):
+        def counted(a, b, *rest, kernel=getattr(K, name)):
+            count[0] += len(a) * len(b)
+            return kernel(a, b, *rest)
 
-    def counted(a, b, nvars, out=None):
-        count[0] += len(a) * len(b)
-        return mul(a, b, nvars, out)
-
-    monkeypatch.setattr(K, "mul_terms", counted)
+        monkeypatch.setattr(K, name, counted)
     return count
 
 

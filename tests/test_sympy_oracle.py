@@ -1,8 +1,8 @@
 """sympy as an independent oracle for the determinant expansions and the bracket.
 
 ``charpoly_coefficients``, ``poly_det`` and ``poly_pfaffian`` expand
-polynomial matrices by first-row expansion over packed polynomials, built
-level by level from the smallest reachable minors, and the power traces
+polynomial matrices by one first-row expansion over int terms
+(``poly.laplace_expansion``), met in the middle, and the power traces
 follow from the characteristic coefficients by Newton's identities; sympy
 expands the same symbolic matrices with its own algorithms (Berkowitz
 characteristic polynomial, symbolic determinant, matrix powers).
