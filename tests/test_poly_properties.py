@@ -9,15 +9,18 @@ common denominators, cancellation, reduction to primitive form).
 """
 
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 from math import gcd
+from operator import or_
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from liesplit._kernels import axpy_terms, mul_terms  # noqa: E402
-from liesplit.poly import Polynomial  # noqa: E402
+from liesplit._kernels import _carry_free, axpy_terms, mul_terms  # noqa: E402
+from liesplit.poly import Polynomial, _degree_reader  # noqa: E402
 
 # derandomized, so every run checks the same examples
 CHECKS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -84,7 +87,7 @@ def r_map_vars(a, images, target):
     return out
 
 
-def r_split_last(a):
+def r_last_coefficients(a):
     """{k: the coefficient of x_last^k over the other variables}."""
     out = {}
     for e, c in a.items():
@@ -233,12 +236,15 @@ def test_int_gradient_matches_reference(data, draw):
 
 @CHECKS
 @given(pair(), st.data())
-def test_split_last_and_part_on_match_reference(data, draw):
+def test_last_variable_parts_and_part_on_match_reference(data, draw):
+    # the coefficient of x_last^k: the part of degree k in x_last, with x_last set to 1
     n, a, _ = data
     p = Polynomial(n, a)
-    parts = p.split_last()
+    at_one = [Polynomial.variable(n - 1, i) for i in range(n - 1)]
+    at_one.append(Polynomial.constant(n - 1, 1))
+    parts = {k: q.map_vars(at_one, n - 1) for k, q in p.split_degree([n - 1]).items()}
     assert all(q.nvars == n - 1 for q in parts.values())
-    assert {k: ref(q) for k, q in parts.items()} == r_split_last(a)
+    assert {k: ref(q) for k, q in parts.items()} == r_last_coefficients(a)
     keep = draw.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
     part = p.part_on(keep)
     assert part.nvars == len(keep) and ref(part) == r_part_on(a, keep)
@@ -374,3 +380,67 @@ def test_split_degree_reads_exponents_up_to_255():
     assert p.split_degree((2,)) == {0: x**255 * y**200, 1: y**255 * z, 255: 3 * z**255}
     with pytest.raises(ValueError, match="split_degree: 3 is not a variable index"):
         p.split_degree((0, 3))
+
+
+# -- the carry rule and the degree reader, on raw exponent keys -----------------
+
+
+# exponents over the whole byte, and often small enough that a product fits
+exponent = st.one_of(st.integers(0, 255), st.integers(0, 70), st.sampled_from([127, 128, 255]))
+
+
+@st.composite
+def factors(draw, min_factors=1, max_factors=4):
+    """(nvars, factors): 2-4 variables and 1-4 factors, each 1-4 exponent vectors."""
+    nvars = draw(st.integers(2, 4))
+    vector = st.tuples(*[exponent] * nvars)
+    return nvars, draw(st.lists(st.lists(vector, min_size=1, max_size=4, unique=True),
+                                min_size=min_factors, max_size=max_factors))
+
+
+def key(e):
+    return int.from_bytes(bytes(e), "big")
+
+
+@CHECKS
+@given(factors(), st.integers(0, 2))
+def test_a_carry_free_bound_admits_no_carrying_product(data, linear):
+    # the bound of a factor is the OR of its keys, 1 per slot for each linear factor
+    nvars, fs = data
+    bounds = [reduce(or_, map(key, f)) for f in fs]
+    fits = _carry_free(nvars, bounds, linear)
+    sums = [sum(col) + linear for col in zip(*(b.to_bytes(nvars, "big") for b in bounds))]
+    assert fits == (max(sums) <= 255)
+    if fits:  # brute force: one exponent vector per factor
+        for pick in product(*fs):
+            assert all(sum(col) + linear <= 255 for col in zip(*pick))
+
+
+@CHECKS
+@given(factors(2, 2), st.data())
+def test_mul_terms_raises_exactly_when_a_pair_passes_255(data, draw):
+    nvars, (fa, fb) = data
+    nonzero = st.integers(-5, 5).filter(bool)
+    a, b = ({key(e): draw.draw(nonzero) for e in f} for f in (fa, fb))
+    if any(x + y > 255 for ea in fa for eb in fb for x, y in zip(ea, eb)):
+        with pytest.raises(OverflowError, match="255"):
+            mul_terms(a, b, nvars)
+        with pytest.raises(OverflowError, match="255"):
+            mul_terms(a, b, nvars, {})
+        return
+    want = {}
+    for ea, eb in product(fa, fb):
+        e = key(x + y for x, y in zip(ea, eb))
+        want[e] = want.get(e, 0) + a[key(ea)] * b[key(eb)]
+    assert mul_terms(a, b, nvars) == {e: c for e, c in want.items() if c}
+    assert mul_terms(a, b, nvars, {}) == want
+
+
+@CHECKS
+@given(factors(1, 1), st.data())
+def test_the_degree_reader_sums_the_decoded_exponent_bytes(data, draw):
+    nvars, (vectors,) = data
+    keys = [key(e) for e in vectors]
+    assert _degree_reader(nvars)(keys) == [sum(k.to_bytes(nvars, "big")) for k in keys]
+    chosen = tuple(draw.draw(st.lists(st.integers(0, nvars - 1), unique=True, max_size=nvars)))
+    assert _degree_reader(nvars, chosen)(keys) == [sum(e[i] for i in chosen) for e in vectors]

