@@ -11,10 +11,11 @@ equals the order of the exponent bytes.  So an exponent is at most 255, and
 :func:`_carry_free` is the one carry rule: a factor's bound is the OR of its
 keys (1 per slot for a linear factor), and no product of one term per factor
 carries when the slot-wise sum of the bounds stays at most 255.  ``mul_terms``
-tests its factors' bounds, past 255 each pair, and raises ``OverflowError`` for
-a pair that carries; it returns the product or adds it into a dict the caller
-passes, so a sum of products drops its zeros once.  ``mul_add_terms``, the one
-product loop, runs untested where an expansion's or a bracket's bound passes.
+tests its factors' bounds, past 255 each term of one against the other's bound,
+past that the term's pairs, and raises ``OverflowError`` for a pair that carries;
+it returns the product or adds it into a dict the caller passes, so a sum of
+products drops its zeros once.  ``mul_add_terms``, the one product loop, runs
+untested where an expansion's or a bracket's bound passes.
 
 Square integer matrices for reflection-group work are encoded as
 ``bytes`` of two's-complement int8 entries, row major; a product entry
@@ -54,9 +55,10 @@ def mul_terms(a: dict, b: dict, nvars: int, out: dict | None = None) -> dict:
         a, b = b, a
     if not a:
         return {} if out is None else out
-    if not _carry_free(nvars, (reduce(or_, a, 0), reduce(or_, b, 0))):
-        for ea in a:  # some pair might carry: test each
-            for eb in b:
+    bound = reduce(or_, b, 0)
+    if not _carry_free(nvars, (reduce(or_, a, 0), bound)):
+        for ea in a:  # some pair might carry: test each term against b's bound, then its pairs
+            for eb in () if _carry_free(nvars, (ea, bound)) else b:
                 if not _carry_free(nvars, (ea, eb)):
                     raise OverflowError("exponent sum exceeds 255, the largest exponent "
                                         "a packed exponent byte holds")
@@ -99,15 +101,16 @@ def axpy_terms(acc: dict, src: dict, coeff: int) -> None:
                 del acc[e]
 
 
-def diff_terms(t: dict, var: int, nvars: int) -> dict:
-    shift = 8 * (nvars - 1 - var)
-    unit = 1 << shift
-    out = {}
+def diff_terms(t: dict, nvars: int) -> dict:
+    """{i: the terms of dt/dx_i} for every variable i that t uses, i increasing, in one walk
+    over the terms."""
+    units = [1 << 8 * (nvars - 1 - i) for i in range(nvars)]
+    out = [{} for _ in range(nvars)]
     for e, c in t.items():
-        k = (e >> shift) & 0xFF
-        if k:
-            out[e - unit] = c * k
-    return out
+        for i, k in enumerate(e.to_bytes(nvars, "big")):
+            if k:
+                out[i][e - units[i]] = c * k
+    return {i: d for i, d in enumerate(out) if d}
 
 
 def matmul_i8(a: bytes, b: bytes, n: int) -> bytes:

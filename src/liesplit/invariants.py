@@ -13,9 +13,9 @@ the top generator of either family when every rho(e_a) is skew about the
 antidiagonal J, as on so(2n): then J Y is skew, so its entries are not checked again.
 There Y^T = -J Y J, so det(lambda - Y) = det(lambda + Y) and every odd e_k is
 zero: ``hilbert_basis`` asks the final sum of the expansion for the even
-lambda-powers of e_2 .. e_(2n-2) only, and checks the sign Pf(J Y)^2 = (-1)^n det Y
-at one seeded integer point instead of squaring Pf against e_2n, which it never
-builds.  All are exact polynomials in the dual coordinates x.  This module reads no
+lambda-powers of e_2 .. e_(2n-2) only, and checks Pf(x) = Pf(J Y(x)) modulo P at one
+seeded point x, by ``linalg._pfaffian_mod_p``, which fixes its sign without e_2n, never
+built.  All are exact polynomials in the dual coordinates x.  This module reads no
 terms and calls no kernel (an expansion bounds its exponents once: ``poly``'s carry rule).
 
 Each of them is a conjugation-invariant function of Y, so its invariance is a
@@ -30,10 +30,10 @@ oracles of the test suite.
 
 ``bidecompose(D, F)`` splits a homogeneous F of degree d into the dict
 {i: the component of bidegree (i, d - i)} over the nonzero components, i
-(the h-degree) increasing; the extreme components are ``parts[min(parts)]``
-(least h-degree) and ``parts[max(parts)]`` (least r-degree).  It keeps no
-state: a basis keeps the splits of its own generators, one list per h
-(``HilbertBasis.split``).
+(the h-degree) increasing.  It keeps no state: a basis keeps the splits of its
+own generators, one list per h (``HilbertBasis.split``), and reads their extreme
+components, the least h-degree on side h and the greatest on side r, in one place
+(``HilbertBasis.extremes``), which the GGS test, the centres and the property suite share.
 
 The good-generating-system test is a degree-sum criterion: for a
 subalgebra h with complement m, sum_j deg_m F_j^bullet >= dim m whenever
@@ -54,12 +54,12 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import chain, combinations
-from math import lcm, prod
+from math import prod
 from operator import mul
 
 from .liealg import LieAlgebra, sub_algebra
-from .linalg import (P, Matrix, _best_rank, _mod_p, _pfaffian_mod_p, inverse, rank,  # noqa: F401
-                     skew_rank_mod_p, solve)  # rank: read by the perfbench tracer tests
+from .linalg import (P, Matrix, _best_rank, _mod_p, _pfaffian_mod_p, _sample_point, inverse,
+                     rank, skew_rank_mod_p, solve)  # noqa: F401 (rank: the perfbench tracer tests)
 from .poisson import hamiltonian_field, index_estimate, poisson_bracket
 from .poly import Polynomial, laplace_expansion
 from .rationals import _check_length, _indices
@@ -154,36 +154,23 @@ def _power_sums(e: dict) -> dict:
 
 
 def _pfaffian_sign_holds(pf: Polynomial, mats, size: int) -> bool:
-    """Whether Pf(J Y(x))^2 = (-1)^n det Y(x) at one seeded integer point x where
-    ``pf`` = Pf(J Y) is nonzero, det(d Y(x)) = d^N det Y(x) by Bareiss elimination of
-    Y(x) = sum_b x_b M_b (``LieAlgebra._dual_matrices``) over ints, cleared by d.
-
-    J is the antidiagonal, of det J = (-1)^n, so for the true Pfaffian the identity holds
-    as polynomials: one such point fixes the sign convention and rejects any other
-    multiple c Pf (c^2 != 1).  A zero ``pf`` fails."""
-    rng, v = random.Random(0), 0
-    while pf and not v:
-        x = [rng.randint(-9, 9) for _ in range(pf.nvars)]
-        v = pf.eval(x)
-    if not v:
+    """Whether pf(x) = Pf(J Y(x)) modulo ``linalg.P`` at a seeded point x of [-997, 997]^dim
+    where pf(x) is nonzero modulo P: Y(x) = sum_b x_b M_b (``LieAlgebra._dual_matrices``), J Y(x)
+    its rows reversed, and Pf by ``linalg._pfaffian_mod_p``, as the Jacobian rows of Pf read it.
+    The identity holds as polynomials for the true Pfaffian, so one such point fixes its sign
+    and rejects c Pf for c != 1 modulo P; a ``pf`` zero at five draws fails."""
+    rng = random.Random(0)
+    for _ in range(5):
+        x = _sample_point(rng, pf.nvars, 997)
+        if v := _mod_p(pf.eval(x)):
+            break
+    else:
         return False
-    d = lcm(*(y.denominator for m in mats for y in m.values()))
-    rows, det, prev = [[0] * size for _ in range(size)], 1, 1
+    Y = [[0] * size for _ in range(size)]
     for xb, m in zip(x, mats):
         for (r, c), y in m.items() if xb else ():
-            rows[r][c] += xb * (y * d).numerator
-    for k in range(size):
-        j = next((j for j in range(k, size) if rows[j][k]), None)
-        if j is None:  # det Y(x) = 0, where Pf(J Y(x)) is not
-            return False
-        if j != k:
-            rows[k], rows[j], det = rows[j], rows[k], -det
-        pk = rows[k]
-        for row in rows[k + 1:]:  # each division exact: the entries are minors
-            row[k + 1:] = [(a * pk[k] - row[k] * b) // prev
-                           for a, b in zip(row[k + 1:], pk[k + 1:])]
-        prev = pk[k]
-    return v * v * d**size == (-1) ** (size // 2) * det * prev
+            Y[r][c] += xb * _mod_p(y)
+    return v == _pfaffian_mod_p(Y[::-1])
 
 
 # -- Hilbert bases ------------------------------------------------------
@@ -195,8 +182,8 @@ class HilbertBasis:
     generators: tuple  # of (Polynomial, degree)
     # what proved every generator invariant: 'realization' (the algebra's realization
     # certificate), 'double' (the base's, for the lifts on a Cartan double), 'brackets'
-    # (verify_invariance, for a custom basis), kept by a transport; None only after an
-    # elimination or a double shift
+    # (verify_invariance, for a custom basis), kept by a transport, an elimination and a
+    # double shift (combinations of invariants and of the central xi's)
     invariance: str | None = None
     # per generator for _component_rows: ('e', k), ('p', k), ('pf',) or ('combination', base,
     # ((c, ((s, m_s), ..)), ..)) for base - sum c prod F_s^m_s; None off a realization
@@ -210,6 +197,14 @@ class HilbertBasis:
         if key not in self._splits:
             self._splits[key] = [bidecompose(D, F) for F, _ in self.generators]
         return self._splits[key]
+
+    def extremes(self, D: Decomposition, side: str) -> list:
+        """[(j, i, F_j,i)] in generator order: the component of generator j on ``D`` of least
+        h-degree i on side 'h', of greatest on side 'r', the very polynomial :meth:`split` holds."""
+        if side not in ("h", "r"):
+            raise ValueError(f"side must be 'h' or 'r', got {side!r}")
+        pick = min if side == "h" else max
+        return [(j, (i := pick(parts)), parts[i]) for j, parts in enumerate(self.split(D))]
 
     @property
     def polys(self):
@@ -248,9 +243,9 @@ def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
     trace on sl, the odd ones on so) are dropped.  On so(2n), read off a realization skew
     about the antidiagonal, the Pfaffian (degree n) replaces the top generator: e_2n =
     +-Pf^2, and Newton's identities invert over Q.  There the odd e_k vanish and e_2n
-    is not needed, so only e_2, e_4, .., e_(2n-2) are expanded, and the sign
-    Pf(J Y)^2 = (-1)^n det Y is checked at one integer point where Pf is nonzero
-    (a ``ValueError`` if it fails).  On a Cartan double the basis is the
+    is not needed, so only e_2, e_4, .., e_(2n-2) are expanded, and the expanded Pf is
+    checked against ``linalg._pfaffian_mod_p`` of J Y(x) at one sampled point x where it is
+    nonzero modulo P (a ``ValueError`` if it fails).  On a Cartan double the basis is the
     lifts of its base's basis of the same kind, then the appended xi coordinates.  An
     adapted rebuild that carries no realization (one of a double) gets its base's basis
     through :func:`transport_basis`.  A ready list of polynomials goes through
@@ -297,7 +292,8 @@ def hilbert_basis(L: LieAlgebra, kind: str) -> HilbertBasis:
             JY = {(size - 1 - r, c): v for (r, c), v in Y.items()}  # the rows of Y reversed
             pf = laplace_expansion(n, size, JY, True, None).get(0, Polynomial.zero(n))
             if not _pfaffian_sign_holds(pf, L._dual_matrices, size):
-                raise ValueError("Pfaffian sign convention failure: Pf^2 != (-1)^n Delta_2n")
+                raise ValueError("Pfaffian sign convention failure: Pf(x) != Pf(J Y(x)) "
+                                 "modulo P at a sampled point")
             gens.append((pf, size // 2))
             recipes.append(("pf",))
 
@@ -547,14 +543,12 @@ def ggs_check(D: Decomposition, B: HilbertBasis, side: str = "h",
     horo = D.is_horospherical
     toral = D.t0_indices if side == "h" else D.t1_indices
     toral_set = set(toral)
-    rows, tops, sum_m = [], [], 0
-    for d, parts in zip(B.degrees, B.split(D)):
-        i = (min if side == "h" else max)(parts)
+    rows, sum_m, tops = [], 0, B.extremes(D, side)
+    for d, (_, i, top) in zip(B.degrees, tops):
         bidegree = (i, d - i)
         deg_m = bidegree[side == "h"]
-        tval = parts[i].support_vars() <= toral_set if horo else None
+        tval = top.support_vars() <= toral_set if horo else None
         rows.append(GgsRow(d, deg_m, tval, bidegree))
-        tops.append((parts[i], (len(tops), i)))
         sum_m += deg_m
     dim_m = D.dim_r if side == "h" else D.dim_h
     verdict = sum_m == dim_m
@@ -568,7 +562,8 @@ def ggs_check(D: Decomposition, B: HilbertBasis, side: str = "h",
                              f"contraction has sampled index {ind_c}, {D.algebra.kind} has {ind_q}")
         raise AssertionError(f"sum of complement degrees {sum_m} < dim m = {dim_m}: "
                              "violates a theorem")
-    jrank = _jacobian_rank(tops, D.algebra.dim, trials, seed, 997, B, D)
+    jrank = _jacobian_rank([(F, (j, i)) for j, i, F in tops], D.algebra.dim, trials, seed, 997,
+                           B, D)
     rank_known = D.algebra.rank
     consistent = None if rank_known is None else verdict == (jrank == rank_known)
     a_count = dim_toral = claim_ok = None
@@ -607,7 +602,8 @@ def eliminate_on_subspace(B: HilbertBasis, S: Decomposition, keep=()) -> Hilbert
     P of degree d is kept when its t0-restriction is nonzero and an exact linear solve
     cannot write it as a weighted-degree-d polynomial in the restrictions kept so far;
     otherwise P is replaced by P - that combination, whose restriction is zero.  The
-    modified family is again a Hilbert basis (triangular change).  Without ``keep`` the
+    modified family is again a Hilbert basis (triangular change), of ``B``'s invariance
+    route, and each corrected recipe names its combination.  Without ``keep`` the
     kept restrictions are a minimal homogeneous generating set of the restricted image
     (graded Nakayama: a basis of R+/R+^2), so no homogeneous generating system has fewer
     generators nonzero on t0.
@@ -642,7 +638,7 @@ def eliminate_on_subspace(B: HilbertBasis, S: Decomposition, keep=()) -> Hilbert
                         for c, m in zip(lam, exps) if c))
                 continue
         kept.append((idx, P, d, target))
-    return HilbertBasis(B.algebra, tuple(new_gens), None, recipes and tuple(recipes))
+    return HilbertBasis(B.algebra, tuple(new_gens), B.invariance, recipes and tuple(recipes))
 
 
 def double_shift_basis(B: HilbertBasis, side: str = "h") -> HilbertBasis:
@@ -650,7 +646,8 @@ def double_shift_basis(B: HilbertBasis, side: str = "h") -> HilbertBasis:
 
     fbar_j is the Cartan restriction of F_j rewritten in the appended
     xi variables via the fixed identification h_i -> xi_i.  Degree-1
-    generators (the xi's themselves) pass through unchanged.
+    generators (the xi's themselves) pass through unchanged.  The xi's are central, so
+    ``B.invariance`` is kept; no recipe is.
     """
     L = B.algebra
     base = _double_base(L)
@@ -665,7 +662,7 @@ def double_shift_basis(B: HilbertBasis, side: str = "h") -> HilbertBasis:
               for i in range(n)]
     sign = {d: -1 if side == "r" and d % 2 else 1 for d in B.degrees}
     return HilbertBasis(L, tuple((F if d == 1 else F - sign[d] * F.map_vars(images, n), d)
-                                 for F, d in B.generators))
+                                 for F, d in B.generators), B.invariance)
 
 
 # -- AKS restriction ------------------------------------------------------

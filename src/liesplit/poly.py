@@ -297,16 +297,15 @@ class Polynomial:
     # -- calculus -----------------------------------------------------
     def diff(self, var: int) -> "Polynomial":
         _indices("diff:", (var,), self.nvars, "variable index")
-        return Polynomial._of(self.nvars, K.diff_terms(self.terms, var, self.nvars), self.den)
+        return Polynomial._of(self.nvars, self.partials().get(var, {}), self.den)
 
     def partials(self) -> dict:
         """{i: int terms of den * d self/d x_i} for every variable i that self uses, in
-        increasing i; taken once per polynomial and kept, so not to be mutated."""
+        increasing i, from one walk over the terms, once per polynomial: kept, not to be mutated."""
         try:
             return self._partials
         except AttributeError:
-            n, t = self.nvars, self.terms
-            self._partials = {i: K.diff_terms(t, i, n) for i in sorted(self.support_vars())}
+            self._partials = K.diff_terms(self.terms, self.nvars)
             return self._partials
 
     def int_gradient(self, point: Sequence[int]) -> list:

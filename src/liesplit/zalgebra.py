@@ -191,17 +191,16 @@ def property_suite(S: Decomposition, B: HilbertBasis, seed: int = 0,
     )
 
     recon = True
-    extreme_invariant = True
     all_components = []
     one = Polynomial.constant(S.algebra.dim, 1)
     for F, parts in zip(B.polys, B.split(S)):
         all_components.extend(parts.values())
         total = Polynomial.sum_of_products(F.nvars, ((1, c, one) for c in parts.values()))
         recon = recon and total == F
-        extreme_invariant = extreme_invariant and verify_invariance(con_h, parts[min(parts)])
-        extreme_invariant = extreme_invariant and verify_invariance(con_r, parts[max(parts)])
     results["bidecompose_reconstruction"] = recon
-    results["extreme_components_invariant"] = extreme_invariant
+    results["extreme_components_invariant"] = all(
+        verify_invariance(con, F) for side, con in (("h", con_h), ("r", con_r))
+        for *_, F in B.extremes(S, side))
 
     # sampled pencil commutativity of distinct pairs of bi-components, within a term budget
     pairs = []
@@ -363,29 +362,20 @@ def _centre_generators(S: Decomposition, B: HilbertBasis):
     Z0: a basis of t0 plus the minimal-h-degree components not supported on
     t0; Zinf symmetric with t1 and maximal-h-degree components.
     """
-    t0set = set(S.t0_indices)
-    t1set = set(S.t1_indices)
-    z0 = [Polynomial.variable(S.algebra.dim, i) for i in S.t0_indices]
-    zinf = [Polynomial.variable(S.algebra.dim, i) for i in S.t1_indices]
-    for parts in B.split(S):
-        top, bottom = parts[min(parts)], parts[max(parts)]
-        if not top.support_vars() <= t0set:
-            z0.append(top)
-        if not bottom.support_vars() <= t1set:
-            zinf.append(bottom)
-    return z0, zinf
+    return tuple([Polynomial.variable(S.algebra.dim, i) for i in toral]
+                 + [F for *_, F in B.extremes(S, side) if not F.support_vars() <= set(toral)]
+                 for side, toral in (("h", S.t0_indices), ("r", S.t1_indices)))
 
 
-def _z_algebra(S: Decomposition, B: HilbertBasis, mode: str, trials, seed,
-               least: int = 5, bound: int = 997):
+def _z_algebra(S: Decomposition, B: HilbertBasis, mode: str, trials, seed):
     """(Z, b, trdeg): the ``mode`` candidates of ``z_generators`` with the centres of
     ``_centre_generators``, b of the splitting's algebra, and their Jacobian rank over
-    max(``least``, ``trials``) seeded points of [-``bound``, ``bound``]^dim."""
+    max(5, ``trials``) seeded points of [-997, 997]^dim."""
     Z = z_generators(S, B, *_centre_generators(S, B), mode)
     # each bi-component of B, by identity, names its (generator, h-degree) for its row
     where = {id(c): (j, i) for j, parts in enumerate(B.split(S)) for i, c in parts.items()}
     td = _jacobian_rank([(p, where.get(id(p))) for p, _ in Z], S.algebra.dim,
-                        max(least, trials), seed, bound, B, S)
+                        max(5, trials), seed, 997, B, S)
     return Z, _b_of(S.algebra), td
 
 
@@ -661,7 +651,7 @@ def _case_so2n(params, seed, trials, dmax):
     rep_r = ggs_check(S, B, side="r", trials=trials, seed=seed)
     timer.lap("ggs")
 
-    Z, b, td = _z_algebra(S, B, "m_tilde", trials, seed, least=3, bound=97)
+    Z, b, td = _z_algebra(S, B, "m_tilde", trials, seed)
     # exact pairwise brackets among the small generators; the large sextic
     # components are covered by the sampled property suite below
     small = [(p, tag) for p, tag in Z if len(p.terms) <= 160]

@@ -33,6 +33,7 @@ from liesplit.poly import Polynomial
 from liesplit.rationals import QQ
 from liesplit.splitting import (
     BracketParameter,
+    _vectors,
     contract,
     horospherical_splitting,
     make_decomposition,
@@ -322,15 +323,16 @@ def test_so_odd_charpoly_coefficients_vanish(n):
     assert not any(e[k].is_zero() for k in range(2, 2 * n + 1, 2))
 
 
-def test_a_wrong_pfaffian_fails_the_sign_check(monkeypatch):
-    # 2 Pf squares to 4 det(J Y): the check at one point sees it
+@pytest.mark.parametrize("c", [2, -1])
+def test_a_wrong_pfaffian_fails_the_sign_check(monkeypatch, c):
+    # c Pf differs from Pf(J Y(x)) modulo P at any point where Pf(x) is nonzero modulo P
     expand = invariants.laplace_expansion  # the expansion of det and Pf that hilbert_basis calls
 
-    def doubled_pfaffian(n, size, cells, pfaffian, powers):
+    def scaled_pfaffian(n, size, cells, pfaffian, powers):
         out = expand(n, size, cells, pfaffian, powers)
-        return {k: 2 * p for k, p in out.items()} if pfaffian else out
+        return {k: c * p for k, p in out.items()} if pfaffian else out
 
-    monkeypatch.setattr(invariants, "laplace_expansion", doubled_pfaffian)
+    monkeypatch.setattr(invariants, "laplace_expansion", scaled_pfaffian)
     for L in (build_so_even(3), _adapted_so8()):
         with pytest.raises(ValueError, match="Pfaffian sign convention failure"):
             hilbert_basis(L, "charpoly")
@@ -345,9 +347,8 @@ def _standard_skew(n):
                                    ([[0, 0, 1, 0], [0, 0, 1, 1], [-1, -1, 0, 0],
                                      [0, -1, 0, 0]], -1)])
 def test_pfaffian_sign_check_at_a_point(K, pf):
-    # Y = J K: Pf(J Y) = Pf(K) and det Y = det J det K = (-1)^n Pf(K)^2.  The first pivot of
-    # each Y is zero; the last Y takes one row swap, the standard ones two
-    # Y(x) = x_0 J K on one coordinate, so Pf(J Y(x)) = x_0^n Pf(K)
+    # Y = J K: Pf(J Y) = Pf(K), and Y(x) = x_0 J K on one coordinate, so Pf(J Y(x)) =
+    # x_0^n Pf(K) modulo P: the check at one point rejects -Pf and 2 Pf, and a zero Pf
     c = lambda v: Polynomial.constant(1, v)
     Y = [[c(v) for v in row] for row in K[::-1]]
     assert poly_pfaffian(Y[::-1]) == c(pf)
@@ -355,7 +356,7 @@ def test_pfaffian_sign_check_at_a_point(K, pf):
                    if v}], len(K)
     x0n = Polynomial.monomial(1, {0: size // 2})
     assert [_pfaffian_sign_holds(p * x0n, mats, size) for p in (pf, -pf, 2 * pf, 0)] == [
-        True, True, False, False]
+        True, False, False, False]
     # the 2 x 2 pivots' Pfaffian modulo P, which the Jacobian rows of Pf read, and its n-th
     # power law under scaling; one zero row leaves it 0
     assert _pfaffian_mod_p(K) == pf % P
@@ -490,6 +491,51 @@ def test_extreme_components_invariant_under_contractions():
         parts = bidecompose(S, F)
         assert verify_invariance(ch, parts[min(parts)])
         assert verify_invariance(cr, parts[max(parts)])
+
+
+def _double_splitting(n):
+    """The horospherical splitting of case ``double`` at ``n``, with the double's basis."""
+    g = build_sl(n + 1)
+    gd = build_double(g)
+    cart = list(enumerate(g.triangular.cartan))
+    t1, t0 = (_vectors(gd.dim, ({i: 1, g.dim + k: s} for k, i in cart)) for s in (-1, 1))
+    S = horospherical_splitting(gd, t1, t0_basis=t0)
+    return S, transport_basis(hilbert_basis(gd, "charpoly"), S)
+
+
+@pytest.mark.parametrize("name, n", [("so2n", 3), ("so2n", 4), ("sl2n", 2), ("double", 2)])
+def test_extremes_are_the_least_and_greatest_h_degree_of_each_split(name, n):
+    if name == "double":
+        S, B = _double_splitting(n)
+    else:
+        S = _case_splitting(name, n)
+        B = hilbert_basis(S.algebra, "charpoly")
+    parts = B.split(S)
+    for side, pick in (("h", min), ("r", max)):
+        extremes = B.extremes(S, side)
+        assert [(j, i) for j, i, _ in extremes] == [(j, pick(p)) for j, p in enumerate(parts)]
+        # the very polynomials of the split, which the Z's rows name by identity
+        assert all(F is parts[j][i] for j, i, F in extremes)
+    assert any(min(p) != max(p) for p in parts)
+    with pytest.raises(ValueError, match="^side must be 'h' or 'r', got 'm'$"):
+        B.extremes(S, "m")
+
+
+def test_an_elimination_and_a_double_shift_keep_the_invariance_route():
+    # a combination of invariants, or an invariant minus a polynomial in the central xi's,
+    # is invariant by the same certificate; the brackets agree
+    g, S = _sl4_splitting()
+    B = transport_basis(hilbert_basis(g, "trace_powers"), S)
+    mod = eliminate_on_subspace(B, S, keep=[0])
+    assert mod.polys[2] != B.polys[2] and verify_invariance(S.algebra, mod.polys[2])
+    assert mod.invariance == B.invariance == "realization"
+    lifts = hilbert_basis(build_double(build_sl(3)), "charpoly")
+    for B in (lifts, custom_basis(lifts.algebra, lifts.polys)):
+        for side in ("h", "r"):
+            shifted = double_shift_basis(B, side)
+            assert shifted.invariance == B.invariance in ("double", "brackets")
+            assert shifted.polys != B.polys
+            assert all(verify_invariance(B.algebra, F) for F in shifted.polys)
 
 
 def test_pencil_commutativity_of_components():

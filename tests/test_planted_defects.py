@@ -7,7 +7,8 @@ every reader of a split reaches through ``HilbertBasis.split``.  The next rows p
 entry in one matrix M_b of Y(x) = sum_b x_b M_b, which the Jacobian rows read, and the row
 oracle (a realization row is the gradient the terms give, modulo P) catches it.  The last
 rows plant a wrong column sign in ``poly.laplace_expansion``, the one expansion of the
-determinants and Pfaffians that ``hilbert_basis`` builds its generators from.
+determinants and Pfaffians that ``hilbert_basis`` builds its generators from, or negate the
+Pfaffian it returns.
 """
 
 import inspect
@@ -149,14 +150,15 @@ def test_one_wrong_entry_of_a_dual_matrix_fails_the_row_oracle(monkeypatch, side
 # -- the expansion's column signs -------------------------------------------
 
 SIGN = "(~U & (bit - 1)).bit_count() & 1"  # the parity of the free columns below column j
+PFAFFIAN_FAILURE = ("Pfaffian sign convention failure: Pf(x) != Pf(J Y(x)) modulo P at a "
+                    "sampled point")
 
 # (the wrong parity, case, params, the verdicts it flips or the ValueError it raises)
 SIGN_ROWS = [
     # the used columns below j: a determinant changes by (-1)^(N (N - 1) / 2) only, as every
     # permutation takes each column once, but a Pfaffian takes half the indices as columns,
     # so Pf(J Y) is another polynomial and its sign check at one point fails
-    ("(U & (bit - 1)).bit_count() & 1", "so2n", {"n": 3},
-     "Pfaffian sign convention failure: Pf^2 != (-1)^n Delta_2n"),
+    ("(U & (bit - 1)).bit_count() & 1", "so2n", {"n": 3}, PFAFFIAN_FAILURE),
     # only the column just below j: the e_k of sl(4) are no longer invariants
     ("(~U & (bit >> 1)).bit_count() & 1", "sl2n", {"n": 2},
      {"property_extreme_components_invariant", "property_pencil_commutativity_sampled"}),
@@ -178,3 +180,18 @@ def test_a_wrong_column_sign_of_the_expansion_is_caught(monkeypatch, parity, cas
         return
     verdicts = run_case(case, params, seed=1).verdicts
     assert {k for k, v in verdicts.items() if v is not True} == expected
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_negated_pfaffian_of_the_expansion_is_caught(monkeypatch, n):
+    # -Pf squares to Pf^2, so no verdict sees it; the check against linalg's Pfaffian of
+    # J Y(x) modulo P at one point does
+    expand = invariants.laplace_expansion
+
+    def negated(n, size, cells, pfaffian, powers):
+        out = expand(n, size, cells, pfaffian, powers)
+        return {k: -p for k, p in out.items()} if pfaffian else out
+
+    monkeypatch.setattr(invariants, "laplace_expansion", negated)
+    with pytest.raises(ValueError, match=f"^{re.escape(PFAFFIAN_FAILURE)}$"):
+        run_case("so2n", {"n": n}, seed=1)

@@ -19,7 +19,7 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from liesplit._kernels import _carry_free, axpy_terms, mul_terms  # noqa: E402
+from liesplit._kernels import _carry_free, axpy_terms, mul_add_terms, mul_terms, pure  # noqa: E402
 from liesplit.poly import Polynomial, _degree_reader  # noqa: E402
 
 # derandomized, so every run checks the same examples
@@ -434,6 +434,19 @@ def test_mul_terms_raises_exactly_when_a_pair_passes_255(data, draw):
         want[e] = want.get(e, 0) + a[key(ea)] * b[key(eb)]
     assert mul_terms(a, b, nvars) == {e: c for e, c in want.items() if c}
     assert mul_terms(a, b, nvars, {}) == want
+
+
+def test_mul_terms_tests_each_term_against_the_other_bound_before_its_pairs(monkeypatch):
+    # 40 x 40 terms over 2 variables: the bounds of x_0 pass 255 (192 + 127) while no pair's
+    # exponents do (128 + 127), so one test per term settles it and no pair is tested
+    calls, real = [], pure._carry_free
+    monkeypatch.setattr(pure, "_carry_free", lambda *args: calls.append(args) or real(*args))
+    a = {key((k, j)): 1 for k in (64, 128) for j in range(20)}
+    b = {key((k, 0)): 1 for k in range(88, 128)}
+    assert mul_terms(a, b, 2) == mul_add_terms(a, b, 2, {})
+    assert len(calls) == 1 + len(a)
+    with pytest.raises(OverflowError, match="255"):  # 129 + 127 carries
+        mul_terms({**a, key((129, 0)): 1}, b, 2)
 
 
 @CHECKS
